@@ -52,7 +52,10 @@ def _parse_consts(pairs) -> dict[str, float]:
         if "=" not in pair:
             raise ModelError(f"expected name=value, got {pair!r}")
         name, value = pair.split("=", 1)
-        out[name] = float(value)
+        try:
+            out[name] = float(value)
+        except ValueError:
+            raise ModelError(f"expected a number for {name!r}, got {value!r}") from None
     return out
 
 

@@ -91,6 +91,7 @@ class NormalFormGame:
                 )
         self.utilities = table
         self._float_cache: np.ndarray | None = None
+        self._norm_cache: np.ndarray | None = None
 
     @property
     def n_players(self) -> int:
@@ -108,6 +109,26 @@ class NormalFormGame:
         if self._float_cache is None:
             self._float_cache = self.utilities.astype(np.float64)
         return self._float_cache
+
+    def normalised_utilities(self) -> np.ndarray:
+        """Float utilities shifted per player to a zero minimum and divided
+        by one common positive scale, so every entry lies in [0, 1].
+
+        The shift and the common scale keep the equilibrium set and the
+        welfare ordering intact, so solver tolerances can be absolute.
+        Computed once per game and returned read-only.
+        """
+        if self._norm_cache is None:
+            floats = self.float_utilities()
+            axes = tuple(range(floats.ndim - 1))
+            mins = floats.min(axis=axes)
+            scale = float((floats.max(axis=axes) - mins).max())
+            if scale <= 0.0:
+                scale = 1.0
+            norm = (floats - mins) / scale
+            norm.setflags(write=False)
+            self._norm_cache = norm
+        return self._norm_cache
 
     def joint_actions(self) -> Iterable[Joint]:
         return itertools.product(*(range(c) for c in self.shape))

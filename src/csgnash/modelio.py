@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import operator
 from fractions import Fraction
 from typing import Mapping
@@ -38,6 +39,7 @@ def eval_expression(text: str, params: Mapping[str, float]) -> float:
     """Evaluate an arithmetic expression over the declared parameters.
 
     Only numbers, parameter names, + - * / ** and parentheses are allowed.
+    Division by zero and overflow raise ModelError.
     """
     try:
         tree = ast.parse(text, mode="eval")
@@ -59,14 +61,28 @@ def eval_expression(text: str, params: Mapping[str, float]) -> float:
             return _UNARY_OPS[type(node.op)](walk(node.operand))
         raise ModelError(f"disallowed construct in expression {text!r}")
 
-    return walk(tree)
+    try:
+        return walk(tree)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ModelError(f"cannot evaluate {text!r}: {exc}") from None
+
+
+def _finite(value, where: str) -> float:
+    """`value` as a float; ModelError unless it is a finite real number."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan  # complex, non-numeric or too large for a float
+    if not math.isfinite(number):
+        raise ModelError(f"{where} is not a finite real number")
+    return number
 
 
 def _number(value, params: Mapping[str, float], where: str) -> float:
     if isinstance(value, (int, float)):
-        return float(value)
+        return _finite(value, f"{value!r} at {where}")
     if isinstance(value, str):
-        return float(eval_expression(value, params))
+        return _finite(eval_expression(value, params), f"{value!r} at {where}")
     raise ModelError(f"expected number or expression at {where}, got {value!r}")
 
 
@@ -85,7 +101,7 @@ def load_model_dict(
                 raise ModelError(f"model declares no parameter {name!r}")
             declared[name] = value
     for name, value in declared.items():
-        declared[name] = float(value)
+        declared[name] = _finite(value, f"parameter {name}={value!r}")
 
     players = [p["name"] for p in doc.get("players", [])]
     if not players:

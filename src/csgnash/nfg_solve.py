@@ -122,13 +122,16 @@ def _contract_tensor(u: np.ndarray, probs: Sequence[np.ndarray], keep=()):
 
     Kept axes stay in their original relative order. Walking axes from the
     last to the first keeps earlier axis numbers valid as axes disappear.
+    `@` contracts the last axis, so an axis is moved last only when a kept
+    axis still sits after it.
     """
-    keep = set(keep)
     res = u
     for axis in range(len(probs) - 1, -1, -1):
         if axis in keep:
             continue
-        res = np.tensordot(res, probs[axis], axes=([axis], [0]))
+        if res.ndim - 1 != axis:
+            res = res.transpose(*range(axis), *range(axis + 1, res.ndim), axis)
+        res = res @ probs[axis]
     return res
 
 
@@ -153,6 +156,24 @@ def regret(game: NormalFormGame, profile: MixedProfile, player: int) -> float:
     """
     vec = switch_values(game, profile, player)
     return float(vec.max() - float(np.dot(vec, profile.probs[player])))
+
+
+def _pure_values(game: NormalFormGame, joint: Joint) -> np.ndarray:
+    """Expected utilities of the pure profile `joint`, read off the float
+    table: the numbers a contraction gives, without one. Adding 0.0 turns
+    a stored -0.0 into the 0.0 a contraction returns."""
+    return game.float_utilities()[joint] + 0.0
+
+
+def _pure_regrets(game: NormalFormGame, joint: Joint) -> np.ndarray:
+    """Regret of every player at the pure profile `joint`: its best switch
+    value along its own axis minus the value of its own action."""
+    floats = game.float_utilities()
+    regrets = np.zeros(game.n_players)
+    for i in range(game.n_players):
+        switch = floats[joint[:i] + (slice(None),) + joint[i + 1 :] + (i,)]
+        regrets[i] = switch.max() - floats[joint + (i,)]
+    return regrets
 
 
 # ---------------------------------------------------------------------------
@@ -308,22 +329,6 @@ class SupportSolution:
     candidate: EquilibriumCandidate | None = None
 
 
-def _normalised(game: NormalFormGame) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-player shift to zero minimum plus one common positive scale.
-
-    This keeps the equilibrium set and the welfare ordering intact while
-    bounding utilities in [0, 1] so feasibility tolerances are meaningful.
-    """
-    floats = game.float_utilities()
-    axes = tuple(range(floats.ndim - 1))
-    mins = floats.min(axis=axes)
-    ranges = floats.max(axis=axes) - mins
-    scale = float(ranges.max())
-    if scale <= 0.0:
-        scale = 1.0
-    return (floats - mins) / scale, mins, scale
-
-
 def _candidate_from_probs(
     game: NormalFormGame, support: Support, probs: list[np.ndarray], residual: float
 ) -> EquilibriumCandidate:
@@ -334,9 +339,12 @@ def _candidate_from_probs(
         vec /= vec.sum()
         full.append(vec)
     profile = MixedProfile(full)
-    values = np.array(
-        [expected_utility(game, profile, i) for i in range(game.n_players)]
-    )
+    if support.is_pure:
+        values = _pure_values(game, tuple(s[0] for s in support.sets))
+    else:
+        values = np.array(
+            [expected_utility(game, profile, i) for i in range(game.n_players)]
+        )
     return EquilibriumCandidate(
         profile=profile,
         values=values,
@@ -456,6 +464,15 @@ def _switch_on_support(
     return np.asarray(_contract_tensor(table, probs, keep=(axis,)), dtype=np.float64)
 
 
+def _cross_block(
+    table: np.ndarray, probs: Sequence[np.ndarray], i: int, j: int
+) -> np.ndarray:
+    """d switch_i / d p_j: `table` contracted over every axis but i and j,
+    as an (axis i) x (axis j) matrix."""
+    mat = _contract_tensor(table, probs, keep=(i, j))
+    return mat.T if j < i else mat
+
+
 def _solve_two_mixers(
     game: NormalFormGame, support: Support, cfg: SolverConfig, norm: np.ndarray
 ) -> SupportSolution | None:
@@ -469,28 +486,15 @@ def _solve_two_mixers(
     singles = [np.array([1.0]) for _ in range(n)]
 
     def solve_block(active: int, other: int) -> np.ndarray | None:
-        # Indifference of `active` pins down `other`'s probabilities.
+        # Indifference of `active` pins down `other`'s probabilities. Every
+        # non-mixer plays its single support action, so the cross block
+        # holds table entries; row b is the pivot's row minus b's.
         table = _restricted(norm, support, active)
         b_a = list(support.sets[active])
-        full_probs: list[np.ndarray] = []
-        for axis in range(n):
-            if axis == other:
-                full_probs.append(np.zeros(len(support.sets[other])))
-            elif axis == active:
-                full_probs.append(np.zeros(table.shape[axis]))
-            else:
-                full_probs.append(singles[axis])
-        rows = []
+        cross = _cross_block(table, singles, active, other)
+        rows = cross[b_a[0]] - cross[b_a[1:]]
         k = len(support.sets[other])
-        for b in b_a[1:]:
-            coeffs = np.zeros(k)
-            for c in range(k):
-                probe = [p.copy() for p in full_probs]
-                probe[other] = np.eye(k)[c]
-                vec = _switch_on_support(table, probe, active)
-                coeffs[c] = vec[b_a[0]] - vec[b]
-            rows.append(coeffs)
-        a_mat = np.vstack([np.array(rows), np.ones((1, k))]) if rows else np.ones((1, k))
+        a_mat = np.vstack([rows, np.ones((1, k))])
         b_vec = np.concatenate([np.zeros(len(rows)), [1.0]])
         sol, _res, rank, _sv = np.linalg.lstsq(a_mat, b_vec, rcond=None)
         if rank < k:
@@ -514,7 +518,8 @@ def _solve_two_mixers(
             probs.append(np.clip(p_j, 0.0, None))
         else:
             probs.append(singles[axis])
-    residual = _max_violation(norm, support, probs, game)
+    tables = [_restricted(norm, support, m) for m in range(n)]
+    residual = _max_violation(tables, support, probs)
     if residual > tol:
         # The indifferent point is unique, so its infeasibility rules the
         # support out entirely.
@@ -553,7 +558,7 @@ def _solve_three_binary_mixers(
                 blocks.append(np.array([1.0]))
         return blocks
 
-    tables = {m: _restricted(norm, support, m) for m in mixers}
+    tables = [_restricted(norm, support, m) for m in range(n)]
 
     def gap(m: int, x_i: float, x_j: float, x_k: float) -> float:
         vec = _switch_on_support(tables[m], blocks_for(x_i, x_j, x_k), m)
@@ -623,7 +628,7 @@ def _solve_three_binary_mixers(
             continue
         blocks = [b for b in blocks_for(*point)]
         support_blocks = [blocks[axis] for axis in range(n)]
-        residual = _max_violation(norm, support, support_blocks, game)
+        residual = _max_violation(tables, support, support_blocks)
         if residual <= tol:
             cand = _candidate_from_probs(game, support, support_blocks, residual)
             if best is None or cand.welfare > best.welfare:
@@ -636,25 +641,18 @@ def _solve_three_binary_mixers(
 
 
 def _max_violation(
-    norm: np.ndarray,
-    support: Support,
-    probs: Sequence[np.ndarray],
-    game: NormalFormGame,
+    tables: Sequence[np.ndarray], support: Support, probs: Sequence[np.ndarray]
 ) -> float:
-    """Largest equilibrium-condition violation at a support-space point."""
-    n = game.n_players
+    """Largest equilibrium-condition violation at a support-space point,
+    given each player's restricted table (see `_restricted`)."""
     worst = 0.0
-    for i in range(n):
-        table = _restricted(norm, support, i)
+    for i, table in enumerate(tables):
         vec = _switch_on_support(table, probs, i)
         b_i = list(support.sets[i])
         pivot = vec[b_i[0]]
-        for b in b_i[1:]:
-            worst = max(worst, abs(pivot - vec[b]))
-        for a in range(game.shape[i]):
-            if a in b_i:
-                continue
-            worst = max(worst, float(vec[a] - pivot))
+        worst = max(worst, float(np.abs(pivot - vec[b_i[1:]]).max(initial=0.0)))
+        outside = np.delete(vec, b_i)
+        worst = max(worst, float((outside - pivot).max(initial=0.0)))
     return worst
 
 
@@ -663,15 +661,17 @@ def _project_simplex(v: np.ndarray, lo: float) -> np.ndarray:
     k = v.size
     if k == 1:
         return np.array([1.0])
+    # Blocks hold a handful of entries, so Python floats beat numpy calls
+    # here; the arithmetic is the same as on arrays.
     mass = 1.0 - k * lo
-    u = np.sort(v - lo)[::-1]
-    css = np.cumsum(u)
-    rho = 0
-    for jj in range(k):
-        if u[jj] + (mass - css[jj]) / (jj + 1) > 0:
-            rho = jj
-    lam = (mass - css[rho]) / (rho + 1)
-    return np.maximum(v - lo + lam, 0.0) + lo
+    shifted = [x - lo for x in v.tolist()]
+    css, rho, rho_css = 0.0, 0, 0.0
+    for jj, u in enumerate(sorted(shifted, reverse=True)):
+        css += u
+        if jj == 0 or u + (mass - css) / (jj + 1) > 0:
+            rho, rho_css = jj, css
+    lam = (mass - rho_css) / (rho + 1)
+    return np.array([max(x + lam, 0.0) + lo for x in shifted])
 
 
 class _DescentProblem:
@@ -681,22 +681,33 @@ class _DescentProblem:
     support actions, normalised utilities. Equality residuals are the
     pivot-vs-in-support indifference gaps; inequality residuals are the
     out-of-support deviation gains (violated when positive).
+
+    Everything at a point derives from the cross blocks cross[i, j] =
+    d switch_i / d p_j, an (A_i full) x (B_j support) matrix. Player i's
+    switch values are multilinear in the other players' blocks, so
+    switch_i = cross[i, j] @ p_j for any j != i, and the rows of the cross
+    blocks give the Jacobian and the penalty gradient.
     """
 
     def __init__(self, game: NormalFormGame, support: Support, norm: np.ndarray):
-        self.n = game.n_players
-        self.support = support
+        n = self.n = game.n_players
         self.sizes = [len(s) for s in support.sets]
-        self.shape = game.shape
-        self.tables = [_restricted(norm, support, i) for i in range(self.n)]
-        self.block = _support_block(norm, support)
+        self.offsets = np.cumsum([0] + self.sizes)
+        self.tables = [_restricted(norm, support, i) for i in range(n)]
+        self.welfare_table = _support_block(norm, support).sum(axis=-1)
         # eq_index[i] lists non-pivot in-support actions, ineq_index[i] the
         # out-of-support actions, both against pivot support.sets[i][0].
-        self.eq_index = [list(support.sets[i][1:]) for i in range(self.n)]
+        self.pivots = [s[0] for s in support.sets]
+        self.eq_index = [list(s[1:]) for s in support.sets]
+        self.eq_rows = np.cumsum([0] + [len(eq) for eq in self.eq_index])
         self.ineq_index = [
             [a for a in range(game.shape[i]) if a not in support.sets[i]]
-            for i in range(self.n)
+            for i in range(n)
         ]
+        # Switch values go through the first other player: the axis that
+        # _contract_tensor(keep=(i,)) would contract last.
+        self.switch_pairs = [(i, 1 if i == 0 else 0) for i in range(n)]
+        self.all_pairs = [(i, j) for i in range(n) for j in range(n) if j != i]
 
     def unpack(self, x: np.ndarray) -> list[np.ndarray]:
         out, ofs = [], 0
@@ -708,103 +719,84 @@ class _DescentProblem:
     def pack(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
         return np.concatenate(blocks)
 
-    def _cross(self, i: int, j: int, blocks) -> np.ndarray:
-        """d switch_i / d p_j as a (full A_i) x (support B_j) matrix."""
-        mat = _contract_tensor(self.tables[i], blocks, keep=(i, j))
-        if j < i:
-            mat = np.asarray(mat).T
-        return np.asarray(mat, dtype=np.float64)
+    def _cross(self, blocks, pairs) -> dict[tuple[int, int], np.ndarray]:
+        return {
+            (i, j): _cross_block(self.tables[i], blocks, i, j) for i, j in pairs
+        }
+
+    def _switch(self, blocks, cross) -> list[np.ndarray]:
+        return [cross[i, j] @ blocks[j] for i, j in self.switch_pairs]
+
+    def _penalty(self, vecs) -> tuple[float, list[list[float]], float, float]:
+        """Squared-violation penalty, its gradient with respect to each
+        player's switch values, and the worst equality and inequality
+        residuals."""
+        pen = 0.0
+        eq_worst = 0.0
+        ineq_worst = 0.0
+        weights = []
+        for i, vec in enumerate(vecs):
+            vals = vec.tolist()
+            w = [0.0] * len(vals)
+            pivot = self.pivots[i]
+            for b in self.eq_index[i]:
+                g = vals[pivot] - vals[b]
+                eq_worst = max(eq_worst, abs(g))
+                pen += g * g
+                w[pivot] += 2.0 * g
+                w[b] -= 2.0 * g
+            for a in self.ineq_index[i]:
+                v = vals[a] - vals[pivot]
+                ineq_worst = max(ineq_worst, v)
+                if v > 0.0:
+                    pen += v * v
+                    w[a] += 2.0 * v
+                    w[pivot] -= 2.0 * v
+            weights.append(w)
+        return pen, weights, eq_worst, ineq_worst
 
     def value(self, blocks, mu: float) -> float:
         """Objective value only (for line searches)."""
-        n = self.n
-        welfare = 0.0
-        for l in range(n):
-            welfare += float(_contract_tensor(self.block[..., l], blocks))
-        pen = 0.0
-        for i in range(n):
-            vec = _switch_on_support(self.tables[i], blocks, i)
-            pivot = self.support.sets[i][0]
-            for b in self.eq_index[i]:
-                g = float(vec[pivot] - vec[b])
-                pen += g * g
-            for a in self.ineq_index[i]:
-                v = float(vec[a] - vec[pivot])
-                if v > 0.0:
-                    pen += v * v
-        return -welfare + mu * pen
+        vecs = self._switch(blocks, self._cross(blocks, self.switch_pairs))
+        welfare = float(_contract_tensor(self.welfare_table, blocks))
+        return -welfare + mu * self._penalty(vecs)[0]
 
     def evaluate(self, blocks, mu: float) -> tuple[float, np.ndarray, float, float]:
         """Objective value, packed gradient, and residual magnitudes."""
-        n = self.n
-        vecs = [_switch_on_support(self.tables[i], blocks, i) for i in range(n)]
-        cross = {
-            (i, j): self._cross(i, j, blocks)
-            for i in range(n)
-            for j in range(n)
-            if i != j
-        }
-        welfare = 0.0
-        grad_w = [np.zeros(k) for k in self.sizes]
-        for l in range(n):
-            welfare += float(_contract_tensor(self.block[..., l], blocks))
-            for i in range(n):
-                grad_w[i] += np.asarray(
-                    _contract_tensor(self.block[..., l], blocks, keep=(i,)),
-                    dtype=np.float64,
-                )
-        pen = 0.0
+        cross = self._cross(blocks, self.all_pairs)
+        vecs = self._switch(blocks, cross)
+        pen, weights, eq_worst, ineq_worst = self._penalty(vecs)
+        grad_w = [
+            _contract_tensor(self.welfare_table, blocks, keep=(i,))
+            for i in range(self.n)
+        ]
+        welfare = float(grad_w[0] @ blocks[0])
         grad_pen = [np.zeros(k) for k in self.sizes]
-        eq_worst = 0.0
-        ineq_worst = 0.0
-        for i in range(n):
-            pivot = self.support.sets[i][0]
-            for b in self.eq_index[i]:
-                g = float(vecs[i][pivot] - vecs[i][b])
-                eq_worst = max(eq_worst, abs(g))
-                pen += g * g
-                for j in range(n):
-                    if j == i:
-                        continue
-                    grad_pen[j] += 2.0 * g * (cross[(i, j)][pivot] - cross[(i, j)][b])
-            for a in self.ineq_index[i]:
-                v = float(vecs[i][a] - vecs[i][pivot])
-                if v > ineq_worst:
-                    ineq_worst = v
-                if v > 0.0:
-                    pen += v * v
-                    for j in range(n):
-                        if j == i:
-                            continue
-                        grad_pen[j] += 2.0 * v * (
-                            cross[(i, j)][a] - cross[(i, j)][pivot]
-                        )
+        for (i, j), mat in cross.items():
+            grad_pen[j] += np.asarray(weights[i]) @ mat
         f = -welfare + mu * pen
-        grad = self.pack(
-            [-gw + mu * gp for gw, gp in zip(grad_w, grad_pen)]
-        )
+        grad = self.pack([-gw + mu * gp for gw, gp in zip(grad_w, grad_pen)])
         return f, grad, eq_worst, ineq_worst
+
+    def _gaps(self, vecs) -> np.ndarray:
+        return np.concatenate(
+            [vec[p] - vec[eq] for vec, p, eq in zip(vecs, self.pivots, self.eq_index)]
+        )
+
+    def equality_residual(self, blocks) -> np.ndarray:
+        """The residual half of `equality_system` (for line searches)."""
+        return self._gaps(self._switch(blocks, self._cross(blocks, self.switch_pairs)))
 
     def equality_system(self, blocks) -> tuple[np.ndarray, np.ndarray]:
         """Residual vector and Jacobian of the indifference equalities."""
-        n = self.n
-        vecs = [_switch_on_support(self.tables[i], blocks, i) for i in range(n)]
-        rows = sum(len(e) for e in self.eq_index)
-        total = sum(self.sizes)
-        res = np.zeros(rows)
-        jac = np.zeros((rows, total))
-        offsets = np.cumsum([0] + self.sizes)
-        r = 0
-        for i in range(n):
-            pivot = self.support.sets[i][0]
-            for b in self.eq_index[i]:
-                res[r] = vecs[i][pivot] - vecs[i][b]
-                for j in range(n):
-                    if j == i:
-                        continue
-                    mat = self._cross(i, j, blocks)
-                    jac[r, offsets[j] : offsets[j + 1]] = mat[pivot] - mat[b]
-                r += 1
+        cross = self._cross(blocks, self.all_pairs)
+        res = self._gaps(self._switch(blocks, cross))
+        jac = np.zeros((res.size, self.offsets[-1]))
+        rows = self.eq_rows
+        for (i, j), mat in cross.items():
+            jac[rows[i] : rows[i + 1], self.offsets[j] : self.offsets[j + 1]] = (
+                mat[self.pivots[i]] - mat[self.eq_index[i]]
+            )
         return res, jac
 
 
@@ -841,7 +833,7 @@ def _solve_descent(
             base = np.max(np.abs(res))
             while scale > 1e-6:
                 cand = project(x + scale * step)
-                new_res, _ = problem.equality_system(problem.unpack(cand))
+                new_res = problem.equality_residual(problem.unpack(cand))
                 if np.max(np.abs(new_res)) < base:
                     x = cand
                     improved = True
@@ -856,7 +848,7 @@ def _solve_descent(
 
     def try_accept(x: np.ndarray) -> EquilibriumCandidate | None:
         blocks = problem.unpack(x)
-        residual = _max_violation(norm, support, blocks, game)
+        residual = _max_violation(problem.tables, support, blocks)
         if residual <= tol and all(np.all(b >= lo - 1e-12) for b in blocks):
             return _candidate_from_probs(game, support, blocks, residual)
         return None
@@ -926,7 +918,7 @@ def solve_support(
     cfg = cfg or SolverConfig()
     if support.is_pure:
         return _solve_pure(game, support)
-    norm, _, _ = _normalised(game)
+    norm = game.normalised_utilities()
     mixer_sizes = [len(s) for s in support.sets if len(s) > 1]
     if len(mixer_sizes) == 1:
         return _solve_one_mixer(game, support, cfg, norm)
@@ -943,12 +935,6 @@ def solve_support(
 
 # ---------------------------------------------------------------------------
 # Top-level search
-
-
-def _constant_per_player(game: NormalFormGame) -> bool:
-    floats = game.float_utilities()
-    axes = tuple(range(floats.ndim - 1))
-    return bool(np.all(floats.max(axis=axes) == floats.min(axis=axes)))
 
 
 def _single_chooser_fast_path(
@@ -1006,7 +992,7 @@ def _single_chooser_fast_path(
         probs.append(vec)
     profile = MixedProfile(probs)
     support = Support(tuple((pick,) if j == i else (0,) for j in range(game.n_players)))
-    regrets = np.array([regret(game, profile, j) for j in range(game.n_players)])
+    regrets = _pure_regrets(game, cell(pick))
     return EquilibriumResult(
         values=np.array(values, dtype=np.float64),
         profile=profile,
@@ -1115,8 +1101,13 @@ def swne(game: NormalFormGame, cfg: SolverConfig | None = None) -> EquilibriumRe
             for i in range(game.n_players)
         )
     )
-    values = np.array([expected_utility(game, profile, i) for i in range(game.n_players)])
-    regrets = np.array([regret(game, profile, i) for i in range(game.n_players)])
+    if support.is_pure:
+        joint = tuple(s[0] for s in support.sets)
+        values, regrets = _pure_values(game, joint), _pure_regrets(game, joint)
+    else:
+        n = game.n_players
+        values = np.array([expected_utility(game, profile, i) for i in range(n)])
+        regrets = np.array([regret(game, profile, i) for i in range(n)])
     return EquilibriumResult(
         values=values,
         profile=profile,

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,6 +37,16 @@ def public_good_nfg(f) -> NormalFormGame:
         total = sum(ks)
         table[joint] = tuple(f * total / 3 - k for k in ks)
     return NormalFormGame([("in0", "in5", "in10")] * 3, table)
+
+
+def hard_333_game() -> NormalFormGame:
+    """Criterion 9's (3,3,3) game of random integer utilities."""
+    rng = random.Random(1)  # no pure equilibrium: full mixed search runs
+    table = {
+        j: tuple(rng.randint(0, 12) for _ in range(3))
+        for j in itertools.product(range(3), repeat=3)
+    }
+    return NormalFormGame([("a", "b", "c")] * 3, table)
 
 
 def matching_pennies_dummy() -> NormalFormGame:

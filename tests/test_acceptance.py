@@ -21,7 +21,7 @@ from csgnash.formulas import (
     Until,
     parse_formula,
 )
-from csgnash.games import Csg, NormalFormGame, RewardStructure, single_controller_view
+from csgnash.games import Csg, RewardStructure, single_controller_view
 from csgnash.modelio import load_model
 from csgnash.nfg_solve import (
     SolverConfig,
@@ -42,7 +42,13 @@ from csgnash.oracle import (
 )
 from csgnash.strategies import certify_epsilon
 
-from conftest import MODELS, eq8_cheat_value, public_good_nfg, three_player_dilemma
+from conftest import (
+    MODELS,
+    eq8_cheat_value,
+    hard_333_game,
+    public_good_nfg,
+    three_player_dilemma,
+)
 
 
 def report(criterion: int, name: str, detail: str = "") -> None:
@@ -511,15 +517,6 @@ def test_criterion_8_single_coalition_degeneration():
 
 # ---------------------------------------------------------------------------
 # Criterion 9: desk-scale performance
-
-
-def hard_333_game() -> NormalFormGame:
-    rng = random.Random(1)  # no pure equilibrium: full mixed search runs
-    table = {
-        j: tuple(rng.randint(0, 12) for _ in range(3))
-        for j in itertools.product(range(3), repeat=3)
-    }
-    return NormalFormGame([("a", "b", "c")] * 3, table)
 
 
 def test_criterion_9_performance_envelope():

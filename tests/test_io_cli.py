@@ -51,6 +51,13 @@ def test_eval_expression_rejects_unknowns_and_calls():
         eval_expression("alpha(2)", {"alpha": 1.0})
 
 
+def test_eval_expression_maps_arithmetic_errors():
+    with pytest.raises(ModelError, match="cannot evaluate"):
+        eval_expression("1/x", {"x": 0.0})
+    with pytest.raises(ModelError, match="cannot evaluate"):
+        eval_expression("10.0**400", {})
+
+
 # ---------------------------------------------------------------------------
 # Model loading
 
@@ -99,6 +106,27 @@ def test_load_error_unknown_action():
 def test_load_rejects_unknown_parameter_override():
     with pytest.raises(ModelError, match="declares no parameter"):
         load_model(MODELS / "secret_sharing_raa.json", {"beta": 0.4})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_load_rejects_non_finite_parameter_override(value):
+    with pytest.raises(ModelError, match="not a finite real number"):
+        load_model(MODELS / "secret_sharing_raa.json", {"alpha": value})
+
+
+@pytest.mark.parametrize("expr", ["1e308 * 10", "(0 - 1) ** 0.5", "x - x / 0"])
+def test_load_rejects_non_finite_expression(expr):
+    doc = {
+        "params": {"x": 1.0},
+        "players": [{"name": "p1", "actions": ["a"]}],
+        "states": [{"id": "s0", "labels": []}],
+        "initial": ["s0"],
+        "availability": {"s0": {"p1": ["a"]}},
+        "transitions": [{"state": "s0", "joint": ["a"], "dist": {"s0": 1.0}}],
+        "rewards": {"r": {"state": {"s0": expr}}},
+    }
+    with pytest.raises(ModelError):
+        load_model_dict(doc)
 
 
 def test_parameter_override_changes_probabilities():
@@ -213,6 +241,19 @@ def test_cli_check_not_converged_exit_code():
         prop,
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("const", ["alpha=nan", "alpha=inf", "alpha=half"])
+def test_cli_rejects_bad_constant_with_exit_1(const):
+    code, _ = run_cli(
+        "check",
+        str(MODELS / "secret_sharing_raa.json"),
+        "--const",
+        const,
+        "--prop",
+        '<<usr1:usr2:usr3>>max=? (P[ F "done" ] + P[ F "done" ] + P[ F "done" ])',
+    )
+    assert code == 1
 
 
 def test_cli_info_counts():

@@ -4,11 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csgnash.games import MixedProfile, NormalFormGame
 from csgnash.nfg_solve import (
     SolverConfig,
     Support,
+    _contract_tensor,
+    _DescentProblem,
+    _project_simplex,
     check_pure_profile,
     enumerate_supports,
     expected_utility,
@@ -22,7 +27,7 @@ from csgnash.nfg_solve import (
 )
 from csgnash.oracle import brute_force_pure_ne
 
-from conftest import public_good_nfg
+from conftest import hard_333_game, public_good_nfg
 
 
 def brute_force_expected(game, profile, player):
@@ -74,6 +79,118 @@ def test_regret_uniform_matching_pennies(pennies):
     profile = MixedProfile([[0.5, 0.5], [0.5, 0.5], [1.0]])
     for i in range(3):
         assert regret(pennies, profile, i) == pytest.approx(0.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Contraction kernel
+
+
+@st.composite
+def contraction_cases(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)))
+    n = len(shape)
+    keep = tuple(sorted(draw(st.sets(st.integers(0, n - 1), max_size=2))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.uniform(-1.0, 1.0, size=shape)
+    probs = [rng.uniform(0.0, 1.0, size=c) for c in shape]
+    return table, probs, keep
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(contraction_cases())
+def test_contract_tensor_matches_einsum(case):
+    table, probs, keep = case
+    letters = "abcd"[: table.ndim]
+    operands = [table] + [p for axis, p in enumerate(probs) if axis not in keep]
+    spec = (
+        letters
+        + "".join("," + letters[axis] for axis in range(table.ndim) if axis not in keep)
+        + "->"
+        + "".join(letters[axis] for axis in keep)
+    )
+    expected = np.einsum(spec, *operands)
+    got = _contract_tensor(table, probs, keep=keep)
+    assert np.shape(got) == expected.shape
+    assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+
+
+def _random_descent_problem(seed, shape, support_sets):
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, 13, size=shape + (len(shape),))
+    names = [tuple(f"a{k}" for k in range(c)) for c in shape]
+    game = NormalFormGame(names, table)
+    support = Support(support_sets)
+    problem = _DescentProblem(game, support, game.normalised_utilities())
+    return problem, rng
+
+
+DESCENT_CASES = [
+    # (2,3,3) support sizes; player 3 keeps one action out of support, so
+    # the inequality penalty is exercised too.
+    ((2, 3, 4), ((0, 1), (0, 1, 2), (0, 2, 3))),
+    ((2, 2, 3, 2), ((0, 1), (0, 1), (1, 2), (0, 1))),
+]
+
+
+def _central_difference(fn, x, h=1e-6):
+    cols = []
+    for k in range(x.size):
+        step = np.zeros_like(x)
+        step[k] = h
+        cols.append((fn(x + step) - fn(x - step)) / (2 * h))
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("shape, sets", DESCENT_CASES)
+def test_descent_gradient_matches_finite_differences(shape, sets):
+    problem, rng = _random_descent_problem(7, shape, sets)
+    for _ in range(5):
+        x = problem.pack([rng.dirichlet(np.ones(k)) for k in problem.sizes])
+        for mu in (1.0, 1e3):
+            f, grad, _, _ = problem.evaluate(problem.unpack(x), mu)
+            assert f == problem.value(problem.unpack(x), mu)
+            numeric = _central_difference(
+                lambda y: problem.value(problem.unpack(y), mu), x
+            )
+            assert np.allclose(grad, numeric, rtol=1e-6, atol=1e-6 * mu)
+
+
+@pytest.mark.parametrize("shape, sets", DESCENT_CASES)
+def test_equality_jacobian_matches_finite_differences(shape, sets):
+    problem, rng = _random_descent_problem(8, shape, sets)
+    for _ in range(5):
+        x = problem.pack([rng.dirichlet(np.ones(k)) for k in problem.sizes])
+        res, jac = problem.equality_system(problem.unpack(x))
+        assert np.array_equal(res, problem.equality_residual(problem.unpack(x)))
+        numeric = _central_difference(
+            lambda y: problem.equality_residual(problem.unpack(y)), x
+        )
+        assert np.allclose(jac, numeric, rtol=1e-7, atol=1e-8)
+
+
+def test_project_simplex_matches_sort_reference():
+    rng = np.random.default_rng(3)
+    lo = 1e-6
+    for k in (1, 2, 3, 4):
+        for _ in range(200):
+            v = rng.normal(1.0 / k, 0.6, size=k)
+            p = _project_simplex(v, lo)
+            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(p >= lo - 1e-15)
+            # Optimality of the projection: every coordinate above the
+            # floor shares one shift of v.
+            free = p > lo + 1e-12
+            if free.any():
+                shift = (p - v)[free]
+                assert np.ptp(shift) < 1e-12
+
+
+def test_swne_pins_criterion_9_welfare():
+    # Welfare and inconclusive count as computed by the tensordot kernel
+    # that preceded the matmul one.
+    result = swne(hard_333_game())
+    assert result.welfare == pytest.approx(25.089285714285715, abs=1e-9)
+    assert result.inconclusive <= 6
 
 
 # ---------------------------------------------------------------------------
