@@ -178,16 +178,56 @@ class _Tables:
             )
 
 
-def _solve_stage(
-    utilities: np.ndarray,
-    names: tuple[tuple[str, ...], ...],
-    opt: str,
-    cfg: SolverConfig,
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Equilibrium values and stage distributions of a one-shot game."""
-    game = NormalFormGame(names, utilities)
-    result = swne(game, cfg) if opt == "max" else scne(game, cfg)
-    return result.values, result.profile.probs
+_StageSolution = tuple[np.ndarray, tuple[np.ndarray, ...]]
+
+
+class _StageSolver:
+    """Equilibrium values and stage distributions of one-shot games, each
+    distinct utility table solved once.
+
+    One solver serves one check, so the optimisation direction and the
+    solver settings are fixed, and action names do not enter the
+    arithmetic: the table's shape and bytes are the whole key. Entries
+    live in two generations. Backward induction never ages the cache, so
+    it holds one entry per distinct table of the call, at most one per
+    memoised value. Value iteration ages it after every sweep, keeping
+    what the current and the previous sweep made or used, so memory stays
+    proportional to the undecided pairs however many sweeps run. Solutions
+    are shared between lookups and therefore read-only. Pool workers share
+    the dicts; two workers racing on a new table solve it twice, with the
+    same result.
+    """
+
+    def __init__(self, opt: str, cfg: SolverConfig):
+        self.opt = opt
+        self.cfg = cfg
+        self.current: dict[tuple, _StageSolution] = {}
+        self.previous: dict[tuple, _StageSolution] = {}
+
+    def solve(
+        self, utilities: np.ndarray, names: tuple[tuple[str, ...], ...]
+    ) -> _StageSolution:
+        key = (utilities.shape, utilities.tobytes())
+        hit = self.current.get(key)
+        if hit is None:
+            hit = self.previous.get(key)
+            if hit is None:
+                # Module attributes, looked up per call, so a tracer that
+                # wraps them sees every solve.
+                game = NormalFormGame(names, utilities)
+                result = (
+                    swne(game, self.cfg) if self.opt == "max" else scne(game, self.cfg)
+                )
+                hit = (result.values, result.profile.probs)
+                for arr in (hit[0], *hit[1]):
+                    arr.setflags(write=False)
+            self.current[key] = hit
+        return hit
+
+    def age(self) -> None:
+        """Start a new generation, dropping entries unused for two."""
+        self.previous = self.current
+        self.current = {}
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +279,7 @@ def solve_finite_horizon(
     m = compiled.m
     memo: dict[tuple[int, Mode, int], np.ndarray] = {}
     dists: dict[StrategyKey, tuple[np.ndarray, ...]] = {}
+    stages = _StageSolver(compiled.opt, cfg.solver)
     depth_needed = compiled.max_bound + 10
     if sys.getrecursionlimit() < depth_needed * 3:
         sys.setrecursionlimit(depth_needed * 3 + 1000)
@@ -308,7 +349,7 @@ def solve_finite_horizon(
                 else:
                     utilities[j, l] = cont
         table = utilities.reshape(st.shape + (m,))
-        values, profile = _solve_stage(table, st.choice_names, compiled.opt, cfg.solver)
+        values, profile = stages.solve(table, st.choice_names)
         memo[key] = values
         dists[(s, D, E, n)] = profile
         return values
@@ -396,6 +437,7 @@ def solve_value_iteration(
 
     undecided = [p for p, (s, mode) in enumerate(pairs) if not decided(mode)]
     dists: dict[int, tuple[np.ndarray, ...]] = {}
+    stages = _StageSolver(compiled.opt, cfg.solver)
 
     def sweep_pair(p: int, prev: np.ndarray):
         s, (D, E) = pairs[p]
@@ -414,8 +456,7 @@ def solve_value_iteration(
                     )
                 else:
                     utilities[j, l] = c
-        table = utilities.reshape(st.shape + (m,))
-        return _solve_stage(table, st.choice_names, compiled.opt, cfg.solver)
+        return stages.solve(utilities.reshape(st.shape + (m,)), st.choice_names)
 
     pool = (
         ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
@@ -437,6 +478,7 @@ def solve_value_iteration(
             for p, (vals, profile) in zip(undecided, results):
                 values[p] = vals
                 dists[p] = profile
+            stages.age()
             residual = float(np.max(np.abs(values - prev))) if n_pairs else 0.0
             stable = stable + 1 if residual < cfg.vi.epsilon else 0
             if stable >= cfg.vi.stability_window:

@@ -11,6 +11,7 @@ each state during equilibrium computation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -47,10 +48,11 @@ class NormalFormGame:
         Every player must have at least one action.
     utilities : mapping or array
         Either a dict mapping each joint action (tuple of per-player action
-        indices) to a length-n sequence of utilities, or an object/float
-        ndarray of shape ``(*counts, n)``. The table must be total: one
-        entry per joint action. Entries may be ints, Fractions or floats;
-        exact values are kept for exact pure-profile checks.
+        indices) to a length-n sequence of utilities, or an ndarray of
+        shape ``(*counts, n)``. The table must be total: one entry per joint
+        action. A float64 array is kept as one read-only float table.
+        Other inputs may hold ints, Fractions or floats and are kept as an
+        exact object table for exact pure-profile checks.
     """
 
     def __init__(self, action_names: Sequence[Sequence[str]], utilities):
@@ -64,16 +66,24 @@ class NormalFormGame:
                 raise ValueError(f"player {i} has an empty action set")
         self.shape: tuple[int, ...] = tuple(len(a) for a in self.action_names)
         n = self.n_players
+        self._float_cache: np.ndarray | None = None
+        self._norm_cache: np.ndarray | None = None
         table = np.empty(self.shape + (n,), dtype=object)
         if isinstance(utilities, np.ndarray):
-            if utilities.shape != self.shape + (n,):
+            if utilities.shape != table.shape:
                 raise ValueError(
                     f"utility array shape {utilities.shape} does not match "
-                    f"{self.shape + (n,)}"
+                    f"{table.shape}"
                 )
-            for joint in itertools.product(*(range(c) for c in self.shape)):
-                for i in range(n):
-                    table[joint + (i,)] = _as_number(utilities[joint + (i,)])
+            if utilities.dtype == np.float64:
+                # Float input has nothing exact to keep: one read-only copy
+                # serves as both the exact and the float table.
+                table = utilities.copy()
+                table.setflags(write=False)
+                self._float_cache = table
+            else:
+                for idx, v in np.ndenumerate(utilities):
+                    table[idx] = _as_number(v)
         else:
             seen = 0
             for joint, vec in utilities.items():
@@ -90,8 +100,6 @@ class NormalFormGame:
                     f"utilities must cover all {expected} joint actions exactly"
                 )
         self.utilities = table
-        self._float_cache: np.ndarray | None = None
-        self._norm_cache: np.ndarray | None = None
 
     @property
     def n_players(self) -> int:
@@ -105,9 +113,11 @@ class NormalFormGame:
         return tuple(self.utilities[tuple(joint) + (i,)] for i in range(self.n_players))
 
     def float_utilities(self) -> np.ndarray:
-        """Utility table as a float64 array of shape (*shape, n)."""
+        """Utility table as a read-only float64 array of shape (*shape, n)."""
         if self._float_cache is None:
-            self._float_cache = self.utilities.astype(np.float64)
+            floats = self.utilities.astype(np.float64)
+            floats.setflags(write=False)
+            self._float_cache = floats
         return self._float_cache
 
     def normalised_utilities(self) -> np.ndarray:
@@ -135,10 +145,7 @@ class NormalFormGame:
 
     def negated(self) -> "NormalFormGame":
         """The game with all utilities negated (cost view)."""
-        neg = np.empty_like(self.utilities)
-        for idx, v in np.ndenumerate(self.utilities):
-            neg[idx] = -v
-        return NormalFormGame(self.action_names, neg)
+        return NormalFormGame(self.action_names, -self.utilities)
 
     def __repr__(self) -> str:
         return f"NormalFormGame(shape={self.shape})"
@@ -151,14 +158,20 @@ class MixedProfile:
         self.probs: tuple[np.ndarray, ...] = tuple(
             np.asarray(p, dtype=np.float64) for p in probs
         )
+        # The checks run on Python floats: the vectors are short, and four
+        # numpy reductions per vector cost more than the arithmetic.
         for i, p in enumerate(self.probs):
             if p.ndim != 1 or p.size == 0:
                 raise ValueError(f"player {i} strategy must be a non-empty vector")
-            if np.any(p < -TAU_PROB):
+            vals = p.tolist()
+            if not all(map(math.isfinite, vals)):
+                raise ValueError(f"player {i} strategy has non-finite entries")
+            if min(vals) < -TAU_PROB:
                 raise ValueError(f"player {i} strategy has negative entries")
-            if abs(float(p.sum()) - 1.0) > 1e-6:
-                raise ValueError(f"player {i} strategy sums to {p.sum()}, not 1")
-            if not np.any(p > 0):
+            total = math.fsum(vals)
+            if abs(total - 1.0) > 1e-6:
+                raise ValueError(f"player {i} strategy sums to {total}, not 1")
+            if max(vals) <= 0.0:
                 raise ValueError(f"player {i} strategy has empty support")
 
     def support(self, player: int) -> tuple[int, ...]:
@@ -311,7 +324,7 @@ def validate_csg(model: Csg) -> ValidationReport:
 
     Verified: shapes of availability, initial states non-empty and in
     range, transitions defined for exactly the enabled joint actions,
-    distributions summing to one within TAU_PROB with non-negative
+    distributions summing to one within TAU_PROB with finite, non-negative
     entries over valid states, and reward references in range.
     """
     report = ValidationReport()
@@ -377,7 +390,14 @@ def validate_csg(model: Csg) -> ValidationReport:
                     state=s,
                     joint=joint,
                 )
-            if p < 0:
+            if not math.isfinite(p):
+                report.add(
+                    "non-finite probability",
+                    f"p={p} at state {s} joint {model.joint_name(joint)}",
+                    state=s,
+                    joint=joint,
+                )
+            elif p < 0:
                 report.add(
                     "negative probability",
                     f"p={p} at state {s} joint {model.joint_name(joint)}",
@@ -385,7 +405,8 @@ def validate_csg(model: Csg) -> ValidationReport:
                     joint=joint,
                 )
             total += p
-        if abs(total - 1.0) > TAU_PROB:
+        # A non-finite entry is reported above; its sum says nothing more.
+        if math.isfinite(total) and abs(total - 1.0) > TAU_PROB:
             report.add(
                 "distribution sum",
                 f"distribution sums to {total!r} at state {s} "

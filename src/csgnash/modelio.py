@@ -25,12 +25,21 @@ class ModelError(ValueError):
     pass
 
 
+def _power(base, exponent) -> float:
+    """`**` on floats, so an overflow raises at once: on ints, 10**10**8
+    would build a 100-million-digit integer before any check saw it. A
+    complex power (negative base, fractional exponent) is not a real
+    number and becomes NaN, which the finiteness check rejects."""
+    value = float(base) ** float(exponent)
+    return value if isinstance(value, float) else math.nan
+
+
 _BIN_OPS = {
     ast.Add: operator.add,
     ast.Sub: operator.sub,
     ast.Mult: operator.mul,
     ast.Div: operator.truediv,
-    ast.Pow: operator.pow,
+    ast.Pow: _power,
 }
 _UNARY_OPS = {ast.USub: operator.neg, ast.UAdd: operator.pos}
 

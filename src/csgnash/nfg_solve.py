@@ -529,6 +529,36 @@ def _solve_two_mixers(
     )
 
 
+def _bilinear_gap_coeffs(
+    table: np.ndarray, support: Support, m: int, var1: int, var2: int
+) -> tuple[float, float, float, float]:
+    """Coefficients of mixer m's indifference gap g(x, y) = A + B x + C y
+    + D xy, where x and y are the pivot probabilities of mixers var1 and
+    var2 and every non-mixer plays its single support action.
+
+    `table` is m's restricted table (see `_restricted`). At a 0/1 corner
+    the mixed axes select single support actions (x = 1 the first, x = 0
+    the second), so the gap there is the difference of two table entries:
+    the number the contraction gives, without one.
+    """
+    own = support.sets[m]
+    idx = [0] * table.ndim
+
+    def at(x: int, y: int) -> float:
+        idx[var1] = 1 - x
+        idx[var2] = 1 - y
+        idx[m] = own[0]
+        top = table[tuple(idx)]
+        idx[m] = own[1]
+        return float(top - table[tuple(idx)])
+
+    a = at(0, 0)
+    b = at(1, 0) - a
+    c = at(0, 1) - a
+    d = at(1, 1) - a - b - c
+    return a, b, c, d
+
+
 def _solve_three_binary_mixers(
     game: NormalFormGame, support: Support, cfg: SolverConfig, norm: np.ndarray
 ) -> SupportSolution | None:
@@ -559,31 +589,10 @@ def _solve_three_binary_mixers(
         return blocks
 
     tables = [_restricted(norm, support, m) for m in range(n)]
-
-    def gap(m: int, x_i: float, x_j: float, x_k: float) -> float:
-        vec = _switch_on_support(tables[m], blocks_for(x_i, x_j, x_k), m)
-        b = support.sets[m]
-        return float(vec[b[0]] - vec[b[1]])
-
-    # Bilinear coefficients of each mixer's gap in the other two variables:
-    # g(x, y) = A + B x + C y + D xy, probed at the four corners.
-    def coeffs(m: int, var1: int, var2: int):
-        def at(x, y):
-            args = {i: 0.0, j: 0.0, k: 0.0, m: 0.0}
-            args[var1] = x
-            args[var2] = y
-            return gap(m, args[i], args[j], args[k])
-
-        a = at(0.0, 0.0)
-        b = at(1.0, 0.0) - a
-        c = at(0.0, 1.0) - a
-        d = at(1.0, 1.0) - a - b - c
-        return a, b, c, d
-
     # g_i(x_j, x_k) = 0, g_j(x_i, x_k) = 0, g_k(x_i, x_j) = 0.
-    ai, bi, ci, di = coeffs(i, j, k)
-    aj, bj, cj, dj = coeffs(j, i, k)
-    ak, bk, ck, dk = coeffs(k, i, j)
+    ai, bi, ci, di = _bilinear_gap_coeffs(tables[i], support, i, j, k)
+    aj, bj, cj, dj = _bilinear_gap_coeffs(tables[j], support, j, i, k)
+    ak, bk, ck, dk = _bilinear_gap_coeffs(tables[k], support, k, i, j)
     # Substitute x_k = -(ai + bi x_j) / (ci + di x_j) into g_j, leaving a
     # bilinear relation between x_i and x_j, then x_i = möbius(x_j); the
     # last equation becomes a quadratic in x_j.

@@ -1,3 +1,6 @@
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -486,3 +489,131 @@ def test_min_query_uses_cost_equilibria():
     nf = parse_formula('<<p1>>min=? (R{"cost"}[ F "goal" ])')
     result = check_nash_formula(model, nf)
     assert result.values[0][0] == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Stage cache: each distinct stage table is solved once per check
+
+UTIL_PROP = (
+    '<<usr1:usr2:usr3>>max=? (R{"util1"}[F "done"] + R{"util2"}[F "done"]'
+    ' + R{"util3"}[F "done"])'
+)
+
+
+def _sum_prop(template: str) -> str:
+    terms = " + ".join(template.replace("#", str(k)) for k in (1, 2, 3))
+    return f"<<usr1:usr2:usr3>>max=? ({terms})"
+
+
+def _check_bundled(name, params, prop, cfg=None):
+    from conftest import MODELS
+    from csgnash.modelio import load_model
+
+    model = load_model(MODELS / name, params)
+    return check_nash_formula(model, parse_formula(prop), cfg)
+
+
+def _result_digest(result) -> str:
+    """SHA-256 over the exact bits of every state's values and sum and of
+    every strategy table entry, in a fixed key order."""
+    h = hashlib.sha256()
+    for s in sorted(result.values):
+        bits = [float(v).hex() for v in result.values[s]]
+        h.update(repr((s, bits, float(result.sums[s]).hex())).encode())
+
+    def order(key):
+        s, D, E, n = key
+        return (s, sorted(D), sorted(E), -1 if n is None else n)
+
+    for key in sorted(result.strategy.table, key=order):
+        dists = [[float(p).hex() for p in vec] for vec in result.strategy.table[key]]
+        h.update(repr((order(key), dists)).encode())
+    return h.hexdigest()
+
+
+# Digests recorded with the engine that solved every stage table afresh;
+# solving each distinct table once must not change a single bit.
+PINNED_CHECKS = [
+    ("medium_access3.json", {}, _sum_prop('R{"mes#"}[C<=20]'),
+     "dfed29349d14dcb0f51cb9ef6caf39f99f9de5b46acccd165effaf04f58f75f2"),
+    ("aloha3.json", {}, _sum_prop('P[F<=15 "d#"]'),
+     "8fd59d1858862d36ca7b4ef0118923c1ab4727ff91abafbd7c1f13ecdc272810"),
+    ("secret_sharing_raa.json", {"alpha": 0.5}, UTIL_PROP,
+     "d42ca2215b4f4d798a764b71173d9fd5ba8fc79e0ef906247160820921039dc9"),
+    ("secret_sharing_rrr_rmax5.json", {"alpha": 0.5}, UTIL_PROP,
+     "1e83e4b6965ebbbc6c701dee1b9acb7cdb5531df6199c1d1b9037836d98ebcb5"),
+]
+
+
+@pytest.mark.parametrize("name,params,prop,digest", PINNED_CHECKS)
+def test_stage_cache_keeps_results_bit_identical(name, params, prop, digest):
+    assert _result_digest(_check_bundled(name, params, prop)) == digest
+
+
+def test_stage_cache_shared_by_vi_workers():
+    # Eight workers and a short switch interval make the threads race on
+    # the shared cache; a race may solve a table twice but changes no bit.
+    name, params, prop, digest = PINNED_CHECKS[3]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        result = _check_bundled(name, params, prop, EngineConfig(threads=8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert _result_digest(result) == digest
+
+
+@pytest.fixture
+def stage_solves(monkeypatch):
+    """Counts the stage games the engine hands to the solver."""
+    from csgnash import engine
+
+    calls = []
+    solve = engine.swne
+
+    def counting(game, cfg=None):
+        calls.append(game.shape)
+        return solve(game, cfg)
+
+    monkeypatch.setattr(engine, "swne", counting)
+    return calls
+
+
+def test_repeating_levels_solve_no_new_stage(stage_solves):
+    # medium_access3's levels repeat long before the bound, so a ten times
+    # longer horizon meets no table that the shorter one did not.
+    _check_bundled("medium_access3.json", {}, _sum_prop('R{"mes#"}[C<=20]'))
+    short = len(stage_solves)
+    stage_solves.clear()
+    _check_bundled("medium_access3.json", {}, _sum_prop('R{"mes#"}[C<=200]'))
+    assert len(stage_solves) == short
+
+
+def test_value_iteration_solves_repeated_stages_once(stage_solves):
+    # Solving afresh every sweep made 80 stage solves here.
+    _check_bundled("secret_sharing_rrr_rmax5.json", {"alpha": 0.5}, UTIL_PROP)
+    assert 0 < len(stage_solves) <= 11
+
+
+def test_stage_solver_generations(stage_solves):
+    from csgnash.engine import _StageSolver
+    from csgnash.nfg_solve import SolverConfig
+
+    stages = _StageSolver("max", SolverConfig())
+    # Prisoner's dilemma; action names do not enter the key.
+    table = np.array([[[3.0, 3.0], [0.0, 5.0]], [[5.0, 0.0], [1.0, 1.0]]])
+    first = stages.solve(table, (("c", "d"), ("c", "d")))
+    assert stages.solve(table.copy(), (("x", "y"), ("x", "y"))) is first
+    values, probs = first
+    for arr in (values, *probs):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    # A table used in the previous sweep survives one ageing, and using
+    # it renews it; one unused for two sweeps is dropped.
+    stages.age()
+    assert stages.solve(table, (("c", "d"), ("c", "d"))) is first
+    assert len(stage_solves) == 1
+    stages.age()
+    stages.age()
+    stages.solve(table, (("c", "d"), ("c", "d")))
+    assert len(stage_solves) == 2

@@ -53,6 +53,25 @@ def test_validate_distribution_sum_violation():
     assert bad.state == 0 and bad.joint == (0,)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_validate_non_finite_probability(bad):
+    # NaN passes both the sign check and the sum check (every comparison
+    # with it is false), so a model built in code would validate.
+    model = Csg(
+        players=("p1",),
+        actions=(("a",),),
+        state_names=("s0", "s1"),
+        initial=(0,),
+        availability=(((0,),), ((0,),)),
+        transitions={(0, (0,)): {0: bad, 1: 1.0}, (1, (0,)): {1: 1.0}},
+        labels=(frozenset(), frozenset()),
+    )
+    report = validate_csg(model)
+    assert [(i.kind, i.state, i.joint) for i in report.issues] == [
+        ("non-finite probability", 0, (0,))
+    ]
+
+
 def test_validate_undefined_availability():
     # Two states; the second declares a transition for an action that is
     # not available there.
@@ -306,6 +325,11 @@ def test_mixed_profile_validation():
         MixedProfile([[0.7, 0.7]])
     with pytest.raises(ValueError):
         MixedProfile([[-0.2, 1.2]])
+    # Every comparison with NaN is false, so only an explicit check
+    # rejects it.
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            MixedProfile([[bad, 1.0]])
     assert MixedProfile([[0.0, 1.0]]).support(0) == (1,)
 
 

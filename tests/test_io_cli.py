@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -56,6 +57,15 @@ def test_eval_expression_maps_arithmetic_errors():
         eval_expression("1/x", {"x": 0.0})
     with pytest.raises(ModelError, match="cannot evaluate"):
         eval_expression("10.0**400", {})
+
+
+def test_eval_expression_power_overflows_at_once():
+    # On Python ints this builds a 100-million-digit integer first.
+    t0 = time.perf_counter()
+    with pytest.raises(ModelError, match="cannot evaluate"):
+        eval_expression("10**10**8", {})
+    assert time.perf_counter() - t0 < 5.0
+    assert eval_expression("2**10", {}) == 1024.0
 
 
 # ---------------------------------------------------------------------------

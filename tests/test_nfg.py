@@ -13,7 +13,10 @@ from csgnash.nfg_solve import (
     Support,
     _contract_tensor,
     _DescentProblem,
+    _bilinear_gap_coeffs,
     _project_simplex,
+    _restricted,
+    _switch_on_support,
     check_pure_profile,
     enumerate_supports,
     expected_utility,
@@ -183,6 +186,47 @@ def test_project_simplex_matches_sort_reference():
             if free.any():
                 shift = (p - v)[free]
                 assert np.ptp(shift) < 1e-12
+
+
+@st.composite
+def three_binary_cases(draw):
+    """A random (2,2,2) or (2,2,2,2) game and a support with three binary
+    mixers; in four players the fourth plays one drawn action."""
+    n = draw(st.sampled_from((3, 4)))
+    sets = [(0, 1)] * n
+    if n == 4:
+        sets[draw(st.integers(0, 3))] = (draw(st.integers(0, 1)),)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    norm = rng.uniform(0.0, 1.0, size=(2,) * n + (n,))
+    return norm, Support(tuple(sets))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(three_binary_cases())
+def test_bilinear_gap_coeffs_equal_corner_contractions(case):
+    norm, support = case
+    n = len(support.sets)
+    mixers = [i for i in range(n) if len(support.sets[i]) > 1]
+    for m in mixers:
+        var1, var2 = [v for v in mixers if v != m]
+        table = _restricted(norm, support, m)
+
+        def gap(x, y):
+            # The contraction the coefficients replace: mixers var1 and
+            # var2 at pivot probabilities x and y, m's own axis kept.
+            blocks = [np.array([1.0]) for _ in range(n)]
+            blocks[m] = np.array([0.0, 1.0])
+            blocks[var1] = np.array([x, 1.0 - x])
+            blocks[var2] = np.array([y, 1.0 - y])
+            vec = _switch_on_support(table, blocks, m)
+            b = support.sets[m]
+            return float(vec[b[0]] - vec[b[1]])
+
+        a = gap(0.0, 0.0)
+        b = gap(1.0, 0.0) - a
+        c = gap(0.0, 1.0) - a
+        d = gap(1.0, 1.0) - a - b - c
+        assert _bilinear_gap_coeffs(table, support, m, var1, var2) == (a, b, c, d)
 
 
 def test_swne_pins_criterion_9_welfare():
@@ -520,3 +564,50 @@ def test_strict_mode_fails_whole_query_on_inconclusive():
         assert result.inconclusive == 0
     except NoEquilibriumError as err:
         assert "strict" in str(err)
+
+
+# ---------------------------------------------------------------------------
+# Float games
+
+
+@st.composite
+def float_tables(draw):
+    """Small float tables; integer-valued entries make ties, and with them
+    dominance, pure equilibria and degenerate supports, likely."""
+    shape = draw(
+        st.sampled_from([(2,), (3,), (2, 2), (2, 3), (3, 3), (2, 2, 2), (1, 2, 3)])
+    )
+    n = len(shape)
+    size = int(np.prod(shape)) * n
+    entry = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.floats(-5.0, 5.0, allow_nan=False, allow_subnormal=False),
+    )
+    cells = draw(st.lists(entry, min_size=size, max_size=size))
+    return np.array(cells, dtype=np.float64).reshape(shape + (n,))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(float_tables())
+def test_float_game_solves_like_object_game(table):
+    names = [tuple(f"a{k}" for k in range(c)) for c in table.shape[:-1]]
+    floats = NormalFormGame(names, table)
+    exact = NormalFormGame(names, table.astype(object))
+    assert floats.utilities.dtype == np.float64
+    assert exact.utilities.dtype == object
+    for solve in (swne, scne):
+        got, want = solve(floats), solve(exact)
+        assert got.values.tobytes() == want.values.tobytes()
+        for p, q in zip(got.profile.probs, want.profile.probs):
+            assert p.tobytes() == q.tobytes()
+
+
+def test_float_game_table_is_read_only_copy():
+    table = np.array([[[1.0, 2.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 1.0]]])
+    game = NormalFormGame([("a", "b"), ("a", "b")], table)
+    assert game.float_utilities() is game.utilities
+    with pytest.raises(ValueError):
+        game.utilities[0, 0, 0] = 5.0
+    # The caller's array stays writable and is not shared.
+    table[0, 0, 0] = 5.0
+    assert game.utility((0, 0), 0) == 1.0
