@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -116,17 +117,34 @@ def cmd_solve_nfg(args) -> int:
     return EXIT_OK
 
 
+def _sweep_points(start: float, stop: float, step: float) -> list[float]:
+    """start, start + step, ... up to stop; ModelError unless that is a
+    non-empty, finite list."""
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ModelError(
+            f"sweep range must be finite: --from {start} --to {stop} --step {step}"
+        )
+    if step <= 0:
+        raise ModelError(f"sweep step must be positive, got --step {step}")
+    points = []
+    value = start
+    while value <= stop + 1e-12:
+        points.append(round(value, 12))
+        if value + step == value:
+            raise ModelError(f"sweep step {step} is too small to move from {value}")
+        value += step
+    if not points:
+        raise ModelError(f"empty sweep range: --from {start} is above --to {stop}")
+    return points
+
+
 def cmd_sweep(args) -> int:
     nf = _require_nash(parse_formula(args.prop))
     cfg = _engine_config(args)
     declared = model_params(args.model)
     if args.param not in declared:
         raise ModelError(f"model declares no parameter {args.param!r}")
-    points = []
-    value = args.start
-    while value <= args.stop + 1e-12:
-        points.append(round(value, 12))
-        value += args.step
+    points = _sweep_points(args.start, args.stop, args.step)
     rows = []
     m = None
     for point in points:

@@ -26,7 +26,7 @@ from .formulas import (
     sat_states,
 )
 from .games import Csg, NormalFormGame, build_coalition_game, single_controller_view
-from .nfg_solve import SolverConfig, scne, swne
+from .nfg_solve import SolverConfig, scne, single_chooser_picks, swne
 from .objectives import (
     CompiledObjectives,
     Mode,
@@ -50,12 +50,20 @@ class AssumptionViolation(EngineError):
 
 
 class NotConverged(EngineError):
-    def __init__(self, residual: float, iterations: int):
-        super().__init__(
+    """The stopping rule did not fire: the iteration cap was hit, or the
+    value sequence entered a cycle (`period` sweeps long) on which the
+    rule can never fire. `period` is None when no cycle was seen."""
+
+    def __init__(self, residual: float, iterations: int, period: int | None = None):
+        message = (
             f"not converged: residual {residual:.3e} after {iterations} iterations"
         )
+        if period is not None:
+            message += f"; the values cycle with period {period}"
+        super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+        self.period = period
 
 
 @dataclass(frozen=True)
@@ -379,6 +387,103 @@ def solve_finite_horizon(
 # Infinite horizon: value iteration
 
 
+@dataclass
+class _SweepPlan:
+    """Value iteration compiled once per check into rows, one row per
+    (undecided pair, joint action) in pair order.
+
+    A sweep's stage tables are `where(pend, base + prob @ prev[succ],
+    const)` on the reach-reward columns and `where(pend, prob @ prev[succ],
+    const)` on the others. `succ` holds successor pair indices padded with
+    probability 0. While no row has more than three successors, the batched
+    product rounds exactly as one `np.dot` per row and objective; with
+    longer rows, sums may differ from it in the last bit. Single-chooser
+    pairs are gathered into one padded (pairs, k_max, m) block, the padding
+    repeating the last action; the other pairs keep a row slice each.
+    """
+
+    succ: np.ndarray  # (R, K) successor pair indices
+    prob: np.ndarray  # (R, 1, K) transition probabilities
+    base: np.ndarray  # (R, m) state plus action reward
+    const: np.ndarray  # (R, m) pinned values of decided components
+    pend: np.ndarray  # (R, m) pending components
+    add_base: np.ndarray  # (R, m) pending reach-reward components
+    single: np.ndarray  # (P1,) single-chooser pair indices
+    single_rows: np.ndarray  # (P1, k_max) their rows, padded
+    chooser: np.ndarray  # (P1,) utility column of the chooser
+    multi: list[tuple[int, slice]]  # multi-chooser pair and its rows
+
+    def stage_tables(self, prev: np.ndarray) -> np.ndarray:
+        """Every row's stage utilities (R, m) on the values `prev`."""
+        cont = (self.prob @ prev[self.succ])[:, 0, :]
+        np.add(self.base, cont, out=cont, where=self.add_base)
+        return np.where(self.pend, cont, self.const)
+
+
+def _compile_sweep(
+    tables: _Tables,
+    compiled: CompiledObjectives,
+    pairs: list[tuple[int, Mode]],
+    index: dict[tuple[int, Mode], int],
+    undecided: list[int],
+) -> _SweepPlan:
+    m = compiled.m
+    reach = np.array([obj.kind == "reach" for obj in compiled.items])
+    succ, prob, base, const, pend = [], [], [], [], []
+    single, single_rows, chooser, multi = [], [], [], []
+    for p in undecided:
+        s, (D, E) = pairs[p]
+        st = tables.states[s]
+        start = len(succ)
+        pinned = np.zeros(m)
+        if compiled.kind == "prob":
+            pinned[list(D)] = 1.0
+        pending = np.array([l not in D and l not in E for l in range(m)])
+        for j in range(len(st.joints)):
+            succ.append(
+                [
+                    index[(int(t), canonical_mode(compiled, int(t), D, E))]
+                    for t in st.succs[j]
+                ]
+            )
+            prob.append(st.probs[j])
+            base.append(st.state_rewards + st.action_rewards[j])
+            const.append(pinned)
+            pend.append(pending)
+        choosers = [i for i, c in enumerate(st.shape) if c > 1]
+        if len(choosers) > 1:
+            multi.append((p, slice(start, len(succ))))
+        else:
+            single.append(p)
+            single_rows.append(range(start, len(succ)))
+            chooser.append(choosers[0] if choosers else 0)
+    width = max(map(len, succ), default=1)
+    succ_arr = np.zeros((len(succ), width), dtype=np.int64)
+    prob_arr = np.zeros((len(succ), 1, width))
+    for r, (row, probs) in enumerate(zip(succ, prob)):
+        succ_arr[r, : len(row)] = row
+        succ_arr[r, len(row) :] = row[-1]
+        prob_arr[r, 0, : len(row)] = probs
+    k_max = max(map(len, single_rows), default=1)
+    rows_arr = np.array(
+        [[rows[min(a, len(rows) - 1)] for a in range(k_max)] for rows in single_rows],
+        dtype=np.int64,
+    ).reshape(len(single_rows), k_max)
+    pend_arr = np.array(pend, dtype=bool).reshape(-1, m)
+    return _SweepPlan(
+        succ=succ_arr,
+        prob=prob_arr,
+        base=np.array(base).reshape(-1, m),
+        const=np.array(const).reshape(-1, m),
+        pend=pend_arr,
+        add_base=pend_arr & reach,
+        single=np.array(single, dtype=np.int64),
+        single_rows=rows_arr,
+        chooser=np.array(chooser, dtype=np.int64),
+        multi=multi,
+    )
+
+
 def solve_value_iteration(
     game: Csg,
     compiled: CompiledObjectives,
@@ -389,8 +494,11 @@ def solve_value_iteration(
 
     Decided components are pinned at their exact values; pending ones are
     updated each sweep from the welfare/cost-optimal equilibrium of the
-    stage game built on the previous sweep's values. Raises NotConverged
-    when the iteration cap is hit before the stopping rule fires.
+    stage game built on the previous sweep's values. A sweep builds every
+    stage table in one contraction, solves the single-chooser stages in
+    one array pass and the others through the stage cache. Raises
+    NotConverged when the iteration cap is hit before the stopping rule
+    fires, or as soon as the values cycle without it firing.
     """
     cfg = cfg or EngineConfig()
     if check_assumption:
@@ -401,94 +509,95 @@ def solve_value_iteration(
     m = compiled.m
     pairs, index = mode_closure(game, compiled)
     n_pairs = len(pairs)
-
-    def decided(mode: Mode) -> bool:
-        return mode_decided(compiled, mode)
-
-    # Successor pair indices per (pair, joint); decided pairs are absorbing
-    # boundaries during iteration.
-    succ_pair_idx: list[list[np.ndarray]] = []
-    for s, mode in pairs:
-        st = tables.states[s]
-        row = []
-        if not decided(mode):
-            D, E = mode
-            for j in range(len(st.joints)):
-                row.append(
-                    np.array(
-                        [
-                            index[(int(t), canonical_mode(compiled, int(t), D, E))]
-                            for t in st.succs[j]
-                        ],
-                        dtype=np.int64,
-                    )
-                )
-        succ_pair_idx.append(row)
+    undecided = [
+        p for p, (s, mode) in enumerate(pairs) if not mode_decided(compiled, mode)
+    ]
+    plan = _compile_sweep(tables, compiled, pairs, index, undecided)
 
     values = np.zeros((n_pairs, m))
-    for p, (s, (D, E)) in enumerate(pairs):
-        for l in D:
-            if compiled.kind == "prob":
-                values[p, l] = 1.0
+    if compiled.kind == "prob":
+        for p, (s, (D, E)) in enumerate(pairs):
+            values[p, list(D)] = 1.0
 
-    pending_sets = []
-    for s, (D, E) in pairs:
-        pending_sets.append([l for l in range(m) if l not in D and l not in E])
-
-    undecided = [p for p, (s, mode) in enumerate(pairs) if not decided(mode)]
     dists: dict[int, tuple[np.ndarray, ...]] = {}
     stages = _StageSolver(compiled.opt, cfg.solver)
-
-    def sweep_pair(p: int, prev: np.ndarray):
-        s, (D, E) = pairs[p]
-        st = tables.states[s]
-        n_joints = len(st.joints)
-        utilities = np.zeros((n_joints, m))
-        for l in D:
-            utilities[:, l] = 1.0 if compiled.kind == "prob" else 0.0
-        for j in range(n_joints):
-            cont = prev[succ_pair_idx[p][j]]
-            for l in pending_sets[p]:
-                c = float(np.dot(st.probs[j], cont[:, l]))
-                if compiled.items[l].kind == "reach":
-                    utilities[j, l] = (
-                        st.state_rewards[l] + st.action_rewards[j][l] + c
-                    )
-                else:
-                    utilities[j, l] = c
-        return stages.solve(utilities.reshape(st.shape + (m,)), st.choice_names)
+    minimise = compiled.opt == "min"
+    single_index = np.arange(len(plan.single))
+    picks = np.zeros(len(plan.single), dtype=np.int64)
 
     pool = (
         ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
     )
+    run = pool.map if pool is not None else map
+
+    def sweep(prev: np.ndarray) -> None:
+        utilities = plan.stage_tables(prev)
+        if len(plan.single):
+            # The cost-optimal pick is the welfare-optimal pick of the
+            # negated block; the values are the block's own cells.
+            block = utilities[plan.single_rows]
+            picks[:] = single_chooser_picks(
+                -block if minimise else block, plan.chooser, cfg.solver.welfare_tol
+            )
+            values[plan.single] = block[single_index, picks]
+
+        def solve(item):
+            p, rows = item
+            st = tables.states[pairs[p][0]]
+            return stages.solve(
+                utilities[rows].reshape(st.shape + (m,)), st.choice_names
+            )
+
+        solved = list(run(solve, plan.multi))
+        for (p, _rows), (vals, profile) in zip(plan.multi, solved):
+            values[p] = vals
+            dists[p] = profile
+        stages.age()
+
     try:
         iterations = 0
         stable = 0
         residual = float("inf")
-        converged = False
+        # Brent's cycle detection: a sweep is a function of the previous
+        # values alone, so values equal to the saved vector of `lam` sweeps
+        # ago repeat with that period for ever.
+        saved, power, lam = values.tobytes(), 1, 1
+        period = None
         while iterations < cfg.vi.max_iters:
             iterations += 1
             prev = values.copy()
-            if pool is not None:
-                results = list(
-                    pool.map(lambda p: sweep_pair(p, prev), undecided)
-                )
-            else:
-                results = [sweep_pair(p, prev) for p in undecided]
-            for p, (vals, profile) in zip(undecided, results):
-                values[p] = vals
-                dists[p] = profile
-            stages.age()
-            residual = float(np.max(np.abs(values - prev))) if n_pairs else 0.0
+            sweep(prev)
+            residual = float(np.abs(values - prev).max()) if n_pairs else 0.0
             stable = stable + 1 if residual < cfg.vi.epsilon else 0
             if stable >= cfg.vi.stability_window:
-                converged = True
                 break
-        if not converged:
-            raise NotConverged(residual, iterations)
+            if period is None:
+                current = values.tobytes()
+                if current == saved:
+                    period, deadline = lam, iterations + lam
+                else:
+                    if lam == power:
+                        saved, power, lam = current, power * 2, 0
+                    lam += 1
+            elif iterations == deadline and stable < period:
+                # A whole period has passed with a residual at or above
+                # epsilon in it; every later period repeats it.
+                raise NotConverged(residual, iterations, period)
+        else:
+            raise NotConverged(residual, iterations, period)
     finally:
         if pool is not None:
             pool.shutdown()
+
+    def pure(size: int, action: int) -> np.ndarray:
+        vec = np.zeros(size)
+        vec[action] = 1.0
+        vec.setflags(write=False)
+        return vec
+
+    for p, i, a in zip(plan.single.tolist(), plan.chooser.tolist(), picks.tolist()):
+        shape = tables.states[pairs[p][0]].shape
+        dists[p] = tuple(pure(c, a if j == i else 0) for j, c in enumerate(shape))
 
     entries = {
         (s, mode): values[p].copy() for p, (s, mode) in enumerate(pairs)

@@ -946,70 +946,62 @@ def solve_support(
 # Top-level search
 
 
+def single_chooser_picks(
+    block: np.ndarray, chooser: np.ndarray, welfare_tol: float
+) -> np.ndarray:
+    """Welfare-optimal pure equilibria of n games in which at most one
+    player has more than one action, one game per row of `block`.
+
+    Row r of the (n, k, m) block lists game r's cells in the order of the
+    chooser's actions, and `chooser[r]` is the chooser's utility column
+    (any column when nobody chooses). Every action that maximises the
+    chooser's own utility is an equilibrium, and welfare is linear over
+    mixtures of them, so a pure one is welfare-optimal. The pick is an
+    exact own maximum, then welfare within `welfare_tol` of the best such
+    action, then the lowest action index, matching the canonical candidate
+    order of the general search. A row padded by repeating its last cell
+    picks as it would unpadded. Returns the action index per row.
+    """
+    own = block[np.arange(block.shape[0]), :, chooser]
+    welfare = block.sum(axis=2)
+    welfare[own != own.max(axis=1, keepdims=True)] = -np.inf
+    return (welfare >= welfare.max(axis=1, keepdims=True) - welfare_tol).argmax(axis=1)
+
+
 def _single_chooser_fast_path(
     game: NormalFormGame, cfg: SolverConfig
 ) -> EquilibriumResult | None:
-    """Games where at most one player has more than one action.
-
-    Every strategy of the chooser that maximises its own constant-per-cell
-    utility is an equilibrium; welfare is linear over those mixtures, so a
-    pure argmax action is welfare-optimal. Ties fall to the lowest action
-    index, matching the canonical candidate order of the general search.
-    """
+    """Games where at most one player has more than one action, solved by
+    `single_chooser_picks`."""
     choosers = [i for i, c in enumerate(game.shape) if c > 1]
     if len(choosers) > 1:
         return None
     floats = game.float_utilities()
-    if not choosers:
-        joint = (0,) * game.n_players
-        values = floats[joint]
-        profile = MixedProfile([np.array([1.0])] * game.n_players)
-        support = Support(tuple((0,) for _ in range(game.n_players)))
-        regrets = np.zeros(game.n_players)
-        return EquilibriumResult(
-            values=np.array(values, dtype=np.float64),
-            profile=profile,
-            welfare=float(values.sum()),
-            support=support,
-            regrets=regrets,
-            removals=[],
-            candidates=1,
-            pruned=0,
-            inconclusive=0,
-        )
-    i = choosers[0]
-    fixed = [0] * game.n_players
-
-    def cell(a: int) -> Joint:
-        joint = list(fixed)
-        joint[i] = a
-        return tuple(joint)
-
-    own = np.array([floats[cell(a) + (i,)] for a in range(game.shape[i])])
-    best_own = own.max()
-    argmax = [a for a in range(game.shape[i]) if own[a] == best_own]
-    welfare = np.array([float(floats[cell(a)].sum()) for a in argmax])
-    best_w = welfare.max()
-    pick = next(
-        a for a, w in zip(argmax, welfare) if w >= best_w - cfg.welfare_tol
-    )
-    values = floats[cell(pick)]
+    joint = [0] * game.n_players
+    candidates = 1
+    if choosers:
+        i = choosers[0]
+        cells = floats.reshape(-1, game.n_players)
+        pick = single_chooser_picks(cells[None], np.array([i]), cfg.welfare_tol)
+        joint[i] = int(pick[0])
+        own = cells[:, i]
+        candidates = int(np.count_nonzero(own == own[joint[i]]))
+    values = np.array(floats[tuple(joint)], dtype=np.float64)
     probs = []
-    for j in range(game.n_players):
+    for j, a in enumerate(joint):
         vec = np.zeros(game.shape[j])
-        vec[pick if j == i else 0] = 1.0
+        vec[a] = 1.0
         probs.append(vec)
-    profile = MixedProfile(probs)
-    support = Support(tuple((pick,) if j == i else (0,) for j in range(game.n_players)))
-    regrets = _pure_regrets(game, cell(pick))
     return EquilibriumResult(
-        values=np.array(values, dtype=np.float64),
-        profile=profile,
+        values=values,
+        profile=MixedProfile(probs),
         welfare=float(values.sum()),
-        support=support,
-        regrets=regrets,
+        support=Support(tuple((a,) for a in joint)),
+        # Each player's best switch value is its own value here (the pick
+        # is an own maximum), so this is what _pure_regrets computes.
+        regrets=values - values,
         removals=[],
-        candidates=len(argmax),
+        candidates=candidates,
         pruned=0,
         inconclusive=0,
     )

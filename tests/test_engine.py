@@ -1,5 +1,6 @@
 import hashlib
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -542,6 +543,12 @@ PINNED_CHECKS = [
      "d42ca2215b4f4d798a764b71173d9fd5ba8fc79e0ef906247160820921039dc9"),
     ("secret_sharing_rrr_rmax5.json", {"alpha": 0.5}, UTIL_PROP,
      "1e83e4b6965ebbbc6c701dee1b9acb7cdb5531df6199c1d1b9037836d98ebcb5"),
+    # Recorded with the engine that built and solved each value-iteration
+    # stage table one pair at a time; batching the sweep changes no bit.
+    ("secret_sharing_rba.json", {"alpha": 0.1}, UTIL_PROP,
+     "f96ecf70e5a1a56a2907dbb2f805b4c65bace3436fdba7f138402e969d322048"),
+    ("secret_sharing_rra_rmax5.json", {"alpha": 0.5}, UTIL_PROP,
+     "cf35893cd602ea2bbc72561ff5016a55888eaccddf8b8995fa9808d5fae7f635"),
 ]
 
 
@@ -617,3 +624,109 @@ def test_stage_solver_generations(stage_solves):
     stages.age()
     stages.solve(table, (("c", "d"), ("c", "d")))
     assert len(stage_solves) == 2
+
+
+# ---------------------------------------------------------------------------
+# Batched value-iteration sweeps
+
+
+def test_aloha3_min_reach_stays_at_recorded_values():
+    # aloha3 has rows of four and eight successors, so its rows are padded
+    # to eight, and sums that wide round differently from one np.dot per
+    # row: 8 of these values move by an ulp. Recorded with the engine that
+    # built each stage table per pair.
+    a, b = 2.7207678730016305, 2.720767873001631
+    c, d = 2.0312499947783422, 1.2499999999999867
+    recorded = {
+        0: (a, b, a), 1: (a, b, a), 2: (c, c, 0), 3: (a, b, a), 4: (a, b, a),
+        5: (c, c, 0), 6: (c, 0, c), 7: (c, 0, c), 8: (d, 0, 0), 9: (a, b, a),
+        10: (a, b, a), 11: (c, c, 0), 12: (a, b, a), 13: (a, b, a),
+        14: (c, c, 0), 15: (c, 0, c), 16: (c, 0, c), 17: (d, 0, 0),
+        18: (0, c, c), 19: (0, c, c), 20: (0, d, 0), 21: (0, c, c),
+        22: (0, c, c), 23: (0, d, 0), 24: (0, 0, d), 25: (0, 0, d),
+        26: (0, 0, 0),
+    }
+    prop = _sum_prop('R{"time#"}[F "d#"]').replace(">>max=?", ">>min=?")
+    result = _check_bundled("aloha3.json", {}, prop)
+    assert result.iterations == 20
+    assert sorted(result.values) == sorted(recorded)
+    for s, want in recorded.items():
+        assert np.abs(result.values[s] - np.array(want)).max() <= 1e-12
+
+
+def test_value_iteration_stops_at_a_cycle():
+    # rra at alpha=0.3 first repeats a value vector at sweep 60 and then
+    # cycles with period 7; the 10 000-sweep cap took seconds to reach.
+    start = time.perf_counter()
+    with pytest.raises(NotConverged) as err:
+        _check_bundled("secret_sharing_rra.json", {"alpha": 0.3}, UTIL_PROP)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.period == 7
+    assert err.value.iterations < 100
+    assert "period 7" in str(err.value)
+
+
+def _bundled(name, params=None):
+    from conftest import MODELS
+    from csgnash.modelio import load_model
+
+    return lambda: load_model(MODELS / name, params or {})
+
+
+@pytest.mark.parametrize(
+    "model,prop",
+    [
+        (_bundled("secret_sharing_rrr_rmax5.json", {"alpha": 0.5}), UTIL_PROP),
+        (_bundled("secret_sharing_rba.json", {"alpha": 0.1}), UTIL_PROP),
+        (
+            _bundled("aloha3.json"),
+            _sum_prop('R{"time#"}[F "d#"]').replace(">>max=?", ">>min=?"),
+        ),
+        (_bundled("aloha3.json"), '<<usr1:usr2:usr3>>max=? (P[!"d2" U "d1"]'
+         ' + P[!"d3" U "d2"] + P[!"d1" U "d3"])'),
+        (trap_chain_csg, '<<p1>>max=? (P[ "safe" U "goal" ])'),
+    ],
+)
+def test_sweep_plan_builds_the_per_pair_stage_tables(model, prop):
+    # Reference: one np.dot per (pair, joint action, pending objective), as
+    # value iteration built its stage tables before the sweep was batched.
+    # Rows padded to at most three successors round the same way; wider
+    # padding (aloha3 has rows of 4 and 8) may move the last bit.
+    from csgnash.engine import _compile_sweep, _Tables
+    from csgnash.objectives import canonical_mode, mode_closure, mode_decided
+
+    coalition, compiled = compile_for(model(), prop)
+    tables = _Tables(coalition, compiled)
+    pairs, index = mode_closure(coalition, compiled)
+    undecided = [
+        p for p, (s, mode) in enumerate(pairs) if not mode_decided(compiled, mode)
+    ]
+    plan = _compile_sweep(tables, compiled, pairs, index, undecided)
+    prev = np.random.default_rng(0).random((len(pairs), compiled.m))
+    utilities = plan.stage_tables(prev)
+    eps = np.finfo(np.float64).eps
+    r = 0
+    for p in undecided:
+        s, (D, E) = pairs[p]
+        st = tables.states[s]
+        for j in range(len(st.joints)):
+            succ = [
+                index[(int(t), canonical_mode(compiled, int(t), D, E))]
+                for t in st.succs[j]
+            ]
+            for l, obj in enumerate(compiled.items):
+                if l in D:
+                    want = 1.0 if compiled.kind == "prob" else 0.0
+                elif l in E:
+                    want = 0.0
+                else:
+                    want = float(np.dot(st.probs[j], prev[succ][:, l]))
+                    if obj.kind == "reach":
+                        want = st.state_rewards[l] + st.action_rewards[j][l] + want
+                got = utilities[r, l]
+                if plan.succ.shape[1] <= 3:
+                    assert float(got).hex() == float(want).hex()
+                else:
+                    assert abs(got - want) <= 4 * eps * abs(want)
+            r += 1
+    assert r == len(utilities) > 0

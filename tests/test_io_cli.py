@@ -311,6 +311,46 @@ def test_cli_sweep_csv_format(tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize(
+    "start,stop,step",
+    [
+        ("0.9", "0.1", "0.1"),  # empty range
+        ("0.1", "0.9", "0"),
+        ("0.1", "0.9", "-0.1"),
+        ("0.1", "0.9", "nan"),
+        ("0.1", "0.9", "inf"),
+        ("nan", "0.9", "0.1"),
+        ("0.1", "inf", "0.1"),
+        ("1e20", "2e20", "1"),  # a step that does not move the point
+    ],
+)
+def test_cli_sweep_rejects_bad_range(tmp_path, capsys, start, stop, step):
+    out_csv = tmp_path / "sweep.csv"
+    prop = (
+        '<<usr1:usr2:usr3>>max=? (R{"util1"}[F "done"] + R{"util2"}[F "done"]'
+        ' + R{"util3"}[F "done"])'
+    )
+    code, _ = run_cli(
+        "sweep",
+        str(MODELS / "secret_sharing_raa.json"),
+        "--prop",
+        prop,
+        "--param",
+        "alpha",
+        "--from",
+        start,
+        "--to",
+        stop,
+        "--step",
+        step,
+        "--csv",
+        str(out_csv),
+    )
+    assert code == 1
+    assert "sweep" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def test_cli_export_strategy(tmp_path):
     out_file = tmp_path / "strategy.json"
     prop = (

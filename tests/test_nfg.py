@@ -24,6 +24,7 @@ from csgnash.nfg_solve import (
     presolve_support,
     regret,
     scne,
+    single_chooser_picks,
     solve_support,
     support_count,
     swne,
@@ -611,3 +612,60 @@ def test_float_game_table_is_read_only_copy():
     # The caller's array stays writable and is not shared.
     table[0, 0, 0] = 5.0
     assert game.utility((0, 0), 0) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Batched single-chooser rule
+
+
+@st.composite
+def single_chooser_batches(draw):
+    """One to five three-player games in which at most one player has more
+    than one action. Integer-valued utilities make exact ties in the
+    chooser's own utility and in welfare likely."""
+    games = []
+    for _ in range(draw(st.integers(1, 5))):
+        k = draw(st.integers(1, 4))
+        shape = [1, 1, 1]
+        shape[draw(st.integers(0, 2))] = k
+        cells = draw(st.lists(st.integers(-2, 2), min_size=3 * k, max_size=3 * k))
+        games.append(np.array(cells, dtype=np.float64).reshape(tuple(shape) + (3,)))
+    return games
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(single_chooser_batches())
+def test_single_chooser_picks_match_per_game_solver(games):
+    from unittest import mock
+
+    from csgnash import nfg_solve
+
+    k_max = max(g.size // 3 for g in games)
+    block = np.zeros((len(games), k_max, 3))
+    chooser = np.zeros(len(games), dtype=np.int64)
+    for r, table in enumerate(games):
+        cells = table.reshape(-1, 3)
+        # Pad by repeating the last action, as the engine does.
+        block[r] = cells[[min(a, len(cells) - 1) for a in range(k_max)]]
+        chooser[r] = int(np.argmax(table.shape[:-1]))
+    tol = SolverConfig().welfare_tol
+    for solve, picks in (
+        (swne, single_chooser_picks(block, chooser, tol)),
+        (scne, single_chooser_picks(-block, chooser, tol)),
+    ):
+        for r, table in enumerate(games):
+            game = NormalFormGame([("a",) * c for c in table.shape[:-1]], table)
+            got = block[r, picks[r]]
+            result = solve(game)
+            assert got.tobytes() == result.values.tobytes()
+            assert picks[r] == int(np.argmax(result.profile.probs[chooser[r]]))
+            # The general search, without the fast path, picks the same
+            # action.
+            no_fast_path = mock.patch.object(
+                nfg_solve, "_single_chooser_fast_path", lambda g, c: None
+            )
+            with no_fast_path:
+                general = solve(game)
+            assert np.array_equal(got, general.values)
+            assert np.array_equal(result.regrets, general.regrets)
+            assert picks[r] == int(np.argmax(general.profile.probs[chooser[r]]))
