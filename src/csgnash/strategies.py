@@ -48,10 +48,10 @@ class SynthesizedStrategy:
 class EpsilonCertificate:
     """Per-coalition best-response gaps; `epsilon` is the largest one.
 
-    Gaps are reported unclamped, so tiny negative values (numerical noise
-    from the approximate best-response solve) are visible. When several
-    equally good equilibria exist the certified profile is the canonical
-    one the solver picked; others may differ without affecting epsilon.
+    Gaps are reported unclamped, so tiny negative values (rounding in the
+    exact linear solves) are visible. When several equally good
+    equilibria exist the certified profile is the canonical one the
+    solver picked; others may differ without affecting epsilon.
     """
 
     gaps: dict[tuple[int, int, Mode], float] = field(default_factory=dict)
@@ -205,17 +205,41 @@ def evaluate_profile(
     return _evaluate_finite(game, strategy, compiled)
 
 
+def _solve_absorbing(chain, reward, pending, boundary):
+    """Values of an absorbing chain: x = reward + P x on the pending pairs
+    and x = boundary on the others. `chain` holds P as (row pair, column
+    pair, probability) arrays, duplicates summed; rows that are not
+    pending are ignored. One dense solve over the pending pairs."""
+    rows, cols, probs = chain
+    values = boundary.copy()
+    k = int(np.count_nonzero(pending))
+    if not k:
+        return values
+    pos = np.cumsum(pending) - 1
+    keep = pending[rows]
+    r, c, w = pos[rows[keep]], cols[keep], probs[keep]
+    inside = pending[c]
+    a_mat = np.eye(k)
+    np.add.at(a_mat, (r[inside], pos[c[inside]]), -w[inside])
+    out = ~inside
+    b_vec = reward[pending] + np.bincount(
+        r[out], weights=w[out] * boundary[c[out]], minlength=k
+    )
+    values[pending] = np.linalg.solve(a_mat, b_vec)
+    return values
+
+
 def _evaluate_memoryless(game, strategy, compiled):
     data = _StageData(game, compiled)
     pairs, index = mode_closure(game, compiled)
     n = len(pairs)
     m = compiled.m
-    # Transition matrix of the induced chain (decided nodes absorb).
-    chain = np.zeros((n, n))
+    # Entries of the induced chain over the undecided pairs (decided
+    # pairs are never pending, so they need no rows).
+    rows, cols, probs = [], [], []
     step_reward = np.zeros((n, m))
     for p, (s, (D, E)) in enumerate(pairs):
         if mode_decided(compiled, (D, E)):
-            chain[p, p] = 1.0
             continue
         dists = strategy.distributions(s, D, E, None)
         weights = data.joint_probs(s, dists)
@@ -225,43 +249,16 @@ def _evaluate_memoryless(game, strategy, compiled):
                 continue
             step_reward[p] += w * data.action_rewards[s][j]
             for t, tp in zip(data.succs[s][j], data.probs[s][j]):
-                q = index[(int(t), canonical_mode(compiled, int(t), D, E))]
-                chain[p, q] += w * tp
+                rows.append(p)
+                cols.append(index[(int(t), canonical_mode(compiled, int(t), D, E))])
+                probs.append(w * tp)
+    chain = (np.array(rows), np.array(cols), np.array(probs))
     values = np.zeros((n, m))
+    won = 1.0 if compiled.kind == "prob" else 0.0
     for l in range(m):
-        pending = [
-            p
-            for p, (s, (D, E)) in enumerate(pairs)
-            if l not in D and l not in E
-        ]
-        boundary = np.zeros(n)
-        for p, (s, (D, E)) in enumerate(pairs):
-            if l in D:
-                boundary[p] = 1.0 if compiled.kind == "prob" else 0.0
-            elif l in E:
-                boundary[p] = 0.0
-        if not pending:
-            values[:, l] = boundary
-            continue
-        idx = {p: k for k, p in enumerate(pending)}
-        a_mat = np.eye(len(pending))
-        b_vec = np.zeros(len(pending))
-        for p in pending:
-            k = idx[p]
-            if compiled.kind == "reward":
-                b_vec[k] += step_reward[p, l]
-            for q in range(n):
-                w = chain[p, q]
-                if w == 0.0:
-                    continue
-                if q in idx:
-                    a_mat[k, idx[q]] -= w
-                else:
-                    b_vec[k] += w * boundary[q]
-        sol = np.linalg.solve(a_mat, b_vec)
-        values[:, l] = boundary
-        for p in pending:
-            values[p, l] = sol[idx[p]]
+        pending = np.array([l not in D and l not in E for _s, (D, E) in pairs])
+        boundary = np.array([won if l in D else 0.0 for _s, (D, E) in pairs])
+        values[:, l] = _solve_absorbing(chain, step_reward[:, l], pending, boundary)
     return {pair: values[p].copy() for p, pair in enumerate(pairs)}
 
 
@@ -365,21 +362,16 @@ def best_response_value(
     strategy: SynthesizedStrategy,
     coalition: int,
     compiled: CompiledObjectives,
-    epsilon: float = 1e-7,
-    max_iters: int = 200_000,
 ) -> dict[tuple[int, Mode], float]:
     """Optimal value of one coalition's own objective when every other
     coalition plays the synthesised profile.
 
     Fixing the others yields a single-controller decision process over the
     (state, mode) bookkeeping graph; finite horizons are solved exactly by
-    backward induction and infinite horizons by value iteration to the
-    given tolerance.
+    backward induction and infinite horizons exactly by policy iteration.
     """
     if compiled.horizon == "infinite":
-        return _best_response_memoryless(
-            game, strategy, coalition, compiled, epsilon, max_iters
-        )
+        return _best_response_memoryless(game, strategy, coalition, compiled)
     return _best_response_finite(game, strategy, coalition, compiled)
 
 
@@ -401,65 +393,65 @@ def _others_weights(
     return out
 
 
-def _best_response_memoryless(game, strategy, coalition, compiled, epsilon, max_iters):
+def _best_response_memoryless(game, strategy, coalition, compiled):
+    """Policy iteration over the coalition's open pairs, starting from the
+    profile's most likely own action. The stopping assumption makes every
+    deterministic deviation settle with probability 1, so each policy's
+    chain is solved exactly and the iteration ends at the optimum."""
     data = _StageData(game, compiled)
     pairs, index = mode_closure(game, compiled)
-    n = len(pairs)
-    better = max if _deviator_optimum(compiled) == "max" else min
-    values = np.zeros(n)
-    boundary = np.zeros(n, dtype=bool)
-    for p, (s, (D, E)) in enumerate(pairs):
-        if coalition in D:
-            values[p] = 1.0 if compiled.kind == "prob" else 0.0
-            boundary[p] = True
-        elif coalition in E:
-            boundary[p] = True
-        elif mode_decided(compiled, (D, E)):
-            boundary[p] = True
-    # Precompute, per pair and own action, the mixture over (succ pair,
-    # prob) plus the expected immediate reward.
-    plans = []
-    for p, (s, (D, E)) in enumerate(pairs):
-        if boundary[p]:
-            plans.append(None)
-            continue
+    sign = 1.0 if _deviator_optimum(compiled) == "max" else -1.0
+    won = 1.0 if compiled.kind == "prob" else 0.0
+    boundary = np.array([won if coalition in D else 0.0 for _s, (D, E) in pairs])
+    pending = np.array([coalition not in D | E for _s, (D, E) in pairs])
+    opened = np.flatnonzero(pending)
+    if not len(opened):
+        return {pair: float(boundary[p]) for p, pair in enumerate(pairs)}
+    # Choice row o * k + a is own action a at open pair o: its expected
+    # immediate reward, and chain entries (row, successor pair, probability).
+    # Rows past a pair's own actions hold -sign * inf, so they never win.
+    k = max(len(data.choice_sets[pairs[p][0]][coalition]) for p in opened)
+    immediate = np.full((len(opened), k), -sign * np.inf)
+    policy, rows, cols, probs = [], [], [], []
+    for o, p in enumerate(opened):
+        s, (D, E) = pairs[p]
         dists = strategy.distributions(s, D, E, None)
-        weights = _others_weights(data, s, dists, coalition)
         own = data.choice_sets[s][coalition]
-        per_action = []
-        for a_local, _a in enumerate(own):
-            mix: dict[int, float] = {}
-            immediate = data.state_rewards[s][coalition] if compiled.kind == "reward" else 0.0
-            for j, w in weights:
-                joint = data.joints[s][j]
-                local = own.index(joint[coalition])
-                if local != a_local or w == 0.0:
-                    continue
-                if compiled.kind == "reward":
-                    immediate += w * data.action_rewards[s][j][coalition]
-                for t, tp in zip(data.succs[s][j], data.probs[s][j]):
-                    q = index[(int(t), canonical_mode(compiled, int(t), D, E))]
-                    mix[q] = mix.get(q, 0.0) + w * tp
-            succ = np.fromiter(mix.keys(), dtype=np.int64, count=len(mix))
-            probs = np.fromiter(mix.values(), dtype=np.float64, count=len(mix))
-            per_action.append((immediate, succ, probs))
-        plans.append(per_action)
-    stable = 0
-    for _ in range(max_iters):
-        prev = values.copy()
-        for p in range(n):
-            if boundary[p]:
+        immediate[o, : len(own)] = data.state_rewards[s][coalition]
+        policy.append(int(np.argmax(dists[coalition])))
+        for j, w in _others_weights(data, s, dists, coalition):
+            if w == 0.0:
                 continue
-            best = None
-            for immediate, succ, probs in plans[p]:
-                v = immediate + float(np.dot(probs, prev[succ]))
-                best = v if best is None else better(best, v)
-            values[p] = best
-        residual = float(np.max(np.abs(values - prev))) if n else 0.0
-        stable = stable + 1 if residual < epsilon else 0
-        if stable >= 2:
-            break
-    return {pair: float(values[p]) for p, pair in enumerate(pairs)}
+            a = own.index(data.joints[s][j][coalition])
+            immediate[o, a] += w * data.action_rewards[s][j][coalition]
+            for t, tp in zip(data.succs[s][j], data.probs[s][j]):
+                rows.append(o * k + a)
+                cols.append(index[(int(t), canonical_mode(compiled, int(t), D, E))])
+                probs.append(w * tp)
+    rows, cols, probs = np.array(rows), np.array(cols), np.array(probs)
+    here, policy = np.arange(len(opened)), np.array(policy)
+    seen = set()
+    while True:
+        seen.add(policy.tobytes())
+        keep = rows % k == policy[rows // k]
+        reward = np.zeros(len(pairs))
+        reward[opened] = immediate[here, policy]
+        chain = (opened[rows[keep] // k], cols[keep], probs[keep])
+        values = _solve_absorbing(chain, reward, pending, boundary)
+        scores = sign * (immediate + np.bincount(
+            rows, weights=probs * values[cols], minlength=immediate.size
+        ).reshape(immediate.shape))
+        current = scores[here, policy]
+        best = scores.argmax(axis=1)
+        margin = 1e-12 * np.maximum(1.0, np.abs(current))
+        switch = scores[here, best] > current + margin
+        if not switch.any():
+            return {pair: float(values[p]) for p, pair in enumerate(pairs)}
+        policy = np.where(switch, best, policy)
+        if policy.tobytes() in seen:
+            raise RuntimeError(
+                f"policy iteration for coalition {coalition} revisited a policy"
+            )
 
 
 def _best_response_finite(game, strategy, coalition, compiled):
@@ -527,7 +519,6 @@ def certify_epsilon(
     game: Csg,
     strategy: SynthesizedStrategy,
     compiled: CompiledObjectives,
-    epsilon_br: float = 1e-7,
 ) -> EpsilonCertificate:
     """Best-response gap of every coalition at every reachable node.
 
@@ -538,9 +529,7 @@ def certify_epsilon(
     cert = EpsilonCertificate()
     worst = -np.inf
     for i in range(compiled.m):
-        responses = best_response_value(
-            game, strategy, i, compiled, epsilon=epsilon_br
-        )
+        responses = best_response_value(game, strategy, i, compiled)
         coalition_worst = -np.inf
         for (s, mode), br in responses.items():
             if (s, mode) not in achieved:

@@ -109,6 +109,38 @@ def trap_chain_csg() -> Csg:
     )
 
 
+def ladder_csg() -> Csg:
+    """One player, two chained choices. From s0, "go" leads to s1 and
+    "bail" gambles on the goal; from s1, "go" mostly reaches the goal and
+    "drop" falls into the trap. Play settles within two steps."""
+    return Csg(
+        players=("p1",),
+        actions=(("go", "bail", "drop"),),
+        state_names=("s0", "s1", "goal", "trap"),
+        initial=(0,),
+        availability=(((0, 1),), ((0, 2),), ((),), ((),)),
+        transitions={
+            (0, (0,)): {1: 1.0},
+            (0, (1,)): {2: 0.5, 3: 0.5},
+            (1, (0,)): {2: 0.9, 3: 0.1},
+            (1, (2,)): {3: 1.0},
+            (2, (-1,)): {2: 1.0},
+            (3, (-1,)): {3: 1.0},
+        },
+        labels=(
+            frozenset({"safe"}),
+            frozenset({"safe"}),
+            frozenset({"goal", "safe", "done"}),
+            frozenset({"done"}),
+        ),
+        rewards={
+            "pay": RewardStructure(
+                {}, {(0, (0,)): 1.0, (0, (1,)): 2.0, (1, (0,)): 3.0}
+            ),
+        },
+    )
+
+
 def two_coalition_goal_csg() -> Csg:
     """Coalition 1 picks which absorbing goal the play reaches."""
     return Csg(

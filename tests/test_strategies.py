@@ -3,9 +3,13 @@ import io
 import numpy as np
 import pytest
 
+from csgnash import strategies
 from csgnash.engine import EngineConfig, check_nash_formula
 from csgnash.formulas import parse_formula
-from csgnash.games import Csg, RewardStructure
+from csgnash.games import Csg, RewardStructure, single_controller_view
+from csgnash.modelio import load_model
+from csgnash.objectives import EMPTY
+from csgnash.oracle import single_agent_reach_reward, single_agent_until
 from csgnash.strategies import (
     SynthesizedStrategy,
     best_response_value,
@@ -16,7 +20,17 @@ from csgnash.strategies import (
     import_strategy,
 )
 
-from conftest import secret_sharing_raa_csg, two_coalition_goal_csg
+from conftest import (
+    MODELS,
+    ladder_csg,
+    secret_sharing_raa_csg,
+    two_coalition_goal_csg,
+)
+
+UTIL_PROP = (
+    '<<usr1:usr2:usr3>>max=? (R{"util1"}[ F "done" ] + R{"util2"}[ F "done" ]'
+    ' + R{"util3"}[ F "done" ])'
+)
 
 
 def coin_flip_model(p: float = 0.5) -> Csg:
@@ -162,6 +176,86 @@ def test_perturbed_profile_detects_injected_gap():
     strategy.table[key] = (np.array([0.9, 0.1]),)
     cert = certify_epsilon(result.coalition_game, strategy, result.compiled)
     assert cert.epsilon == pytest.approx(0.05, abs=1e-6)
+
+
+@pytest.mark.parametrize("reward_kind", [False, True])
+@pytest.mark.parametrize("opt", ["max", "min"])
+def test_policy_iteration_from_wrong_profile_matches_classical(
+    monkeypatch, opt, reward_kind
+):
+    # Start from "bail" at s0 and the action the other direction prefers
+    # at s1: the first improvement fixes s1 only, and s0 turns to "go"
+    # only once s1's improved value is evaluated.
+    model = ladder_csg()
+    text = (
+        f'<<p1>>{opt}=? (R{{"pay"}}[ F "done" ])'
+        if reward_kind
+        else f'<<p1>>{opt}=? (P[ "safe" U "goal" ])'
+    )
+    result = checked(model, text)
+    strategy = result.strategy
+    strategy.table[(0, EMPTY, EMPTY, None)] = (np.array([0.0, 1.0]),)
+    wrong_s1 = [0.0, 1.0] if opt == "max" else [1.0, 0.0]
+    strategy.table[(1, EMPTY, EMPTY, None)] = (np.array(wrong_s1),)
+    solves = []
+    solve = strategies._solve_absorbing
+
+    def counted(*args):
+        solves.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(strategies, "_solve_absorbing", counted)
+    responses = best_response_value(
+        result.coalition_game, strategy, 0, result.compiled
+    )
+    assert len(solves) >= 3  # two improving rounds, then the check
+    pooled = single_controller_view(result.coalition_game)
+    if reward_kind:
+        pay = model.rewards["pay"]
+        classical = single_agent_reach_reward(
+            pooled,
+            frozenset({2, 3}),
+            np.zeros(4),
+            lambda s, k: pay.action_reward(s, pooled.choices[s][k][0]),
+            opt,
+        )
+    else:
+        classical = single_agent_until(
+            pooled, frozenset({0, 1, 2}), frozenset({2}), opt
+        )
+    for s in (0, 1):
+        assert responses[(s, (EMPTY, EMPTY))] == pytest.approx(classical[s], abs=1e-9)
+    expected = {"max": 4.0, "min": 1.0} if reward_kind else {"max": 0.9, "min": 0.0}
+    assert classical[0] == pytest.approx(expected[opt], abs=1e-12)
+
+
+def test_certificate_reports_tiny_deviation():
+    # Moving 1e-7 of the first user's mass at the start to the other action
+    # costs about 8e-5 at alpha=0.1; the certificate must show that loss.
+    model = load_model(MODELS / "secret_sharing_raa.json", {"alpha": 0.1})
+    result = checked(model, UTIL_PROP)
+    game, strategy, compiled = result.coalition_game, result.strategy, result.compiled
+    before = evaluate_at_initial_modes(game, strategy, compiled)[0][0]
+    key = (0, EMPTY, EMPTY, None)
+    first, *rest = strategy.table[key]
+    moved = first.copy()
+    top = int(np.argmax(moved))
+    moved[top] -= 1e-7
+    moved[1 - top] += 1e-7
+    strategy.table[key] = (moved, *rest)
+    loss = before - evaluate_at_initial_modes(game, strategy, compiled)[0][0]
+    assert loss > 7e-5
+    cert = certify_epsilon(game, strategy, compiled)
+    assert cert.epsilon == pytest.approx(loss, abs=1e-9)
+
+
+@pytest.mark.parametrize("variant", ["raa", "rba"])
+def test_certificate_gaps_not_negative_at_low_alpha(variant):
+    model = load_model(MODELS / f"secret_sharing_{variant}.json", {"alpha": 0.1})
+    result = checked(model, UTIL_PROP)
+    cert = certify_epsilon(result.coalition_game, result.strategy, result.compiled)
+    assert cert.gaps
+    assert min(cert.gaps.values()) >= -1e-12
 
 
 # ---------------------------------------------------------------------------
