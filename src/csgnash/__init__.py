@@ -8,9 +8,7 @@ from .games import (
     PooledProcess,
     RewardStructure,
     build_coalition_game,
-    fix_opponents,
     single_controller_view,
-    stage_game,
     validate_csg,
 )
 from .formulas import (
@@ -51,12 +49,7 @@ from .engine import (
     check_nash_formula,
     check_stopping_assumption,
     evaluate_state_formula,
-    solve_bounded_until,
-    solve_cumulative,
     solve_finite_horizon,
-    solve_instantaneous,
-    solve_reach_reward_vi,
-    solve_until_vi,
     solve_value_iteration,
 )
 from .strategies import (

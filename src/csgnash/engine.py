@@ -1,18 +1,19 @@
 """Equilibrium value computation over coalition games.
 
 Finite-horizon objective sums are solved by backward induction on the
-remaining step bound; infinite-horizon sums by value iteration. Both
-recursions solve, at every reached (state, satisfied-set, failed-set)
-triple, the one-shot game whose utilities combine decided components
-(exactly 1 or 0 for probabilities, 0 for settled reward objectives) with
-successor-weighted continuation values, taking welfare-optimal equilibrium
-values (cost-optimal ones when minimising).
+remaining step bound; infinite-horizon sums by value iteration. Both run
+over the check's compiled core (`objectives.Core`): at every reached
+(state, satisfied-set, failed-set) node, and every level for finite
+horizons, they solve the one-shot game whose utilities combine decided
+components (exactly 1 or 0 for probabilities, 0 for settled reward
+objectives) with successor-weighted continuation values, taking
+welfare-optimal equilibrium values (cost-optimal ones when minimising).
+The core goes out with the synthesised strategy, so certification reads
+the same rows.
 """
 
 from __future__ import annotations
 
-import itertools
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,12 +30,13 @@ from .games import Csg, NormalFormGame, build_coalition_game, single_controller_
 from .nfg_solve import SolverConfig, scne, single_chooser_picks, swne
 from .objectives import (
     CompiledObjectives,
+    Core,
     Mode,
-    UnsupportedFormulaError,
-    canonical_mode,
+    bounded_core,
     compile_objectives,
     mode_closure,
     mode_decided,
+    unbounded_core,
 )
 from .strategies import StrategyKey, SynthesizedStrategy
 
@@ -66,18 +68,19 @@ class NotConverged(EngineError):
         self.period = period
 
 
+# Value iteration stops once this many consecutive sweeps each move the
+# values by less than epsilon. The residual sequence is convergent but need
+# not shrink monotonically, hence more than one.
+_STABILITY_WINDOW = 2
+
+
 @dataclass(frozen=True)
 class VIConfig:
-    """Stopping rule for value iteration.
-
-    The iteration stops once the sup-norm difference between consecutive
-    sweeps stays below `epsilon` for `stability_window` sweeps in a row.
-    The residual sequence is convergent but need not shrink monotonically,
-    hence the window.
-    """
+    """Stopping rule for value iteration: the sup-norm difference between
+    consecutive sweeps stays below `epsilon` for two sweeps in a row, within
+    `max_iters` sweeps."""
 
     epsilon: float = 1e-6
-    stability_window: int = 2
     max_iters: int = 10_000
 
 
@@ -124,68 +127,6 @@ class ValueTable:
         return self.entries[(state, self.initial_mode[state])]
 
 
-# ---------------------------------------------------------------------------
-# Precompiled transition tables
-
-
-@dataclass
-class _StateTable:
-    choice_sets: tuple[tuple[int, ...], ...]  # per coalition, local action ids
-    choice_names: tuple[tuple[str, ...], ...]
-    joints: list[tuple[int, ...]]  # joint actions (model action ids)
-    shape: tuple[int, ...]
-    succs: list[np.ndarray]
-    probs: list[np.ndarray]
-    action_rewards: list[np.ndarray]  # per joint, vector over objectives
-    state_rewards: np.ndarray  # vector over objectives
-
-
-class _Tables:
-    def __init__(self, game: Csg, compiled: CompiledObjectives):
-        self.game = game
-        self.compiled = compiled
-        rewards = []
-        for obj in compiled.items:
-            rewards.append(game.rewards[obj.reward] if obj.reward else None)
-        self.states: list[_StateTable] = []
-        for s in range(game.n_states):
-            choice_sets = tuple(game.choices(s, i) for i in range(game.n_players))
-            choice_names = tuple(
-                tuple(game.action_name(i, a) for a in acts)
-                for i, acts in enumerate(choice_sets)
-            )
-            joints = [tuple(j) for j in itertools.product(*choice_sets)]
-            succs, probs, acts = [], [], []
-            for joint in joints:
-                dist = game.transitions[(s, joint)]
-                succs.append(np.fromiter(dist.keys(), dtype=np.int64, count=len(dist)))
-                probs.append(
-                    np.fromiter(dist.values(), dtype=np.float64, count=len(dist))
-                )
-                acts.append(
-                    np.array(
-                        [
-                            rew.action_reward(s, joint) if rew else 0.0
-                            for rew in rewards
-                        ]
-                    )
-                )
-            self.states.append(
-                _StateTable(
-                    choice_sets=choice_sets,
-                    choice_names=choice_names,
-                    joints=joints,
-                    shape=tuple(len(c) for c in choice_sets),
-                    succs=succs,
-                    probs=probs,
-                    action_rewards=acts,
-                    state_rewards=np.array(
-                        [rew.state_reward(s) if rew else 0.0 for rew in rewards]
-                    ),
-                )
-            )
-
-
 _StageSolution = tuple[np.ndarray, tuple[np.ndarray, ...]]
 
 
@@ -198,7 +139,7 @@ class _StageSolver:
     arithmetic: the table's shape and bytes are the whole key. Entries
     live in two generations. Backward induction never ages the cache, so
     it holds one entry per distinct table of the call, at most one per
-    memoised value. Value iteration ages it after every sweep, keeping
+    node. Value iteration ages it after every sweep, keeping
     what the current and the previous sweep made or used, so memory stays
     proportional to the undecided pairs however many sweeps run. Solutions
     are shared between lookups and therefore read-only. Pool workers share
@@ -280,107 +221,48 @@ def solve_finite_horizon(
     n; expired bounds contribute 0 (probabilistic expiry goes through the
     failed set E), an instantaneous bound hitting 0 contributes the current
     state reward, and live objectives weight the next level's values by the
-    transition probabilities.
+    transition probabilities. The core numbers its nodes level by level,
+    so one pass from the last node down finds every successor solved.
     """
     cfg = cfg or EngineConfig()
-    tables = _Tables(game, compiled)
+    core = bounded_core(game, compiled)
     m = compiled.m
-    memo: dict[tuple[int, Mode, int], np.ndarray] = {}
+    values = core.const.copy()
     dists: dict[StrategyKey, tuple[np.ndarray, ...]] = {}
     stages = _StageSolver(compiled.opt, cfg.solver)
-    depth_needed = compiled.max_bound + 10
-    if sys.getrecursionlimit() < depth_needed * 3:
-        sys.setrecursionlimit(depth_needed * 3 + 1000)
-
-    def indicator(D: frozenset[int]) -> np.ndarray:
-        vec = np.zeros(m)
-        for l in D:
-            vec[l] = 1.0
-        return vec
-
-    def canonical_dists(st: _StateTable) -> tuple[np.ndarray, ...]:
-        out = []
-        for acts in st.choice_sets:
-            vec = np.zeros(len(acts))
-            vec[0] = 1.0
-            out.append(vec)
-        return tuple(out)
-
-    def value(s: int, D: frozenset[int], E: frozenset[int], n: int) -> np.ndarray:
-        D, E = canonical_mode(compiled, s, D, E, step=n)
-        key = (s, (D, E), n)
-        if key in memo:
-            return memo[key]
-        st = tables.states[s]
-        if compiled.kind == "prob" and len(D) + len(E) == m:
-            vec = indicator(D)
-            memo[key] = vec
-            return vec
-        live: list[int] = []
-        consts = np.zeros(m)
-        for l, obj in enumerate(compiled.items):
-            if l in D:
-                consts[l] = 1.0
-                continue
-            if l in E:
-                continue
-            remaining = (obj.bound or 0) - n
-            if obj.kind in ("until", "next"):
-                live.append(l)
-            elif obj.kind == "instant":
-                if remaining < 0:
-                    consts[l] = 0.0
-                elif remaining == 0:
-                    consts[l] = st.state_rewards[l]
-                else:
-                    live.append(l)
-            elif obj.kind == "cumulative":
-                if remaining > 0:
-                    live.append(l)
-        if not live:
-            vec = consts.copy()
-            memo[key] = vec
-            dists[(s, D, E, n)] = canonical_dists(st)
-            return vec
-        n_joints = len(st.joints)
-        utilities = np.tile(consts, (n_joints, 1))
-        for j in range(n_joints):
-            succ_vals = np.array(
-                [value(int(t), D, E, n + 1) for t in st.succs[j]]
-            )
-            for l in live:
-                cont = float(np.dot(st.probs[j], succ_vals[:, l]))
-                if compiled.items[l].kind == "cumulative":
-                    utilities[j, l] = (
-                        st.state_rewards[l] + st.action_rewards[j][l] + cont
-                    )
-                else:
-                    utilities[j, l] = cont
-        table = utilities.reshape(st.shape + (m,))
-        values, profile = stages.solve(table, st.choice_names)
-        memo[key] = values
-        dists[(s, D, E, n)] = profile
-        return values
-
-    entries: dict[tuple[int, Mode], np.ndarray] = {}
-    initial_mode: dict[int, Mode] = {}
-    for s in range(game.n_states):
-        vec = value(s, frozenset(), frozenset(), 0)
-        mode = canonical_mode(compiled, s, frozenset(), frozenset(), step=0)
-        initial_mode[s] = mode
-        entries[(s, mode)] = vec
+    for p in range(len(core.nodes) - 1, -1, -1):
+        node = core.nodes[p]
+        s = node[0]
+        rows = range(core.start[p], core.start[p + 1])
+        if not rows:
+            if not mode_decided(compiled, node[1:3]):
+                dists[node] = _first_actions(core.shapes[s])
+            continue
+        live = np.flatnonzero(core.pending[p]).tolist()
+        utilities = np.tile(core.const[p], (len(rows), 1))
+        for j, r in enumerate(rows):
+            utilities[j, live] = core.row_utilities(r, s, values, live)
+        values[p], dists[node] = stages.solve(
+            utilities.reshape(core.shapes[s] + (m,)), core.choice_names[s]
+        )
+    initial_mode = {s: core.nodes[p][1:3] for s, p in enumerate(core.initial)}
+    entries = {
+        (s, initial_mode[s]): values[p].copy() for s, p in enumerate(core.initial)
+    }
     strategy = SynthesizedStrategy(
         kind="finite",
         horizon=compiled.max_bound,
         table=dists,
-        choice_names={
-            s: tables.states[s].choice_names for s in range(game.n_states)
-        },
+        choice_names=dict(enumerate(core.choice_names)),
+        core=core,
     )
-    table = ValueTable(entries=entries, initial_mode=initial_mode)
-    # Expose the full per-level memo for cross-checking.
-    table.levels = memo  # type: ignore[attr-defined]
-    return table, strategy
+    return ValueTable(entries=entries, initial_mode=initial_mode), strategy
+
+
+def _first_actions(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The profile stored where no choice matters: every coalition plays
+    its first action."""
+    return tuple(np.eye(c)[0] for c in shape)
 
 
 # ---------------------------------------------------------------------------
@@ -420,63 +302,43 @@ class _SweepPlan:
         return np.where(self.pend, cont, self.const)
 
 
-def _compile_sweep(
-    tables: _Tables,
-    compiled: CompiledObjectives,
-    pairs: list[tuple[int, Mode]],
-    index: dict[tuple[int, Mode], int],
-    undecided: list[int],
-) -> _SweepPlan:
-    m = compiled.m
+def _compile_sweep(core: Core) -> _SweepPlan:
+    """The plan over the core's rows, which are those of the undecided
+    pairs; rows are padded by repeating their last successor."""
+    compiled = core.compiled
     reach = np.array([obj.kind == "reach" for obj in compiled.items])
-    succ, prob, base, const, pend = [], [], [], [], []
+    row_node = np.repeat(np.arange(len(core.nodes)), np.diff(core.start))
+    row_state = np.array([s for s, *_ in core.nodes], dtype=np.int64)[row_node]
+    ptr = np.array(core.ptr)
+    lengths = np.diff(ptr)
+    width = int(lengths.max()) if len(lengths) else 1
+    column = np.arange(width)
+    entry = ptr[:-1, None] + np.minimum(column, lengths[:, None] - 1)
+    pend = core.pending[row_node]
     single, single_rows, chooser, multi = [], [], [], []
-    for p in undecided:
-        s, (D, E) = pairs[p]
-        st = tables.states[s]
-        start = len(succ)
-        pinned = np.zeros(m)
-        if compiled.kind == "prob":
-            pinned[list(D)] = 1.0
-        pending = np.array([l not in D and l not in E for l in range(m)])
-        for j in range(len(st.joints)):
-            succ.append(
-                [
-                    index[(int(t), canonical_mode(compiled, int(t), D, E))]
-                    for t in st.succs[j]
-                ]
-            )
-            prob.append(st.probs[j])
-            base.append(st.state_rewards + st.action_rewards[j])
-            const.append(pinned)
-            pend.append(pending)
-        choosers = [i for i, c in enumerate(st.shape) if c > 1]
+    for p, (s, *_mode) in enumerate(core.nodes):
+        rows = range(core.start[p], core.start[p + 1])
+        if not rows:
+            continue
+        choosers = [i for i, c in enumerate(core.shapes[s]) if c > 1]
         if len(choosers) > 1:
-            multi.append((p, slice(start, len(succ))))
+            multi.append((p, slice(rows.start, rows.stop)))
         else:
             single.append(p)
-            single_rows.append(range(start, len(succ)))
+            single_rows.append(rows)
             chooser.append(choosers[0] if choosers else 0)
-    width = max(map(len, succ), default=1)
-    succ_arr = np.zeros((len(succ), width), dtype=np.int64)
-    prob_arr = np.zeros((len(succ), 1, width))
-    for r, (row, probs) in enumerate(zip(succ, prob)):
-        succ_arr[r, : len(row)] = row
-        succ_arr[r, len(row) :] = row[-1]
-        prob_arr[r, 0, : len(row)] = probs
     k_max = max(map(len, single_rows), default=1)
     rows_arr = np.array(
         [[rows[min(a, len(rows) - 1)] for a in range(k_max)] for rows in single_rows],
         dtype=np.int64,
     ).reshape(len(single_rows), k_max)
-    pend_arr = np.array(pend, dtype=bool).reshape(-1, m)
     return _SweepPlan(
-        succ=succ_arr,
-        prob=prob_arr,
-        base=np.array(base).reshape(-1, m),
-        const=np.array(const).reshape(-1, m),
-        pend=pend_arr,
-        add_base=pend_arr & reach,
+        succ=core.succ[entry],
+        prob=np.where(column < lengths[:, None], core.prob[entry], 0.0)[:, None, :],
+        base=core.state_rewards[row_state] + core.action_rewards,
+        const=core.const[row_node],
+        pend=pend,
+        add_base=pend & reach,
         single=np.array(single, dtype=np.int64),
         single_rows=rows_arr,
         chooser=np.array(chooser, dtype=np.int64),
@@ -505,19 +367,12 @@ def solve_value_iteration(
         report = check_stopping_assumption(game, compiled)
         if not report.ok:
             raise AssumptionViolation(report)
-    tables = _Tables(game, compiled)
+    pairs, _index = mode_closure(game, compiled)
+    core = unbounded_core(game, compiled, pairs)
     m = compiled.m
-    pairs, index = mode_closure(game, compiled)
     n_pairs = len(pairs)
-    undecided = [
-        p for p, (s, mode) in enumerate(pairs) if not mode_decided(compiled, mode)
-    ]
-    plan = _compile_sweep(tables, compiled, pairs, index, undecided)
-
-    values = np.zeros((n_pairs, m))
-    if compiled.kind == "prob":
-        for p, (s, (D, E)) in enumerate(pairs):
-            values[p, list(D)] = 1.0
+    plan = _compile_sweep(core)
+    values = core.const.copy()
 
     dists: dict[int, tuple[np.ndarray, ...]] = {}
     stages = _StageSolver(compiled.opt, cfg.solver)
@@ -543,9 +398,9 @@ def solve_value_iteration(
 
         def solve(item):
             p, rows = item
-            st = tables.states[pairs[p][0]]
+            s = pairs[p][0]
             return stages.solve(
-                utilities[rows].reshape(st.shape + (m,)), st.choice_names
+                utilities[rows].reshape(core.shapes[s] + (m,)), core.choice_names[s]
             )
 
         solved = list(run(solve, plan.multi))
@@ -569,7 +424,7 @@ def solve_value_iteration(
             sweep(prev)
             residual = float(np.abs(values - prev).max()) if n_pairs else 0.0
             stable = stable + 1 if residual < cfg.vi.epsilon else 0
-            if stable >= cfg.vi.stability_window:
+            if stable >= _STABILITY_WINDOW:
                 break
             if period is None:
                 current = values.tobytes()
@@ -596,31 +451,20 @@ def solve_value_iteration(
         return vec
 
     for p, i, a in zip(plan.single.tolist(), plan.chooser.tolist(), picks.tolist()):
-        shape = tables.states[pairs[p][0]].shape
+        shape = core.shapes[pairs[p][0]]
         dists[p] = tuple(pure(c, a if j == i else 0) for j, c in enumerate(shape))
 
-    entries = {
-        (s, mode): values[p].copy() for p, (s, mode) in enumerate(pairs)
-    }
-    initial_mode = {
-        s: canonical_mode(compiled, s, frozenset(), frozenset())
-        for s in range(game.n_states)
-    }
-    strategy_table: dict[StrategyKey, tuple[np.ndarray, ...]] = {}
-    for p, (s, mode) in enumerate(pairs):
-        if p in dists:
-            profile = dists[p]
-        else:
-            st = tables.states[s]
-            profile = tuple(
-                np.eye(len(acts))[0] for acts in st.choice_sets
-            )
-        strategy_table[(s, mode[0], mode[1], None)] = profile
+    entries = {pair: values[p].copy() for p, pair in enumerate(pairs)}
+    initial_mode = {s: pairs[p][1] for s, p in enumerate(core.initial)}
     strategy = SynthesizedStrategy(
         kind="memoryless",
         horizon=None,
-        table=strategy_table,
-        choice_names={s: tables.states[s].choice_names for s in range(game.n_states)},
+        table={
+            node: dists[p] if p in dists else _first_actions(core.shapes[node[0]])
+            for p, node in enumerate(core.nodes)
+        },
+        choice_names=dict(enumerate(core.choice_names)),
+        core=core,
     )
     table = ValueTable(
         entries=entries,
@@ -630,48 +474,6 @@ def solve_value_iteration(
         residual=residual,
     )
     return table, strategy
-
-
-# ---------------------------------------------------------------------------
-# Named entry points per objective family
-
-
-def _expect_kinds(compiled: CompiledObjectives, kinds: set[str], horizon: str):
-    seen = {obj.kind for obj in compiled.items}
-    if not seen <= kinds or compiled.horizon != horizon:
-        raise UnsupportedFormulaError(
-            f"objective kinds {sorted(seen)} not supported by this solver"
-        )
-
-
-def solve_bounded_until(game, compiled, cfg=None):
-    """Step-bounded probabilistic objectives (bounded untils and nexts)."""
-    _expect_kinds(compiled, {"until", "next"}, "finite")
-    return solve_finite_horizon(game, compiled, cfg)
-
-
-def solve_instantaneous(game, compiled, cfg=None):
-    """State rewards read at fixed time points."""
-    _expect_kinds(compiled, {"instant"}, "finite")
-    return solve_finite_horizon(game, compiled, cfg)
-
-
-def solve_cumulative(game, compiled, cfg=None):
-    """Rewards accumulated over bounded prefixes."""
-    _expect_kinds(compiled, {"cumulative"}, "finite")
-    return solve_finite_horizon(game, compiled, cfg)
-
-
-def solve_until_vi(game, compiled, cfg=None, check_assumption=True):
-    """Unbounded probabilistic untils via value iteration."""
-    _expect_kinds(compiled, {"until"}, "infinite")
-    return solve_value_iteration(game, compiled, cfg, check_assumption)
-
-
-def solve_reach_reward_vi(game, compiled, cfg=None, check_assumption=True):
-    """Expected rewards to reach targets via value iteration."""
-    _expect_kinds(compiled, {"reach"}, "infinite")
-    return solve_value_iteration(game, compiled, cfg, check_assumption)
 
 
 # ---------------------------------------------------------------------------

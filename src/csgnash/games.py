@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -545,42 +545,6 @@ def build_coalition_game(model: Csg, partition: CoalitionPartition) -> Csg:
     )
 
 
-def stage_game(
-    model: Csg,
-    state: int,
-    utility_assembler: Callable[[Joint], Sequence[float]],
-) -> tuple[NormalFormGame, list[Joint]]:
-    """The one-shot game played at `state`.
-
-    The action set of each player is exactly its enabled actions there
-    (the single idle action when none). ``utility_assembler`` maps each
-    enabled joint action to the per-player utility vector. Returns the
-    game together with the list of joint actions aligned with its table
-    indexing.
-
-    Raises ValueError if the assembler produces a non-finite value.
-    """
-    per_player = [model.choices(state, i) for i in range(model.n_players)]
-    names = [
-        tuple(model.action_name(i, a) for a in acts)
-        for i, acts in enumerate(per_player)
-    ]
-    joints = [tuple(j) for j in itertools.product(*per_player)]
-    table: dict[Joint, tuple] = {}
-    for idx, joint in zip(
-        itertools.product(*(range(len(p)) for p in per_player)), joints
-    ):
-        vec = tuple(utility_assembler(joint))
-        for v in vec:
-            if isinstance(v, float) and not np.isfinite(v):
-                raise ValueError(
-                    f"non-finite utility at state {state} "
-                    f"joint {model.joint_name(joint)}"
-                )
-        table[idx] = vec
-    return NormalFormGame(names, table), joints
-
-
 @dataclass(frozen=True)
 class PooledProcess:
     """Single-controller view: all joint actions pooled as one decision maker.
@@ -607,44 +571,5 @@ def single_controller_view(model: Csg) -> PooledProcess:
             succs = np.fromiter(dist.keys(), dtype=np.int64, count=len(dist))
             probs = np.fromiter(dist.values(), dtype=np.float64, count=len(dist))
             entries.append((joint, succs, probs))
-        rows.append(tuple(entries))
-    return PooledProcess(model.n_states, tuple(rows))
-
-
-def fix_opponents(
-    model: Csg,
-    controller: int,
-    strategies: Mapping[int, Sequence[float]],
-) -> PooledProcess:
-    """Residual decision process after fixing every other player's strategy.
-
-    ``strategies[s]`` gives, for each state, a list of per-player
-    probability vectors over ``model.choices(s, j)``; the controller's own
-    entry is ignored. The returned process has one choice per controller
-    action, with transition mixtures weighted by the opponents' strategies.
-    """
-    rows = []
-    for s in range(model.n_states):
-        per_player = [model.choices(s, j) for j in range(model.n_players)]
-        entries = []
-        for a in per_player[controller]:
-            mixture: dict[int, float] = {}
-            other_ids = [j for j in range(model.n_players) if j != controller]
-            other_sets = [per_player[j] for j in other_ids]
-            for combo in itertools.product(*(range(len(o)) for o in other_sets)):
-                weight = 1.0
-                for pos, j in enumerate(other_ids):
-                    weight *= float(strategies[s][j][combo[pos]])
-                if weight == 0.0:
-                    continue
-                joint = [0] * model.n_players
-                joint[controller] = a
-                for pos, j in enumerate(other_ids):
-                    joint[j] = other_sets[pos][combo[pos]]
-                for t, p in model.transitions[(s, tuple(joint))].items():
-                    mixture[t] = mixture.get(t, 0.0) + weight * p
-            succs = np.fromiter(mixture.keys(), dtype=np.int64, count=len(mixture))
-            probs = np.fromiter(mixture.values(), dtype=np.float64, count=len(mixture))
-            entries.append(((a,), succs, probs))
         rows.append(tuple(entries))
     return PooledProcess(model.n_states, tuple(rows))

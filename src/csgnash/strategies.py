@@ -10,24 +10,25 @@ the profile is from an exact equilibrium at every state.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import Csg, RewardStructure
+from .games import Csg, MixedProfile
 from .objectives import (
-    EMPTY,
     CompiledObjectives,
+    Core,
     Mode,
-    canonical_mode,
+    Node,
+    bounded_core,
     mode_closure,
-    mode_decided,
+    unbounded_core,
 )
 
 # (state, D, E, step); step is None for memoryless strategies.
-StrategyKey = tuple[int, frozenset[int], frozenset[int], int | None]
+StrategyKey = Node
 
 
 @dataclass
@@ -36,6 +37,9 @@ class SynthesizedStrategy:
     horizon: int | None
     table: dict[StrategyKey, tuple[np.ndarray, ...]]
     choice_names: dict[int, tuple[tuple[str, ...], ...]]
+    # The compiled check the strategy was synthesised on, so certification
+    # need not compile it again; export and import leave it out.
+    core: Core | None = field(default=None, repr=False, compare=False)
 
     def distributions(
         self, state: int, D: frozenset[int], E: frozenset[int], step: int | None
@@ -106,7 +110,8 @@ def export_strategy(strategy: SynthesizedStrategy, destination) -> None:
 
 
 def import_strategy(source) -> SynthesizedStrategy:
-    """Load a strategy written by export_strategy."""
+    """Load a strategy written by export_strategy. Raises ValueError when a
+    distribution is not finite, has a negative entry or does not sum to 1."""
     if hasattr(source, "read"):
         doc = json.load(source)
     else:
@@ -127,6 +132,14 @@ def import_strategy(source) -> SynthesizedStrategy:
         table.setdefault(key, []).append(
             np.array([float(p) for p in dist.values()])
         )
+    for (state, D, E, step), dists in table.items():
+        try:
+            MixedProfile(dists)
+        except ValueError as err:
+            raise ValueError(
+                f"strategy entry at state {state}, D {sorted(D)}, E {sorted(E)}, "
+                f"step {step}: {err}"
+            ) from None
     choice_names = {
         s: tuple(names[s][i] for i in sorted(names[s])) for s in names
     }
@@ -139,53 +152,33 @@ def import_strategy(source) -> SynthesizedStrategy:
 
 
 # ---------------------------------------------------------------------------
-# Shared stage helpers
+# Shared helpers
 
 
-class _StageData:
-    """Per-state transition and reward tables for profile evaluation."""
+def _core(
+    game: Csg, strategy: SynthesizedStrategy, compiled: CompiledObjectives
+) -> Core:
+    """The core the strategy carries for this game and these objectives.
+    One is compiled, and kept on the strategy, only when it carries none
+    for them, as with an imported strategy."""
+    core = strategy.core
+    if core is None or core.game is not game or core.compiled is not compiled:
+        if compiled.horizon == "finite":
+            core = bounded_core(game, compiled)
+        else:
+            core = unbounded_core(game, compiled, mode_closure(game, compiled)[0])
+        strategy.core = core
+    return core
 
-    def __init__(self, game: Csg, compiled: CompiledObjectives):
-        self.game = game
-        self.compiled = compiled
-        rewards: list[RewardStructure | None] = []
-        for obj in compiled.items:
-            rewards.append(game.rewards[obj.reward] if obj.reward else None)
-        self.choice_sets = []
-        self.joints = []
-        self.succs = []
-        self.probs = []
-        self.action_rewards = []
-        self.state_rewards = []
-        for s in range(game.n_states):
-            sets = tuple(game.choices(s, i) for i in range(game.n_players))
-            self.choice_sets.append(sets)
-            joints = [tuple(j) for j in itertools.product(*sets)]
-            self.joints.append(joints)
-            succ_row, prob_row, act_row = [], [], []
-            for joint in joints:
-                dist = game.transitions[(s, joint)]
-                succ_row.append(list(dist.keys()))
-                prob_row.append(np.array(list(dist.values())))
-                act_row.append(
-                    np.array(
-                        [r.action_reward(s, joint) if r else 0.0 for r in rewards]
-                    )
-                )
-            self.succs.append(succ_row)
-            self.probs.append(prob_row)
-            self.action_rewards.append(act_row)
-            self.state_rewards.append(
-                np.array([r.state_reward(s) if r else 0.0 for r in rewards])
-            )
 
-    def joint_probs(self, state: int, dists: tuple[np.ndarray, ...]) -> np.ndarray:
-        """Probability of each joint action under per-coalition mixes,
-        flattened in the same order as the joints list."""
-        weights = np.ones(1)
-        for d in dists:
-            weights = np.multiply.outer(weights, d)
-        return weights.flatten()
+def _joint_weights(dists: tuple[np.ndarray, ...], skip: int = -1) -> list[float]:
+    """Probability of each joint action, in joint order, under per-coalition
+    mixes; coalition `skip`'s own mix is left out (weight 1)."""
+    weights = [1.0]
+    for i, d in enumerate(dists):
+        probs = [1.0] * len(d) if i == skip else d.tolist()
+        weights = [w * x for w in weights for x in probs]
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +190,14 @@ def evaluate_profile(
     strategy: SynthesizedStrategy,
     compiled: CompiledObjectives,
 ) -> dict[tuple[int, Mode], np.ndarray]:
-    """Objective values achieved by a fixed profile at every reachable
-    (state, mode) node. Infinite horizons solve the induced absorbing
-    Markov chain exactly; finite horizons roll the levels back."""
+    """Objective values achieved by a fixed profile at every (state, mode)
+    node of an infinite horizon, where the induced absorbing Markov chain
+    is solved exactly, and at every initial mode of a finite one, where the
+    levels are rolled back."""
+    core = _core(game, strategy, compiled)
     if compiled.horizon == "infinite":
-        return _evaluate_memoryless(game, strategy, compiled)
-    return _evaluate_finite(game, strategy, compiled)
+        return _evaluate_memoryless(core, strategy)
+    return _evaluate_finite(core, strategy)
 
 
 def _solve_absorbing(chain, reward, pending, boundary):
@@ -229,108 +224,77 @@ def _solve_absorbing(chain, reward, pending, boundary):
     return values
 
 
-def _evaluate_memoryless(game, strategy, compiled):
-    data = _StageData(game, compiled)
-    pairs, index = mode_closure(game, compiled)
-    n = len(pairs)
-    m = compiled.m
+def _evaluate_memoryless(core: Core, strategy: SynthesizedStrategy):
+    n, m = core.const.shape
     # Entries of the induced chain over the undecided pairs (decided
-    # pairs are never pending, so they need no rows).
+    # pairs are never pending, so they have no rows).
     rows, cols, probs = [], [], []
     step_reward = np.zeros((n, m))
-    for p, (s, (D, E)) in enumerate(pairs):
-        if mode_decided(compiled, (D, E)):
+    for p, (s, D, E, _level) in enumerate(core.nodes):
+        first = core.start[p]
+        if first == core.start[p + 1]:
             continue
-        dists = strategy.distributions(s, D, E, None)
-        weights = data.joint_probs(s, dists)
-        step_reward[p] = data.state_rewards[s]
+        weights = _joint_weights(strategy.distributions(s, D, E, None))
+        step_reward[p] = core.state_rewards[s]
         for j, w in enumerate(weights):
             if w == 0.0:
                 continue
-            step_reward[p] += w * data.action_rewards[s][j]
-            for t, tp in zip(data.succs[s][j], data.probs[s][j]):
-                rows.append(p)
-                cols.append(index[(int(t), canonical_mode(compiled, int(t), D, E))])
-                probs.append(w * tp)
+            a, b = core.ptr[first + j], core.ptr[first + j + 1]
+            step_reward[p] += w * core.action_rewards[first + j]
+            rows.extend([p] * (b - a))
+            cols.extend(core.succ[a:b].tolist())
+            probs.extend((w * core.prob[a:b]).tolist())
     chain = (np.array(rows), np.array(cols), np.array(probs))
     values = np.zeros((n, m))
-    won = 1.0 if compiled.kind == "prob" else 0.0
     for l in range(m):
-        pending = np.array([l not in D and l not in E for _s, (D, E) in pairs])
-        boundary = np.array([won if l in D else 0.0 for _s, (D, E) in pairs])
-        values[:, l] = _solve_absorbing(chain, step_reward[:, l], pending, boundary)
-    return {pair: values[p].copy() for p, pair in enumerate(pairs)}
+        values[:, l] = _solve_absorbing(
+            chain, step_reward[:, l], core.pending[:, l], core.const[:, l]
+        )
+    return {(s, (D, E)): values[p].copy() for p, (s, D, E, _) in enumerate(core.nodes)}
 
 
-def _evaluate_finite(game, strategy, compiled):
-    data = _StageData(game, compiled)
-    m = compiled.m
-    memo: dict[tuple[int, Mode, int], np.ndarray] = {}
-
-    def indicator(D):
-        vec = np.zeros(m)
-        for l in D:
-            vec[l] = 1.0
-        return vec
-
-    def value(s: int, D, E, n: int) -> np.ndarray:
-        D, E = canonical_mode(compiled, s, D, E, step=n)
-        key = (s, (D, E), n)
-        if key in memo:
-            return memo[key]
-        if compiled.kind == "prob" and len(D) + len(E) == m:
-            vec = indicator(D)
-            memo[key] = vec
-            return vec
-        consts = np.zeros(m)
-        live = []
-        for l, obj in enumerate(compiled.items):
-            if l in D:
-                consts[l] = 1.0
-                continue
-            if l in E:
-                continue
-            remaining = (obj.bound or 0) - n
-            if obj.kind in ("until", "next"):
-                live.append(l)
-            elif obj.kind == "instant":
-                if remaining == 0:
-                    consts[l] = data.state_rewards[s][l]
-                elif remaining > 0:
-                    live.append(l)
-            elif obj.kind == "cumulative":
-                if remaining > 0:
-                    live.append(l)
-        if not live:
-            memo[key] = consts
-            return consts
-        dists = strategy.distributions(s, D, E, n)
-        weights = data.joint_probs(s, dists)
-        vec = consts.copy()
+def _reached(
+    core: Core, strategy: SynthesizedStrategy, skip: int = -1
+) -> dict[int, list[float]]:
+    """Joint weights (`_joint_weights`) at every node of a bounded core that
+    play can reach from an initial mode and that still needs a value:
+    one with a pending component, or with coalition `skip`'s objective
+    pending when `skip` picks a best responder, whose own mix is left out.
+    Successors have higher numbers, so one pass up finds them all, and the
+    keys come out in increasing order."""
+    reached = [False] * len(core.nodes)
+    for p in core.initial:
+        reached[p] = True
+    expand = core.pending[:, skip] if skip >= 0 else core.pending.any(axis=1)
+    out = {}
+    for p in np.flatnonzero(expand).tolist():
+        if not reached[p]:
+            continue
+        s, D, E, level = core.nodes[p]
+        out[p] = weights = _joint_weights(strategy.distributions(s, D, E, level), skip)
         for j, w in enumerate(weights):
-            if w == 0.0:
-                continue
-            succ = np.array(
-                [value(int(t), D, E, n + 1) for t in data.succs[s][j]]
-            )
-            for l in live:
-                cont = float(np.dot(data.probs[s][j], succ[:, l]))
-                if compiled.items[l].kind == "cumulative":
-                    vec[l] += w * (
-                        data.state_rewards[s][l]
-                        + data.action_rewards[s][j][l]
-                        + cont
-                    )
-                else:
-                    vec[l] += w * cont
-        memo[key] = vec
-        return vec
-
-    out: dict[tuple[int, Mode], np.ndarray] = {}
-    for s in range(game.n_states):
-        mode = canonical_mode(compiled, s, EMPTY, EMPTY, step=0)
-        out[(s, mode)] = value(s, EMPTY, EMPTY, 0)
+            if w != 0.0:
+                r = core.start[p] + j
+                for q in core.succ[core.ptr[r] : core.ptr[r + 1]].tolist():
+                    reached[q] = True
     return out
+
+
+def _evaluate_finite(core: Core, strategy: SynthesizedStrategy):
+    values = core.const.copy()
+    for p, weights in reversed(_reached(core, strategy).items()):
+        s = core.nodes[p][0]
+        live = np.flatnonzero(core.pending[p]).tolist()
+        vec = core.const[p].copy()
+        for j, w in enumerate(weights):
+            if w != 0.0:
+                row = core.row_utilities(core.start[p] + j, s, values, live)
+                for l, cont in zip(live, row):
+                    vec[l] += w * cont
+        values[p] = vec
+    return {
+        (s, core.nodes[p][1:3]): values[p].copy() for s, p in enumerate(core.initial)
+    }
 
 
 def evaluate_at_initial_modes(
@@ -338,13 +302,8 @@ def evaluate_at_initial_modes(
 ) -> dict[int, np.ndarray]:
     """Per-state value vectors at the empty bookkeeping mode."""
     table = evaluate_profile(game, strategy, compiled)
-    out = {}
-    for s in range(game.n_states):
-        mode = canonical_mode(
-            compiled, s, EMPTY, EMPTY, step=0 if compiled.horizon == "finite" else None
-        )
-        out[s] = table[(s, mode)]
-    return out
+    core = _core(game, strategy, compiled)
+    return {s: table[(s, core.nodes[p][1:3])] for s, p in enumerate(core.initial)}
 
 
 # ---------------------------------------------------------------------------
@@ -364,70 +323,57 @@ def best_response_value(
     compiled: CompiledObjectives,
 ) -> dict[tuple[int, Mode], float]:
     """Optimal value of one coalition's own objective when every other
-    coalition plays the synthesised profile.
+    coalition plays the synthesised profile, at the nodes that
+    `evaluate_profile` reports.
 
     Fixing the others yields a single-controller decision process over the
     (state, mode) bookkeeping graph; finite horizons are solved exactly by
     backward induction and infinite horizons exactly by policy iteration.
     """
+    core = _core(game, strategy, compiled)
     if compiled.horizon == "infinite":
-        return _best_response_memoryless(game, strategy, coalition, compiled)
-    return _best_response_finite(game, strategy, coalition, compiled)
+        return _best_response_memoryless(core, strategy, coalition)
+    return _best_response_finite(core, strategy, coalition)
 
 
-def _others_weights(
-    data: _StageData, s: int, dists, coalition: int
-) -> list[tuple[int, float]]:
-    """Weight of each joint action given the opponents' mixes, grouped by
-    the controller's own action index. Returns (joint index, weight)."""
-    sets = data.choice_sets[s]
-    out = []
-    for j, joint in enumerate(data.joints[s]):
-        w = 1.0
-        for i in range(len(sets)):
-            if i == coalition:
-                continue
-            local = sets[i].index(joint[i])
-            w *= float(dists[i][local])
-        out.append((j, w))
-    return out
-
-
-def _best_response_memoryless(game, strategy, coalition, compiled):
+def _best_response_memoryless(
+    core: Core, strategy: SynthesizedStrategy, coalition: int
+):
     """Policy iteration over the coalition's open pairs, starting from the
     profile's most likely own action. The stopping assumption makes every
     deterministic deviation settle with probability 1, so each policy's
     chain is solved exactly and the iteration ends at the optimum."""
-    data = _StageData(game, compiled)
-    pairs, index = mode_closure(game, compiled)
-    sign = 1.0 if _deviator_optimum(compiled) == "max" else -1.0
-    won = 1.0 if compiled.kind == "prob" else 0.0
-    boundary = np.array([won if coalition in D else 0.0 for _s, (D, E) in pairs])
-    pending = np.array([coalition not in D | E for _s, (D, E) in pairs])
+    nodes = core.nodes
+    pairs = [(s, (D, E)) for s, D, E, _ in nodes]
+    sign = 1.0 if _deviator_optimum(core.compiled) == "max" else -1.0
+    boundary = core.const[:, coalition].copy()
+    pending = core.pending[:, coalition]
     opened = np.flatnonzero(pending)
     if not len(opened):
         return {pair: float(boundary[p]) for p, pair in enumerate(pairs)}
     # Choice row o * k + a is own action a at open pair o: its expected
     # immediate reward, and chain entries (row, successor pair, probability).
     # Rows past a pair's own actions hold -sign * inf, so they never win.
-    k = max(len(data.choice_sets[pairs[p][0]][coalition]) for p in opened)
+    k = max(core.shapes[nodes[p][0]][coalition] for p in opened)
     immediate = np.full((len(opened), k), -sign * np.inf)
     policy, rows, cols, probs = [], [], [], []
     for o, p in enumerate(opened):
-        s, (D, E) = pairs[p]
+        s, D, E, _level = nodes[p]
+        shape = core.shapes[s]
         dists = strategy.distributions(s, D, E, None)
-        own = data.choice_sets[s][coalition]
-        immediate[o, : len(own)] = data.state_rewards[s][coalition]
+        immediate[o, : shape[coalition]] = core.state_rewards[s, coalition]
         policy.append(int(np.argmax(dists[coalition])))
-        for j, w in _others_weights(data, s, dists, coalition):
+        own = np.indices(shape)[coalition].ravel()
+        for j, w in enumerate(_joint_weights(dists, skip=coalition)):
             if w == 0.0:
                 continue
-            a = own.index(data.joints[s][j][coalition])
-            immediate[o, a] += w * data.action_rewards[s][j][coalition]
-            for t, tp in zip(data.succs[s][j], data.probs[s][j]):
-                rows.append(o * k + a)
-                cols.append(index[(int(t), canonical_mode(compiled, int(t), D, E))])
-                probs.append(w * tp)
+            r = core.start[p] + j
+            a = int(own[j])
+            immediate[o, a] += w * core.action_rewards[r, coalition]
+            x, y = core.ptr[r], core.ptr[r + 1]
+            rows.extend([o * k + a] * (y - x))
+            cols.extend(core.succ[x:y].tolist())
+            probs.extend((w * core.prob[x:y]).tolist())
     rows, cols, probs = np.array(rows), np.array(cols), np.array(probs)
     here, policy = np.arange(len(opened)), np.array(policy)
     seen = set()
@@ -454,65 +400,36 @@ def _best_response_memoryless(game, strategy, coalition, compiled):
             )
 
 
-def _best_response_finite(game, strategy, coalition, compiled):
-    data = _StageData(game, compiled)
-    better = max if _deviator_optimum(compiled) == "max" else min
-    memo: dict[tuple[int, Mode, int], float] = {}
-    obj = compiled.items[coalition]
-
-    def value(s: int, D, E, n: int) -> float:
-        D, E = canonical_mode(compiled, s, D, E, step=n)
-        key = (s, (D, E), n)
-        if key in memo:
-            return memo[key]
-        if coalition in D:
-            out = 1.0 if compiled.kind == "prob" else 0.0
-            memo[key] = out
-            return out
-        if coalition in E:
-            memo[key] = 0.0
-            return 0.0
-        remaining = (obj.bound or 0) - n
-        if obj.kind == "instant":
-            if remaining < 0:
-                memo[key] = 0.0
-                return 0.0
-            if remaining == 0:
-                out = float(data.state_rewards[s][coalition])
-                memo[key] = out
-                return out
-        if obj.kind == "cumulative" and remaining <= 0:
-            memo[key] = 0.0
-            return 0.0
-        dists = strategy.distributions(s, D, E, n)
-        weights = _others_weights(data, s, dists, coalition)
-        own = data.choice_sets[s][coalition]
-        best = None
-        for a_local, _a in enumerate(own):
-            total = 0.0
-            if obj.kind == "cumulative":
-                total += float(data.state_rewards[s][coalition])
-            for j, w in weights:
-                joint = data.joints[s][j]
-                if own.index(joint[coalition]) != a_local or w == 0.0:
-                    continue
-                if obj.kind == "cumulative":
-                    total += w * float(data.action_rewards[s][j][coalition])
-                cont = 0.0
-                for t, tp in zip(data.succs[s][j], data.probs[s][j]):
-                    cont += tp * value(int(t), D, E, n + 1)
-                total += w * cont
-            best = total if best is None else better(best, total)
-        memo[key] = best
-        return best
-
-    out: dict[tuple[int, Mode], float] = {}
-    for s in range(game.n_states):
-        mode = canonical_mode(compiled, s, EMPTY, EMPTY, step=0)
-        out[(s, mode)] = value(s, EMPTY, EMPTY, 0)
-    for (s, mode, n), v in list(memo.items()):
-        out.setdefault((s, mode), v)
-    return out
+def _best_response_finite(core: Core, strategy: SynthesizedStrategy, coalition: int):
+    better = max if _deviator_optimum(core.compiled) == "max" else min
+    cumulative = core.compiled.items[coalition].kind == "cumulative"
+    values = core.const[:, coalition].tolist()
+    own_actions = {}  # per stage shape, the coalition's action in each joint
+    for p, weights in reversed(_reached(core, strategy, coalition).items()):
+        shape = core.shapes[core.nodes[p][0]]
+        own = own_actions.get(shape)
+        if own is None:
+            own = own_actions[shape] = np.indices(shape)[coalition].ravel().tolist()
+        # Each own action's total, summed over its joints in joint order.
+        totals = [0.0] * shape[coalition]
+        if cumulative:
+            reward = float(core.state_rewards[core.nodes[p][0], coalition])
+            totals = [total + reward for total in totals]
+        for j, w in enumerate(weights):
+            if w == 0.0:
+                continue
+            r = core.start[p] + j
+            if cumulative:
+                totals[own[j]] += w * float(core.action_rewards[r, coalition])
+            cont = 0.0
+            x, y = core.ptr[r], core.ptr[r + 1]
+            for t, tp in zip(core.succ[x:y].tolist(), core.prob[x:y].tolist()):
+                cont += tp * values[t]
+            totals[own[j]] += w * cont
+        values[p] = functools.reduce(better, totals)
+    return {
+        (s, core.nodes[p][1:3]): float(values[p]) for s, p in enumerate(core.initial)
+    }
 
 
 def certify_epsilon(
@@ -523,22 +440,23 @@ def certify_epsilon(
     """Best-response gap of every coalition at every reachable node.
 
     The achieved epsilon is the largest amount any coalition could gain
-    (or, for cost objectives, save) by unilaterally deviating anywhere.
+    (or, for cost objectives, save) by unilaterally deviating anywhere. A
+    NaN or infinite gap is reported as it is; epsilon is 0 only when there
+    are no gaps at all.
     """
     achieved = evaluate_profile(game, strategy, compiled)
     cert = EpsilonCertificate()
-    worst = -np.inf
     for i in range(compiled.m):
         responses = best_response_value(game, strategy, i, compiled)
-        coalition_worst = -np.inf
+        gaps = []
         for (s, mode), br in responses.items():
             if (s, mode) not in achieved:
                 continue
             got = float(achieved[(s, mode)][i])
             gap = br - got if compiled.opt == "max" else got - br
             cert.gaps[(i, s, mode)] = gap
-            coalition_worst = max(coalition_worst, gap)
-        cert.per_coalition[i] = coalition_worst
-        worst = max(worst, coalition_worst)
-    cert.epsilon = float(worst) if np.isfinite(worst) else 0.0
+            gaps.append(gap)
+        # np.max, unlike max(), lets a NaN through.
+        cert.per_coalition[i] = float(np.max(gaps)) if gaps else -np.inf
+    cert.epsilon = float(np.max(list(cert.gaps.values()))) if cert.gaps else 0.0
     return cert

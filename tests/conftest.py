@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -216,3 +217,22 @@ def pd():
 @pytest.fixture
 def pennies():
     return matching_pennies_dummy()
+
+
+LONG_WINDOW_PROP = "<<usr1:usr2:usr3>>max=? (%s)" % " + ".join(
+    f'R{{"mes{i}"}}[C<=1500]' for i in (1, 2, 3)
+)
+
+
+@pytest.fixture(scope="session")
+def long_window_check():
+    """medium_access3 over 1,500 levels of backward induction, with the
+    interpreter's recursion limit read before and after the check."""
+    from csgnash.engine import check_nash_formula
+    from csgnash.formulas import parse_formula
+    from csgnash.modelio import load_model
+
+    model = load_model(MODELS / "medium_access3.json", {})
+    before = sys.getrecursionlimit()
+    result = check_nash_formula(model, parse_formula(LONG_WINDOW_PROP))
+    return before, sys.getrecursionlimit(), result

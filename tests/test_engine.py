@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import sys
 import time
 
@@ -13,12 +14,8 @@ from csgnash.engine import (
     check_nash_formula,
     check_stopping_assumption,
     evaluate_state_formula,
-    solve_bounded_until,
-    solve_cumulative,
     solve_finite_horizon,
-    solve_instantaneous,
-    solve_reach_reward_vi,
-    solve_until_vi,
+    solve_value_iteration,
 )
 from csgnash.formulas import parse_formula, resolve_coalitions
 from csgnash.games import (
@@ -112,7 +109,7 @@ def test_bounded_until_all_targets_satisfied():
     coalition, compiled = compile_for(
         model, '<<p1:p2>>max=? (P[ true U<=3 true ] + P[ true U<=2 true ])'
     )
-    table, _ = solve_bounded_until(coalition, compiled)
+    table, _ = solve_finite_horizon(coalition, compiled)
     for s in range(model.n_states):
         assert np.allclose(table.at_state(s), [1.0, 1.0])
 
@@ -122,7 +119,7 @@ def test_bounded_until_zero_bound_gives_indicator():
     coalition, compiled = compile_for(
         model, '<<p1:p2>>max=? (P[ true U<=0 "g1" ] + P[ true U<=0 "g2" ])'
     )
-    table, _ = solve_bounded_until(coalition, compiled)
+    table, _ = solve_finite_horizon(coalition, compiled)
     assert np.allclose(table.at_state(0), [0.0, 0.0])
     assert np.allclose(table.at_state(1), [1.0, 0.0])
     assert np.allclose(table.at_state(2), [0.0, 1.0])
@@ -133,7 +130,7 @@ def test_bounded_until_matches_reference_on_goal_game():
     coalition, compiled = compile_for(
         model, '<<p1:p2>>max=? (P[ true U<=1 "g1" ] + P[ true U<=1 "g2" ])'
     )
-    table, _ = solve_bounded_until(coalition, compiled)
+    table, _ = solve_finite_horizon(coalition, compiled)
     reference = reference_backward_induction(coalition, compiled)
     for s in range(model.n_states):
         assert np.allclose(table.at_state(s), reference[s], atol=1e-12)
@@ -146,7 +143,7 @@ def test_next_objective_is_one_step():
     coalition, compiled = compile_for(
         model, '<<p1:p2>>max=? (P[ X "g1" ] + P[ X "g2" ])'
     )
-    table, _ = solve_bounded_until(coalition, compiled)
+    table, _ = solve_finite_horizon(coalition, compiled)
     assert np.allclose(table.at_state(0), [1.0, 0.0])
     # From g1 the play stays at g1: next-g1 is 1 and next-g2 is 0.
     assert np.allclose(table.at_state(1), [1.0, 0.0])
@@ -175,7 +172,7 @@ def reward_chain() -> Csg:
 def test_instantaneous_zero_bound_reads_current_state():
     model = reward_chain()
     coalition, compiled = compile_for(model, '<<p1>>max=? (R{"r"}[ I=0 ])')
-    table, _ = solve_instantaneous(coalition, compiled)
+    table, _ = solve_finite_horizon(coalition, compiled)
     assert table.at_state(0)[0] == pytest.approx(5.0)
     assert table.at_state(1)[0] == pytest.approx(7.0)
 
@@ -183,7 +180,7 @@ def test_instantaneous_zero_bound_reads_current_state():
 def test_instantaneous_constant_rewards_invariant():
     model = reward_chain()
     coalition, compiled = compile_for(model, '<<p1>>max=? (R{"c"}[ I=3 ])')
-    table, _ = solve_instantaneous(coalition, compiled)
+    table, _ = solve_finite_horizon(coalition, compiled)
     assert table.at_state(0)[0] == pytest.approx(1.0)
 
 
@@ -200,7 +197,7 @@ def test_instantaneous_on_capital_model():
 def test_cumulative_zero_bound_and_zero_rewards():
     model = reward_chain()
     coalition, compiled = compile_for(model, '<<p1>>max=? (R{"r"}[ C<=0 ])')
-    table, _ = solve_cumulative(coalition, compiled)
+    table, _ = solve_finite_horizon(coalition, compiled)
     assert table.at_state(0)[0] == 0.0
 
     zero = Csg(
@@ -214,7 +211,7 @@ def test_cumulative_zero_bound_and_zero_rewards():
         rewards={"z": RewardStructure({}, {})},
     )
     coalition, compiled = compile_for(zero, '<<p1>>max=? (R{"z"}[ C<=4 ])')
-    table, _ = solve_cumulative(coalition, compiled)
+    table, _ = solve_finite_horizon(coalition, compiled)
     assert table.at_state(0)[0] == 0.0
 
 
@@ -230,7 +227,7 @@ def test_cumulative_self_loop_telescopes():
         rewards={"one": RewardStructure({0: 1.0}, {})},
     )
     coalition, compiled = compile_for(model, '<<p1>>max=? (R{"one"}[ C<=5 ])')
-    table, _ = solve_cumulative(coalition, compiled)
+    table, _ = solve_finite_horizon(coalition, compiled)
     assert table.at_state(0)[0] == pytest.approx(5.0)
 
 
@@ -255,7 +252,7 @@ def test_until_vi_trivial_targets():
     coalition, compiled = compile_for(
         model, '<<p1:p2>>max=? (P[ true U true ] + P[ true U true ])'
     )
-    table, _ = solve_until_vi(coalition, compiled)
+    table, _ = solve_value_iteration(coalition, compiled)
     for s in range(3):
         assert np.allclose(table.at_state(s), [1.0, 1.0])
     assert table.iterations <= 2
@@ -267,7 +264,7 @@ def test_until_vi_single_coalition_matches_markov_chain():
     # dynamic-programming solver on the pooled process.
     model = trap_chain_csg()
     coalition, compiled = compile_for(model, '<<p1>>max=? (P[ "safe" U "goal" ])')
-    table, _ = solve_until_vi(coalition, compiled)
+    table, _ = solve_value_iteration(coalition, compiled)
     pooled = single_controller_view(coalition)
     classical = single_agent_until(
         pooled, frozenset({0, 1, 2}), frozenset({2}), "max"
@@ -315,7 +312,7 @@ def test_until_vi_iteration_cap_raises():
 def test_reach_reward_target_states_are_zero():
     model = chain_csg()
     coalition, compiled = compile_for(model, '<<p1>>min=? (R{"steps"}[ F "goal" ])')
-    table, _ = solve_reach_reward_vi(coalition, compiled)
+    table, _ = solve_value_iteration(coalition, compiled)
     assert table.at_state(2)[0] == 0.0
 
 
@@ -335,7 +332,7 @@ def test_reach_reward_two_step_chain_excludes_target():
         rewards={"one": RewardStructure({0: 1.0, 1: 1.0, 2: 1.0}, {})},
     )
     coalition, compiled = compile_for(model, '<<p1>>max=? (R{"one"}[ F "goal" ])')
-    table, _ = solve_reach_reward_vi(coalition, compiled)
+    table, _ = solve_value_iteration(coalition, compiled)
     # Rewards collected at s0 and s1 only; the target state pays nothing.
     assert table.at_state(0)[0] == pytest.approx(2.0, abs=1e-6)
 
@@ -343,7 +340,7 @@ def test_reach_reward_two_step_chain_excludes_target():
 def test_reach_reward_single_coalition_matches_classical():
     model = chain_csg()
     coalition, compiled = compile_for(model, '<<p1>>min=? (R{"steps"}[ F "goal" ])')
-    table, _ = solve_reach_reward_vi(coalition, compiled)
+    table, _ = solve_value_iteration(coalition, compiled)
     pooled = single_controller_view(coalition)
     rewards = np.array([1.0, 1.0, 0.0])
     classical = single_agent_reach_reward(
@@ -626,6 +623,14 @@ def test_stage_solver_generations(stage_solves):
     assert len(stage_solves) == 2
 
 
+def test_backward_induction_leaves_recursion_limit(long_window_check):
+    # Levels are solved in one loop from the deepest up, so a long horizon
+    # needs no deeper interpreter stack.
+    before, after, result = long_window_check
+    assert after == before
+    assert result.sums[result.coalition_game.initial[0]] == pytest.approx(5.4, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Batched value-iteration sweeps
 
@@ -692,37 +697,40 @@ def test_sweep_plan_builds_the_per_pair_stage_tables(model, prop):
     # value iteration built its stage tables before the sweep was batched.
     # Rows padded to at most three successors round the same way; wider
     # padding (aloha3 has rows of 4 and 8) may move the last bit.
-    from csgnash.engine import _compile_sweep, _Tables
-    from csgnash.objectives import canonical_mode, mode_closure, mode_decided
+    from csgnash.engine import _compile_sweep
+    from csgnash.objectives import (
+        canonical_mode,
+        mode_closure,
+        mode_decided,
+        unbounded_core,
+    )
 
     coalition, compiled = compile_for(model(), prop)
-    tables = _Tables(coalition, compiled)
     pairs, index = mode_closure(coalition, compiled)
-    undecided = [
-        p for p, (s, mode) in enumerate(pairs) if not mode_decided(compiled, mode)
-    ]
-    plan = _compile_sweep(tables, compiled, pairs, index, undecided)
+    plan = _compile_sweep(unbounded_core(coalition, compiled, pairs))
     prev = np.random.default_rng(0).random((len(pairs), compiled.m))
     utilities = plan.stage_tables(prev)
     eps = np.finfo(np.float64).eps
+    rewards = [coalition.rewards.get(obj.reward) for obj in compiled.items]
     r = 0
-    for p in undecided:
-        s, (D, E) = pairs[p]
-        st = tables.states[s]
-        for j in range(len(st.joints)):
-            succ = [
-                index[(int(t), canonical_mode(compiled, int(t), D, E))]
-                for t in st.succs[j]
-            ]
+    for s, (D, E) in pairs:
+        if mode_decided(compiled, (D, E)):
+            continue
+        sets = [coalition.choices(s, i) for i in range(coalition.n_players)]
+        for joint in itertools.product(*sets):
+            dist = coalition.transitions[(s, joint)]
+            succ = [index[(t, canonical_mode(compiled, t, D, E))] for t in dist]
+            probs = np.array(list(dist.values()))
             for l, obj in enumerate(compiled.items):
                 if l in D:
                     want = 1.0 if compiled.kind == "prob" else 0.0
                 elif l in E:
                     want = 0.0
                 else:
-                    want = float(np.dot(st.probs[j], prev[succ][:, l]))
+                    want = float(np.dot(probs, prev[succ][:, l]))
                     if obj.kind == "reach":
-                        want = st.state_rewards[l] + st.action_rewards[j][l] + want
+                        rew = rewards[l]
+                        want = rew.state_reward(s) + rew.action_reward(s, joint) + want
                 got = utilities[r, l]
                 if plan.succ.shape[1] <= 3:
                     assert float(got).hex() == float(want).hex()

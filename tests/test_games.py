@@ -11,13 +11,11 @@ from csgnash.games import (
     NormalFormGame,
     RewardStructure,
     build_coalition_game,
-    fix_opponents,
     single_controller_view,
-    stage_game,
     validate_csg,
 )
 
-from conftest import chain_csg, two_coalition_goal_csg
+from conftest import two_coalition_goal_csg
 
 
 def one_state_game() -> Csg:
@@ -230,46 +228,6 @@ def test_partition_validation_errors():
 
 
 # ---------------------------------------------------------------------------
-# Stage games
-
-
-def test_stage_game_constant_assembler():
-    model = two_coalition_goal_csg()
-    game, joints = stage_game(model, 1, lambda joint: (0.25, 0.75))
-    assert game.shape == (1, 1)
-    assert joints == [(IDLE, IDLE)]
-    assert game.utility((0, 0), 0) == 0.25
-
-
-def test_stage_game_action_sets_match_enabled():
-    model = two_coalition_goal_csg()
-    game, joints = stage_game(model, 0, lambda joint: (float(joint[0]), 0.0))
-    assert game.action_names[0] == ("a", "b")
-    assert game.action_names[1] == ("z",)
-    assert joints == [(0, 0), (1, 0)]
-
-
-def test_stage_game_successor_weighted_sums():
-    model = chain_csg()
-    values = {0: 10.0, 1: 20.0, 2: 30.0}
-
-    def assembler(joint):
-        dist = model.transitions[(0, joint)]
-        return (sum(p * values[t] for t, p in dist.items()),)
-
-    game, joints = stage_game(model, 0, assembler)
-    # go: 1.0*20 = 20; stay: 0.8*10 + 0.2*20 = 12.
-    assert game.utility((0,), 0) == pytest.approx(20.0)
-    assert game.utility((1,), 0) == pytest.approx(12.0)
-
-
-def test_stage_game_rejects_non_finite():
-    model = two_coalition_goal_csg()
-    with pytest.raises(ValueError, match="non-finite"):
-        stage_game(model, 0, lambda joint: (float("nan"), 0.0))
-
-
-# ---------------------------------------------------------------------------
 # Single-controller view
 
 
@@ -291,32 +249,6 @@ def test_single_controller_counts():
         labels=(frozenset(),),
     )
     assert single_controller_view(two_by_two).n_choices(0) == 4
-
-
-def test_fix_opponents_uniform_mixture():
-    model = Csg(
-        players=("p1", "p2"),
-        actions=(("a", "b"), ("x", "y")),
-        state_names=("s0", "s1"),
-        initial=(0,),
-        availability=(((0, 1), (0, 1)), ((), ())),
-        transitions={
-            (0, (0, 0)): {0: 1.0},
-            (0, (0, 1)): {1: 1.0},
-            (0, (1, 0)): {1: 1.0},
-            (0, (1, 1)): {0: 1.0},
-            (1, (IDLE, IDLE)): {1: 1.0},
-        },
-        labels=(frozenset(), frozenset()),
-    )
-    strategies = {
-        0: [np.array([1.0, 0.0]), np.array([0.5, 0.5])],
-        1: [np.array([1.0]), np.array([1.0])],
-    }
-    residual = fix_opponents(model, 0, strategies)
-    (label, succs, probs) = residual.choices[0][0]
-    mixture = dict(zip(succs.tolist(), probs.tolist()))
-    assert mixture == {0: 0.5, 1: 0.5}
 
 
 def test_mixed_profile_validation():

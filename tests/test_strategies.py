@@ -1,9 +1,16 @@
 import io
+import json
+import math
+import os
+import subprocess
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from csgnash import strategies
+import csgnash
+from csgnash import engine, strategies
 from csgnash.engine import EngineConfig, check_nash_formula
 from csgnash.formulas import parse_formula
 from csgnash.games import Csg, RewardStructure, single_controller_view
@@ -21,6 +28,7 @@ from csgnash.strategies import (
 )
 
 from conftest import (
+    LONG_WINDOW_PROP,
     MODELS,
     ladder_csg,
     secret_sharing_raa_csg,
@@ -340,3 +348,131 @@ def test_best_response_never_below_profile_value():
         )
         for key, br in responses.items():
             assert br >= values[key][i] - 1e-5
+
+
+# ---------------------------------------------------------------------------
+# One compiled core per check
+
+
+@pytest.mark.parametrize(
+    "name,params,prop,built",
+    [
+        ("secret_sharing_raa.json", {"alpha": 0.5}, UTIL_PROP, "unbounded_core"),
+        (
+            "medium_access3.json",
+            {},
+            '<<usr1:usr2:usr3>>max=? (R{"mes1"}[C<=20] + R{"mes2"}[C<=20]'
+            ' + R{"mes3"}[C<=20])',
+            "bounded_core",
+        ),
+    ],
+)
+def test_check_and_certify_compile_one_core(monkeypatch, name, params, prop, built):
+    # Certification reads the core the engine hands over with the strategy.
+    calls = Counter()
+
+    def count(module, attr):
+        original = getattr(module, attr)
+
+        def counted(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+
+    for module in (engine, strategies):
+        for attr in ("mode_closure", "bounded_core", "unbounded_core"):
+            count(module, attr)
+    result = checked(load_model(MODELS / name, params), prop)
+    certify_epsilon(result.coalition_game, result.strategy, result.compiled)
+    closures = 1 if built == "unbounded_core" else 0
+    assert calls == Counter({built: 1, "mode_closure": closures})
+
+
+def test_finite_best_response_reports_the_evaluated_nodes():
+    model = two_coalition_goal_csg()
+    result = checked(
+        model, '<<p1:p2>>max=? (P[ true U<=2 "g1" ] + P[ true U<=2 "g2" ])'
+    )
+    game, strategy, compiled = result.coalition_game, result.strategy, result.compiled
+    nodes = set(evaluate_profile(game, strategy, compiled))
+    for i in range(compiled.m):
+        assert set(best_response_value(game, strategy, i, compiled)) == nodes
+
+
+CERTIFY_IMPORTED = """
+import sys
+from csgnash.engine import evaluate_state_formula
+from csgnash.formulas import parse_formula, resolve_coalitions
+from csgnash.games import build_coalition_game
+from csgnash.modelio import load_model
+from csgnash.objectives import compile_objectives
+from csgnash.strategies import certify_epsilon, import_strategy
+
+model = load_model(sys.argv[1], {})
+nf = parse_formula(sys.argv[2])
+coalition = build_coalition_game(model, resolve_coalitions(model, nf))
+compiled = compile_objectives(
+    coalition, nf, lambda phi: evaluate_state_formula(model, phi)
+)
+print(certify_epsilon(coalition, import_strategy(sys.argv[3]), compiled).epsilon)
+"""
+
+
+def test_imported_long_strategy_certifies_in_fresh_interpreter(
+    long_window_check, tmp_path
+):
+    # A fresh interpreter has the default recursion limit, and certifying
+    # 1,500 levels compiles its own core from the imported strategy.
+    _before, _after, result = long_window_check
+    path = tmp_path / "strategy.json"
+    export_strategy(result.strategy, path)
+    src = os.path.dirname(os.path.dirname(csgnash.__file__))
+    path_entries = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+    run = subprocess.run(
+        [
+            sys.executable, "-c", CERTIFY_IMPORTED,
+            str(MODELS / "medium_access3.json"), LONG_WINDOW_PROP, str(path),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    assert 0.0 <= float(run.stdout) <= 1e-9
+
+
+def _public_good_check():
+    model = load_model(MODELS / "public_good_profit.json", {"f": 2.0})
+    return checked(
+        model,
+        '<<p1:p2:p3>>max=? (R{"pro1"}[C<=2] + R{"pro2"}[C<=2] + R{"pro3"}[C<=2])',
+    )
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-1", "0.5"])
+def test_import_rejects_a_bad_distribution(bad):
+    buf = io.StringIO()
+    export_strategy(_public_good_check().strategy, buf)
+    doc = json.loads(buf.getvalue())
+    dist = next(
+        e["distribution"] for e in doc["entries"] if "1" in e["distribution"].values()
+    )
+    action = next(a for a, p in dist.items() if p == "1")
+    dist[action] = bad
+    with pytest.raises(ValueError, match="state"):
+        import_strategy(io.StringIO(json.dumps(doc)))
+
+
+def test_certificate_reports_a_nan_gap():
+    # max(-inf, nan) is -inf, so a NaN gap used to read as epsilon 0.
+    result = _public_good_check()
+    strategy = result.strategy
+    key = (result.coalition_game.initial[0], EMPTY, EMPTY, 0)
+    first, *rest = strategy.table[key]
+    strategy.table[key] = (np.full_like(first, np.nan), *rest)
+    cert = certify_epsilon(result.coalition_game, strategy, result.compiled)
+    assert any(math.isnan(gap) for gap in cert.gaps.values())
+    assert math.isnan(cert.epsilon)
