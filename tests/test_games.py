@@ -1,6 +1,5 @@
 import itertools
 
-import numpy as np
 import pytest
 
 from csgnash.games import (
