@@ -43,7 +43,6 @@ from .objectives import (
 from .engine import (
     AssumptionViolation,
     CheckResult,
-    EngineConfig,
     NotConverged,
     VIConfig,
     check_nash_formula,

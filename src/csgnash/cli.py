@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import math
 import sys
 from pathlib import Path
@@ -16,7 +17,6 @@ from pathlib import Path
 from . import casestudies
 from .engine import (
     AssumptionViolation,
-    EngineConfig,
     NotConverged,
     VIConfig,
     check_nash_formula,
@@ -24,7 +24,7 @@ from .engine import (
 from .formulas import FormulaError, NashFormula, parse_formula
 from .games import validate_csg
 from .modelio import ModelError, load_model, load_nfg, model_params
-from .nfg_solve import NoEquilibriumError, SolverConfig, scne, swne
+from .nfg_solve import NoEquilibriumError, scne, swne
 from .strategies import certify_epsilon, export_strategy
 
 EXIT_OK = 0
@@ -38,21 +38,29 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _engine_config(args) -> EngineConfig:
-    vi = VIConfig(
-        epsilon=args.epsilon,
-        max_iters=args.max_iters,
-    )
-    solver = SolverConfig(threads=args.threads)
-    return EngineConfig(solver=solver, vi=vi, threads=args.threads)
+def _vi_config(args) -> VIConfig:
+    """--epsilon and --max-iters; ModelError naming the flag whose value
+    VIConfig rejects."""
+    for flag, name in (("--epsilon", "epsilon"), ("--max-iters", "max_iters")):
+        try:
+            VIConfig(**{name: getattr(args, name)})
+        except ValueError as exc:
+            raise ModelError(f"{flag}: {exc}") from None
+    return VIConfig(epsilon=args.epsilon, max_iters=args.max_iters)
+
+
+def _split_pairs(pairs) -> list[tuple[str, str]]:
+    out = []
+    for pair in pairs or []:
+        if "=" not in pair:
+            raise ModelError(f"expected name=value, got {pair!r}")
+        out.append(tuple(pair.split("=", 1)))
+    return out
 
 
 def _parse_consts(pairs) -> dict[str, float]:
     out = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise ModelError(f"expected name=value, got {pair!r}")
-        name, value = pair.split("=", 1)
+    for name, value in _split_pairs(pairs):
         try:
             out[name] = float(value)
         except ValueError:
@@ -69,8 +77,7 @@ def _require_nash(formula) -> NashFormula:
 def cmd_check(args) -> int:
     model = load_model(args.model, _parse_consts(args.const))
     nf = _require_nash(parse_formula(args.prop))
-    cfg = _engine_config(args)
-    result = check_nash_formula(model, nf, cfg)
+    result = check_nash_formula(model, nf, _vi_config(args))
     for s in model.initial:
         parts = [
             f"state {model.state_names[s]}:",
@@ -101,8 +108,7 @@ def cmd_check(args) -> int:
 
 def cmd_solve_nfg(args) -> int:
     game = load_nfg(args.file)
-    cfg = SolverConfig(threads=args.threads)
-    result = swne(game, cfg) if args.mode == "swne" else scne(game, cfg)
+    result = swne(game) if args.mode == "swne" else scne(game)
     print(f"mode {args.mode}")
     print("values " + " ".join(_fmt(v) for v in result.values))
     print("welfare " + _fmt(result.welfare))
@@ -140,7 +146,7 @@ def _sweep_points(start: float, stop: float, step: float) -> list[float]:
 
 def cmd_sweep(args) -> int:
     nf = _require_nash(parse_formula(args.prop))
-    cfg = _engine_config(args)
+    vi = _vi_config(args)
     declared = model_params(args.model)
     if args.param not in declared:
         raise ModelError(f"model declares no parameter {args.param!r}")
@@ -149,7 +155,7 @@ def cmd_sweep(args) -> int:
     m = None
     for point in points:
         model = load_model(args.model, {args.param: point})
-        result = check_nash_formula(model, nf, cfg)
+        result = check_nash_formula(model, nf, vi)
         s0 = model.initial[0]
         cert = certify_epsilon(
             result.coalition_game, result.strategy, result.compiled
@@ -207,9 +213,14 @@ def cmd_generate(args) -> int:
             f"unknown model {args.name!r}; pick from "
             f"{', '.join(sorted(casestudies.BUILDERS))} or 'all'"
         )
+    builder = casestudies.BUILDERS[args.name]
+    params = inspect.signature(builder).parameters
     kwargs = {}
-    for pair in args.set or []:
-        key, value = pair.split("=", 1)
+    for key, value in _split_pairs(args.set):
+        if key not in params:
+            raise ModelError(
+                f"{args.name} has no parameter {key!r}; pick from {', '.join(params)}"
+            )
         try:
             kwargs[key] = int(value)
         except ValueError:
@@ -217,15 +228,24 @@ def cmd_generate(args) -> int:
                 kwargs[key] = float(value)
             except ValueError:
                 kwargs[key] = value
-    doc = casestudies.BUILDERS[args.name](**kwargs)
+    doc = builder(**kwargs)
     out = args.output or f"{doc['name']}.json"
     casestudies.write_model(doc, out)
     print(f"wrote {out}")
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_ERROR; argparse's own 2 would read as
+    threshold unsatisfied. Subparsers are made from this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="csgnash",
         description="Equilibrium model checking for concurrent stochastic games",
     )
@@ -236,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--prop", required=True, help="property to check")
     check.add_argument("--epsilon", type=float, default=1e-6)
     check.add_argument("--max-iters", type=int, default=10_000)
-    check.add_argument("--threads", type=int, default=1)
     check.add_argument("--export-strategy", metavar="FILE")
     check.add_argument("--certify", action="store_true")
     check.add_argument("--const", action="append", metavar="NAME=VALUE")
@@ -245,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve-nfg", help="solve a matrix game")
     solve.add_argument("file")
     solve.add_argument("--mode", choices=("swne", "scne"), default="swne")
-    solve.add_argument("--threads", type=int, default=1)
     solve.set_defaults(func=cmd_solve_nfg)
 
     sweep = sub.add_parser("sweep", help="evaluate a property over a parameter range")
@@ -258,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--csv", required=True)
     sweep.add_argument("--epsilon", type=float, default=1e-6)
     sweep.add_argument("--max-iters", type=int, default=10_000)
-    sweep.add_argument("--threads", type=int, default=1)
     sweep.set_defaults(func=cmd_sweep)
 
     info = sub.add_parser("info", help="print model statistics")

@@ -14,7 +14,6 @@ the same rows.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 import numpy as np
@@ -77,18 +76,19 @@ _STABILITY_WINDOW = 2
 @dataclass(frozen=True)
 class VIConfig:
     """Stopping rule for value iteration: the sup-norm difference between
-    consecutive sweeps stays below `epsilon` for two sweeps in a row, within
-    `max_iters` sweeps."""
+    consecutive sweeps is at most `epsilon` for two sweeps in a row, within
+    `max_iters` sweeps. Epsilon 0 asks for an exact fixpoint."""
 
     epsilon: float = 1e-6
     max_iters: int = 10_000
 
-
-@dataclass(frozen=True)
-class EngineConfig:
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    vi: VIConfig = field(default_factory=VIConfig)
-    threads: int = 1
+    def __post_init__(self):
+        if not 0 <= self.epsilon < float("inf"):
+            raise ValueError(
+                f"epsilon must be finite and non-negative, got {self.epsilon}"
+            )
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
 
 @dataclass
@@ -134,22 +134,19 @@ class _StageSolver:
     """Equilibrium values and stage distributions of one-shot games, each
     distinct utility table solved once.
 
-    One solver serves one check, so the optimisation direction and the
-    solver settings are fixed, and action names do not enter the
-    arithmetic: the table's shape and bytes are the whole key. Entries
-    live in two generations. Backward induction never ages the cache, so
-    it holds one entry per distinct table of the call, at most one per
-    node. Value iteration ages it after every sweep, keeping
-    what the current and the previous sweep made or used, so memory stays
-    proportional to the undecided pairs however many sweeps run. Solutions
-    are shared between lookups and therefore read-only. Pool workers share
-    the dicts; two workers racing on a new table solve it twice, with the
-    same result.
+    One solver serves one check, so the optimisation direction is fixed,
+    and action names do not enter the arithmetic: the table's shape and
+    bytes are the whole key. Entries live in two generations. Backward
+    induction never ages the cache, so it holds one entry per distinct
+    table of the call, at most one per node. Value iteration ages it after
+    every sweep, keeping what the current and the previous sweep made or
+    used, so memory stays proportional to the undecided pairs however many
+    sweeps run. Solutions are shared between lookups and therefore
+    read-only.
     """
 
-    def __init__(self, opt: str, cfg: SolverConfig):
+    def __init__(self, opt: str):
         self.opt = opt
-        self.cfg = cfg
         self.current: dict[tuple, _StageSolution] = {}
         self.previous: dict[tuple, _StageSolution] = {}
 
@@ -164,9 +161,7 @@ class _StageSolver:
                 # Module attributes, looked up per call, so a tracer that
                 # wraps them sees every solve.
                 game = NormalFormGame(names, utilities)
-                result = (
-                    swne(game, self.cfg) if self.opt == "max" else scne(game, self.cfg)
-                )
+                result = swne(game) if self.opt == "max" else scne(game)
                 hit = (result.values, result.profile.probs)
                 for arr in (hit[0], *hit[1]):
                     arr.setflags(write=False)
@@ -213,7 +208,7 @@ def check_stopping_assumption(
 
 
 def solve_finite_horizon(
-    game: Csg, compiled: CompiledObjectives, cfg: EngineConfig | None = None
+    game: Csg, compiled: CompiledObjectives
 ) -> tuple[ValueTable, SynthesizedStrategy]:
     """Backward induction over the remaining step bound.
 
@@ -224,12 +219,11 @@ def solve_finite_horizon(
     transition probabilities. The core numbers its nodes level by level,
     so one pass from the last node down finds every successor solved.
     """
-    cfg = cfg or EngineConfig()
     core = bounded_core(game, compiled)
     m = compiled.m
     values = core.const.copy()
     dists: dict[StrategyKey, tuple[np.ndarray, ...]] = {}
-    stages = _StageSolver(compiled.opt, cfg.solver)
+    stages = _StageSolver(compiled.opt)
     for p in range(len(core.nodes) - 1, -1, -1):
         node = core.nodes[p]
         s = node[0]
@@ -349,8 +343,7 @@ def _compile_sweep(core: Core) -> _SweepPlan:
 def solve_value_iteration(
     game: Csg,
     compiled: CompiledObjectives,
-    cfg: EngineConfig | None = None,
-    check_assumption: bool = True,
+    vi: VIConfig | None = None,
 ) -> tuple[ValueTable, SynthesizedStrategy]:
     """Value iteration for unbounded untils or reachability rewards.
 
@@ -362,11 +355,10 @@ def solve_value_iteration(
     NotConverged when the iteration cap is hit before the stopping rule
     fires, or as soon as the values cycle without it firing.
     """
-    cfg = cfg or EngineConfig()
-    if check_assumption:
-        report = check_stopping_assumption(game, compiled)
-        if not report.ok:
-            raise AssumptionViolation(report)
+    vi = vi or VIConfig()
+    report = check_stopping_assumption(game, compiled)
+    if not report.ok:
+        raise AssumptionViolation(report)
     pairs, _index = mode_closure(game, compiled)
     core = unbounded_core(game, compiled, pairs)
     m = compiled.m
@@ -375,74 +367,56 @@ def solve_value_iteration(
     values = core.const.copy()
 
     dists: dict[int, tuple[np.ndarray, ...]] = {}
-    stages = _StageSolver(compiled.opt, cfg.solver)
+    stages = _StageSolver(compiled.opt)
+    welfare_tol = SolverConfig().welfare_tol
     minimise = compiled.opt == "min"
     single_index = np.arange(len(plan.single))
     picks = np.zeros(len(plan.single), dtype=np.int64)
 
-    pool = (
-        ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
-    )
-    run = pool.map if pool is not None else map
-
-    def sweep(prev: np.ndarray) -> None:
+    iterations = 0
+    stable = 0
+    residual = float("inf")
+    # Brent's cycle detection: a sweep is a function of the previous
+    # values alone, so values equal to the saved vector of `lam` sweeps
+    # ago repeat with that period for ever.
+    saved, power, lam = values.tobytes(), 1, 1
+    period = None
+    while iterations < vi.max_iters:
+        iterations += 1
+        prev = values.copy()
         utilities = plan.stage_tables(prev)
         if len(plan.single):
             # The cost-optimal pick is the welfare-optimal pick of the
             # negated block; the values are the block's own cells.
             block = utilities[plan.single_rows]
             picks[:] = single_chooser_picks(
-                -block if minimise else block, plan.chooser, cfg.solver.welfare_tol
+                -block if minimise else block, plan.chooser, welfare_tol
             )
             values[plan.single] = block[single_index, picks]
-
-        def solve(item):
-            p, rows = item
+        for p, rows in plan.multi:
             s = pairs[p][0]
-            return stages.solve(
+            values[p], dists[p] = stages.solve(
                 utilities[rows].reshape(core.shapes[s] + (m,)), core.choice_names[s]
             )
-
-        solved = list(run(solve, plan.multi))
-        for (p, _rows), (vals, profile) in zip(plan.multi, solved):
-            values[p] = vals
-            dists[p] = profile
         stages.age()
-
-    try:
-        iterations = 0
-        stable = 0
-        residual = float("inf")
-        # Brent's cycle detection: a sweep is a function of the previous
-        # values alone, so values equal to the saved vector of `lam` sweeps
-        # ago repeat with that period for ever.
-        saved, power, lam = values.tobytes(), 1, 1
-        period = None
-        while iterations < cfg.vi.max_iters:
-            iterations += 1
-            prev = values.copy()
-            sweep(prev)
-            residual = float(np.abs(values - prev).max()) if n_pairs else 0.0
-            stable = stable + 1 if residual < cfg.vi.epsilon else 0
-            if stable >= _STABILITY_WINDOW:
-                break
-            if period is None:
-                current = values.tobytes()
-                if current == saved:
-                    period, deadline = lam, iterations + lam
-                else:
-                    if lam == power:
-                        saved, power, lam = current, power * 2, 0
-                    lam += 1
-            elif iterations == deadline and stable < period:
-                # A whole period has passed with a residual at or above
-                # epsilon in it; every later period repeats it.
-                raise NotConverged(residual, iterations, period)
-        else:
+        residual = float(np.abs(values - prev).max()) if n_pairs else 0.0
+        stable = stable + 1 if residual <= vi.epsilon else 0
+        if stable >= _STABILITY_WINDOW:
+            break
+        if period is None:
+            current = values.tobytes()
+            if current == saved:
+                period, deadline = lam, iterations + lam
+            else:
+                if lam == power:
+                    saved, power, lam = current, power * 2, 0
+                lam += 1
+        elif iterations == deadline and stable < period:
+            # A whole period has passed with a residual above epsilon in
+            # it; every later period repeats it.
             raise NotConverged(residual, iterations, period)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    else:
+        raise NotConverged(residual, iterations, period)
 
     def pure(size: int, action: int) -> np.ndarray:
         vec = np.zeros(size)
@@ -508,7 +482,7 @@ def _compare(total: float, comparator: str, threshold: Fraction) -> bool:
 
 
 def check_nash_formula(
-    model: Csg, nf: NashFormula, cfg: EngineConfig | None = None
+    model: Csg, nf: NashFormula, vi: VIConfig | None = None
 ) -> CheckResult:
     """Evaluate one equilibrium formula at every state of the model.
 
@@ -519,18 +493,17 @@ def check_nash_formula(
     """
     from .formulas import resolve_coalitions
 
-    cfg = cfg or EngineConfig()
     partition = resolve_coalitions(model, nf)
     coalition = build_coalition_game(model, partition)
 
     def resolve(phi: StateFormula) -> frozenset[int]:
-        return evaluate_state_formula(model, phi, cfg)
+        return evaluate_state_formula(model, phi, vi)
 
     compiled = compile_objectives(coalition, nf, resolve)
     if compiled.horizon == "finite":
-        table, strategy = solve_finite_horizon(coalition, compiled, cfg)
+        table, strategy = solve_finite_horizon(coalition, compiled)
     else:
-        table, strategy = solve_value_iteration(coalition, compiled, cfg)
+        table, strategy = solve_value_iteration(coalition, compiled, vi)
     values = {s: table.at_state(s) for s in range(model.n_states)}
     sums = {s: float(values[s].sum()) for s in values}
     sat = None
@@ -551,18 +524,17 @@ def check_nash_formula(
 
 
 def evaluate_state_formula(
-    model: Csg, formula: StateFormula, cfg: EngineConfig | None = None
+    model: Csg, formula: StateFormula, vi: VIConfig | None = None
 ) -> frozenset[int]:
     """Satisfaction set of a state formula, resolving nested Nash formulas
     with the engine. Nested Nash formulas must be threshold queries."""
-    cfg = cfg or EngineConfig()
 
     def resolver(nf: NashFormula) -> frozenset[int]:
         if nf.is_numeric:
             raise FormulaError(
                 "numeric (=?) queries cannot be nested inside state formulas"
             )
-        result = check_nash_formula(model, nf, cfg)
+        result = check_nash_formula(model, nf, vi)
         return frozenset(s for s, ok in result.sat.items() if ok)
 
     return sat_states(model, formula, resolver)

@@ -205,12 +205,12 @@ class RewardStructure:
 class Csg:
     """Concurrent stochastic multi-player game.
 
-    All fields are fixed after construction; instances are shared freely
-    between parallel workers. ``availability[s][i]`` lists the action
-    indices of player i available in state s; an empty tuple means the
-    player idles there. ``transitions`` maps (state, joint action) to a
-    distribution over successor states and must be defined exactly for the
-    joint actions enabled by availability (with IDLE filling idle slots).
+    All fields are fixed after construction. ``availability[s][i]`` lists
+    the action indices of player i available in state s; an empty tuple
+    means the player idles there. ``transitions`` maps (state, joint
+    action) to a distribution over successor states and must be defined
+    exactly for the joint actions enabled by availability (with IDLE
+    filling idle slots).
     """
 
     players: tuple[str, ...]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,7 +40,7 @@ class NoEquilibriumError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and effort knobs for equilibrium search.
+    """Tolerances and iteration limits for equilibrium search.
 
     feasibility_tol applies to utilities normalised to [0, 1]; welfare_tol
     is the tie window for comparing candidate welfare in original units;
@@ -55,10 +54,7 @@ class SolverConfig:
     min_support_prob: float = 1e-6
     multistarts: int = 6
     max_iters: int = 150
-    seed: int = 0
     strict_inconclusive: bool = False
-    use_dominance: bool = True
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -862,8 +858,7 @@ def _solve_descent(
             return _candidate_from_probs(game, support, blocks, residual)
         return None
 
-    rng_seed = cfg.seed ^ zlib.crc32(repr(support.sets).encode())
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(zlib.crc32(repr(support.sets).encode()))
     starts = [problem.pack([np.full(k, 1.0 / k) for k in sizes])]
     for _ in range(max(cfg.multistarts - 1, 0)):
         starts.append(problem.pack([rng.dirichlet(np.ones(k)) for k in sizes]))
@@ -1021,10 +1016,7 @@ def swne(game: NormalFormGame, cfg: SolverConfig | None = None) -> EquilibriumRe
     fast = _single_chooser_fast_path(game, cfg)
     if fast is not None:
         return fast
-    if cfg.use_dominance:
-        reduced, kept, removals = filter_dominated(game)
-    else:
-        reduced, kept, removals = game, [list(range(c)) for c in game.shape], []
+    reduced, kept, removals = filter_dominated(game)
     supports = enumerate_supports(reduced)
     keep_mask = [presolve_support(reduced, s) for s in supports]
     pruned = sum(1 for k in keep_mask if not k)
@@ -1052,25 +1044,12 @@ def swne(game: NormalFormGame, cfg: SolverConfig | None = None) -> EquilibriumRe
                 best_pure = max(best_pure, outcome.candidate.welfare)
         else:
             mixed_todo.append((idx, support))
-    todo = []
     for idx, support in mixed_todo:
         upper = float(cell_welfare[np.ix_(*support.sets)].max())
         if upper <= best_pure + cfg.welfare_tol:
             pruned += 1
             continue
-        todo.append((idx, support))
-
-    def run(item):
-        _idx, support = item
-        return solve_support(reduced, support, cfg)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(run, todo))
-    else:
-        outcomes = [run(item) for item in todo]
-
-    for (idx, _support), outcome in zip(todo, outcomes):
+        outcome = solve_support(reduced, support, cfg)
         if outcome.status == "candidate":
             outcome.candidate.support_index = idx
             candidates.append(outcome.candidate)

@@ -2,13 +2,17 @@
 PASS line with its measured numbers (run with -s to see them inline)."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from csgnash.engine import EngineConfig, check_nash_formula
+import csgnash
+from csgnash.engine import check_nash_formula
 from csgnash.formulas import (
     Atom,
     Cumulative,
@@ -24,7 +28,6 @@ from csgnash.formulas import (
 from csgnash.games import Csg, RewardStructure, single_controller_view
 from csgnash.modelio import load_model
 from csgnash.nfg_solve import (
-    SolverConfig,
     Support,
     enumerate_supports,
     presolve_support,
@@ -550,25 +553,23 @@ def test_criterion_9_performance_envelope():
 
 
 # ---------------------------------------------------------------------------
-# Criterion 10: determinism across worker counts
+# Criterion 10: determinism across interpreters
 
 
 def _portray(values) -> str:
     return " ".join(f"{float(v):.17g}" for v in np.atleast_1d(values))
 
 
-def representative_outputs(threads: int) -> str:
-    solver = SolverConfig(threads=threads)
-    engine = EngineConfig(solver=solver, threads=threads)
+def representative_outputs() -> str:
     lines = []
     for f in (2, 3):
-        lines.append(f"pg{f} " + _portray(swne(public_good_nfg(f), solver).values))
-    lines.append("pd " + _portray(swne(three_player_dilemma(), solver).values))
-    lines.append("hard " + _portray(swne(hard_333_game(), solver).values))
+        lines.append(f"pg{f} " + _portray(swne(public_good_nfg(f)).values))
+    lines.append("pd " + _portray(swne(three_player_dilemma()).values))
+    lines.append("hard " + _portray(swne(hard_333_game()).values))
     nf = parse_formula(UTIL_PROP)
     for alpha in (0.4, 0.7):
         model = load_model(MODELS / "secret_sharing_raa.json", {"alpha": alpha})
-        result = check_nash_formula(model, nf, engine)
+        result = check_nash_formula(model, nf)
         cert = certify_epsilon(
             result.coalition_game, result.strategy, result.compiled
         )
@@ -581,12 +582,12 @@ def representative_outputs(threads: int) -> str:
         '<<p1:p2:p3>>max=? (R{"pro1"}[C<=2] + R{"pro2"}[C<=2] + R{"pro3"}[C<=2])'
     )
     model = load_model(MODELS / "public_good_profit.json", {"f": 2.0})
-    lines.append("pgc " + _portray(check_nash_formula(model, pg, engine).values[0]))
+    lines.append("pgc " + _portray(check_nash_formula(model, pg).values[0]))
     rng = random.Random(42)
     for _ in range(10):
         model, m = random_turn_based_csg(rng)
         nfr = random_bounded_formula(rng, m)
-        result = check_nash_formula(model, nfr, engine)
+        result = check_nash_formula(model, nfr)
         lines.append("csg " + " | ".join(_portray(v) for v in result.values.values()))
     rng = random.Random(77)
     for k in range(3):
@@ -595,13 +596,35 @@ def representative_outputs(threads: int) -> str:
             text = '<<p1>>max=? (R{"r"}[F "goal"])'
         else:
             text = '<<p1>>min=? (P[ !"sink" U "goal" ])'
-        result = check_nash_formula(model, parse_formula(text), engine)
+        result = check_nash_formula(model, parse_formula(text))
         lines.append("mdp " + " | ".join(_portray(v) for v in result.values.values()))
     return "\n".join(lines)
 
 
-def test_criterion_10_determinism_across_threads():
-    baseline = representative_outputs(1)
-    for threads in (4, 8):
-        assert representative_outputs(threads) == baseline
-    report(10, "determinism", "thread counts 1, 4, 8 byte-identical")
+def test_criterion_10_determinism_across_interpreters():
+    # Set iteration order follows the hash seed, so fresh interpreters with
+    # different seeds would expose output that depends on it.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(csgnash.__file__))
+    path = [src, tests, os.environ.get("PYTHONPATH", "")]
+    script = (
+        "import test_acceptance\n"
+        "print(test_acceptance.representative_outputs(), end='')\n"
+    )
+    baseline = representative_outputs()
+    for hash_seed in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, path)),
+            PYTHONHASHSEED=hash_seed,
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=env,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == baseline
+    report(10, "determinism", "this and two fresh interpreters byte-identical")

@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import sys
 import time
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 
 from csgnash.engine import (
     AssumptionViolation,
-    EngineConfig,
     NotConverged,
     VIConfig,
     check_nash_formula,
@@ -298,11 +296,20 @@ def test_until_vi_iteration_cap_raises():
         '<<usr1:usr2:usr3>>max=? (R{"util1"}[ F "done" ] + R{"util2"}[ F "done" ]'
         ' + R{"util3"}[ F "done" ])'
     )
-    cfg = EngineConfig(vi=VIConfig(max_iters=25))
     with pytest.raises(NotConverged) as err:
-        check_nash_formula(model, nf, cfg)
+        check_nash_formula(model, nf, VIConfig(max_iters=25))
     assert err.value.iterations == 25
     assert err.value.residual > 0
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [{"epsilon": float("nan")}, {"epsilon": float("inf")}, {"epsilon": -1e-9},
+     {"max_iters": 0}],
+)
+def test_vi_config_rejects_bad_settings(settings):
+    with pytest.raises(ValueError):
+        VIConfig(**settings)
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +510,12 @@ def _sum_prop(template: str) -> str:
     return f"<<usr1:usr2:usr3>>max=? ({terms})"
 
 
-def _check_bundled(name, params, prop, cfg=None):
+def _check_bundled(name, params, prop):
     from conftest import MODELS
     from csgnash.modelio import load_model
 
     model = load_model(MODELS / name, params)
-    return check_nash_formula(model, parse_formula(prop), cfg)
+    return check_nash_formula(model, parse_formula(prop))
 
 
 def _result_digest(result) -> str:
@@ -554,19 +561,6 @@ def test_stage_cache_keeps_results_bit_identical(name, params, prop, digest):
     assert _result_digest(_check_bundled(name, params, prop)) == digest
 
 
-def test_stage_cache_shared_by_vi_workers():
-    # Eight workers and a short switch interval make the threads race on
-    # the shared cache; a race may solve a table twice but changes no bit.
-    name, params, prop, digest = PINNED_CHECKS[3]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        result = _check_bundled(name, params, prop, EngineConfig(threads=8))
-    finally:
-        sys.setswitchinterval(interval)
-    assert _result_digest(result) == digest
-
-
 @pytest.fixture
 def stage_solves(monkeypatch):
     """Counts the stage games the engine hands to the solver."""
@@ -601,9 +595,8 @@ def test_value_iteration_solves_repeated_stages_once(stage_solves):
 
 def test_stage_solver_generations(stage_solves):
     from csgnash.engine import _StageSolver
-    from csgnash.nfg_solve import SolverConfig
 
-    stages = _StageSolver("max", SolverConfig())
+    stages = _StageSolver("max")
     # Prisoner's dilemma; action names do not enter the key.
     table = np.array([[[3.0, 3.0], [0.0, 5.0]], [[5.0, 0.0], [1.0, 1.0]]])
     first = stages.solve(table, (("c", "d"), ("c", "d")))

@@ -392,27 +392,85 @@ def test_bundled_files_match_builders():
     assert fresh == bundled
 
 
-def test_cli_determinism_across_threads():
-    prop = (
-        '<<usr1:usr2:usr3>>max=? (R{"util1"}[F "done"] + R{"util2"}[F "done"]'
-        ' + R{"util3"}[F "done"])'
+RAA_UTIL = (
+    '<<usr1:usr2:usr3>>max=? (R{"util1"}[F "done"] + R{"util2"}[F "done"]'
+    ' + R{"util3"}[F "done"])'
+)
+
+
+def _check_raa(*flags, alpha="0.5"):
+    return run_cli(
+        "check",
+        str(MODELS / "secret_sharing_raa.json"),
+        "--const",
+        f"alpha={alpha}",
+        *flags,
+        "--prop",
+        RAA_UTIL,
     )
-    outputs = []
-    for threads in ("1", "4"):
-        code, out = run_cli(
-            "check",
-            str(MODELS / "secret_sharing_raa.json"),
-            "--const",
-            "alpha=0.6",
-            "--threads",
-            threads,
-            "--certify",
-            "--prop",
-            prop,
-        )
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
+
+
+def _printed_values(out: str) -> list[float]:
+    line = out.splitlines()[0]
+    return [float(v) for v in line.split(" values ")[1].split(" sum ")[0].split()]
+
+
+def test_cli_epsilon_zero_stops_at_an_exact_fixpoint():
+    # A strict `residual < epsilon` never held at 0, so reaching the exact
+    # fixpoint at alpha=0.5 was reported as a period-1 cycle (exit 3).
+    code, out = _check_raa("--epsilon", "0")
+    assert code == 0
+    assert _printed_values(out) == [1.0, 1.0, 1.0]
+    # Away from alpha=0.5's tie, and where sweeps of 1e-6 stop near the
+    # limit, both stopping rules print the same values.
+    code, exact = _check_raa("--epsilon", "0", alpha="0.7")
+    assert code == 0
+    code, default = _check_raa(alpha="0.7")
+    assert code == 0
+    assert _printed_values(exact) == pytest.approx(_printed_values(default), abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--epsilon", "nan"), ("--epsilon", "inf"), ("--epsilon", "-1"),
+     ("--max-iters", "0")],
+)
+def test_cli_rejects_bad_vi_settings_with_exit_1(capsys, flag, value):
+    code, _ = _check_raa(flag, value)
+    assert code == 1
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", str(MODELS / "aloha3.json")],
+        ["check", str(MODELS / "aloha3.json"), "--prop", RAA_UTIL, "--threads", "2"],
+    ],
+    ids=["missing-prop", "removed-threads"],
+)
+def test_cli_usage_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        cli_main(argv)
+    assert stop.value.code == 1
+    assert "usage: csgnash" in capsys.readouterr().err
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli_main(["check", "--help"])
+    assert stop.value.code == 0
+    assert "--epsilon" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("pair", ["variant", "bogus=1"])
+def test_cli_generate_rejects_a_bad_set(tmp_path, capsys, pair):
+    out_file = tmp_path / "model.json"
+    code, _ = run_cli("generate", "secret-sharing", "-o", str(out_file), "--set", pair)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_file.exists()
 
 
 def test_cli_entry_point_via_subprocess():

@@ -11,7 +11,7 @@ import pytest
 
 import csgnash
 from csgnash import engine, strategies
-from csgnash.engine import EngineConfig, check_nash_formula
+from csgnash.engine import check_nash_formula
 from csgnash.formulas import parse_formula
 from csgnash.games import Csg, RewardStructure, single_controller_view
 from csgnash.modelio import load_model
@@ -58,8 +58,8 @@ def coin_flip_model(p: float = 0.5) -> Csg:
     )
 
 
-def checked(model, text, cfg=None):
-    return check_nash_formula(model, parse_formula(text), cfg or EngineConfig())
+def checked(model, text):
+    return check_nash_formula(model, parse_formula(text))
 
 
 # ---------------------------------------------------------------------------
