@@ -5,10 +5,8 @@ from .games import (
     CoalitionPartition,
     MixedProfile,
     NormalFormGame,
-    PooledProcess,
     RewardStructure,
     build_coalition_game,
-    single_controller_view,
     validate_csg,
 )
 from .formulas import (
@@ -22,7 +20,6 @@ from .formulas import (
 )
 from .nfg_solve import (
     NoEquilibriumError,
-    SolverConfig,
     Support,
     check_pure_profile,
     enumerate_supports,

@@ -228,7 +228,10 @@ def cmd_generate(args) -> int:
                 kwargs[key] = float(value)
             except ValueError:
                 kwargs[key] = value
-    doc = builder(**kwargs)
+    try:
+        doc = builder(**kwargs)
+    except ValueError as exc:
+        raise ModelError(str(exc)) from None
     out = args.output or f"{doc['name']}.json"
     casestudies.write_model(doc, out)
     print(f"wrote {out}")

@@ -25,8 +25,8 @@ from .formulas import (
     StateFormula,
     sat_states,
 )
-from .games import Csg, NormalFormGame, build_coalition_game, single_controller_view
-from .nfg_solve import SolverConfig, scne, single_chooser_picks, swne
+from .games import Csg, NormalFormGame, build_coalition_game
+from .nfg_solve import WELFARE_TOL, scne, single_chooser_picks, swne
 from .objectives import (
     CompiledObjectives,
     Core,
@@ -185,10 +185,11 @@ def check_stopping_assumption(
     profile: unbounded untils must reach states that decide them, and
     reachability rewards must reach their target, from all states.
 
-    The check runs on the pooled single-controller view, where it amounts
-    to the minimal reachability probability of the settling set being 1.
+    The check lets one controller pick any enabled joint action, so it
+    amounts to the minimal reachability probability of the settling set
+    being 1 on the positive-probability successor graph.
     """
-    pooled = single_controller_view(game)
+    succ = mdp.successor_sets(game)
     report = AssumptionReport()
     for l, obj in enumerate(compiled.items):
         if obj.kind == "until" and obj.bound is None:
@@ -197,7 +198,7 @@ def check_stopping_assumption(
             target = obj.sat2
         else:
             continue
-        _certain, violating = mdp.min_reach_certain(pooled, target)
+        _certain, violating = mdp.min_reach_certain(succ, target)
         if violating:
             report.violations.append((l, violating))
     return report
@@ -368,7 +369,6 @@ def solve_value_iteration(
 
     dists: dict[int, tuple[np.ndarray, ...]] = {}
     stages = _StageSolver(compiled.opt)
-    welfare_tol = SolverConfig().welfare_tol
     minimise = compiled.opt == "min"
     single_index = np.arange(len(plan.single))
     picks = np.zeros(len(plan.single), dtype=np.int64)
@@ -390,7 +390,7 @@ def solve_value_iteration(
             # negated block; the values are the block's own cells.
             block = utilities[plan.single_rows]
             picks[:] = single_chooser_picks(
-                -block if minimise else block, plan.chooser, welfare_tol
+                -block if minimise else block, plan.chooser, WELFARE_TOL
             )
             values[plan.single] = block[single_index, picks]
         for p, rows in plan.multi:

@@ -544,32 +544,3 @@ def build_coalition_game(model: Csg, partition: CoalitionPartition) -> Csg:
         rewards=rewards,
     )
 
-
-@dataclass(frozen=True)
-class PooledProcess:
-    """Single-controller view: all joint actions pooled as one decision maker.
-
-    ``choices[s]`` lists (joint action, successor ids, probabilities); the
-    arrays are aligned. This is the decision process used for qualitative
-    reachability analysis and for single-agent reference solves.
-    """
-
-    n_states: int
-    choices: tuple[tuple[tuple[Joint, np.ndarray, np.ndarray], ...], ...]
-
-    def n_choices(self, state: int) -> int:
-        return len(self.choices[state])
-
-
-def single_controller_view(model: Csg) -> PooledProcess:
-    """Pool every enabled joint action of each state into one controller."""
-    rows = []
-    for s in range(model.n_states):
-        entries = []
-        for joint in model.enabled_joints(s):
-            dist = model.transitions[(s, joint)]
-            succs = np.fromiter(dist.keys(), dtype=np.int64, count=len(dist))
-            probs = np.fromiter(dist.values(), dtype=np.float64, count=len(dist))
-            entries.append((joint, succs, probs))
-        rows.append(tuple(entries))
-    return PooledProcess(model.n_states, tuple(rows))

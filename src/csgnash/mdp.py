@@ -1,25 +1,32 @@
-"""Qualitative reachability analyses on the pooled single-controller view.
+"""Qualitative reachability analyses that hold under every strategy profile.
 
-These graph fixpoints answer sure/never reachability questions that hold
-under every strategy profile: pooling all joint actions into one
-controller is exact for such qualitative queries because a deterministic
-pooled choice is itself a product of per-player deterministic choices.
+These graph fixpoints answer sure/never reachability questions. They read
+only which successors each enabled joint action reaches with positive
+probability, and let one controller pick any joint action: that is exact
+for such qualitative queries because a deterministic choice of joint
+action is itself a product of per-player deterministic choices.
 """
 
 from __future__ import annotations
 
-from .games import PooledProcess
+from .games import Csg
+
+# Per state, the positive-probability successors of each enabled joint action.
+Successors = tuple[tuple[frozenset[int], ...], ...]
 
 
-def _can_stay_within(pooled: PooledProcess, allowed: set[int], s: int) -> bool:
-    for _joint, succs, probs in pooled.choices[s]:
-        if all(int(t) in allowed for t, p in zip(succs, probs) if p > 0):
-            return True
-    return False
+def successor_sets(game: Csg) -> Successors:
+    return tuple(
+        tuple(
+            frozenset(t for t, p in game.transitions[(s, joint)].items() if p > 0)
+            for joint in game.enabled_joints(s)
+        )
+        for s in range(game.n_states)
+    )
 
 
 def min_reach_certain(
-    pooled: PooledProcess, good: frozenset[int], bad: frozenset[int] = frozenset()
+    succ: Successors, good: frozenset[int], bad: frozenset[int] = frozenset()
 ) -> tuple[frozenset[int], frozenset[int]]:
     """States from which `good` is reached with probability 1 no matter how
     the controller plays, treating `bad` states as absorbing failures.
@@ -29,15 +36,11 @@ def min_reach_certain(
     avoiding `good`, a region the controller can keep forever good-free
     (the union of end components avoiding the target).
     """
-    n = pooled.n_states
+    n = len(succ)
     # Greatest fixpoint: states where the controller can avoid `good` forever.
     z = set(range(n)) - set(good)
     while True:
-        keep = {
-            s
-            for s in z
-            if s in bad or _can_stay_within(pooled, z, s)
-        }
+        keep = {s for s in z if s in bad or any(a <= z for a in succ[s])}
         if keep == z:
             break
         z = keep
@@ -49,16 +52,14 @@ def min_reach_certain(
         for s in range(n):
             if s in y or s in good:
                 continue
-            for _joint, succs, probs in pooled.choices[s]:
-                if any(int(t) in y for t, p in zip(succs, probs) if p > 0):
-                    y.add(s)
-                    frontier = True
-                    break
+            if any(not a.isdisjoint(y) for a in succ[s]):
+                y.add(s)
+                frontier = True
     return frozenset(range(n)) - frozenset(y), frozenset(y)
 
 
 def max_reach_zero(
-    pooled: PooledProcess, good: frozenset[int], bad: frozenset[int] = frozenset()
+    succ: Successors, good: frozenset[int], bad: frozenset[int] = frozenset()
 ) -> frozenset[int]:
     """States from which no strategy reaches `good` with positive
     probability, with `bad` states absorbing."""
@@ -66,29 +67,27 @@ def max_reach_zero(
     grew = True
     while grew:
         grew = False
-        for s in range(pooled.n_states):
+        for s in range(len(succ)):
             if s in reach or s in bad:
                 continue
-            for _joint, succs, probs in pooled.choices[s]:
-                if any(int(t) in reach for t, p in zip(succs, probs) if p > 0):
-                    reach.add(s)
-                    grew = True
-                    break
-    return frozenset(range(pooled.n_states)) - frozenset(reach)
+            if any(not a.isdisjoint(reach) for a in succ[s]):
+                reach.add(s)
+                grew = True
+    return frozenset(range(len(succ))) - frozenset(reach)
 
 
 def until_sure_states(
-    pooled: PooledProcess, sat1: frozenset[int], sat2: frozenset[int]
+    succ: Successors, sat1: frozenset[int], sat2: frozenset[int]
 ) -> frozenset[int]:
     """States whose until value is exactly 1 under every profile."""
-    bad = frozenset(range(pooled.n_states)) - sat1 - sat2
-    certain, _ = min_reach_certain(pooled, sat2, bad)
+    bad = frozenset(range(len(succ))) - sat1 - sat2
+    certain, _ = min_reach_certain(succ, sat2, bad)
     return certain
 
 
 def until_zero_states(
-    pooled: PooledProcess, sat1: frozenset[int], sat2: frozenset[int]
+    succ: Successors, sat1: frozenset[int], sat2: frozenset[int]
 ) -> frozenset[int]:
     """States whose until value is exactly 0 under every profile."""
-    bad = frozenset(range(pooled.n_states)) - sat1 - sat2
-    return max_reach_zero(pooled, sat2, bad)
+    bad = frozenset(range(len(succ))) - sat1 - sat2
+    return max_reach_zero(succ, sat2, bad)

@@ -33,28 +33,20 @@ class NoEquilibriumError(RuntimeError):
     """The solver found no equilibrium candidate.
 
     Every finite game has a Nash equilibrium, so this signals a solver
-    failure (or an inconclusive support in strict mode), never a property
-    of the game itself.
+    failure, never a property of the game itself.
     """
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerances and iteration limits for equilibrium search.
-
-    feasibility_tol applies to utilities normalised to [0, 1]; welfare_tol
-    is the tie window for comparing candidate welfare in original units;
-    min_support_prob realises the strict positivity of in-support
-    probabilities. strict_inconclusive turns iteration-capped supports
-    into hard failures instead of logged skips.
-    """
-
-    feasibility_tol: float = 1e-8
-    welfare_tol: float = 1e-6
-    min_support_prob: float = 1e-6
-    multistarts: int = 6
-    max_iters: int = 150
-    strict_inconclusive: bool = False
+# Feasibility applies to utilities normalised to [0, 1]; the welfare
+# tolerance is the tie window for comparing candidate welfare in original
+# units; the least support probability realises the strict positivity of
+# in-support probabilities. Descent runs at most MULTISTARTS starts and
+# MAX_ITERS penalty steps per weight.
+FEASIBILITY_TOL = 1e-8
+WELFARE_TOL = 1e-6
+MIN_SUPPORT_PROB = 1e-6
+MULTISTARTS = 6
+MAX_ITERS = 150
 
 
 @dataclass(frozen=True)
@@ -290,26 +282,15 @@ def presolve_support(game: NormalFormGame, support: Support) -> bool:
     """
     if support.is_pure:
         return True
-    n = game.n_players
-    for i in range(n):
-        b_i = support.sets[i]
-        cells = [support.sets[j] for j in range(n) if j != i]
-
-        def util(a: int, cell: tuple[int, ...]):
-            joint = cell[:i] + (a,) + cell[i:]
-            return game.utility(joint, i)
-
-        opponent_cells = list(itertools.product(*cells))
+    kept = support.sets
+    for i, b_i in enumerate(kept):
         for worse in b_i:
             for better in b_i:
-                if better == worse:
-                    continue
-                if all(util(better, c) > util(worse, c) for c in opponent_cells):
+                if better != worse and _strictly_dominates(game, i, better, worse, kept):
                     return False
-        outside = [a for a in range(game.shape[i]) if a not in b_i]
-        for a in outside:
-            if all(
-                all(util(a, c) > util(b, c) for c in opponent_cells) for b in b_i
+        for a in range(game.shape[i]):
+            if a not in b_i and all(
+                _strictly_dominates(game, i, a, b, kept) for b in b_i
             ):
                 return False
     return True
@@ -360,7 +341,7 @@ def _solve_pure(game: NormalFormGame, support: Support) -> SupportSolution:
 
 
 def _solve_one_mixer(
-    game: NormalFormGame, support: Support, cfg: SolverConfig, norm: np.ndarray
+    game: NormalFormGame, support: Support, norm: np.ndarray
 ) -> SupportSolution:
     """Support where exactly one player mixes: the equilibrium region is a
     polytope and welfare is linear over it, so this is a linear program."""
@@ -380,7 +361,7 @@ def _solve_one_mixer(
         joint[axis] = axis_action
         return tuple(joint)
 
-    tol = cfg.feasibility_tol
+    tol = FEASIBILITY_TOL
     # The mixer faces constant utilities, so indifference and deviation
     # conditions are direct comparisons.
     mix_utils = [norm[cell(b, mixer) + (mixer,)] for b in b_m]
@@ -411,7 +392,7 @@ def _solve_one_mixer(
     welfare_row = np.array(
         [sum(norm[cell(b, mixer) + (l,)] for l in range(n)) for b in b_m]
     )
-    lo = cfg.min_support_prob
+    lo = MIN_SUPPORT_PROB
     if rows:
         a_ub = -np.array(rows, dtype=np.float64)
         b_ub = np.full(len(rows), tol)
@@ -470,7 +451,7 @@ def _cross_block(
 
 
 def _solve_two_mixers(
-    game: NormalFormGame, support: Support, cfg: SolverConfig, norm: np.ndarray
+    game: NormalFormGame, support: Support, norm: np.ndarray
 ) -> SupportSolution | None:
     """Two mixing players: each one's indifference system is linear in the
     other's probabilities. Unique solutions are verified directly; rank
@@ -478,7 +459,7 @@ def _solve_two_mixers(
     n = game.n_players
     mixers = [i for i in range(n) if len(support.sets[i]) > 1]
     i, j = mixers
-    tol = cfg.feasibility_tol
+    tol = FEASIBILITY_TOL
     singles = [np.array([1.0]) for _ in range(n)]
 
     def solve_block(active: int, other: int) -> np.ndarray | None:
@@ -503,7 +484,7 @@ def _solve_two_mixers(
     p_i = solve_block(j, i)
     if p_j is None or p_i is None:
         return None
-    lo = cfg.min_support_prob
+    lo = MIN_SUPPORT_PROB
     if np.any(p_i < lo - 1e-12) or np.any(p_j < lo - 1e-12):
         return SupportSolution("infeasible")
     probs = []
@@ -556,7 +537,7 @@ def _bilinear_gap_coeffs(
 
 
 def _solve_three_binary_mixers(
-    game: NormalFormGame, support: Support, cfg: SolverConfig, norm: np.ndarray
+    game: NormalFormGame, support: Support, norm: np.ndarray
 ) -> SupportSolution | None:
     """Exactly three mixing players with two support actions each.
 
@@ -568,8 +549,8 @@ def _solve_three_binary_mixers(
     n = game.n_players
     mixers = [i for i in range(n) if len(support.sets[i]) > 1]
     i, j, k = mixers
-    tol = cfg.feasibility_tol
-    lo = cfg.min_support_prob
+    tol = FEASIBILITY_TOL
+    lo = MIN_SUPPORT_PROB
 
     def blocks_for(x_i: float, x_j: float, x_k: float) -> list[np.ndarray]:
         blocks = []
@@ -806,7 +787,7 @@ class _DescentProblem:
 
 
 def _solve_descent(
-    game: NormalFormGame, support: Support, cfg: SolverConfig, norm: np.ndarray
+    game: NormalFormGame, support: Support, norm: np.ndarray
 ) -> SupportSolution:
     """Multistart search over the product of support simplices.
 
@@ -819,8 +800,8 @@ def _solve_descent(
     welfare-optimal equilibrium among the points found.
     """
     problem = _DescentProblem(game, support, norm)
-    tol = cfg.feasibility_tol
-    lo = cfg.min_support_prob
+    tol = FEASIBILITY_TOL
+    lo = MIN_SUPPORT_PROB
     sizes = problem.sizes
 
     def project(x: np.ndarray) -> np.ndarray:
@@ -860,7 +841,7 @@ def _solve_descent(
 
     rng = np.random.default_rng(zlib.crc32(repr(support.sets).encode()))
     starts = [problem.pack([np.full(k, 1.0 / k) for k in sizes])]
-    for _ in range(max(cfg.multistarts - 1, 0)):
+    for _ in range(max(MULTISTARTS - 1, 0)):
         starts.append(problem.pack([rng.dirichlet(np.ones(k)) for k in sizes]))
 
     best: EquilibriumCandidate | None = None
@@ -877,7 +858,7 @@ def _solve_descent(
             converged = False
             for mu in (1e3, 1e6):
                 step = 0.25
-                for _ in range(cfg.max_iters):
+                for _ in range(MAX_ITERS):
                     f0, grad, _, _ = problem.evaluate(problem.unpack(x), mu)
                     moved = False
                     x_new = x
@@ -909,9 +890,7 @@ def _solve_descent(
     return SupportSolution("inconclusive" if capped else "infeasible")
 
 
-def solve_support(
-    game: NormalFormGame, support: Support, cfg: SolverConfig | None = None
-) -> SupportSolution:
+def solve_support(game: NormalFormGame, support: Support) -> SupportSolution:
     """Search the given support for an equilibrium, welfare-optimal there.
 
     Pure supports are checked exactly; supports with one or two mixing
@@ -919,22 +898,21 @@ def solve_support(
     The returned status separates proven infeasibility from iteration-cap
     "inconclusive" outcomes.
     """
-    cfg = cfg or SolverConfig()
     if support.is_pure:
         return _solve_pure(game, support)
     norm = game.normalised_utilities()
     mixer_sizes = [len(s) for s in support.sets if len(s) > 1]
     if len(mixer_sizes) == 1:
-        return _solve_one_mixer(game, support, cfg, norm)
+        return _solve_one_mixer(game, support, norm)
     if len(mixer_sizes) == 2:
-        out = _solve_two_mixers(game, support, cfg, norm)
+        out = _solve_two_mixers(game, support, norm)
         if out is not None:
             return out
     elif mixer_sizes == [2, 2, 2]:
-        out = _solve_three_binary_mixers(game, support, cfg, norm)
+        out = _solve_three_binary_mixers(game, support, norm)
         if out is not None:
             return out
-    return _solve_descent(game, support, cfg, norm)
+    return _solve_descent(game, support, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -963,9 +941,7 @@ def single_chooser_picks(
     return (welfare >= welfare.max(axis=1, keepdims=True) - welfare_tol).argmax(axis=1)
 
 
-def _single_chooser_fast_path(
-    game: NormalFormGame, cfg: SolverConfig
-) -> EquilibriumResult | None:
+def _single_chooser_fast_path(game: NormalFormGame) -> EquilibriumResult | None:
     """Games where at most one player has more than one action, solved by
     `single_chooser_picks`."""
     choosers = [i for i, c in enumerate(game.shape) if c > 1]
@@ -977,7 +953,7 @@ def _single_chooser_fast_path(
     if choosers:
         i = choosers[0]
         cells = floats.reshape(-1, game.n_players)
-        pick = single_chooser_picks(cells[None], np.array([i]), cfg.welfare_tol)
+        pick = single_chooser_picks(cells[None], np.array([i]), WELFARE_TOL)
         joint[i] = int(pick[0])
         own = cells[:, i]
         candidates = int(np.count_nonzero(own == own[joint[i]]))
@@ -1002,7 +978,7 @@ def _single_chooser_fast_path(
     )
 
 
-def swne(game: NormalFormGame, cfg: SolverConfig | None = None) -> EquilibriumResult:
+def swne(game: NormalFormGame) -> EquilibriumResult:
     """Social-welfare optimal Nash equilibrium of a finite game.
 
     Dominated actions are removed first, the reduced game's supports are
@@ -1012,8 +988,7 @@ def swne(game: NormalFormGame, cfg: SolverConfig | None = None) -> EquilibriumRe
     lexicographic profile order. Raises NoEquilibriumError when nothing is
     found, which indicates solver failure rather than a game property.
     """
-    cfg = cfg or SolverConfig()
-    fast = _single_chooser_fast_path(game, cfg)
+    fast = _single_chooser_fast_path(game)
     if fast is not None:
         return fast
     reduced, kept, removals = filter_dominated(game)
@@ -1046,23 +1021,19 @@ def swne(game: NormalFormGame, cfg: SolverConfig | None = None) -> EquilibriumRe
             mixed_todo.append((idx, support))
     for idx, support in mixed_todo:
         upper = float(cell_welfare[np.ix_(*support.sets)].max())
-        if upper <= best_pure + cfg.welfare_tol:
+        if upper <= best_pure + WELFARE_TOL:
             pruned += 1
             continue
-        outcome = solve_support(reduced, support, cfg)
+        outcome = solve_support(reduced, support)
         if outcome.status == "candidate":
             outcome.candidate.support_index = idx
             candidates.append(outcome.candidate)
         elif outcome.status == "inconclusive":
             inconclusive += 1
-    if inconclusive and cfg.strict_inconclusive:
-        raise NoEquilibriumError(
-            f"{inconclusive} supports hit the iteration cap in strict mode"
-        )
     if not candidates:
         raise NoEquilibriumError("no equilibrium found: solver failure")
     best_welfare = max(c.welfare for c in candidates)
-    tied = [c for c in candidates if c.welfare >= best_welfare - cfg.welfare_tol]
+    tied = [c for c in candidates if c.welfare >= best_welfare - WELFARE_TOL]
     tied.sort(
         key=lambda c: (c.support_index, tuple(np.concatenate(c.profile.probs)))
     )
@@ -1101,11 +1072,11 @@ def swne(game: NormalFormGame, cfg: SolverConfig | None = None) -> EquilibriumRe
     )
 
 
-def scne(game: NormalFormGame, cfg: SolverConfig | None = None) -> EquilibriumResult:
+def scne(game: NormalFormGame) -> EquilibriumResult:
     """Social-cost optimal Nash equilibrium: the welfare-optimal
     equilibrium of the negated game, reported in original (cost) units."""
     negated = game.negated()
-    res = swne(negated, cfg)
+    res = swne(negated)
     values = -res.values
     return EquilibriumResult(
         values=values,

@@ -27,7 +27,7 @@ from .formulas import (
     StateFormula,
     Until,
 )
-from .games import Csg, single_controller_view
+from .games import Csg
 
 SatResolver = Callable[[StateFormula], frozenset[int]]
 
@@ -80,7 +80,7 @@ def compile_objectives(
             "unsupported-mixed-horizon: objectives mix finite and infinite horizons"
         )
     kind = "prob" if isinstance(nf.objectives[0], ProbObjective) else "reward"
-    pooled = single_controller_view(coalition) if horizon == "infinite" else None
+    succ = mdp.successor_sets(coalition) if horizon == "infinite" else None
     all_states = frozenset(range(coalition.n_states))
     items: list[CompiledObjective] = []
     for obj in nf.objectives:
@@ -102,8 +102,8 @@ def compile_objectives(
                     )
                 )
             else:
-                sure = mdp.until_sure_states(pooled, sat1, sat2)
-                zero = mdp.until_zero_states(pooled, sat1, sat2)
+                sure = mdp.until_sure_states(succ, sat1, sat2)
+                zero = mdp.until_zero_states(succ, sat1, sat2)
                 items.append(
                     CompiledObjective(
                         kind="until", sat2=sat2, fail=fail, sure=sure, zero=zero

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Csg, NormalFormGame, PooledProcess
+from .games import Csg, NormalFormGame
 from .objectives import CompiledObjectives
 
 Joint = tuple[int, ...]
@@ -178,16 +178,21 @@ def reference_backward_induction(
     }
 
 
+def _expected(dist, values: np.ndarray) -> float:
+    return sum(p * float(values[t]) for t, p in dist.items())
+
+
 def single_agent_until(
-    pooled: PooledProcess,
+    game: Csg,
     sat1: frozenset[int],
     sat2: frozenset[int],
     opt: str = "max",
     tol: float = 1e-12,
     max_iters: int = 2_000_000,
 ) -> np.ndarray:
-    """Classical optimal until probabilities for one controller."""
-    n = pooled.n_states
+    """Classical optimal until probabilities for one controller that picks
+    any enabled joint action."""
+    n = game.n_states
     better = max if opt == "max" else min
     fail = set(range(n)) - set(sat1) - set(sat2)
     v = np.zeros(n)
@@ -199,8 +204,8 @@ def single_agent_until(
             if s in sat2 or s in fail:
                 continue
             best = None
-            for _joint, succs, probs in pooled.choices[s]:
-                val = float(np.dot(probs, prev[succs]))
+            for joint in game.enabled_joints(s):
+                val = _expected(game.transitions[(s, joint)], prev)
                 best = val if best is None else better(best, val)
             v[s] = best
         if np.max(np.abs(v - prev)) < tol:
@@ -209,7 +214,7 @@ def single_agent_until(
 
 
 def single_agent_reach_reward(
-    pooled: PooledProcess,
+    game: Csg,
     target: frozenset[int],
     state_rewards: np.ndarray,
     action_rewards,
@@ -219,10 +224,10 @@ def single_agent_reach_reward(
 ) -> np.ndarray:
     """Classical optimal expected reward accumulated before the target.
 
-    ``action_rewards(s, choice_index)`` returns the controller's reward
-    for taking that pooled choice in s. Target states contribute nothing.
+    ``action_rewards(s, joint)`` returns the controller's reward for
+    taking that joint action in s. Target states contribute nothing.
     """
-    n = pooled.n_states
+    n = game.n_states
     better = max if opt == "max" else min
     v = np.zeros(n)
     for _ in range(max_iters):
@@ -231,11 +236,11 @@ def single_agent_reach_reward(
             if s in target:
                 continue
             best = None
-            for k, (_joint, succs, probs) in enumerate(pooled.choices[s]):
+            for joint in game.enabled_joints(s):
                 val = (
                     float(state_rewards[s])
-                    + float(action_rewards(s, k))
-                    + float(np.dot(probs, prev[succs]))
+                    + float(action_rewards(s, joint))
+                    + _expected(game.transitions[(s, joint)], prev)
                 )
                 best = val if best is None else better(best, val)
             v[s] = best

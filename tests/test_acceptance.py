@@ -25,7 +25,7 @@ from csgnash.formulas import (
     Until,
     parse_formula,
 )
-from csgnash.games import Csg, RewardStructure, single_controller_view
+from csgnash.games import Csg, RewardStructure
 from csgnash.modelio import load_model
 from csgnash.nfg_solve import (
     Support,
@@ -485,22 +485,23 @@ def run_single_agent_corpus():
         else:
             text = f'<<p1>>{opt}=? (P[ !"sink" U "goal" ])'
         result = check_nash_formula(model, parse_formula(text))
-        pooled = single_controller_view(result.coalition_game)
         goal = model.n_states - (1 if reward_kind else 2)
         if reward_kind:
             state_rewards = np.array(
                 [model.rewards["r"].state_reward(s) for s in range(model.n_states)]
             )
             classical = single_agent_reach_reward(
-                pooled,
+                result.coalition_game,
                 frozenset({goal}),
                 state_rewards,
-                lambda s, kk: 0.0,
+                lambda s, joint: 0.0,
                 opt,
             )
         else:
             sat1 = frozenset(range(model.n_states)) - {model.n_states - 1}
-            classical = single_agent_until(pooled, sat1, frozenset({goal}), opt)
+            classical = single_agent_until(
+                result.coalition_game, sat1, frozenset({goal}), opt
+            )
         worst = max(
             abs(float(result.values[s][0]) - float(classical[s]))
             for s in range(model.n_states)

@@ -21,7 +21,6 @@ from csgnash.games import (
     CoalitionPartition,
     RewardStructure,
     build_coalition_game,
-    single_controller_view,
 )
 from csgnash.modelio import load_model_dict
 from csgnash.objectives import UnsupportedFormulaError, compile_objectives
@@ -95,6 +94,29 @@ def test_assumption_passes_on_secret_sharing():
         '<<usr1:usr2:usr3>>max=? (R{"util1"}[ F "done" ] + R{"util2"}[ F "done" ]'
         ' + R{"util3"}[ F "done" ])',
     )
+    assert check_stopping_assumption(coalition, compiled).ok
+
+
+def test_zero_probability_successors_do_not_count():
+    # State 0 lists the trap as a successor with probability 0, so the
+    # until still holds surely from state 0.
+    model = Csg(
+        players=("p1",),
+        actions=(("go",),),
+        state_names=("s0", "goal", "trap"),
+        initial=(0,),
+        availability=(((0,),), ((),), ((),)),
+        transitions={
+            (0, (0,)): {1: 1.0, 2: 0.0},
+            (1, (-1,)): {1: 1.0},
+            (2, (-1,)): {2: 1.0},
+        },
+        labels=(frozenset({"safe"}), frozenset({"safe", "goal"}), frozenset()),
+    )
+    coalition, compiled = compile_for(model, '<<p1>>max=? (P["safe" U "goal"])')
+    objective = compiled.items[0]
+    assert 0 in objective.sure
+    assert 2 in objective.zero
     assert check_stopping_assumption(coalition, compiled).ok
 
 
@@ -259,13 +281,12 @@ def test_until_vi_trivial_targets():
 def test_until_vi_single_coalition_matches_markov_chain():
     # Single player with a genuine choice: rushing risks the trap while
     # idling leaks forward safely. Compare against the independent
-    # dynamic-programming solver on the pooled process.
+    # dynamic-programming solver over the coalition game's joint actions.
     model = trap_chain_csg()
     coalition, compiled = compile_for(model, '<<p1>>max=? (P[ "safe" U "goal" ])')
     table, _ = solve_value_iteration(coalition, compiled)
-    pooled = single_controller_view(coalition)
     classical = single_agent_until(
-        pooled, frozenset({0, 1, 2}), frozenset({2}), "max"
+        coalition, frozenset({0, 1, 2}), frozenset({2}), "max"
     )
     for s in range(4):
         assert table.at_state(s)[0] == pytest.approx(classical[s], abs=1e-6)
@@ -348,10 +369,9 @@ def test_reach_reward_single_coalition_matches_classical():
     model = chain_csg()
     coalition, compiled = compile_for(model, '<<p1>>min=? (R{"steps"}[ F "goal" ])')
     table, _ = solve_value_iteration(coalition, compiled)
-    pooled = single_controller_view(coalition)
     rewards = np.array([1.0, 1.0, 0.0])
     classical = single_agent_reach_reward(
-        pooled, frozenset({2}), rewards, lambda s, k: 0.0, "min"
+        coalition, frozenset({2}), rewards, lambda s, joint: 0.0, "min"
     )
     for s in range(3):
         assert table.at_state(s)[0] == pytest.approx(classical[s], abs=1e-6)
@@ -569,9 +589,9 @@ def stage_solves(monkeypatch):
     calls = []
     solve = engine.swne
 
-    def counting(game, cfg=None):
+    def counting(game):
         calls.append(game.shape)
-        return solve(game, cfg)
+        return solve(game)
 
     monkeypatch.setattr(engine, "swne", counting)
     return calls

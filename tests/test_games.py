@@ -10,7 +10,6 @@ from csgnash.games import (
     NormalFormGame,
     RewardStructure,
     build_coalition_game,
-    single_controller_view,
     validate_csg,
 )
 
@@ -227,14 +226,13 @@ def test_partition_validation_errors():
 
 
 # ---------------------------------------------------------------------------
-# Single-controller view
+# Enabled joint actions
 
 
 def test_single_controller_counts():
     model = two_coalition_goal_csg()
-    pooled = single_controller_view(model)
-    assert pooled.n_choices(0) == 2
-    assert pooled.n_choices(1) == 1
+    assert len(model.enabled_joints(0)) == 2
+    assert len(model.enabled_joints(1)) == 1
 
     two_by_two = Csg(
         players=("p1", "p2"),
@@ -247,7 +245,7 @@ def test_single_controller_counts():
         },
         labels=(frozenset(),),
     )
-    assert single_controller_view(two_by_two).n_choices(0) == 4
+    assert len(two_by_two.enabled_joints(0)) == 4
 
 
 def test_mixed_profile_validation():

@@ -473,6 +473,18 @@ def test_cli_generate_rejects_a_bad_set(tmp_path, capsys, pair):
     assert not out_file.exists()
 
 
+def test_cli_generate_reports_a_builder_error_in_one_line(tmp_path, capsys):
+    out_file = tmp_path / "model.json"
+    code, _ = run_cli(
+        "generate", "secret-sharing", "-o", str(out_file), "--set", "variant=xyz"
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: variant must be three of r/a/b, e.g. 'raa'\n"
+    )
+    assert not out_file.exists()
+
+
 def test_cli_entry_point_via_subprocess():
     # The console entry point works end to end in a fresh interpreter.
     result = subprocess.run(

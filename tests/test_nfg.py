@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from csgnash.games import MixedProfile, NormalFormGame
 from csgnash.nfg_solve import (
-    SolverConfig,
     Support,
     _contract_tensor,
     _DescentProblem,
@@ -531,40 +530,22 @@ def test_per_player_translation_shifts_values():
         assert shifted.support.sets == base.support.sets
 
 
-def test_strict_mode_flags_inconclusive():
-    # Constructing a genuinely inconclusive support is hard; instead check
-    # the plumbing: strict mode with zero iterations forces the flag on a
-    # support that needs descent.
-    table = {
-        j: tuple(1 if j[i] == j[(i + 1) % 3] else 0 for i in range(3))
-        for j in itertools.product((0, 1), repeat=3)
-    }
-    game = NormalFormGame([("h", "t")] * 3, table)
-    cfg = SolverConfig(max_iters=1, multistarts=1)
-    out = solve_support(game, Support(((0, 1), (0, 1), (0, 1))), cfg)
-    assert out.status in ("candidate", "inconclusive")
+def test_starved_descent_reports_inconclusive_supports(monkeypatch):
+    # A tied game starved of descent iterations leaves capped supports.
+    # The search still returns an equilibrium and counts the supports it
+    # could not decide, so a caller that wants strictness reads the count.
+    from csgnash import nfg_solve
 
-
-def test_strict_mode_fails_whole_query_on_inconclusive():
-    # A larger tied game starved of iterations leaves capped supports; in
-    # strict mode the whole search fails loudly instead of silently
-    # treating them as infeasible.
+    monkeypatch.setattr(nfg_solve, "MAX_ITERS", 1)
+    monkeypatch.setattr(nfg_solve, "MULTISTARTS", 1)
     rng = random.Random(1)
     table = {
         j: tuple(rng.randint(0, 12) for _ in range(3))
         for j in itertools.product(range(3), repeat=3)
     }
-    game = NormalFormGame([("a", "b", "c")] * 3, table)
-    cfg = SolverConfig(max_iters=1, multistarts=1, strict_inconclusive=True)
-    from csgnash.nfg_solve import NoEquilibriumError
-
-    try:
-        result = swne(game, cfg)
-        # If every support still resolved, the plumbing has nothing to
-        # flag; the non-strict run must then agree.
-        assert result.inconclusive == 0
-    except NoEquilibriumError as err:
-        assert "strict" in str(err)
+    result = swne(NormalFormGame([("a", "b", "c")] * 3, table))
+    assert result.inconclusive > 0
+    assert np.all(result.regrets <= 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +629,7 @@ def test_single_chooser_picks_match_per_game_solver(games):
         # Pad by repeating the last action, as the engine does.
         block[r] = cells[[min(a, len(cells) - 1) for a in range(k_max)]]
         chooser[r] = int(np.argmax(table.shape[:-1]))
-    tol = SolverConfig().welfare_tol
+    tol = nfg_solve.WELFARE_TOL
     for solve, picks in (
         (swne, single_chooser_picks(block, chooser, tol)),
         (scne, single_chooser_picks(-block, chooser, tol)),
@@ -662,7 +643,7 @@ def test_single_chooser_picks_match_per_game_solver(games):
             # The general search, without the fast path, picks the same
             # action.
             no_fast_path = mock.patch.object(
-                nfg_solve, "_single_chooser_fast_path", lambda g, c: None
+                nfg_solve, "_single_chooser_fast_path", lambda g: None
             )
             with no_fast_path:
                 general = solve(game)

@@ -13,7 +13,7 @@ import csgnash
 from csgnash import engine, strategies
 from csgnash.engine import check_nash_formula
 from csgnash.formulas import parse_formula
-from csgnash.games import Csg, RewardStructure, single_controller_view
+from csgnash.games import Csg, RewardStructure
 from csgnash.modelio import load_model
 from csgnash.objectives import EMPTY
 from csgnash.oracle import single_agent_reach_reward, single_agent_until
@@ -217,19 +217,17 @@ def test_policy_iteration_from_wrong_profile_matches_classical(
         result.coalition_game, strategy, 0, result.compiled
     )
     assert len(solves) >= 3  # two improving rounds, then the check
-    pooled = single_controller_view(result.coalition_game)
     if reward_kind:
-        pay = model.rewards["pay"]
         classical = single_agent_reach_reward(
-            pooled,
+            result.coalition_game,
             frozenset({2, 3}),
             np.zeros(4),
-            lambda s, k: pay.action_reward(s, pooled.choices[s][k][0]),
+            model.rewards["pay"].action_reward,
             opt,
         )
     else:
         classical = single_agent_until(
-            pooled, frozenset({0, 1, 2}), frozenset({2}), opt
+            result.coalition_game, frozenset({0, 1, 2}), frozenset({2}), opt
         )
     for s in (0, 1):
         assert responses[(s, (EMPTY, EMPTY))] == pytest.approx(classical[s], abs=1e-9)
