@@ -91,6 +91,8 @@ def cmd_check(args) -> int:
         print(" ".join(parts))
     if result.iterations:
         print(f"iterations {result.iterations}")
+    if result.inconclusive:
+        print(f"inconclusive-supports {result.inconclusive}")
     if args.certify:
         cert = certify_epsilon(
             result.coalition_game, result.strategy, result.compiled

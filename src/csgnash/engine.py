@@ -122,6 +122,8 @@ class ValueTable:
     iterations: int = 0
     converged: bool = True
     residual: float = 0.0
+    # Supports the stage solves left undecided (see `EquilibriumResult`).
+    inconclusive: int = 0
 
     def at_state(self, state: int) -> np.ndarray:
         return self.entries[(state, self.initial_mode[state])]
@@ -142,13 +144,16 @@ class _StageSolver:
     every sweep, keeping what the current and the previous sweep made or
     used, so memory stays proportional to the undecided pairs however many
     sweeps run. Solutions are shared between lookups and therefore
-    read-only.
+    read-only. `inconclusive` sums the inconclusive supports of every
+    solve (cache miss), so a table solved again after it was dropped
+    counts again.
     """
 
     def __init__(self, opt: str):
         self.opt = opt
         self.current: dict[tuple, _StageSolution] = {}
         self.previous: dict[tuple, _StageSolution] = {}
+        self.inconclusive = 0
 
     def solve(
         self, utilities: np.ndarray, names: tuple[tuple[str, ...], ...]
@@ -162,6 +167,7 @@ class _StageSolver:
                 # wraps them sees every solve.
                 game = NormalFormGame(names, utilities)
                 result = swne(game) if self.opt == "max" else scne(game)
+                self.inconclusive += result.inconclusive
                 hit = (result.values, result.profile.probs)
                 for arr in (hit[0], *hit[1]):
                     arr.setflags(write=False)
@@ -251,7 +257,10 @@ def solve_finite_horizon(
         choice_names=dict(enumerate(core.choice_names)),
         core=core,
     )
-    return ValueTable(entries=entries, initial_mode=initial_mode), strategy
+    table = ValueTable(
+        entries=entries, initial_mode=initial_mode, inconclusive=stages.inconclusive
+    )
+    return table, strategy
 
 
 def _first_actions(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
@@ -446,6 +455,7 @@ def solve_value_iteration(
         iterations=iterations,
         converged=True,
         residual=residual,
+        inconclusive=stages.inconclusive,
     )
     return table, strategy
 
@@ -468,6 +478,13 @@ class CheckResult:
     @property
     def iterations(self) -> int:
         return self.table.iterations
+
+    @property
+    def inconclusive(self) -> int:
+        """Inconclusive supports summed over the check's stage solves
+        (nested formulas not included). When it is 0, every support of
+        every stage game solved was decided."""
+        return self.table.inconclusive
 
 
 def _compare(total: float, comparator: str, threshold: Fraction) -> bool:

@@ -9,9 +9,18 @@ one maximising the sum of utilities (social welfare) is returned; the
 social-cost variant negates the game first.
 
 Supports whose feasible profiles are not pinned down by linear algebra or
-a closed form are handled on the product of probability simplices by
-multistart damped Gauss-Newton on the indifference equalities, with
-penalty descent as the fallback for degenerate geometries.
+a closed form first meet a linear relaxation: one LP over distributions on
+the support's cells, which every equilibrium with that support satisfies.
+An infeasible relaxation proves the support has no equilibrium, and its
+optimum bounds the support's welfare. Supports that survive are handled
+on the product of probability simplices by multistart damped Gauss-Newton
+on the indifference equalities, with penalty descent as the fallback for
+degenerate geometries.
+
+The search keeps a running bar, the best welfare of the candidates found
+so far in canonical order, and skips any support whose cell-welfare bound
+or relaxation bound does not exceed it: such a support's candidate could
+neither be the maximum nor precede the earlier one among ties.
 """
 
 from __future__ import annotations
@@ -47,6 +56,9 @@ WELFARE_TOL = 1e-6
 MIN_SUPPORT_PROB = 1e-6
 MULTISTARTS = 6
 MAX_ITERS = 150
+# A relaxation bound is trusted up to this margin, in normalised welfare:
+# ten times HiGHS's default feasibility and optimality tolerances.
+RELAXATION_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -302,7 +314,7 @@ def presolve_support(game: NormalFormGame, support: Support) -> bool:
 
 @dataclass
 class SupportSolution:
-    status: str  # "candidate" | "infeasible" | "inconclusive"
+    status: str  # "candidate" | "infeasible" | "inconclusive" | "pruned"
     candidate: EquilibriumCandidate | None = None
 
 
@@ -642,6 +654,63 @@ def _max_violation(
     return worst
 
 
+def relaxation_bound(norm: np.ndarray, support: Support) -> float:
+    """Upper bound on the normalised welfare of any equilibrium with this
+    support, from one linear program.
+
+    The variable is a distribution x over the support's cells rather than
+    a product of per-player blocks. Player i's switch values depend on x
+    only through its marginal over the other players, linearly, so the
+    indifference (|gap| <= FEASIBILITY_TOL) and no-deviation (gain <=
+    FEASIBILITY_TOL) conditions are linear rows, and each support action's
+    marginal is at least MIN_SUPPORT_PROB less 1e-12. The product of any
+    blocks descent accepts is feasible here, so the program is a
+    relaxation. With two players the product of a feasible x's marginals
+    is feasible too, so there the feasibility test is exact.
+
+    Returns -inf when HiGHS proves the program infeasible (no equilibrium
+    has this support), the welfare optimum when it solves it, and +inf on
+    any other outcome (no information).
+    """
+    shape = tuple(len(s) for s in support.sets)
+    cells = np.indices(shape).reshape(len(shape), -1)
+    gaps, gains, marginals = [], [], []
+    for i, own in enumerate(support.sets):
+        # switch[a] is action a's utility against the others' marginal of
+        # x, as a row over the cells: it reads the table at each cell's
+        # other coordinates.
+        table = np.moveaxis(_restricted(norm, support, i), i, 0)
+        switch = table[(slice(None),) + tuple(np.delete(cells, i, axis=0))]
+        pivot = switch[own[0]]
+        gaps.append(pivot - switch[list(own[1:])])
+        gains.append(np.delete(switch, own, axis=0) - pivot)
+        marginals.append(cells[i] == np.arange(len(own))[:, None])
+    gaps_arr, gains_arr = np.vstack(gaps), np.vstack(gains)
+    marg_arr = np.vstack(marginals).astype(np.float64)
+    a_ub = np.vstack([gaps_arr, -gaps_arr, gains_arr, -marg_arr])
+    b_ub = np.concatenate(
+        [
+            np.full(2 * len(gaps_arr) + len(gains_arr), FEASIBILITY_TOL),
+            np.full(len(marg_arr), 1e-12 - MIN_SUPPORT_PROB),
+        ]
+    )
+    welfare = _support_block(norm, support).sum(axis=-1).ravel()
+    res = linprog(
+        -welfare,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=np.ones((1, welfare.size)),
+        b_eq=np.array([1.0]),
+        bounds=(0.0, None),
+        method="highs",
+    )
+    if res.status == 2:
+        return -np.inf
+    if res.status != 0:
+        return np.inf
+    return float(-res.fun)
+
+
 def _project_simplex(v: np.ndarray, lo: float) -> np.ndarray:
     """Euclidean projection onto {p : p >= lo, sum p = 1}."""
     k = v.size
@@ -890,13 +959,21 @@ def _solve_descent(
     return SupportSolution("inconclusive" if capped else "infeasible")
 
 
-def solve_support(game: NormalFormGame, support: Support) -> SupportSolution:
+def solve_support(
+    game: NormalFormGame, support: Support, *, bar: float = -np.inf
+) -> SupportSolution:
     """Search the given support for an equilibrium, welfare-optimal there.
 
     Pure supports are checked exactly; supports with one or two mixing
-    players reduce to linear algebra; the rest go through penalty descent.
-    The returned status separates proven infeasibility from iteration-cap
-    "inconclusive" outcomes.
+    players reduce to linear algebra, and three binary mixers to a
+    quadratic. Whatever those leave (more mixers, rank-deficient or
+    degenerate systems) meets the linear relaxation (`relaxation_bound`),
+    which proves most such supports infeasible; the rest go through
+    penalty descent. The returned status separates proven infeasibility
+    from iteration-cap "inconclusive" outcomes. `bar` is `swne`'s running
+    bar in normalised welfare: a support whose relaxation bound plus
+    RELAXATION_MARGIN does not exceed it comes back "pruned", without
+    descent.
     """
     if support.is_pure:
         return _solve_pure(game, support)
@@ -912,6 +989,11 @@ def solve_support(game: NormalFormGame, support: Support) -> SupportSolution:
         out = _solve_three_binary_mixers(game, support, norm)
         if out is not None:
             return out
+    bound = relaxation_bound(norm, support)
+    if bound == -np.inf:
+        return SupportSolution("infeasible")
+    if bound + RELAXATION_MARGIN <= bar:
+        return SupportSolution("pruned")
     return _solve_descent(game, support, norm)
 
 
@@ -985,8 +1067,12 @@ def swne(game: NormalFormGame) -> EquilibriumResult:
     enumerated in canonical order, pruned by the presolve filter and
     solved; the maximal-welfare candidate wins, with ties inside the
     welfare tolerance broken by canonical support order and then by
-    lexicographic profile order. Raises NoEquilibriumError when nothing is
-    found, which indicates solver failure rather than a game property.
+    lexicographic profile order. A mixed support is skipped when its best
+    cell welfare, or its relaxation bound less RELAXATION_MARGIN, does not
+    exceed the running bar (the best welfare found so far), since its
+    candidate could not change the winner. Raises NoEquilibriumError when
+    nothing is found, which indicates solver failure rather than a game
+    property. `inconclusive` counts the supports descent could not decide.
     """
     fast = _single_chooser_fast_path(game)
     if fast is not None:
@@ -1019,17 +1105,36 @@ def swne(game: NormalFormGame) -> EquilibriumResult:
                 best_pure = max(best_pure, outcome.candidate.welfare)
         else:
             mixed_todo.append((idx, support))
+    # Phase 2 keeps a running bar: the best welfare of the candidates so
+    # far, all canonically earlier, in original and (once a support needs
+    # it) normalised units. A support whose cell-welfare bound or
+    # relaxation bound does not exceed it would yield a candidate no better
+    # than an earlier one, which then wins the maximum or the tie order; so
+    # skipping it changes no answer.
+    def normalised(cand: EquilibriumCandidate) -> float:
+        welfare = reduced.normalised_utilities().sum(axis=-1)
+        return float(_contract_tensor(welfare, cand.profile.probs))
+
+    best = best_pure
+    best_norm = None
     for idx, support in mixed_todo:
         upper = float(cell_welfare[np.ix_(*support.sets)].max())
-        if upper <= best_pure + WELFARE_TOL:
+        if upper <= best_pure + WELFARE_TOL or upper <= best:
             pruned += 1
             continue
-        outcome = solve_support(reduced, support)
+        if best_norm is None:
+            best_norm = max(map(normalised, candidates), default=-np.inf)
+        outcome = solve_support(reduced, support, bar=best_norm)
         if outcome.status == "candidate":
-            outcome.candidate.support_index = idx
-            candidates.append(outcome.candidate)
+            cand = outcome.candidate
+            cand.support_index = idx
+            candidates.append(cand)
+            best = max(best, cand.welfare)
+            best_norm = max(best_norm, normalised(cand))
         elif outcome.status == "inconclusive":
             inconclusive += 1
+        elif outcome.status == "pruned":
+            pruned += 1
     if not candidates:
         raise NoEquilibriumError("no equilibrium found: solver failure")
     best_welfare = max(c.welfare for c in candidates)

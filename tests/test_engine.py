@@ -613,6 +613,34 @@ def test_value_iteration_solves_repeated_stages_once(stage_solves):
     assert 0 < len(stage_solves) <= 11
 
 
+@pytest.mark.parametrize(
+    "name,params,prop",
+    [
+        ("medium_access3.json", {}, _sum_prop('R{"mes#"}[C<=6]')),
+        ("secret_sharing_rrr_rmax5.json", {"alpha": 0.5}, UTIL_PROP),
+    ],
+)
+def test_check_result_sums_inconclusive_supports(monkeypatch, name, params, prop):
+    # Every stage solve (cache miss) reports two undecided supports, in
+    # backward induction and in value iteration alike.
+    from dataclasses import replace
+
+    from csgnash import engine
+
+    solves = []
+    solve = engine.swne
+
+    def undecided(game):
+        solves.append(game.shape)
+        return replace(solve(game), inconclusive=2)
+
+    assert _check_bundled(name, params, prop).inconclusive == 0
+    monkeypatch.setattr(engine, "swne", undecided)
+    result = _check_bundled(name, params, prop)
+    assert solves
+    assert result.inconclusive == 2 * len(solves)
+
+
 def test_stage_solver_generations(stage_solves):
     from csgnash.engine import _StageSolver
 

@@ -222,6 +222,32 @@ def test_cli_check_public_good_zero_sum():
     assert "sum 0" in out
 
 
+def test_cli_check_prints_inconclusive_supports_only_when_some(monkeypatch):
+    from dataclasses import replace
+
+    from csgnash import engine
+
+    argv = (
+        "check",
+        str(MODELS / "medium_access3.json"),
+        "--prop",
+        '<<usr1:usr2:usr3>>max=? (R{"mes1"}[C<=6] + R{"mes2"}[C<=6] + R{"mes3"}[C<=6])',
+    )
+    code, plain = run_cli(*argv)
+    assert code == 0 and "inconclusive" not in plain
+    solves = []
+    solve = engine.swne
+
+    def undecided(game):
+        solves.append(game.shape)
+        return replace(solve(game), inconclusive=1)
+
+    monkeypatch.setattr(engine, "swne", undecided)
+    code, out = run_cli(*argv)
+    assert code == 0
+    assert out == plain + f"inconclusive-supports {len(solves)}\n"
+
+
 def test_cli_check_threshold_exit_codes():
     prop = '<<usr1:usr2:usr3>>max>=3 (P[ F "done" ] + P[ F "done" ] + P[ F "done" ])'
     code, out = run_cli(

@@ -4,17 +4,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from csgnash.games import MixedProfile, NormalFormGame
 from csgnash.nfg_solve import (
+    RELAXATION_MARGIN,
     Support,
     _contract_tensor,
     _DescentProblem,
     _bilinear_gap_coeffs,
     _project_simplex,
     _restricted,
+    _solve_descent,
     _switch_on_support,
     check_pure_profile,
     enumerate_supports,
@@ -22,6 +24,7 @@ from csgnash.nfg_solve import (
     filter_dominated,
     presolve_support,
     regret,
+    relaxation_bound,
     scne,
     single_chooser_picks,
     solve_support,
@@ -230,11 +233,12 @@ def test_bilinear_gap_coeffs_equal_corner_contractions(case):
 
 
 def test_swne_pins_criterion_9_welfare():
-    # Welfare and inconclusive count as computed by the tensordot kernel
-    # that preceded the matmul one.
+    # Welfare as computed by the tensordot kernel that preceded the matmul
+    # one. That kernel left 6 supports inconclusive; the relaxation
+    # decides all of them.
     result = swne(hard_333_game())
     assert result.welfare == pytest.approx(25.089285714285715, abs=1e-9)
-    assert result.inconclusive <= 6
+    assert result.inconclusive == 0
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +377,19 @@ def test_solve_support_matching_pennies_analytic(pennies):
     assert np.allclose(cand.profile.probs[0], [0.5, 0.5], atol=1e-9)
     assert np.allclose(cand.profile.probs[1], [0.5, 0.5], atol=1e-9)
     assert np.allclose(cand.values, [0.5, 0.5, 0.0], atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "sets", [((1, 2), (1,), (0, 1, 2)), ((0, 1, 2), (1,), (0, 1))]
+)
+def test_relaxation_refutes_rank_deficient_two_mixer_supports(sets):
+    # Two mixers whose stacked indifference conditions are inconsistent:
+    # the closed form gives up on them and descent used to run to its
+    # cap ("inconclusive"); the relaxation proves them infeasible.
+    game = hard_333_game()
+    support = Support(sets)
+    assert relaxation_bound(game.normalised_utilities(), support) == -np.inf
+    assert solve_support(game, support).status == "infeasible"
 
 
 def test_solve_support_three_mixers_descent():
@@ -530,22 +547,177 @@ def test_per_player_translation_shifts_values():
         assert shifted.support.sets == base.support.sets
 
 
+def _no_pure_game(rng, shape):
+    """Integer utilities 0..12 drawn cell by cell in joint-action order,
+    redrawn until the game has no pure equilibrium: the benchmark corpus's
+    games, whose mixed supports all reach the solver."""
+    while True:
+        game = _random_game(rng, shape, 0, 12)
+        if not brute_force_pure_ne(game).pure_equilibria:
+            return game
+
+
+def _corpus_game(shape, k):
+    """Game k of the benchmark corpus for `shape`."""
+    rng = random.Random("corpus:" + "x".join(map(str, shape)))
+    for _ in range(k):
+        _no_pure_game(rng, shape)
+    return _no_pure_game(rng, shape)
+
+
 def test_starved_descent_reports_inconclusive_supports(monkeypatch):
-    # A tied game starved of descent iterations leaves capped supports.
-    # The search still returns an equilibrium and counts the supports it
-    # could not decide, so a caller that wants strictness reads the count.
+    # A game starved of descent iterations leaves capped supports. The
+    # search still returns an equilibrium and counts the supports it could
+    # not decide, so a caller that wants strictness reads the count. This
+    # game has a support that passes the relaxation and reaches descent.
     from csgnash import nfg_solve
 
     monkeypatch.setattr(nfg_solve, "MAX_ITERS", 1)
     monkeypatch.setattr(nfg_solve, "MULTISTARTS", 1)
-    rng = random.Random(1)
-    table = {
-        j: tuple(rng.randint(0, 12) for _ in range(3))
-        for j in itertools.product(range(3), repeat=3)
-    }
-    result = swne(NormalFormGame([("a", "b", "c")] * 3, table))
+    result = swne(_corpus_game((2, 2, 3), 1))
     assert result.inconclusive > 0
     assert np.all(result.regrets <= 1e-6)
+
+
+@st.composite
+def small_supports(draw):
+    """A small integer game (2-4 players, 2-3 actions) and one of its
+    supports with at least two mixers. Narrow utility ranges, down to an
+    indifferent player, make ties, degenerate supports and equilibria on
+    the drawn support likely."""
+    shape = tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=4)))
+    n = len(shape)
+    his = draw(st.lists(st.sampled_from([0, 1, 3, 12]), min_size=n, max_size=n))
+    count = int(np.prod(shape))
+    columns = [
+        draw(st.lists(st.integers(0, hi), min_size=count, max_size=count)) for hi in his
+    ]
+    table = np.array(columns, dtype=np.float64).T.reshape(shape + (n,))
+    game = NormalFormGame([("a",) * c for c in shape], table)
+    sets = []
+    for c in shape:
+        mask = draw(st.integers(1, (1 << c) - 1))
+        sets.append(tuple(a for a in range(c) if mask >> a & 1))
+    assume(sum(len(s) > 1 for s in sets) >= 2)
+    return game, Support(tuple(sets))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(small_supports())
+def test_relaxation_never_refutes_or_undercuts_a_descent_candidate(case):
+    game, support = case
+    norm = game.normalised_utilities()
+    bound = relaxation_bound(norm, support)
+    out = _solve_descent(game, support, norm)
+    if bound == -np.inf:
+        assert out.status != "candidate"
+    if out.status == "candidate":
+        welfare = norm.sum(axis=-1)
+        reached = float(_contract_tensor(welfare, out.candidate.profile.probs))
+        assert reached <= bound + RELAXATION_MARGIN
+
+
+@st.composite
+def planted_equilibria(draw):
+    """A small game with an equilibrium planted on a drawn support: random
+    utilities, then a constant per (player, action) added so that every
+    in-support action earns the same against the drawn profile and every
+    other action earns less."""
+    shape = tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=4)))
+    n = len(shape)
+    count = int(np.prod(shape))
+    cells = draw(st.lists(st.integers(0, 12), min_size=count * n, max_size=count * n))
+    table = np.array(cells, dtype=np.float64).reshape(shape + (n,))
+    sets, probs = [], []
+    for c in shape:
+        mask = draw(st.integers(1, (1 << c) - 1))
+        own = tuple(a for a in range(c) if mask >> a & 1)
+        weights = np.zeros(c)
+        weights[list(own)] = draw(
+            st.lists(st.integers(1, 5), min_size=len(own), max_size=len(own))
+        )
+        sets.append(own)
+        probs.append(weights / weights.sum())
+    for i in range(n):
+        switch = _contract_tensor(table[..., i], probs, keep=(i,))
+        lift = switch.max() - switch
+        outside = np.ones(shape[i], dtype=bool)
+        outside[list(sets[i])] = False
+        lift[outside] -= draw(st.sampled_from([0.0, 0.5]))
+        shaped = [1] * n
+        shaped[i] = shape[i]
+        table[..., i] += lift.reshape(shaped)
+    game = NormalFormGame([("a",) * c for c in shape], table)
+    return game, Support(tuple(sets)), MixedProfile(probs)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(planted_equilibria())
+def test_relaxation_admits_and_bounds_a_planted_equilibrium(case):
+    game, support, profile = case
+    assert max(regret(game, profile, i) for i in range(game.n_players)) <= 1e-9
+    norm = game.normalised_utilities()
+    reached = float(_contract_tensor(norm.sum(axis=-1), profile.probs))
+    assert reached <= relaxation_bound(norm, support) + RELAXATION_MARGIN
+
+
+def _same_answer(got, want):
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.support == want.support
+    for p, q in zip(got.profile.probs, want.profile.probs):
+        assert p.tobytes() == q.tobytes()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([(3, 3), (2, 2, 2), (2, 2, 3), (2, 3, 3), (2, 2, 2, 2)]),
+    st.integers(0, 2**32),
+)
+def test_relaxation_changes_no_answer(shape, seed):
+    from unittest import mock
+
+    from csgnash import nfg_solve
+
+    game = _no_pure_game(random.Random(seed), shape)
+    uninformed = mock.patch.object(
+        nfg_solve, "relaxation_bound", lambda norm, support: np.inf
+    )
+    for solve in (swne, scne):
+        got = solve(game)
+        with uninformed:
+            want = solve(game)
+        _same_answer(got, want)
+        assert got.inconclusive <= want.inconclusive
+
+
+def descent_won_game() -> NormalFormGame:
+    """A (2,2,2,2) game whose welfare-optimal equilibrium has full
+    support, so descent finds it after a pure equilibrium set the bar."""
+    cells = [
+        1, 9, 1, 6, 6, 8, 9, 6, 3, 10, 0, 12, 5, 8, 5, 10, 4, 1, 10, 7, 9, 2,
+        6, 7, 10, 11, 9, 7, 3, 5, 9, 3, 1, 6, 2, 4, 12, 3, 1, 11, 8, 0, 7, 12,
+        3, 12, 11, 11, 3, 12, 4, 3, 8, 12, 11, 4, 11, 12, 0, 11, 11, 9, 11, 0,
+    ]
+    table = np.array(cells, dtype=np.float64).reshape(2, 2, 2, 2, 4)
+    return NormalFormGame([("a", "b")] * 4, table)
+
+
+@pytest.mark.parametrize("make", [hard_333_game, descent_won_game])
+def test_relaxation_changes_no_answer_on_pinned_games(monkeypatch, make):
+    from csgnash import nfg_solve
+
+    game = make()
+    got = swne(game)
+    monkeypatch.setattr(nfg_solve, "relaxation_bound", lambda norm, support: np.inf)
+    _same_answer(got, swne(game))
+
+
+def test_descent_still_wins_above_the_bar():
+    # The game's best pure equilibrium has welfare 17, so the bar is 17
+    # when the full support comes up.
+    result = swne(descent_won_game())
+    assert result.support.sets == ((0, 1),) * 4
+    assert result.welfare == pytest.approx(25.828057, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
