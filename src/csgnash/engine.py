@@ -120,8 +120,6 @@ class ValueTable:
     entries: dict[tuple[int, Mode], np.ndarray]
     initial_mode: dict[int, Mode]
     iterations: int = 0
-    converged: bool = True
-    residual: float = 0.0
     # Supports the stage solves left undecided (see `EquilibriumResult`).
     inconclusive: int = 0
 
@@ -453,8 +451,6 @@ def solve_value_iteration(
         entries=entries,
         initial_mode=initial_mode,
         iterations=iterations,
-        converged=True,
-        residual=residual,
         inconclusive=stages.inconclusive,
     )
     return table, strategy

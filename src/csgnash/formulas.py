@@ -177,6 +177,13 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _fraction(tok: _Token) -> Fraction:
+    try:
+        return Fraction(tok.text)
+    except ValueError:
+        raise FormulaError(f"malformed number {tok.text!r}", tok.pos) from None
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -296,13 +303,16 @@ class _Parser:
         tok = self.next()
         if tok.kind != "number":
             raise FormulaError(f"expected number, found {tok.text!r}", tok.pos)
-        value = Fraction(tok.text)
+        value = _fraction(tok)
         if self.at("/"):
             self.next()
             denom = self.next()
             if denom.kind != "number":
                 raise FormulaError("expected denominator", denom.pos)
-            value = value / Fraction(denom.text)
+            divisor = _fraction(denom)
+            if divisor == 0:
+                raise FormulaError("division by zero", denom.pos)
+            value = value / divisor
         return sign * value
 
     def parse_nat(self) -> int:

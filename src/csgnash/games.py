@@ -177,9 +177,6 @@ class MixedProfile:
     def support(self, player: int) -> tuple[int, ...]:
         return tuple(int(a) for a in np.nonzero(self.probs[player] > 0)[0])
 
-    def supports(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.support(i) for i in range(len(self.probs)))
-
     def __iter__(self):
         return iter(self.probs)
 
@@ -243,9 +240,6 @@ class Csg:
                 *(self.choices(state, i) for i in range(self.n_players))
             )
         ]
-
-    def successors(self, state: int, joint: Joint) -> Mapping[int, float]:
-        return self.transitions[(state, tuple(joint))]
 
     def action_name(self, player: int, action: int) -> str:
         return "~" if action == IDLE else self.actions[player][action]

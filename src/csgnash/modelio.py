@@ -229,12 +229,27 @@ def model_params(path) -> dict[str, float]:
 
 
 def _parse_value(text: str):
-    if "/" in text:
-        return Fraction(text)
+    """A utility: exact for an integer or a fraction a/b, else a float;
+    ModelError unless it is a finite real number."""
+    for parse in (Fraction,) if "/" in text else (int, float):
+        try:
+            value = parse(text)
+        except (ValueError, ZeroDivisionError):
+            continue
+        _finite(value, f"utility {text!r}")
+        return value
+    raise ModelError(f"utility {text!r} is not a number")
+
+
+def _count_field(parts: list[str], line: str) -> int:
+    """The second field of a split line as a positive integer."""
     try:
-        return int(text)
-    except ValueError:
-        return float(text)
+        count = int(parts[1])
+    except (IndexError, ValueError):
+        count = 0
+    if count < 1:
+        raise ModelError(f"expected a positive integer after {parts[0]!r}: {line!r}")
+    return count
 
 
 def load_nfg(path) -> NormalFormGame:
@@ -250,16 +265,16 @@ def load_nfg(path) -> NormalFormGame:
             for line in fh
             if line.strip() and not line.strip().startswith("#")
         ]
-    if not lines or not lines[0].startswith("players"):
+    if not lines or lines[0].split()[0] != "players":
         raise ModelError("matrix game file must start with a players line")
-    n = int(lines[0].split()[1])
+    n = _count_field(lines[0].split(), lines[0])
     names: list[tuple[str, ...] | None] = [None] * n
     rows = []
     for line in lines[1:]:
         parts = line.split()
         if parts[0] == "actions":
-            idx = int(parts[1]) - 1
-            if not (0 <= idx < n):
+            idx = _count_field(parts, line) - 1
+            if idx >= n:
                 raise ModelError(f"player index out of range: {line!r}")
             names[idx] = tuple(parts[2:])
         elif parts[0] == "u":

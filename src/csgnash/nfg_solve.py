@@ -15,11 +15,15 @@ An infeasible relaxation proves the support has no equilibrium, and its
 optimum bounds the support's welfare. Supports that survive are handled
 on the product of probability simplices by multistart damped Gauss-Newton
 on the indifference equalities, with penalty descent as the fallback for
-degenerate geometries.
+degenerate geometries. Descent proves nothing when it finds no point, so
+such a support is reported "inconclusive", never "infeasible".
 
-The search keeps a running bar, the best welfare of the candidates found
-so far in canonical order, and skips any support whose cell-welfare bound
-or relaxation bound does not exceed it: such a support's candidate could
+The search is one pass over the supports in canonical order, pure ones
+first. It keeps a running bar, the best welfare of the candidates found
+so far, and a mixed support meets the cheap sound skips before any
+solving: its cell-welfare bound against the bar, then presolve's
+dominance test, then (for supports no closed form decides) the
+relaxation bound against the bar. A skipped support's candidate could
 neither be the maximum nor precede the earlier one among ties.
 """
 
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -88,7 +92,6 @@ class EquilibriumCandidate:
     values: np.ndarray
     welfare: float
     support: Support
-    residual: float
     support_index: int = -1
 
 
@@ -319,7 +322,7 @@ class SupportSolution:
 
 
 def _candidate_from_probs(
-    game: NormalFormGame, support: Support, probs: list[np.ndarray], residual: float
+    game: NormalFormGame, support: Support, probs: Sequence[np.ndarray]
 ) -> EquilibriumCandidate:
     full = []
     for i, p in enumerate(probs):
@@ -339,7 +342,6 @@ def _candidate_from_probs(
         values=values,
         welfare=float(values.sum()),
         support=support,
-        residual=residual,
     )
 
 
@@ -349,7 +351,7 @@ def _solve_pure(game: NormalFormGame, support: Support) -> SupportSolution:
     if not ok:
         return SupportSolution("infeasible")
     probs = [np.array([1.0]) for _ in support.sets]
-    return SupportSolution("candidate", _candidate_from_probs(game, support, probs, 0.0))
+    return SupportSolution("candidate", _candidate_from_probs(game, support, probs))
 
 
 def _solve_one_mixer(
@@ -360,63 +362,37 @@ def _solve_one_mixer(
     n = game.n_players
     mixer = next(i for i in range(n) if len(support.sets[i]) > 1)
     b_m = list(support.sets[mixer])
-    fixed = [support.sets[j][0] for j in range(n)]
-
-    def cell(player_action: int, axis: int) -> Joint:
-        joint = list(fixed)
-        joint[axis] = player_action
-        return tuple(joint)
-
-    def mixer_cell(m_action: int, axis_action: int, axis: int) -> Joint:
-        joint = list(fixed)
-        joint[mixer] = m_action
-        joint[axis] = axis_action
-        return tuple(joint)
-
+    k = len(b_m)
     tol = FEASIBILITY_TOL
     # The mixer faces constant utilities, so indifference and deviation
     # conditions are direct comparisons.
-    mix_utils = [norm[cell(b, mixer) + (mixer,)] for b in b_m]
-    if max(mix_utils) - min(mix_utils) > tol:
+    own = _restricted(norm, support, mixer).reshape(-1)
+    mix_utils = own[b_m]
+    if mix_utils.max() - mix_utils.min() > tol:
         return SupportSolution("infeasible")
-    pivot_util = mix_utils[0]
-    for a in range(game.shape[mixer]):
-        if a in b_m:
-            continue
-        if norm[cell(a, mixer) + (mixer,)] > pivot_util + tol:
-            return SupportSolution("infeasible")
+    outside = [a for a in range(game.shape[mixer]) if a not in b_m]
+    if np.any(own[outside] > mix_utils[0] + tol):
+        return SupportSolution("infeasible")
     # Other players' deviation conditions are linear in the mixer's
-    # probabilities, as is welfare.
-    k = len(b_m)
-    rows = []
-    for j in range(n):
-        if j == mixer:
-            continue
-        b_j = fixed[j]
-        for a in range(game.shape[j]):
-            if a == b_j:
-                continue
-            row = [
-                norm[mixer_cell(b, b_j, j) + (j,)] - norm[mixer_cell(b, a, j) + (j,)]
-                for b in b_m
-            ]
-            rows.append(row)
-    welfare_row = np.array(
-        [sum(norm[cell(b, mixer) + (l,)] for l in range(n)) for b in b_m]
-    )
-    lo = MIN_SUPPORT_PROB
-    if rows:
-        a_ub = -np.array(rows, dtype=np.float64)
-        b_ub = np.full(len(rows), tol)
-    else:
-        a_ub, b_ub = None, None
+    # probabilities, as is welfare (summed player by player). Every other
+    # player plays its single support action, so player j's restricted
+    # table, own axis first, is a matrix: j's actions by the mixer's support.
+    rows = [np.empty((0, k))]
+    for j, b_j in enumerate(support.sets):
+        if j != mixer:
+            table = _restricted(norm, support, j).swapaxes(0, j).reshape(-1, k)
+            others = [a for a in range(len(table)) if a != b_j[0]]
+            rows.append(table[b_j[0]] - table[others])
+    rows = np.concatenate(rows)
+    block = _support_block(norm, support).reshape(k, n)
+    welfare_row = sum(block[:, l] for l in range(n))
     res = linprog(
         -welfare_row,
-        A_ub=a_ub,
-        b_ub=b_ub,
+        A_ub=-rows if len(rows) else None,
+        b_ub=np.full(len(rows), tol) if len(rows) else None,
         A_eq=np.ones((1, k)),
         b_eq=np.array([1.0]),
-        bounds=[(lo, 1.0)] * k,
+        bounds=[(MIN_SUPPORT_PROB, 1.0)] * k,
         method="highs",
     )
     if not res.success:
@@ -425,10 +401,7 @@ def _solve_one_mixer(
         np.asarray(res.x, dtype=np.float64) if j == mixer else np.array([1.0])
         for j in range(n)
     ]
-    residual = float(max(mix_utils) - min(mix_utils))
-    return SupportSolution(
-        "candidate", _candidate_from_probs(game, support, probs, residual)
-    )
+    return SupportSolution("candidate", _candidate_from_probs(game, support, probs))
 
 
 def _restricted(norm: np.ndarray, support: Support, player: int) -> np.ndarray:
@@ -508,14 +481,11 @@ def _solve_two_mixers(
         else:
             probs.append(singles[axis])
     tables = [_restricted(norm, support, m) for m in range(n)]
-    residual = _max_violation(tables, support, probs)
-    if residual > tol:
+    if _max_violation(tables, support, probs) > tol:
         # The indifferent point is unique, so its infeasibility rules the
         # support out entirely.
         return SupportSolution("infeasible")
-    return SupportSolution(
-        "candidate", _candidate_from_probs(game, support, probs, residual)
-    )
+    return SupportSolution("candidate", _candidate_from_probs(game, support, probs))
 
 
 def _bilinear_gap_coeffs(
@@ -624,11 +594,9 @@ def _solve_three_binary_mixers(
         point = (x_i, x_j, x_k)
         if any(not (lo - 1e-12 <= v <= 1.0 - lo + 1e-12) for v in point):
             continue
-        blocks = [b for b in blocks_for(*point)]
-        support_blocks = [blocks[axis] for axis in range(n)]
-        residual = _max_violation(tables, support, support_blocks)
-        if residual <= tol:
-            cand = _candidate_from_probs(game, support, support_blocks, residual)
+        blocks = blocks_for(*point)
+        if _max_violation(tables, support, blocks) <= tol:
+            cand = _candidate_from_probs(game, support, blocks)
             if best is None or cand.welfare > best.welfare:
                 best = cand
     if best is not None:
@@ -782,13 +750,10 @@ class _DescentProblem:
     def _switch(self, blocks, cross) -> list[np.ndarray]:
         return [cross[i, j] @ blocks[j] for i, j in self.switch_pairs]
 
-    def _penalty(self, vecs) -> tuple[float, list[list[float]], float, float]:
-        """Squared-violation penalty, its gradient with respect to each
-        player's switch values, and the worst equality and inequality
-        residuals."""
+    def _penalty(self, vecs) -> tuple[float, list[list[float]]]:
+        """Squared-violation penalty and its gradient with respect to each
+        player's switch values."""
         pen = 0.0
-        eq_worst = 0.0
-        ineq_worst = 0.0
         weights = []
         for i, vec in enumerate(vecs):
             vals = vec.tolist()
@@ -796,19 +761,17 @@ class _DescentProblem:
             pivot = self.pivots[i]
             for b in self.eq_index[i]:
                 g = vals[pivot] - vals[b]
-                eq_worst = max(eq_worst, abs(g))
                 pen += g * g
                 w[pivot] += 2.0 * g
                 w[b] -= 2.0 * g
             for a in self.ineq_index[i]:
                 v = vals[a] - vals[pivot]
-                ineq_worst = max(ineq_worst, v)
                 if v > 0.0:
                     pen += v * v
                     w[a] += 2.0 * v
                     w[pivot] -= 2.0 * v
             weights.append(w)
-        return pen, weights, eq_worst, ineq_worst
+        return pen, weights
 
     def value(self, blocks, mu: float) -> float:
         """Objective value only (for line searches)."""
@@ -816,11 +779,11 @@ class _DescentProblem:
         welfare = float(_contract_tensor(self.welfare_table, blocks))
         return -welfare + mu * self._penalty(vecs)[0]
 
-    def evaluate(self, blocks, mu: float) -> tuple[float, np.ndarray, float, float]:
-        """Objective value, packed gradient, and residual magnitudes."""
+    def evaluate(self, blocks, mu: float) -> tuple[float, np.ndarray]:
+        """Objective value and packed gradient."""
         cross = self._cross(blocks, self.all_pairs)
         vecs = self._switch(blocks, cross)
-        pen, weights, eq_worst, ineq_worst = self._penalty(vecs)
+        pen, weights = self._penalty(vecs)
         grad_w = [
             _contract_tensor(self.welfare_table, blocks, keep=(i,))
             for i in range(self.n)
@@ -831,7 +794,7 @@ class _DescentProblem:
             grad_pen[j] += np.asarray(weights[i]) @ mat
         f = -welfare + mu * pen
         grad = self.pack([-gw + mu * gp for gw, gp in zip(grad_w, grad_pen)])
-        return f, grad, eq_worst, ineq_worst
+        return f, grad
 
     def _gaps(self, vecs) -> np.ndarray:
         return np.concatenate(
@@ -903,9 +866,10 @@ def _solve_descent(
 
     def try_accept(x: np.ndarray) -> EquilibriumCandidate | None:
         blocks = problem.unpack(x)
-        residual = _max_violation(problem.tables, support, blocks)
-        if residual <= tol and all(np.all(b >= lo - 1e-12) for b in blocks):
-            return _candidate_from_probs(game, support, blocks, residual)
+        if _max_violation(problem.tables, support, blocks) <= tol and all(
+            np.all(b >= lo - 1e-12) for b in blocks
+        ):
+            return _candidate_from_probs(game, support, blocks)
         return None
 
     rng = np.random.default_rng(zlib.crc32(repr(support.sets).encode()))
@@ -914,7 +878,6 @@ def _solve_descent(
         starts.append(problem.pack([rng.dirichlet(np.ones(k)) for k in sizes]))
 
     best: EquilibriumCandidate | None = None
-    capped = False
     for start_idx, x0 in enumerate(starts):
         x = polish(project(x0))
         cand = try_accept(x)
@@ -924,39 +887,31 @@ def _solve_descent(
             # solutions). Those are global objects, so one descent from
             # the centroid suffices; isolated points are the multistart
             # Gauss-Newton's job.
-            converged = False
             for mu in (1e3, 1e6):
                 step = 0.25
                 for _ in range(MAX_ITERS):
-                    f0, grad, _, _ = problem.evaluate(problem.unpack(x), mu)
-                    moved = False
-                    x_new = x
+                    f0, grad = problem.evaluate(problem.unpack(x), mu)
                     while step > 1e-13:
                         x_new = project(x - step * grad)
                         if problem.value(problem.unpack(x_new), mu) < f0 - 1e-14:
-                            moved = True
                             break
                         step *= 0.5
-                    if not moved:
-                        converged = True
-                        break
+                    else:
+                        break  # no step size decreases the objective
                     if np.max(np.abs(x_new - x)) < 1e-12:
                         x = x_new
-                        converged = True
                         break
                     x = x_new
                     step = min(step * 2.0, 0.25)
-                else:
-                    converged = False
-            if not converged:
-                capped = True
             x = polish(x)
             cand = try_accept(x)
         if cand is not None and (best is None or cand.welfare > best.welfare):
             best = cand
     if best is not None:
         return SupportSolution("candidate", best)
-    return SupportSolution("inconclusive" if capped else "infeasible")
+    # Reaching descent means the relaxation did not refute the support, and
+    # a descent that accepts no point proves nothing either.
+    return SupportSolution("inconclusive")
 
 
 def solve_support(
@@ -969,11 +924,11 @@ def solve_support(
     quadratic. Whatever those leave (more mixers, rank-deficient or
     degenerate systems) meets the linear relaxation (`relaxation_bound`),
     which proves most such supports infeasible; the rest go through
-    penalty descent. The returned status separates proven infeasibility
-    from iteration-cap "inconclusive" outcomes. `bar` is `swne`'s running
-    bar in normalised welfare: a support whose relaxation bound plus
-    RELAXATION_MARGIN does not exceed it comes back "pruned", without
-    descent.
+    penalty descent. "infeasible" comes only from the exact pure check,
+    the closed forms or an LP; a descent that accepts no point returns
+    "inconclusive". `bar` is `swne`'s running bar in normalised welfare:
+    a support whose relaxation bound plus RELAXATION_MARGIN does not
+    exceed it comes back "pruned", without descent.
     """
     if support.is_pure:
         return _solve_pure(game, support)
@@ -1063,74 +1018,67 @@ def _single_chooser_fast_path(game: NormalFormGame) -> EquilibriumResult | None:
 def swne(game: NormalFormGame) -> EquilibriumResult:
     """Social-welfare optimal Nash equilibrium of a finite game.
 
-    Dominated actions are removed first, the reduced game's supports are
-    enumerated in canonical order, pruned by the presolve filter and
-    solved; the maximal-welfare candidate wins, with ties inside the
-    welfare tolerance broken by canonical support order and then by
-    lexicographic profile order. A mixed support is skipped when its best
-    cell welfare, or its relaxation bound less RELAXATION_MARGIN, does not
-    exceed the running bar (the best welfare found so far), since its
-    candidate could not change the winner. Raises NoEquilibriumError when
-    nothing is found, which indicates solver failure rather than a game
-    property. `inconclusive` counts the supports descent could not decide.
+    Dominated actions are removed first. Then one pass runs over the
+    reduced game's supports in canonical order: pure supports (all of
+    them first) are checked exactly, and a mixed support is skipped when
+    its best cell welfare does not exceed the running bar (the best
+    welfare found so far), or when presolve rules it out, before
+    `solve_support` sees it with the bar. The maximal-welfare candidate
+    wins, with ties inside the welfare tolerance broken by canonical
+    support order and then by lexicographic profile order. `pruned`
+    counts the skipped supports, `inconclusive` those descent could not
+    decide. Raises NoEquilibriumError when nothing is found, which
+    indicates solver failure rather than a game property.
     """
     fast = _single_chooser_fast_path(game)
     if fast is not None:
         return fast
     reduced, kept, removals = filter_dominated(game)
-    supports = enumerate_supports(reduced)
-    keep_mask = [presolve_support(reduced, s) for s in supports]
-    pruned = sum(1 for k in keep_mask if not k)
+    cell_welfare = reduced.float_utilities().sum(axis=-1)
 
-    candidates: list[EquilibriumCandidate] = []
-    inconclusive = 0
-
-    # Phase 1: pure supports, checked exactly. Their best welfare gives a
-    # sound bar for phase 2: expected welfare under any mixed profile is a
-    # convex combination of its support cells' welfare, so a support whose
-    # best cell cannot beat the bar by more than the tie tolerance can
-    # never displace the (canonically earlier) pure candidate.
-    floats = reduced.float_utilities()
-    cell_welfare = floats.sum(axis=-1)
-    best_pure = -np.inf
-    mixed_todo: list[tuple[int, Support]] = []
-    for idx, (support, keep) in enumerate(zip(supports, keep_mask)):
-        if not keep:
-            continue
-        if support.is_pure:
-            outcome = _solve_pure(reduced, support)
-            if outcome.status == "candidate":
-                outcome.candidate.support_index = idx
-                candidates.append(outcome.candidate)
-                best_pure = max(best_pure, outcome.candidate.welfare)
-        else:
-            mixed_todo.append((idx, support))
-    # Phase 2 keeps a running bar: the best welfare of the candidates so
-    # far, all canonically earlier, in original and (once a support needs
-    # it) normalised units. A support whose cell-welfare bound or
-    # relaxation bound does not exceed it would yield a candidate no better
-    # than an earlier one, which then wins the maximum or the tie order; so
-    # skipping it changes no answer.
     def normalised(cand: EquilibriumCandidate) -> float:
         welfare = reduced.normalised_utilities().sum(axis=-1)
         return float(_contract_tensor(welfare, cand.profile.probs))
 
-    best = best_pure
+    # The running bar is the best welfare of the candidates so far, all
+    # canonically earlier, in original and (once a support needs it)
+    # normalised units. Pure supports come first in canonical order, so
+    # the best pure welfare is final before any mixed support is reached.
+    candidates: list[EquilibriumCandidate] = []
+    pruned = inconclusive = 0
+    best_pure = best = -np.inf
     best_norm = None
-    for idx, support in mixed_todo:
-        upper = float(cell_welfare[np.ix_(*support.sets)].max())
-        if upper <= best_pure + WELFARE_TOL or upper <= best:
-            pruned += 1
-            continue
-        if best_norm is None:
-            best_norm = max(map(normalised, candidates), default=-np.inf)
-        outcome = solve_support(reduced, support, bar=best_norm)
+    for idx, support in enumerate(enumerate_supports(reduced)):
+        if support.is_pure:
+            outcome = _solve_pure(reduced, support)
+            if outcome.status == "candidate":
+                best_pure = max(best_pure, outcome.candidate.welfare)
+        else:
+            # Expected welfare under a mixed profile is a convex combination
+            # of its support cells' welfare. A support whose best cell does
+            # not beat the bar (the pure bar by more than the tie tolerance)
+            # would yield a candidate no better than an earlier one, which
+            # then wins the maximum or the tie order; nor would one that
+            # presolve rules out. Skipping either changes no answer.
+            if best > -np.inf:
+                # Cell by cell: supports are small, and fancy indexing
+                # costs more than reading their cells.
+                upper = max(map(cell_welfare.item, itertools.product(*support.sets)))
+                if upper <= best_pure + WELFARE_TOL or upper <= best:
+                    pruned += 1
+                    continue
+            if not presolve_support(reduced, support):
+                pruned += 1
+                continue
+            if best_norm is None:
+                best_norm = max(map(normalised, candidates), default=-np.inf)
+            outcome = solve_support(reduced, support, bar=best_norm)
+            if outcome.status == "candidate":
+                best_norm = max(best_norm, normalised(outcome.candidate))
         if outcome.status == "candidate":
-            cand = outcome.candidate
-            cand.support_index = idx
-            candidates.append(cand)
-            best = max(best, cand.welfare)
-            best_norm = max(best_norm, normalised(cand))
+            outcome.candidate.support_index = idx
+            candidates.append(outcome.candidate)
+            best = max(best, outcome.candidate.welfare)
         elif outcome.status == "inconclusive":
             inconclusive += 1
         elif outcome.status == "pruned":
@@ -1180,17 +1128,6 @@ def swne(game: NormalFormGame) -> EquilibriumResult:
 def scne(game: NormalFormGame) -> EquilibriumResult:
     """Social-cost optimal Nash equilibrium: the welfare-optimal
     equilibrium of the negated game, reported in original (cost) units."""
-    negated = game.negated()
-    res = swne(negated)
+    res = swne(game.negated())
     values = -res.values
-    return EquilibriumResult(
-        values=values,
-        profile=res.profile,
-        welfare=float(values.sum()),
-        support=res.support,
-        regrets=res.regrets,
-        removals=res.removals,
-        candidates=res.candidates,
-        pruned=res.pruned,
-        inconclusive=res.inconclusive,
-    )
+    return replace(res, values=values, welfare=float(values.sum()))

@@ -310,12 +310,6 @@ def evaluate_at_initial_modes(
 # Best responses
 
 
-def _deviator_optimum(compiled: CompiledObjectives) -> str:
-    # A deviating coalition improves its utility when maximising and its
-    # cost when minimising.
-    return "max" if compiled.opt == "max" else "min"
-
-
 def best_response_value(
     game: Csg,
     strategy: SynthesizedStrategy,
@@ -345,7 +339,7 @@ def _best_response_memoryless(
     chain is solved exactly and the iteration ends at the optimum."""
     nodes = core.nodes
     pairs = [(s, (D, E)) for s, D, E, _ in nodes]
-    sign = 1.0 if _deviator_optimum(core.compiled) == "max" else -1.0
+    sign = 1.0 if core.compiled.opt == "max" else -1.0
     boundary = core.const[:, coalition].copy()
     pending = core.pending[:, coalition]
     opened = np.flatnonzero(pending)
@@ -401,7 +395,7 @@ def _best_response_memoryless(
 
 
 def _best_response_finite(core: Core, strategy: SynthesizedStrategy, coalition: int):
-    better = max if _deviator_optimum(core.compiled) == "max" else min
+    better = max if core.compiled.opt == "max" else min
     cumulative = core.compiled.items[coalition].kind == "cumulative"
     values = core.const[:, coalition].tolist()
     own_actions = {}  # per stage shape, the coalition's action in each joint

@@ -511,6 +511,46 @@ def test_cli_generate_reports_a_builder_error_in_one_line(tmp_path, capsys):
     assert not out_file.exists()
 
 
+GAME_2X2 = "players 2\nactions 1 a b\nactions 2 c d\n"
+CELLS_2X2 = "u a c {} 1\nu a d 0 0\nu b c 0 0\nu b d 1 1\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("players two\n", "error: expected a positive integer after 'players'"),
+        ("players 2\nactions\n", "error: expected a positive integer after 'actions'"),
+        ("players 2\nactions x a b\n", "error: expected a positive integer after 'actions'"),
+        (GAME_2X2 + CELLS_2X2.format("x"), "error: utility 'x' is not a number"),
+        (GAME_2X2 + CELLS_2X2.format("1/0"), "error: utility '1/0' is not a number"),
+        (GAME_2X2 + CELLS_2X2.format("nan"), "error: utility 'nan' is not a finite"),
+        (GAME_2X2 + CELLS_2X2.format("inf"), "error: utility 'inf' is not a finite"),
+    ],
+    ids=["players", "actions-missing", "actions-index", "x", "1/0", "nan", "inf"],
+)
+def test_cli_solve_nfg_reports_bad_input_in_one_line(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.nfg"
+    path.write_text(text)
+    code, out = run_cli("solve-nfg", str(path))
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "threshold,message,offset",
+    [("1.2.3", "malformed number '1.2.3'", 0), ("1/0", "division by zero", 2)],
+)
+def test_cli_check_reports_a_bad_threshold_with_its_position(
+    capsys, threshold, message, offset
+):
+    prop = f'<<usr1:usr2:usr3>>max>={threshold} (P[ F "done" ])'
+    code, _ = run_cli("check", str(MODELS / "secret_sharing_raa.json"), "--prop", prop)
+    assert code == 1
+    position = prop.index(threshold) + offset
+    assert capsys.readouterr().err == f"error: {message} (at position {position})\n"
+
+
 def test_cli_entry_point_via_subprocess():
     # The console entry point works end to end in a fresh interpreter.
     result = subprocess.run(

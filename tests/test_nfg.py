@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -153,7 +154,7 @@ def test_descent_gradient_matches_finite_differences(shape, sets):
     for _ in range(5):
         x = problem.pack([rng.dirichlet(np.ones(k)) for k in problem.sizes])
         for mu in (1.0, 1e3):
-            f, grad, _, _ = problem.evaluate(problem.unpack(x), mu)
+            f, grad = problem.evaluate(problem.unpack(x), mu)
             assert f == problem.value(problem.unpack(x), mu)
             numeric = _central_difference(
                 lambda y: problem.value(problem.unpack(y), mu), x
@@ -718,6 +719,80 @@ def test_descent_still_wins_above_the_bar():
     result = swne(descent_won_game())
     assert result.support.sets == ((0, 1),) * 4
     assert result.welfare == pytest.approx(25.828057, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Bit pins of the search
+#
+# Digests recorded before the search became one canonical pass and the
+# one-mixer solver moved onto the support view; neither may change a bit.
+# `inconclusive` is left out: a descent that accepts no point reports it
+# undecided, not infeasible, so that count may only rise. Like the pins in
+# test_engine.py, the digests hold for the numpy and scipy versions CI
+# installs.
+
+PIN_SHAPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (2, 2, 2, 2)]
+
+
+def _pin_corpus(per_shape):
+    """Seeded games of every pin shape, alternating integer utilities
+    0..6 (ties, dominance and degenerate supports) with uniform floats."""
+    rng = random.Random("pins")
+    games = []
+    for shape in PIN_SHAPES:
+        names = [tuple(f"a{k}" for k in range(c)) for c in shape]
+        for _ in range(per_shape):
+            games.append(_random_game(rng, shape, 0, 6))
+            cells = [rng.random() for _ in range(int(np.prod(shape)) * len(shape))]
+            table = np.array(cells).reshape(shape + (len(shape),))
+            games.append(NormalFormGame(names, table))
+    return games
+
+
+def _hex(vec):
+    return [float(x).hex() for x in vec]
+
+
+def swne_digest(games) -> str:
+    """SHA-256 over each game's `swne` values, profile, candidate and
+    pruned counts and removal log."""
+    h = hashlib.sha256()
+    for game in games:
+        r = swne(game)
+        removals = [(x.player, x.action, x.dominated_by, x.round) for x in r.removals]
+        probs = [_hex(p) for p in r.profile.probs]
+        h.update(repr((_hex(r.values), probs, r.candidates, r.pruned, removals)).encode())
+    return h.hexdigest()
+
+
+def one_mixer_digest(games) -> str:
+    """SHA-256 over the status and candidate of `solve_support` on every
+    support of the games in which exactly one player mixes."""
+    h = hashlib.sha256()
+    for game in games:
+        for support in enumerate_supports(game):
+            if sum(len(s) > 1 for s in support.sets) != 1:
+                continue
+            out = solve_support(game, support)
+            bits = None
+            if out.candidate is not None:
+                cand = out.candidate
+                probs = [_hex(p) for p in cand.profile.probs]
+                bits = (_hex(cand.values), float(cand.welfare).hex(), probs)
+            h.update(repr((out.status, bits)).encode())
+    return h.hexdigest()
+
+
+def test_swne_pin():
+    assert swne_digest(_pin_corpus(25)) == (
+        "cee25672038c1a82905a9b0e60908304c150afb03413f1014401ae31ff9f5fea"
+    )
+
+
+def test_one_mixer_solve_support_pin():
+    assert one_mixer_digest(_pin_corpus(10)) == (
+        "d99c85554bfd1dfdd0eff3e5d137cd29a5b872836390a3847523ff13e1562ca0"
+    )
 
 
 # ---------------------------------------------------------------------------
