@@ -122,6 +122,8 @@ def cmd_solve_nfg(args) -> int:
         ]
         print(f"profile player {i + 1}: " + " ".join(terms))
     print("regrets " + " ".join(_fmt(r) for r in result.regrets))
+    if result.inconclusive:
+        print(f"inconclusive-supports {result.inconclusive}")
     return EXIT_OK
 
 

@@ -12,11 +12,14 @@ Supports whose feasible profiles are not pinned down by linear algebra or
 a closed form first meet a linear relaxation: one LP over distributions on
 the support's cells, which every equilibrium with that support satisfies.
 An infeasible relaxation proves the support has no equilibrium, and its
-optimum bounds the support's welfare. Supports that survive are handled
-on the product of probability simplices by multistart damped Gauss-Newton
-on the indifference equalities, with penalty descent as the fallback for
-degenerate geometries. Descent proves nothing when it finds no point, so
-such a support is reported "inconclusive", never "infeasible".
+optimum bounds the support's welfare. A two-player support that survives
+is solved exactly at the vertices of its equilibrium polytopes. Any other
+is handled on the product of probability simplices: multistart damped
+Gauss-Newton on the indifference equalities finds the generically
+isolated equilibrium points, and when it finds none above the running
+bar, a best-first corner search (an exclusion method: Berg and Sandholm,
+AAAI 2017) decides the support. Only its box cap leaves a support
+"inconclusive".
 
 The search is one pass over the supports in canonical order, pure ones
 first. It keeps a running bar, the best welfare of the candidates found
@@ -29,6 +32,7 @@ neither be the maximum nor precede the earlier one among ties.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import zlib
 from dataclasses import dataclass, replace
@@ -53,13 +57,18 @@ class NoEquilibriumError(RuntimeError):
 # Feasibility applies to utilities normalised to [0, 1]; the welfare
 # tolerance is the tie window for comparing candidate welfare in original
 # units; the least support probability realises the strict positivity of
-# in-support probabilities. Descent runs at most MULTISTARTS starts and
-# MAX_ITERS penalty steps per weight.
+# in-support probabilities, and a point is accepted down to ACCEPT_FLOOR.
+# Gauss-Newton runs from MULTISTARTS starts. The corner search evaluates
+# at most MAX_BOXES boxes, polishes a box once its longest edge is at most
+# POLISH_WIDTH, and again each time the edge has shrunk POLISH_STEP-fold.
 FEASIBILITY_TOL = 1e-8
 WELFARE_TOL = 1e-6
 MIN_SUPPORT_PROB = 1e-6
+ACCEPT_FLOOR = MIN_SUPPORT_PROB - 1e-12
 MULTISTARTS = 6
-MAX_ITERS = 150
+MAX_BOXES = 20000
+POLISH_WIDTH = 1e-2
+POLISH_STEP = 16.0
 # A relaxation bound is trusted up to this margin, in normalised welfare:
 # ten times HiGHS's default feasibility and optimality tolerances.
 RELAXATION_MARGIN = 1e-6
@@ -318,6 +327,7 @@ def presolve_support(game: NormalFormGame, support: Support) -> bool:
 @dataclass
 class SupportSolution:
     status: str  # "candidate" | "infeasible" | "inconclusive" | "pruned"
+    # Set for "candidate"; an "inconclusive" search keeps its best so far.
     candidate: EquilibriumCandidate | None = None
 
 
@@ -406,17 +416,21 @@ def _solve_one_mixer(
 
 def _restricted(norm: np.ndarray, support: Support, player: int) -> np.ndarray:
     """Player's normalised utilities over the support cells (own axis full)."""
-    n = len(support.sets)
-    idx = [
-        list(range(norm.shape[i])) if i == player else list(support.sets[i])
-        for i in range(n)
-    ]
-    return norm[np.ix_(*idx)][..., player]
+    # Taking along each other axis copies, so the result is a view into a
+    # C-contiguous (..., n) block, the layout `np.ix_` gives: the same
+    # layout keeps the contractions' rounding.
+    table = norm
+    for axis, own in enumerate(support.sets):
+        if axis != player:
+            table = table.take(own, axis=axis)
+    return table[..., player]
 
 
 def _support_block(norm: np.ndarray, support: Support) -> np.ndarray:
-    idx = [list(s) for s in support.sets]
-    return norm[np.ix_(*idx)]
+    block = norm
+    for axis, own in enumerate(support.sets):
+        block = block.take(own, axis=axis)
+    return block
 
 
 def _switch_on_support(
@@ -440,7 +454,7 @@ def _solve_two_mixers(
 ) -> SupportSolution | None:
     """Two mixing players: each one's indifference system is linear in the
     other's probabilities. Unique solutions are verified directly; rank
-    deficient systems fall through to the descent solver (None)."""
+    deficient systems fall through to the general path (None)."""
     n = game.n_players
     mixers = [i for i in range(n) if len(support.sets[i]) > 1]
     i, j = mixers
@@ -631,8 +645,8 @@ def relaxation_bound(norm: np.ndarray, support: Support) -> float:
     only through its marginal over the other players, linearly, so the
     indifference (|gap| <= FEASIBILITY_TOL) and no-deviation (gain <=
     FEASIBILITY_TOL) conditions are linear rows, and each support action's
-    marginal is at least MIN_SUPPORT_PROB less 1e-12. The product of any
-    blocks descent accepts is feasible here, so the program is a
+    marginal is at least ACCEPT_FLOOR. The product of any blocks
+    `_SupportSystem.accept` takes is feasible here, so the program is a
     relaxation. With two players the product of a feasible x's marginals
     is feasible too, so there the feasibility test is exact.
 
@@ -659,7 +673,7 @@ def relaxation_bound(norm: np.ndarray, support: Support) -> float:
     b_ub = np.concatenate(
         [
             np.full(2 * len(gaps_arr) + len(gains_arr), FEASIBILITY_TOL),
-            np.full(len(marg_arr), 1e-12 - MIN_SUPPORT_PROB),
+            np.full(len(marg_arr), -ACCEPT_FLOOR),
         ]
     )
     welfare = _support_block(norm, support).sum(axis=-1).ravel()
@@ -697,23 +711,24 @@ def _project_simplex(v: np.ndarray, lo: float) -> np.ndarray:
     return np.array([max(x + lam, 0.0) + lo for x in shifted])
 
 
-class _DescentProblem:
-    """Differentiable penalty formulation of the per-support program.
-
-    Works in "support space": one probability block per player over its
-    support actions, normalised utilities. Equality residuals are the
-    pivot-vs-in-support indifference gaps; inequality residuals are the
-    out-of-support deviation gains (violated when positive).
+class _SupportSystem:
+    """The equilibrium conditions of one support, in "support space": one
+    probability block per player over its support actions, normalised
+    utilities. Equality residuals are the pivot-vs-in-support indifference
+    gaps; inequality residuals are the out-of-support deviation gains
+    (violated when positive).
 
     Everything at a point derives from the cross blocks cross[i, j] =
     d switch_i / d p_j, an (A_i full) x (B_j support) matrix. Player i's
     switch values are multilinear in the other players' blocks, so
     switch_i = cross[i, j] @ p_j for any j != i, and the rows of the cross
-    blocks give the Jacobian and the penalty gradient.
+    blocks give the Jacobian of the gaps.
     """
 
     def __init__(self, game: NormalFormGame, support: Support, norm: np.ndarray):
         n = self.n = game.n_players
+        self.game = game
+        self.support = support
         self.sizes = [len(s) for s in support.sets]
         self.offsets = np.cumsum([0] + self.sizes)
         self.tables = [_restricted(norm, support, i) for i in range(n)]
@@ -750,52 +765,6 @@ class _DescentProblem:
     def _switch(self, blocks, cross) -> list[np.ndarray]:
         return [cross[i, j] @ blocks[j] for i, j in self.switch_pairs]
 
-    def _penalty(self, vecs) -> tuple[float, list[list[float]]]:
-        """Squared-violation penalty and its gradient with respect to each
-        player's switch values."""
-        pen = 0.0
-        weights = []
-        for i, vec in enumerate(vecs):
-            vals = vec.tolist()
-            w = [0.0] * len(vals)
-            pivot = self.pivots[i]
-            for b in self.eq_index[i]:
-                g = vals[pivot] - vals[b]
-                pen += g * g
-                w[pivot] += 2.0 * g
-                w[b] -= 2.0 * g
-            for a in self.ineq_index[i]:
-                v = vals[a] - vals[pivot]
-                if v > 0.0:
-                    pen += v * v
-                    w[a] += 2.0 * v
-                    w[pivot] -= 2.0 * v
-            weights.append(w)
-        return pen, weights
-
-    def value(self, blocks, mu: float) -> float:
-        """Objective value only (for line searches)."""
-        vecs = self._switch(blocks, self._cross(blocks, self.switch_pairs))
-        welfare = float(_contract_tensor(self.welfare_table, blocks))
-        return -welfare + mu * self._penalty(vecs)[0]
-
-    def evaluate(self, blocks, mu: float) -> tuple[float, np.ndarray]:
-        """Objective value and packed gradient."""
-        cross = self._cross(blocks, self.all_pairs)
-        vecs = self._switch(blocks, cross)
-        pen, weights = self._penalty(vecs)
-        grad_w = [
-            _contract_tensor(self.welfare_table, blocks, keep=(i,))
-            for i in range(self.n)
-        ]
-        welfare = float(grad_w[0] @ blocks[0])
-        grad_pen = [np.zeros(k) for k in self.sizes]
-        for (i, j), mat in cross.items():
-            grad_pen[j] += np.asarray(weights[i]) @ mat
-        f = -welfare + mu * pen
-        grad = self.pack([-gw + mu * gp for gw, gp in zip(grad_w, grad_pen)])
-        return f, grad
-
     def _gaps(self, vecs) -> np.ndarray:
         return np.concatenate(
             [vec[p] - vec[eq] for vec, p, eq in zip(vecs, self.pivots, self.eq_index)]
@@ -817,32 +786,16 @@ class _DescentProblem:
             )
         return res, jac
 
+    def project(self, x: np.ndarray) -> np.ndarray:
+        return self.pack([_project_simplex(b, MIN_SUPPORT_PROB) for b in self.unpack(x)])
 
-def _solve_descent(
-    game: NormalFormGame, support: Support, norm: np.ndarray
-) -> SupportSolution:
-    """Multistart search over the product of support simplices.
-
-    Each start (the support centroid plus deterministically seeded random
-    points) first runs damped Gauss-Newton on the indifference equalities,
-    which pins down the generically isolated equilibrium points in a few
-    steps. Starts that stall fall back to penalty descent on the negated
-    welfare plus squared constraint violations, then re-polish. Feasible
-    points are compared by welfare; the objective thereby selects the
-    welfare-optimal equilibrium among the points found.
-    """
-    problem = _DescentProblem(game, support, norm)
-    tol = FEASIBILITY_TOL
-    lo = MIN_SUPPORT_PROB
-    sizes = problem.sizes
-
-    def project(x: np.ndarray) -> np.ndarray:
-        return problem.pack([_project_simplex(b, lo) for b in problem.unpack(x)])
-
-    def polish(x: np.ndarray) -> np.ndarray:
+    def polish(self, x: np.ndarray) -> np.ndarray:
+        """Damped Gauss-Newton on the indifference equalities from the
+        projection of x, until the residual vanishes or progress stalls."""
+        x = self.project(x)
         stalls = 0
         for it in range(60):
-            res, jac = problem.equality_system(problem.unpack(x))
+            res, jac = self.equality_system(self.unpack(x))
             if res.size == 0 or np.max(np.abs(res)) < 1e-14:
                 break
             step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
@@ -850,8 +803,8 @@ def _solve_descent(
             improved = False
             base = np.max(np.abs(res))
             while scale > 1e-6:
-                cand = project(x + scale * step)
-                new_res = problem.equality_residual(problem.unpack(cand))
+                cand = self.project(x + scale * step)
+                new_res = self.equality_residual(self.unpack(cand))
                 if np.max(np.abs(new_res)) < base:
                     x = cand
                     improved = True
@@ -864,54 +817,297 @@ def _solve_descent(
                 break
         return x
 
-    def try_accept(x: np.ndarray) -> EquilibriumCandidate | None:
-        blocks = problem.unpack(x)
-        if _max_violation(problem.tables, support, blocks) <= tol and all(
-            np.all(b >= lo - 1e-12) for b in blocks
+    def accept(self, x: np.ndarray) -> EquilibriumCandidate | None:
+        """The candidate at x if every equilibrium condition holds there to
+        FEASIBILITY_TOL and every probability is at least ACCEPT_FLOOR."""
+        blocks = self.unpack(x)
+        if _max_violation(self.tables, self.support, blocks) <= FEASIBILITY_TOL and all(
+            np.all(b >= ACCEPT_FLOOR) for b in blocks
         ):
-            return _candidate_from_probs(game, support, blocks)
+            return _candidate_from_probs(self.game, self.support, blocks)
         return None
 
-    rng = np.random.default_rng(zlib.crc32(repr(support.sets).encode()))
-    starts = [problem.pack([np.full(k, 1.0 / k) for k in sizes])]
-    for _ in range(max(MULTISTARTS - 1, 0)):
-        starts.append(problem.pack([rng.dirichlet(np.ones(k)) for k in sizes]))
+    def blocks(self, cand: EquilibriumCandidate) -> list[np.ndarray]:
+        """A candidate with this support, back in support space."""
+        return [cand.profile.probs[i][list(s)] for i, s in enumerate(self.support.sets)]
 
+    def welfare(self, cand: EquilibriumCandidate) -> float:
+        """Normalised welfare of a candidate with this support."""
+        return float(_contract_tensor(self.welfare_table, self.blocks(cand)))
+
+
+def _gauss_newton(system: _SupportSystem) -> EquilibriumCandidate | None:
+    """Best point that damped Gauss-Newton accepts from the support centroid
+    and MULTISTARTS - 1 deterministically seeded random starts; it pins
+    down the generically isolated equilibrium points in a few steps."""
+    sizes = system.sizes
+    rng = np.random.default_rng(zlib.crc32(repr(system.support.sets).encode()))
+    starts = [system.pack([np.full(k, 1.0 / k) for k in sizes])]
+    for _ in range(max(MULTISTARTS - 1, 0)):
+        starts.append(system.pack([rng.dirichlet(np.ones(k)) for k in sizes]))
     best: EquilibriumCandidate | None = None
-    for start_idx, x0 in enumerate(starts):
-        x = polish(project(x0))
-        cand = try_accept(x)
-        if cand is None and start_idx == 0:
-            # Penalty fallback for degenerate cases the equality solve
-            # cannot crack (equilibrium continua, boundary-hugging
-            # solutions). Those are global objects, so one descent from
-            # the centroid suffices; isolated points are the multistart
-            # Gauss-Newton's job.
-            for mu in (1e3, 1e6):
-                step = 0.25
-                for _ in range(MAX_ITERS):
-                    f0, grad = problem.evaluate(problem.unpack(x), mu)
-                    while step > 1e-13:
-                        x_new = project(x - step * grad)
-                        if problem.value(problem.unpack(x_new), mu) < f0 - 1e-14:
-                            break
-                        step *= 0.5
-                    else:
-                        break  # no step size decreases the objective
-                    if np.max(np.abs(x_new - x)) < 1e-12:
-                        x = x_new
-                        break
-                    x = x_new
-                    step = min(step * 2.0, 0.25)
-            x = polish(x)
-            cand = try_accept(x)
+    for x0 in starts:
+        cand = system.accept(system.polish(x0))
         if cand is not None and (best is None or cand.welfare > best.welfare):
             best = cand
+    return best
+
+
+def _corner_values(system: _SupportSystem, mixers: list[int]) -> np.ndarray:
+    """The condition tensor F over the support cells, mixer axes only:
+    F[..., f] for every indifference gap, every deviation gain and, last,
+    the welfare, each written as a multilinear function of all blocks.
+    The gaps come first."""
+    gaps, gains = [], []
+    for i, table in enumerate(system.tables):
+        own = system.support.sets[i]
+        pivot = table.take(own[:1], axis=i)
+        gaps += [pivot - table.take([b], axis=i) for b in own[1:]]
+        gains += [table.take([a], axis=i) - pivot for a in system.ineq_index[i]]
+    # Player i's conditions depend on the others' blocks only, so each has
+    # a length-one axis i; i's block sums to one, so spreading them along
+    # that axis keeps their values.
+    funcs = [np.broadcast_to(f, system.sizes) for f in gaps + gains]
+    funcs.append(system.welfare_table)
+    keep = tuple(system.sizes[i] for i in mixers)
+    return np.stack(funcs, axis=-1).reshape(keep + (len(funcs),))
+
+
+def _root_box(
+    system: _SupportSystem, mixers: list[int]
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The mixers' simplices clipped at ACCEPT_FLOOR, as vertex matrices
+    (one vertex per row), and the condition tensor's values at their
+    corners: axis m of the result indexes mixer m's vertices."""
+    verts = []
+    for i in mixers:
+        k = system.sizes[i]
+        verts.append(np.full((k, k), ACCEPT_FLOOR) + np.eye(k) * (1.0 - k * ACCEPT_FLOOR))
+    corners = _corner_values(system, mixers)
+    for v in verts:
+        # Contract the leading mixer axis with the vertex matrix and rotate
+        # the new vertex axis to the back of the mixer axes.
+        lead = corners.shape[0]
+        corners = (v @ corners.reshape(lead, -1)).reshape(corners.shape)
+        corners = np.moveaxis(corners, 0, len(verts) - 1)
+    return verts, corners
+
+
+def _rounding_slack(system: _SupportSystem) -> float:
+    """Bound on the rounding gap between a root corner value and the same
+    gap or gain as `accept` computes it at a point of the box.
+
+    A corner value is a sum of at most `cells` products of n probabilities
+    with utility differences in [-1, 1], so it is off by less than
+    gamma = (cells + n) * eps (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 3.1); `accept` takes the difference of two
+    switch values, each off by less than gamma, and the differences in the
+    tensor add eps. 4 * gamma covers the three and the eps.
+    """
+    return 4.0 * (system.welfare_table.size + system.n) * np.finfo(np.float64).eps
+
+
+def _corner_search(
+    system: _SupportSystem,
+    bar: float,
+    incumbent: EquilibriumCandidate | None = None,
+) -> SupportSolution:
+    """Best-first branch and bound over products of sub-simplices, for a
+    support with at least one mixer.
+
+    A box is one sub-simplex per mixer, given by its vertices. Every gap,
+    gain and the welfare is multilinear in the blocks, so over a box it
+    ranges between its values at the box's corners, the products of the
+    vertices (Rikun, J. Global Optim. 1997). The search starts from the
+    simplices clipped at ACCEPT_FLOOR, which hold every point `accept`
+    takes. A box is refuted when some gap's corner range misses
+    [-FEASIBILITY_TOL, FEASIBILITY_TOL] or some deviation gain exceeds
+    FEASIBILITY_TOL at every corner; the tolerance is widened by
+    `_rounding_slack`, and by eps per halving below the root (a mean of
+    two values in [-1, 1] is off by at most eps / 2). A box is dropped
+    when its corner welfare plus RELAXATION_MARGIN does not exceed `bar`
+    (normalised units), or when it cannot beat the best candidate so far
+    by more than RELAXATION_MARGIN.
+
+    The box with the highest corner welfare comes first. Once its longest
+    edge is at most POLISH_WIDTH, and again whenever that edge has shrunk
+    POLISH_STEP-fold, its centre is tried as a candidate, polished by
+    Gauss-Newton and as it is (unless it lies within POLISH_STEP widths of
+    the best point). Then that edge is halved. The midpoint becomes a
+    vertex, and by multilinearity a corner there is the mean of the two
+    corners at the edge's ends, so children need no contraction.
+
+    Returns the best candidate found once no remaining box can beat it or
+    the bar, "pruned" when boxes were dropped at the bar and no candidate
+    was found, "infeasible" when every box was refuted, and "inconclusive"
+    (with the best candidate so far, if any) once MAX_BOXES boxes were
+    evaluated or a box's vertices can no longer be told apart.
+    """
+    mixers = [i for i, k in enumerate(system.sizes) if k > 1]
+    verts, corners = _root_box(system, mixers)
+    n_gaps = sum(len(eq) for eq in system.eq_index)
+    n_conds = corners.shape[-1] - 1
+    eps = np.finfo(np.float64).eps
+    top = FEASIBILITY_TOL + _rounding_slack(system)
+
+    def bounds(corners: np.ndarray, depth: int) -> float | None:
+        """Upper welfare bound of a box, or None when it is refuted."""
+        flat = corners.reshape(-1, n_conds + 1)
+        low, high = flat.min(axis=0), flat.max(axis=0)
+        limit = top + depth * eps
+        if low[:n_conds].max(initial=-np.inf) > limit:
+            return None
+        if high[:n_gaps].min(initial=np.inf) < -limit:
+            return None
+        return float(high[-1])
+
+    def longest(v: np.ndarray) -> tuple[float, int, int]:
+        """Squared length and ends of a simplex's longest edge."""
+        diff = v[:, None, :] - v[None, :, :]
+        lengths = np.einsum("rsk,rsk->rs", diff, diff)
+        flat = int(lengths.argmax())
+        return (float(lengths.flat[flat]),) + divmod(flat, len(v))
+
+    best = incumbent
+    best_w, best_x = -np.inf, None
+    if best is not None:
+        best_w, best_x = system.welfare(best), system.pack(system.blocks(best))
+    floor = max(bar - RELAXATION_MARGIN, best_w + RELAXATION_MARGIN)
+    dropped = False
+    count = 1
+    ub = bounds(corners, 0)
+    heap: list = []
+    if ub is not None:
+        edges = [longest(v) for v in verts]
+        heap.append((-ub, 0, 0, POLISH_WIDTH, corners, verts, edges))
+    while heap:
+        neg_ub, _, depth, polish_at, corners, verts, edges = heapq.heappop(heap)
+        if -neg_ub <= floor:
+            dropped = True
+            break
+        if count >= MAX_BOXES:
+            return SupportSolution("inconclusive", best)
+        axis = max(range(len(edges)), key=lambda m: edges[m][0])
+        length2, r, s = edges[axis]
+        width = float(np.sqrt(length2))
+        if width <= polish_at:
+            polish_at = width / POLISH_STEP
+            centre = [np.array([1.0])] * system.n
+            for m, v in zip(mixers, verts):
+                centre[m] = v.mean(axis=0)
+            point = system.pack(centre)
+            # A centre this close to the best point would polish back to it.
+            if best_x is None or np.abs(point - best_x).max() > POLISH_STEP * width:
+                # Gauss-Newton ignores the deviation gains, so where one
+                # binds at the optimum only the unpolished centre may pass.
+                cand = system.accept(system.polish(point)) or system.accept(point)
+                w = -np.inf if cand is None else system.welfare(cand)
+                if w > best_w:
+                    best, best_w, best_x = cand, w, system.pack(system.blocks(cand))
+                    floor = max(floor, best_w + RELAXATION_MARGIN)
+        if width == 0.0:
+            # The vertices can no longer be told apart: this box is neither
+            # refuted nor dropped, and splitting it changes nothing.
+            return SupportSolution("inconclusive", best)
+        simplex = verts[axis]
+        mid = 0.5 * (simplex[r] + simplex[s])
+        at_r = (slice(None),) * axis + (r,)
+        at_s = (slice(None),) * axis + (s,)
+        mean = 0.5 * (corners[at_r] + corners[at_s])
+        for replaced, index in ((r, at_r), (s, at_s)):
+            child = corners.copy()
+            child[index] = mean
+            count += 1
+            ub = bounds(child, depth + 1)
+            if ub is None:
+                continue
+            if ub <= floor:
+                dropped = True
+                continue
+            split = simplex.copy()
+            split[replaced] = mid
+            child_verts = verts[:axis] + [split] + verts[axis + 1 :]
+            child_edges = edges[:axis] + [longest(split)] + edges[axis + 1 :]
+            heapq.heappush(
+                heap,
+                (-ub, count, depth + 1, polish_at, child, child_verts, child_edges),
+            )
     if best is not None:
         return SupportSolution("candidate", best)
-    # Reaching descent means the relaxation did not refute the support, and
-    # a descent that accepts no point proves nothing either.
-    return SupportSolution("inconclusive")
+    return SupportSolution("pruned" if dropped else "infeasible")
+
+
+def _solve_general(
+    game: NormalFormGame, support: Support, norm: np.ndarray, bar: float
+) -> SupportSolution:
+    """Multistart Gauss-Newton, then, unless it found a candidate above
+    `bar`, the corner search (`_corner_search`) to decide the support."""
+    system = _SupportSystem(game, support, norm)
+    best = _gauss_newton(system)
+    if best is not None and system.welfare(best) > bar:
+        return SupportSolution("candidate", best)
+    return _corner_search(system, bar, best)
+
+
+def _polytope_vertices(
+    eq_rows: np.ndarray, ineq_rows: np.ndarray, lo: float
+) -> list[np.ndarray]:
+    """Vertices of {p : eq_rows p = 0, ineq_rows p <= 0, p >= lo, sum p = 1}.
+
+    A vertex is a feasible point where the equalities and enough active
+    inequalities have a unique solution, so every choice of as many
+    inequalities as the equalities leave free is solved and checked.
+    Equalities must hold to 1e-9 (as in `_solve_two_mixers`), inequalities
+    to 1e-12.
+    """
+    k = eq_rows.shape[1]
+    a_eq = np.vstack([eq_rows, np.ones((1, k))])
+    b_eq = np.concatenate([np.zeros(len(eq_rows)), [1.0]])
+    a_in = np.vstack([ineq_rows, -np.eye(k)])
+    b_in = np.concatenate([np.zeros(len(ineq_rows)), np.full(k, -lo)])
+    free = k - np.linalg.matrix_rank(a_eq)
+    vertices = []
+    for active in itertools.combinations(range(len(a_in)), free):
+        a_mat = np.vstack([a_eq, a_in[list(active)]])
+        b_vec = np.concatenate([b_eq, b_in[list(active)]])
+        sol, _res, rank, _sv = np.linalg.lstsq(a_mat, b_vec, rcond=None)
+        if rank < k or np.max(np.abs(a_mat @ sol - b_vec)) > 1e-9:
+            continue
+        if np.all(a_in @ sol <= b_in + 1e-12):
+            vertices.append(sol)
+    return vertices
+
+
+def _solve_bimatrix(
+    game: NormalFormGame, support: Support, norm: np.ndarray
+) -> SupportSolution | None:
+    """Two players, both mixing, with a rank-deficient indifference system.
+
+    Each player's conditions are linear in the other's block alone, so the
+    equilibria on the support form a product P x Q of two polytopes, and
+    welfare is bilinear over it: linear in either block with the other
+    fixed. Its maximum is therefore at a pair of vertices, and the best
+    pair is the support's welfare-optimal equilibrium. Returns None if
+    that pair fails the equilibrium check (numerical trouble)."""
+    tables = [_restricted(norm, support, i) for i in range(2)]
+    vertex_sets = []
+    for i, switch in enumerate((tables[0], tables[1].T)):
+        # switch[a] is player i's utility of action a as a row over the
+        # other player's support actions; its conditions bound that block.
+        own = support.sets[i]
+        pivot = switch[own[0]]
+        gaps = pivot - switch[list(own[1:])]
+        gains = np.delete(switch, own, axis=0) - pivot
+        vertex_sets.append(np.array(_polytope_vertices(gaps, gains, MIN_SUPPORT_PROB)))
+    q_verts, p_verts = vertex_sets  # player 0's conditions bound player 1's block
+    if not len(p_verts) or not len(q_verts):
+        return SupportSolution("infeasible")
+    welfare = _support_block(norm, support).sum(axis=-1)
+    pair = int((p_verts @ welfare @ q_verts.T).argmax())
+    probs = [p_verts[pair // len(q_verts)], q_verts[pair % len(q_verts)]]
+    if _max_violation(tables, support, probs) > FEASIBILITY_TOL:
+        return None
+    return SupportSolution("candidate", _candidate_from_probs(game, support, probs))
 
 
 def solve_support(
@@ -923,12 +1119,14 @@ def solve_support(
     players reduce to linear algebra, and three binary mixers to a
     quadratic. Whatever those leave (more mixers, rank-deficient or
     degenerate systems) meets the linear relaxation (`relaxation_bound`),
-    which proves most such supports infeasible; the rest go through
-    penalty descent. "infeasible" comes only from the exact pure check,
-    the closed forms or an LP; a descent that accepts no point returns
+    which proves most such supports infeasible. Of the rest, a
+    two-player support is solved exactly at the vertices of its
+    equilibrium polytopes (`_solve_bimatrix`); any other runs multistart
+    Gauss-Newton and, when that finds no candidate above `bar`, the
+    corner search (`_corner_search`), whose box cap alone can end it
     "inconclusive". `bar` is `swne`'s running bar in normalised welfare:
     a support whose relaxation bound plus RELAXATION_MARGIN does not
-    exceed it comes back "pruned", without descent.
+    exceed it comes back "pruned".
     """
     if support.is_pure:
         return _solve_pure(game, support)
@@ -949,7 +1147,11 @@ def solve_support(
         return SupportSolution("infeasible")
     if bound + RELAXATION_MARGIN <= bar:
         return SupportSolution("pruned")
-    return _solve_descent(game, support, norm)
+    if game.n_players == 2:
+        out = _solve_bimatrix(game, support, norm)
+        if out is not None:
+            return out
+    return _solve_general(game, support, norm, bar)
 
 
 # ---------------------------------------------------------------------------
@@ -1026,8 +1228,9 @@ def swne(game: NormalFormGame) -> EquilibriumResult:
     `solve_support` sees it with the bar. The maximal-welfare candidate
     wins, with ties inside the welfare tolerance broken by canonical
     support order and then by lexicographic profile order. `pruned`
-    counts the skipped supports, `inconclusive` those descent could not
-    decide. Raises NoEquilibriumError when nothing is found, which
+    counts the skipped supports, `inconclusive` those whose corner search
+    reached its box cap (a candidate it found by then still counts).
+    Raises NoEquilibriumError when nothing is found, which
     indicates solver failure rather than a game property.
     """
     fast = _single_chooser_fast_path(game)
@@ -1073,13 +1276,13 @@ def swne(game: NormalFormGame) -> EquilibriumResult:
             if best_norm is None:
                 best_norm = max(map(normalised, candidates), default=-np.inf)
             outcome = solve_support(reduced, support, bar=best_norm)
-            if outcome.status == "candidate":
+            if outcome.candidate is not None:
                 best_norm = max(best_norm, normalised(outcome.candidate))
-        if outcome.status == "candidate":
+        if outcome.candidate is not None:
             outcome.candidate.support_index = idx
             candidates.append(outcome.candidate)
             best = max(best, outcome.candidate.welfare)
-        elif outcome.status == "inconclusive":
+        if outcome.status == "inconclusive":
             inconclusive += 1
         elif outcome.status == "pruned":
             pruned += 1

@@ -211,6 +211,42 @@ def test_cli_solve_nfg_scne():
     assert "values 7 7 7" in out
 
 
+def corpus_nfg(path):
+    """Writes the benchmark game random2x2x2x2.0 as a .nfg file: its full
+    support passes the relaxation, and only the corner search decides it."""
+    cells = [
+        3, 12, 4, 9, 10, 9, 6, 12, 5, 1, 11, 1, 10, 4, 11, 1, 3, 1, 3, 2, 3, 1,
+        5, 5, 3, 2, 3, 11, 12, 11, 12, 5, 5, 3, 3, 4, 1, 11, 6, 3, 1, 5, 0, 10,
+        7, 7, 2, 8, 7, 9, 2, 12, 12, 4, 4, 9, 5, 2, 3, 2, 9, 4, 1, 7,
+    ]
+    lines = ["players 4"]
+    lines += [f"actions {i + 1} a{i + 1}0 a{i + 1}1" for i in range(4)]
+    for cell in range(16):
+        joint = [cell >> (3 - i) & 1 for i in range(4)]
+        names = " ".join(f"a{i + 1}{a}" for i, a in enumerate(joint))
+        values = " ".join(map(str, cells[4 * cell : 4 * cell + 4]))
+        lines.append(f"u {names} {values}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_cli_solve_nfg_prints_inconclusive_supports_only_when_some(
+    tmp_path, monkeypatch
+):
+    from csgnash import nfg_solve
+
+    argv = ("solve-nfg", str(corpus_nfg(tmp_path / "corpus.nfg")))
+    code, plain = run_cli(*argv)
+    assert code == 0 and "inconclusive" not in plain
+    assert "welfare 23.9375\n" in plain
+    # A box cap of one leaves the full support undecided; the answer comes
+    # from another support and does not change.
+    monkeypatch.setattr(nfg_solve, "MAX_BOXES", 1)
+    code, out = run_cli(*argv)
+    assert code == 0
+    assert out == plain + "inconclusive-supports 1\n"
+
+
 def test_cli_check_public_good_zero_sum():
     code, out = run_cli(
         "check",
