@@ -525,9 +525,15 @@ UTIL_PROP = (
 )
 
 
-def _sum_prop(template: str) -> str:
+def _sum_prop(template: str, opt: str = "max", players: str = "usr") -> str:
     terms = " + ".join(template.replace("#", str(k)) for k in (1, 2, 3))
-    return f"<<usr1:usr2:usr3>>max=? ({terms})"
+    coalitions = ":".join(f"{players}{k}" for k in (1, 2, 3))
+    return f"<<{coalitions}>>{opt}=? ({terms})"
+
+
+ALOHA_MIN_COST = _sum_prop('R{"time#"}[C<=6]', "min")
+PROFIT_PROP = _sum_prop('R{"pro#"}[C<=2]', players="p")
+CAPITAL_PROP = _sum_prop('R{"cap#"}[I=1]', players="p")
 
 
 def _check_bundled(name, params, prop):
@@ -573,12 +579,50 @@ PINNED_CHECKS = [
      "f96ecf70e5a1a56a2907dbb2f805b4c65bace3436fdba7f138402e969d322048"),
     ("secret_sharing_rra_rmax5.json", {"alpha": 0.5}, UTIL_PROP,
      "cf35893cd602ea2bbc72561ff5016a55888eaccddf8b8995fa9808d5fae7f635"),
+    # Recorded with backward induction that built each stage table row by
+    # row with one np.dot per (row, objective). The first covers
+    # cumulative costs, rows of 1 to 8 successors and single-chooser
+    # stages under min.
+    ("aloha3.json", {}, ALOHA_MIN_COST,
+     "1c06d43895788be7023a8fee2618da86ba5ca0f3a47730843e851a7b2d891009"),
+    ("aloha3.json", {}, _sum_prop('P[F<=31 "d#"]'),
+     "5a7c5a0e6519e56e009798c9049d6666844f5680d901ef7fa2aefd53fa0d17a5"),
+    ("public_good_profit.json", {"f": 1.75}, PROFIT_PROP,
+     "938889a5695114cbaad9a202c9de02e1d5b49634a877cd3ad1bd315e12779f0a"),
+    ("public_good_capital.json", {}, CAPITAL_PROP,
+     "5aacb0260160be97ab871f27bc5cd13af942f7c42faff116ca3588527e81836b"),
 ]
 
 
 @pytest.mark.parametrize("name,params,prop,digest", PINNED_CHECKS)
 def test_stage_cache_keeps_results_bit_identical(name, params, prop, digest):
     assert _result_digest(_check_bundled(name, params, prop)) == digest
+
+
+def test_finite_certificate_gaps_stay_bit_identical():
+    # Every gap of every finite pinned check, recorded with best responses
+    # and profile evaluation that walked the nodes one at a time. The
+    # best response sums without FMA and the check with ddot, so aloha3
+    # F<=31 certifies one rounding step away from 0.
+    from csgnash.strategies import certify_epsilon
+
+    h = hashlib.sha256()
+    epsilons = []
+    for name, params, prop, _digest in PINNED_CHECKS:
+        result = _check_bundled(name, params, prop)
+        if result.compiled.horizon != "finite":
+            continue
+        cert = certify_epsilon(result.coalition_game, result.strategy, result.compiled)
+        for (i, s, (D, E)), gap in sorted(
+            cert.gaps.items(),
+            key=lambda kv: (kv[0][0], kv[0][1], sorted(kv[0][2][0]), sorted(kv[0][2][1])),
+        ):
+            h.update(repr((i, s, sorted(D), sorted(E), float(gap).hex())).encode())
+        epsilons.append(cert.epsilon)
+    assert epsilons[3] == 2.220446049250313e-16
+    assert h.hexdigest() == (
+        "229b27061bb278555a03b37c654379a64f7bf33cbff4cdd691765b1db8c877d7"
+    )
 
 
 @pytest.fixture
