@@ -28,16 +28,18 @@ from .formulas import (
 from .games import Csg, NormalFormGame, build_coalition_game
 from .nfg_solve import WELFARE_TOL, scne, single_chooser_picks, swne
 from .objectives import (
+    Choosers,
     CompiledObjectives,
     Core,
     Mode,
     bounded_core,
+    choosers,
     compile_objectives,
     mode_closure,
     mode_decided,
     unbounded_core,
 )
-from .strategies import StrategyKey, SynthesizedStrategy
+from .strategies import SynthesizedStrategy
 
 
 class EngineError(RuntimeError):
@@ -134,9 +136,12 @@ class _StageSolver:
     """Equilibrium values and stage distributions of one-shot games, each
     distinct utility table solved once.
 
-    One solver serves one check, so the optimisation direction is fixed,
-    and action names do not enter the arithmetic: the table's shape and
-    bytes are the whole key. Entries live in two generations. Backward
+    Only stages where two or more coalitions choose reach the cache:
+    backward induction and value iteration both solve the single-chooser
+    stages in one array pass (`_solve_stages`). One solver serves one
+    check, so the optimisation direction is fixed, and action names do
+    not enter the arithmetic: the table's shape and bytes are the whole
+    key. Entries live in two generations. Backward
     induction never ages the cache, so it holds one entry per distinct
     table of the call, at most one per node. Value iteration ages it after
     every sweep, keeping what the current and the previous sweep made or
@@ -222,28 +227,24 @@ def solve_finite_horizon(
     failed set E), an instantaneous bound hitting 0 contributes the current
     state reward, and live objectives weight the next level's values by the
     transition probabilities. The core numbers its nodes level by level,
-    so one pass from the last node down finds every successor solved.
+    so one pass over its levels from the deepest finds every successor
+    solved. Each level builds all its stage tables in one contraction,
+    solves the single-chooser stages in one array pass and the others
+    through the stage cache.
     """
     core = bounded_core(game, compiled)
-    m = compiled.m
     values = core.const.copy()
-    dists: dict[StrategyKey, tuple[np.ndarray, ...]] = {}
+    dists: dict[int, tuple[np.ndarray, ...]] = {}
     stages = _StageSolver(compiled.opt)
-    for p in range(len(core.nodes) - 1, -1, -1):
+    for level in reversed(core.levels):
+        utilities = level.stage_utilities(values)
+        picks = _solve_stages(core, level.split, utilities, values, stages, dists)
+        dists.update(_pure_dists(core, level.split, picks))
+    profiles = {core.nodes[p]: dist for p, dist in dists.items()}
+    for p in np.flatnonzero(np.diff(core.start) == 0).tolist():
         node = core.nodes[p]
-        s = node[0]
-        rows = range(core.start[p], core.start[p + 1])
-        if not rows:
-            if not mode_decided(compiled, node[1:3]):
-                dists[node] = _first_actions(core.shapes[s])
-            continue
-        live = np.flatnonzero(core.pending[p]).tolist()
-        utilities = np.tile(core.const[p], (len(rows), 1))
-        for j, r in enumerate(rows):
-            utilities[j, live] = core.row_utilities(r, s, values, live)
-        values[p], dists[node] = stages.solve(
-            utilities.reshape(core.shapes[s] + (m,)), core.choice_names[s]
-        )
+        if not mode_decided(compiled, node[1:3]):
+            profiles[node] = _first_actions(core.shapes[node[0]])
     initial_mode = {s: core.nodes[p][1:3] for s, p in enumerate(core.initial)}
     entries = {
         (s, initial_mode[s]): values[p].copy() for s, p in enumerate(core.initial)
@@ -251,7 +252,7 @@ def solve_finite_horizon(
     strategy = SynthesizedStrategy(
         kind="finite",
         horizon=compiled.max_bound,
-        table=dists,
+        table=profiles,
         choice_names=dict(enumerate(core.choice_names)),
         core=core,
     )
@@ -265,6 +266,52 @@ def _first_actions(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """The profile stored where no choice matters: every coalition plays
     its first action."""
     return tuple(np.eye(c)[0] for c in shape)
+
+
+def _solve_stages(
+    core: Core,
+    split: Choosers,
+    utilities: np.ndarray,
+    values: np.ndarray,
+    stages: _StageSolver,
+    dists: dict[int, tuple[np.ndarray, ...]],
+) -> np.ndarray:
+    """Solve the stage of every node in `split` on its rows of
+    `utilities`, writing the equilibrium values into `values`. The
+    single-chooser stages are solved in one array pass and never reach
+    the stage cache; the others go through it, and their profiles into
+    `dists`. Returns the single-chooser picks."""
+    picks = np.zeros(0, dtype=np.int64)
+    if len(split.single):
+        # The cost-optimal pick is the welfare-optimal pick of the negated
+        # block; the values are the block's own cells.
+        block = utilities[split.rows]
+        picks = single_chooser_picks(
+            -block if stages.opt == "min" else block, split.chooser, WELFARE_TOL
+        )
+        values[split.single] = block[split.order, picks]
+    for p, rows in split.multi:
+        s = core.nodes[p][0]
+        values[p], dists[p] = stages.solve(
+            utilities[rows].reshape(core.shapes[s] + (core.compiled.m,)),
+            core.choice_names[s],
+        )
+    return picks
+
+
+def _pure_dists(core: Core, split: Choosers, picks: np.ndarray):
+    """Each single-chooser node's profile: the chooser plays its pick and
+    every other coalition its only action, as (node, profile) pairs."""
+
+    def pure(size: int, action: int) -> np.ndarray:
+        vec = np.zeros(size)
+        vec[action] = 1.0
+        vec.setflags(write=False)
+        return vec
+
+    for p, i, a in zip(split.single.tolist(), split.chooser.tolist(), picks.tolist()):
+        shape = core.shapes[core.nodes[p][0]]
+        yield p, tuple(pure(c, a if j == i else 0) for j, c in enumerate(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +328,12 @@ class _SweepPlan:
     const)` on the others. `succ` holds successor pair indices padded with
     probability 0. While no row has more than three successors, the batched
     product rounds exactly as one `np.dot` per row and objective; with
-    longer rows, sums may differ from it in the last bit. Single-chooser
-    pairs are gathered into one padded (pairs, k_max, m) block, the padding
-    repeating the last action; the other pairs keep a row slice each.
+    longer rows, sums may differ from it in the last bit. Backward
+    induction contracts each successor count apart so that it rounds as
+    `np.dot` (`objectives.Level`). Value iteration keeps the one padded
+    product: its bits are pinned (`PINNED_CHECKS` and the aloha3
+    min-reach values), and a split by successor count would add numpy
+    calls to every sweep.
     """
 
     succ: np.ndarray  # (R, K) successor pair indices
@@ -292,10 +342,7 @@ class _SweepPlan:
     const: np.ndarray  # (R, m) pinned values of decided components
     pend: np.ndarray  # (R, m) pending components
     add_base: np.ndarray  # (R, m) pending reach-reward components
-    single: np.ndarray  # (P1,) single-chooser pair indices
-    single_rows: np.ndarray  # (P1, k_max) their rows, padded
-    chooser: np.ndarray  # (P1,) utility column of the chooser
-    multi: list[tuple[int, slice]]  # multi-chooser pair and its rows
+    split: Choosers  # pairs by who chooses at their stage
 
     def stage_tables(self, prev: np.ndarray) -> np.ndarray:
         """Every row's stage utilities (R, m) on the values `prev`."""
@@ -309,42 +356,23 @@ def _compile_sweep(core: Core) -> _SweepPlan:
     pairs; rows are padded by repeating their last successor."""
     compiled = core.compiled
     reach = np.array([obj.kind == "reach" for obj in compiled.items])
-    row_node = np.repeat(np.arange(len(core.nodes)), np.diff(core.start))
-    row_state = np.array([s for s, *_ in core.nodes], dtype=np.int64)[row_node]
+    start = np.array(core.start)
+    row_node = np.repeat(np.arange(len(core.nodes)), np.diff(start))
+    node_state = np.array([s for s, *_ in core.nodes], dtype=np.int64)
     ptr = np.array(core.ptr)
     lengths = np.diff(ptr)
     width = int(lengths.max()) if len(lengths) else 1
     column = np.arange(width)
     entry = ptr[:-1, None] + np.minimum(column, lengths[:, None] - 1)
     pend = core.pending[row_node]
-    single, single_rows, chooser, multi = [], [], [], []
-    for p, (s, *_mode) in enumerate(core.nodes):
-        rows = range(core.start[p], core.start[p + 1])
-        if not rows:
-            continue
-        choosers = [i for i, c in enumerate(core.shapes[s]) if c > 1]
-        if len(choosers) > 1:
-            multi.append((p, slice(rows.start, rows.stop)))
-        else:
-            single.append(p)
-            single_rows.append(rows)
-            chooser.append(choosers[0] if choosers else 0)
-    k_max = max(map(len, single_rows), default=1)
-    rows_arr = np.array(
-        [[rows[min(a, len(rows) - 1)] for a in range(k_max)] for rows in single_rows],
-        dtype=np.int64,
-    ).reshape(len(single_rows), k_max)
     return _SweepPlan(
         succ=core.succ[entry],
         prob=np.where(column < lengths[:, None], core.prob[entry], 0.0)[:, None, :],
-        base=core.state_rewards[row_state] + core.action_rewards,
+        base=core.state_rewards[node_state[row_node]] + core.action_rewards,
         const=core.const[row_node],
         pend=pend,
         add_base=pend & reach,
-        single=np.array(single, dtype=np.int64),
-        single_rows=rows_arr,
-        chooser=np.array(chooser, dtype=np.int64),
-        multi=multi,
+        split=choosers(0, start, np.array(core.shapes)[node_state]),
     )
 
 
@@ -369,16 +397,12 @@ def solve_value_iteration(
         raise AssumptionViolation(report)
     pairs, _index = mode_closure(game, compiled)
     core = unbounded_core(game, compiled, pairs)
-    m = compiled.m
     n_pairs = len(pairs)
     plan = _compile_sweep(core)
     values = core.const.copy()
 
     dists: dict[int, tuple[np.ndarray, ...]] = {}
     stages = _StageSolver(compiled.opt)
-    minimise = compiled.opt == "min"
-    single_index = np.arange(len(plan.single))
-    picks = np.zeros(len(plan.single), dtype=np.int64)
 
     iterations = 0
     stable = 0
@@ -392,19 +416,7 @@ def solve_value_iteration(
         iterations += 1
         prev = values.copy()
         utilities = plan.stage_tables(prev)
-        if len(plan.single):
-            # The cost-optimal pick is the welfare-optimal pick of the
-            # negated block; the values are the block's own cells.
-            block = utilities[plan.single_rows]
-            picks[:] = single_chooser_picks(
-                -block if minimise else block, plan.chooser, WELFARE_TOL
-            )
-            values[plan.single] = block[single_index, picks]
-        for p, rows in plan.multi:
-            s = pairs[p][0]
-            values[p], dists[p] = stages.solve(
-                utilities[rows].reshape(core.shapes[s] + (m,)), core.choice_names[s]
-            )
+        picks = _solve_stages(core, plan.split, utilities, values, stages, dists)
         stages.age()
         residual = float(np.abs(values - prev).max()) if n_pairs else 0.0
         stable = stable + 1 if residual <= vi.epsilon else 0
@@ -425,16 +437,7 @@ def solve_value_iteration(
     else:
         raise NotConverged(residual, iterations, period)
 
-    def pure(size: int, action: int) -> np.ndarray:
-        vec = np.zeros(size)
-        vec[action] = 1.0
-        vec.setflags(write=False)
-        return vec
-
-    for p, i, a in zip(plan.single.tolist(), plan.chooser.tolist(), picks.tolist()):
-        shape = core.shapes[pairs[p][0]]
-        dists[p] = tuple(pure(c, a if j == i else 0) for j, c in enumerate(shape))
-
+    dists.update(_pure_dists(core, plan.split, picks))
     entries = {pair: values[p].copy() for p, pair in enumerate(pairs)}
     initial_mode = {s: pairs[p][1] for s, p in enumerate(core.initial)}
     strategy = SynthesizedStrategy(

@@ -9,6 +9,7 @@ decided components of every value vector at exactly 1 or 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -260,6 +261,12 @@ class Core:
     action, in joint order: rows `start[p]:start[p + 1]`. Row r's
     successor nodes and probabilities are `succ[ptr[r]:ptr[r + 1]]` and
     `prob[ptr[r]:ptr[r + 1]]`.
+
+    Both engine loops split the nodes with `choosers`: the stages where at
+    most one coalition chooses are solved in one array pass and never
+    reach the engine's stage cache. A bounded core also cuts itself into
+    `levels` on first use, for backward induction and finite
+    certification; an unbounded core never builds them.
     """
 
     game: Csg
@@ -277,22 +284,132 @@ class Core:
     prob: np.ndarray  # its probability
     action_rewards: np.ndarray  # (rows, m)
 
-    def row_utilities(
-        self, r: int, state: int, values: np.ndarray, live: list[int]
-    ) -> list[float]:
-        """Each live component's stage utility at row r of `state` on the
-        successor `values`: one `np.dot` of the row's probabilities with
-        the successors' values, plus the state and action rewards for a
-        cumulative reward."""
-        probs = self.prob[self.ptr[r] : self.ptr[r + 1]]
-        succ = values[self.succ[self.ptr[r] : self.ptr[r + 1]]]
-        out = []
-        for l in live:
-            cont = float(np.dot(probs, succ[:, l]))
-            if self.compiled.items[l].kind == "cumulative":
-                cont = self.state_rewards[state, l] + self.action_rewards[r, l] + cont
-            out.append(cont)
-        return out
+    @functools.cached_property
+    def levels(self) -> list["Level"]:
+        """The levels of a bounded core, built on first use."""
+        return _index_levels(self)
+
+
+@dataclass
+class Choosers:
+    """Nodes split by who chooses at their stage. Single-chooser nodes (at
+    most one coalition with more than one action) are gathered into one
+    padded (nodes, k_max) block of rows, the padding repeating the last
+    row; the other nodes keep a row slice each."""
+
+    single: np.ndarray  # (P1,) single-chooser nodes
+    rows: np.ndarray  # (P1, k_max) their rows, padded
+    chooser: np.ndarray  # (P1,) utility column of the chooser
+    order: np.ndarray  # (P1,) 0, 1, ..., to take one row of each
+    multi: list[tuple[int, slice]]  # every other node and its rows
+
+
+@dataclass
+class Level:
+    """One level of a bounded core: its nodes, their rows and the rows'
+    successor entries, each a contiguous range. The arrays below count
+    nodes and rows from the level's first, and the rows are also
+    grouped by their exact successor count, for `stage_utilities`."""
+
+    nodes: slice
+    rows: slice
+    entries: slice
+    row_nodes: np.ndarray  # (R,) node of each row
+    entry_rows: np.ndarray  # (entries,) row of each successor entry
+    actions: np.ndarray  # (R, coalitions) each coalition's action in the row
+    shapes: np.ndarray  # (N, coalitions) stage shape of each node
+    groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # rows, succ, prob
+    base: np.ndarray  # (R, m) state plus action reward
+    add_base: np.ndarray  # (R, m) pending cumulative components
+    pend: np.ndarray  # (R, m) pending components
+    const: np.ndarray  # (R, m) pinned values of decided components
+    split: Choosers
+
+    def stage_utilities(self, values: np.ndarray) -> np.ndarray:
+        """Every row's stage utilities (R, m) on the successor `values`.
+
+        A group of rows with K successors is contracted in one
+        `(R, 1, 1, K) @ (R, m, K, 1)` product. Its output is a scalar per
+        (row, objective), which numpy computes with one BLAS `ddot` at the
+        strides of `np.dot(prob, values[succ][:, l])`, so every row rounds
+        as a plain per-row dot product, whatever its length."""
+        cont = np.empty(self.base.shape)
+        for rows, succ, prob in self.groups:
+            cont[rows] = (prob @ values[succ].transpose(0, 2, 1)[..., None])[..., 0, 0]
+        np.add(self.base, cont, out=cont, where=self.add_base)
+        return np.where(self.pend, cont, self.const)
+
+
+def choosers(first: int, start: np.ndarray, shapes: np.ndarray) -> Choosers:
+    """`Choosers` of the nodes numbered from `first`, given their stage
+    shapes (nodes, coalitions) and row bounds `start` (nodes + 1); rows
+    count from `start[0]`."""
+    start = start - start[0]
+    sizes = np.diff(start)
+    choosing = shapes > 1
+    single = (sizes > 0) & (choosing.sum(axis=1) <= 1)
+    k_max = int(sizes[single].max(initial=1))
+    rows = start[:-1, None] + np.minimum(np.arange(k_max), sizes[:, None] - 1)
+    return Choosers(
+        single=first + np.flatnonzero(single),
+        rows=rows[single],
+        # The first choosing coalition, or 0 when none chooses.
+        chooser=choosing[single].argmax(axis=1),
+        order=np.arange(np.count_nonzero(single)),
+        multi=[
+            (first + q, slice(start[q], start[q + 1]))
+            for q in np.flatnonzero((sizes > 0) & ~single).tolist()
+        ],
+    )
+
+
+def _index_levels(core: Core) -> list[Level]:
+    """Cut a bounded core, whose nodes are numbered level by level, into
+    its levels."""
+    node_level = np.array([level for *_mode, level in core.nodes])
+    node_state = np.array([s for s, *_ in core.nodes], dtype=np.int64)
+    start, ptr = np.array(core.start), np.array(core.ptr)
+    lengths = np.diff(ptr)
+    row_node = np.repeat(np.arange(len(core.nodes)), np.diff(start))
+    entry_row = np.repeat(np.arange(len(lengths)), lengths)
+    node_shape = np.array(core.shapes, dtype=np.int64)[node_state]
+    # Joints run in `itertools.product` order: the last coalition fastest.
+    joint = np.arange(len(row_node)) - start[row_node]
+    actions = np.empty((len(row_node), node_shape.shape[1]), dtype=np.int64)
+    for i in range(actions.shape[1] - 1, -1, -1):
+        count = node_shape[row_node, i]
+        actions[:, i] = joint % count
+        joint //= count
+    cumulative = np.array([obj.kind == "cumulative" for obj in core.compiled.items])
+    base = core.state_rewards[node_state[row_node]] + core.action_rewards
+    pend = core.pending[row_node]
+    const = core.const[row_node]
+    bounds = np.flatnonzero(np.diff(node_level)) + 1
+    levels = []
+    for n0, n1 in zip([0, *bounds.tolist()], [*bounds.tolist(), len(core.nodes)]):
+        r0, r1 = int(start[n0]), int(start[n1])
+        e0, e1 = int(ptr[r0]), int(ptr[r1])
+        groups = []
+        for k in np.unique(lengths[r0:r1]).tolist():
+            rows = np.flatnonzero(lengths[r0:r1] == k)
+            entry = ptr[r0 + rows, None] + np.arange(k)
+            groups.append((rows, core.succ[entry], core.prob[entry][:, None, None, :]))
+        levels.append(Level(
+            nodes=slice(n0, n1),
+            rows=slice(r0, r1),
+            entries=slice(e0, e1),
+            row_nodes=row_node[r0:r1] - n0,
+            entry_rows=entry_row[e0:e1] - r0,
+            actions=actions[r0:r1],
+            shapes=node_shape[n0:n1],
+            groups=groups,
+            base=base[r0:r1],
+            add_base=pend[r0:r1] & cumulative,
+            pend=pend[r0:r1],
+            const=const[r0:r1],
+            split=choosers(n0, start[n0 : n1 + 1], node_shape[n0:n1]),
+        ))
+    return levels
 
 
 def bounded_core(game: Csg, compiled: CompiledObjectives) -> Core:

@@ -11,6 +11,7 @@ the profile is from an exact equilibrium at every state.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -255,43 +256,67 @@ def _evaluate_memoryless(core: Core, strategy: SynthesizedStrategy):
 
 def _reached(
     core: Core, strategy: SynthesizedStrategy, skip: int = -1
-) -> dict[int, list[float]]:
-    """Joint weights (`_joint_weights`) at every node of a bounded core that
-    play can reach from an initial mode and that still needs a value:
-    one with a pending component, or with coalition `skip`'s objective
-    pending when `skip` picks a best responder, whose own mix is left out.
-    Successors have higher numbers, so one pass up finds them all, and the
-    keys come out in increasing order."""
-    reached = [False] * len(core.nodes)
-    for p in core.initial:
-        reached[p] = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of a bounded core that play can reach from an initial
+    mode and that still need a value: those with a pending component, or
+    with coalition `skip`'s objective pending when `skip` picks a best
+    responder, whose own mix is then left out. Returns their mask and
+    every row's joint weight, 0 at the other nodes: the coalitions'
+    probabilities of the row's actions multiplied in coalition order, as
+    `_joint_weights` does. Successors lie one level up, so one pass up
+    the levels finds every reached node."""
+    weights = np.zeros(len(core.action_rewards))
+    reached = np.zeros(len(core.nodes), dtype=bool)
+    reached[core.initial] = True
     expand = core.pending[:, skip] if skip >= 0 else core.pending.any(axis=1)
-    out = {}
-    for p in np.flatnonzero(expand).tolist():
-        if not reached[p]:
+    todo = np.zeros(len(core.nodes), dtype=bool)
+    for level in core.levels:
+        nodes = level.nodes
+        todo[nodes] = here = reached[nodes] & expand[nodes]
+        if not here.any():
             continue
-        s, D, E, level = core.nodes[p]
-        out[p] = weights = _joint_weights(strategy.distributions(s, D, E, level), skip)
-        for j, w in enumerate(weights):
-            if w != 0.0:
-                r = core.start[p] + j
-                for q in core.succ[core.ptr[r] : core.ptr[r + 1]].tolist():
-                    reached[q] = True
-    return out
+        probs = np.concatenate([
+            dist
+            for node in itertools.compress(core.nodes[nodes], here)
+            for dist in strategy.table[node]
+        ])
+        # Where each (node, coalition) distribution starts in `probs`.
+        sizes = level.shapes * here[:, None]
+        first = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
+        rows = np.flatnonzero(here[level.row_nodes])
+        x = probs[first[level.row_nodes[rows]] + level.actions[rows]]
+        columns = [x[:, i] for i in range(x.shape[1]) if i != skip]
+        level_weights = weights[level.rows]
+        level_weights[rows] = functools.reduce(np.multiply, columns) if columns else 1.0
+        reached[core.succ[level.entries][level_weights[level.entry_rows] != 0.0]] = True
+    return todo, weights
 
 
 def _evaluate_finite(core: Core, strategy: SynthesizedStrategy):
+    """Levels rolled back from the deepest: a reached node's pending
+    components sum weight times stage utility over its played rows, in
+    joint order from 0."""
+    todo, weights = _reached(core, strategy)
     values = core.const.copy()
-    for p, weights in reversed(_reached(core, strategy).items()):
-        s = core.nodes[p][0]
-        live = np.flatnonzero(core.pending[p]).tolist()
-        vec = core.const[p].copy()
-        for j, w in enumerate(weights):
-            if w != 0.0:
-                row = core.row_utilities(core.start[p] + j, s, values, live)
-                for l, cont in zip(live, row):
-                    vec[l] += w * cont
-        values[p] = vec
+    m = values.shape[1]
+    for level in reversed(core.levels):
+        nodes = level.nodes
+        here = np.flatnonzero(todo[nodes])
+        if not len(here):
+            continue
+        weight = weights[level.rows]
+        played = np.flatnonzero(weight)
+        utilities = level.stage_utilities(values)
+        # bincount adds in index order, so each (node, component) sum
+        # runs over the node's rows in joint order.
+        slots = level.row_nodes[played, None] * m + np.arange(m)
+        sums = np.bincount(
+            slots.ravel(),
+            weights=(weight[played, None] * utilities[played]).ravel(),
+            minlength=(nodes.stop - nodes.start) * m,
+        ).reshape(-1, m)
+        p = nodes.start + here
+        values[p] = np.where(core.pending[p], sums[here], core.const[p])
     return {
         (s, core.nodes[p][1:3]): values[p].copy() for s, p in enumerate(core.initial)
     }
@@ -395,32 +420,50 @@ def _best_response_memoryless(
 
 
 def _best_response_finite(core: Core, strategy: SynthesizedStrategy, coalition: int):
-    better = max if core.compiled.opt == "max" else min
+    """Levels rolled back from the deepest. At a reached node each own
+    action's total sums, over its played rows in joint order from 0 (the
+    state reward first for a cumulative objective), weight times action
+    reward and weight times continuation; the continuation sums
+    probability times value over the row's successors in order from 0.
+    The best total is kept as `functools.reduce(max or min)` keeps it:
+    a later action wins only when strictly better, so a leading NaN
+    stays."""
+    todo, weights = _reached(core, strategy, coalition)
+    better = np.greater if core.compiled.opt == "max" else np.less
     cumulative = core.compiled.items[coalition].kind == "cumulative"
-    values = core.const[:, coalition].tolist()
-    own_actions = {}  # per stage shape, the coalition's action in each joint
-    for p, weights in reversed(_reached(core, strategy, coalition).items()):
-        shape = core.shapes[core.nodes[p][0]]
-        own = own_actions.get(shape)
-        if own is None:
-            own = own_actions[shape] = np.indices(shape)[coalition].ravel().tolist()
-        # Each own action's total, summed over its joints in joint order.
-        totals = [0.0] * shape[coalition]
+    values = core.const[:, coalition].copy()
+    state_rewards = core.state_rewards[[s for s, *_ in core.nodes], coalition]
+    for level in reversed(core.levels):
+        nodes, rows, entries = level.nodes, level.rows, level.entries
+        here = np.flatnonzero(todo[nodes])
+        if not len(here):
+            continue
+        weight = weights[rows]
+        played = np.flatnonzero(weight)
+        # bincount adds in index order: every sum below is sequential.
+        cont = np.bincount(
+            level.entry_rows,
+            weights=core.prob[entries] * values[core.succ[entries]],
+            minlength=len(weight),
+        )
+        counts = level.shapes[:, coalition]
+        width = int(counts.max())
+        slots = level.row_nodes[played] * width + level.actions[played, coalition]
+        adds = weight[played] * cont[played]
         if cumulative:
-            reward = float(core.state_rewards[core.nodes[p][0], coalition])
-            totals = [total + reward for total in totals]
-        for j, w in enumerate(weights):
-            if w == 0.0:
-                continue
-            r = core.start[p] + j
-            if cumulative:
-                totals[own[j]] += w * float(core.action_rewards[r, coalition])
-            cont = 0.0
-            x, y = core.ptr[r], core.ptr[r + 1]
-            for t, tp in zip(core.succ[x:y].tolist(), core.prob[x:y].tolist()):
-                cont += tp * values[t]
-            totals[own[j]] += w * cont
-        values[p] = functools.reduce(better, totals)
+            reward = core.action_rewards[rows, coalition][played]
+            slots = np.concatenate([np.arange(len(counts) * width), slots.repeat(2)])
+            adds = np.concatenate([
+                state_rewards[nodes].repeat(width),
+                np.column_stack([weight[played] * reward, adds]).ravel(),
+            ])
+        totals = np.bincount(
+            slots, weights=adds, minlength=len(counts) * width
+        ).reshape(-1, width)
+        best = totals[:, 0]
+        for a in range(1, width):
+            best = np.where((a < counts) & better(totals[:, a], best), totals[:, a], best)
+        values[nodes.start + here] = best[here]
     return {
         (s, core.nodes[p][1:3]): float(values[p]) for s, p in enumerate(core.initial)
     }

@@ -823,3 +823,58 @@ def test_sweep_plan_builds_the_per_pair_stage_tables(model, prop):
                     assert abs(got - want) <= 4 * eps * abs(want)
             r += 1
     assert r == len(utilities) > 0
+
+
+# ---------------------------------------------------------------------------
+# Backward induction by levels
+
+
+@pytest.mark.parametrize(
+    "model,prop,widths",
+    [
+        (_bundled("medium_access3.json"), _sum_prop('R{"mes#"}[C<=20]'), {1}),
+        (_bundled("aloha3.json"), _sum_prop('P[F<=15 "d#"]'), {1, 2, 4, 8}),
+        (_bundled("aloha3.json"), ALOHA_MIN_COST, {1, 2, 4, 8}),
+        (_bundled("public_good_profit.json", {"f": 1.75}), PROFIT_PROP, {1}),
+        (_bundled("public_good_capital.json"), CAPITAL_PROP, {1, 3}),
+        # One objective: the successor column is contiguous.
+        (trap_chain_csg, '<<p1>>max=? (P[ "safe" U<=3 "goal" ])', {2}),
+    ],
+)
+def test_level_contraction_rounds_as_one_dot_per_row(model, prop, widths):
+    # Reference: one np.dot per (row, pending objective), as backward
+    # induction built its stage tables before levels were contracted.
+    # Every row must match to the bit, whatever its successor count.
+    from csgnash.objectives import bounded_core, canonical_mode
+
+    coalition, compiled = compile_for(model(), prop)
+    core = bounded_core(coalition, compiled)
+    index = {node: p for p, node in enumerate(core.nodes)}
+    values = np.random.default_rng(0).standard_normal(core.const.shape)
+    rewards = [coalition.rewards.get(obj.reward) for obj in compiled.items]
+    got = np.concatenate([level.stage_utilities(values) for level in core.levels])
+    lengths = set()
+    r = 0
+    for p, (s, D, E, level) in enumerate(core.nodes):
+        if not core.pending[p].any():
+            continue
+        sets = [coalition.choices(s, i) for i in range(coalition.n_players)]
+        for joint in itertools.product(*sets):
+            dist = coalition.transitions[(s, joint)]
+            succ = [
+                index[(t, *canonical_mode(compiled, t, D, E, step=level + 1), level + 1)]
+                for t in dist
+            ]
+            probs = np.array(list(dist.values()))
+            lengths.add(len(succ))
+            for l, obj in enumerate(compiled.items):
+                want = core.const[p, l]
+                if core.pending[p, l]:
+                    want = float(np.dot(probs, values[succ][:, l]))
+                    if obj.kind == "cumulative":
+                        rew = rewards[l]
+                        want = rew.state_reward(s) + rew.action_reward(s, joint) + want
+                assert float(got[r, l]).hex() == float(want).hex()
+            r += 1
+    assert r == len(got) > 0
+    assert lengths == widths
