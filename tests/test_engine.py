@@ -15,7 +15,7 @@ from csgnash.engine import (
     solve_finite_horizon,
     solve_value_iteration,
 )
-from csgnash.formulas import parse_formula, resolve_coalitions
+from csgnash.formulas import classify_horizon, parse_formula, resolve_coalitions
 from csgnash.games import (
     Csg,
     CoalitionPartition,
@@ -599,19 +599,15 @@ def test_stage_cache_keeps_results_bit_identical(name, params, prop, digest):
     assert _result_digest(_check_bundled(name, params, prop)) == digest
 
 
-def test_finite_certificate_gaps_stay_bit_identical():
-    # Every gap of every finite pinned check, recorded with best responses
-    # and profile evaluation that walked the nodes one at a time. The
-    # best response sums without FMA and the check with ddot, so aloha3
-    # F<=31 certifies one rounding step away from 0.
+def _certificate_digest(checks) -> tuple[str, list[float]]:
+    """SHA-256 over every certificate gap (key, `float.hex`) of the
+    checks, in a fixed key order, and each check's epsilon."""
     from csgnash.strategies import certify_epsilon
 
     h = hashlib.sha256()
     epsilons = []
-    for name, params, prop, _digest in PINNED_CHECKS:
+    for name, params, prop in checks:
         result = _check_bundled(name, params, prop)
-        if result.compiled.horizon != "finite":
-            continue
         cert = certify_epsilon(result.coalition_game, result.strategy, result.compiled)
         for (i, s, (D, E)), gap in sorted(
             cert.gaps.items(),
@@ -619,10 +615,40 @@ def test_finite_certificate_gaps_stay_bit_identical():
         ):
             h.update(repr((i, s, sorted(D), sorted(E), float(gap).hex())).encode())
         epsilons.append(cert.epsilon)
+    return h.hexdigest(), epsilons
+
+
+def _pinned(horizon: str) -> list[tuple]:
+    return [
+        (name, params, prop)
+        for name, params, prop, _digest in PINNED_CHECKS
+        if classify_horizon(parse_formula(prop)) == horizon
+    ]
+
+
+def test_finite_certificate_gaps_stay_bit_identical():
+    # Every gap of every finite pinned check, recorded with best responses
+    # and profile evaluation that walked the nodes one at a time. The
+    # best response sums without FMA and the check with ddot, so aloha3
+    # F<=31 certifies one rounding step away from 0.
+    digest, epsilons = _certificate_digest(_pinned("finite"))
     assert epsilons[3] == 2.220446049250313e-16
-    assert h.hexdigest() == (
-        "229b27061bb278555a03b37c654379a64f7bf33cbff4cdd691765b1db8c877d7"
-    )
+    assert digest == "229b27061bb278555a03b37c654379a64f7bf33cbff4cdd691765b1db8c877d7"
+
+
+ALOHA_MIN_REACH = _sum_prop('R{"time#"}[F "d#"]', "min")
+
+
+def test_memoryless_certificate_gaps_stay_bit_identical():
+    # Every gap of every unbounded pinned check, of aloha3's min reach
+    # (rows of 4 and 8 successors, stages where several coalitions
+    # choose) and of raa at alpha=0.1, recorded with evaluation and best
+    # responses that walked each pair's joint actions one at a time.
+    digest, epsilons = _certificate_digest(_pinned("infinite") + [
+        ("aloha3.json", {}, ALOHA_MIN_REACH),
+        ("secret_sharing_raa.json", {"alpha": 0.1}, UTIL_PROP),
+    ])
+    assert digest == "d7e9ec9244664a97a3bd8e49a5af10999ed96f4681bbe71ac3629bc1efb0d757"
 
 
 @pytest.fixture
