@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import os
@@ -12,10 +13,10 @@ import pytest
 import csgnash
 from csgnash import engine, strategies
 from csgnash.engine import check_nash_formula
-from csgnash.formulas import parse_formula
-from csgnash.games import Csg, RewardStructure
+from csgnash.formulas import parse_formula, resolve_coalitions
+from csgnash.games import Csg, RewardStructure, build_coalition_game
 from csgnash.modelio import load_model
-from csgnash.objectives import EMPTY
+from csgnash.objectives import EMPTY, bounded_core, compile_objectives
 from csgnash.oracle import single_agent_reach_reward, single_agent_until
 from csgnash.strategies import (
     SynthesizedStrategy,
@@ -396,6 +397,109 @@ def test_finite_best_response_reports_the_evaluated_nodes():
     nodes = set(evaluate_profile(game, strategy, compiled))
     for i in range(compiled.m):
         assert set(best_response_value(game, strategy, i, compiled)) == nodes
+
+
+def random_reward_csg(rng) -> Csg:
+    """Three players over four states, one to three actions each, one to
+    three successors per joint action, and float state and action
+    rewards `r1`..`r3`."""
+    n = 4
+    availability = tuple(
+        tuple(tuple(range(rng.integers(1, 4))) for _ in range(3)) for _ in range(n)
+    )
+    transitions, rewards = {}, {f"r{k}": ({}, {}) for k in (1, 2, 3)}
+    for s in range(n):
+        for state, _ in rewards.values():
+            state[s] = float(rng.uniform(-5, 5))
+        for joint in itertools.product(*availability[s]):
+            targets = rng.choice(n, size=rng.integers(1, 4), replace=False)
+            probs = rng.random(len(targets))
+            transitions[(s, joint)] = dict(zip(targets.tolist(), probs / probs.sum()))
+            for _, action in rewards.values():
+                action[(s, joint)] = float(rng.uniform(-5, 5))
+    return Csg(
+        players=("p1", "p2", "p3"),
+        actions=(("a", "b", "c"),) * 3,
+        state_names=tuple(f"s{s}" for s in range(n)),
+        initial=(0,),
+        availability=availability,
+        transitions=transitions,
+        labels=(frozenset(),) * n,
+        rewards={name: RewardStructure(*maps) for name, maps in rewards.items()},
+    )
+
+
+def _reference_best_response(core, strategy, coalition):
+    """Per-node best response: at each node, each own action's total adds
+    the state reward, then over the played rows in joint order weight
+    times action reward and weight times continuation; a later action
+    wins only when strictly better."""
+    better = float.__gt__ if core.compiled.opt == "max" else float.__lt__
+    memo = {}
+
+    def value(p):
+        if p not in memo:
+            memo[p] = float(core.const[p, coalition])
+            if core.pending[p, coalition]:
+                memo[p] = solve(p)
+        return memo[p]
+
+    def solve(p):
+        s = core.nodes[p][0]
+        dists = strategy.table[core.nodes[p]]
+        shape = core.shapes[s]
+        totals = [0.0 + float(core.state_rewards[s, coalition])] * shape[coalition]
+        for j, joint in enumerate(itertools.product(*map(range, shape))):
+            w = 1.0
+            for i, a in enumerate(joint):
+                if i != coalition:
+                    w *= float(dists[i][a])
+            if w == 0.0:
+                continue
+            r = core.start[p] + j
+            cont = 0.0
+            for e in range(core.ptr[r], core.ptr[r + 1]):
+                cont += float(core.prob[e]) * value(int(core.succ[e]))
+            totals[joint[coalition]] += w * float(core.action_rewards[r, coalition])
+            totals[joint[coalition]] += w * cont
+        best = totals[0]
+        for total in totals[1:]:
+            if better(total, best):
+                best = total
+        return best
+
+    return {(s, core.nodes[p][1:3]): value(p) for s, p in enumerate(core.initial)}
+
+
+@pytest.mark.parametrize("opt", ["max", "min"])
+def test_finite_best_response_adds_in_the_reference_order(opt):
+    # Float rewards and random mixed profiles, some with zero entries, so
+    # that adding a row's two terms in the other order, or a skipped row,
+    # moves a last bit.
+    nf = parse_formula(
+        f'<<p1:p2:p3>>{opt}=? (R{{"r1"}}[C<=3] + R{{"r2"}}[C<=2] + R{{"r3"}}[C<=3])'
+    )
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        model = random_reward_csg(rng)
+        game = build_coalition_game(model, resolve_coalitions(model, nf))
+        compiled = compile_objectives(game, nf, None)
+        core = bounded_core(game, compiled)
+        table = {}
+        for p in np.flatnonzero(np.diff(core.start)).tolist():
+            mixed = []
+            for c in core.shapes[core.nodes[p][0]]:
+                x = rng.random(c) * (rng.random(c) > 0.25)
+                x[rng.integers(c)] += 0.5
+                mixed.append(x / x.sum())
+            table[core.nodes[p]] = tuple(mixed)
+        strategy = SynthesizedStrategy("finite", 3, table, {}, core=core)
+        for i in range(3):
+            got = best_response_value(game, strategy, i, compiled)
+            want = _reference_best_response(core, strategy, i)
+            assert {k: v.hex() for k, v in got.items()} == {
+                k: v.hex() for k, v in want.items()
+            }
 
 
 CERTIFY_IMPORTED = """
