@@ -25,6 +25,7 @@ from .formulas import FormulaError, NashFormula, parse_formula
 from .games import validate_csg
 from .modelio import ModelError, load_model, load_nfg, model_params
 from .nfg_solve import NoEquilibriumError, scne, swne
+from .objectives import UnsupportedFormulaError
 from .strategies import certify_epsilon, export_strategy
 
 EXIT_OK = 0
@@ -309,7 +310,9 @@ def main(argv=None) -> int:
     except NotConverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
-    except (ModelError, FormulaError, NoEquilibriumError, OSError) as exc:
+    except (
+        ModelError, FormulaError, UnsupportedFormulaError, NoEquilibriumError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -2,14 +2,15 @@
 
 Finite-horizon objective sums are solved by backward induction on the
 remaining step bound; infinite-horizon sums by value iteration. Both run
-over the check's compiled core (`objectives.Core`): at every reached
-(state, satisfied-set, failed-set) node, and every level for finite
-horizons, they solve the one-shot game whose utilities combine decided
-components (exactly 1 or 0 for probabilities, 0 for settled reward
-objectives) with successor-weighted continuation values, taking
-welfare-optimal equilibrium values (cost-optimal ones when minimising).
-The core goes out with the synthesised strategy, so certification reads
-the same rows.
+over the rows of the check's compiled core (`objectives.Core`), cut
+into levels: one per step count, or a single one for value iteration.
+At every reached (state, satisfied-set, failed-set) node, and every
+level for finite horizons, they solve the one-shot game whose utilities
+combine decided components (exactly 1 or 0 for probabilities, 0 for
+settled reward objectives) with successor-weighted continuation values,
+taking welfare-optimal equilibrium values (cost-optimal ones when
+minimising). The core goes out with the synthesised strategy, so
+certification reads the same rows.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .objectives import (
     Core,
     Mode,
     bounded_core,
-    choosers,
     compile_objectives,
     mode_closure,
     mode_decided,
@@ -289,7 +289,7 @@ def _solve_stages(
         picks = single_chooser_picks(
             -block if stages.opt == "min" else block, split.chooser, WELFARE_TOL
         )
-        values[split.single] = block[split.order, picks]
+        values[split.single] = block[np.arange(len(picks)), picks]
     for p, rows in split.multi:
         s = core.nodes[p][0]
         values[p], dists[p] = stages.solve(
@@ -318,62 +318,29 @@ def _pure_dists(core: Core, split: Choosers, picks: np.ndarray):
 # Infinite horizon: value iteration
 
 
-@dataclass
-class _SweepPlan:
-    """Value iteration compiled once per check into rows, one row per
-    (undecided pair, joint action) in pair order.
+def _sweep_utilities(core: Core):
+    """The function from one sweep's values to every row's stage
+    utilities (R, m), over the core's one level.
 
-    A sweep's stage tables are `where(pend, base + prob @ prev[succ],
-    const)` on the reach-reward columns and `where(pend, prob @ prev[succ],
-    const)` on the others. `succ` holds successor pair indices padded with
-    probability 0. While no row has more than three successors, the batched
-    product rounds exactly as one `np.dot` per row and objective; with
-    longer rows, sums may differ from it in the last bit. Backward
-    induction contracts each successor count apart so that it rounds as
-    `np.dot` (`objectives.Level`). Value iteration keeps the one padded
-    product: its bits are pinned (`PINNED_CHECKS` and the aloha3
-    min-reach values), and a split by successor count would add numpy
-    calls to every sweep.
+    The continuations are one `(R, 1, K) @ (R, K, m)` product over rows
+    padded to the longest, by repeating the last successor with
+    probability 0. While no row has more than three successors, it rounds
+    exactly as one `np.dot` per row and objective; with longer rows, sums
+    may differ from it in the last bit. Backward induction contracts each
+    successor count apart so that it rounds as `np.dot`
+    (`Level.stage_utilities`). Value iteration keeps the one padded
+    product: its bits are pinned (`PINNED_CHECKS` and the aloha3 min-reach
+    values), and a split by successor count would add numpy calls to every
+    sweep.
     """
-
-    succ: np.ndarray  # (R, K) successor pair indices
-    prob: np.ndarray  # (R, 1, K) transition probabilities
-    base: np.ndarray  # (R, m) state plus action reward
-    const: np.ndarray  # (R, m) pinned values of decided components
-    pend: np.ndarray  # (R, m) pending components
-    add_base: np.ndarray  # (R, m) pending reach-reward components
-    split: Choosers  # pairs by who chooses at their stage
-
-    def stage_tables(self, prev: np.ndarray) -> np.ndarray:
-        """Every row's stage utilities (R, m) on the values `prev`."""
-        cont = (self.prob @ prev[self.succ])[:, 0, :]
-        np.add(self.base, cont, out=cont, where=self.add_base)
-        return np.where(self.pend, cont, self.const)
-
-
-def _compile_sweep(core: Core) -> _SweepPlan:
-    """The plan over the core's rows, which are those of the undecided
-    pairs; rows are padded by repeating their last successor."""
-    compiled = core.compiled
-    reach = np.array([obj.kind == "reach" for obj in compiled.items])
-    start = np.array(core.start)
-    row_node = np.repeat(np.arange(len(core.nodes)), np.diff(start))
-    node_state = np.array([s for s, *_ in core.nodes], dtype=np.int64)
+    (level,) = core.levels
     ptr = np.array(core.ptr)
     lengths = np.diff(ptr)
-    width = int(lengths.max()) if len(lengths) else 1
-    column = np.arange(width)
+    column = np.arange(int(lengths.max(initial=1)))
     entry = ptr[:-1, None] + np.minimum(column, lengths[:, None] - 1)
-    pend = core.pending[row_node]
-    return _SweepPlan(
-        succ=core.succ[entry],
-        prob=np.where(column < lengths[:, None], core.prob[entry], 0.0)[:, None, :],
-        base=core.state_rewards[node_state[row_node]] + core.action_rewards,
-        const=core.const[row_node],
-        pend=pend,
-        add_base=pend & reach,
-        split=choosers(0, start, np.array(core.shapes)[node_state]),
-    )
+    succ = core.succ[entry]
+    prob = np.where(column < lengths[:, None], core.prob[entry], 0.0)[:, None, :]
+    return lambda prev: level.finish((prob @ prev[succ])[:, 0, :])
 
 
 def solve_value_iteration(
@@ -398,7 +365,8 @@ def solve_value_iteration(
     pairs, _index = mode_closure(game, compiled)
     core = unbounded_core(game, compiled, pairs)
     n_pairs = len(pairs)
-    plan = _compile_sweep(core)
+    split = core.levels[0].split
+    stage_utilities = _sweep_utilities(core)
     values = core.const.copy()
 
     dists: dict[int, tuple[np.ndarray, ...]] = {}
@@ -415,8 +383,8 @@ def solve_value_iteration(
     while iterations < vi.max_iters:
         iterations += 1
         prev = values.copy()
-        utilities = plan.stage_tables(prev)
-        picks = _solve_stages(core, plan.split, utilities, values, stages, dists)
+        utilities = stage_utilities(prev)
+        picks = _solve_stages(core, split, utilities, values, stages, dists)
         stages.age()
         residual = float(np.abs(values - prev).max()) if n_pairs else 0.0
         stable = stable + 1 if residual <= vi.epsilon else 0
@@ -437,7 +405,7 @@ def solve_value_iteration(
     else:
         raise NotConverged(residual, iterations, period)
 
-    dists.update(_pure_dists(core, plan.split, picks))
+    dists.update(_pure_dists(core, split, picks))
     entries = {pair: values[p].copy() for p, pair in enumerate(pairs)}
     initial_mode = {s: pairs[p][1] for s, p in enumerate(core.initial)}
     strategy = SynthesizedStrategy(

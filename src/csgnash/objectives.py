@@ -262,11 +262,9 @@ class Core:
     successor nodes and probabilities are `succ[ptr[r]:ptr[r + 1]]` and
     `prob[ptr[r]:ptr[r + 1]]`.
 
-    Both engine loops split the nodes with `choosers`: the stages where at
-    most one coalition chooses are solved in one array pass and never
-    reach the engine's stage cache. A bounded core also cuts itself into
-    `levels` on first use, for backward induction and finite
-    certification; an unbounded core never builds them.
+    On first use the core cuts itself into `levels`, the row view that
+    both engine loops and certification read: a bounded core into one
+    level per step count, an unbounded core into a single level.
     """
 
     game: Csg
@@ -286,7 +284,7 @@ class Core:
 
     @functools.cached_property
     def levels(self) -> list["Level"]:
-        """The levels of a bounded core, built on first use."""
+        """The core's levels, deepest last, built on first use."""
         return _index_levels(self)
 
 
@@ -300,16 +298,18 @@ class Choosers:
     single: np.ndarray  # (P1,) single-chooser nodes
     rows: np.ndarray  # (P1, k_max) their rows, padded
     chooser: np.ndarray  # (P1,) utility column of the chooser
-    order: np.ndarray  # (P1,) 0, 1, ..., to take one row of each
     multi: list[tuple[int, slice]]  # every other node and its rows
 
 
 @dataclass
 class Level:
-    """One level of a bounded core: its nodes, their rows and the rows'
-    successor entries, each a contiguous range. The arrays below count
-    nodes and rows from the level's first, and the rows are also
-    grouped by their exact successor count, for `stage_utilities`."""
+    """One level of a core: its nodes, their rows and the rows' successor
+    entries, each a contiguous range. A bounded core has one level per
+    step count, an unbounded core one level of every node. The arrays
+    below count nodes and rows from the level's first, and the rows are
+    also grouped by their exact successor count, for `stage_utilities`.
+    The stage split (`split`) lets both engine loops solve the stages
+    where at most one coalition chooses in one array pass."""
 
     nodes: slice
     rows: slice
@@ -320,7 +320,7 @@ class Level:
     shapes: np.ndarray  # (N, coalitions) stage shape of each node
     groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # rows, succ, prob
     base: np.ndarray  # (R, m) state plus action reward
-    add_base: np.ndarray  # (R, m) pending cumulative components
+    add_base: np.ndarray  # (R, m) pending cumulative or reach components
     pend: np.ndarray  # (R, m) pending components
     const: np.ndarray  # (R, m) pinned values of decided components
     split: Choosers
@@ -336,6 +336,12 @@ class Level:
         cont = np.empty(self.base.shape)
         for rows, succ, prob in self.groups:
             cont[rows] = (prob @ values[succ].transpose(0, 2, 1)[..., None])[..., 0, 0]
+        return self.finish(cont)
+
+    def finish(self, cont: np.ndarray) -> np.ndarray:
+        """Stage utilities (R, m) from the rows' continuations `cont`,
+        which are overwritten: the base is added where a reward is
+        pending, and decided components take their pinned values."""
         np.add(self.base, cont, out=cont, where=self.add_base)
         return np.where(self.pend, cont, self.const)
 
@@ -355,7 +361,6 @@ def choosers(first: int, start: np.ndarray, shapes: np.ndarray) -> Choosers:
         rows=rows[single],
         # The first choosing coalition, or 0 when none chooses.
         chooser=choosing[single].argmax(axis=1),
-        order=np.arange(np.count_nonzero(single)),
         multi=[
             (first + q, slice(start[q], start[q + 1]))
             for q in np.flatnonzero((sizes > 0) & ~single).tolist()
@@ -364,9 +369,9 @@ def choosers(first: int, start: np.ndarray, shapes: np.ndarray) -> Choosers:
 
 
 def _index_levels(core: Core) -> list[Level]:
-    """Cut a bounded core, whose nodes are numbered level by level, into
-    its levels."""
-    node_level = np.array([level for *_mode, level in core.nodes])
+    """Cut a core, whose nodes are numbered level by level, into its
+    levels; an unbounded core's level None makes one level."""
+    node_level = np.array([level or 0 for *_mode, level in core.nodes])
     node_state = np.array([s for s, *_ in core.nodes], dtype=np.int64)
     start, ptr = np.array(core.start), np.array(core.ptr)
     lengths = np.diff(ptr)
@@ -380,7 +385,9 @@ def _index_levels(core: Core) -> list[Level]:
         count = node_shape[row_node, i]
         actions[:, i] = joint % count
         joint //= count
-    cumulative = np.array([obj.kind == "cumulative" for obj in core.compiled.items])
+    # Components whose stage utility adds the row's state and action reward.
+    kinds = [obj.kind for obj in core.compiled.items]
+    rewarded = np.isin(kinds, ["cumulative", "reach"])
     base = core.state_rewards[node_state[row_node]] + core.action_rewards
     pend = core.pending[row_node]
     const = core.const[row_node]
@@ -404,7 +411,7 @@ def _index_levels(core: Core) -> list[Level]:
             shapes=node_shape[n0:n1],
             groups=groups,
             base=base[r0:r1],
-            add_base=pend[r0:r1] & cumulative,
+            add_base=pend[r0:r1] & rewarded,
             pend=pend[r0:r1],
             const=const[r0:r1],
             split=choosers(n0, start[n0 : n1 + 1], node_shape[n0:n1]),

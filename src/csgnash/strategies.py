@@ -21,6 +21,7 @@ from .games import Csg, MixedProfile
 from .objectives import (
     CompiledObjectives,
     Core,
+    Level,
     Mode,
     Node,
     bounded_core,
@@ -41,12 +42,6 @@ class SynthesizedStrategy:
     # The compiled check the strategy was synthesised on, so certification
     # need not compile it again; export and import leave it out.
     core: Core | None = field(default=None, repr=False, compare=False)
-
-    def distributions(
-        self, state: int, D: frozenset[int], E: frozenset[int], step: int | None
-    ) -> tuple[np.ndarray, ...]:
-        key = (state, D, E, step if self.kind == "finite" else None)
-        return self.table[key]
 
 
 @dataclass
@@ -172,13 +167,28 @@ def _core(
     return core
 
 
-def _joint_weights(dists: tuple[np.ndarray, ...], skip: int = -1) -> list[float]:
-    """Probability of each joint action, in joint order, under per-coalition
-    mixes; coalition `skip`'s own mix is left out (weight 1)."""
-    weights = [1.0]
-    for i, d in enumerate(dists):
-        probs = [1.0] * len(d) if i == skip else d.tolist()
-        weights = [w * x for w in weights for x in probs]
+def _row_weights(
+    core: Core, level: Level, strategy: SynthesizedStrategy, here: np.ndarray,
+    skip: int = -1,
+) -> np.ndarray:
+    """The joint weight of every row of `level` whose node `here` marks,
+    0 at the others: the coalitions' probabilities of the row's actions
+    multiplied in coalition order, coalition `skip`'s own left out."""
+    weights = np.zeros(level.rows.stop - level.rows.start)
+    if not here.any():
+        return weights
+    probs = np.concatenate([
+        dist
+        for node in itertools.compress(core.nodes[level.nodes], here)
+        for dist in strategy.table[node]
+    ])
+    # Where each (node, coalition) distribution starts in `probs`.
+    sizes = level.shapes * here[:, None]
+    first = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
+    rows = np.flatnonzero(here[level.row_nodes])
+    x = probs[first[level.row_nodes[rows]] + level.actions[rows]]
+    columns = [x[:, i] for i in range(x.shape[1]) if i != skip]
+    weights[rows] = functools.reduce(np.multiply, columns) if columns else 1.0
     return weights
 
 
@@ -226,26 +236,22 @@ def _solve_absorbing(chain, reward, pending, boundary):
 
 
 def _evaluate_memoryless(core: Core, strategy: SynthesizedStrategy):
+    """The chain the profile induces over the undecided pairs (decided
+    pairs are never pending, so they have no rows), solved exactly. A
+    pair's step reward adds to its state reward weight times action
+    reward over its played rows in joint order (`np.add.at` adds in index
+    order); its chain entries run row by row, each row's successors in
+    order."""
+    (level,) = core.levels
     n, m = core.const.shape
-    # Entries of the induced chain over the undecided pairs (decided
-    # pairs are never pending, so they have no rows).
-    rows, cols, probs = [], [], []
-    step_reward = np.zeros((n, m))
-    for p, (s, D, E, _level) in enumerate(core.nodes):
-        first = core.start[p]
-        if first == core.start[p + 1]:
-            continue
-        weights = _joint_weights(strategy.distributions(s, D, E, None))
-        step_reward[p] = core.state_rewards[s]
-        for j, w in enumerate(weights):
-            if w == 0.0:
-                continue
-            a, b = core.ptr[first + j], core.ptr[first + j + 1]
-            step_reward[p] += w * core.action_rewards[first + j]
-            rows.extend([p] * (b - a))
-            cols.extend(core.succ[a:b].tolist())
-            probs.extend((w * core.prob[a:b]).tolist())
-    chain = (np.array(rows), np.array(cols), np.array(probs))
+    weight = _row_weights(core, level, strategy, core.pending.any(axis=1))
+    played = np.flatnonzero(weight)
+    step_reward = core.state_rewards[[s for s, *_ in core.nodes]]
+    rewards = weight[played, None] * core.action_rewards[played]
+    np.add.at(step_reward, level.row_nodes[played], rewards)
+    keep = weight[level.entry_rows] != 0.0
+    rows = level.entry_rows[keep]
+    chain = (level.row_nodes[rows], core.succ[keep], weight[rows] * core.prob[keep])
     values = np.zeros((n, m))
     for l in range(m):
         values[:, l] = _solve_absorbing(
@@ -261,34 +267,17 @@ def _reached(
     mode and that still need a value: those with a pending component, or
     with coalition `skip`'s objective pending when `skip` picks a best
     responder, whose own mix is then left out. Returns their mask and
-    every row's joint weight, 0 at the other nodes: the coalitions'
-    probabilities of the row's actions multiplied in coalition order, as
-    `_joint_weights` does. Successors lie one level up, so one pass up
-    the levels finds every reached node."""
+    every row's `_row_weights`, 0 at the other nodes. Successors lie one
+    level up, so one pass up the levels finds every reached node."""
     weights = np.zeros(len(core.action_rewards))
     reached = np.zeros(len(core.nodes), dtype=bool)
     reached[core.initial] = True
     expand = core.pending[:, skip] if skip >= 0 else core.pending.any(axis=1)
     todo = np.zeros(len(core.nodes), dtype=bool)
     for level in core.levels:
-        nodes = level.nodes
-        todo[nodes] = here = reached[nodes] & expand[nodes]
-        if not here.any():
-            continue
-        probs = np.concatenate([
-            dist
-            for node in itertools.compress(core.nodes[nodes], here)
-            for dist in strategy.table[node]
-        ])
-        # Where each (node, coalition) distribution starts in `probs`.
-        sizes = level.shapes * here[:, None]
-        first = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
-        rows = np.flatnonzero(here[level.row_nodes])
-        x = probs[first[level.row_nodes[rows]] + level.actions[rows]]
-        columns = [x[:, i] for i in range(x.shape[1]) if i != skip]
-        level_weights = weights[level.rows]
-        level_weights[rows] = functools.reduce(np.multiply, columns) if columns else 1.0
-        reached[core.succ[level.entries][level_weights[level.entry_rows] != 0.0]] = True
+        todo[level.nodes] = here = reached[level.nodes] & expand[level.nodes]
+        weights[level.rows] = w = _row_weights(core, level, strategy, here, skip)
+        reached[core.succ[level.entries][w[level.entry_rows] != 0.0]] = True
     return todo, weights
 
 
@@ -370,31 +359,30 @@ def _best_response_memoryless(
     opened = np.flatnonzero(pending)
     if not len(opened):
         return {pair: float(boundary[p]) for p, pair in enumerate(pairs)}
+    (level,) = core.levels
+    weight = _row_weights(core, level, strategy, pending, coalition)
+    played = np.flatnonzero(weight)
     # Choice row o * k + a is own action a at open pair o: its expected
-    # immediate reward, and chain entries (row, successor pair, probability).
-    # Rows past a pair's own actions hold -sign * inf, so they never win.
-    k = max(core.shapes[nodes[p][0]][coalition] for p in opened)
-    immediate = np.full((len(opened), k), -sign * np.inf)
-    policy, rows, cols, probs = [], [], [], []
-    for o, p in enumerate(opened):
-        s, D, E, _level = nodes[p]
-        shape = core.shapes[s]
-        dists = strategy.distributions(s, D, E, None)
-        immediate[o, : shape[coalition]] = core.state_rewards[s, coalition]
-        policy.append(int(np.argmax(dists[coalition])))
-        own = np.indices(shape)[coalition].ravel()
-        for j, w in enumerate(_joint_weights(dists, skip=coalition)):
-            if w == 0.0:
-                continue
-            r = core.start[p] + j
-            a = int(own[j])
-            immediate[o, a] += w * core.action_rewards[r, coalition]
-            x, y = core.ptr[r], core.ptr[r + 1]
-            rows.extend([o * k + a] * (y - x))
-            cols.extend(core.succ[x:y].tolist())
-            probs.extend((w * core.prob[x:y]).tolist())
-    rows, cols, probs = np.array(rows), np.array(cols), np.array(probs)
-    here, policy = np.arange(len(opened)), np.array(policy)
+    # immediate reward, the state reward plus weight times action reward
+    # over the played rows in joint order, and chain entries (choice row,
+    # successor pair, probability) row by row. Rows past a pair's own
+    # actions hold -sign * inf, so they never win.
+    counts = level.shapes[opened, coalition]
+    k = int(counts.max())
+    immediate = np.where(
+        np.arange(k) < counts[:, None],
+        core.state_rewards[[nodes[p][0] for p in opened], coalition, None],
+        -sign * np.inf,
+    )
+    choice = (np.cumsum(pending) - 1)[level.row_nodes] * k + level.actions[:, coalition]
+    rewards = weight[played] * core.action_rewards[played, coalition]
+    np.add.at(immediate.reshape(-1), choice[played], rewards)
+    keep = weight[level.entry_rows] != 0.0
+    rows = choice[level.entry_rows[keep]]
+    cols = core.succ[keep]
+    probs = weight[level.entry_rows[keep]] * core.prob[keep]
+    here = np.arange(len(opened))
+    policy = np.array([np.argmax(strategy.table[nodes[p]][coalition]) for p in opened])
     seen = set()
     while True:
         seen.add(policy.tobytes())

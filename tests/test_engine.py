@@ -532,6 +532,7 @@ def _sum_prop(template: str, opt: str = "max", players: str = "usr") -> str:
 
 
 ALOHA_MIN_COST = _sum_prop('R{"time#"}[C<=6]', "min")
+ALOHA_MIN_REACH = _sum_prop('R{"time#"}[F "d#"]', "min")
 PROFIT_PROP = _sum_prop('R{"pro#"}[C<=2]', players="p")
 CAPITAL_PROP = _sum_prop('R{"cap#"}[I=1]', players="p")
 
@@ -634,9 +635,6 @@ def test_finite_certificate_gaps_stay_bit_identical():
     digest, epsilons = _certificate_digest(_pinned("finite"))
     assert epsilons[3] == 2.220446049250313e-16
     assert digest == "229b27061bb278555a03b37c654379a64f7bf33cbff4cdd691765b1db8c877d7"
-
-
-ALOHA_MIN_REACH = _sum_prop('R{"time#"}[F "d#"]', "min")
 
 
 def test_memoryless_certificate_gaps_stay_bit_identical():
@@ -762,8 +760,7 @@ def test_aloha3_min_reach_stays_at_recorded_values():
         22: (0, c, c), 23: (0, d, 0), 24: (0, 0, d), 25: (0, 0, d),
         26: (0, 0, 0),
     }
-    prop = _sum_prop('R{"time#"}[F "d#"]').replace(">>max=?", ">>min=?")
-    result = _check_bundled("aloha3.json", {}, prop)
+    result = _check_bundled("aloha3.json", {}, ALOHA_MIN_REACH)
     assert result.iterations == 20
     assert sorted(result.values) == sorted(recorded)
     for s, want in recorded.items():
@@ -794,10 +791,7 @@ def _bundled(name, params=None):
     [
         (_bundled("secret_sharing_rrr_rmax5.json", {"alpha": 0.5}), UTIL_PROP),
         (_bundled("secret_sharing_rba.json", {"alpha": 0.1}), UTIL_PROP),
-        (
-            _bundled("aloha3.json"),
-            _sum_prop('R{"time#"}[F "d#"]').replace(">>max=?", ">>min=?"),
-        ),
+        (_bundled("aloha3.json"), ALOHA_MIN_REACH),
         (_bundled("aloha3.json"), '<<usr1:usr2:usr3>>max=? (P[!"d2" U "d1"]'
          ' + P[!"d3" U "d2"] + P[!"d1" U "d3"])'),
         (trap_chain_csg, '<<p1>>max=? (P[ "safe" U "goal" ])'),
@@ -808,7 +802,7 @@ def test_sweep_plan_builds_the_per_pair_stage_tables(model, prop):
     # value iteration built its stage tables before the sweep was batched.
     # Rows padded to at most three successors round the same way; wider
     # padding (aloha3 has rows of 4 and 8) may move the last bit.
-    from csgnash.engine import _compile_sweep
+    from csgnash.engine import _sweep_utilities
     from csgnash.objectives import (
         canonical_mode,
         mode_closure,
@@ -818,9 +812,10 @@ def test_sweep_plan_builds_the_per_pair_stage_tables(model, prop):
 
     coalition, compiled = compile_for(model(), prop)
     pairs, index = mode_closure(coalition, compiled)
-    plan = _compile_sweep(unbounded_core(coalition, compiled, pairs))
+    core = unbounded_core(coalition, compiled, pairs)
+    width = int(np.diff(core.ptr).max())
     prev = np.random.default_rng(0).random((len(pairs), compiled.m))
-    utilities = plan.stage_tables(prev)
+    utilities = _sweep_utilities(core)(prev)
     eps = np.finfo(np.float64).eps
     rewards = [coalition.rewards.get(obj.reward) for obj in compiled.items]
     r = 0
@@ -843,7 +838,7 @@ def test_sweep_plan_builds_the_per_pair_stage_tables(model, prop):
                         rew = rewards[l]
                         want = rew.state_reward(s) + rew.action_reward(s, joint) + want
                 got = utilities[r, l]
-                if plan.succ.shape[1] <= 3:
+                if width <= 3:
                     assert float(got).hex() == float(want).hex()
                 else:
                     assert abs(got - want) <= 4 * eps * abs(want)

@@ -597,3 +597,24 @@ def test_cli_entry_point_via_subprocess():
     )
     assert result.returncode == 0
     assert "states 27" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "prop,message",
+    [
+        (
+            '<<usr1:usr2:usr3>>max=? (P[F<=3 "d1"] + P[F "d2"] + P[F "d3"])',
+            "error: unsupported-mixed-horizon: objectives mix finite and infinite"
+            " horizons\n",
+        ),
+        (
+            '<<usr1:usr2:usr3>>min=? (R{"nope"}[C<=3] + R{"time2"}[C<=3]'
+            ' + R{"time3"}[C<=3])',
+            "error: unknown reward structure 'nope'\n",
+        ),
+    ],
+)
+def test_cli_check_reports_an_unsupported_formula_in_one_line(capsys, prop, message):
+    code, out = run_cli("check", str(MODELS / "aloha3.json"), "--prop", prop)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == message

@@ -16,7 +16,13 @@ from csgnash.engine import check_nash_formula
 from csgnash.formulas import parse_formula, resolve_coalitions
 from csgnash.games import Csg, RewardStructure, build_coalition_game
 from csgnash.modelio import load_model
-from csgnash.objectives import EMPTY, bounded_core, compile_objectives
+from csgnash.objectives import (
+    EMPTY,
+    bounded_core,
+    compile_objectives,
+    mode_closure,
+    unbounded_core,
+)
 from csgnash.oracle import single_agent_reach_reward, single_agent_until
 from csgnash.strategies import (
     SynthesizedStrategy,
@@ -400,19 +406,22 @@ def test_finite_best_response_reports_the_evaluated_nodes():
 
 
 def random_reward_csg(rng) -> Csg:
-    """Three players over four states, one to three actions each, one to
-    three successors per joint action, and float state and action
-    rewards `r1`..`r3`."""
+    """Three players over four states, one to three actions each, float
+    state and action rewards `r1`..`r3`, and an absorbing target `t`
+    that every joint action reaches with positive probability, among one
+    to three successors."""
     n = 4
     availability = tuple(
         tuple(tuple(range(rng.integers(1, 4))) for _ in range(3)) for _ in range(n)
-    )
-    transitions, rewards = {}, {f"r{k}": ({}, {}) for k in (1, 2, 3)}
+    ) + (((), (), ()),)
+    transitions = {(n, (-1, -1, -1)): {n: 1.0}}
+    rewards = {f"r{k}": ({}, {}) for k in (1, 2, 3)}
     for s in range(n):
         for state, _ in rewards.values():
             state[s] = float(rng.uniform(-5, 5))
         for joint in itertools.product(*availability[s]):
-            targets = rng.choice(n, size=rng.integers(1, 4), replace=False)
+            others = rng.choice(n, size=rng.integers(0, 3), replace=False)
+            targets = np.append(others, n)
             probs = rng.random(len(targets))
             transitions[(s, joint)] = dict(zip(targets.tolist(), probs / probs.sum()))
             for _, action in rewards.values():
@@ -420,13 +429,26 @@ def random_reward_csg(rng) -> Csg:
     return Csg(
         players=("p1", "p2", "p3"),
         actions=(("a", "b", "c"),) * 3,
-        state_names=tuple(f"s{s}" for s in range(n)),
+        state_names=tuple(f"s{s}" for s in range(n)) + ("t",),
         initial=(0,),
         availability=availability,
         transitions=transitions,
-        labels=(frozenset(),) * n,
+        labels=(frozenset(),) * n + (frozenset({"t"}),),
         rewards={name: RewardStructure(*maps) for name, maps in rewards.items()},
     )
+
+
+def _random_profile(rng, core):
+    """A mixed profile at every node with rows, some entries zero."""
+    table = {}
+    for p in np.flatnonzero(np.diff(core.start)).tolist():
+        mixed = []
+        for c in core.shapes[core.nodes[p][0]]:
+            x = rng.random(c) * (rng.random(c) > 0.25)
+            x[rng.integers(c)] += 0.5
+            mixed.append(x / x.sum())
+        table[core.nodes[p]] = tuple(mixed)
+    return table
 
 
 def _reference_best_response(core, strategy, coalition):
@@ -485,21 +507,73 @@ def test_finite_best_response_adds_in_the_reference_order(opt):
         game = build_coalition_game(model, resolve_coalitions(model, nf))
         compiled = compile_objectives(game, nf, None)
         core = bounded_core(game, compiled)
-        table = {}
-        for p in np.flatnonzero(np.diff(core.start)).tolist():
-            mixed = []
-            for c in core.shapes[core.nodes[p][0]]:
-                x = rng.random(c) * (rng.random(c) > 0.25)
-                x[rng.integers(c)] += 0.5
-                mixed.append(x / x.sum())
-            table[core.nodes[p]] = tuple(mixed)
-        strategy = SynthesizedStrategy("finite", 3, table, {}, core=core)
+        strategy = SynthesizedStrategy(
+            "finite", 3, _random_profile(rng, core), {}, core=core
+        )
         for i in range(3):
             got = best_response_value(game, strategy, i, compiled)
             want = _reference_best_response(core, strategy, i)
             assert {k: v.hex() for k, v in got.items()} == {
                 k: v.hex() for k, v in want.items()
             }
+
+
+def _reference_evaluation(core, strategy):
+    """Per-pair evaluation of a memoryless profile: a pair's step reward
+    is its state reward, then weight times action reward over its played
+    rows in joint order; chain entries run row by row, each row's
+    successors in order."""
+    n, m = core.const.shape
+    step = np.zeros((n, m))
+    rows, cols, probs = [], [], []
+    for p, node in enumerate(core.nodes):
+        if core.start[p] == core.start[p + 1]:
+            continue
+        dists = strategy.table[node]
+        step[p] = core.state_rewards[node[0]]
+        for j, joint in enumerate(itertools.product(*map(range, core.shapes[node[0]]))):
+            w = 1.0
+            for i, a in enumerate(joint):
+                w *= float(dists[i][a])
+            if w == 0.0:
+                continue
+            r = core.start[p] + j
+            step[p] += w * core.action_rewards[r]
+            for e in range(core.ptr[r], core.ptr[r + 1]):
+                rows.append(p)
+                cols.append(int(core.succ[e]))
+                probs.append(w * float(core.prob[e]))
+    chain = (np.array(rows), np.array(cols), np.array(probs))
+    values = np.column_stack([
+        strategies._solve_absorbing(chain, step[:, l], core.pending[:, l], core.const[:, l])
+        for l in range(m)
+    ])
+    return {(s, (D, E)): values[p] for p, (s, D, E, _) in enumerate(core.nodes)}
+
+
+def test_memoryless_evaluation_adds_in_the_reference_order():
+    # Float rewards and random mixed profiles, some with zero entries, so
+    # that another order of a pair's step-reward terms, a skipped row or
+    # a reordered chain entry moves a last bit.
+    nf = parse_formula(
+        '<<p1:p2:p3>>max=? (R{"r1"}[F "t"] + R{"r2"}[F "t"] + R{"r3"}[F "t"])'
+    )
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        model = random_reward_csg(rng)
+        game = build_coalition_game(model, resolve_coalitions(model, nf))
+        compiled = compile_objectives(
+            game, nf, lambda phi: frozenset(game.states_with_label("t"))
+        )
+        core = unbounded_core(game, compiled, mode_closure(game, compiled)[0])
+        strategy = SynthesizedStrategy(
+            "memoryless", None, _random_profile(rng, core), {}, core=core
+        )
+        got = evaluate_profile(game, strategy, compiled)
+        want = _reference_evaluation(core, strategy)
+        assert {k: [x.hex() for x in v.tolist()] for k, v in got.items()} == {
+            k: [x.hex() for x in v.tolist()] for k, v in want.items()
+        }
 
 
 CERTIFY_IMPORTED = """
