@@ -387,7 +387,7 @@ def _index_levels(core: Core) -> list[Level]:
         joint //= count
     # Components whose stage utility adds the row's state and action reward.
     kinds = [obj.kind for obj in core.compiled.items]
-    rewarded = np.isin(kinds, ["cumulative", "reach"])
+    rewarded = np.array([kind in ("cumulative", "reach") for kind in kinds])
     base = core.state_rewards[node_state[row_node]] + core.action_rewards
     pend = core.pending[row_node]
     const = core.const[row_node]

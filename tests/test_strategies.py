@@ -405,14 +405,14 @@ def test_finite_best_response_reports_the_evaluated_nodes():
         assert set(best_response_value(game, strategy, i, compiled)) == nodes
 
 
-def random_reward_csg(rng) -> Csg:
-    """Three players over four states, one to three actions each, float
-    state and action rewards `r1`..`r3`, and an absorbing target `t`
-    that every joint action reaches with positive probability, among one
-    to three successors."""
+def random_reward_csg(rng, limits=(3, 3, 3)) -> Csg:
+    """Three players over four states, one to `limits[i]` actions for
+    player i, float state and action rewards `r1`..`r3`, and an absorbing
+    target `t` that every joint action reaches with positive probability,
+    among one to three successors."""
     n = 4
     availability = tuple(
-        tuple(tuple(range(rng.integers(1, 4))) for _ in range(3)) for _ in range(n)
+        tuple(tuple(range(rng.integers(1, c + 1))) for c in limits) for _ in range(n)
     ) + (((), (), ()),)
     transitions = {(n, (-1, -1, -1)): {n: 1.0}}
     rewards = {f"r{k}": ({}, {}) for k in (1, 2, 3)}
@@ -551,16 +551,19 @@ def _reference_evaluation(core, strategy):
     return {(s, (D, E)): values[p] for p, (s, D, E, _) in enumerate(core.nodes)}
 
 
-def test_memoryless_evaluation_adds_in_the_reference_order():
+@pytest.mark.parametrize("limits", [(3, 3, 3), (1, 3, 3)])
+def test_memoryless_certification_adds_in_the_reference_order(limits):
     # Float rewards and random mixed profiles, some with zero entries, so
     # that another order of a pair's step-reward terms, a skipped row or
-    # a reordered chain entry moves a last bit.
+    # a reordered chain entry moves a last bit. Where p1 has one action
+    # everywhere, its best response is the profile's own value, reached
+    # by the same sums, so it must match the reference bit for bit too.
     nf = parse_formula(
         '<<p1:p2:p3>>max=? (R{"r1"}[F "t"] + R{"r2"}[F "t"] + R{"r3"}[F "t"])'
     )
     for seed in range(12):
         rng = np.random.default_rng(seed)
-        model = random_reward_csg(rng)
+        model = random_reward_csg(rng, limits)
         game = build_coalition_game(model, resolve_coalitions(model, nf))
         compiled = compile_objectives(
             game, nf, lambda phi: frozenset(game.states_with_label("t"))
@@ -574,6 +577,11 @@ def test_memoryless_evaluation_adds_in_the_reference_order():
         assert {k: [x.hex() for x in v.tolist()] for k, v in got.items()} == {
             k: [x.hex() for x in v.tolist()] for k, v in want.items()
         }
+        if limits[0] == 1:
+            responses = best_response_value(game, strategy, 0, compiled)
+            assert {k: v.hex() for k, v in responses.items()} == {
+                k: float(v[0]).hex() for k, v in want.items()
+            }
 
 
 CERTIFY_IMPORTED = """
