@@ -642,7 +642,7 @@ def test_memoryless_certificate_gaps_stay_bit_identical():
     # (rows of 4 and 8 successors, stages where several coalitions
     # choose) and of raa at alpha=0.1, recorded with evaluation and best
     # responses that walked each pair's joint actions one at a time.
-    digest, epsilons = _certificate_digest(_pinned("infinite") + [
+    digest, _epsilons = _certificate_digest(_pinned("infinite") + [
         ("aloha3.json", {}, ALOHA_MIN_REACH),
         ("secret_sharing_raa.json", {"alpha": 0.1}, UTIL_PROP),
     ])

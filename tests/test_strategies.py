@@ -530,8 +530,9 @@ def _reference_evaluation(core, strategy):
         if core.start[p] == core.start[p + 1]:
             continue
         dists = strategy.table[node]
+        shape = core.shapes[node[0]]
         step[p] = core.state_rewards[node[0]]
-        for j, joint in enumerate(itertools.product(*map(range, core.shapes[node[0]]))):
+        for j, joint in enumerate(itertools.product(*map(range, shape))):
             w = 1.0
             for i, a in enumerate(joint):
                 w *= float(dists[i][a])
@@ -545,8 +546,8 @@ def _reference_evaluation(core, strategy):
                 probs.append(w * float(core.prob[e]))
     chain = (np.array(rows), np.array(cols), np.array(probs))
     values = np.column_stack([
-        strategies._solve_absorbing(chain, step[:, l], core.pending[:, l], core.const[:, l])
-        for l in range(m)
+        strategies._solve_absorbing(chain, step[:, l], pending, const)
+        for l, (pending, const) in enumerate(zip(core.pending.T, core.const.T))
     ])
     return {(s, (D, E)): values[p] for p, (s, D, E, _) in enumerate(core.nodes)}
 
@@ -565,9 +566,7 @@ def test_memoryless_certification_adds_in_the_reference_order(limits):
         rng = np.random.default_rng(seed)
         model = random_reward_csg(rng, limits)
         game = build_coalition_game(model, resolve_coalitions(model, nf))
-        compiled = compile_objectives(
-            game, nf, lambda phi: frozenset(game.states_with_label("t"))
-        )
+        compiled = compile_objectives(game, nf, lambda phi: game.states_with_label("t"))
         core = unbounded_core(game, compiled, mode_closure(game, compiled)[0])
         strategy = SynthesizedStrategy(
             "memoryless", None, _random_profile(rng, core), {}, core=core
