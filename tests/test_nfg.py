@@ -866,7 +866,10 @@ def test_descent_still_wins_above_the_bar():
 # support (it used to be inconclusive), and game 262's values moved in the
 # last bits (welfare 14.304157171431234 to 14.304157171431186), as its
 # candidate now comes from a Gauss-Newton start without a penalty run
-# first. `inconclusive` is left out of both. Like the pins in
+# first. `inconclusive` is left out of both. The swne bar skips most
+# supports, so the mixed-support and relaxation digests pin every solver
+# family directly; they were recorded before the per-support solvers moved
+# onto one `_SupportSystem`. Like the pins in
 # test_engine.py, the digests hold for the numpy and scipy versions CI
 # installs.
 
@@ -904,13 +907,17 @@ def swne_digest(games) -> str:
     return h.hexdigest()
 
 
-def one_mixer_digest(games) -> str:
+def _mixers(support) -> int:
+    return sum(len(s) > 1 for s in support.sets)
+
+
+def solve_support_digest(games, keep) -> str:
     """SHA-256 over the status and candidate of `solve_support` on every
-    support of the games in which exactly one player mixes."""
+    support of the games for which `keep(support)` holds."""
     h = hashlib.sha256()
     for game in games:
         for support in enumerate_supports(game):
-            if sum(len(s) > 1 for s in support.sets) != 1:
+            if not keep(support):
                 continue
             out = solve_support(game, support)
             bits = None
@@ -928,9 +935,31 @@ def test_swne_pin():
     )
 
 
+def relaxation_digest(games) -> str:
+    """SHA-256 over `relaxation_bound` on every support of the games in
+    which at least two players mix."""
+    h = hashlib.sha256()
+    for game in games:
+        norm = game.normalised_utilities()
+        for support in enumerate_supports(game):
+            if _mixers(support) >= 2:
+                h.update(float(relaxation_bound(norm, support)).hex().encode())
+    return h.hexdigest()
+
+
 def test_one_mixer_solve_support_pin():
-    assert one_mixer_digest(_pin_corpus(10)) == (
-        "d99c85554bfd1dfdd0eff3e5d137cd29a5b872836390a3847523ff13e1562ca0"
+    digest = solve_support_digest(_pin_corpus(10), lambda s: _mixers(s) == 1)
+    assert digest == "d99c85554bfd1dfdd0eff3e5d137cd29a5b872836390a3847523ff13e1562ca0"
+
+
+def test_mixed_solve_support_pin():
+    digest = solve_support_digest(_pin_corpus(10), lambda s: _mixers(s) >= 1)
+    assert digest == "e940a92223e7895e64c95646ba33a4aa3e7db63ad9c45a313f52562d89e43af0"
+
+
+def test_relaxation_bound_pin():
+    assert relaxation_digest(_pin_corpus(5)) == (
+        "7e237ef7a88ce1189aee0c0a43f3f3c1d11039ee50162ac1012450ea61938c7e"
     )
 
 
