@@ -132,7 +132,15 @@ class NormalFormGame:
             floats = self.float_utilities()
             axes = tuple(range(floats.ndim - 1))
             mins = floats.min(axis=axes)
-            scale = float((floats.max(axis=axes) - mins).max())
+            with np.errstate(over="ignore"):
+                scale = float((floats.max(axis=axes) - mins).max())
+            if scale == np.inf:
+                # A range of finite utilities can overflow float64. Halving
+                # is exact away from subnormals and leaves the quotient as
+                # it is, so only such games take this path.
+                floats = floats * 0.5
+                mins = floats.min(axis=axes)
+                scale = float((floats.max(axis=axes) - mins).max())
             if scale <= 0.0:
                 scale = 1.0
             norm = (floats - mins) / scale

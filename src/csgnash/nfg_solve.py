@@ -21,6 +21,14 @@ bar, a best-first corner search (an exclusion method: Berg and Sandholm,
 AAAI 2017) decides the support. Only its box cap leaves a support
 "inconclusive".
 
+Each mixed support's conditions are built once, in the `_SupportSystem`
+that `solve_support` hands to every solver family: one condition tensor
+over the support's cells holds every indifference gap (pivot minus
+in-support action), then every deviation gain (outside action minus
+pivot), player by player, and last the welfare. The relaxation's rows,
+the two-player polytopes, the three-binary closed form, the one-mixer LP
+and the corner search's root box all read it.
+
 The search is one pass over the supports in canonical order, pure ones
 first. It keeps a running bar, the best welfare of the candidates found
 so far, and a mixed support meets the cheap sound skips before any
@@ -32,6 +40,7 @@ neither be the maximum nor precede the earlier one among ties.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import zlib
@@ -364,56 +373,6 @@ def _solve_pure(game: NormalFormGame, support: Support) -> SupportSolution:
     return SupportSolution("candidate", _candidate_from_probs(game, support, probs))
 
 
-def _solve_one_mixer(
-    game: NormalFormGame, support: Support, norm: np.ndarray
-) -> SupportSolution:
-    """Support where exactly one player mixes: the equilibrium region is a
-    polytope and welfare is linear over it, so this is a linear program."""
-    n = game.n_players
-    mixer = next(i for i in range(n) if len(support.sets[i]) > 1)
-    b_m = list(support.sets[mixer])
-    k = len(b_m)
-    tol = FEASIBILITY_TOL
-    # The mixer faces constant utilities, so indifference and deviation
-    # conditions are direct comparisons.
-    own = _restricted(norm, support, mixer).reshape(-1)
-    mix_utils = own[b_m]
-    if mix_utils.max() - mix_utils.min() > tol:
-        return SupportSolution("infeasible")
-    outside = [a for a in range(game.shape[mixer]) if a not in b_m]
-    if np.any(own[outside] > mix_utils[0] + tol):
-        return SupportSolution("infeasible")
-    # Other players' deviation conditions are linear in the mixer's
-    # probabilities, as is welfare (summed player by player). Every other
-    # player plays its single support action, so player j's restricted
-    # table, own axis first, is a matrix: j's actions by the mixer's support.
-    rows = [np.empty((0, k))]
-    for j, b_j in enumerate(support.sets):
-        if j != mixer:
-            table = _restricted(norm, support, j).swapaxes(0, j).reshape(-1, k)
-            others = [a for a in range(len(table)) if a != b_j[0]]
-            rows.append(table[b_j[0]] - table[others])
-    rows = np.concatenate(rows)
-    block = _support_block(norm, support).reshape(k, n)
-    welfare_row = sum(block[:, l] for l in range(n))
-    res = linprog(
-        -welfare_row,
-        A_ub=-rows if len(rows) else None,
-        b_ub=np.full(len(rows), tol) if len(rows) else None,
-        A_eq=np.ones((1, k)),
-        b_eq=np.array([1.0]),
-        bounds=[(MIN_SUPPORT_PROB, 1.0)] * k,
-        method="highs",
-    )
-    if not res.success:
-        return SupportSolution("infeasible")
-    probs = [
-        np.asarray(res.x, dtype=np.float64) if j == mixer else np.array([1.0])
-        for j in range(n)
-    ]
-    return SupportSolution("candidate", _candidate_from_probs(game, support, probs))
-
-
 def _restricted(norm: np.ndarray, support: Support, player: int) -> np.ndarray:
     """Player's normalised utilities over the support cells (own axis full)."""
     # Taking along each other axis copies, so the result is a view into a
@@ -424,13 +383,6 @@ def _restricted(norm: np.ndarray, support: Support, player: int) -> np.ndarray:
         if axis != player:
             table = table.take(own, axis=axis)
     return table[..., player]
-
-
-def _support_block(norm: np.ndarray, support: Support) -> np.ndarray:
-    block = norm
-    for axis, own in enumerate(support.sets):
-        block = block.take(own, axis=axis)
-    return block
 
 
 def _switch_on_support(
@@ -449,27 +401,255 @@ def _cross_block(
     return mat.T if j < i else mat
 
 
-def _solve_two_mixers(
-    game: NormalFormGame, support: Support, norm: np.ndarray
-) -> SupportSolution | None:
+def _project_simplex(v: np.ndarray, lo: float) -> np.ndarray:
+    """Euclidean projection onto {p : p >= lo, sum p = 1}."""
+    k = v.size
+    if k == 1:
+        return np.array([1.0])
+    # Blocks hold a handful of entries, so Python floats beat numpy calls
+    # here; the arithmetic is the same as on arrays.
+    mass = 1.0 - k * lo
+    shifted = [x - lo for x in v.tolist()]
+    css, rho, rho_css = 0.0, 0, 0.0
+    for jj, u in enumerate(sorted(shifted, reverse=True)):
+        css += u
+        if jj == 0 or u + (mass - css) / (jj + 1) > 0:
+            rho, rho_css = jj, css
+    lam = (mass - rho_css) / (rho + 1)
+    return np.array([max(x + lam, 0.0) + lo for x in shifted])
+
+
+class _SupportSystem:
+    """The equilibrium conditions of one support, in "support space": one
+    probability block per player over its support actions, normalised
+    utilities. Equality residuals are the pivot-vs-in-support indifference
+    gaps; inequality residuals are the out-of-support deviation gains
+    (violated when positive). `solve_support` builds one per mixed support.
+
+    The constructor builds index lists only. The restricted tables, the
+    welfare table and the condition tensor (`conditions`) are each built
+    on first use, because most supports are decided by a family that
+    reads only some of them. Two-mixer supports, which the closed form
+    mostly decides, read cross blocks of the tables and never the tensor:
+    building it would cost them more than their rows.
+
+    Everything at a point derives from the cross blocks cross[i, j] =
+    d switch_i / d p_j, an (A_i full) x (B_j support) matrix. Player i's
+    switch values are multilinear in the other players' blocks, so
+    switch_i = cross[i, j] @ p_j for any j != i, and the rows of the cross
+    blocks give the Jacobian of the gaps.
+    """
+
+    def __init__(self, game: NormalFormGame, support: Support):
+        n = self.n = game.n_players
+        self.game = game
+        self.support = support
+        self.sizes = [len(s) for s in support.sets]
+        self.offsets = list(itertools.accumulate(self.sizes, initial=0))
+        # eq_index[i] lists non-pivot in-support actions, ineq_index[i] the
+        # out-of-support actions, both against pivot support.sets[i][0].
+        self.pivots = [s[0] for s in support.sets]
+        self.eq_index = [list(s[1:]) for s in support.sets]
+        self.ineq_index = [
+            [a for a in range(c) if a not in s] for c, s in zip(game.shape, support.sets)
+        ]
+        # Columns of the condition tensor: player i's gaps are
+        # cols[i]:cols[i + 1], its gains cols[n + i]:cols[n + i + 1], and
+        # the welfare is last, at cols[-1].
+        counts = [len(eq) for eq in self.eq_index] + [len(o) for o in self.ineq_index]
+        self.cols = list(itertools.accumulate(counts, initial=0))
+        # Switch values go through the first other player: the axis that
+        # _contract_tensor(keep=(i,)) would contract last.
+        self.switch_pairs = [(i, 1 if i == 0 else 0) for i in range(n)]
+        self.all_pairs = [(i, j) for i in range(n) for j in range(n) if j != i]
+
+    @functools.cached_property
+    def tables(self) -> list[np.ndarray]:
+        norm = self.game.normalised_utilities()
+        return [_restricted(norm, self.support, i) for i in range(self.n)]
+
+    @functools.cached_property
+    def welfare_table(self) -> np.ndarray:
+        block = self.game.normalised_utilities()
+        for axis, own in enumerate(self.support.sets):
+            block = block.take(own, axis=axis)
+        return block.sum(axis=-1)
+
+    @functools.cached_property
+    def conditions(self) -> np.ndarray:
+        """The condition tensor F over the support cells, shape (*sizes,
+        columns): F[..., f] for every indifference gap, then every
+        deviation gain, player by player, and, last, the welfare, each a
+        multilinear function of all blocks. A gap is pivot minus
+        in-support action, a gain outside action minus pivot."""
+        gaps, gains = [], []
+        for i, table in enumerate(self.tables):
+            pivot = table.take([self.pivots[i]], axis=i)
+            gaps += [pivot - table.take([b], axis=i) for b in self.eq_index[i]]
+            gains += [table.take([a], axis=i) - pivot for a in self.ineq_index[i]]
+        # Player i's conditions depend on the others' blocks only, so each
+        # has a length-one axis i; i's block sums to one, so spreading them
+        # along that axis keeps their values.
+        funcs = [np.broadcast_to(f, self.sizes) for f in gaps + gains]
+        funcs.append(self.welfare_table)
+        return np.stack(funcs, axis=-1)
+
+    def max_violation(self, probs: Sequence[np.ndarray]) -> float:
+        """Largest equilibrium-condition violation at a support-space point."""
+        worst = 0.0
+        for i, table in enumerate(self.tables):
+            vec = _switch_on_support(table, probs, i)
+            pivot = vec[self.pivots[i]]
+            gaps = pivot - vec[self.eq_index[i]]
+            worst = max(worst, float(np.abs(gaps).max(initial=0.0)))
+            worst = max(worst, float((vec[self.ineq_index[i]] - pivot).max(initial=0.0)))
+        return worst
+
+    def unpack(self, x: np.ndarray) -> list[np.ndarray]:
+        return [x[a:b] for a, b in zip(self.offsets, self.offsets[1:])]
+
+    def pack(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        return np.concatenate(blocks)
+
+    def _cross(self, blocks, pairs) -> dict[tuple[int, int], np.ndarray]:
+        return {
+            (i, j): _cross_block(self.tables[i], blocks, i, j) for i, j in pairs
+        }
+
+    def _switch(self, blocks, cross) -> list[np.ndarray]:
+        return [cross[i, j] @ blocks[j] for i, j in self.switch_pairs]
+
+    def _gaps(self, vecs) -> np.ndarray:
+        return np.concatenate(
+            [vec[p] - vec[eq] for vec, p, eq in zip(vecs, self.pivots, self.eq_index)]
+        )
+
+    def equality_residual(self, blocks) -> np.ndarray:
+        """The residual half of `equality_system` (for line searches)."""
+        return self._gaps(self._switch(blocks, self._cross(blocks, self.switch_pairs)))
+
+    def equality_system(self, blocks) -> tuple[np.ndarray, np.ndarray]:
+        """Residual vector and Jacobian of the indifference equalities."""
+        cross = self._cross(blocks, self.all_pairs)
+        res = self._gaps(self._switch(blocks, cross))
+        jac = np.zeros((res.size, self.offsets[-1]))
+        rows = self.cols
+        for (i, j), mat in cross.items():
+            jac[rows[i] : rows[i + 1], self.offsets[j] : self.offsets[j + 1]] = (
+                mat[self.pivots[i]] - mat[self.eq_index[i]]
+            )
+        return res, jac
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        return self.pack([_project_simplex(b, MIN_SUPPORT_PROB) for b in self.unpack(x)])
+
+    def polish(self, x: np.ndarray) -> np.ndarray:
+        """Damped Gauss-Newton on the indifference equalities from the
+        projection of x, until the residual vanishes or progress stalls."""
+        x = self.project(x)
+        stalls = 0
+        for it in range(60):
+            res, jac = self.equality_system(self.unpack(x))
+            if res.size == 0 or np.max(np.abs(res)) < 1e-14:
+                break
+            step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
+            scale = 1.0
+            improved = False
+            base = np.max(np.abs(res))
+            while scale > 1e-6:
+                cand = self.project(x + scale * step)
+                new_res = self.equality_residual(self.unpack(cand))
+                if np.max(np.abs(new_res)) < base:
+                    x = cand
+                    improved = True
+                    stalls = stalls + 1 if np.max(np.abs(new_res)) > 0.5 * base else 0
+                    break
+                scale *= 0.5
+            if not improved or (it >= 6 and stalls >= 4):
+                # Slow linear progress after several sweeps means the
+                # equalities have no regular solution near this start.
+                break
+        return x
+
+    def accept(self, x: np.ndarray) -> EquilibriumCandidate | None:
+        """The candidate at x if every equilibrium condition holds there to
+        FEASIBILITY_TOL and every probability is at least ACCEPT_FLOOR."""
+        blocks = self.unpack(x)
+        if self.max_violation(blocks) <= FEASIBILITY_TOL and all(
+            np.all(b >= ACCEPT_FLOOR) for b in blocks
+        ):
+            return _candidate_from_probs(self.game, self.support, blocks)
+        return None
+
+    def blocks(self, cand: EquilibriumCandidate) -> list[np.ndarray]:
+        """A candidate with this support, back in support space."""
+        return [cand.profile.probs[i][list(s)] for i, s in enumerate(self.support.sets)]
+
+    def welfare(self, cand: EquilibriumCandidate) -> float:
+        """Normalised welfare of a candidate with this support."""
+        return float(_contract_tensor(self.welfare_table, self.blocks(cand)))
+
+
+def _solve_one_mixer(system: _SupportSystem) -> SupportSolution:
+    """Support where exactly one player mixes: the equilibrium region is a
+    polytope and welfare is linear over it, so this is a linear program."""
+    mixer = next(i for i, k in enumerate(system.sizes) if k > 1)
+    k = system.sizes[mixer]
+    tol = FEASIBILITY_TOL
+    # The mixer faces constant utilities, one row of the normalised table
+    # at the others' single actions, so indifference and deviation
+    # conditions are direct comparisons.
+    cell: list = [s[0] for s in system.support.sets]
+    cell[mixer] = slice(None)
+    own = system.game.normalised_utilities()[tuple(cell) + (mixer,)]
+    mix_utils = own[list(system.support.sets[mixer])]
+    if mix_utils.max() - mix_utils.min() > tol:
+        return SupportSolution("infeasible")
+    if np.any(own[system.ineq_index[mixer]] > mix_utils[0] + tol):
+        return SupportSolution("infeasible")
+    # The other players' deviation gains are linear in the mixer's
+    # probabilities, as is welfare: over the mixer's k cells they are the
+    # gain and welfare columns of the condition tensor.
+    n, cols = system.n, system.cols
+    flat = system.conditions.reshape(k, -1)
+    gains = np.concatenate(
+        [flat[:, cols[n + j] : cols[n + j + 1]] for j in range(n) if j != mixer], axis=1
+    ).T
+    res = linprog(
+        -flat[:, -1],
+        A_ub=gains if len(gains) else None,
+        b_ub=np.full(len(gains), tol) if len(gains) else None,
+        A_eq=np.ones((1, k)),
+        b_eq=np.array([1.0]),
+        bounds=[(MIN_SUPPORT_PROB, 1.0)] * k,
+        method="highs",
+    )
+    if not res.success:
+        return SupportSolution("infeasible")
+    probs = [
+        np.asarray(res.x, dtype=np.float64) if j == mixer else np.array([1.0])
+        for j in range(n)
+    ]
+    return SupportSolution(
+        "candidate", _candidate_from_probs(system.game, system.support, probs)
+    )
+
+
+def _solve_two_mixers(system: _SupportSystem) -> SupportSolution | None:
     """Two mixing players: each one's indifference system is linear in the
     other's probabilities. Unique solutions are verified directly; rank
     deficient systems fall through to the general path (None)."""
-    n = game.n_players
-    mixers = [i for i in range(n) if len(support.sets[i]) > 1]
-    i, j = mixers
-    tol = FEASIBILITY_TOL
+    n = system.n
+    i, j = [m for m, k in enumerate(system.sizes) if k > 1]
     singles = [np.array([1.0]) for _ in range(n)]
 
     def solve_block(active: int, other: int) -> np.ndarray | None:
         # Indifference of `active` pins down `other`'s probabilities. Every
         # non-mixer plays its single support action, so the cross block
         # holds table entries; row b is the pivot's row minus b's.
-        table = _restricted(norm, support, active)
-        b_a = list(support.sets[active])
-        cross = _cross_block(table, singles, active, other)
-        rows = cross[b_a[0]] - cross[b_a[1:]]
-        k = len(support.sets[other])
+        cross = _cross_block(system.tables[active], singles, active, other)
+        rows = cross[system.pivots[active]] - cross[system.eq_index[active]]
+        k = system.sizes[other]
         a_mat = np.vstack([rows, np.ones((1, k))])
         b_vec = np.concatenate([np.zeros(len(rows)), [1.0]])
         sol, _res, rank, _sv = np.linalg.lstsq(a_mat, b_vec, rcond=None)
@@ -483,58 +663,45 @@ def _solve_two_mixers(
     p_i = solve_block(j, i)
     if p_j is None or p_i is None:
         return None
-    lo = MIN_SUPPORT_PROB
-    if np.any(p_i < lo - 1e-12) or np.any(p_j < lo - 1e-12):
+    if np.any(p_i < MIN_SUPPORT_PROB - 1e-12) or np.any(p_j < MIN_SUPPORT_PROB - 1e-12):
         return SupportSolution("infeasible")
-    probs = []
-    for axis in range(n):
-        if axis == i:
-            probs.append(np.clip(p_i, 0.0, None))
-        elif axis == j:
-            probs.append(np.clip(p_j, 0.0, None))
-        else:
-            probs.append(singles[axis])
-    tables = [_restricted(norm, support, m) for m in range(n)]
-    if _max_violation(tables, support, probs) > tol:
+    probs = list(singles)
+    probs[i], probs[j] = np.clip(p_i, 0.0, None), np.clip(p_j, 0.0, None)
+    if system.max_violation(probs) > FEASIBILITY_TOL:
         # The indifferent point is unique, so its infeasibility rules the
         # support out entirely.
         return SupportSolution("infeasible")
-    return SupportSolution("candidate", _candidate_from_probs(game, support, probs))
+    return SupportSolution(
+        "candidate", _candidate_from_probs(system.game, system.support, probs)
+    )
 
 
-def _bilinear_gap_coeffs(
-    table: np.ndarray, support: Support, m: int, var1: int, var2: int
-) -> tuple[float, float, float, float]:
-    """Coefficients of mixer m's indifference gap g(x, y) = A + B x + C y
-    + D xy, where x and y are the pivot probabilities of mixers var1 and
-    var2 and every non-mixer plays its single support action.
+def _three_binary_coeffs(system: _SupportSystem) -> list[tuple[float, ...]]:
+    """Per mixer m, in order, the coefficients of its indifference gap
+    g(x, y) = A + B x + C y + D xy, where x and y are the pivot
+    probabilities of the other two mixers in order and every non-mixer
+    plays its single support action.
 
-    `table` is m's restricted table (see `_restricted`). At a 0/1 corner
-    the mixed axes select single support actions (x = 1 the first, x = 0
-    the second), so the gap there is the difference of two table entries:
-    the number the contraction gives, without one.
+    At a 0/1 corner the mixed axes select single support actions (x = 1
+    the first, x = 0 the second), so the gap there is one entry of the
+    condition tensor: the number the contraction gives, without one.
     """
-    own = support.sets[m]
-    idx = [0] * table.ndim
-
-    def at(x: int, y: int) -> float:
-        idx[var1] = 1 - x
-        idx[var2] = 1 - y
-        idx[m] = own[0]
-        top = table[tuple(idx)]
-        idx[m] = own[1]
-        return float(top - table[tuple(idx)])
-
-    a = at(0, 0)
-    b = at(1, 0) - a
-    c = at(0, 1) - a
-    d = at(1, 1) - a - b - c
-    return a, b, c, d
+    mixers = [m for m, k in enumerate(system.sizes) if k > 1]
+    cube = system.conditions.reshape(2, 2, 2, -1)
+    coeffs = []
+    for axis, m in enumerate(mixers):
+        # m's gap does not vary along its own axis; at[r][s] is the gap at
+        # the other two mixers' support actions r and s (x = 1 - r).
+        at = cube[..., system.cols[m]].take(0, axis=axis).tolist()
+        a = at[1][1]
+        b = at[0][1] - a
+        c = at[1][0] - a
+        d = at[0][0] - a - b - c
+        coeffs.append((a, b, c, d))
+    return coeffs
 
 
-def _solve_three_binary_mixers(
-    game: NormalFormGame, support: Support, norm: np.ndarray
-) -> SupportSolution | None:
+def _solve_three_binary_mixers(system: _SupportSystem) -> SupportSolution | None:
     """Exactly three mixing players with two support actions each.
 
     Each mixer's indifference gap is bilinear in the other two mixers'
@@ -542,30 +709,10 @@ def _solve_three_binary_mixers(
     in one variable: the equilibrium points are available in closed form.
     Returns None on degenerate coefficient patterns (continua etc.).
     """
-    n = game.n_players
-    mixers = [i for i in range(n) if len(support.sets[i]) > 1]
-    i, j, k = mixers
-    tol = FEASIBILITY_TOL
+    i, j, k = [m for m, size in enumerate(system.sizes) if size > 1]
     lo = MIN_SUPPORT_PROB
-
-    def blocks_for(x_i: float, x_j: float, x_k: float) -> list[np.ndarray]:
-        blocks = []
-        for axis in range(n):
-            if axis == i:
-                blocks.append(np.array([x_i, 1.0 - x_i]))
-            elif axis == j:
-                blocks.append(np.array([x_j, 1.0 - x_j]))
-            elif axis == k:
-                blocks.append(np.array([x_k, 1.0 - x_k]))
-            else:
-                blocks.append(np.array([1.0]))
-        return blocks
-
-    tables = [_restricted(norm, support, m) for m in range(n)]
     # g_i(x_j, x_k) = 0, g_j(x_i, x_k) = 0, g_k(x_i, x_j) = 0.
-    ai, bi, ci, di = _bilinear_gap_coeffs(tables[i], support, i, j, k)
-    aj, bj, cj, dj = _bilinear_gap_coeffs(tables[j], support, j, i, k)
-    ak, bk, ck, dk = _bilinear_gap_coeffs(tables[k], support, k, i, j)
+    (ai, bi, ci, di), (aj, bj, cj, dj), (ak, bk, ck, dk) = _three_binary_coeffs(system)
     # Substitute x_k = -(ai + bi x_j) / (ci + di x_j) into g_j, leaving a
     # bilinear relation between x_i and x_j, then x_i = möbius(x_j); the
     # last equation becomes a quadratic in x_j.
@@ -608,9 +755,11 @@ def _solve_three_binary_mixers(
         point = (x_i, x_j, x_k)
         if any(not (lo - 1e-12 <= v <= 1.0 - lo + 1e-12) for v in point):
             continue
-        blocks = blocks_for(*point)
-        if _max_violation(tables, support, blocks) <= tol:
-            cand = _candidate_from_probs(game, support, blocks)
+        blocks = [np.array([1.0])] * system.n
+        for m, x in zip((i, j, k), point):
+            blocks[m] = np.array([x, 1.0 - x])
+        if system.max_violation(blocks) <= FEASIBILITY_TOL:
+            cand = _candidate_from_probs(system.game, system.support, blocks)
             if best is None or cand.welfare > best.welfare:
                 best = cand
     if best is not None:
@@ -620,23 +769,7 @@ def _solve_three_binary_mixers(
     return SupportSolution("infeasible")
 
 
-def _max_violation(
-    tables: Sequence[np.ndarray], support: Support, probs: Sequence[np.ndarray]
-) -> float:
-    """Largest equilibrium-condition violation at a support-space point,
-    given each player's restricted table (see `_restricted`)."""
-    worst = 0.0
-    for i, table in enumerate(tables):
-        vec = _switch_on_support(table, probs, i)
-        b_i = list(support.sets[i])
-        pivot = vec[b_i[0]]
-        worst = max(worst, float(np.abs(pivot - vec[b_i[1:]]).max(initial=0.0)))
-        outside = np.delete(vec, b_i)
-        worst = max(worst, float((outside - pivot).max(initial=0.0)))
-    return worst
-
-
-def relaxation_bound(norm: np.ndarray, support: Support) -> float:
+def relaxation_bound(system: _SupportSystem) -> float:
     """Upper bound on the normalised welfare of any equilibrium with this
     support, from one linear program.
 
@@ -644,39 +777,31 @@ def relaxation_bound(norm: np.ndarray, support: Support) -> float:
     a product of per-player blocks. Player i's switch values depend on x
     only through its marginal over the other players, linearly, so the
     indifference (|gap| <= FEASIBILITY_TOL) and no-deviation (gain <=
-    FEASIBILITY_TOL) conditions are linear rows, and each support action's
-    marginal is at least ACCEPT_FLOOR. The product of any blocks
-    `_SupportSystem.accept` takes is feasible here, so the program is a
-    relaxation. With two players the product of a feasible x's marginals
-    is feasible too, so there the feasibility test is exact.
+    FEASIBILITY_TOL) conditions are linear rows: the condition tensor's
+    columns over the cells. Each support action's marginal is at least
+    ACCEPT_FLOOR. The product of any blocks `_SupportSystem.accept` takes
+    is feasible here, so the program is a relaxation. With two players the
+    product of a feasible x's marginals is feasible too, so there the
+    feasibility test is exact.
 
     Returns -inf when HiGHS proves the program infeasible (no equilibrium
     has this support), the welfare optimum when it solves it, and +inf on
     any other outcome (no information).
     """
-    shape = tuple(len(s) for s in support.sets)
-    cells = np.indices(shape).reshape(len(shape), -1)
-    gaps, gains, marginals = [], [], []
-    for i, own in enumerate(support.sets):
-        # switch[a] is action a's utility against the others' marginal of
-        # x, as a row over the cells: it reads the table at each cell's
-        # other coordinates.
-        table = np.moveaxis(_restricted(norm, support, i), i, 0)
-        switch = table[(slice(None),) + tuple(np.delete(cells, i, axis=0))]
-        pivot = switch[own[0]]
-        gaps.append(pivot - switch[list(own[1:])])
-        gains.append(np.delete(switch, own, axis=0) - pivot)
-        marginals.append(cells[i] == np.arange(len(own))[:, None])
-    gaps_arr, gains_arr = np.vstack(gaps), np.vstack(gains)
-    marg_arr = np.vstack(marginals).astype(np.float64)
-    a_ub = np.vstack([gaps_arr, -gaps_arr, gains_arr, -marg_arr])
+    n, cols = system.n, system.cols
+    rows = system.conditions.reshape(-1, cols[-1] + 1).T
+    gaps, gains, welfare = rows[: cols[n]], rows[cols[n] : cols[-1]], rows[-1]
+    cells = np.indices(system.sizes).reshape(n, -1)
+    marginals = np.vstack(
+        [cells[i] == np.arange(k)[:, None] for i, k in enumerate(system.sizes)]
+    ).astype(np.float64)
+    a_ub = np.vstack([gaps, -gaps, gains, -marginals])
     b_ub = np.concatenate(
         [
-            np.full(2 * len(gaps_arr) + len(gains_arr), FEASIBILITY_TOL),
-            np.full(len(marg_arr), -ACCEPT_FLOOR),
+            np.full(2 * len(gaps) + len(gains), FEASIBILITY_TOL),
+            np.full(len(marginals), -ACCEPT_FLOOR),
         ]
     )
-    welfare = _support_block(norm, support).sum(axis=-1).ravel()
     res = linprog(
         -welfare,
         A_ub=a_ub,
@@ -691,149 +816,6 @@ def relaxation_bound(norm: np.ndarray, support: Support) -> float:
     if res.status != 0:
         return np.inf
     return float(-res.fun)
-
-
-def _project_simplex(v: np.ndarray, lo: float) -> np.ndarray:
-    """Euclidean projection onto {p : p >= lo, sum p = 1}."""
-    k = v.size
-    if k == 1:
-        return np.array([1.0])
-    # Blocks hold a handful of entries, so Python floats beat numpy calls
-    # here; the arithmetic is the same as on arrays.
-    mass = 1.0 - k * lo
-    shifted = [x - lo for x in v.tolist()]
-    css, rho, rho_css = 0.0, 0, 0.0
-    for jj, u in enumerate(sorted(shifted, reverse=True)):
-        css += u
-        if jj == 0 or u + (mass - css) / (jj + 1) > 0:
-            rho, rho_css = jj, css
-    lam = (mass - rho_css) / (rho + 1)
-    return np.array([max(x + lam, 0.0) + lo for x in shifted])
-
-
-class _SupportSystem:
-    """The equilibrium conditions of one support, in "support space": one
-    probability block per player over its support actions, normalised
-    utilities. Equality residuals are the pivot-vs-in-support indifference
-    gaps; inequality residuals are the out-of-support deviation gains
-    (violated when positive).
-
-    Everything at a point derives from the cross blocks cross[i, j] =
-    d switch_i / d p_j, an (A_i full) x (B_j support) matrix. Player i's
-    switch values are multilinear in the other players' blocks, so
-    switch_i = cross[i, j] @ p_j for any j != i, and the rows of the cross
-    blocks give the Jacobian of the gaps.
-    """
-
-    def __init__(self, game: NormalFormGame, support: Support, norm: np.ndarray):
-        n = self.n = game.n_players
-        self.game = game
-        self.support = support
-        self.sizes = [len(s) for s in support.sets]
-        self.offsets = np.cumsum([0] + self.sizes)
-        self.tables = [_restricted(norm, support, i) for i in range(n)]
-        self.welfare_table = _support_block(norm, support).sum(axis=-1)
-        # eq_index[i] lists non-pivot in-support actions, ineq_index[i] the
-        # out-of-support actions, both against pivot support.sets[i][0].
-        self.pivots = [s[0] for s in support.sets]
-        self.eq_index = [list(s[1:]) for s in support.sets]
-        self.eq_rows = np.cumsum([0] + [len(eq) for eq in self.eq_index])
-        self.ineq_index = [
-            [a for a in range(game.shape[i]) if a not in support.sets[i]]
-            for i in range(n)
-        ]
-        # Switch values go through the first other player: the axis that
-        # _contract_tensor(keep=(i,)) would contract last.
-        self.switch_pairs = [(i, 1 if i == 0 else 0) for i in range(n)]
-        self.all_pairs = [(i, j) for i in range(n) for j in range(n) if j != i]
-
-    def unpack(self, x: np.ndarray) -> list[np.ndarray]:
-        out, ofs = [], 0
-        for k in self.sizes:
-            out.append(x[ofs : ofs + k])
-            ofs += k
-        return out
-
-    def pack(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        return np.concatenate(blocks)
-
-    def _cross(self, blocks, pairs) -> dict[tuple[int, int], np.ndarray]:
-        return {
-            (i, j): _cross_block(self.tables[i], blocks, i, j) for i, j in pairs
-        }
-
-    def _switch(self, blocks, cross) -> list[np.ndarray]:
-        return [cross[i, j] @ blocks[j] for i, j in self.switch_pairs]
-
-    def _gaps(self, vecs) -> np.ndarray:
-        return np.concatenate(
-            [vec[p] - vec[eq] for vec, p, eq in zip(vecs, self.pivots, self.eq_index)]
-        )
-
-    def equality_residual(self, blocks) -> np.ndarray:
-        """The residual half of `equality_system` (for line searches)."""
-        return self._gaps(self._switch(blocks, self._cross(blocks, self.switch_pairs)))
-
-    def equality_system(self, blocks) -> tuple[np.ndarray, np.ndarray]:
-        """Residual vector and Jacobian of the indifference equalities."""
-        cross = self._cross(blocks, self.all_pairs)
-        res = self._gaps(self._switch(blocks, cross))
-        jac = np.zeros((res.size, self.offsets[-1]))
-        rows = self.eq_rows
-        for (i, j), mat in cross.items():
-            jac[rows[i] : rows[i + 1], self.offsets[j] : self.offsets[j + 1]] = (
-                mat[self.pivots[i]] - mat[self.eq_index[i]]
-            )
-        return res, jac
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return self.pack([_project_simplex(b, MIN_SUPPORT_PROB) for b in self.unpack(x)])
-
-    def polish(self, x: np.ndarray) -> np.ndarray:
-        """Damped Gauss-Newton on the indifference equalities from the
-        projection of x, until the residual vanishes or progress stalls."""
-        x = self.project(x)
-        stalls = 0
-        for it in range(60):
-            res, jac = self.equality_system(self.unpack(x))
-            if res.size == 0 or np.max(np.abs(res)) < 1e-14:
-                break
-            step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-            scale = 1.0
-            improved = False
-            base = np.max(np.abs(res))
-            while scale > 1e-6:
-                cand = self.project(x + scale * step)
-                new_res = self.equality_residual(self.unpack(cand))
-                if np.max(np.abs(new_res)) < base:
-                    x = cand
-                    improved = True
-                    stalls = stalls + 1 if np.max(np.abs(new_res)) > 0.5 * base else 0
-                    break
-                scale *= 0.5
-            if not improved or (it >= 6 and stalls >= 4):
-                # Slow linear progress after several sweeps means the
-                # equalities have no regular solution near this start.
-                break
-        return x
-
-    def accept(self, x: np.ndarray) -> EquilibriumCandidate | None:
-        """The candidate at x if every equilibrium condition holds there to
-        FEASIBILITY_TOL and every probability is at least ACCEPT_FLOOR."""
-        blocks = self.unpack(x)
-        if _max_violation(self.tables, self.support, blocks) <= FEASIBILITY_TOL and all(
-            np.all(b >= ACCEPT_FLOOR) for b in blocks
-        ):
-            return _candidate_from_probs(self.game, self.support, blocks)
-        return None
-
-    def blocks(self, cand: EquilibriumCandidate) -> list[np.ndarray]:
-        """A candidate with this support, back in support space."""
-        return [cand.profile.probs[i][list(s)] for i, s in enumerate(self.support.sets)]
-
-    def welfare(self, cand: EquilibriumCandidate) -> float:
-        """Normalised welfare of a candidate with this support."""
-        return float(_contract_tensor(self.welfare_table, self.blocks(cand)))
 
 
 def _gauss_newton(system: _SupportSystem) -> EquilibriumCandidate | None:
@@ -853,26 +835,6 @@ def _gauss_newton(system: _SupportSystem) -> EquilibriumCandidate | None:
     return best
 
 
-def _corner_values(system: _SupportSystem, mixers: list[int]) -> np.ndarray:
-    """The condition tensor F over the support cells, mixer axes only:
-    F[..., f] for every indifference gap, every deviation gain and, last,
-    the welfare, each written as a multilinear function of all blocks.
-    The gaps come first."""
-    gaps, gains = [], []
-    for i, table in enumerate(system.tables):
-        own = system.support.sets[i]
-        pivot = table.take(own[:1], axis=i)
-        gaps += [pivot - table.take([b], axis=i) for b in own[1:]]
-        gains += [table.take([a], axis=i) - pivot for a in system.ineq_index[i]]
-    # Player i's conditions depend on the others' blocks only, so each has
-    # a length-one axis i; i's block sums to one, so spreading them along
-    # that axis keeps their values.
-    funcs = [np.broadcast_to(f, system.sizes) for f in gaps + gains]
-    funcs.append(system.welfare_table)
-    keep = tuple(system.sizes[i] for i in mixers)
-    return np.stack(funcs, axis=-1).reshape(keep + (len(funcs),))
-
-
 def _root_box(
     system: _SupportSystem, mixers: list[int]
 ) -> tuple[list[np.ndarray], np.ndarray]:
@@ -883,7 +845,7 @@ def _root_box(
     for i in mixers:
         k = system.sizes[i]
         verts.append(np.full((k, k), ACCEPT_FLOOR) + np.eye(k) * (1.0 - k * ACCEPT_FLOOR))
-    corners = _corner_values(system, mixers)
+    corners = system.conditions.reshape([system.sizes[i] for i in mixers] + [-1])
     for v in verts:
         # Contract the leading mixer axis with the vertex matrix and rotate
         # the new vertex axis to the back of the mixer axes.
@@ -945,7 +907,7 @@ def _corner_search(
     """
     mixers = [i for i, k in enumerate(system.sizes) if k > 1]
     verts, corners = _root_box(system, mixers)
-    n_gaps = sum(len(eq) for eq in system.eq_index)
+    n_gaps = system.cols[system.n]
     n_conds = corners.shape[-1] - 1
     eps = np.finfo(np.float64).eps
     top = FEASIBILITY_TOL + _rounding_slack(system)
@@ -1037,12 +999,9 @@ def _corner_search(
     return SupportSolution("pruned" if dropped else "infeasible")
 
 
-def _solve_general(
-    game: NormalFormGame, support: Support, norm: np.ndarray, bar: float
-) -> SupportSolution:
+def _solve_general(system: _SupportSystem, bar: float) -> SupportSolution:
     """Multistart Gauss-Newton, then, unless it found a candidate above
     `bar`, the corner search (`_corner_search`) to decide the support."""
-    system = _SupportSystem(game, support, norm)
     best = _gauss_newton(system)
     if best is not None and system.welfare(best) > bar:
         return SupportSolution("candidate", best)
@@ -1078,9 +1037,7 @@ def _polytope_vertices(
     return vertices
 
 
-def _solve_bimatrix(
-    game: NormalFormGame, support: Support, norm: np.ndarray
-) -> SupportSolution | None:
+def _solve_bimatrix(system: _SupportSystem) -> SupportSolution | None:
     """Two players, both mixing, with a rank-deficient indifference system.
 
     Each player's conditions are linear in the other's block alone, so the
@@ -1089,25 +1046,25 @@ def _solve_bimatrix(
     fixed. Its maximum is therefore at a pair of vertices, and the best
     pair is the support's welfare-optimal equilibrium. Returns None if
     that pair fails the equilibrium check (numerical trouble)."""
-    tables = [_restricted(norm, support, i) for i in range(2)]
+    cols = system.cols
     vertex_sets = []
-    for i, switch in enumerate((tables[0], tables[1].T)):
-        # switch[a] is player i's utility of action a as a row over the
-        # other player's support actions; its conditions bound that block.
-        own = support.sets[i]
-        pivot = switch[own[0]]
-        gaps = pivot - switch[list(own[1:])]
-        gains = np.delete(switch, own, axis=0) - pivot
+    for i in range(2):
+        # Player i's conditions do not vary along its own axis: its plane
+        # of the tensor holds them over the other player's support actions.
+        plane = system.conditions.take(0, axis=i)
+        gaps = plane[:, cols[i] : cols[i + 1]].T
+        gains = plane[:, cols[2 + i] : cols[3 + i]].T
         vertex_sets.append(np.array(_polytope_vertices(gaps, gains, MIN_SUPPORT_PROB)))
     q_verts, p_verts = vertex_sets  # player 0's conditions bound player 1's block
     if not len(p_verts) or not len(q_verts):
         return SupportSolution("infeasible")
-    welfare = _support_block(norm, support).sum(axis=-1)
-    pair = int((p_verts @ welfare @ q_verts.T).argmax())
+    pair = int((p_verts @ system.welfare_table @ q_verts.T).argmax())
     probs = [p_verts[pair // len(q_verts)], q_verts[pair % len(q_verts)]]
-    if _max_violation(tables, support, probs) > FEASIBILITY_TOL:
+    if system.max_violation(probs) > FEASIBILITY_TOL:
         return None
-    return SupportSolution("candidate", _candidate_from_probs(game, support, probs))
+    return SupportSolution(
+        "candidate", _candidate_from_probs(system.game, system.support, probs)
+    )
 
 
 def solve_support(
@@ -1130,28 +1087,28 @@ def solve_support(
     """
     if support.is_pure:
         return _solve_pure(game, support)
-    norm = game.normalised_utilities()
-    mixer_sizes = [len(s) for s in support.sets if len(s) > 1]
+    system = _SupportSystem(game, support)
+    mixer_sizes = [k for k in system.sizes if k > 1]
     if len(mixer_sizes) == 1:
-        return _solve_one_mixer(game, support, norm)
+        return _solve_one_mixer(system)
     if len(mixer_sizes) == 2:
-        out = _solve_two_mixers(game, support, norm)
+        out = _solve_two_mixers(system)
         if out is not None:
             return out
     elif mixer_sizes == [2, 2, 2]:
-        out = _solve_three_binary_mixers(game, support, norm)
+        out = _solve_three_binary_mixers(system)
         if out is not None:
             return out
-    bound = relaxation_bound(norm, support)
+    bound = relaxation_bound(system)
     if bound == -np.inf:
         return SupportSolution("infeasible")
     if bound + RELAXATION_MARGIN <= bar:
         return SupportSolution("pruned")
     if game.n_players == 2:
-        out = _solve_bimatrix(game, support, norm)
+        out = _solve_bimatrix(system)
         if out is not None:
             return out
-    return _solve_general(game, support, norm, bar)
+    return _solve_general(system, bar)
 
 
 # ---------------------------------------------------------------------------

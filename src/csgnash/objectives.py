@@ -306,8 +306,9 @@ class Level:
     """One level of a core: its nodes, their rows and the rows' successor
     entries, each a contiguous range. A bounded core has one level per
     step count, an unbounded core one level of every node. The arrays
-    below count nodes and rows from the level's first, and the rows are
-    also grouped by their exact successor count, for `stage_utilities`.
+    below count nodes and rows from the level's first, and a bounded
+    core's rows are also grouped by their exact successor count, for
+    `stage_utilities`; an unbounded core's level has no groups.
     The stage split (`split`) lets both engine loops solve the stages
     where at most one coalition chooses in one array pass."""
 
@@ -372,6 +373,9 @@ def _index_levels(core: Core) -> list[Level]:
     """Cut a core, whose nodes are numbered level by level, into its
     levels; an unbounded core's level None makes one level."""
     node_level = np.array([level or 0 for *_mode, level in core.nodes])
+    # Only backward induction reads `stage_utilities`; value iteration
+    # contracts its one level itself (`engine._sweep_utilities`).
+    bounded = all(level is not None for *_mode, level in core.nodes)
     node_state = np.array([s for s, *_ in core.nodes], dtype=np.int64)
     start, ptr = np.array(core.start), np.array(core.ptr)
     lengths = np.diff(ptr)
@@ -397,7 +401,7 @@ def _index_levels(core: Core) -> list[Level]:
         r0, r1 = int(start[n0]), int(start[n1])
         e0, e1 = int(ptr[r0]), int(ptr[r1])
         groups = []
-        for k in np.unique(lengths[r0:r1]).tolist():
+        for k in np.unique(lengths[r0:r1]).tolist() if bounded else []:
             rows = np.flatnonzero(lengths[r0:r1] == k)
             entry = ptr[r0 + rows, None] + np.arange(k)
             groups.append((rows, core.succ[entry], core.prob[entry][:, None, None, :]))

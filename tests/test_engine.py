@@ -846,6 +846,19 @@ def test_sweep_plan_builds_the_per_pair_stage_tables(model, prop):
     assert r == len(utilities) > 0
 
 
+def test_an_unbounded_level_holds_no_successor_groups():
+    # Value iteration contracts its one level itself (`_sweep_utilities`),
+    # so only bounded levels group their rows for `stage_utilities`.
+    from csgnash.objectives import mode_closure, unbounded_core
+
+    model = _bundled("secret_sharing_raa.json", {"alpha": 0.5})()
+    coalition, compiled = compile_for(model, UTIL_PROP)
+    core = unbounded_core(coalition, compiled, mode_closure(coalition, compiled)[0])
+    (level,) = core.levels
+    assert level.rows.stop > level.rows.start
+    assert level.groups == []
+
+
 # ---------------------------------------------------------------------------
 # Backward induction by levels
 

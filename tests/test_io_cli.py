@@ -211,6 +211,28 @@ def test_cli_solve_nfg_scne():
     assert "values 7 7 7" in out
 
 
+BIG_PENNIES = """players 2
+actions 1 h t
+actions 2 h t
+u h h 1e308 -1e308
+u h t -1e308 1e308
+u t h -1e308 1e308
+u t t 1e308 -1e308
+"""
+
+
+def test_cli_solve_nfg_survives_an_overflowing_utility_range(tmp_path, capsys):
+    # Each player's utilities are finite, but their range is 2e308, which
+    # overflows float64: the game is matching pennies all the same.
+    path = tmp_path / "pennies.nfg"
+    path.write_text(BIG_PENNIES)
+    code, out = run_cli("solve-nfg", str(path))
+    assert code == 0
+    assert "welfare 0\n" in out
+    assert "profile player 1: h=0.5 t=0.5\n" in out
+    assert capsys.readouterr().err == ""
+
+
 def corpus_nfg(path):
     """Writes the benchmark game random2x2x2x2.0 as a .nfg file: its full
     support passes the relaxation, and only the corner search decides it."""

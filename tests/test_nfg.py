@@ -15,18 +15,16 @@ from csgnash.nfg_solve import (
     Support,
     _contract_tensor,
     _SupportSystem,
-    _bilinear_gap_coeffs,
     _corner_search,
     _gauss_newton,
-    _max_violation,
     _project_simplex,
-    _restricted,
     _root_box,
     _rounding_slack,
     _solve_bimatrix,
     _solve_general,
     _solve_two_mixers,
     _switch_on_support,
+    _three_binary_coeffs,
     check_pure_profile,
     enumerate_supports,
     expected_utility,
@@ -135,7 +133,7 @@ def _random_support_system(seed, shape, support_sets):
     names = [tuple(f"a{k}" for k in range(c)) for c in shape]
     game = NormalFormGame(names, table)
     support = Support(support_sets)
-    problem = _SupportSystem(game, support, game.normalised_utilities())
+    problem = _SupportSystem(game, support)
     return problem, rng
 
 
@@ -194,19 +192,20 @@ def three_binary_cases(draw):
     if n == 4:
         sets[draw(st.integers(0, 3))] = (draw(st.integers(0, 1)),)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    norm = rng.uniform(0.0, 1.0, size=(2,) * n + (n,))
-    return norm, Support(tuple(sets))
+    table = rng.uniform(0.0, 1.0, size=(2,) * n + (n,))
+    return NormalFormGame([("a", "b")] * n, table), Support(tuple(sets))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(three_binary_cases())
 def test_bilinear_gap_coeffs_equal_corner_contractions(case):
-    norm, support = case
+    game, support = case
+    system = _SupportSystem(game, support)
     n = len(support.sets)
     mixers = [i for i in range(n) if len(support.sets[i]) > 1]
-    for m in mixers:
+    for m, coeffs in zip(mixers, _three_binary_coeffs(system)):
         var1, var2 = [v for v in mixers if v != m]
-        table = _restricted(norm, support, m)
+        table = system.tables[m]
 
         def gap(x, y):
             # The contraction the coefficients replace: mixers var1 and
@@ -223,7 +222,7 @@ def test_bilinear_gap_coeffs_equal_corner_contractions(case):
         b = gap(1.0, 0.0) - a
         c = gap(0.0, 1.0) - a
         d = gap(1.0, 1.0) - a - b - c
-        assert _bilinear_gap_coeffs(table, support, m, var1, var2) == (a, b, c, d)
+        assert coeffs == (a, b, c, d)
 
 
 def test_swne_pins_criterion_9_welfare():
@@ -364,6 +363,17 @@ def test_solve_support_full_dilemma_infeasible(pd):
     assert out.status == "infeasible"
 
 
+@pytest.mark.parametrize("big", [1e308, np.finfo(np.float64).max])
+def test_swne_solves_a_game_whose_utility_range_overflows(big):
+    # Per player the range is 2 * big, which overflows float64.
+    table = np.array([[[big, -big], [-big, big]], [[-big, big], [big, -big]]])
+    result = swne(NormalFormGame([("h", "t"), ("h", "t")], table))
+    assert result.welfare == 0.0
+    for p in result.profile.probs:
+        assert np.allclose(p, 0.5, rtol=0.0, atol=1e-12)
+    assert np.all(result.regrets / big <= 1e-12)
+
+
 def test_solve_support_matching_pennies_analytic(pennies):
     out = solve_support(pennies, Support(((0, 1), (0, 1), (0,))))
     assert out.status == "candidate"
@@ -382,7 +392,7 @@ def test_relaxation_refutes_rank_deficient_two_mixer_supports(sets):
     # cap ("inconclusive"); the relaxation proves them infeasible.
     game = hard_333_game()
     support = Support(sets)
-    assert relaxation_bound(game.normalised_utilities(), support) == -np.inf
+    assert relaxation_bound(_SupportSystem(game, support)) == -np.inf
     assert solve_support(game, support).status == "infeasible"
 
 
@@ -595,11 +605,15 @@ def small_supports(draw):
     ]
     table = np.array(columns, dtype=np.float64).T.reshape(shape + (n,))
     game = NormalFormGame([("a",) * c for c in shape], table)
+    mixers = draw(st.sets(st.integers(0, n - 1), min_size=2))
     sets = []
-    for c in shape:
-        mask = draw(st.integers(1, (1 << c) - 1))
-        sets.append(tuple(a for a in range(c) if mask >> a & 1))
-    assume(sum(len(s) > 1 for s in sets) >= 2)
+    for i, c in enumerate(shape):
+        if i in mixers:
+            # Masks with at least two bits.
+            mask = draw(st.sampled_from([m for m in range(3, 1 << c) if m & (m - 1)]))
+            sets.append(tuple(a for a in range(c) if mask >> a & 1))
+        else:
+            sets.append((draw(st.integers(0, c - 1)),))
     return game, Support(tuple(sets))
 
 
@@ -607,13 +621,13 @@ def small_supports(draw):
 @given(small_supports())
 def test_relaxation_never_refutes_or_undercuts_a_descent_candidate(case):
     game, support = case
-    norm = game.normalised_utilities()
-    bound = relaxation_bound(norm, support)
-    out = _solve_general(game, support, norm, -np.inf)
+    system = _SupportSystem(game, support)
+    bound = relaxation_bound(system)
+    out = _solve_general(system, -np.inf)
     if bound == -np.inf:
         assert out.status != "candidate"
     if out.status == "candidate":
-        welfare = norm.sum(axis=-1)
+        welfare = game.normalised_utilities().sum(axis=-1)
         reached = float(_contract_tensor(welfare, out.candidate.profile.probs))
         assert reached <= bound + RELAXATION_MARGIN
 
@@ -634,11 +648,11 @@ def rank_deficient_bimatrix_supports(draw):
     game = NormalFormGame([("a",) * c for c in shape], table)
     sets = []
     for c in shape:
-        mask = draw(st.integers(1, (1 << c) - 1))
+        # Masks with at least two bits: both players mix.
+        mask = draw(st.sampled_from([m for m in range(3, 1 << c) if m & (m - 1)]))
         sets.append(tuple(a for a in range(c) if mask >> a & 1))
     support = Support(tuple(sets))
-    assume(all(len(s) > 1 for s in sets))
-    assume(_solve_two_mixers(game, support, game.normalised_utilities()) is None)
+    assume(_solve_two_mixers(_SupportSystem(game, support)) is None)
     return game, support
 
 
@@ -646,16 +660,15 @@ def rank_deficient_bimatrix_supports(draw):
 @given(rank_deficient_bimatrix_supports())
 def test_bimatrix_vertex_pair_beats_gauss_newton(case):
     game, support = case
-    norm = game.normalised_utilities()
-    system = _SupportSystem(game, support, norm)
-    exact = _solve_bimatrix(game, support, norm)
+    system = _SupportSystem(game, support)
+    exact = _solve_bimatrix(system)
     found = _gauss_newton(system)
     assert exact is not None
     if exact.status == "infeasible":
         assert found is None
         return
     blocks = [exact.candidate.profile.probs[i][list(s)] for i, s in enumerate(support.sets)]
-    assert _max_violation(system.tables, support, blocks) <= FEASIBILITY_TOL
+    assert system.max_violation(blocks) <= FEASIBILITY_TOL
     if found is not None:
         # Up to the rounding of two welfare contractions.
         assert system.welfare(exact.candidate) >= system.welfare(found) - 1e-12
@@ -702,7 +715,7 @@ def test_relaxation_admits_and_bounds_a_planted_equilibrium(case):
     assert max(regret(game, profile, i) for i in range(game.n_players)) <= 1e-9
     norm = game.normalised_utilities()
     reached = float(_contract_tensor(norm.sum(axis=-1), profile.probs))
-    assert reached <= relaxation_bound(norm, support) + RELAXATION_MARGIN
+    assert reached <= relaxation_bound(_SupportSystem(game, support)) + RELAXATION_MARGIN
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -713,12 +726,12 @@ def test_corner_search_finds_a_planted_equilibrium(case):
     # candidate it returns is within the margin of the planted welfare.
     game, support, profile = case
     assume(sum(len(s) > 1 for s in support.sets) >= 2)
-    norm = game.normalised_utilities()
-    system = _SupportSystem(game, support, norm)
+    system = _SupportSystem(game, support)
     out = _corner_search(system, -np.inf)
     assert out.status in ("candidate", "inconclusive")
     if out.status == "candidate":
-        planted = float(_contract_tensor(norm.sum(axis=-1), profile.probs))
+        welfare = game.normalised_utilities().sum(axis=-1)
+        planted = float(_contract_tensor(welfare, profile.probs))
         assert system.welfare(out.candidate) >= planted - RELAXATION_MARGIN
 
 
@@ -735,14 +748,14 @@ def test_rounding_never_refutes_a_corner_that_accept_takes(case):
     from csgnash import nfg_solve
 
     game, support = case
-    system = _SupportSystem(game, support, game.normalised_utilities())
+    system = _SupportSystem(game, support)
     mixers = [i for i, k in enumerate(system.sizes) if k > 1]
     verts, corners = _root_box(system, mixers)
     for idx in np.ndindex(corners.shape[:-1]):
         blocks = [np.array([1.0])] * system.n
         for m, v, r in zip(mixers, verts, idx):
             blocks[m] = v[r]
-        tol = _max_violation(system.tables, support, blocks)
+        tol = system.max_violation(blocks)
         with mock.patch.object(nfg_solve, "FEASIBILITY_TOL", tol), mock.patch.object(
             nfg_solve, "MAX_BOXES", 1
         ):
@@ -761,7 +774,7 @@ def test_corner_search_drops_a_box_only_a_margin_below_the_bar(case):
     from csgnash import nfg_solve
 
     game, support = case
-    system = _SupportSystem(game, support, game.normalised_utilities())
+    system = _SupportSystem(game, support)
     mixers = [i for i, k in enumerate(system.sizes) if k > 1]
     top = float(_root_box(system, mixers)[1][..., -1].max())
     with mock.patch.object(nfg_solve, "MAX_BOXES", 1):
@@ -778,7 +791,7 @@ def test_corner_values_agree_with_accept_within_the_rounding_slack(case):
     # computes equal the box's corner values up to the slack the search
     # allows a refutation, so rounding alone refutes no point it takes.
     game, support = case
-    system = _SupportSystem(game, support, game.normalised_utilities())
+    system = _SupportSystem(game, support)
     mixers = [i for i, k in enumerate(system.sizes) if k > 1]
     verts, corners = _root_box(system, mixers)
     slack = _rounding_slack(system)
@@ -815,9 +828,7 @@ def test_relaxation_changes_no_answer(shape, seed):
     from csgnash import nfg_solve
 
     game = _no_pure_game(random.Random(seed), shape)
-    uninformed = mock.patch.object(
-        nfg_solve, "relaxation_bound", lambda norm, support: np.inf
-    )
+    uninformed = mock.patch.object(nfg_solve, "relaxation_bound", lambda system: np.inf)
     for solve in (swne, scne):
         got = solve(game)
         with uninformed:
@@ -844,7 +855,7 @@ def test_relaxation_changes_no_answer_on_pinned_games(monkeypatch, make):
 
     game = make()
     got = swne(game)
-    monkeypatch.setattr(nfg_solve, "relaxation_bound", lambda norm, support: np.inf)
+    monkeypatch.setattr(nfg_solve, "relaxation_bound", lambda system: np.inf)
     _same_answer(got, swne(game))
 
 
@@ -940,10 +951,10 @@ def relaxation_digest(games) -> str:
     which at least two players mix."""
     h = hashlib.sha256()
     for game in games:
-        norm = game.normalised_utilities()
         for support in enumerate_supports(game):
             if _mixers(support) >= 2:
-                h.update(float(relaxation_bound(norm, support)).hex().encode())
+                bound = relaxation_bound(_SupportSystem(game, support))
+                h.update(float(bound).hex().encode())
     return h.hexdigest()
 
 
