@@ -590,6 +590,12 @@ def test_corner_search_decides_the_corpus_supports(shape, k):
     assert swne(_corpus_game(shape, k)).inconclusive == 0
 
 
+def mixed_sets(c):
+    """Action sets of at least two of c actions: masks with two bits or more."""
+    masks = [m for m in range(3, 1 << c) if m & (m - 1)]
+    return st.sampled_from(masks).map(lambda m: tuple(a for a in range(c) if m >> a & 1))
+
+
 @st.composite
 def small_supports(draw):
     """A small integer game (2-4 players, 2-3 actions) and one of its
@@ -608,12 +614,7 @@ def small_supports(draw):
     mixers = draw(st.sets(st.integers(0, n - 1), min_size=2))
     sets = []
     for i, c in enumerate(shape):
-        if i in mixers:
-            # Masks with at least two bits.
-            mask = draw(st.sampled_from([m for m in range(3, 1 << c) if m & (m - 1)]))
-            sets.append(tuple(a for a in range(c) if mask >> a & 1))
-        else:
-            sets.append((draw(st.integers(0, c - 1)),))
+        sets.append(draw(mixed_sets(c)) if i in mixers else (draw(st.integers(0, c - 1)),))
     return game, Support(tuple(sets))
 
 
@@ -646,12 +647,7 @@ def rank_deficient_bimatrix_supports(draw):
     ]
     table = np.array(columns, dtype=np.float64).T.reshape(shape + (2,))
     game = NormalFormGame([("a",) * c for c in shape], table)
-    sets = []
-    for c in shape:
-        # Masks with at least two bits: both players mix.
-        mask = draw(st.sampled_from([m for m in range(3, 1 << c) if m & (m - 1)]))
-        sets.append(tuple(a for a in range(c) if mask >> a & 1))
-    support = Support(tuple(sets))
+    support = Support(tuple(draw(mixed_sets(c)) for c in shape))
     assume(_solve_two_mixers(_SupportSystem(game, support)) is None)
     return game, support
 
