@@ -30,10 +30,12 @@ Joint = tuple[int, ...]
 
 
 def _as_number(x):
+    if isinstance(x, np.floating):
+        x = float(x)
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"utility entries must be finite, got {x!r}")
     if isinstance(x, (int, float, Fraction)):
         return x
-    if isinstance(x, np.floating):
-        return float(x)
     if isinstance(x, np.integer):
         return int(x)
     raise TypeError(f"utility entries must be numeric, got {type(x)!r}")
@@ -52,7 +54,8 @@ class NormalFormGame:
         shape ``(*counts, n)``. The table must be total: one entry per joint
         action. A float64 array is kept as one read-only float table.
         Other inputs may hold ints, Fractions or floats and are kept as an
-        exact object table for exact pure-profile checks.
+        exact object table for exact pure-profile checks. A NaN or infinite
+        entry raises ValueError.
     """
 
     def __init__(self, action_names: Sequence[Sequence[str]], utilities):
@@ -78,6 +81,8 @@ class NormalFormGame:
             if utilities.dtype == np.float64:
                 # Float input has nothing exact to keep: one read-only copy
                 # serves as both the exact and the float table.
+                if not np.isfinite(utilities).all():
+                    raise ValueError("utility entries must be finite")
                 table = utilities.copy()
                 table.setflags(write=False)
                 self._float_cache = table

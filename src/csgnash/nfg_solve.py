@@ -18,8 +18,8 @@ is handled on the product of probability simplices: multistart damped
 Gauss-Newton on the indifference equalities finds the generically
 isolated equilibrium points, and when it finds none above the running
 bar, a best-first corner search (an exclusion method: Berg and Sandholm,
-AAAI 2017) decides the support. Only its box cap leaves a support
-"inconclusive".
+AAAI 2017) decides the support. Only its box cap, or a failed LP (see
+below), leaves a support "inconclusive".
 
 Each mixed support's conditions are built once, in the `_SupportSystem`
 that `solve_support` hands to every solver family: one condition tensor
@@ -28,6 +28,17 @@ in-support action), then every deviation gain (outside action minus
 pivot), player by player, and last the welfare. The relaxation's rows,
 the two-player polytopes, the three-binary closed form, the one-mixer LP
 and the corner search's root box all read it.
+
+Both linear programs, the relaxation and the one-mixer LP, go to HiGHS
+through scipy's bundled bindings (`scipy.optimize._highspy`), by way of
+`_solve_lp`, rather than through `scipy.optimize.linprog`: on programs this
+small, `linprog`'s wrapper takes several times as long as HiGHS's solve.
+`_solve_lp` hands HiGHS the model and options `linprog(method="highs")`
+would, so the results are the same bits, and it keeps `linprog`'s recheck
+of an optimal point. Only a HiGHS proof of infeasibility refutes a
+support. Any other failure, including an optimal point that fails the
+recheck, proves nothing: the relaxation then bounds nothing (+inf) and the
+one-mixer LP leaves its support "inconclusive".
 
 The search is one pass over the supports in canonical order, pure ones
 first. It keeps a running bar, the best welfare of the candidates found
@@ -48,7 +59,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 
 from .games import MixedProfile, NormalFormGame
 
@@ -81,6 +92,17 @@ POLISH_STEP = 16.0
 # A relaxation bound is trusted up to this margin, in normalised welfare:
 # ten times HiGHS's default feasibility and optimality tolerances.
 RELAXATION_MARGIN = 1e-6
+
+# The HiGHS settings `linprog(method="highs")` makes; every other option
+# keeps its HiGHS default. `_solve_lp` passes them to each solver it makes.
+_LP_OPTIONS = _highs.HighsOptions()
+_LP_OPTIONS.presolve = "on"
+_LP_OPTIONS.simplex_strategy = 1  # dual simplex
+_LP_OPTIONS.log_to_console = False
+_LP_OPTIONS.output_flag = False
+_LP_OPTIONS.highs_debug_level = 0
+# `linprog`'s recheck of an optimal point: sqrt(tol) * 10 at its tol = 1e-9.
+_LP_RECHECK_TOL = float(np.sqrt(1e-9) * 10)
 
 
 @dataclass(frozen=True)
@@ -590,9 +612,79 @@ class _SupportSystem:
         return float(_contract_tensor(self.welfare_table, self.blocks(cand)))
 
 
+def _solve_lp(
+    cost: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, lower: float, upper: float
+) -> tuple[str, np.ndarray | None, float]:
+    """Minimise cost @ x subject to a_ub @ x <= b_ub, sum(x) = 1 and
+    lower <= x <= upper, with HiGHS.
+
+    Returns (status, x, fun). Status "optimal" comes with the point and its
+    objective value; "infeasible" means HiGHS proved that no point exists;
+    "failed" stands for any other outcome, which proves nothing. x is None
+    and fun NaN unless the status is "optimal".
+
+    This hands HiGHS the model `linprog(method="highs")` builds, so it
+    returns the same bits; on programs this small scipy's wrapper (input
+    cleaning, sparse conversion, per-call option checks) costs more than
+    HiGHS's solve. The matrix is [a_ub; ones], column-wise, nonzeros only,
+    rows ascending within a column. An a_ub row has bounds [-inf, b_ub]
+    and the sum row [1, 1]. The options are `_LP_OPTIONS`. As `linprog`
+    does, an optimal point is rechecked and counts as "failed" unless it
+    holds no NaN, lies within _LP_RECHECK_TOL of its bounds, leaves every
+    a_ub row a slack of at least -_LP_RECHECK_TOL and sums to 1 within
+    _LP_RECHECK_TOL.
+    """
+    n, m = cost.size, len(a_ub)
+    matrix = np.vstack([a_ub, np.ones((1, n))])
+    col, row = np.nonzero(matrix.T)
+    rhs = np.append(b_ub, 1.0)
+    lp = _highs.HighsLp()
+    lp.num_col_ = n
+    lp.num_row_ = m + 1
+    lp.col_cost_ = cost
+    lp.col_lower_ = np.full(n, lower)
+    lp.col_upper_ = np.full(n, upper)
+    lp.row_lower_ = np.append(np.full(m, -_highs.kHighsInf), 1.0)
+    lp.row_upper_ = rhs
+    lp.a_matrix_.num_col_ = n
+    lp.a_matrix_.num_row_ = m + 1
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.searchsorted(col, np.arange(n + 1)).astype(np.int32)
+    lp.a_matrix_.index_ = row.astype(np.int32)
+    lp.a_matrix_.value_ = matrix.T[col, row]
+    highs = _highs._Highs()
+    highs.passOptions(_LP_OPTIONS)
+    failed = ("failed", None, np.nan)
+    error = _highs.HighsStatus.kError
+    if highs.passModel(lp) == error or highs.run() == error:
+        return failed
+    status = highs.getModelStatus()
+    if status == _highs.HighsModelStatus.kInfeasible:
+        return "infeasible", None, np.nan
+    if status != _highs.HighsModelStatus.kOptimal:
+        return failed
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    fun = highs.getInfo().objective_function_value
+    slack = rhs - np.array(solution.row_value)
+    tol = _LP_RECHECK_TOL
+    if (
+        np.isnan(x).any()
+        or np.isnan(fun)
+        or np.isnan(slack).any()
+        or not np.all((x >= lower - tol) & (x <= upper + tol))
+        or (slack[:m] < -tol).any()
+        or abs(slack[m]) > tol
+    ):
+        return failed
+    return "optimal", x, fun
+
+
 def _solve_one_mixer(system: _SupportSystem) -> SupportSolution:
     """Support where exactly one player mixes: the equilibrium region is a
-    polytope and welfare is linear over it, so this is a linear program."""
+    polytope and welfare is linear over it, so this is a linear program.
+    The support is "infeasible" only when HiGHS proves the program so, and
+    "inconclusive" when `_solve_lp` fails."""
     mixer = next(i for i, k in enumerate(system.sizes) if k > 1)
     k = system.sizes[mixer]
     tol = FEASIBILITY_TOL
@@ -612,24 +704,18 @@ def _solve_one_mixer(system: _SupportSystem) -> SupportSolution:
     # gain and welfare columns of the condition tensor.
     n, cols = system.n, system.cols
     flat = system.conditions.reshape(k, -1)
-    gains = np.concatenate(
-        [flat[:, cols[n + j] : cols[n + j + 1]] for j in range(n) if j != mixer], axis=1
-    ).T
-    res = linprog(
-        -flat[:, -1],
-        A_ub=gains if len(gains) else None,
-        b_ub=np.full(len(gains), tol) if len(gains) else None,
-        A_eq=np.ones((1, k)),
-        b_eq=np.array([1.0]),
-        bounds=[(MIN_SUPPORT_PROB, 1.0)] * k,
-        method="highs",
-    )
-    if not res.success:
-        return SupportSolution("infeasible")
-    probs = [
-        np.asarray(res.x, dtype=np.float64) if j == mixer else np.array([1.0])
-        for j in range(n)
+    others = [
+        c for j in range(n) if j != mixer for c in range(cols[n + j], cols[n + j + 1])
     ]
+    gains = flat[:, others].T
+    status, x, _fun = _solve_lp(
+        -flat[:, -1], gains, np.full(len(gains), tol), MIN_SUPPORT_PROB, 1.0
+    )
+    if status == "infeasible":
+        return SupportSolution("infeasible")
+    if status != "optimal":
+        return SupportSolution("inconclusive")
+    probs = [x if j == mixer else np.array([1.0]) for j in range(n)]
     return SupportSolution(
         "candidate", _candidate_from_probs(system.game, system.support, probs)
     )
@@ -802,20 +888,12 @@ def relaxation_bound(system: _SupportSystem) -> float:
             np.full(len(marginals), -ACCEPT_FLOOR),
         ]
     )
-    res = linprog(
-        -welfare,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=np.ones((1, welfare.size)),
-        b_eq=np.array([1.0]),
-        bounds=(0.0, None),
-        method="highs",
-    )
-    if res.status == 2:
+    status, _x, fun = _solve_lp(-welfare, a_ub, b_ub, 0.0, np.inf)
+    if status == "infeasible":
         return -np.inf
-    if res.status != 0:
+    if status != "optimal":
         return np.inf
-    return float(-res.fun)
+    return float(-fun)
 
 
 def _gauss_newton(system: _SupportSystem) -> EquilibriumCandidate | None:
@@ -1080,10 +1158,10 @@ def solve_support(
     two-player support is solved exactly at the vertices of its
     equilibrium polytopes (`_solve_bimatrix`); any other runs multistart
     Gauss-Newton and, when that finds no candidate above `bar`, the
-    corner search (`_corner_search`), whose box cap alone can end it
-    "inconclusive". `bar` is `swne`'s running bar in normalised welfare:
-    a support whose relaxation bound plus RELAXATION_MARGIN does not
-    exceed it comes back "pruned".
+    corner search (`_corner_search`). Only that search's box cap or a
+    failed one-mixer LP ends a support "inconclusive". `bar` is `swne`'s
+    running bar in normalised welfare: a support whose relaxation bound
+    plus RELAXATION_MARGIN does not exceed it comes back "pruned".
     """
     if support.is_pure:
         return _solve_pure(game, support)
@@ -1186,7 +1264,8 @@ def swne(game: NormalFormGame) -> EquilibriumResult:
     wins, with ties inside the welfare tolerance broken by canonical
     support order and then by lexicographic profile order. `pruned`
     counts the skipped supports, `inconclusive` those whose corner search
-    reached its box cap (a candidate it found by then still counts).
+    reached its box cap (a candidate it found by then still counts) or
+    whose one-mixer LP failed.
     Raises NoEquilibriumError when nothing is found, which
     indicates solver failure rather than a game property.
     """

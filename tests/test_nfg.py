@@ -971,6 +971,103 @@ def test_relaxation_bound_pin():
 
 
 # ---------------------------------------------------------------------------
+# The HiGHS linear programs
+
+
+def _recorded_lps(monkeypatch, run) -> list:
+    """The arguments and results of every `_solve_lp` call `run` makes."""
+    from csgnash import nfg_solve
+
+    calls = []
+    solve_lp = nfg_solve._solve_lp
+
+    def recording(*args):
+        out = solve_lp(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(nfg_solve, "_solve_lp", recording)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def test_solve_lp_matches_linprog_bit_for_bit(monkeypatch):
+    # `_solve_lp` calls scipy's private HiGHS bindings; `linprog`, its
+    # public wrapper, must return the same bits on every LP the solver
+    # makes. A scipy release that changes the bindings fails here.
+    from scipy.optimize import linprog
+
+    def relaxations():
+        for game in _pin_corpus(5):
+            for support in enumerate_supports(game):
+                if _mixers(support) >= 2:
+                    relaxation_bound(_SupportSystem(game, support))
+
+    def one_mixers():
+        for game in _pin_corpus(10):
+            for support in enumerate_supports(game):
+                if _mixers(support) == 1:
+                    solve_support(game, support)
+        # One player with tied actions: no inequality rows at all.
+        tied = NormalFormGame([("a", "b")], np.array([[1.0], [1.0]]))
+        solve_support(tied, Support(((0, 1),)))
+
+    relaxation_lps = _recorded_lps(monkeypatch, relaxations)
+    one_mixer_lps = _recorded_lps(monkeypatch, one_mixers)
+    assert len(relaxation_lps) == 840
+    assert len(one_mixer_lps[-1][0][1]) == 0
+    classes = {0: "optimal", 2: "infeasible"}
+    seen = set()
+    for (cost, a_ub, b_ub, lower, upper), (status, x, fun) in (
+        relaxation_lps + one_mixer_lps
+    ):
+        rows = len(a_ub) > 0
+        res = linprog(
+            cost,
+            A_ub=a_ub if rows else None,
+            b_ub=b_ub if rows else None,
+            A_eq=np.ones((1, cost.size)),
+            b_eq=np.array([1.0]),
+            bounds=(lower, upper),
+            method="highs",
+        )
+        assert status == classes.get(res.status, "failed")
+        seen.add(status)
+        if status == "optimal":
+            assert float(fun).hex() == float(res.fun).hex()
+            assert x.tobytes() == res.x.tobytes()
+    assert seen == {"optimal", "infeasible"}
+
+
+# A 2x2 game whose only pure equilibrium (B, L) has welfare 3, while the
+# row player, indifferent against L, mixes T up to 2/3 for welfare 5: the
+# one-mixer LP decides support ({T, B}, {L}).
+ONE_MIXER_GAME = NormalFormGame(
+    [("T", "B"), ("L", "R")],
+    np.array([[[1.0, 5.0], [0.0, 6.0]], [[1.0, 2.0], [1.0, 0.0]]]),
+)
+
+
+def test_a_failed_lp_proves_nothing(monkeypatch):
+    from csgnash import nfg_solve
+
+    support = Support(((0, 1), (0,)))
+    assert solve_support(ONE_MIXER_GAME, support).status == "candidate"
+    assert swne(ONE_MIXER_GAME).welfare == pytest.approx(5.0)
+    assert swne(ONE_MIXER_GAME).inconclusive == 0
+    failed = ("failed", None, np.nan)
+    monkeypatch.setattr(nfg_solve, "_solve_lp", lambda *args: failed)
+    assert solve_support(ONE_MIXER_GAME, support).status == "inconclusive"
+    result = swne(ONE_MIXER_GAME)
+    assert result.inconclusive == 1
+    assert result.welfare == 3.0
+    # The relaxation bounds nothing, where HiGHS would refute the support.
+    game, sets = hard_333_game(), ((1, 2), (1,), (0, 1, 2))
+    assert relaxation_bound(_SupportSystem(game, Support(sets))) == np.inf
+
+
+# ---------------------------------------------------------------------------
 # Float games
 
 
@@ -1015,6 +1112,33 @@ def test_float_game_table_is_read_only_copy():
     # The caller's array stays writable and is not shared.
     table[0, 0, 0] = 5.0
     assert game.utility((0, 0), 0) == 1.0
+
+
+def _dilemma_with(bad: float) -> np.ndarray:
+    """The prisoner's dilemma as a float table, with `bad` as the row
+    player's utility for mutual cooperation. A solver that read NaN or
+    inf there as a number would still answer, with values (1, 1)."""
+    table = np.array([[[3.0, 3.0], [0.0, 5.0]], [[5.0, 0.0], [1.0, 1.0]]])
+    table[0, 0, 0] = bad
+    return table
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_game_rejects_non_finite_utilities(bad):
+    names = [("c", "d"), ("c", "d")]
+    table = _dilemma_with(bad)
+    for utilities in (table, table.astype(object)):
+        with pytest.raises(ValueError, match="finite"):
+            NormalFormGame(names, utilities)
+    cells = {(0, 0): (bad, 3), (0, 1): (0, 5), (1, 0): (5, 0), (1, 1): (1, 1)}
+    with pytest.raises(ValueError, match="finite"):
+        NormalFormGame(names, cells)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_swne_never_answers_a_non_finite_game(bad):
+    with pytest.raises(ValueError, match="finite"):
+        swne(NormalFormGame([("c", "d"), ("c", "d")], _dilemma_with(bad)))
 
 
 # ---------------------------------------------------------------------------
