@@ -9,8 +9,11 @@ level for finite horizons, they solve the one-shot game whose utilities
 combine decided components (exactly 1 or 0 for probabilities, 0 for
 settled reward objectives) with successor-weighted continuation values,
 taking welfare-optimal equilibrium values (cost-optimal ones when
-minimising). The core goes out with the synthesised strategy, so
-certification reads the same rows.
+minimising). Every level decides in array passes the stages where at
+most one coalition chooses, and those where several choose whose answer
+is provably pure (`nfg_solve.pure_answer_picks`); only the remaining
+tables reach the solver, through a stage cache. The core goes out with
+the synthesised strategy, so certification reads the same rows.
 """
 
 from __future__ import annotations
@@ -27,7 +30,13 @@ from .formulas import (
     sat_states,
 )
 from .games import Csg, NormalFormGame, build_coalition_game
-from .nfg_solve import WELFARE_TOL, scne, single_chooser_picks, swne
+from .nfg_solve import (
+    WELFARE_TOL,
+    pure_answer_picks,
+    scne,
+    single_chooser_picks,
+    swne,
+)
 from .objectives import (
     Choosers,
     CompiledObjectives,
@@ -136,9 +145,10 @@ class _StageSolver:
     """Equilibrium values and stage distributions of one-shot games, each
     distinct utility table solved once.
 
-    Only stages where two or more coalitions choose reach the cache:
-    backward induction and value iteration both solve the single-chooser
-    stages in one array pass (`_solve_stages`). One solver serves one
+    Only stages where two or more coalitions choose and whose answer the
+    pure-answer pass cannot prove pure reach the cache: backward
+    induction and value iteration both settle the others in array passes
+    (`_solve_stages`). One solver serves one
     check, so the optimisation direction is fixed, and action names do
     not enter the arithmetic: the table's shape and bytes are the whole
     key. Entries live in two generations. Backward
@@ -146,8 +156,9 @@ class _StageSolver:
     table of the call, at most one per node. Value iteration ages it after
     every sweep, keeping what the current and the previous sweep made or
     used, so memory stays proportional to the undecided pairs however many
-    sweeps run. Solutions are shared between lookups and therefore
-    read-only. `inconclusive` sums the inconclusive supports of every
+    sweeps run. Solutions, and the profiles of pure answers
+    (`pure_profile`, kept for the whole check), are shared between
+    lookups and therefore read-only. `inconclusive` sums the inconclusive supports of every
     solve (cache miss), so a table solved again after it was dropped
     counts again.
     """
@@ -156,6 +167,7 @@ class _StageSolver:
         self.opt = opt
         self.current: dict[tuple, _StageSolution] = {}
         self.previous: dict[tuple, _StageSolution] = {}
+        self.pure: dict[tuple[tuple[int, ...], int], tuple[np.ndarray, ...]] = {}
         self.inconclusive = 0
 
     def solve(
@@ -176,6 +188,21 @@ class _StageSolver:
                     arr.setflags(write=False)
             self.current[key] = hit
         return hit
+
+    def pure_profile(
+        self, shape: tuple[int, ...], cell: int
+    ) -> tuple[np.ndarray, ...]:
+        """The profile playing C-order cell `cell` of a stage of `shape`,
+        one read-only vector per coalition, shared by every node of the
+        check that plays it."""
+        dist = self.pure.get((shape, cell))
+        if dist is None:
+            joint = np.unravel_index(cell, shape)
+            dist = tuple(np.eye(c)[a] for c, a in zip(shape, joint))
+            for vec in dist:
+                vec.setflags(write=False)
+            self.pure[shape, cell] = dist
+        return dist
 
     def age(self) -> None:
         """Start a new generation, dropping entries unused for two."""
@@ -229,8 +256,9 @@ def solve_finite_horizon(
     transition probabilities. The core numbers its nodes level by level,
     so one pass over its levels from the deepest finds every successor
     solved. Each level builds all its stage tables in one contraction,
-    solves the single-chooser stages in one array pass and the others
-    through the stage cache.
+    solves the single-chooser stages in one array pass and the stages
+    with a provably pure answer in one per stage shape, and sends the
+    others through the stage cache.
     """
     core = bounded_core(game, compiled)
     values = core.const.copy()
@@ -238,8 +266,8 @@ def solve_finite_horizon(
     stages = _StageSolver(compiled.opt)
     for level in reversed(core.levels):
         utilities = level.stage_utilities(values)
-        picks = _solve_stages(core, level.split, utilities, values, stages, dists)
-        dists.update(_pure_dists(core, level.split, picks))
+        answers = _solve_stages(core, level.split, utilities, values, stages, dists)
+        dists.update(_pure_dists(core, stages, answers))
     profiles = {core.nodes[p]: dist for p, dist in dists.items()}
     for p in np.flatnonzero(np.diff(core.start) == 0).tolist():
         node = core.nodes[p]
@@ -275,43 +303,55 @@ def _solve_stages(
     values: np.ndarray,
     stages: _StageSolver,
     dists: dict[int, tuple[np.ndarray, ...]],
-) -> np.ndarray:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Solve the stage of every node in `split` on its rows of
     `utilities`, writing the equilibrium values into `values`. The
-    single-chooser stages are solved in one array pass and never reach
-    the stage cache; the others go through it, and their profiles into
-    `dists`. Returns the single-chooser picks."""
-    picks = np.zeros(0, dtype=np.int64)
+    single-chooser stages are solved in one array pass, and the others
+    whose answer is provably pure (`pure_answer_picks`) in one array pass
+    per stage shape; neither reaches the stage cache. The rest go through
+    it, and their profiles into `dists`. Returns the pure answers for
+    `_pure_dists`: node arrays, each with the C-order index of every
+    node's chosen cell."""
+    # The cost-optimal answer is the welfare-optimal answer of the negated
+    # tables.
+    negate = stages.opt == "min"
+    answers = []
     if len(split.single):
-        # The cost-optimal pick is the welfare-optimal pick of the negated
-        # block; the values are the block's own cells.
+        # Single-chooser values are the block's own cells; a pick indexes
+        # the chooser's actions, which are the stage's cells in order.
         block = utilities[split.rows]
         picks = single_chooser_picks(
-            -block if stages.opt == "min" else block, split.chooser, WELFARE_TOL
+            -block if negate else block, split.chooser, WELFARE_TOL
         )
         values[split.single] = block[np.arange(len(picks)), picks]
-    for p, rows in split.multi:
-        s = core.nodes[p][0]
-        values[p], dists[p] = stages.solve(
-            utilities[rows].reshape(core.shapes[s] + (core.compiled.m,)),
-            core.choice_names[s],
+        answers.append((split.single, picks))
+    m = core.compiled.m
+    for shape, nodes, rows in split.multi:
+        block = utilities[rows]
+        won = -block if negate else block
+        decided, picks = pure_answer_picks(
+            won.reshape((len(nodes),) + shape + (m,)), WELFARE_TOL
         )
-    return picks
+        # The bits `swne` returns, and `scne` negates: adding 0.0 turns a
+        # -0.0 cell into 0.0.
+        cells = won[decided, picks[decided]] + 0.0
+        values[nodes[decided]] = -cells if negate else cells
+        answers.append((nodes[decided], picks[decided]))
+        for p, table in zip(nodes[~decided].tolist(), block[~decided]):
+            values[p], dists[p] = stages.solve(
+                table.reshape(shape + (m,)), core.choice_names[core.nodes[p][0]]
+            )
+    return answers
 
 
-def _pure_dists(core: Core, split: Choosers, picks: np.ndarray):
-    """Each single-chooser node's profile: the chooser plays its pick and
-    every other coalition its only action, as (node, profile) pairs."""
-
-    def pure(size: int, action: int) -> np.ndarray:
-        vec = np.zeros(size)
-        vec[action] = 1.0
-        vec.setflags(write=False)
-        return vec
-
-    for p, i, a in zip(split.single.tolist(), split.chooser.tolist(), picks.tolist()):
-        shape = core.shapes[core.nodes[p][0]]
-        yield p, tuple(pure(c, a if j == i else 0) for j, c in enumerate(shape))
+def _pure_dists(
+    core: Core, stages: _StageSolver, answers: list[tuple[np.ndarray, np.ndarray]]
+):
+    """Each pure-answer node's profile, as (node, profile) pairs: every
+    coalition plays its action in the node's chosen cell."""
+    for nodes, cells in answers:
+        for p, cell in zip(nodes.tolist(), cells.tolist()):
+            yield p, stages.pure_profile(core.shapes[core.nodes[p][0]], cell)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +394,9 @@ def solve_value_iteration(
     updated each sweep from the welfare/cost-optimal equilibrium of the
     stage game built on the previous sweep's values. A sweep builds every
     stage table in one contraction, solves the single-chooser stages in
-    one array pass and the others through the stage cache. Raises
+    one array pass and the stages with a provably pure answer in one per
+    stage shape, and sends the others through the stage cache; the pure
+    answers' profiles are taken from the last sweep only. Raises
     NotConverged when the iteration cap is hit before the stopping rule
     fires, or as soon as the values cycle without it firing.
     """
@@ -384,7 +426,7 @@ def solve_value_iteration(
         iterations += 1
         prev = values.copy()
         utilities = stage_utilities(prev)
-        picks = _solve_stages(core, split, utilities, values, stages, dists)
+        answers = _solve_stages(core, split, utilities, values, stages, dists)
         stages.age()
         residual = float(np.abs(values - prev).max()) if n_pairs else 0.0
         stable = stable + 1 if residual <= vi.epsilon else 0
@@ -405,7 +447,7 @@ def solve_value_iteration(
     else:
         raise NotConverged(residual, iterations, period)
 
-    dists.update(_pure_dists(core, split, picks))
+    dists.update(_pure_dists(core, stages, answers))
     entries = {pair: values[p].copy() for p, pair in enumerate(pairs)}
     initial_mode = {s: pairs[p][1] for s, p in enumerate(core.initial)}
     strategy = SynthesizedStrategy(

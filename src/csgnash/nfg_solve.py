@@ -1215,6 +1215,47 @@ def single_chooser_picks(
     return (welfare >= welfare.max(axis=1, keepdims=True) - welfare_tol).argmax(axis=1)
 
 
+def pure_answer_picks(
+    block: np.ndarray, welfare_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which of n games of one shape have a welfare-optimal equilibrium
+    that is provably pure, and that equilibrium; game g is entry g of the
+    (n, *shape, players) float `block`.
+
+    A cell is a pure equilibrium when every player's utility equals the
+    maximum along its own axis, compared exactly as `check_pure_profile`
+    compares. A game is decided when its largest cell welfare is at most
+    `best + welfare_tol`, where `best` is its best pure-equilibrium welfare
+    (-inf without one, which decides nothing). Its pick is the first cell
+    in C order among the pure equilibria with welfare at least
+    `best - welfare_tol`, and `swne` answers a decided game with exactly
+    that pure profile:
+    - iterated strict dominance keeps every pure equilibrium and adds
+      none, and the reduced game's pure supports run in the original
+      C order, so `swne`'s pure candidates are these equilibria in this
+      order, with these welfares;
+    - a mixed support's welfare bound is one of its cell welfares, none of
+      which exceeds `best + welfare_tol`, so `swne` skips every mixed
+      support before solving it;
+    - among the pure candidates, `swne` keeps those within `welfare_tol`
+      of the best and takes the first in canonical order.
+    Welfare is the sum over the players' axis, which rounds as `swne`'s
+    sums over one cell's utilities. Returns the decided mask (n,) and each
+    game's pick as a flat C-order cell index, meaningful where decided.
+    """
+    n = block.shape[0]
+    pure = np.ones(block.shape[:-1], dtype=bool)
+    for i in range(block.shape[-1]):
+        own = block[..., i]
+        pure &= own == own.max(axis=1 + i, keepdims=True)
+    pure = pure.reshape(n, -1)
+    welfare = block.sum(axis=-1).reshape(n, -1)
+    best = np.where(pure, welfare, -np.inf).max(axis=1)
+    decided = welfare.max(axis=1) <= best + welfare_tol
+    picks = (pure & (welfare >= best[:, None] - welfare_tol)).argmax(axis=1)
+    return decided, picks
+
+
 def _single_chooser_fast_path(game: NormalFormGame) -> EquilibriumResult | None:
     """Games where at most one player has more than one action, solved by
     `single_chooser_picks`."""

@@ -293,12 +293,15 @@ class Choosers:
     """Nodes split by who chooses at their stage. Single-chooser nodes (at
     most one coalition with more than one action) are gathered into one
     padded (nodes, k_max) block of rows, the padding repeating the last
-    row; the other nodes keep a row slice each."""
+    row. The other nodes, where two or more coalitions choose, are grouped
+    by stage shape: each group holds the shape, its nodes (G,) and their
+    rows (G, K), K the shape's cell count, so that one fancy index stacks
+    the group's stage tables."""
 
     single: np.ndarray  # (P1,) single-chooser nodes
     rows: np.ndarray  # (P1, k_max) their rows, padded
     chooser: np.ndarray  # (P1,) utility column of the chooser
-    multi: list[tuple[int, slice]]  # every other node and its rows
+    multi: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]]  # shape, nodes, rows
 
 
 @dataclass
@@ -310,7 +313,9 @@ class Level:
     core's rows are also grouped by their exact successor count, for
     `stage_utilities`; an unbounded core's level has no groups.
     The stage split (`split`) lets both engine loops solve the stages
-    where at most one coalition chooses in one array pass."""
+    where at most one coalition chooses in one array pass, and settle
+    those where several choose whose answer is pure in one array pass
+    per stage shape."""
 
     nodes: slice
     rows: slice
@@ -357,14 +362,17 @@ def choosers(first: int, start: np.ndarray, shapes: np.ndarray) -> Choosers:
     single = (sizes > 0) & (choosing.sum(axis=1) <= 1)
     k_max = int(sizes[single].max(initial=1))
     rows = start[:-1, None] + np.minimum(np.arange(k_max), sizes[:, None] - 1)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for q in np.flatnonzero((sizes > 0) & ~single).tolist():
+        groups.setdefault(tuple(shapes[q].tolist()), []).append(q)
     return Choosers(
         single=first + np.flatnonzero(single),
         rows=rows[single],
         # The first choosing coalition, or 0 when none chooses.
         chooser=choosing[single].argmax(axis=1),
         multi=[
-            (first + q, slice(start[q], start[q + 1]))
-            for q in np.flatnonzero((sizes > 0) & ~single).tolist()
+            (shape, first + np.array(qs), start[qs, None] + np.arange(sizes[qs[0]]))
+            for shape, qs in groups.items()
         ],
     )
 

@@ -666,13 +666,25 @@ def stage_solves(monkeypatch):
 
 
 def test_repeating_levels_solve_no_new_stage(stage_solves):
-    # medium_access3's levels repeat long before the bound, so a ten times
-    # longer horizon meets no table that the shorter one did not.
-    _check_bundled("medium_access3.json", {}, _sum_prop('R{"mes#"}[C<=20]'))
+    # The aloha3 stages that the array pass leaves to the solver repeat
+    # long before the bound, so a twice as long horizon sends it no table
+    # that the shorter one did not.
+    _check_bundled("aloha3.json", {}, _sum_prop('P[F<=15 "d#"]'))
     short = len(stage_solves)
     stage_solves.clear()
-    _check_bundled("medium_access3.json", {}, _sum_prop('R{"mes#"}[C<=200]'))
+    _check_bundled("aloha3.json", {}, _sum_prop('P[F<=31 "d#"]'))
+    assert short > 0
     assert len(stage_solves) == short
+
+
+def test_pure_answer_stages_skip_the_solver(stage_solves):
+    # The array pass settles every stage of medium_access3 where several
+    # coalitions choose, and all but 19 distinct tables of aloha3's. Each
+    # table went to the solver before: 76 and 208 solves.
+    _check_bundled("medium_access3.json", {}, _sum_prop('R{"mes#"}[C<=20]'))
+    assert len(stage_solves) == 0
+    _check_bundled("aloha3.json", {}, _sum_prop('P[F<=31 "d#"]'))
+    assert 0 < len(stage_solves) <= 19
 
 
 def test_value_iteration_solves_repeated_stages_once(stage_solves):
@@ -684,7 +696,7 @@ def test_value_iteration_solves_repeated_stages_once(stage_solves):
 @pytest.mark.parametrize(
     "name,params,prop",
     [
-        ("medium_access3.json", {}, _sum_prop('R{"mes#"}[C<=6]')),
+        ("aloha3.json", {}, _sum_prop('P[F<=3 "d#"]')),
         ("secret_sharing_rrr_rmax5.json", {"alpha": 0.5}, UTIL_PROP),
     ],
 )

@@ -287,9 +287,9 @@ def test_cli_check_prints_inconclusive_supports_only_when_some(monkeypatch):
 
     argv = (
         "check",
-        str(MODELS / "medium_access3.json"),
+        str(MODELS / "aloha3.json"),
         "--prop",
-        '<<usr1:usr2:usr3>>max=? (R{"mes1"}[C<=6] + R{"mes2"}[C<=6] + R{"mes3"}[C<=6])',
+        '<<usr1:usr2:usr3>>max=? (P[F<=3 "d1"] + P[F<=3 "d2"] + P[F<=3 "d3"])',
     )
     code, plain = run_cli(*argv)
     assert code == 0 and "inconclusive" not in plain

@@ -12,6 +12,7 @@ from csgnash.games import MixedProfile, NormalFormGame
 from csgnash.nfg_solve import (
     FEASIBILITY_TOL,
     RELAXATION_MARGIN,
+    WELFARE_TOL,
     Support,
     _contract_tensor,
     _SupportSystem,
@@ -30,6 +31,7 @@ from csgnash.nfg_solve import (
     expected_utility,
     filter_dominated,
     presolve_support,
+    pure_answer_picks,
     regret,
     relaxation_bound,
     scne,
@@ -1196,3 +1198,93 @@ def test_single_chooser_picks_match_per_game_solver(games):
             assert np.array_equal(got, general.values)
             assert np.array_equal(result.regrets, general.regrets)
             assert picks[r] == int(np.argmax(general.profile.probs[chooser[r]]))
+
+
+# ---------------------------------------------------------------------------
+# Batched pure-answer rule
+
+
+@st.composite
+def multi_chooser_batches(draw):
+    """One to three games of one shape: two to four players, of whom at
+    least two choose among two or three actions and the others have one.
+    Utilities from -2..2, with both zeros, make ties and signed zeros
+    likely."""
+    n = draw(st.integers(2, 4))
+    choosers = draw(st.sets(st.integers(0, n - 1), min_size=2))
+    shape = tuple(draw(st.integers(2, 3)) if i in choosers else 1 for i in range(n))
+    size = int(np.prod(shape)) * n
+    entry = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+    games = draw(st.lists(
+        st.lists(entry, min_size=size, max_size=size), min_size=1, max_size=3
+    ))
+    return np.array(games, dtype=np.float64).reshape((len(games),) + shape + (n,))
+
+
+def _pure_answers(block: np.ndarray, opt: str):
+    """The decided mask, picks and values the engine takes from
+    `pure_answer_picks` for the games of `block` under `opt`."""
+    won = -block if opt == "min" else block
+    decided, picks = pure_answer_picks(won, WELFARE_TOL)
+    cells = won.reshape(len(block), -1, block.shape[-1])[np.arange(len(block)), picks]
+    cells = cells + 0.0
+    return decided, picks, -cells if opt == "min" else cells
+
+
+def _solved_pick(result) -> int:
+    """The flat C-order cell of a pure answer, which must be one-hot."""
+    joint = tuple(int(np.argmax(p)) for p in result.profile.probs)
+    for p, a in zip(result.profile.probs, joint):
+        assert p.tobytes() == np.eye(len(p))[a].tobytes()
+    return int(np.ravel_multi_index(joint, [len(p) for p in result.profile.probs]))
+
+
+def _game(table: np.ndarray) -> NormalFormGame:
+    return NormalFormGame([("a",) * c for c in table.shape[:-1]], table)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(multi_chooser_batches())
+def test_pure_answer_picks_match_the_solver_bit_for_bit(block):
+    for opt, solve in (("max", swne), ("min", scne)):
+        decided, picks, values = _pure_answers(block, opt)
+        for g in np.flatnonzero(decided).tolist():
+            result = solve(_game(block[g]))
+            assert result.support.is_pure
+            assert values[g].tobytes() == result.values.tobytes()
+            assert picks[g] == _solved_pick(result)
+
+
+def test_pure_answer_picks_send_a_dominated_best_cell_to_the_solver():
+    # The prisoner's dilemma's one equilibrium, mutual defection, has
+    # welfare 2, below the dominated best cell (6).
+    dilemma = np.array([[[3.0, 3.0], [0.0, 5.0]], [[5.0, 0.0], [1.0, 1.0]]])
+    decided, _picks, _values = _pure_answers(dilemma[None], "max")
+    assert not decided[0]
+    assert swne(_game(dilemma)).values.tolist() == [1.0, 1.0]
+
+
+def test_pure_answer_picks_send_a_game_without_pure_equilibrium():
+    # Players 1 and 2 play matching pennies whatever player 3 does, and
+    # player 3 matches player 1.
+    table = np.zeros((2, 2, 2, 3))
+    for a, b, c in itertools.product(range(2), repeat=3):
+        match = 1.0 if a == b else -1.0
+        table[a, b, c] = (match, -match, 1.0 if c == a else 0.0)
+    for opt in ("max", "min"):
+        decided, _picks, _values = _pure_answers(table[None], opt)
+        assert not decided[0]
+    assert not swne(_game(table)).support.is_pure
+
+
+def test_pure_answer_picks_break_a_welfare_tie_by_cell_order():
+    # Two pure equilibria; the later one is better by less than the
+    # tolerance, so the first cell wins, as it does in the solver.
+    tie = np.zeros((2, 2, 2))
+    tie[0, 0] = (1.0, 1.0)
+    tie[1, 1] = (1.0, 1.0 + WELFARE_TOL / 2)
+    decided, picks, values = _pure_answers(tie[None], "max")
+    assert decided[0] and picks[0] == 0
+    result = swne(_game(tie))
+    assert _solved_pick(result) == 0
+    assert values[0].tobytes() == result.values.tobytes()
