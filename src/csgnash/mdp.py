@@ -25,6 +25,24 @@ def successor_sets(game: Csg) -> Successors:
     )
 
 
+def _backward_reach(
+    succ: Successors, target: set[int] | frozenset[int], blocked: frozenset[int]
+) -> frozenset[int]:
+    """Least fixpoint: `target` and every state outside `blocked` with a
+    joint action that moves into the set with positive probability."""
+    reach = set(target)
+    grew = True
+    while grew:
+        grew = False
+        for s in range(len(succ)):
+            if s in reach or s in blocked:
+                continue
+            if any(not a.isdisjoint(reach) for a in succ[s]):
+                reach.add(s)
+                grew = True
+    return frozenset(reach)
+
+
 def min_reach_certain(
     succ: Successors, good: frozenset[int], bad: frozenset[int] = frozenset()
 ) -> tuple[frozenset[int], frozenset[int]]:
@@ -45,17 +63,8 @@ def min_reach_certain(
             break
         z = keep
     # Least fixpoint: states that can reach that region while avoiding good.
-    y = set(z)
-    frontier = True
-    while frontier:
-        frontier = False
-        for s in range(n):
-            if s in y or s in good:
-                continue
-            if any(not a.isdisjoint(y) for a in succ[s]):
-                y.add(s)
-                frontier = True
-    return frozenset(range(n)) - frozenset(y), frozenset(y)
+    y = _backward_reach(succ, z, good)
+    return frozenset(range(n)) - y, y
 
 
 def max_reach_zero(
@@ -63,17 +72,7 @@ def max_reach_zero(
 ) -> frozenset[int]:
     """States from which no strategy reaches `good` with positive
     probability, with `bad` states absorbing."""
-    reach = set(good)
-    grew = True
-    while grew:
-        grew = False
-        for s in range(len(succ)):
-            if s in reach or s in bad:
-                continue
-            if any(not a.isdisjoint(reach) for a in succ[s]):
-                reach.add(s)
-                grew = True
-    return frozenset(range(len(succ))) - frozenset(reach)
+    return frozenset(range(len(succ))) - _backward_reach(succ, good, bad)
 
 
 def until_sure_states(

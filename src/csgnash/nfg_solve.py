@@ -14,12 +14,11 @@ the support's cells, which every equilibrium with that support satisfies.
 An infeasible relaxation proves the support has no equilibrium, and its
 optimum bounds the support's welfare. A two-player support that survives
 is solved exactly at the vertices of its equilibrium polytopes. Any other
-is handled on the product of probability simplices: multistart damped
-Gauss-Newton on the indifference equalities finds the generically
-isolated equilibrium points, and when it finds none above the running
-bar, a best-first corner search (an exclusion method: Berg and Sandholm,
-AAAI 2017) decides the support. Only its box cap, or a failed LP (see
-below), leaves a support "inconclusive".
+is decided on the product of probability simplices by a best-first corner
+search (an exclusion method: Berg and Sandholm, AAAI 2017), which returns
+the support's welfare-optimal equilibrium up to RELAXATION_MARGIN, or
+proves that none beats the running bar. Only its box cap, or a failed LP
+(see below), leaves a support "inconclusive".
 
 Each mixed support's conditions are built once, in the `_SupportSystem`
 that `solve_support` hands to every solver family: one condition tensor
@@ -54,7 +53,6 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import zlib
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -78,14 +76,13 @@ class NoEquilibriumError(RuntimeError):
 # tolerance is the tie window for comparing candidate welfare in original
 # units; the least support probability realises the strict positivity of
 # in-support probabilities, and a point is accepted down to ACCEPT_FLOOR.
-# Gauss-Newton runs from MULTISTARTS starts. The corner search evaluates
-# at most MAX_BOXES boxes, polishes a box once its longest edge is at most
-# POLISH_WIDTH, and again each time the edge has shrunk POLISH_STEP-fold.
+# The corner search evaluates at most MAX_BOXES boxes, polishes a box once
+# its longest edge is at most POLISH_WIDTH, and again each time the edge
+# has shrunk POLISH_STEP-fold.
 FEASIBILITY_TOL = 1e-8
 WELFARE_TOL = 1e-6
 MIN_SUPPORT_PROB = 1e-6
 ACCEPT_FLOOR = MIN_SUPPORT_PROB - 1e-12
-MULTISTARTS = 6
 MAX_BOXES = 20000
 POLISH_WIDTH = 1e-2
 POLISH_STEP = 16.0
@@ -459,7 +456,7 @@ class _SupportSystem:
     d switch_i / d p_j, an (A_i full) x (B_j support) matrix. Player i's
     switch values are multilinear in the other players' blocks, so
     switch_i = cross[i, j] @ p_j for any j != i, and the rows of the cross
-    blocks give the Jacobian of the gaps.
+    blocks give the Jacobian of the gaps and gains.
     """
 
     def __init__(self, game: NormalFormGame, support: Support):
@@ -541,37 +538,52 @@ class _SupportSystem:
     def _switch(self, blocks, cross) -> list[np.ndarray]:
         return [cross[i, j] @ blocks[j] for i, j in self.switch_pairs]
 
-    def _gaps(self, vecs) -> np.ndarray:
-        return np.concatenate(
-            [vec[p] - vec[eq] for vec, p, eq in zip(vecs, self.pivots, self.eq_index)]
-        )
+    def _violations(self, vecs) -> tuple[np.ndarray, list[list[int]]]:
+        """Every indifference gap, then every positive (violated) deviation
+        gain, player by player, and per player the outside actions whose
+        gains those are."""
+        gaps = [vec[p] - vec[eq] for vec, p, eq in zip(vecs, self.pivots, self.eq_index)]
+        gains, active = [], []
+        for vec, p, out in zip(vecs, self.pivots, self.ineq_index):
+            gain = vec[out] - vec[p]
+            gains.append(gain[gain > 0])
+            active.append([a for a, g in zip(out, gain) if g > 0])
+        return np.concatenate(gaps + gains), active
 
-    def equality_residual(self, blocks) -> np.ndarray:
-        """The residual half of `equality_system` (for line searches)."""
-        return self._gaps(self._switch(blocks, self._cross(blocks, self.switch_pairs)))
+    def residual(self, blocks) -> np.ndarray:
+        """The residual half of `residual_system` (for line searches)."""
+        vecs = self._switch(blocks, self._cross(blocks, self.switch_pairs))
+        return self._violations(vecs)[0]
 
-    def equality_system(self, blocks) -> tuple[np.ndarray, np.ndarray]:
-        """Residual vector and Jacobian of the indifference equalities."""
+    def residual_system(self, blocks) -> tuple[np.ndarray, np.ndarray]:
+        """Residual vector and Jacobian of the indifference equalities and
+        of the deviation gains that are violated at `blocks`."""
         cross = self._cross(blocks, self.all_pairs)
-        res = self._gaps(self._switch(blocks, cross))
+        res, active = self._violations(self._switch(blocks, cross))
         jac = np.zeros((res.size, self.offsets[-1]))
         rows = self.cols
+        gain_rows = list(itertools.accumulate(map(len, active), initial=rows[self.n]))
         for (i, j), mat in cross.items():
-            jac[rows[i] : rows[i + 1], self.offsets[j] : self.offsets[j + 1]] = (
-                mat[self.pivots[i]] - mat[self.eq_index[i]]
-            )
+            cols = slice(self.offsets[j], self.offsets[j + 1])
+            pivot = mat[self.pivots[i]]
+            jac[rows[i] : rows[i + 1], cols] = pivot - mat[self.eq_index[i]]
+            jac[gain_rows[i] : gain_rows[i + 1], cols] = mat[active[i]] - pivot
         return res, jac
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return self.pack([_project_simplex(b, MIN_SUPPORT_PROB) for b in self.unpack(x)])
 
     def polish(self, x: np.ndarray) -> np.ndarray:
-        """Damped Gauss-Newton on the indifference equalities from the
-        projection of x, until the residual vanishes or progress stalls."""
+        """Damped Gauss-Newton from the projection of x on the indifference
+        equalities and the violated deviation gains, until the residual
+        vanishes or progress stalls. A gain counts only while it is
+        positive. On a continuum of equilibria the welfare optimum often
+        has a gain at zero, and the equalities alone would leave the point
+        just outside, where `accept` rejects it."""
         x = self.project(x)
         stalls = 0
         for it in range(60):
-            res, jac = self.equality_system(self.unpack(x))
+            res, jac = self.residual_system(self.unpack(x))
             if res.size == 0 or np.max(np.abs(res)) < 1e-14:
                 break
             step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
@@ -580,7 +592,7 @@ class _SupportSystem:
             base = np.max(np.abs(res))
             while scale > 1e-6:
                 cand = self.project(x + scale * step)
-                new_res = self.equality_residual(self.unpack(cand))
+                new_res = self.residual(self.unpack(cand))
                 if np.max(np.abs(new_res)) < base:
                     x = cand
                     improved = True
@@ -589,7 +601,7 @@ class _SupportSystem:
                 scale *= 0.5
             if not improved or (it >= 6 and stalls >= 4):
                 # Slow linear progress after several sweeps means the
-                # equalities have no regular solution near this start.
+                # conditions have no regular solution near this start.
                 break
         return x
 
@@ -896,23 +908,6 @@ def relaxation_bound(system: _SupportSystem) -> float:
     return float(-fun)
 
 
-def _gauss_newton(system: _SupportSystem) -> EquilibriumCandidate | None:
-    """Best point that damped Gauss-Newton accepts from the support centroid
-    and MULTISTARTS - 1 deterministically seeded random starts; it pins
-    down the generically isolated equilibrium points in a few steps."""
-    sizes = system.sizes
-    rng = np.random.default_rng(zlib.crc32(repr(system.support.sets).encode()))
-    starts = [system.pack([np.full(k, 1.0 / k) for k in sizes])]
-    for _ in range(max(MULTISTARTS - 1, 0)):
-        starts.append(system.pack([rng.dirichlet(np.ones(k)) for k in sizes]))
-    best: EquilibriumCandidate | None = None
-    for x0 in starts:
-        cand = system.accept(system.polish(x0))
-        if cand is not None and (best is None or cand.welfare > best.welfare):
-            best = cand
-    return best
-
-
 def _root_box(
     system: _SupportSystem, mixers: list[int]
 ) -> tuple[list[np.ndarray], np.ndarray]:
@@ -947,11 +942,7 @@ def _rounding_slack(system: _SupportSystem) -> float:
     return 4.0 * (system.welfare_table.size + system.n) * np.finfo(np.float64).eps
 
 
-def _corner_search(
-    system: _SupportSystem,
-    bar: float,
-    incumbent: EquilibriumCandidate | None = None,
-) -> SupportSolution:
+def _corner_search(system: _SupportSystem, bar: float) -> SupportSolution:
     """Best-first branch and bound over products of sub-simplices, for a
     support with at least one mixer.
 
@@ -1008,11 +999,8 @@ def _corner_search(
         flat = int(lengths.argmax())
         return (float(lengths.flat[flat]),) + divmod(flat, len(v))
 
-    best = incumbent
-    best_w, best_x = -np.inf, None
-    if best is not None:
-        best_w, best_x = system.welfare(best), system.pack(system.blocks(best))
-    floor = max(bar - RELAXATION_MARGIN, best_w + RELAXATION_MARGIN)
+    best, best_w, best_x = None, -np.inf, None
+    floor = bar - RELAXATION_MARGIN
     dropped = False
     count = 1
     ub = bounds(corners, 0)
@@ -1038,8 +1026,8 @@ def _corner_search(
             point = system.pack(centre)
             # A centre this close to the best point would polish back to it.
             if best_x is None or np.abs(point - best_x).max() > POLISH_STEP * width:
-                # Gauss-Newton ignores the deviation gains, so where one
-                # binds at the optimum only the unpolished centre may pass.
+                # Polishing can stall short of a point `accept` takes, or
+                # leave the box; the unpolished centre may still pass.
                 cand = system.accept(system.polish(point)) or system.accept(point)
                 w = -np.inf if cand is None else system.welfare(cand)
                 if w > best_w:
@@ -1075,15 +1063,6 @@ def _corner_search(
     if best is not None:
         return SupportSolution("candidate", best)
     return SupportSolution("pruned" if dropped else "infeasible")
-
-
-def _solve_general(system: _SupportSystem, bar: float) -> SupportSolution:
-    """Multistart Gauss-Newton, then, unless it found a candidate above
-    `bar`, the corner search (`_corner_search`) to decide the support."""
-    best = _gauss_newton(system)
-    if best is not None and system.welfare(best) > bar:
-        return SupportSolution("candidate", best)
-    return _corner_search(system, bar, best)
 
 
 def _polytope_vertices(
@@ -1156,12 +1135,12 @@ def solve_support(
     degenerate systems) meets the linear relaxation (`relaxation_bound`),
     which proves most such supports infeasible. Of the rest, a
     two-player support is solved exactly at the vertices of its
-    equilibrium polytopes (`_solve_bimatrix`); any other runs multistart
-    Gauss-Newton and, when that finds no candidate above `bar`, the
-    corner search (`_corner_search`). Only that search's box cap or a
+    equilibrium polytopes (`_solve_bimatrix`); any other is decided by
+    the corner search (`_corner_search`). Only that search's box cap or a
     failed one-mixer LP ends a support "inconclusive". `bar` is `swne`'s
     running bar in normalised welfare: a support whose relaxation bound
-    plus RELAXATION_MARGIN does not exceed it comes back "pruned".
+    plus RELAXATION_MARGIN does not exceed it comes back "pruned", as does
+    one whose corner search drops boxes at the bar and finds no candidate.
     """
     if support.is_pure:
         return _solve_pure(game, support)
@@ -1186,7 +1165,7 @@ def solve_support(
         out = _solve_bimatrix(system)
         if out is not None:
             return out
-    return _solve_general(system, bar)
+    return _corner_search(system, bar)
 
 
 # ---------------------------------------------------------------------------
