@@ -924,3 +924,93 @@ def test_level_contraction_rounds_as_one_dot_per_row(model, prop, widths):
             r += 1
     assert r == len(got) > 0
     assert lengths == widths
+
+
+# ---------------------------------------------------------------------------
+# The row view of a core, pinned
+
+
+def _absolute_level(level) -> list:
+    """A level's ranges and arrays with every node and row counted from
+    the core's first: what a level means, whatever it stores relative."""
+    n0, r0 = level.nodes.start, level.rows.start
+    split = level.split
+    parts = [
+        (level.nodes.start, level.nodes.stop),
+        (level.rows.start, level.rows.stop),
+        (level.entries.start, level.entries.stop),
+        n0 + level.row_nodes,
+        r0 + level.entry_rows,
+        level.actions,
+        level.shapes,
+        level.base,
+        level.add_base,
+        level.pend,
+        level.const,
+        split.single,
+        r0 + split.rows,
+        split.chooser,
+    ]
+    for shape, nodes, rows in split.multi:
+        parts += [shape, nodes, r0 + rows]
+    for rows, succ, prob in level.groups:
+        parts += [r0 + rows, succ, prob]
+    return parts
+
+
+def _row_view_digest(core) -> str:
+    """SHA-256 over a core's nodes and flat arrays and over every level
+    in absolute numbers. Integer arrays are hashed as int64, so a change
+    of their storage type alone does not move the digest."""
+    h = hashlib.sha256()
+
+    def put(a):
+        if isinstance(a, tuple):
+            h.update(repr(a).encode())
+            return
+        a = np.asarray(a)
+        if a.dtype.kind in "iu":
+            a = a.astype(np.int64)
+        h.update(repr((a.dtype.str, a.shape)).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+
+    h.update(repr([(s, sorted(D), sorted(E), n) for s, D, E, n in core.nodes]).encode())
+    for a in (core.initial, core.start, core.ptr, core.succ, core.prob,
+              core.action_rewards, core.const, core.pending):
+        put(a)
+    for level in core.levels:
+        for part in _absolute_level(level):
+            put(part)
+    return h.hexdigest()
+
+
+# Recorded with the compile that walked every node of every level and the
+# index that cut the flat arrays level by level.
+ROW_VIEW_PINS = [
+    ("medium_access3.json", {}, _sum_prop('R{"mes#"}[C<=20]'),
+     "0ef1efe6ee7f8b0a20655a63760602312879b0ad4b30e9a8939b0d0ce5ed2a54"),
+    ("medium_access3.json", {}, _sum_prop('R{"mes#"}[C<=103]'),
+     "bbbf6748650b0984f3b74e9bcd35421b8b010b11dd30a9677151af27d4918c97"),
+    ("aloha3.json", {}, _sum_prop('P[F<=15 "d#"]'),
+     "82bfe81f75d03f880a839dda005631264a55bc0a9be8c5914b9716e212af37b9"),
+    ("aloha3.json", {}, _sum_prop('P[F<=31 "d#"]'),
+     "ba161a18f972095c0fca9dee341e53c74a280862ae52112c7d5e3095fd994123"),
+    ("public_good_profit.json", {"f": 1.75}, PROFIT_PROP,
+     "70f9daf35aa529630c73c1caad1900f3196390d0e2689d7000400970627728bb"),
+    ("secret_sharing_raa.json", {"alpha": 0.5}, UTIL_PROP,
+     "6ccc501b0afb68fbda1beafed76180af267037ebfe6b65331307d484b18c8794"),
+]
+
+
+def _core_for(name, params, prop):
+    from csgnash.objectives import bounded_core, mode_closure, unbounded_core
+
+    coalition, compiled = compile_for(_bundled(name, params)(), prop)
+    if compiled.horizon == "finite":
+        return bounded_core(coalition, compiled)
+    return unbounded_core(coalition, compiled, mode_closure(coalition, compiled)[0])
+
+
+@pytest.mark.parametrize("name,params,prop,digest", ROW_VIEW_PINS)
+def test_row_view_stays_bit_identical(name, params, prop, digest):
+    assert _row_view_digest(_core_for(name, params, prop)) == digest
