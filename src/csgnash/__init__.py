@@ -59,11 +59,5 @@ from .strategies import (
     import_strategy,
 )
 from .modelio import ModelError, load_model, load_nfg
-from .oracle import (
-    OracleAbstain,
-    OracleResult,
-    brute_force_pure_ne,
-    reference_backward_induction,
-)
 
 __version__ = "0.1.0"

@@ -12,8 +12,12 @@ taking welfare-optimal equilibrium values (cost-optimal ones when
 minimising). Every level decides in array passes the stages where at
 most one coalition chooses, and those where several choose whose answer
 is provably pure (`nfg_solve.pure_answer_picks`); only the remaining
-tables reach the solver, through a stage cache. The core goes out with
-the synthesised strategy, so certification reads the same rows.
+tables reach the solver, through a stage cache. Backward induction
+copies a level instead of solving it when the level above has the same
+template (`objectives.Core`) and its values equal, byte for byte, those
+of the level above it. So a long horizon whose values settle solves
+only the levels before they do. The core goes out with the synthesised
+strategy, so certification reads the same rows.
 """
 
 from __future__ import annotations
@@ -38,9 +42,9 @@ from .nfg_solve import (
     swne,
 )
 from .objectives import (
-    Choosers,
     CompiledObjectives,
     Core,
+    Level,
     Mode,
     bounded_core,
     compile_objectives,
@@ -259,16 +263,39 @@ def solve_finite_horizon(
     solves the single-chooser stages in one array pass and the stages
     with a provably pure answer in one per stage shape, and sends the
     others through the stage cache.
+
+    A level copies the values and profiles of the level above it, and
+    builds and solves no stage, when the two share a template and the
+    values over the level above equal, byte for byte, those over the
+    level above that. Its stage tables would then be the same bits as
+    the level above's: same template, same rows and successors counted
+    from the next level, same successor values. So would every value
+    and profile solved from them, and the stage cache, which counts
+    `inconclusive` only on a miss and never ages here, would only hit.
     """
     core = bounded_core(game, compiled)
     values = core.const.copy()
-    dists: dict[int, tuple[np.ndarray, ...]] = {}
+    levels = core.levels
+    # Per level, its nodes' profiles, keyed from the level's first node.
+    found: list[dict[int, tuple[np.ndarray, ...]] | None] = [None] * len(levels)
     stages = _StageSolver(compiled.opt)
-    for level in reversed(core.levels):
+    for i in reversed(range(len(levels))):
+        level = levels[i]
+        if i + 2 < len(levels) and levels[i + 1].template == level.template:
+            above, next_above = levels[i + 1].nodes, levels[i + 2].nodes
+            if values[above].tobytes() == values[next_above].tobytes():
+                values[level.nodes] = values[above]
+                found[i] = found[i + 1]
+                continue
+        dists: dict[int, tuple[np.ndarray, ...]] = {}
         utilities = level.stage_utilities(values)
-        answers = _solve_stages(core, level.split, utilities, values, stages, dists)
-        dists.update(_pure_dists(core, stages, answers))
-    profiles = {core.nodes[p]: dist for p, dist in dists.items()}
+        answers = _solve_stages(core, level, utilities, values, stages, dists)
+        dists.update(_pure_dists(core, level, stages, answers))
+        found[i] = dists
+    profiles = {}
+    for level, dists in zip(reversed(levels), reversed(found)):
+        nodes = core.nodes[level.nodes]
+        profiles.update(zip(map(nodes.__getitem__, dists), dists.values()))
     for p in np.flatnonzero(np.diff(core.start) == 0).tolist():
         node = core.nodes[p]
         if not mode_decided(compiled, node[1:3]):
@@ -298,20 +325,24 @@ def _first_actions(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 
 def _solve_stages(
     core: Core,
-    split: Choosers,
+    level: Level,
     utilities: np.ndarray,
     values: np.ndarray,
     stages: _StageSolver,
     dists: dict[int, tuple[np.ndarray, ...]],
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Solve the stage of every node in `split` on its rows of
+    """Solve the stage of every node of `level` on its rows of
     `utilities`, writing the equilibrium values into `values`. The
     single-chooser stages are solved in one array pass, and the others
     whose answer is provably pure (`pure_answer_picks`) in one array pass
     per stage shape; neither reaches the stage cache. The rest go through
-    it, and their profiles into `dists`. Returns the pure answers for
-    `_pure_dists`: node arrays, each with the C-order index of every
+    it, and their profiles into `dists`, keyed from the level's first
+    node. Returns the pure answers for `_pure_dists`: node arrays, also
+    counted from the level's first, each with the C-order index of every
     node's chosen cell."""
+    split = level.split
+    first = level.nodes.start
+    here = values[level.nodes]
     # The cost-optimal answer is the welfare-optimal answer of the negated
     # tables.
     negate = stages.opt == "min"
@@ -323,7 +354,7 @@ def _solve_stages(
         picks = single_chooser_picks(
             -block if negate else block, split.chooser, WELFARE_TOL
         )
-        values[split.single] = block[np.arange(len(picks)), picks]
+        here[split.single] = block[np.arange(len(picks)), picks]
         answers.append((split.single, picks))
     m = core.compiled.m
     for shape, nodes, rows in split.multi:
@@ -335,23 +366,27 @@ def _solve_stages(
         # The bits `swne` returns, and `scne` negates: adding 0.0 turns a
         # -0.0 cell into 0.0.
         cells = won[decided, picks[decided]] + 0.0
-        values[nodes[decided]] = -cells if negate else cells
+        here[nodes[decided]] = -cells if negate else cells
         answers.append((nodes[decided], picks[decided]))
-        for p, table in zip(nodes[~decided].tolist(), block[~decided]):
-            values[p], dists[p] = stages.solve(
-                table.reshape(shape + (m,)), core.choice_names[core.nodes[p][0]]
-            )
+        for q, table in zip(nodes[~decided].tolist(), block[~decided]):
+            names = core.choice_names[core.nodes[first + q][0]]
+            here[q], dists[q] = stages.solve(table.reshape(shape + (m,)), names)
     return answers
 
 
 def _pure_dists(
-    core: Core, stages: _StageSolver, answers: list[tuple[np.ndarray, np.ndarray]]
+    core: Core,
+    level: Level,
+    stages: _StageSolver,
+    answers: list[tuple[np.ndarray, np.ndarray]],
 ):
-    """Each pure-answer node's profile, as (node, profile) pairs: every
-    coalition plays its action in the node's chosen cell."""
-    for nodes, cells in answers:
-        for p, cell in zip(nodes.tolist(), cells.tolist()):
-            yield p, stages.pure_profile(core.shapes[core.nodes[p][0]], cell)
+    """Each pure-answer node's profile, as (node, profile) pairs with the
+    node counted from the level's first: every coalition plays its action
+    in the node's chosen cell."""
+    nodes = core.nodes[level.nodes]
+    for qs, cells in answers:
+        for q, cell in zip(qs.tolist(), cells.tolist()):
+            yield q, stages.pure_profile(core.shapes[nodes[q][0]], cell)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +409,7 @@ def _sweep_utilities(core: Core):
     sweep.
     """
     (level,) = core.levels
-    ptr = np.array(core.ptr)
+    ptr = core.ptr
     lengths = np.diff(ptr)
     column = np.arange(int(lengths.max(initial=1)))
     entry = ptr[:-1, None] + np.minimum(column, lengths[:, None] - 1)
@@ -407,7 +442,7 @@ def solve_value_iteration(
     pairs, _index = mode_closure(game, compiled)
     core = unbounded_core(game, compiled, pairs)
     n_pairs = len(pairs)
-    split = core.levels[0].split
+    (level,) = core.levels
     stage_utilities = _sweep_utilities(core)
     values = core.const.copy()
 
@@ -426,7 +461,7 @@ def solve_value_iteration(
         iterations += 1
         prev = values.copy()
         utilities = stage_utilities(prev)
-        answers = _solve_stages(core, split, utilities, values, stages, dists)
+        answers = _solve_stages(core, level, utilities, values, stages, dists)
         stages.age()
         residual = float(np.abs(values - prev).max()) if n_pairs else 0.0
         stable = stable + 1 if residual <= vi.epsilon else 0
@@ -447,7 +482,7 @@ def solve_value_iteration(
     else:
         raise NotConverged(residual, iterations, period)
 
-    dists.update(_pure_dists(core, stages, answers))
+    dists.update(_pure_dists(core, level, stages, answers))
     entries = {pair: values[p].copy() for p, pair in enumerate(pairs)}
     initial_mode = {s: pairs[p][1] for s, p in enumerate(core.initial)}
     strategy = SynthesizedStrategy(

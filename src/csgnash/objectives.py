@@ -252,15 +252,28 @@ class Core:
     Per state: each coalition's enabled actions and their names, the stage
     shape (joint actions run in `itertools.product` order) and the state
     rewards. Nodes are (state, D, E, level) keys. Unbounded objectives use
-    the `mode_closure` pairs, with level None. Bounded ones use the
-    (state, mode, steps taken) triples reachable from the initial modes,
-    numbered level by level, so every successor of a node has a higher
-    number and one pass from the last node down is a backward induction.
+    the `mode_closure` pairs, with level None, as one level. Bounded ones
+    use the (state, mode, steps taken) triples reachable from the initial
+    modes, numbered level by level: level i holds nodes
+    `level_first[i]:level_first[i + 1]`, and every successor of a node
+    lies in the next level, so one pass over the levels from the last
+    down is a backward induction.
     `const` holds the value of every decided component and `pending` marks
     the others. A node with a pending component has one row per joint
     action, in joint order: rows `start[p]:start[p + 1]`. Row r's
     successor nodes and probabilities are `succ[ptr[r]:ptr[r + 1]]` and
     `prob[ptr[r]:ptr[r + 1]]`.
+
+    A bounded level's template is its nodes' (state, D, E), in order, and
+    the phase of every bound at the level and at the next one
+    (`_phase`). That is all the compile reads of a level: `canonical_mode`
+    reads the step only through `remaining <= 0`, and `_node_status`
+    only through `remaining == 0` and `remaining > 0`, besides the
+    reward of the state, which the template holds. So levels of one
+    template (equal `level_template`) have the same values, pending
+    flags, rows and successors, the successors counted from the next
+    level's first node, and the same next level's nodes, in order. Each
+    template is compiled once.
 
     On first use the core cuts itself into `levels`, the row view that
     both engine loops and certification read: a bounded core into one
@@ -276,11 +289,13 @@ class Core:
     initial: list[int]  # node of each state's initial mode
     const: np.ndarray  # (nodes, m)
     pending: np.ndarray  # (nodes, m)
-    start: list[int]  # (nodes + 1,)
-    ptr: list[int]  # (rows + 1,)
+    start: np.ndarray  # (nodes + 1,)
+    ptr: np.ndarray  # (rows + 1,)
     succ: np.ndarray  # successor node of each entry
     prob: np.ndarray  # its probability
     action_rewards: np.ndarray  # (rows, m)
+    level_first: np.ndarray  # (levels + 1,) each level's first node, then the count
+    level_template: list[int]  # template of each level
 
     @functools.cached_property
     def levels(self) -> list["Level"]:
@@ -296,7 +311,8 @@ class Choosers:
     row. The other nodes, where two or more coalitions choose, are grouped
     by stage shape: each group holds the shape, its nodes (G,) and their
     rows (G, K), K the shape's cell count, so that one fancy index stacks
-    the group's stage tables."""
+    the group's stage tables. Nodes and rows count from the level's
+    first."""
 
     single: np.ndarray  # (P1,) single-chooser nodes
     rows: np.ndarray  # (P1, k_max) their rows, padded
@@ -310,8 +326,11 @@ class Level:
     entries, each a contiguous range. A bounded core has one level per
     step count, an unbounded core one level of every node. The arrays
     below count nodes and rows from the level's first, and a bounded
-    core's rows are also grouped by their exact successor count, for
-    `stage_utilities`; an unbounded core's level has no groups.
+    level's successors (`groups`) count from the next level's first node,
+    `nodes.stop`. So levels of one template (`template`) share every
+    array, and only their ranges differ. A bounded level's rows are
+    grouped by their exact successor count, for `stage_utilities`; an
+    unbounded core's level has no groups.
     The stage split (`split`) lets both engine loops solve the stages
     where at most one coalition chooses in one array pass, and settle
     those where several choose whose answer is pure in one array pass
@@ -320,6 +339,7 @@ class Level:
     nodes: slice
     rows: slice
     entries: slice
+    template: int
     row_nodes: np.ndarray  # (R,) node of each row
     entry_rows: np.ndarray  # (entries,) row of each successor entry
     actions: np.ndarray  # (R, coalitions) each coalition's action in the row
@@ -332,16 +352,18 @@ class Level:
     split: Choosers
 
     def stage_utilities(self, values: np.ndarray) -> np.ndarray:
-        """Every row's stage utilities (R, m) on the successor `values`.
+        """Every row's stage utilities (R, m) on the core's `values`,
+        read at the next level's nodes.
 
         A group of rows with K successors is contracted in one
         `(R, 1, 1, K) @ (R, m, K, 1)` product. Its output is a scalar per
         (row, objective), which numpy computes with one BLAS `ddot` at the
         strides of `np.dot(prob, values[succ][:, l])`, so every row rounds
         as a plain per-row dot product, whatever its length."""
+        after = values[self.nodes.stop :]
         cont = np.empty(self.base.shape)
         for rows, succ, prob in self.groups:
-            cont[rows] = (prob @ values[succ].transpose(0, 2, 1)[..., None])[..., 0, 0]
+            cont[rows] = (prob @ after[succ].transpose(0, 2, 1)[..., None])[..., 0, 0]
         return self.finish(cont)
 
     def finish(self, cont: np.ndarray) -> np.ndarray:
@@ -352,11 +374,10 @@ class Level:
         return np.where(self.pend, cont, self.const)
 
 
-def choosers(first: int, start: np.ndarray, shapes: np.ndarray) -> Choosers:
-    """`Choosers` of the nodes numbered from `first`, given their stage
-    shapes (nodes, coalitions) and row bounds `start` (nodes + 1); rows
-    count from `start[0]`."""
-    start = start - start[0]
+def choosers(start: np.ndarray, shapes: np.ndarray) -> Choosers:
+    """`Choosers` of one level's nodes, given their stage shapes (nodes,
+    coalitions) and row bounds `start` (nodes + 1), both counted from the
+    level's first."""
     sizes = np.diff(start)
     choosing = shapes > 1
     single = (sizes > 0) & (choosing.sum(axis=1) <= 1)
@@ -366,78 +387,165 @@ def choosers(first: int, start: np.ndarray, shapes: np.ndarray) -> Choosers:
     for q in np.flatnonzero((sizes > 0) & ~single).tolist():
         groups.setdefault(tuple(shapes[q].tolist()), []).append(q)
     return Choosers(
-        single=first + np.flatnonzero(single),
+        single=np.flatnonzero(single),
         rows=rows[single],
         # The first choosing coalition, or 0 when none chooses.
         chooser=choosing[single].argmax(axis=1),
         multi=[
-            (shape, first + np.array(qs), start[qs, None] + np.arange(sizes[qs[0]]))
+            (shape, np.array(qs), start[qs, None] + np.arange(sizes[qs[0]]))
             for shape, qs in groups.items()
         ],
     )
 
 
 def _index_levels(core: Core) -> list[Level]:
-    """Cut a core, whose nodes are numbered level by level, into its
-    levels; an unbounded core's level None makes one level."""
-    node_level = np.array([level or 0 for *_mode, level in core.nodes])
-    # Only backward induction reads `stage_utilities`; value iteration
-    # contracts its one level itself (`engine._sweep_utilities`).
-    bounded = all(level is not None for *_mode, level in core.nodes)
-    node_state = np.array([s for s, *_ in core.nodes], dtype=np.int64)
-    start, ptr = np.array(core.start), np.array(core.ptr)
-    lengths = np.diff(ptr)
-    row_node = np.repeat(np.arange(len(core.nodes)), np.diff(start))
-    entry_row = np.repeat(np.arange(len(lengths)), lengths)
-    node_shape = np.array(core.shapes, dtype=np.int64)[node_state]
-    # Joints run in `itertools.product` order: the last coalition fastest.
-    joint = np.arange(len(row_node)) - start[row_node]
-    actions = np.empty((len(row_node), node_shape.shape[1]), dtype=np.int64)
-    for i in range(actions.shape[1] - 1, -1, -1):
-        count = node_shape[row_node, i]
-        actions[:, i] = joint % count
-        joint //= count
+    """Cut a core into its levels. The arrays of a template are built
+    from its first level and shared by the others."""
+    bounded = core.compiled.horizon == "finite"
+    state_shapes = np.array(core.shapes, dtype=np.int64)
     # Components whose stage utility adds the row's state and action reward.
     kinds = [obj.kind for obj in core.compiled.items]
     rewarded = np.array([kind in ("cumulative", "reach") for kind in kinds])
-    base = core.state_rewards[node_state[row_node]] + core.action_rewards
-    pend = core.pending[row_node]
-    const = core.const[row_node]
-    bounds = np.flatnonzero(np.diff(node_level)) + 1
+    nodes = core.level_first.tolist()
+    rows = core.start[core.level_first].tolist()
+    entries = core.ptr[rows].tolist()
+    shared: dict[int, dict] = {}
     levels = []
-    for n0, n1 in zip([0, *bounds.tolist()], [*bounds.tolist(), len(core.nodes)]):
-        r0, r1 = int(start[n0]), int(start[n1])
-        e0, e1 = int(ptr[r0]), int(ptr[r1])
-        groups = []
-        for k in np.unique(lengths[r0:r1]).tolist() if bounded else []:
-            rows = np.flatnonzero(lengths[r0:r1] == k)
-            entry = ptr[r0 + rows, None] + np.arange(k)
-            groups.append((rows, core.succ[entry], core.prob[entry][:, None, None, :]))
+    for i, template in enumerate(core.level_template):
+        arrays = shared.get(template)
+        if arrays is None:
+            arrays = shared[template] = _level_arrays(
+                core, state_shapes, rewarded, nodes[i], nodes[i + 1], bounded
+            )
         levels.append(Level(
-            nodes=slice(n0, n1),
-            rows=slice(r0, r1),
-            entries=slice(e0, e1),
-            row_nodes=row_node[r0:r1] - n0,
-            entry_rows=entry_row[e0:e1] - r0,
-            actions=actions[r0:r1],
-            shapes=node_shape[n0:n1],
-            groups=groups,
-            base=base[r0:r1],
-            add_base=pend[r0:r1] & rewarded,
-            pend=pend[r0:r1],
-            const=const[r0:r1],
-            split=choosers(n0, start[n0 : n1 + 1], node_shape[n0:n1]),
+            nodes=slice(nodes[i], nodes[i + 1]),
+            rows=slice(rows[i], rows[i + 1]),
+            entries=slice(entries[i], entries[i + 1]),
+            template=template,
+            **arrays,
         ))
     return levels
 
 
+def _level_arrays(
+    core: Core,
+    state_shapes: np.ndarray,
+    rewarded: np.ndarray,
+    n0: int,
+    n1: int,
+    bounded: bool,
+) -> dict:
+    """The `Level` arrays of nodes `n0:n1`, counted from the level's
+    first node, row and entry, its successors from the next level's
+    first node; only bounded levels group their rows, as value iteration
+    contracts its one level itself (`engine._sweep_utilities`)."""
+    r0, r1 = int(core.start[n0]), int(core.start[n1])
+    start = core.start[n0 : n1 + 1] - r0
+    ptr = core.ptr[r0 : r1 + 1]
+    lengths = np.diff(ptr)
+    node_state = np.array([s for s, *_ in core.nodes[n0:n1]], dtype=np.int64)
+    node_shape = state_shapes[node_state]
+    row_nodes = np.repeat(np.arange(n1 - n0), np.diff(start))
+    # Joints run in `itertools.product` order: the last coalition fastest.
+    joint = np.arange(len(row_nodes)) - start[row_nodes]
+    actions = np.empty((len(row_nodes), node_shape.shape[1]), dtype=np.int64)
+    for i in range(actions.shape[1] - 1, -1, -1):
+        count = node_shape[row_nodes, i]
+        actions[:, i] = joint % count
+        joint //= count
+    groups = []
+    for k in np.unique(lengths).tolist() if bounded else []:
+        rows = np.flatnonzero(lengths == k)
+        entry = ptr[rows, None] + np.arange(k)
+        groups.append((rows, core.succ[entry] - n1, core.prob[entry][:, None, None, :]))
+    pend = core.pending[n0:n1][row_nodes]
+    return dict(
+        row_nodes=row_nodes,
+        entry_rows=np.repeat(np.arange(len(lengths)), lengths),
+        actions=actions,
+        shapes=node_shape,
+        groups=groups,
+        base=core.state_rewards[node_state[row_nodes]] + core.action_rewards[r0:r1],
+        add_base=pend & rewarded,
+        pend=pend,
+        const=core.const[n0:n1][row_nodes],
+        split=choosers(start, node_shape),
+    )
+
+
+def _phase(compiled: CompiledObjectives, step: int) -> tuple[int, ...]:
+    """Per objective, the sign of its bound minus `step`: all that
+    `canonical_mode` and `_node_status` read of a bounded level's step."""
+    return tuple(
+        ((obj.bound or 0) > step) - ((obj.bound or 0) < step)
+        for obj in compiled.items
+    )
+
+
 def bounded_core(game: Csg, compiled: CompiledObjectives) -> Core:
-    """The core of a step-bounded check, enumerated forward from level 0."""
-    initial = [
-        (s, *canonical_mode(compiled, s, EMPTY, EMPTY, step=0), 0)
+    """The core of a step-bounded check, enumerated forward from level 0.
+
+    Each level is keyed by its template (`Core`). The first level of a
+    template is compiled node by node (`_compile_level`), and it also
+    yields the next level's nodes; a level that repeats a template takes
+    its block, and only the successor offsets are added, in one array
+    pass over all levels."""
+    choice_names, shapes, state_rewards, stage_rows = _stage_rows(game, compiled)
+    first = tuple(
+        (s, *canonical_mode(compiled, s, EMPTY, EMPTY, step=0))
         for s in range(game.n_states)
-    ]
-    return _compile_core(game, compiled, list(initial), initial)
+    )
+    # Every distinct node list, numbered, and per template its block and
+    # the number of the next level's node list.
+    lists, numbers = [first], {first: 0}
+    templates: dict[tuple, int] = {}
+    blocks: list[_Block] = []
+    follows: list[int] = []
+    level_template, level_list = [], []
+    current, step, phase = 0, 0, _phase(compiled, 0)
+    while lists[current]:
+        following = _phase(compiled, step + 1)
+        template = templates.setdefault((current, phase, following), len(blocks))
+        if template == len(blocks):
+            index: dict[tuple, int] = {}
+            blocks.append(_compile_level(
+                compiled, stage_rows, state_rewards, lists[current], step, index
+            ))
+            after = tuple(index)
+            follows.append(numbers.setdefault(after, len(lists)))
+            if follows[-1] == len(lists):
+                lists.append(after)
+        level_template.append(template)
+        level_list.append(current)
+        current, step, phase = follows[template], step + 1, following
+    chosen = [blocks[t] for t in level_template]
+    # Each node list's states, Ds and Es, zipped with a level's step.
+    columns = [tuple(zip(*nodes)) for nodes in lists]
+    level_first = np.cumsum([0] + [len(lists[l]) for l in level_list])
+    successors = np.concatenate([b.succ for b in chosen]) + np.repeat(
+        level_first[1:], [len(b.succ) for b in chosen]
+    )
+    return Core(
+        game=game,
+        compiled=compiled,
+        choice_names=choice_names,
+        shapes=shapes,
+        state_rewards=state_rewards,
+        nodes=list(itertools.chain.from_iterable(
+            zip(*columns[l], itertools.repeat(step))
+            for step, l in enumerate(level_list)
+        )),
+        initial=list(range(game.n_states)),
+        const=np.concatenate([b.const for b in chosen]),
+        pending=np.concatenate([b.pending for b in chosen]),
+        start=_bounds(np.concatenate([b.sizes for b in chosen])),
+        ptr=_bounds(np.concatenate([b.lengths for b in chosen])),
+        succ=successors,
+        prob=np.concatenate([b.prob for b in chosen]),
+        action_rewards=np.concatenate([b.action_rewards for b in chosen]),
+        level_first=level_first,
+        level_template=level_template,
+    )
 
 
 def unbounded_core(
@@ -445,13 +553,40 @@ def unbounded_core(
     compiled: CompiledObjectives,
     pairs: list[tuple[int, Mode]],
 ) -> Core:
-    """The core of an unbounded check over its `mode_closure` pairs."""
-    initial = [
-        (s, *canonical_mode(compiled, s, EMPTY, EMPTY), None)
-        for s in range(game.n_states)
-    ]
-    nodes = [(s, D, E, None) for s, (D, E) in pairs]
-    return _compile_core(game, compiled, nodes, initial)
+    """The core of an unbounded check over its `mode_closure` pairs, one
+    level of a single template. The pairs are closed under successors,
+    so the compile numbers no new one."""
+    choice_names, shapes, state_rewards, stage_rows = _stage_rows(game, compiled)
+    index = {(s, D, E): p for p, (s, (D, E)) in enumerate(pairs)}
+    block = _compile_level(
+        compiled, stage_rows, state_rewards, list(index), None, index
+    )
+    return Core(
+        game=game,
+        compiled=compiled,
+        choice_names=choice_names,
+        shapes=shapes,
+        state_rewards=state_rewards,
+        nodes=[(s, D, E, None) for s, D, E in index],
+        initial=[
+            index[(s, *canonical_mode(compiled, s, EMPTY, EMPTY))]
+            for s in range(game.n_states)
+        ],
+        const=block.const,
+        pending=block.pending,
+        start=_bounds(block.sizes),
+        ptr=_bounds(block.lengths),
+        succ=block.succ,
+        prob=block.prob,
+        action_rewards=block.action_rewards,
+        level_first=np.array([0, len(index)]),
+        level_template=[0],
+    )
+
+
+def _bounds(counts: np.ndarray) -> np.ndarray:
+    """Range bounds (len + 1,) of consecutive runs of `counts` items."""
+    return np.concatenate(([0], np.cumsum(counts)))
 
 
 def _node_status(
@@ -485,14 +620,12 @@ def _node_status(
     return const, pending
 
 
-def _compile_core(
-    game: Csg, compiled: CompiledObjectives, nodes: list[Node], initial: list[Node]
-) -> Core:
-    """Rows of every node with a pending component. `nodes` is complete for
-    unbounded checks; bounded ones append each new successor, so the list
-    grows level by level while it is walked."""
+def _stage_rows(game: Csg, compiled: CompiledObjectives):
+    """Per state: each coalition's action names, the stage shape, the
+    state rewards (states, m), and every joint action's successor states,
+    their probabilities and the action rewards, in joint order."""
     rewards = [game.rewards.get(obj.reward) for obj in compiled.items]
-    choice_names, shapes, tables = [], [], []
+    choice_names, shapes, stage_rows = [], [], []
     state_rewards = np.zeros((game.n_states, compiled.m))
     for s in range(game.n_states):
         sets = tuple(game.choices(s, i) for i in range(game.n_players))
@@ -512,50 +645,64 @@ def _compile_core(
                 list(dist.values()),
                 [rew.action_reward(s, joint) if rew else 0.0 for rew in rewards],
             ))
-        tables.append(joints)
+        stage_rows.append(joints)
+    return choice_names, shapes, state_rewards, stage_rows
 
-    index = {node: p for p, node in enumerate(nodes)}
-    # Successor node of (state, the predecessor's D and E, level).
-    lookup: dict[Node, int] = {}
-    const, pending, start, ptr = [], [], [0], [0]
+
+@dataclass
+class _Block:
+    """The compiled rows of one level's nodes, counted from its first
+    node, row and entry; successors are numbered by the compile's index."""
+
+    const: np.ndarray  # (nodes, m)
+    pending: np.ndarray  # (nodes, m)
+    sizes: np.ndarray  # (nodes,) rows of each node
+    lengths: np.ndarray  # (rows,) successor entries of each row
+    succ: np.ndarray  # successor of each entry
+    prob: np.ndarray  # its probability
+    action_rewards: np.ndarray  # (rows, m)
+
+
+def _compile_level(
+    compiled: CompiledObjectives,
+    stage_rows: list,
+    state_rewards: np.ndarray,
+    nodes: tuple | list,
+    step: int | None,
+    index: dict[tuple, int],
+) -> _Block:
+    """Rows of the nodes (state, D, E) of one level at `step` (None when
+    unbounded): one per joint action of every node with a pending
+    component. A successor (state, D, E) is numbered by `index`, which
+    gains each new one in order of discovery; for a bounded level, these
+    are the next level's nodes."""
+    after = None if step is None else step + 1
+    # Successor number of (state, the predecessor's D and E).
+    lookup: dict[tuple, int] = {}
+    const, pending, sizes, lengths = [], [], [], []
     succ, prob, action_rewards = [], [], []
-    p = 0
-    while p < len(nodes):
-        s, D, E, level = node = nodes[p]
-        values, live = _node_status(compiled, node, state_rewards[s])
+    for s, D, E in nodes:
+        values, live = _node_status(compiled, (s, D, E, step), state_rewards[s])
         const.append(values)
         pending.append(live)
-        if any(live):
-            after = None if level is None else level + 1
-            for targets, probs, act in tables[s]:
-                for t in targets:
-                    q = lookup.get((t, D, E, after))
-                    if q is None:
-                        mode = canonical_mode(compiled, t, D, E, step=after)
-                        target = (t, *mode, after)
-                        q = index.setdefault(target, len(nodes))
-                        if q == len(nodes):
-                            nodes.append(target)
-                        lookup[(t, D, E, after)] = q
-                    succ.append(q)
-                prob.extend(probs)
-                action_rewards.append(act)
-                ptr.append(len(succ))
-        start.append(len(ptr) - 1)
-        p += 1
+        rows = stage_rows[s] if any(live) else []
+        sizes.append(len(rows))
+        for targets, probs, act in rows:
+            for t in targets:
+                q = lookup.get((t, D, E))
+                if q is None:
+                    target = (t, *canonical_mode(compiled, t, D, E, step=after))
+                    q = lookup[t, D, E] = index.setdefault(target, len(index))
+                succ.append(q)
+            prob.extend(probs)
+            lengths.append(len(targets))
+            action_rewards.append(act)
     m = compiled.m
-    return Core(
-        game=game,
-        compiled=compiled,
-        choice_names=choice_names,
-        shapes=shapes,
-        state_rewards=state_rewards,
-        nodes=nodes,
-        initial=[index[node] for node in initial],
+    return _Block(
         const=np.array(const, dtype=np.float64).reshape(-1, m),
         pending=np.array(pending, dtype=bool).reshape(-1, m),
-        start=start,
-        ptr=ptr,
+        sizes=np.array(sizes, dtype=np.int64),
+        lengths=np.array(lengths, dtype=np.int64),
         succ=np.array(succ, dtype=np.int64),
         prob=np.array(prob, dtype=np.float64),
         action_rewards=np.array(action_rewards, dtype=np.float64).reshape(-1, m),

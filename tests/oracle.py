@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Csg, NormalFormGame
-from .objectives import CompiledObjectives
+from csgnash.games import Csg, NormalFormGame
+from csgnash.objectives import CompiledObjectives
 
 Joint = tuple[int, ...]
 

@@ -36,15 +36,15 @@ from csgnash.nfg_solve import (
     support_count,
     swne,
 )
-from csgnash.oracle import (
+from csgnash.strategies import certify_epsilon
+
+from oracle import (
     OracleAbstain,
     brute_force_pure_ne,
     reference_backward_induction,
     single_agent_reach_reward,
     single_agent_until,
 )
-from csgnash.strategies import certify_epsilon
-
 from conftest import (
     MODELS,
     eq8_cheat_value,

@@ -24,13 +24,13 @@ from csgnash.games import (
 )
 from csgnash.modelio import load_model_dict
 from csgnash.objectives import UnsupportedFormulaError, compile_objectives
-from csgnash.oracle import (
+from csgnash import casestudies
+
+from oracle import (
     reference_backward_induction,
     single_agent_reach_reward,
     single_agent_until,
 )
-from csgnash import casestudies
-
 from conftest import (
     chain_csg,
     eq8_cheat_value,
@@ -947,14 +947,14 @@ def _absolute_level(level) -> list:
         level.add_base,
         level.pend,
         level.const,
-        split.single,
+        n0 + split.single,
         r0 + split.rows,
         split.chooser,
     ]
     for shape, nodes, rows in split.multi:
-        parts += [shape, nodes, r0 + rows]
+        parts += [shape, n0 + nodes, r0 + rows]
     for rows, succ, prob in level.groups:
-        parts += [r0 + rows, succ, prob]
+        parts += [r0 + rows, level.nodes.stop + succ, prob]
     return parts
 
 
@@ -1014,3 +1014,148 @@ def _core_for(name, params, prop):
 @pytest.mark.parametrize("name,params,prop,digest", ROW_VIEW_PINS)
 def test_row_view_stays_bit_identical(name, params, prop, digest):
     assert _row_view_digest(_core_for(name, params, prop)) == digest
+
+
+# ---------------------------------------------------------------------------
+# Levels that repeat are compiled, indexed and solved once
+
+
+def _replay(coalition, compiled):
+    """Backward induction without level reuse: every level's stage
+    utilities, then its stages. Returns the values at every node, the
+    profile of every node the stages solved, and the inconclusive count."""
+    from csgnash.engine import _pure_dists, _solve_stages, _StageSolver
+    from csgnash.objectives import bounded_core
+
+    core = bounded_core(coalition, compiled)
+    values = core.const.copy()
+    stages = _StageSolver(compiled.opt)
+    table = {}
+    for level in reversed(core.levels):
+        dists = {}
+        utilities = level.stage_utilities(values)
+        answers = _solve_stages(core, level, utilities, values, stages, dists)
+        dists.update(_pure_dists(core, level, stages, answers))
+        nodes = core.nodes[level.nodes]
+        table.update((nodes[q], dist) for q, dist in dists.items())
+    return core, values, table, stages.inconclusive
+
+
+def _swapping_csg() -> Csg:
+    """One player and two states that swap every step, with two actions at
+    one and three at the other and no reward, so that every level's
+    values are 0 while its node order alternates between two templates."""
+    return Csg(
+        players=("p1",),
+        actions=(("x", "y", "z"),),
+        state_names=("a", "b"),
+        initial=(0,),
+        availability=(((0, 1),), ((0, 1, 2),)),
+        transitions={
+            (0, (0,)): {1: 1.0},
+            (0, (1,)): {1: 1.0},
+            (1, (0,)): {0: 1.0},
+            (1, (1,)): {0: 1.0},
+            (1, (2,)): {0: 1.0},
+        },
+        labels=(frozenset(), frozenset()),
+        rewards={"r": RewardStructure({}, {})},
+    )
+
+
+@pytest.mark.parametrize(
+    "model,prop",
+    [
+        (_bundled("medium_access3.json"), _sum_prop('R{"mes#"}[C<=40]')),
+        (_bundled("aloha3.json"), _sum_prop('P[F<=15 "d#"]')),
+        (_bundled("public_good_profit.json", {"f": 1.75}), PROFIT_PROP),
+        # Equal values over levels of different templates: a copy would
+        # give state a the profile of state b.
+        (_swapping_csg, '<<p1>>max=? (R{"r"}[C<=6])'),
+    ],
+)
+def test_level_reuse_matches_a_replay_of_every_level(monkeypatch, model, prop):
+    # Reuse compares value bytes, so it must give the bits of solving
+    # every level. Every solve (cache miss) reports one undecided support,
+    # so the counts differ if reuse skips a miss or adds one.
+    from dataclasses import replace
+
+    from csgnash import engine
+
+    solve = engine.swne
+    monkeypatch.setattr(
+        engine, "swne", lambda game: replace(solve(game), inconclusive=1)
+    )
+    coalition, compiled = compile_for(model(), prop)
+    core, values, replayed, inconclusive = _replay(coalition, compiled)
+    table, strategy = solve_finite_horizon(coalition, compiled)
+    assert table.inconclusive == inconclusive
+    for s, p in enumerate(core.initial):
+        assert table.at_state(s).tobytes() == values[p].tobytes()
+    assert len(replayed) > 0
+    for node, dist in replayed.items():
+        got = strategy.table[node]
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in dist]
+    # The engine's other entries are the nodes without rows.
+    for node in strategy.table.keys() - replayed.keys():
+        p = core.nodes.index(node)
+        assert core.start[p] == core.start[p + 1]
+
+
+@pytest.fixture
+def solved_levels(monkeypatch):
+    """Counts the levels whose stages backward induction builds."""
+    from csgnash.objectives import Level
+
+    calls = []
+    build = Level.stage_utilities
+
+    def counting(level, values):
+        calls.append(level.nodes)
+        return build(level, values)
+
+    monkeypatch.setattr(Level, "stage_utilities", counting)
+    return calls
+
+
+def test_repeating_levels_are_solved_once(solved_levels):
+    # medium_access3 repeats one template from its third level on, and
+    # its values settle after a few levels, so a longer horizon solves no
+    # more levels: 8 at every bound here.
+    model = _bundled("medium_access3.json")()
+    counts = []
+    for k in (20, 200, 2000):
+        coalition, compiled = compile_for(model, _sum_prop(f'R{{"mes#"}}[C<={k}]'))
+        solved_levels.clear()
+        table, _strategy = solve_finite_horizon(coalition, compiled)
+        total = table.at_state(coalition.initial[0]).sum()
+        assert total == pytest.approx(5.4, abs=1e-9)
+        counts.append(len(solved_levels))
+    assert counts == [8, 8, 8]
+
+
+def test_repeating_levels_are_compiled_once(monkeypatch):
+    # Each template is compiled once, so the per-node helpers run as often
+    # for a horizon ten times as long.
+    from csgnash import objectives
+
+    calls = {"canonical_mode": 0, "_node_status": 0}
+    for attr in calls:
+        original = getattr(objectives, attr)
+
+        def counting(*args, _original=original, _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(objectives, attr, counting)
+    model = _bundled("medium_access3.json")()
+    seen = []
+    for k in (200, 2000):
+        coalition, compiled = compile_for(model, _sum_prop(f'R{{"mes#"}}[C<={k}]'))
+        for attr in calls:
+            calls[attr] = 0
+        core = objectives.bounded_core(coalition, compiled)
+        assert len(core.levels) == k + 1
+        seen.append(dict(calls))
+    assert seen[0] == seen[1]
+    assert all(count > 0 for count in seen[0].values())

@@ -39,8 +39,8 @@ from csgnash.nfg_solve import (
     support_count,
     swne,
 )
-from csgnash.oracle import brute_force_pure_ne
 
+from oracle import brute_force_pure_ne
 from conftest import hard_333_game, public_good_nfg
 
 

@@ -8,12 +8,12 @@ import pytest
 from csgnash.engine import check_nash_formula
 from csgnash.formulas import parse_formula
 from csgnash.games import NormalFormGame
-from csgnash.oracle import (
+
+from oracle import (
     OracleAbstain,
     brute_force_pure_ne,
     reference_backward_induction,
 )
-
 from conftest import public_good_nfg, three_player_dilemma, two_coalition_goal_csg
 
 

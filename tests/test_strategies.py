@@ -23,7 +23,6 @@ from csgnash.objectives import (
     mode_closure,
     unbounded_core,
 )
-from csgnash.oracle import single_agent_reach_reward, single_agent_until
 from csgnash.strategies import (
     SynthesizedStrategy,
     best_response_value,
@@ -34,6 +33,7 @@ from csgnash.strategies import (
     import_strategy,
 )
 
+from oracle import single_agent_reach_reward, single_agent_until
 from conftest import (
     LONG_WINDOW_PROP,
     MODELS,
