@@ -8,27 +8,30 @@ and no out-of-support action yields more. Among all equilibria found, the
 one maximising the sum of utilities (social welfare) is returned; the
 social-cost variant negates the game first.
 
-Supports whose feasible profiles are not pinned down by linear algebra or
-a closed form first meet a linear relaxation: one LP over distributions on
-the support's cells, which every equilibrium with that support satisfies.
-An infeasible relaxation proves the support has no equilibrium, and its
-optimum bounds the support's welfare. A two-player support that survives
-is solved exactly at the vertices of its equilibrium polytopes. Any other
-is decided on the product of probability simplices by a best-first corner
-search (an exclusion method: Berg and Sandholm, AAAI 2017), which returns
-the support's welfare-optimal equilibrium up to RELAXATION_MARGIN, or
-proves that none beats the running bar. Only its box cap, or a failed LP
-(see below), leaves a support "inconclusive".
+A support with one or two mixers (players who mix) is decided by linear
+algebra and at most one LP, unless neither mixer's indifference pins the
+other's block (`_solve_pinned`). Supports that neither it nor a closed
+form decides first meet a linear relaxation: one LP over distributions
+on the support's cells, which every equilibrium with that support
+satisfies. An infeasible relaxation proves the support has no
+equilibrium, and its optimum bounds the support's welfare. A two-player
+support that survives is solved exactly at the vertices of its
+equilibrium polytopes. Any other is decided on the product of
+probability simplices by a best-first corner search (an exclusion
+method: Berg and Sandholm, AAAI 2017), which returns the support's
+welfare-optimal equilibrium up to RELAXATION_MARGIN, or proves that none
+beats the running bar. Only its box cap, or a failed LP (see below),
+leaves a support "inconclusive".
 
 Each mixed support's conditions are built once, in the `_SupportSystem`
 that `solve_support` hands to every solver family: one condition tensor
 over the support's cells holds every indifference gap (pivot minus
 in-support action), then every deviation gain (outside action minus
 pivot), player by player, and last the welfare. The relaxation's rows,
-the two-player polytopes, the three-binary closed form, the one-mixer LP
-and the corner search's root box all read it.
+the two-player polytopes, the three-binary closed form, the pinned LP and
+the corner search's root box all read it.
 
-Both linear programs, the relaxation and the one-mixer LP, go to HiGHS
+Both linear programs, the relaxation and the pinned LP, go to HiGHS
 through scipy's bundled bindings (`scipy.optimize._highspy`), by way of
 `_solve_lp`, rather than through `scipy.optimize.linprog`: on programs this
 small, `linprog`'s wrapper takes several times as long as HiGHS's solve.
@@ -37,15 +40,16 @@ would, so the results are the same bits, and it keeps `linprog`'s recheck
 of an optimal point. Only a HiGHS proof of infeasibility refutes a
 support. Any other failure, including an optimal point that fails the
 recheck, proves nothing: the relaxation then bounds nothing (+inf) and the
-one-mixer LP leaves its support "inconclusive".
+pinned LP leaves its support "inconclusive".
 
 The search is one pass over the supports in canonical order, pure ones
 first. It keeps a running bar, the best welfare of the candidates found
 so far, and a mixed support meets the cheap sound skips before any
 solving: its cell-welfare bound against the bar, then presolve's
-dominance test, then (for supports no closed form decides) the
-relaxation bound against the bar. A skipped support's candidate could
-neither be the maximum nor precede the earlier one among ties.
+dominance test, then (for supports the pinned LP and closed forms
+leave) the relaxation bound against the bar. A skipped support's
+candidate could neither be the maximum nor precede the earlier one
+among ties.
 """
 
 from __future__ import annotations
@@ -448,9 +452,10 @@ class _SupportSystem:
     The constructor builds index lists only. The restricted tables, the
     welfare table and the condition tensor (`conditions`) are each built
     on first use, because most supports are decided by a family that
-    reads only some of them. Two-mixer supports, which the closed form
-    mostly decides, read cross blocks of the tables and never the tensor:
-    building it would cost them more than their rows.
+    reads only some of them. Supports that `_solve_pinned` decides at a
+    unique point or by the free mixer's own conditions read the tables
+    only and never the tensor: building it would cost them more than
+    their rows.
 
     Everything at a point derives from the cross blocks cross[i, j] =
     d switch_i / d p_j, an (A_i full) x (B_j support) matrix. Player i's
@@ -513,11 +518,11 @@ class _SupportSystem:
         funcs.append(self.welfare_table)
         return np.stack(funcs, axis=-1)
 
-    def max_violation(self, probs: Sequence[np.ndarray]) -> float:
-        """Largest equilibrium-condition violation at a support-space point."""
+    def max_violation(self, probs: Sequence[np.ndarray], players=None) -> float:
+        """Largest condition violation of `players` (default all) at a point."""
         worst = 0.0
-        for i, table in enumerate(self.tables):
-            vec = _switch_on_support(table, probs, i)
+        for i in range(self.n) if players is None else players:
+            vec = _switch_on_support(self.tables[i], probs, i)
             pivot = vec[self.pivots[i]]
             gaps = pivot - vec[self.eq_index[i]]
             worst = max(worst, float(np.abs(gaps).max(initial=0.0)))
@@ -692,86 +697,79 @@ def _solve_lp(
     return "optimal", x, fun
 
 
-def _solve_one_mixer(system: _SupportSystem) -> SupportSolution:
-    """Support where exactly one player mixes: the equilibrium region is a
-    polytope and welfare is linear over it, so this is a linear program.
-    The support is "infeasible" only when HiGHS proves the program so, and
-    "inconclusive" when `_solve_lp` fails."""
-    mixer = next(i for i, k in enumerate(system.sizes) if k > 1)
-    k = system.sizes[mixer]
-    tol = FEASIBILITY_TOL
-    # The mixer faces constant utilities, one row of the normalised table
-    # at the others' single actions, so indifference and deviation
-    # conditions are direct comparisons.
-    cell: list = [s[0] for s in system.support.sets]
-    cell[mixer] = slice(None)
-    own = system.game.normalised_utilities()[tuple(cell) + (mixer,)]
-    mix_utils = own[list(system.support.sets[mixer])]
-    if mix_utils.max() - mix_utils.min() > tol:
-        return SupportSolution("infeasible")
-    if np.any(own[system.ineq_index[mixer]] > mix_utils[0] + tol):
-        return SupportSolution("infeasible")
-    # The other players' deviation gains are linear in the mixer's
-    # probabilities, as is welfare: over the mixer's k cells they are the
-    # gain and welfare columns of the condition tensor.
-    n, cols = system.n, system.cols
-    flat = system.conditions.reshape(k, -1)
-    others = [
-        c for j in range(n) if j != mixer for c in range(cols[n + j], cols[n + j + 1])
-    ]
-    gains = flat[:, others].T
-    status, x, _fun = _solve_lp(
-        -flat[:, -1], gains, np.full(len(gains), tol), MIN_SUPPORT_PROB, 1.0
-    )
-    if status == "infeasible":
-        return SupportSolution("infeasible")
-    if status != "optimal":
-        return SupportSolution("inconclusive")
-    probs = [x if j == mixer else np.array([1.0]) for j in range(n)]
-    return SupportSolution(
-        "candidate", _candidate_from_probs(system.game, system.support, probs)
-    )
-
-
-def _solve_two_mixers(system: _SupportSystem) -> SupportSolution | None:
-    """Two mixing players: each one's indifference system is linear in the
-    other's probabilities. Unique solutions are verified directly; rank
-    deficient systems fall through to the general path (None)."""
-    n = system.n
-    i, j = [m for m, k in enumerate(system.sizes) if k > 1]
-    singles = [np.array([1.0]) for _ in range(n)]
-
-    def solve_block(active: int, other: int) -> np.ndarray | None:
-        # Indifference of `active` pins down `other`'s probabilities. Every
-        # non-mixer plays its single support action, so the cross block
-        # holds table entries; row b is the pivot's row minus b's.
-        cross = _cross_block(system.tables[active], singles, active, other)
-        rows = cross[system.pivots[active]] - cross[system.eq_index[active]]
-        k = system.sizes[other]
-        a_mat = np.vstack([rows, np.ones((1, k))])
-        b_vec = np.concatenate([np.zeros(len(rows)), [1.0]])
-        sol, _res, rank, _sv = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-        if rank < k:
-            return None
-        if np.max(np.abs(a_mat @ sol - b_vec)) > 1e-9:
-            return None  # inconsistent system: no indifferent point exists
-        return sol
-
-    p_j = solve_block(i, j)
-    p_i = solve_block(j, i)
-    if p_j is None or p_i is None:
+def _pinned_block(system: _SupportSystem, active: int, other: int) -> np.ndarray | None:
+    """Mixer `other`'s block as mixer `active`'s indifference fixes it,
+    everyone else on one action, or None when those gaps and the block's
+    sum are rank deficient or inconsistent."""
+    singles = [np.array([1.0])] * system.n
+    # The cross block holds table entries; row b is the pivot's row minus b's.
+    cross = _cross_block(system.tables[active], singles, active, other)
+    rows = cross[system.pivots[active]] - cross[system.eq_index[active]]
+    k = system.sizes[other]
+    a_mat = np.vstack([rows, np.ones((1, k))])
+    b_vec = np.concatenate([np.zeros(len(rows)), [1.0]])
+    sol, _res, rank, _sv = np.linalg.lstsq(a_mat, b_vec, rcond=None)
+    if rank < k or np.max(np.abs(a_mat @ sol - b_vec)) > 1e-9:
         return None
-    if np.any(p_i < MIN_SUPPORT_PROB - 1e-12) or np.any(p_j < MIN_SUPPORT_PROB - 1e-12):
+    return sol
+
+
+def _solve_pinned(system: _SupportSystem) -> SupportSolution | None:
+    """Support with one or two mixers (players who mix): with everyone
+    else on one action, each mixer's conditions are linear in the other
+    mixer's block (Porter, Nudelman and Shoham, GEB 2008).
+
+    A block is pinned when the other mixer's indifference fixes it
+    (`_pinned_block`). With both pinned, the unique point is the candidate
+    or the support is "infeasible"; with neither, the result is None.
+    Otherwise one LP over the free block (the only block, with one mixer)
+    decides: its rows are the condition tensor contracted with the pinned
+    block, the other players' gaps are equalities, their gains
+    inequalities, and welfare is the objective. The free mixer's own
+    conditions do not depend on its block and are checked once, as
+    constants, with the pinned block's floor.
+
+    The program banded by FEASIBILITY_TOL, as `accept` is, comes first:
+    only HiGHS's proof that it is infeasible refutes the support. If it
+    has a point, the program with gaps at 0 and gains at most 0 gives the
+    candidate, whose welfare then leans on no slack; no point there, or
+    one `accept` rejects (HiGHS's own tolerance is wider than the band),
+    gives None. A failed LP leaves the support "inconclusive". The unique
+    point and the constants refute too: a pinned block counts as exact.
+    """
+    n, cols, tol = system.n, system.cols, FEASIBILITY_TOL
+    mixers = [m for m, k in enumerate(system.sizes) if k > 1]
+    probs = [np.array([1.0])] * n
+    free = list(mixers)
+    for active, other in itertools.permutations(mixers, 2):
+        block = _pinned_block(system, active, other)
+        if block is not None:
+            probs[other] = block
+            free.remove(other)
+    if not free:
+        cand = system.accept(system.pack(probs))
+        return SupportSolution("infeasible" if cand is None else "candidate", cand)
+    if len(free) == 2:
+        return None
+    (m,) = free
+    low = min((probs[q].min() for q in mixers if q != m), default=1.0)
+    if low < ACCEPT_FLOOR or system.max_violation(probs, (m,)) > tol:
         return SupportSolution("infeasible")
-    probs = list(singles)
-    probs[i], probs[j] = np.clip(p_i, 0.0, None), np.clip(p_j, 0.0, None)
-    if system.max_violation(probs) > FEASIBILITY_TOL:
-        # The indifferent point is unique, so its infeasibility rules the
-        # support out entirely.
-        return SupportSolution("infeasible")
-    return SupportSolution(
-        "candidate", _candidate_from_probs(system.game, system.support, probs)
-    )
+    rows = _contract_tensor(system.conditions, probs, keep=(m,))
+    others = [q for q in range(n) if q != m]
+    gaps = rows[:, [c for q in others for c in range(cols[q], cols[q + 1])]].T
+    gains = rows[:, [c for q in others for c in range(cols[n + q], cols[n + q + 1])]].T
+    a_ub, cost = np.vstack([gaps, -gaps, gains]), -rows[:, -1]
+    status = _solve_lp(cost, a_ub, np.full(len(a_ub), tol), MIN_SUPPORT_PROB, 1.0)[0]
+    if status == "optimal":
+        status, x, _fun = _solve_lp(cost, a_ub, np.zeros(len(a_ub)), MIN_SUPPORT_PROB, 1.0)
+        if status == "infeasible":
+            return None
+    if status != "optimal":
+        return SupportSolution("infeasible" if status == "infeasible" else "inconclusive")
+    probs[m] = x
+    cand = system.accept(system.pack(probs))
+    return None if cand is None else SupportSolution("candidate", cand)
 
 
 def _three_binary_coeffs(system: _SupportSystem) -> list[tuple[float, ...]]:
@@ -1073,7 +1071,7 @@ def _polytope_vertices(
     A vertex is a feasible point where the equalities and enough active
     inequalities have a unique solution, so every choice of as many
     inequalities as the equalities leave free is solved and checked.
-    Equalities must hold to 1e-9 (as in `_solve_two_mixers`), inequalities
+    Equalities must hold to 1e-9 (as in `_pinned_block`), inequalities
     to 1e-12.
     """
     k = eq_rows.shape[1]
@@ -1130,14 +1128,15 @@ def solve_support(
     """Search the given support for an equilibrium, welfare-optimal there.
 
     Pure supports are checked exactly; supports with one or two mixing
-    players reduce to linear algebra, and three binary mixers to a
-    quadratic. Whatever those leave (more mixers, rank-deficient or
+    players reduce to linear algebra and at most one LP (`_solve_pinned`),
+    and three binary mixers to a quadratic. Whatever
+    those leave (more mixers, two mixers with neither block pinned,
     degenerate systems) meets the linear relaxation (`relaxation_bound`),
     which proves most such supports infeasible. Of the rest, a
     two-player support is solved exactly at the vertices of its
     equilibrium polytopes (`_solve_bimatrix`); any other is decided by
     the corner search (`_corner_search`). Only that search's box cap or a
-    failed one-mixer LP ends a support "inconclusive". `bar` is `swne`'s
+    failed pinned LP ends a support "inconclusive". `bar` is `swne`'s
     running bar in normalised welfare: a support whose relaxation bound
     plus RELAXATION_MARGIN does not exceed it comes back "pruned", as does
     one whose corner search drops boxes at the bar and finds no candidate.
@@ -1146,10 +1145,8 @@ def solve_support(
         return _solve_pure(game, support)
     system = _SupportSystem(game, support)
     mixer_sizes = [k for k in system.sizes if k > 1]
-    if len(mixer_sizes) == 1:
-        return _solve_one_mixer(system)
-    if len(mixer_sizes) == 2:
-        out = _solve_two_mixers(system)
+    if len(mixer_sizes) <= 2:
+        out = _solve_pinned(system)
         if out is not None:
             return out
     elif mixer_sizes == [2, 2, 2]:
@@ -1285,7 +1282,7 @@ def swne(game: NormalFormGame) -> EquilibriumResult:
     support order and then by lexicographic profile order. `pruned`
     counts the skipped supports, `inconclusive` those whose corner search
     reached its box cap (a candidate it found by then still counts) or
-    whose one-mixer LP failed.
+    whose pinned LP failed.
     Raises NoEquilibriumError when nothing is found, which
     indicates solver failure rather than a game property.
     """

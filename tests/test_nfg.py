@@ -18,11 +18,12 @@ from csgnash.nfg_solve import (
     _contract_tensor,
     _SupportSystem,
     _corner_search,
+    _pinned_block,
     _project_simplex,
     _root_box,
     _rounding_slack,
     _solve_bimatrix,
-    _solve_two_mixers,
+    _solve_pinned,
     _switch_on_support,
     _three_binary_coeffs,
     check_pure_profile,
@@ -686,8 +687,8 @@ def test_polish_lands_on_a_binding_deviation_gain():
 @st.composite
 def rank_deficient_bimatrix_supports(draw):
     """A two-player integer game (2-4 actions each) and a support on which
-    both mix and the two-mixer closed form gives up. Narrow utility ranges
-    make the rank-deficient indifference systems it leaves likely."""
+    both mix and neither player's indifference pins the other's block.
+    Narrow utility ranges make such rank-deficient systems likely."""
     shape = tuple(draw(st.lists(st.integers(2, 4), min_size=2, max_size=2)))
     count = shape[0] * shape[1]
     columns = [
@@ -698,7 +699,8 @@ def rank_deficient_bimatrix_supports(draw):
     table = np.array(columns, dtype=np.float64).T.reshape(shape + (2,))
     game = NormalFormGame([("a",) * c for c in shape], table)
     support = Support(tuple(draw(mixed_sets(c)) for c in shape))
-    assume(_solve_two_mixers(_SupportSystem(game, support)) is None)
+    system = _SupportSystem(game, support)
+    assume(_pinned_block(system, 0, 1) is None and _pinned_block(system, 1, 0) is None)
     return game, support
 
 
@@ -949,6 +951,28 @@ def test_descent_still_wins_above_the_bar():
 # the last bits), 3 fell in the last bits, and game 88's two-mixer support
 # ((0, 1), (0,), (0, 1, 2)) now ends at the box cap, "inconclusive" with
 # welfare 2.198974 where Gauss-Newton's 2.197009 was called a candidate.
+#
+# All three solve-support and swne digests were re-recorded when one
+# pinned-block LP (`_solve_pinned`) replaced the one-mixer LP and the
+# two-mixer closed form. Its program holds gaps at 0 and gains at most 0,
+# where the one-mixer LP allowed gains up to FEASIBILITY_TOL and returned
+# optima that used the slack. They were re-recorded only after a
+# field-by-field diff against the digests before: of swne over this
+# corpus, of swne and scne over _pin_corpus(50) (1,200 answers) and of
+# the mixed-support corpus. No welfare fell by more than 2.5e-8 at the
+# game's scale, no answer changed support, and no game gained an
+# inconclusive support. In the swne corpus, games 28 (7.00000012 to 7.0)
+# and 252 (12.28571432 to 12.285714285714285) lost the slack, game 208
+# moved in the last bits (12.382352941176487 to 12.38235294117647), and
+# games 176, 250 and 252 count one candidate more and one support fewer
+# `pruned`: the LP decides a support below the bar that the relaxation
+# used to skip. In the mixed-support corpus game 88's support ((0, 1),
+# (0,), (0, 1, 2)) is now a candidate, welfare 2.1989743589743593 in
+# normalised units, where the corner search ended at its box cap; 7
+# one-mixer candidates fell by 2e-9 to 1.5e-8 (the slack), and 8
+# two-mixer candidates moved, 5 in the last bits and 3 up by 8e-9 to
+# 1.5e-8, and game 88's ((0, 1), (0,), (0, 1)) up by 9.4e-7 from the
+# corner search's point to the LP optimum.
 
 PIN_SHAPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (2, 2, 2, 2)]
 
@@ -1008,7 +1032,7 @@ def solve_support_digest(games, keep) -> str:
 
 def test_swne_pin():
     assert swne_digest(_pin_corpus(25)) == (
-        "a48c5e3e15783fc603008399985eb547209540f280dcd812c06608d39523289e"
+        "d88b571708a61fea1ec41f086de9f7b958219979a34628f6c9b969c1d4e5efd4"
     )
 
 
@@ -1018,9 +1042,61 @@ def test_swne_finds_the_best_equilibrium_of_its_support():
     # the support's optimum, not the first point above the bar.
     result = swne(_pin_corpus(25)[208])
     assert result.support.sets == ((0, 1), (0, 1), (1,))
-    assert result.welfare > 12.38
+    assert result.welfare == pytest.approx(421 / 34, abs=1e-9)
     assert result.inconclusive == 0
     assert result.regrets.max() <= 1e-6
+
+
+def test_swne_decides_a_support_whose_equilibria_form_a_segment():
+    # A (2,2,3) game whose equilibria on this two-mixer support form a
+    # segment along which welfare changes by only 0.017 per unit of
+    # probability. The corner search finds the optimum but cannot close
+    # the boxes around the segment, and ends at its box cap; the third
+    # player's indifference pins the first player's block, and the LP
+    # over the third player's block decides the support.
+    result = swne(_pin_corpus(10)[88])
+    assert result.support.sets == ((0, 1), (0,), (0, 1, 2))
+    assert result.welfare == pytest.approx(4288 / 325, abs=1e-9)
+    assert result.inconclusive == 0
+    assert result.regrets.max() <= 1e-6
+
+
+def test_pinned_lp_agrees_with_the_relaxation_and_the_corner_search(monkeypatch):
+    # Every two-mixer support of the corpus on which exactly one mixer's
+    # indifference pins the other's block: 77 in games of three or four
+    # players, 31 in two-player games. The pinned LP must refute exactly
+    # the supports the relaxation and the corner search refute, stay under
+    # the relaxation bound, and match the search's welfare where the
+    # search ends decided. Every search here ends decided within 2,000
+    # boxes but two, whose equilibria form a segment and which end at any
+    # cap, so the lower cap only shortens the test.
+    from csgnash import nfg_solve
+
+    monkeypatch.setattr(nfg_solve, "MAX_BOXES", 2000)
+    statuses = []
+    for game in _pin_corpus(10):
+        for support in enumerate_supports(game):
+            if _mixers(support) != 2:
+                continue
+            system = _SupportSystem(game, support)
+            i, j = [m for m, k in enumerate(system.sizes) if k > 1]
+            if (_pinned_block(system, i, j) is None) == (_pinned_block(system, j, i) is None):
+                continue
+            out = _solve_pinned(system)
+            bound = relaxation_bound(system)
+            search = _corner_search(system, -np.inf)
+            statuses.append((out.status, search.status))
+            assert (out.status == "infeasible") == (bound == -np.inf)
+            assert (out.status == "infeasible") == (search.status == "infeasible")
+            if out.status == "candidate":
+                welfare = system.welfare(out.candidate)
+                assert welfare <= bound + RELAXATION_MARGIN
+                if search.status == "candidate":
+                    found = system.welfare(search.candidate)
+                    assert abs(welfare - found) <= RELAXATION_MARGIN
+    assert len(statuses) == 108
+    assert statuses.count(("infeasible", "infeasible")) == 99
+    assert statuses.count(("candidate", "inconclusive")) == 2
 
 
 def relaxation_digest(games) -> str:
@@ -1037,12 +1113,12 @@ def relaxation_digest(games) -> str:
 
 def test_one_mixer_solve_support_pin():
     digest = solve_support_digest(_pin_corpus(10), lambda s: _mixers(s) == 1)
-    assert digest == "d99c85554bfd1dfdd0eff3e5d137cd29a5b872836390a3847523ff13e1562ca0"
+    assert digest == "da2dc4babadf3dea1c787f917bff0c0eee62964e72a232e6097ed0103c7c7650"
 
 
 def test_mixed_solve_support_pin():
     digest = solve_support_digest(_pin_corpus(10), lambda s: _mixers(s) >= 1)
-    assert digest == "cadabca0d676f2a71f06a4cf2fbc2a30bebde2685976b28cc516b795a938178b"
+    assert digest == "f1c1982a21e35ccfefef33fa23bc81409274941c066814d34c793be4bedc301b"
 
 
 def test_relaxation_bound_pin():
@@ -1085,23 +1161,24 @@ def test_solve_lp_matches_linprog_bit_for_bit(monkeypatch):
                 if _mixers(support) >= 2:
                     relaxation_bound(_SupportSystem(game, support))
 
-    def one_mixers():
+    def pinned():
+        # The exact and the banded LPs of one- and two-mixer supports.
         for game in _pin_corpus(10):
             for support in enumerate_supports(game):
-                if _mixers(support) == 1:
-                    solve_support(game, support)
+                if _mixers(support) in (1, 2):
+                    _solve_pinned(_SupportSystem(game, support))
         # One player with tied actions: no inequality rows at all.
         tied = NormalFormGame([("a", "b")], np.array([[1.0], [1.0]]))
-        solve_support(tied, Support(((0, 1),)))
+        _solve_pinned(_SupportSystem(tied, Support(((0, 1),))))
 
     relaxation_lps = _recorded_lps(monkeypatch, relaxations)
-    one_mixer_lps = _recorded_lps(monkeypatch, one_mixers)
+    pinned_lps = _recorded_lps(monkeypatch, pinned)
     assert len(relaxation_lps) == 840
-    assert len(one_mixer_lps[-1][0][1]) == 0
+    assert len(pinned_lps[-1][0][1]) == 0
     classes = {0: "optimal", 2: "infeasible"}
     seen = set()
     for (cost, a_ub, b_ub, lower, upper), (status, x, fun) in (
-        relaxation_lps + one_mixer_lps
+        relaxation_lps + pinned_lps
     ):
         rows = len(a_ub) > 0
         res = linprog(
@@ -1146,6 +1223,23 @@ def test_a_failed_lp_proves_nothing(monkeypatch):
     # The relaxation bounds nothing, where HiGHS would refute the support.
     game, sets = hard_333_game(), ((1, 2), (1,), (0, 1, 2))
     assert relaxation_bound(_SupportSystem(game, Support(sets))) == np.inf
+
+
+def test_the_pinned_lp_returns_no_point_accept_rejects():
+    # At every point of the support ((0, 1), (0,), (0,)) the second
+    # player's deviation gain is 2e-8 in normalised units: above the
+    # FEASIBILITY_TOL that `accept` allows, but within HiGHS's own
+    # feasibility tolerance, so the pinned LP's program has a point (the
+    # one-mixer LP returned it as a candidate). The pinned LP returns
+    # nothing, and the relaxation and the corner search decide.
+    table = np.zeros((2, 2, 2, 3))
+    table[:, 0, 0, 0] = 0.25
+    table[:, 1, 0, 1] = 2e-8
+    table[:, 0, 0, 2] = 1.0
+    game = NormalFormGame([("a", "b")] * 3, table)
+    system = _SupportSystem(game, Support(((0, 1), (0,), (0,))))
+    assert _solve_pinned(system) is None
+    assert solve_support(game, system.support).status == "infeasible"
 
 
 # ---------------------------------------------------------------------------
