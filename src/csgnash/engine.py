@@ -267,11 +267,14 @@ def solve_finite_horizon(
     A level copies the values and profiles of the level above it, and
     builds and solves no stage, when the two share a template and the
     values over the level above equal, byte for byte, those over the
-    level above that. Its stage tables would then be the same bits as
-    the level above's: same template, same rows and successors counted
-    from the next level, same successor values. So would every value
+    level above that (`Core.repeats`, which certification also calls).
+    Its stage tables would then be the same bits as the level above's:
+    same template, same rows and successors counted from the next
+    level, same successor values. So would every value
     and profile solved from them, and the stage cache, which counts
     `inconclusive` only on a miss and never ages here, would only hit.
+    A copied level shares the profile objects of the level it copies,
+    which lets certification weight the two levels once.
     """
     core = bounded_core(game, compiled)
     values = core.const.copy()
@@ -281,12 +284,10 @@ def solve_finite_horizon(
     stages = _StageSolver(compiled.opt)
     for i in reversed(range(len(levels))):
         level = levels[i]
-        if i + 2 < len(levels) and levels[i + 1].template == level.template:
-            above, next_above = levels[i + 1].nodes, levels[i + 2].nodes
-            if values[above].tobytes() == values[next_above].tobytes():
-                values[level.nodes] = values[above]
-                found[i] = found[i + 1]
-                continue
+        if core.repeats(i, values):
+            values[level.nodes] = values[levels[i + 1].nodes]
+            found[i] = found[i + 1]
+            continue
         dists: dict[int, tuple[np.ndarray, ...]] = {}
         utilities = level.stage_utilities(values)
         answers = _solve_stages(core, level, utilities, values, stages, dists)

@@ -302,6 +302,36 @@ class Core:
         """The core's levels, deepest last, built on first use."""
         return _index_levels(self)
 
+    def repeats(
+        self,
+        i: int,
+        values: np.ndarray,
+        todo: np.ndarray | None = None,
+        weights: np.ndarray | None = None,
+    ) -> bool:
+        """Whether a backward pass over this bounded core may give level i
+        the outputs of level i + 1 and do no other work. It may when the
+        two levels share a template and the `values` (per node) over level
+        i + 1 equal, byte for byte, those over level i + 2, which the two
+        read as their successors' values. Certification also reads which
+        nodes it evaluates, `todo` (per node), and the row `weights` (per
+        row): where given, each must be byte-equal over the two levels.
+        Every output of level i is then computed from the same bits as
+        level i + 1's."""
+        levels = self.levels
+        if i + 2 >= len(levels) or levels[i + 1].template != levels[i].template:
+            return False
+        level, above, next_above = levels[i : i + 3]
+
+        def same(array, a, b):
+            return array is None or array[a].tobytes() == array[b].tobytes()
+
+        return (
+            same(todo, level.nodes, above.nodes)
+            and same(weights, level.rows, above.rows)
+            and same(values, above.nodes, next_above.nodes)
+        )
+
 
 @dataclass
 class Choosers:

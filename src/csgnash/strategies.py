@@ -6,6 +6,16 @@ each coalition's enabled actions. Evaluation computes the objective values
 the profile actually achieves; certification compares them against every
 coalition's best response with the others held fixed, which bounds how far
 the profile is from an exact equilibrium at every state.
+
+Finite horizons are certified over the levels of the check's core
+(`objectives.Core`), one forward pass to find the reached nodes and weight
+their rows, then one backward pass per evaluation or best response. Each
+pass computes a repeated level once: the forward pass per template,
+reached nodes and profile objects, the backward passes copying a level
+whose inputs repeat the level above's byte for byte (`Core.repeats`), as
+backward induction does. So a long horizon whose levels repeat costs
+about as much to certify as a short one, with the bits of certifying
+every level.
 """
 
 from __future__ import annotations
@@ -66,19 +76,25 @@ def _format_prob(p: float) -> str:
 def export_strategy(strategy: SynthesizedStrategy, destination) -> None:
     """Serialise to JSON; probabilities keep full float precision so an
     export / import / re-export cycle is byte identical."""
+    # Each mode's sorted D and E, computed once.
+    modes = {
+        mode: (sorted(mode[0]), sorted(mode[1]))
+        for mode in {key[1:3] for key in strategy.table}
+    }
     entries = []
     for key in sorted(
         strategy.table,
-        key=lambda k: (k[3] if k[3] is not None else -1, k[0], sorted(k[1]), sorted(k[2])),
+        key=lambda k: (k[3] if k[3] is not None else -1, k[0], *modes[k[1:3]]),
     ):
         state, D, E, step = key
+        sorted_d, sorted_e = modes[D, E]
         dists = strategy.table[key]
         for coalition, dist in enumerate(dists):
             names = strategy.choice_names[state][coalition]
             entry = {
                 "state": state,
-                "D": sorted(D),
-                "E": sorted(E),
+                "D": sorted_d,
+                "E": sorted_e,
                 "coalition": coalition,
                 "distribution": {
                     name: _format_prob(float(p)) for name, p in zip(names, dist)
@@ -87,13 +103,10 @@ def export_strategy(strategy: SynthesizedStrategy, destination) -> None:
             if step is not None:
                 entry["step"] = step
             entries.append(entry)
-    modes = sorted(
-        {(tuple(sorted(k[1])), tuple(sorted(k[2]))) for k in strategy.table}
-    )
     doc = {
         "kind": strategy.kind,
         "horizon": strategy.horizon,
-        "modes": [{"D": list(d), "E": list(e)} for d, e in modes],
+        "modes": [{"D": d, "E": e} for d, e in sorted(modes.values())],
         "entries": entries,
     }
     if hasattr(destination, "write"):
@@ -268,28 +281,54 @@ def _reached(
     with coalition `skip`'s objective pending when `skip` picks a best
     responder, whose own mix is then left out. Returns their mask and
     every row's `_row_weights`, 0 at the other nodes. Successors lie one
-    level up, so one pass up the levels finds every reached node."""
+    level up, so one pass up the levels finds every reached node.
+
+    A level's weights, and the successors they reach, are a function of
+    its template, its reached mask and the profiles of its reached nodes.
+    So they are computed once per combination of the three, the profiles
+    known by object: the table holds every profile for the whole call,
+    and backward induction gives a copied level the profile objects of
+    the level it copies. A table whose nodes share no profile objects,
+    as an imported one, is weighted level by level, to the same bits."""
     weights = np.zeros(len(core.action_rewards))
     reached = np.zeros(len(core.nodes), dtype=bool)
     reached[core.initial] = True
     expand = core.pending[:, skip] if skip >= 0 else core.pending.any(axis=1)
     todo = np.zeros(len(core.nodes), dtype=bool)
+    # Per key, a level's weights and its reached successors, counted from
+    # the next level's first node.
+    known: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
     for level in core.levels:
         todo[level.nodes] = here = reached[level.nodes] & expand[level.nodes]
-        weights[level.rows] = w = _row_weights(core, level, strategy, here, skip)
-        reached[core.succ[level.entries][w[level.entry_rows] != 0.0]] = True
+        nodes = itertools.compress(core.nodes[level.nodes], here)
+        profiles = map(strategy.table.__getitem__, nodes)
+        key = (level.template, here.tobytes(), *map(id, profiles))
+        hit = known.get(key)
+        if hit is None:
+            w = _row_weights(core, level, strategy, here, skip)
+            after = core.succ[level.entries][w[level.entry_rows] != 0.0]
+            hit = known[key] = w, after - level.nodes.stop
+        weights[level.rows], after = hit
+        reached[level.nodes.stop + after] = True
     return todo, weights
 
 
 def _evaluate_finite(core: Core, strategy: SynthesizedStrategy):
     """Levels rolled back from the deepest: a reached node's pending
     components sum weight times stage utility over its played rows, in
-    joint order from 0."""
+    joint order from 0. A level whose template, reached nodes, row
+    weights and successor values repeat the level above's takes that
+    level's values (`Core.repeats`)."""
     todo, weights = _reached(core, strategy)
     values = core.const.copy()
     m = values.shape[1]
-    for level in reversed(core.levels):
+    levels = core.levels
+    for i in reversed(range(len(levels))):
+        level = levels[i]
         nodes = level.nodes
+        if core.repeats(i, values, todo, weights):
+            values[nodes] = values[levels[i + 1].nodes]
+            continue
         here = np.flatnonzero(todo[nodes])
         if not len(here):
             continue
@@ -415,14 +454,20 @@ def _best_response_finite(core: Core, strategy: SynthesizedStrategy, coalition: 
     probability times value over the row's successors in order from 0.
     The best total is kept as `functools.reduce(max or min)` keeps it:
     a later action wins only when strictly better, so a leading NaN
-    stays."""
+    stays. A level whose template, reached nodes, row weights and
+    successor values repeat the level above's takes that level's values
+    (`Core.repeats`)."""
     todo, weights = _reached(core, strategy, coalition)
     better = np.greater if core.compiled.opt == "max" else np.less
     cumulative = core.compiled.items[coalition].kind == "cumulative"
     values = core.const[:, coalition].copy()
-    state_rewards = core.state_rewards[[s for s, *_ in core.nodes], coalition]
-    for level in reversed(core.levels):
+    levels = core.levels
+    for i in reversed(range(len(levels))):
+        level = levels[i]
         nodes, rows, entries = level.nodes, level.rows, level.entries
+        if core.repeats(i, values, todo, weights):
+            values[nodes] = values[levels[i + 1].nodes]
+            continue
         here = np.flatnonzero(todo[nodes])
         if not len(here):
             continue
@@ -440,9 +485,10 @@ def _best_response_finite(core: Core, strategy: SynthesizedStrategy, coalition: 
         adds = weight[played] * cont[played]
         if cumulative:
             reward = core.action_rewards[rows, coalition][played]
+            states = [state for state, *_ in core.nodes[nodes]]
             slots = np.concatenate([np.arange(len(counts) * width), slots.repeat(2)])
             adds = np.concatenate([
-                state_rewards[nodes].repeat(width),
+                core.state_rewards[states, coalition].repeat(width),
                 np.column_stack([weight[played] * reward, adds]).ravel(),
             ])
         totals = np.bincount(

@@ -18,6 +18,7 @@ from csgnash.games import Csg, RewardStructure, build_coalition_game
 from csgnash.modelio import load_model
 from csgnash.objectives import (
     EMPTY,
+    Core,
     bounded_core,
     compile_objectives,
     mode_closure,
@@ -403,6 +404,182 @@ def test_finite_best_response_reports_the_evaluated_nodes():
     nodes = set(evaluate_profile(game, strategy, compiled))
     for i in range(compiled.m):
         assert set(best_response_value(game, strategy, i, compiled)) == nodes
+
+
+# ---------------------------------------------------------------------------
+# Levels that repeat are certified once
+
+
+def _messages_prop(k: int) -> str:
+    terms = " + ".join(f'R{{"mes{i}"}}[C<={k}]' for i in (1, 2, 3))
+    return f"<<usr1:usr2:usr3>>max=? ({terms})"
+
+
+ALOHA_WINDOW_PROP = "<<usr1:usr2:usr3>>max=? (%s)" % " + ".join(
+    f'P[F<=15 "d{i}"]' for i in (1, 2, 3)
+)
+
+
+def _certified_bits(game, strategy, compiled) -> dict:
+    """Every certificate gap and every evaluated value, as `float.hex`."""
+    cert = certify_epsilon(game, strategy, compiled)
+    values = evaluate_profile(game, strategy, compiled)
+    return {
+        "gaps": {key: gap.hex() for key, gap in cert.gaps.items()},
+        "values": {key: [float(v).hex() for v in vec] for key, vec in values.items()},
+    }
+
+
+@pytest.fixture
+def certify_calls(monkeypatch):
+    """Counts the levels whose stage utilities, and the levels whose row
+    weights, are computed."""
+    from csgnash.objectives import Level
+
+    calls = Counter()
+    build, weigh = Level.stage_utilities, strategies._row_weights
+
+    def building(level, values):
+        calls["stage_utilities"] += 1
+        return build(level, values)
+
+    def weighing(*args, **kwargs):
+        calls["_row_weights"] += 1
+        return weigh(*args, **kwargs)
+
+    monkeypatch.setattr(Level, "stage_utilities", building)
+    monkeypatch.setattr(strategies, "_row_weights", weighing)
+    return calls
+
+
+def test_certification_computes_repeating_levels_once(certify_calls):
+    # Backward induction copies all but 8 levels of medium_access3 at
+    # every bound here; certification weights and evaluates as few levels
+    # at every bound, so a longer horizon costs it no more of either.
+    model = load_model(MODELS / "medium_access3.json", {})
+    counts = []
+    for k in (20, 200, 2000):
+        result = checked(model, _messages_prop(k))
+        certify_calls.clear()
+        certify_epsilon(result.coalition_game, result.strategy, result.compiled)
+        counts.append(dict(certify_calls))
+    assert counts[0] == counts[1] == counts[2]
+    assert counts[0]["stage_utilities"] > 0 and counts[0]["_row_weights"] > 0
+
+
+def test_a_gap_injected_deep_in_a_copied_run_is_reported():
+    # Every valid profile of this check already gives each user its most
+    # (two messages at 0.9), so no valid perturbation shows a gap. Giving
+    # usr1's one action at e002, 150 steps in, the mass 1.5 lets usr3 hold
+    # its energy until then and gain 0.9, from every state where it holds
+    # 2. Every certification pass copies levels 6 to 192 unperturbed, so
+    # a copy that missed the changed weights would report 0. Recorded
+    # with certification that walked every level.
+    model = load_model(MODELS / "medium_access3.json", {})
+    result = checked(model, _messages_prop(200))
+    game, strategy = result.coalition_game, result.strategy
+    key = (game.state_names.index("e002"), EMPTY, EMPTY, 150)
+    first, *rest = strategy.table[key]
+    assert first.tolist() == [1.0]
+    strategy.table[key] = (np.array([1.5]), *rest)
+    cert = certify_epsilon(game, strategy, result.compiled)
+    gained = {(2, s) for s, name in enumerate(game.state_names) if name.endswith("2")}
+    assert len(gained) == 9
+    assert {key: gap.hex() for key, gap in cert.gaps.items()} == {
+        key: "0x1.ccccccccccccep-1" if key[:2] in gained else "0x0.0p+0"
+        for key in cert.gaps
+    }
+    assert len(cert.gaps) == 81
+
+
+def test_a_level_repeats_only_on_byte_equal_inputs():
+    # Level 10 of medium_access3 at C<=20 repeats level 11 in the
+    # evaluation pass. Equal weights imply equal reached masks for every
+    # table of positive mass, so the perturbation test above cannot tell
+    # whether the masks are compared; a zero-mass entry would break that.
+    result = checked(load_model(MODELS / "medium_access3.json", {}), _messages_prop(20))
+    core = result.strategy.core
+    todo, weights = strategies._reached(core, result.strategy)
+    values = core.const.copy()
+    for level in core.levels[11:13]:
+        values[level.nodes] = 1.0
+    assert core.levels[10].template == core.levels[11].template
+    assert core.repeats(10, values, todo, weights)
+    assert not core.repeats(len(core.levels) - 2, values)
+    level = core.levels[10]
+    moved = todo.copy()
+    moved[level.nodes.start + 1] ^= True
+    assert not core.repeats(10, values, moved, weights)
+    moved = weights.copy()
+    moved[level.rows.start] += 0.5
+    assert not core.repeats(10, values, todo, moved)
+    moved = values.copy()
+    moved[core.levels[11].nodes.start] += 0.5
+    assert not core.repeats(10, moved, todo, weights)
+
+
+def test_levels_reaching_other_nodes_with_one_profile_are_weighted_apart():
+    # Two states, each action leading to a or b wherever it is played, so
+    # every level has one template. With one profile object for every
+    # node that plays x and one for every node that plays y, level 1
+    # reaches only a and level 2 only b, each playing y: the same
+    # template and profile objects, but other nodes, so other weights.
+    model = Csg(
+        players=("p1",),
+        actions=(("x", "y"),),
+        state_names=("a", "b"),
+        initial=(0,),
+        availability=(((0, 1),), ((0, 1),)),
+        transitions={(s, (a,)): {a: 1.0} for s in (0, 1) for a in (0, 1)},
+        labels=(frozenset(), frozenset()),
+        rewards={"r": RewardStructure({}, {(1, (0,)): 1.0, (1, (1,)): 2.0})},
+    )
+    result = checked(model, '<<p1>>max=? (R{"r"}[C<=4])')
+    x, y = (np.array([1.0, 0.0]),), (np.array([0.0, 1.0]),)
+    plays_y = {(0, 1), (1, 2)}
+    shared = {node: y if node[::3] in plays_y else x for node in result.strategy.table}
+    levels = result.strategy.core.levels
+    assert levels[1].template == levels[2].template
+    unshared = {node: (dist[0].copy(),) for node, dist in shared.items()}
+    game, compiled = result.coalition_game, result.compiled
+    bits = [
+        _certified_bits(
+            game, SynthesizedStrategy("finite", 4, table, result.strategy.choice_names),
+            compiled,
+        )
+        for table in (shared, unshared)
+    ]
+    assert bits[0] == bits[1]
+    # From a: x at a, y at a, y at b (2), x at b (1). From b: x at b (1),
+    # then as from a.
+    assert bits[0]["values"] == {
+        (0, (EMPTY, EMPTY)): [(3.0).hex()],
+        (1, (EMPTY, EMPTY)): [(4.0).hex()],
+    }
+
+
+@pytest.mark.parametrize(
+    "name,prop",
+    [("medium_access3.json", _messages_prop(200)), ("aloha3.json", ALOHA_WINDOW_PROP)],
+)
+def test_an_imported_strategy_certifies_to_the_same_bits(monkeypatch, name, prop):
+    # An imported strategy shares no profile objects between nodes, so
+    # certification weights its every level afresh; it must still give
+    # the bits of the engine's own strategy, whose copied levels share
+    # theirs. With no level copied in the backward passes either, every
+    # level is certified, to the same bits again.
+    result = checked(load_model(MODELS / name, {}), prop)
+    game, compiled = result.coalition_game, result.compiled
+    own = _certified_bits(game, result.strategy, compiled)
+    buf = io.StringIO()
+    export_strategy(result.strategy, buf)
+
+    def imported():
+        return import_strategy(io.StringIO(buf.getvalue()))
+
+    assert _certified_bits(game, imported(), compiled) == own
+    monkeypatch.setattr(Core, "repeats", lambda *args, **kwargs: False)
+    assert _certified_bits(game, imported(), compiled) == own
 
 
 def random_reward_csg(rng, limits=(3, 3, 3)) -> Csg:
