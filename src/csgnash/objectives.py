@@ -9,9 +9,8 @@ decided components of every value vector at exactly 1 or 0.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -254,15 +253,9 @@ class Core:
     rewards. Nodes are (state, D, E, level) keys. Unbounded objectives use
     the `mode_closure` pairs, with level None, as one level. Bounded ones
     use the (state, mode, steps taken) triples reachable from the initial
-    modes, numbered level by level: level i holds nodes
-    `level_first[i]:level_first[i + 1]`, and every successor of a node
-    lies in the next level, so one pass over the levels from the last
-    down is a backward induction.
-    `const` holds the value of every decided component and `pending` marks
-    the others. A node with a pending component has one row per joint
-    action, in joint order: rows `start[p]:start[p + 1]`. Row r's
-    successor nodes and probabilities are `succ[ptr[r]:ptr[r + 1]]` and
-    `prob[ptr[r]:ptr[r + 1]]`.
+    modes, numbered level by level, and every successor of a node lies in
+    the next level, so one pass over the levels from the last down is a
+    backward induction.
 
     A bounded level's template is its nodes' (state, D, E), in order, and
     the phase of every bound at the level and at the next one
@@ -272,12 +265,17 @@ class Core:
     reward of the state, which the template holds. So levels of one
     template (equal `level_template`) have the same values, pending
     flags, rows and successors, the successors counted from the next
-    level's first node, and the same next level's nodes, in order. Each
-    template is compiled once.
+    level's first node, and the same next level's nodes, in order.
 
-    On first use the core cuts itself into `levels`, the row view that
-    both engine loops and certification read: a bounded core into one
-    level per step count, an unbounded core into a single level.
+    A core stores what the compile produces, one `_Block` per template
+    and each level's template, and derives the rest once: its `levels`,
+    the row view that the engine and certification read, each template's
+    `Level` arrays built once from its block; and flat arrays over all
+    nodes. `const` holds the value of every decided component and
+    `pending` marks the others. A node with a pending component has one
+    row per joint action, in joint order: rows `start[p]:start[p + 1]`.
+    Row r's successor nodes and probabilities are `succ[ptr[r]:ptr[r + 1]]`
+    and `prob[ptr[r]:ptr[r + 1]]`.
     """
 
     game: Csg
@@ -287,20 +285,48 @@ class Core:
     state_rewards: np.ndarray  # (states, m)
     nodes: list[Node]
     initial: list[int]  # node of each state's initial mode
-    const: np.ndarray  # (nodes, m)
-    pending: np.ndarray  # (nodes, m)
-    start: np.ndarray  # (nodes + 1,)
-    ptr: np.ndarray  # (rows + 1,)
-    succ: np.ndarray  # successor node of each entry
-    prob: np.ndarray  # its probability
-    action_rewards: np.ndarray  # (rows, m)
-    level_first: np.ndarray  # (levels + 1,) each level's first node, then the count
+    blocks: list[_Block]  # per template
     level_template: list[int]  # template of each level
+    const: np.ndarray = field(init=False)  # (nodes, m)
+    pending: np.ndarray = field(init=False)  # (nodes, m)
+    start: np.ndarray = field(init=False)  # (nodes + 1,)
+    ptr: np.ndarray = field(init=False)  # (rows + 1,)
+    succ: np.ndarray = field(init=False)  # successor node of each entry
+    prob: np.ndarray = field(init=False)  # its probability
+    action_rewards: np.ndarray = field(init=False)  # (rows, m)
+    levels: list[Level] = field(init=False)  # deepest last
 
-    @functools.cached_property
-    def levels(self) -> list["Level"]:
-        """The core's levels, deepest last, built on first use."""
-        return _index_levels(self)
+    def __post_init__(self) -> None:
+        bounded = self.compiled.horizon == "finite"
+        chosen = [self.blocks[t] for t in self.level_template]
+        for name in ("const", "pending", "prob", "action_rewards"):
+            setattr(self, name, np.concatenate([getattr(b, name) for b in chosen]))
+        self.start = _bounds(np.concatenate([b.sizes for b in chosen]))
+        self.ptr = _bounds(np.concatenate([b.lengths for b in chosen]))
+        # Each level's nodes, rows and entries; `first` where each begins.
+        counts = np.array(
+            [(len(b.sizes), len(b.lengths), len(b.succ)) for b in self.blocks],
+            dtype=np.int64,
+        )[self.level_template]
+        first = np.vstack(([0, 0, 0], counts.cumsum(axis=0)))
+        # A bounded level's successors count from the next level's first
+        # node, an unbounded core's from its one level's first, 0.
+        offsets = first[1:, 0] if bounded else first[:-1, 0]
+        self.succ = np.concatenate([b.succ for b in chosen]) + np.repeat(
+            offsets, counts[:, 2]
+        )
+        arrays = [_level_arrays(self, block) for block in self.blocks]
+        nodes, rows, entries = first.T.tolist()
+        self.levels = [
+            Level(
+                nodes=slice(nodes[i], nodes[i + 1]),
+                rows=slice(rows[i], rows[i + 1]),
+                entries=slice(entries[i], entries[i + 1]),
+                template=template,
+                **arrays[template],
+            )
+            for i, template in enumerate(self.level_template)
+        ]
 
     def repeats(
         self,
@@ -428,54 +454,19 @@ def choosers(start: np.ndarray, shapes: np.ndarray) -> Choosers:
     )
 
 
-def _index_levels(core: Core) -> list[Level]:
-    """Cut a core into its levels. The arrays of a template are built
-    from its first level and shared by the others."""
-    bounded = core.compiled.horizon == "finite"
-    state_shapes = np.array(core.shapes, dtype=np.int64)
+def _level_arrays(core: Core, block: _Block) -> dict:
+    """The `Level` arrays of one of the core's templates, from its block:
+    nodes, rows and entries count from the level's first, and successors
+    as the block numbers them. Only bounded levels group their rows, as
+    value iteration contracts its one level itself
+    (`engine._sweep_utilities`)."""
     # Components whose stage utility adds the row's state and action reward.
     kinds = [obj.kind for obj in core.compiled.items]
     rewarded = np.array([kind in ("cumulative", "reach") for kind in kinds])
-    nodes = core.level_first.tolist()
-    rows = core.start[core.level_first].tolist()
-    entries = core.ptr[rows].tolist()
-    shared: dict[int, dict] = {}
-    levels = []
-    for i, template in enumerate(core.level_template):
-        arrays = shared.get(template)
-        if arrays is None:
-            arrays = shared[template] = _level_arrays(
-                core, state_shapes, rewarded, nodes[i], nodes[i + 1], bounded
-            )
-        levels.append(Level(
-            nodes=slice(nodes[i], nodes[i + 1]),
-            rows=slice(rows[i], rows[i + 1]),
-            entries=slice(entries[i], entries[i + 1]),
-            template=template,
-            **arrays,
-        ))
-    return levels
-
-
-def _level_arrays(
-    core: Core,
-    state_shapes: np.ndarray,
-    rewarded: np.ndarray,
-    n0: int,
-    n1: int,
-    bounded: bool,
-) -> dict:
-    """The `Level` arrays of nodes `n0:n1`, counted from the level's
-    first node, row and entry, its successors from the next level's
-    first node; only bounded levels group their rows, as value iteration
-    contracts its one level itself (`engine._sweep_utilities`)."""
-    r0, r1 = int(core.start[n0]), int(core.start[n1])
-    start = core.start[n0 : n1 + 1] - r0
-    ptr = core.ptr[r0 : r1 + 1]
-    lengths = np.diff(ptr)
-    node_state = np.array([s for s, *_ in core.nodes[n0:n1]], dtype=np.int64)
-    node_shape = state_shapes[node_state]
-    row_nodes = np.repeat(np.arange(n1 - n0), np.diff(start))
+    start = _bounds(block.sizes)
+    ptr = _bounds(block.lengths)
+    node_shape = np.array(core.shapes, dtype=np.int64)[block.states]
+    row_nodes = np.repeat(np.arange(len(block.sizes)), block.sizes)
     # Joints run in `itertools.product` order: the last coalition fastest.
     joint = np.arange(len(row_nodes)) - start[row_nodes]
     actions = np.empty((len(row_nodes), node_shape.shape[1]), dtype=np.int64)
@@ -484,21 +475,22 @@ def _level_arrays(
         actions[:, i] = joint % count
         joint //= count
     groups = []
-    for k in np.unique(lengths).tolist() if bounded else []:
-        rows = np.flatnonzero(lengths == k)
+    bounded = core.compiled.horizon == "finite"
+    for k in np.unique(block.lengths).tolist() if bounded else []:
+        rows = np.flatnonzero(block.lengths == k)
         entry = ptr[rows, None] + np.arange(k)
-        groups.append((rows, core.succ[entry] - n1, core.prob[entry][:, None, None, :]))
-    pend = core.pending[n0:n1][row_nodes]
+        groups.append((rows, block.succ[entry], block.prob[entry][:, None, None, :]))
+    pend = block.pending[row_nodes]
     return dict(
         row_nodes=row_nodes,
-        entry_rows=np.repeat(np.arange(len(lengths)), lengths),
+        entry_rows=np.repeat(np.arange(len(block.lengths)), block.lengths),
         actions=actions,
         shapes=node_shape,
         groups=groups,
-        base=core.state_rewards[node_state[row_nodes]] + core.action_rewards[r0:r1],
+        base=core.state_rewards[block.states[row_nodes]] + block.action_rewards,
         add_base=pend & rewarded,
         pend=pend,
-        const=core.const[n0:n1][row_nodes],
+        const=block.const[row_nodes],
         split=choosers(start, node_shape),
     )
 
@@ -517,9 +509,9 @@ def bounded_core(game: Csg, compiled: CompiledObjectives) -> Core:
 
     Each level is keyed by its template (`Core`). The first level of a
     template is compiled node by node (`_compile_level`), and it also
-    yields the next level's nodes; a level that repeats a template takes
-    its block, and only the successor offsets are added, in one array
-    pass over all levels."""
+    yields the next level's nodes; a level that repeats a template only
+    records it. The core gets the nodes, one block per template and each
+    level's template, and derives the rest."""
     choice_names, shapes, state_rewards, stage_rows = _stage_rows(game, compiled)
     first = tuple(
         (s, *canonical_mode(compiled, s, EMPTY, EMPTY, step=0))
@@ -548,13 +540,8 @@ def bounded_core(game: Csg, compiled: CompiledObjectives) -> Core:
         level_template.append(template)
         level_list.append(current)
         current, step, phase = follows[template], step + 1, following
-    chosen = [blocks[t] for t in level_template]
     # Each node list's states, Ds and Es, zipped with a level's step.
     columns = [tuple(zip(*nodes)) for nodes in lists]
-    level_first = np.cumsum([0] + [len(lists[l]) for l in level_list])
-    successors = np.concatenate([b.succ for b in chosen]) + np.repeat(
-        level_first[1:], [len(b.succ) for b in chosen]
-    )
     return Core(
         game=game,
         compiled=compiled,
@@ -566,14 +553,7 @@ def bounded_core(game: Csg, compiled: CompiledObjectives) -> Core:
             for step, l in enumerate(level_list)
         )),
         initial=list(range(game.n_states)),
-        const=np.concatenate([b.const for b in chosen]),
-        pending=np.concatenate([b.pending for b in chosen]),
-        start=_bounds(np.concatenate([b.sizes for b in chosen])),
-        ptr=_bounds(np.concatenate([b.lengths for b in chosen])),
-        succ=successors,
-        prob=np.concatenate([b.prob for b in chosen]),
-        action_rewards=np.concatenate([b.action_rewards for b in chosen]),
-        level_first=level_first,
+        blocks=blocks,
         level_template=level_template,
     )
 
@@ -584,8 +564,8 @@ def unbounded_core(
     pairs: list[tuple[int, Mode]],
 ) -> Core:
     """The core of an unbounded check over its `mode_closure` pairs, one
-    level of a single template. The pairs are closed under successors,
-    so the compile numbers no new one."""
+    level of a single template, whose one block the core gets. The pairs
+    are closed under successors, so the compile numbers no new one."""
     choice_names, shapes, state_rewards, stage_rows = _stage_rows(game, compiled)
     index = {(s, D, E): p for p, (s, (D, E)) in enumerate(pairs)}
     block = _compile_level(
@@ -602,14 +582,7 @@ def unbounded_core(
             index[(s, *canonical_mode(compiled, s, EMPTY, EMPTY))]
             for s in range(game.n_states)
         ],
-        const=block.const,
-        pending=block.pending,
-        start=_bounds(block.sizes),
-        ptr=_bounds(block.lengths),
-        succ=block.succ,
-        prob=block.prob,
-        action_rewards=block.action_rewards,
-        level_first=np.array([0, len(index)]),
+        blocks=[block],
         level_template=[0],
     )
 
@@ -682,8 +655,11 @@ def _stage_rows(game: Csg, compiled: CompiledObjectives):
 @dataclass
 class _Block:
     """The compiled rows of one level's nodes, counted from its first
-    node, row and entry; successors are numbered by the compile's index."""
+    node, row and entry; successors are numbered by the compile's index,
+    a bounded level's from the next level's first node. A core keeps one
+    block per template and derives its flat arrays and levels from them."""
 
+    states: np.ndarray  # (nodes,) state of each node
     const: np.ndarray  # (nodes, m)
     pending: np.ndarray  # (nodes, m)
     sizes: np.ndarray  # (nodes,) rows of each node
@@ -709,9 +685,10 @@ def _compile_level(
     after = None if step is None else step + 1
     # Successor number of (state, the predecessor's D and E).
     lookup: dict[tuple, int] = {}
-    const, pending, sizes, lengths = [], [], [], []
+    states, const, pending, sizes, lengths = [], [], [], [], []
     succ, prob, action_rewards = [], [], []
     for s, D, E in nodes:
+        states.append(s)
         values, live = _node_status(compiled, (s, D, E, step), state_rewards[s])
         const.append(values)
         pending.append(live)
@@ -729,6 +706,7 @@ def _compile_level(
             action_rewards.append(act)
     m = compiled.m
     return _Block(
+        states=np.array(states, dtype=np.int64),
         const=np.array(const, dtype=np.float64).reshape(-1, m),
         pending=np.array(pending, dtype=bool).reshape(-1, m),
         sizes=np.array(sizes, dtype=np.int64),

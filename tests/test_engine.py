@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import time
@@ -1074,21 +1075,23 @@ def _swapping_csg() -> Csg:
         (_swapping_csg, '<<p1>>max=? (R{"r"}[C<=6])'),
     ],
 )
-def test_level_reuse_matches_a_replay_of_every_level(monkeypatch, model, prop):
-    # Reuse compares value bytes, so it must give the bits of solving
-    # every level. Every solve (cache miss) reports one undecided support,
-    # so the counts differ if reuse skips a miss or adds one.
+def test_level_reuse_matches_a_replay_of_every_level(model, prop):
+    assert_reuse_matches_replay(*compile_for(model(), prop))
+
+
+def assert_reuse_matches_replay(coalition, compiled):
+    """Reuse compares value bytes, so it must give the bits of solving
+    every level. Every solve (cache miss) reports one undecided support,
+    so the counts differ if reuse skips a miss or adds one."""
     from dataclasses import replace
 
     from csgnash import engine
 
     solve = engine.swne
-    monkeypatch.setattr(
-        engine, "swne", lambda game: replace(solve(game), inconclusive=1)
-    )
-    coalition, compiled = compile_for(model(), prop)
-    core, values, replayed, inconclusive = _replay(coalition, compiled)
-    table, strategy = solve_finite_horizon(coalition, compiled)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "swne", lambda game: replace(solve(game), inconclusive=1))
+        core, values, replayed, inconclusive = _replay(coalition, compiled)
+        table, strategy = solve_finite_horizon(coalition, compiled)
     assert table.inconclusive == inconclusive
     for s, p in enumerate(core.initial):
         assert table.at_state(s).tobytes() == values[p].tobytes()
@@ -1136,7 +1139,7 @@ def test_repeating_levels_are_solved_once(solved_levels):
 
 def test_repeating_levels_are_compiled_once(monkeypatch):
     # Each template is compiled once, so the per-node helpers run as often
-    # for a horizon ten times as long.
+    # for a horizon ten or a hundred times as long.
     from csgnash import objectives
 
     calls = {"canonical_mode": 0, "_node_status": 0}
@@ -1149,13 +1152,25 @@ def test_repeating_levels_are_compiled_once(monkeypatch):
 
         monkeypatch.setattr(objectives, attr, counting)
     model = _bundled("medium_access3.json")()
+    ranges = ("nodes", "rows", "entries", "template")
+    shared = [
+        f.name for f in dataclasses.fields(objectives.Level) if f.name not in ranges
+    ]
     seen = []
-    for k in (200, 2000):
+    for k in (20, 200, 2000):
         coalition, compiled = compile_for(model, _sum_prop(f'R{{"mes#"}}[C<={k}]'))
         for attr in calls:
             calls[attr] = 0
         core = objectives.bounded_core(coalition, compiled)
         assert len(core.levels) == k + 1
         seen.append(dict(calls))
-    assert seen[0] == seen[1]
+        # The core keeps one block per template, and every level of a
+        # template holds that template's own Level arrays, not copies.
+        assert len(core.blocks) == 3
+        firsts = {}
+        for level in core.levels:
+            first = firsts.setdefault(level.template, level)
+            assert all(getattr(level, f) is getattr(first, f) for f in shared)
+        assert len(firsts) == 3
+    assert seen[0] == seen[1] == seen[2]
     assert all(count > 0 for count in seen[0].values())
