@@ -45,7 +45,6 @@ from .objectives import (
     CompiledObjectives,
     Core,
     Level,
-    Mode,
     bounded_core,
     compile_objectives,
     mode_closure,
@@ -130,16 +129,15 @@ class AssumptionReport:
 
 @dataclass
 class ValueTable:
-    """Computed equilibrium values per (state, D, E) triple."""
+    """Equilibrium values at each state's initial (state, D, E) node."""
 
-    entries: dict[tuple[int, Mode], np.ndarray]
-    initial_mode: dict[int, Mode]
+    initial: np.ndarray  # (states, m)
     iterations: int = 0
     # Supports the stage solves left undecided (see `EquilibriumResult`).
     inconclusive: int = 0
 
     def at_state(self, state: int) -> np.ndarray:
-        return self.entries[(state, self.initial_mode[state])]
+        return self.initial[state]
 
 
 _StageSolution = tuple[np.ndarray, tuple[np.ndarray, ...]]
@@ -264,13 +262,13 @@ def solve_finite_horizon(
     with a provably pure answer in one per stage shape, and sends the
     others through the stage cache.
 
-    A level copies the values and profiles of the level above it, and
+    The pass runs through `Core.backward`, as certification's do: a
+    level copies the values and profiles of the level above it, and
     builds and solves no stage, when the two share a template and the
     values over the level above equal, byte for byte, those over the
-    level above that (`Core.repeats`, which certification also calls).
-    Its stage tables would then be the same bits as the level above's:
-    same template, same rows and successors counted from the next
-    level, same successor values. So would every value
+    level above that. Its stage tables would then be the same bits as
+    the level above's: same template, same rows and successors counted
+    from the next level, same successor values. So would every value
     and profile solved from them, and the stage cache, which counts
     `inconclusive` only on a miss and never ages here, would only hit.
     A copied level shares the profile objects of the level it copies,
@@ -278,33 +276,25 @@ def solve_finite_horizon(
     """
     core = bounded_core(game, compiled)
     values = core.const.copy()
-    levels = core.levels
-    # Per level, its nodes' profiles, keyed from the level's first node.
-    found: list[dict[int, tuple[np.ndarray, ...]] | None] = [None] * len(levels)
     stages = _StageSolver(compiled.opt)
-    for i in reversed(range(len(levels))):
-        level = levels[i]
-        if core.repeats(i, values):
-            values[level.nodes] = values[levels[i + 1].nodes]
-            found[i] = found[i + 1]
-            continue
+
+    def solve(level: Level) -> dict[int, tuple[np.ndarray, ...]]:
+        """The level's nodes' profiles, keyed from its first node."""
         dists: dict[int, tuple[np.ndarray, ...]] = {}
         utilities = level.stage_utilities(values)
         answers = _solve_stages(core, level, utilities, values, stages, dists)
         dists.update(_pure_dists(core, level, stages, answers))
-        found[i] = dists
+        return dists
+
+    found = core.backward(values, solve)
     profiles = {}
-    for level, dists in zip(reversed(levels), reversed(found)):
+    for level, dists in zip(reversed(core.levels), reversed(found)):
         nodes = core.nodes[level.nodes]
         profiles.update(zip(map(nodes.__getitem__, dists), dists.values()))
     for p in np.flatnonzero(np.diff(core.start) == 0).tolist():
         node = core.nodes[p]
         if not mode_decided(compiled, node[1:3]):
-            profiles[node] = _first_actions(core.shapes[node[0]])
-    initial_mode = {s: core.nodes[p][1:3] for s, p in enumerate(core.initial)}
-    entries = {
-        (s, initial_mode[s]): values[p].copy() for s, p in enumerate(core.initial)
-    }
+            profiles[node] = stages.pure_profile(core.shapes[node[0]], 0)
     strategy = SynthesizedStrategy(
         kind="finite",
         horizon=compiled.max_bound,
@@ -312,16 +302,8 @@ def solve_finite_horizon(
         choice_names=dict(enumerate(core.choice_names)),
         core=core,
     )
-    table = ValueTable(
-        entries=entries, initial_mode=initial_mode, inconclusive=stages.inconclusive
-    )
+    table = ValueTable(values[core.initial], inconclusive=stages.inconclusive)
     return table, strategy
-
-
-def _first_actions(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """The profile stored where no choice matters: every coalition plays
-    its first action."""
-    return tuple(np.eye(c)[0] for c in shape)
 
 
 def _solve_stages(
@@ -342,7 +324,7 @@ def _solve_stages(
     counted from the level's first, each with the C-order index of every
     node's chosen cell."""
     split = level.split
-    first = level.nodes.start
+    states = core.states[level.nodes]
     here = values[level.nodes]
     # The cost-optimal answer is the welfare-optimal answer of the negated
     # tables.
@@ -370,7 +352,7 @@ def _solve_stages(
         here[nodes[decided]] = -cells if negate else cells
         answers.append((nodes[decided], picks[decided]))
         for q, table in zip(nodes[~decided].tolist(), block[~decided]):
-            names = core.choice_names[core.nodes[first + q][0]]
+            names = core.choice_names[states[q]]
             here[q], dists[q] = stages.solve(table.reshape(shape + (m,)), names)
     return answers
 
@@ -384,10 +366,10 @@ def _pure_dists(
     """Each pure-answer node's profile, as (node, profile) pairs with the
     node counted from the level's first: every coalition plays its action
     in the node's chosen cell."""
-    nodes = core.nodes[level.nodes]
+    states = core.states[level.nodes].tolist()
     for qs, cells in answers:
         for q, cell in zip(qs.tolist(), cells.tolist()):
-            yield q, stages.pure_profile(core.shapes[nodes[q][0]], cell)
+            yield q, stages.pure_profile(core.shapes[states[q]], cell)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +424,6 @@ def solve_value_iteration(
         raise AssumptionViolation(report)
     pairs, _index = mode_closure(game, compiled)
     core = unbounded_core(game, compiled, pairs)
-    n_pairs = len(pairs)
     (level,) = core.levels
     stage_utilities = _sweep_utilities(core)
     values = core.const.copy()
@@ -464,7 +445,7 @@ def solve_value_iteration(
         utilities = stage_utilities(prev)
         answers = _solve_stages(core, level, utilities, values, stages, dists)
         stages.age()
-        residual = float(np.abs(values - prev).max()) if n_pairs else 0.0
+        residual = float(np.abs(values - prev).max()) if len(pairs) else 0.0
         stable = stable + 1 if residual <= vi.epsilon else 0
         if stable >= _STABILITY_WINDOW:
             break
@@ -484,24 +465,17 @@ def solve_value_iteration(
         raise NotConverged(residual, iterations, period)
 
     dists.update(_pure_dists(core, level, stages, answers))
-    entries = {pair: values[p].copy() for p, pair in enumerate(pairs)}
-    initial_mode = {s: pairs[p][1] for s, p in enumerate(core.initial)}
     strategy = SynthesizedStrategy(
         kind="memoryless",
         horizon=None,
         table={
-            node: dists[p] if p in dists else _first_actions(core.shapes[node[0]])
+            node: dists.get(p) or stages.pure_profile(core.shapes[node[0]], 0)
             for p, node in enumerate(core.nodes)
         },
         choice_names=dict(enumerate(core.choice_names)),
         core=core,
     )
-    table = ValueTable(
-        entries=entries,
-        initial_mode=initial_mode,
-        iterations=iterations,
-        inconclusive=stages.inconclusive,
-    )
+    table = ValueTable(values[core.initial], iterations, stages.inconclusive)
     return table, strategy
 
 

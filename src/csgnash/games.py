@@ -436,22 +436,10 @@ def validate_csg(model: Csg) -> ValidationReport:
     return report
 
 
-def _coalition_action_space(
-    model: Csg, members: tuple[int, ...]
-) -> list[tuple[int, ...]]:
-    """All member-action tuples (IDLE fillers allowed), minus all-idle.
-
-    Ordered lexicographically by member position, real actions in
-    original order before the idle filler, so enumeration is stable.
-    """
-    per_member = [
-        tuple(range(len(model.actions[j]))) + (IDLE,) for j in members
-    ]
-    return [
-        combo
-        for combo in itertools.product(*per_member)
-        if any(a != IDLE for a in combo)
-    ]
+def _member_combos(per_member: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Every tuple of one choice per member, in `itertools.product` order,
+    except the one where every member idles."""
+    return [c for c in itertools.product(*per_member) if any(a != IDLE for a in c)]
 
 
 def build_coalition_game(model: Csg, partition: CoalitionPartition) -> Csg:
@@ -459,95 +447,65 @@ def build_coalition_game(model: Csg, partition: CoalitionPartition) -> Csg:
 
     Each coalition acts as one composite player whose actions are tuples
     of member actions (idle fillers for members with no available action).
-    Transitions, action rewards and labels carry over unchanged under the
-    member mapping; state rewards and initial states are untouched.
+    A coalition's action space orders the tuples lexicographically by
+    member, each member's real actions in order before the idle filler,
+    so enumeration is stable. A coalition whose members all idle in a
+    state idles there. Transitions, action rewards and labels carry over
+    unchanged under the member mapping; state rewards and initial states
+    are untouched.
     """
     partition.validate(model.n_players)
-    m = partition.size
-    spaces = [_coalition_action_space(model, g) for g in partition.groups]
-    action_index = [
-        {combo: k for k, combo in enumerate(space)} for space in spaces
+    groups = partition.groups
+    spaces = [
+        _member_combos([tuple(range(len(model.actions[j]))) + (IDLE,) for j in g])
+        for g in groups
     ]
-    action_names = tuple(
-        tuple(
-            ",".join(
-                model.action_name(j, a)
-                for j, a in zip(partition.groups[i], combo)
-            )
-            for combo in spaces[i]
-        )
-        for i in range(m)
-    )
-    coalition_names = tuple(
-        "+".join(model.players[j] for j in g) for g in partition.groups
-    )
-
-    def lift_member_actions(s: int, i: int) -> tuple[tuple[int, ...], ...]:
-        # Per-member availability at s; empty sets contribute the idle filler.
-        per_member = []
-        for j in partition.groups[i]:
-            avail = model.availability[s][j]
-            per_member.append(avail if avail else (IDLE,))
-        combos = [
-            c for c in itertools.product(*per_member) if any(a != IDLE for a in c)
-        ]
-        return tuple(combos)
-
+    action_index = [{combo: k for k, combo in enumerate(space)} for space in spaces]
+    # Where each player's action sits in the coalitions' member tuples
+    # laid end to end.
+    members = [j for g in groups for j in g]
+    slot = sorted(range(model.n_players), key=members.__getitem__)
     availability = []
-    for s in range(model.n_states):
-        row = []
-        for i in range(m):
-            combos = lift_member_actions(s, i)
-            row.append(tuple(sorted(action_index[i][c] for c in combos)))
-        availability.append(tuple(row))
-
-    def original_joint(s: int, cjoint: Joint) -> Joint:
-        full = [IDLE] * model.n_players
-        for i, ca in enumerate(cjoint):
-            if ca == IDLE:
-                continue
-            combo = spaces[i][ca]
-            for j, a in zip(partition.groups[i], combo):
-                full[j] = a
-        return tuple(full)
-
-    coalition = Csg(
-        players=coalition_names,
-        actions=action_names,
-        state_names=model.state_names,
-        initial=model.initial,
-        availability=tuple(availability),
-        transitions={},
-        labels=model.labels,
-        rewards={},
-    )
     transitions: dict[tuple[int, Joint], Mapping[int, float]] = {}
-    reward_actions: dict[str, dict[tuple[int, Joint], float]] = {
+    action_rewards: dict[str, dict[tuple[int, Joint], float]] = {
         name: {} for name in model.rewards
     }
     for s in range(model.n_states):
-        for cjoint in coalition.enabled_joints(s):
-            orig = original_joint(s, cjoint)
-            transitions[(s, cjoint)] = model.transitions[(s, orig)]
+        # Per coalition, its (action, member tuple) choices at s by action.
+        choices = [
+            sorted(
+                (index[combo], combo)
+                for combo in _member_combos([model.choices(s, j) for j in g])
+            )
+            for g, index in zip(groups, action_index)
+        ]
+        availability.append(tuple(tuple(a for a, _ in c) for c in choices))
+        for picks in itertools.product(
+            *(c or [(IDLE, (IDLE,) * len(g))] for c, g in zip(choices, groups))
+        ):
+            cjoint = tuple(a for a, _ in picks)
+            flat = tuple(itertools.chain.from_iterable(combo for _, combo in picks))
+            joint = tuple(flat[k] for k in slot)
+            transitions[(s, cjoint)] = model.transitions[(s, joint)]
             for name, rew in model.rewards.items():
-                key = (s, orig)
-                if key in rew.action_rewards:
-                    reward_actions[name][(s, cjoint)] = rew.action_rewards[key]
-    rewards = {
-        name: RewardStructure(
-            state_rewards=dict(model.rewards[name].state_rewards),
-            action_rewards=reward_actions[name],
-        )
-        for name in model.rewards
-    }
+                if (s, joint) in rew.action_rewards:
+                    action_rewards[name][(s, cjoint)] = rew.action_rewards[(s, joint)]
     return Csg(
-        players=coalition.players,
-        actions=coalition.actions,
-        state_names=coalition.state_names,
-        initial=coalition.initial,
-        availability=coalition.availability,
+        players=tuple("+".join(model.players[j] for j in g) for g in groups),
+        actions=tuple(
+            tuple(
+                ",".join(model.action_name(j, a) for j, a in zip(g, combo))
+                for combo in space
+            )
+            for g, space in zip(groups, spaces)
+        ),
+        state_names=model.state_names,
+        initial=model.initial,
+        availability=tuple(availability),
         transitions=transitions,
-        labels=coalition.labels,
-        rewards=rewards,
+        labels=model.labels,
+        rewards={
+            name: RewardStructure(dict(rew.state_rewards), action_rewards[name])
+            for name, rew in model.rewards.items()
+        },
     )
-

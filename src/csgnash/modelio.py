@@ -95,6 +95,26 @@ def _number(value, params: Mapping[str, float], where: str) -> float:
     raise ModelError(f"expected number or expression at {where}, got {value!r}")
 
 
+def _field(entry, key: str, where: str):
+    """`entry[key]`; ModelError unless `entry` is an object holding `key`."""
+    if not isinstance(entry, dict) or key not in entry:
+        raise ModelError(f"{where} needs a {key!r} field")
+    return entry[key]
+
+
+def _parameters(doc, params: Mapping[str, float] | None = None) -> dict[str, float]:
+    """A model document's declared parameters, `params` overriding the
+    defaults, each a finite float; ModelError unless it is a JSON object."""
+    if not isinstance(doc, dict):
+        raise ModelError(f"a model is a JSON object, not a {type(doc).__name__}")
+    declared = dict(doc.get("params", {}))
+    for name, value in (params or {}).items():
+        if name not in declared:
+            raise ModelError(f"model declares no parameter {name!r}")
+        declared[name] = value
+    return {k: _finite(v, f"parameter {k}={v!r}") for k, v in declared.items()}
+
+
 def load_model_dict(
     doc: dict, params: Mapping[str, float] | None = None
 ) -> Csg:
@@ -103,16 +123,9 @@ def load_model_dict(
     `params` overrides the file's declared parameter defaults. States,
     players and actions are interned to dense indices in file order.
     """
-    declared = dict(doc.get("params", {}))
-    if params:
-        for name, value in params.items():
-            if name not in declared:
-                raise ModelError(f"model declares no parameter {name!r}")
-            declared[name] = value
-    for name, value in declared.items():
-        declared[name] = _finite(value, f"parameter {name}={value!r}")
+    declared = _parameters(doc, params)
 
-    players = [p["name"] for p in doc.get("players", [])]
+    players = [_field(p, "name", "player") for p in doc.get("players", [])]
     if not players:
         raise ModelError("model has no players")
     if len(set(players)) != len(players):
@@ -121,7 +134,7 @@ def load_model_dict(
     action_index = [
         {name: k for k, name in enumerate(acts)} for acts in actions
     ]
-    states = [s["id"] for s in doc.get("states", [])]
+    states = [_field(s, "id", "state") for s in doc.get("states", [])]
     if len(set(states)) != len(states):
         raise ModelError("duplicate state ids")
     state_index = {name: k for k, name in enumerate(states)}
@@ -169,10 +182,11 @@ def load_model_dict(
 
     transitions = {}
     for entry in doc.get("transitions", []):
-        s = state_id(entry["state"], "transitions")
-        joint = parse_joint(entry["joint"], f"transitions of {entry['state']!r}")
+        s = state_id(_field(entry, "state", "transition"), "transitions")
+        where = f"transitions of {entry['state']!r}"
+        joint = parse_joint(_field(entry, "joint", "transition"), where)
         dist = {}
-        for t_name, p in entry["dist"].items():
+        for t_name, p in _field(entry, "dist", "transition").items():
             t = state_id(t_name, f"dist of {entry['state']!r}")
             dist[t] = _number(p, declared, f"dist of {entry['state']!r}")
         transitions[(s, joint)] = dist
@@ -185,10 +199,11 @@ def load_model_dict(
         }
         action_rewards = {}
         for entry in spec.get("action", []):
-            s = state_id(entry["state"], f"rewards {name!r}")
-            joint = parse_joint(entry["joint"], f"rewards {name!r}")
+            where = f"rewards {name!r}"
+            s = state_id(_field(entry, "state", where), where)
+            joint = parse_joint(_field(entry, "joint", where), where)
             action_rewards[(s, joint)] = _number(
-                entry["v"], declared, f"rewards {name!r}"
+                _field(entry, "v", where), declared, where
             )
         rewards[name] = RewardStructure(state_rewards, action_rewards)
 
@@ -208,20 +223,23 @@ def load_model_dict(
     return model
 
 
-def load_model(path, params: Mapping[str, float] | None = None) -> Csg:
-    """Load and validate a model file; `params` overrides declared defaults."""
+def _read_document(path):
+    """The parsed JSON of a model file; ModelError when it is not JSON."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelError(f"{path}: {exc}") from None
-    return load_model_dict(doc, params)
+
+
+def load_model(path, params: Mapping[str, float] | None = None) -> Csg:
+    """Load and validate a model file; `params` overrides declared defaults."""
+    return load_model_dict(_read_document(path), params)
 
 
 def model_params(path) -> dict[str, float]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return {k: float(v) for k, v in doc.get("params", {}).items()}
+    """A model file's declared parameters and their defaults."""
+    return _parameters(_read_document(path))
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,7 @@ class Core:
     initial: list[int]  # node of each state's initial mode
     blocks: list[_Block]  # per template
     level_template: list[int]  # template of each level
+    states: np.ndarray = field(init=False)  # (nodes,) state of each node
     const: np.ndarray = field(init=False)  # (nodes, m)
     pending: np.ndarray = field(init=False)  # (nodes, m)
     start: np.ndarray = field(init=False)  # (nodes + 1,)
@@ -299,7 +300,7 @@ class Core:
     def __post_init__(self) -> None:
         bounded = self.compiled.horizon == "finite"
         chosen = [self.blocks[t] for t in self.level_template]
-        for name in ("const", "pending", "prob", "action_rewards"):
+        for name in ("states", "const", "pending", "prob", "action_rewards"):
             setattr(self, name, np.concatenate([getattr(b, name) for b in chosen]))
         self.start = _bounds(np.concatenate([b.sizes for b in chosen]))
         self.ptr = _bounds(np.concatenate([b.lengths for b in chosen]))
@@ -328,6 +329,25 @@ class Core:
             for i, template in enumerate(self.level_template)
         ]
 
+    def backward(
+        self, values: np.ndarray, compute: Callable[[Level], object],
+        todo: np.ndarray | None = None, weights: np.ndarray | None = None,
+    ) -> list:
+        """A backward pass over this bounded core, from the deepest level:
+        `compute(level)` writes the level's `values` (per node) and returns
+        its output, except where `repeats` holds: level i then takes the
+        values and the output object of level i + 1. Returns every level's
+        output, in level order."""
+        levels = self.levels
+        outputs: list = [None] * len(levels)
+        for i in reversed(range(len(levels))):
+            if self.repeats(i, values, todo, weights):
+                values[levels[i].nodes] = values[levels[i + 1].nodes]
+                outputs[i] = outputs[i + 1]
+            else:
+                outputs[i] = compute(levels[i])
+        return outputs
+
     def repeats(
         self,
         i: int,
@@ -335,15 +355,14 @@ class Core:
         todo: np.ndarray | None = None,
         weights: np.ndarray | None = None,
     ) -> bool:
-        """Whether a backward pass over this bounded core may give level i
-        the outputs of level i + 1 and do no other work. It may when the
-        two levels share a template and the `values` (per node) over level
-        i + 1 equal, byte for byte, those over level i + 2, which the two
-        read as their successors' values. Certification also reads which
-        nodes it evaluates, `todo` (per node), and the row `weights` (per
-        row): where given, each must be byte-equal over the two levels.
-        Every output of level i is then computed from the same bits as
-        level i + 1's."""
+        """Whether `backward` may give level i the outputs of level i + 1
+        and do no other work. It may when the two levels share a template
+        and the `values` (per node) over level i + 1 equal, byte for byte,
+        those over level i + 2, which the two read as their successors'
+        values. Certification also reads which nodes it evaluates, `todo`
+        (per node), and the row `weights` (per row): where given, each
+        must be byte-equal over the two levels. Every output of level i is
+        then computed from the same bits as level i + 1's."""
         levels = self.levels
         if i + 2 >= len(levels) or levels[i + 1].template != levels[i].template:
             return False

@@ -12,10 +12,10 @@ Finite horizons are certified over the levels of the check's core
 their rows, then one backward pass per evaluation or best response. Each
 pass computes a repeated level once: the forward pass per template,
 reached nodes and profile objects, the backward passes copying a level
-whose inputs repeat the level above's byte for byte (`Core.repeats`), as
-backward induction does. So a long horizon whose levels repeat costs
-about as much to certify as a short one, with the bits of certifying
-every level.
+whose inputs repeat the level above's byte for byte (`Core.backward`,
+which backward induction runs too). So a long horizon whose levels
+repeat costs about as much to certify as a short one, with the bits of
+certifying every level.
 """
 
 from __future__ import annotations
@@ -259,7 +259,7 @@ def _evaluate_memoryless(core: Core, strategy: SynthesizedStrategy):
     n, m = core.const.shape
     weight = _row_weights(core, level, strategy, core.pending.any(axis=1))
     played = np.flatnonzero(weight)
-    step_reward = core.state_rewards[[s for s, *_ in core.nodes]]
+    step_reward = core.state_rewards[core.states]
     rewards = weight[played, None] * core.action_rewards[played]
     np.add.at(step_reward, level.row_nodes[played], rewards)
     keep = weight[level.entry_rows] != 0.0
@@ -316,22 +316,16 @@ def _reached(
 def _evaluate_finite(core: Core, strategy: SynthesizedStrategy):
     """Levels rolled back from the deepest: a reached node's pending
     components sum weight times stage utility over its played rows, in
-    joint order from 0. A level whose template, reached nodes, row
-    weights and successor values repeat the level above's takes that
-    level's values (`Core.repeats`)."""
+    joint order from 0, each level run or copied by `Core.backward`."""
     todo, weights = _reached(core, strategy)
     values = core.const.copy()
     m = values.shape[1]
-    levels = core.levels
-    for i in reversed(range(len(levels))):
-        level = levels[i]
+
+    def evaluate(level: Level) -> None:
         nodes = level.nodes
-        if core.repeats(i, values, todo, weights):
-            values[nodes] = values[levels[i + 1].nodes]
-            continue
         here = np.flatnonzero(todo[nodes])
         if not len(here):
-            continue
+            return
         weight = weights[level.rows]
         played = np.flatnonzero(weight)
         utilities = level.stage_utilities(values)
@@ -345,6 +339,8 @@ def _evaluate_finite(core: Core, strategy: SynthesizedStrategy):
         ).reshape(-1, m)
         p = nodes.start + here
         values[p] = np.where(core.pending[p], sums[here], core.const[p])
+
+    core.backward(values, evaluate, todo, weights)
     return {
         (s, core.nodes[p][1:3]): values[p].copy() for s, p in enumerate(core.initial)
     }
@@ -410,7 +406,7 @@ def _best_response_memoryless(
     k = int(counts.max())
     immediate = np.where(
         np.arange(k) < counts[:, None],
-        core.state_rewards[[nodes[p][0] for p in opened], coalition, None],
+        core.state_rewards[core.states[opened], coalition, None],
         -sign * np.inf,
     )
     choice = (np.cumsum(pending) - 1)[level.row_nodes] * k + level.actions[:, coalition]
@@ -454,23 +450,17 @@ def _best_response_finite(core: Core, strategy: SynthesizedStrategy, coalition: 
     probability times value over the row's successors in order from 0.
     The best total is kept as `functools.reduce(max or min)` keeps it:
     a later action wins only when strictly better, so a leading NaN
-    stays. A level whose template, reached nodes, row weights and
-    successor values repeat the level above's takes that level's values
-    (`Core.repeats`)."""
+    stays. Each level is run or copied by `Core.backward`."""
     todo, weights = _reached(core, strategy, coalition)
     better = np.greater if core.compiled.opt == "max" else np.less
     cumulative = core.compiled.items[coalition].kind == "cumulative"
     values = core.const[:, coalition].copy()
-    levels = core.levels
-    for i in reversed(range(len(levels))):
-        level = levels[i]
+
+    def respond(level: Level) -> None:
         nodes, rows, entries = level.nodes, level.rows, level.entries
-        if core.repeats(i, values, todo, weights):
-            values[nodes] = values[levels[i + 1].nodes]
-            continue
         here = np.flatnonzero(todo[nodes])
         if not len(here):
-            continue
+            return
         weight = weights[rows]
         played = np.flatnonzero(weight)
         # bincount adds in index order: every sum below is sequential.
@@ -485,10 +475,9 @@ def _best_response_finite(core: Core, strategy: SynthesizedStrategy, coalition: 
         adds = weight[played] * cont[played]
         if cumulative:
             reward = core.action_rewards[rows, coalition][played]
-            states = [state for state, *_ in core.nodes[nodes]]
             slots = np.concatenate([np.arange(len(counts) * width), slots.repeat(2)])
             adds = np.concatenate([
-                core.state_rewards[states, coalition].repeat(width),
+                core.state_rewards[core.states[nodes], coalition].repeat(width),
                 np.column_stack([weight[played] * reward, adds]).ravel(),
             ])
         totals = np.bincount(
@@ -498,6 +487,8 @@ def _best_response_finite(core: Core, strategy: SynthesizedStrategy, coalition: 
         for a in range(1, width):
             best = np.where((a < counts) & better(totals[:, a], best), totals[:, a], best)
         values[nodes.start + here] = best[here]
+
+    core.backward(values, respond, todo, weights)
     return {
         (s, core.nodes[p][1:3]): float(values[p]) for s, p in enumerate(core.initial)
     }

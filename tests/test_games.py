@@ -1,6 +1,9 @@
+import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csgnash.games import (
     IDLE,
@@ -214,6 +217,118 @@ def test_reward_lift_equality():
         v for (s, joint), v in lifted.rewards["r"].action_rewards.items() if s == 1
     ]
     assert found1 == [7.0]
+
+
+@st.composite
+def idle_models(draw):
+    """A CSG of two or three players over one to three states, every
+    availability a drawn subset of the player's actions in drawn order.
+    In state 0 a drawn non-empty set of players idles, so some partitions
+    hold a coalition that idles there as a whole. Every enabled joint
+    action has a drawn successor and its own action reward under "r";
+    structure "q" rewards only some of them."""
+    n = draw(st.integers(2, 3))
+    counts = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    n_states = draw(st.integers(1, 3))
+    idle = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    availability = []
+    for s in range(n_states):
+        row = []
+        for i, c in enumerate(counts):
+            order = draw(st.permutations(range(c)))
+            k = 0 if s == 0 and i in idle else draw(st.integers(0, c))
+            row.append(tuple(order[:k]))
+        availability.append(tuple(row))
+    model = Csg(
+        players=tuple(f"p{i}" for i in range(n)),
+        actions=tuple(tuple(f"a{k}" for k in range(c)) for c in counts),
+        state_names=tuple(f"s{s}" for s in range(n_states)),
+        initial=(0,),
+        availability=tuple(availability),
+        transitions={},
+        labels=(frozenset(),) * n_states,
+    )
+    transitions, rewarded, some = {}, {}, {}
+    for s in range(n_states):
+        for joint in model.enabled_joints(s):
+            transitions[s, joint] = {draw(st.integers(0, n_states - 1)): 1.0}
+            rewarded[s, joint] = float(len(rewarded))
+            if draw(st.booleans()):
+                some[s, joint] = -float(len(some))
+    return dataclasses.replace(
+        model,
+        transitions=transitions,
+        rewards={
+            "r": RewardStructure({0: 1.5}, rewarded),
+            "q": RewardStructure({}, some),
+        },
+    )
+
+
+def _ordered_partitions(players):
+    """Every partition of `players` into coalitions, in every order."""
+    if not players:
+        yield ()
+        return
+    first, rest = players[0], players[1:]
+    for part in _ordered_partitions(rest):
+        for k in range(len(part)):
+            yield part[:k] + ((first,) + part[k],) + part[k + 1 :]
+        for k in range(len(part) + 1):
+            yield part[:k] + ((first,),) + part[k:]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(idle_models())
+def test_coalition_actions_map_to_the_models_joint_actions(model):
+    partitions = list(_ordered_partitions(tuple(range(model.n_players))))
+    assert ((1,), (0, 2)) in partitions or model.n_players == 2
+    idle_coalition = False
+    for groups in partitions:
+        lifted = build_coalition_game(model, CoalitionPartition(groups))
+        assert validate_csg(lifted).ok
+        assert (lifted.state_names, lifted.initial) == (model.state_names, model.initial)
+
+        def members(i, action):
+            """Member actions of coalition i's action, read from its name."""
+            if action == IDLE:
+                return (IDLE,) * len(groups[i])
+            names = lifted.actions[i][action].split(",")
+            return tuple(
+                IDLE if name == "~" else model.actions[j].index(name)
+                for j, name in zip(groups[i], names)
+            )
+
+        for s in range(model.n_states):
+            for i, group in enumerate(groups):
+                combos = {
+                    combo
+                    for combo in itertools.product(*(model.choices(s, j) for j in group))
+                    if any(a != IDLE for a in combo)
+                }
+                idle_coalition |= not combos
+                avail = lifted.availability[s][i]
+                assert list(avail) == sorted(set(avail))
+                assert {members(i, a) for a in avail} == combos
+            mapped = []
+            for cjoint in lifted.enabled_joints(s):
+                joint = [IDLE] * model.n_players
+                for i, action in enumerate(cjoint):
+                    for j, a in zip(groups[i], members(i, action)):
+                        joint[j] = a
+                joint = tuple(joint)
+                mapped.append(joint)
+                assert lifted.transitions[s, cjoint] == model.transitions[s, joint]
+                for name, rew in model.rewards.items():
+                    got = lifted.rewards[name].action_rewards.get((s, cjoint))
+                    assert got == rew.action_rewards.get((s, joint))
+            assert len(mapped) == len(model.enabled_joints(s))
+            assert set(mapped) == set(model.enabled_joints(s))
+        for name, rew in model.rewards.items():
+            assert lifted.rewards[name].state_rewards == rew.state_rewards
+            assert len(lifted.rewards[name].action_rewards) == len(rew.action_rewards)
+    # State 0 idles a drawn set of players; one partition makes it a coalition.
+    assert idle_coalition
 
 
 def test_partition_validation_errors():

@@ -435,6 +435,59 @@ def test_cli_sweep_rejects_bad_range(tmp_path, capsys, start, stop, step):
     assert not out_csv.exists()
 
 
+RAA_PROP = (
+    '<<usr1:usr2:usr3>>max=? (R{"util1"}[F "done"] + R{"util2"}[F "done"]'
+    ' + R{"util3"}[F "done"])'
+)
+
+
+def _truncated(doc):
+    text = json.dumps(doc)
+    return text[: len(text) // 2]
+
+
+def _default_not_a_number(doc):
+    return json.dumps(dict(doc, params={"alpha": "half"}))
+
+
+def _player_without_name(doc):
+    players = [dict(p) for p in doc["players"]]
+    del players[0]["name"]
+    return json.dumps(dict(doc, players=players))
+
+
+@pytest.mark.parametrize(
+    "command,malform,message",
+    [
+        ("sweep", _truncated, "error: bad.json: Expecting"),
+        ("sweep", _default_not_a_number, "error: parameter alpha='half' is not a finite"),
+        ("sweep", lambda doc: json.dumps([doc]), "error: a model is a JSON object"),
+        ("check", lambda doc: json.dumps([doc]), "error: a model is a JSON object"),
+        ("info", lambda doc: json.dumps([doc]), "error: a model is a JSON object"),
+        ("check", _player_without_name, "error: player needs a 'name' field"),
+    ],
+    ids=["sweep-truncated", "sweep-default", "sweep-list", "check-list", "info-list",
+         "check-nameless-player"],
+)
+def test_cli_reports_a_malformed_model_in_one_line(
+    tmp_path, monkeypatch, capsys, command, malform, message
+):
+    doc = json.loads((MODELS / "secret_sharing_raa.json").read_text())
+    (tmp_path / "bad.json").write_text(malform(doc))
+    monkeypatch.chdir(tmp_path)
+    argv = {
+        "sweep": ["--prop", RAA_PROP, "--param", "alpha", "--from", "0.3", "--to",
+                  "0.5", "--step", "0.2", "--csv", "out.csv"],
+        "check": ["--prop", RAA_PROP],
+        "info": [],
+    }[command]
+    code, out = run_cli(command, "bad.json", *argv)
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_cli_export_strategy(tmp_path):
     out_file = tmp_path / "strategy.json"
     prop = (

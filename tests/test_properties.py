@@ -1,11 +1,13 @@
 """Properties of the compile, backward induction, certification and
 export on random small CSGs (`random_reward_csg`), each compared with the
-program itself, so they hold at any numpy and scipy version.
+program itself, so they hold at any numpy and scipy version, and of
+all-pure backward induction, compared with the brute-force reference.
 
 Every player has at most two actions, so that `swne` decides each stage
 in its closed forms. A check sums the three players' rewards, either
 bounded (`C<=k`, k from 1 to 5 per objective) or until the absorbing
-target t."""
+target t, or their probabilities of reaching t, within k steps
+(`F<=k`) or ever."""
 
 import dataclasses
 import io
@@ -22,19 +24,23 @@ from csgnash.games import RewardStructure
 from csgnash.objectives import Core, bounded_core, mode_closure, unbounded_core
 from csgnash.strategies import export_strategy, import_strategy
 
+from oracle import OracleAbstain, reference_backward_induction
 from test_engine import _absolute_level, assert_reuse_matches_replay, compile_for
 from test_strategies import _certified_bits, random_reward_csg
 
 
 @st.composite
-def reward_checks(draw, bounded=None):
-    """A random CSG and a property over it; `bounded` None draws either
-    horizon. Bounds are drawn equal or each on its own. The rewards may be
-    drawn silent (all zero): then values repeat from level to level, and
-    backward induction and certification copy levels of one template."""
+def checks(draw, bounded=None):
+    """A random CSG and a reward (`R{..}`) or probability (`P[..]`) sum
+    over it; `bounded` None draws either horizon. Bounds are drawn equal
+    or each on its own. The rewards may be drawn silent (all zero): then
+    values repeat from level to level, and backward induction and
+    certification copy levels of one template. An unbounded `P[F "t"]` is
+    1 from every state, as every joint action reaches t."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     model = random_reward_csg(rng, (2, 2, 2))
-    if draw(st.booleans()):
+    prob, silent = draw(st.booleans()), draw(st.booleans())
+    if silent and not prob:
         model = dataclasses.replace(
             model, rewards={name: RewardStructure() for name in model.rewards}
         )
@@ -46,11 +52,13 @@ def reward_checks(draw, bounded=None):
             st.integers(1, 5).map(lambda k: [k] * 3),
             st.lists(st.integers(1, 5), min_size=3, max_size=3),
         ))
-        shapes = [f"C<={k}" for k in bounds]
+    if prob:
+        paths = [f'F<={k} "t"' for k in bounds] if bounded else ['F "t"'] * 3
+        terms = [f"P[{path}]" for path in paths]
     else:
-        shapes = ['F "t"'] * 3
-    terms = " + ".join(f'R{{"r{i}"}}[{shape}]' for i, shape in enumerate(shapes, 1))
-    return model, f"<<p1:p2:p3>>{opt}=? ({terms})"
+        shapes = [f"C<={k}" for k in bounds] if bounded else ['F "t"'] * 3
+        terms = [f'R{{"r{i}"}}[{shape}]' for i, shape in enumerate(shapes, 1)]
+    return model, f"<<p1:p2:p3>>{opt}=? ({' + '.join(terms)})"
 
 
 def _checked(model, prop):
@@ -70,6 +78,7 @@ def _level_from_flat(core, n0, n1, bounded):
     row from the core's flat arrays, every node, row and entry counted
     from the core's first, as `_absolute_level` gives a level."""
     r0, r1 = int(core.start[n0]), int(core.start[n1])
+    m = core.compiled.m
     row_nodes, actions, shapes, base, pend, const = [], [], [], [], [], []
     single, padded, chooser, multi = [], [], [], {}
     for p in range(n0, n1):
@@ -103,11 +112,12 @@ def _level_from_flat(core, n0, n1, bounded):
         np.repeat(np.arange(r0, r1), np.diff(core.ptr[r0 : r1 + 1])),
         np.array(actions, dtype=np.int64).reshape(-1, len(core.shapes[0])),
         np.array(shapes, dtype=np.int64),
-        np.array(base).reshape(-1, core.compiled.m),
-        # Every component of a reward check is cumulative or reach.
-        np.array(pend, dtype=bool).reshape(-1, core.compiled.m),
-        np.array(pend, dtype=bool).reshape(-1, core.compiled.m),
-        np.array(const).reshape(-1, core.compiled.m),
+        np.array(base).reshape(-1, m),
+        # Every component of a reward check is cumulative or reach, and
+        # no component of a probability check adds a reward.
+        np.array(pend, dtype=bool).reshape(-1, m) & (core.compiled.kind == "reward"),
+        np.array(pend, dtype=bool).reshape(-1, m),
+        np.array(const).reshape(-1, m),
         np.array(single, dtype=np.int64),
         np.array([rows + rows[-1:] * (width - len(rows)) for rows in padded],
                  dtype=np.int64).reshape(-1, width),
@@ -134,7 +144,7 @@ def _same(a, b) -> bool:
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(reward_checks())
+@given(checks())
 def test_levels_are_the_flat_arrays_over_their_ranges(case):
     coalition, compiled = compile_for(*case)
     bounded = compiled.horizon == "finite"
@@ -161,13 +171,13 @@ def test_levels_are_the_flat_arrays_over_their_ranges(case):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(reward_checks(bounded=True))
+@given(checks(bounded=True))
 def test_level_reuse_matches_a_replay_on_random_csgs(case):
     assert_reuse_matches_replay(*compile_for(*case))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(reward_checks())
+@given(checks())
 def test_certifying_every_level_gives_the_same_bits(case):
     result = _checked(*case)
     game, compiled = result.coalition_game, result.compiled
@@ -179,7 +189,7 @@ def test_certifying_every_level_gives_the_same_bits(case):
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
-@given(reward_checks())
+@given(checks())
 def test_an_exported_strategy_imports_and_certifies_to_the_same_bits(case):
     result = _checked(*case)
     game, compiled = result.coalition_game, result.compiled
@@ -191,3 +201,23 @@ def test_an_exported_strategy_imports_and_certifies_to_the_same_bits(case):
     assert _certified_bits(game, imported, compiled) == _certified_bits(
         game, result.strategy, compiled
     )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(checks(bounded=True))
+def test_all_pure_backward_induction_matches_the_reference(case):
+    """Where backward induction plays a pure profile at every node, its
+    values are the brute-force reference's, which solves every stage in
+    pure strategies. The reference abstains where a stage has no pure
+    equilibrium; checks with a mixed stage are set aside."""
+    model, prop = case
+    result = check_nash_formula(model, parse_formula(prop))
+    dists = itertools.chain.from_iterable(result.strategy.table.values())
+    if any(np.count_nonzero(dist) != 1 for dist in dists):
+        reject()
+    try:
+        reference = reference_backward_induction(result.coalition_game, result.compiled)
+    except OracleAbstain:
+        reject()
+    for s, values in result.values.items():
+        np.testing.assert_allclose(values, reference[s], rtol=1e-12, atol=1e-12)
