@@ -424,6 +424,7 @@ def solve_value_iteration(
         raise AssumptionViolation(report)
     pairs, _index = mode_closure(game, compiled)
     core = unbounded_core(game, compiled, pairs)
+    n_pairs = len(pairs)
     (level,) = core.levels
     stage_utilities = _sweep_utilities(core)
     values = core.const.copy()
@@ -445,7 +446,7 @@ def solve_value_iteration(
         utilities = stage_utilities(prev)
         answers = _solve_stages(core, level, utilities, values, stages, dists)
         stages.age()
-        residual = float(np.abs(values - prev).max()) if len(pairs) else 0.0
+        residual = float(np.abs(values - prev).max()) if n_pairs else 0.0
         stable = stable + 1 if residual <= vi.epsilon else 0
         if stable >= _STABILITY_WINDOW:
             break

@@ -104,14 +104,17 @@ def _field(entry, key: str, where: str):
 
 def _parameters(doc, params: Mapping[str, float] | None = None) -> dict[str, float]:
     """A model document's declared parameters, `params` overriding the
-    defaults, each a finite float; ModelError unless it is a JSON object."""
+    defaults, each a finite float; ModelError unless the document and its
+    `params` are JSON objects."""
     if not isinstance(doc, dict):
         raise ModelError(f"a model is a JSON object, not a {type(doc).__name__}")
-    declared = dict(doc.get("params", {}))
-    for name, value in (params or {}).items():
+    declared = doc.get("params", {})
+    if not isinstance(declared, dict):
+        raise ModelError(f"'params' is a JSON object, not a {type(declared).__name__}")
+    for name in params or {}:
         if name not in declared:
             raise ModelError(f"model declares no parameter {name!r}")
-        declared[name] = value
+    declared = {**declared, **(params or {})}
     return {k: _finite(v, f"parameter {k}={v!r}") for k, v in declared.items()}
 
 
@@ -193,18 +196,17 @@ def load_model_dict(
 
     rewards = {}
     for name, spec in doc.get("rewards", {}).items():
+        where = f"rewards {name!r}"
         state_rewards = {
-            state_id(k, f"rewards {name!r}"): _number(v, declared, f"rewards {name!r}")
+            state_id(k, where): _number(v, declared, where)
             for k, v in spec.get("state", {}).items()
         }
         action_rewards = {}
         for entry in spec.get("action", []):
-            where = f"rewards {name!r}"
             s = state_id(_field(entry, "state", where), where)
             joint = parse_joint(_field(entry, "joint", where), where)
-            action_rewards[(s, joint)] = _number(
-                _field(entry, "v", where), declared, where
-            )
+            v = _field(entry, "v", where)
+            action_rewards[(s, joint)] = _number(v, declared, where)
         rewards[name] = RewardStructure(state_rewards, action_rewards)
 
     model = Csg(

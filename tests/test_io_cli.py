@@ -462,12 +462,14 @@ def _player_without_name(doc):
         ("sweep", _truncated, "error: bad.json: Expecting"),
         ("sweep", _default_not_a_number, "error: parameter alpha='half' is not a finite"),
         ("sweep", lambda doc: json.dumps([doc]), "error: a model is a JSON object"),
+        ("sweep", lambda doc: json.dumps(dict(doc, params=[1])),
+         "error: 'params' is a JSON object, not a list"),
         ("check", lambda doc: json.dumps([doc]), "error: a model is a JSON object"),
         ("info", lambda doc: json.dumps([doc]), "error: a model is a JSON object"),
         ("check", _player_without_name, "error: player needs a 'name' field"),
     ],
-    ids=["sweep-truncated", "sweep-default", "sweep-list", "check-list", "info-list",
-         "check-nameless-player"],
+    ids=["sweep-truncated", "sweep-default", "sweep-list", "sweep-params-list",
+         "check-list", "info-list", "check-nameless-player"],
 )
 def test_cli_reports_a_malformed_model_in_one_line(
     tmp_path, monkeypatch, capsys, command, malform, message

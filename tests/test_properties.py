@@ -30,17 +30,16 @@ from test_strategies import _certified_bits, random_reward_csg
 
 
 @st.composite
-def checks(draw, bounded=None):
-    """A random CSG and a reward (`R{..}`) or probability (`P[..]`) sum
-    over it; `bounded` None draws either horizon. Bounds are drawn equal
-    or each on its own. The rewards may be drawn silent (all zero): then
-    values repeat from level to level, and backward induction and
-    certification copy levels of one template. An unbounded `P[F "t"]` is
-    1 from every state, as every joint action reaches t."""
+def checks(draw, bounded=None, prob=False):
+    """A random CSG and a reward (`R{..}`) sum over it or, with `prob`, a
+    probability (`P[..]`) sum; `bounded` None draws either horizon. Bounds
+    are drawn equal or each on its own. The rewards may be drawn silent
+    (all zero): then values repeat from level to level, and backward
+    induction and certification copy levels of one template. An unbounded
+    `P[F "t"]` is 1 from every state, as every joint action reaches t."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     model = random_reward_csg(rng, (2, 2, 2))
-    prob, silent = draw(st.booleans()), draw(st.booleans())
-    if silent and not prob:
+    if not prob and draw(st.booleans()):
         model = dataclasses.replace(
             model, rewards={name: RewardStructure() for name in model.rewards}
         )
@@ -203,8 +202,37 @@ def test_an_exported_strategy_imports_and_certifies_to_the_same_bits(case):
     )
 
 
+# The same four properties on probability sums, each run through the
+# reward test's own body.
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(checks(bounded=True))
+@given(checks(prob=True))
+def test_probability_levels_are_the_flat_arrays_over_their_ranges(case):
+    test_levels_are_the_flat_arrays_over_their_ranges.hypothesis.inner_test(case)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(checks(bounded=True, prob=True))
+def test_probability_level_reuse_matches_a_replay_on_random_csgs(case):
+    test_level_reuse_matches_a_replay_on_random_csgs.hypothesis.inner_test(case)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(checks(prob=True))
+def test_certifying_every_probability_level_gives_the_same_bits(case):
+    test_certifying_every_level_gives_the_same_bits.hypothesis.inner_test(case)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(checks(prob=True))
+def test_an_exported_probability_strategy_imports_and_certifies_to_the_same_bits(case):
+    reward_test = test_an_exported_strategy_imports_and_certifies_to_the_same_bits
+    reward_test.hypothesis.inner_test(case)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(checks(bounded=True), checks(bounded=True, prob=True)))
 def test_all_pure_backward_induction_matches_the_reference(case):
     """Where backward induction plays a pure profile at every node, its
     values are the brute-force reference's, which solves every stage in
