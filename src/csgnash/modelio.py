@@ -10,6 +10,7 @@ file serve a whole parameter sweep. The idle action is written "~".
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import math
 import operator
@@ -44,16 +45,24 @@ _BIN_OPS = {
 _UNARY_OPS = {ast.USub: operator.neg, ast.UAdd: operator.pos}
 
 
+@functools.lru_cache(maxsize=1024)
+def _parse_expression(text: str) -> ast.Expression:
+    """The syntax tree of an expression string, parsed once per distinct
+    string: a model repeats a few expressions in many fields. The tree is
+    only read, never changed."""
+    try:
+        return ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        raise ModelError(f"bad expression {text!r}: {exc}") from None
+
+
 def eval_expression(text: str, params: Mapping[str, float]) -> float:
     """Evaluate an arithmetic expression over the declared parameters.
 
     Only numbers, parameter names, + - * / ** and parentheses are allowed.
     Division by zero and overflow raise ModelError.
     """
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise ModelError(f"bad expression {text!r}: {exc}") from None
+    tree = _parse_expression(text)
 
     def walk(node):
         if isinstance(node, ast.Expression):
@@ -102,15 +111,25 @@ def _field(entry, key: str, where: str):
     return entry[key]
 
 
+def _object(value, what: str) -> dict:
+    """`value`; ModelError unless it is a JSON object."""
+    if not isinstance(value, dict):
+        raise ModelError(f"{what} is a JSON object, not a {type(value).__name__}")
+    return value
+
+
+def _array(value, what: str) -> list:
+    """`value`; ModelError unless it is a JSON array."""
+    if not isinstance(value, list):
+        raise ModelError(f"{what} is a JSON array, not a {type(value).__name__}")
+    return value
+
+
 def _parameters(doc, params: Mapping[str, float] | None = None) -> dict[str, float]:
     """A model document's declared parameters, `params` overriding the
     defaults, each a finite float; ModelError unless the document and its
     `params` are JSON objects."""
-    if not isinstance(doc, dict):
-        raise ModelError(f"a model is a JSON object, not a {type(doc).__name__}")
-    declared = doc.get("params", {})
-    if not isinstance(declared, dict):
-        raise ModelError(f"'params' is a JSON object, not a {type(declared).__name__}")
+    declared = _object(_object(doc, "a model").get("params", {}), "'params'")
     for name in params or {}:
         if name not in declared:
             raise ModelError(f"model declares no parameter {name!r}")
@@ -128,35 +147,50 @@ def load_model_dict(
     """
     declared = _parameters(doc, params)
 
-    players = [_field(p, "name", "player") for p in doc.get("players", [])]
+    player_docs = _array(doc.get("players", []), "'players'")
+    players = [_field(p, "name", "player") for p in player_docs]
     if not players:
         raise ModelError("model has no players")
     if len(set(players)) != len(players):
         raise ModelError("duplicate player names")
-    actions = [tuple(p.get("actions", [])) for p in doc["players"]]
+    actions = [
+        tuple(_array(p.get("actions", []), f"'actions' of player {name!r}"))
+        for name, p in zip(players, player_docs)
+    ]
     action_index = [
         {name: k for k, name in enumerate(acts)} for acts in actions
     ]
-    states = [_field(s, "id", "state") for s in doc.get("states", [])]
+    state_docs = _array(doc.get("states", []), "'states'")
+    states = [_field(s, "id", "state") for s in state_docs]
     if len(set(states)) != len(states):
         raise ModelError("duplicate state ids")
     state_index = {name: k for k, name in enumerate(states)}
-    labels = [frozenset(s.get("labels", [])) for s in doc.get("states", [])]
+    labels = [
+        frozenset(_array(s.get("labels", []), f"'labels' of state {name!r}"))
+        for name, s in zip(states, state_docs)
+    ]
 
     def state_id(name, where: str) -> int:
         if name not in state_index:
             raise ModelError(f"unknown state id {name!r} at {where}")
         return state_index[name]
 
-    initial = tuple(state_id(s, "initial") for s in doc.get("initial", []))
+    initial = tuple(
+        state_id(s, "initial") for s in _array(doc.get("initial", []), "'initial'")
+    )
 
     availability = []
-    avail_doc = doc.get("availability", {})
+    avail_doc = _object(doc.get("availability", {}), "'availability'")
     for s_name in states:
         row = []
-        per_state = avail_doc.get(s_name, {})
+        per_state = _object(
+            avail_doc.get(s_name, {}), f"'availability' of {s_name!r}"
+        )
         for p_idx, p_name in enumerate(players):
-            listed = per_state.get(p_name, [])
+            listed = _array(
+                per_state.get(p_name, []),
+                f"'availability' of {p_name!r} in state {s_name!r}",
+            )
             ids = []
             for a in listed:
                 if a not in action_index[p_idx]:
@@ -169,7 +203,7 @@ def load_model_dict(
         availability.append(tuple(row))
 
     def parse_joint(names, where: str):
-        if len(names) != len(players):
+        if len(_array(names, f"'joint' at {where}")) != len(players):
             raise ModelError(f"joint action arity mismatch at {where}")
         joint = []
         for p_idx, a in enumerate(names):
@@ -184,25 +218,27 @@ def load_model_dict(
         return tuple(joint)
 
     transitions = {}
-    for entry in doc.get("transitions", []):
+    for entry in _array(doc.get("transitions", []), "'transitions'"):
         s = state_id(_field(entry, "state", "transition"), "transitions")
         where = f"transitions of {entry['state']!r}"
         joint = parse_joint(_field(entry, "joint", "transition"), where)
         dist = {}
-        for t_name, p in _field(entry, "dist", "transition").items():
+        dist_doc = _field(entry, "dist", "transition")
+        for t_name, p in _object(dist_doc, f"'dist' of {entry['state']!r}").items():
             t = state_id(t_name, f"dist of {entry['state']!r}")
             dist[t] = _number(p, declared, f"dist of {entry['state']!r}")
         transitions[(s, joint)] = dist
 
     rewards = {}
-    for name, spec in doc.get("rewards", {}).items():
+    for name, spec in _object(doc.get("rewards", {}), "'rewards'").items():
         where = f"rewards {name!r}"
+        state_doc = _object(spec, where).get("state", {})
         state_rewards = {
             state_id(k, where): _number(v, declared, where)
-            for k, v in spec.get("state", {}).items()
+            for k, v in _object(state_doc, f"'state' of {where}").items()
         }
         action_rewards = {}
-        for entry in spec.get("action", []):
+        for entry in _array(spec.get("action", []), f"'action' of {where}"):
             s = state_id(_field(entry, "state", where), where)
             joint = parse_joint(_field(entry, "joint", where), where)
             v = _field(entry, "v", where)

@@ -37,10 +37,12 @@ through scipy's bundled bindings (`scipy.optimize._highspy`), by way of
 small, `linprog`'s wrapper takes several times as long as HiGHS's solve.
 `_solve_lp` hands HiGHS the model and options `linprog(method="highs")`
 would, so the results are the same bits, and it keeps `linprog`'s recheck
-of an optimal point. Only a HiGHS proof of infeasibility refutes a
-support. Any other failure, including an optimal point that fails the
-recheck, proves nothing: the relaxation then bounds nothing (+inf) and the
-pinned LP leaves its support "inconclusive".
+of an optimal point. The bindings load on the first LP (`_lp_solver`):
+importing `scipy.optimize` is most of a fresh process's start, and a
+process that solves no LP never pays for it. Only a HiGHS proof of
+infeasibility refutes a support. Any other failure, including an optimal
+point that fails the recheck, proves nothing: the relaxation then bounds
+nothing (+inf) and the pinned LP leaves its support "inconclusive".
 
 The search is one pass over the supports in canonical order, pure ones
 first. It keeps a running bar, the best welfare of the candidates found
@@ -61,7 +63,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize._highspy import _core as _highs
 
 from .games import MixedProfile, NormalFormGame
 
@@ -94,14 +95,6 @@ POLISH_STEP = 16.0
 # ten times HiGHS's default feasibility and optimality tolerances.
 RELAXATION_MARGIN = 1e-6
 
-# The HiGHS settings `linprog(method="highs")` makes; every other option
-# keeps its HiGHS default. `_solve_lp` passes them to each solver it makes.
-_LP_OPTIONS = _highs.HighsOptions()
-_LP_OPTIONS.presolve = "on"
-_LP_OPTIONS.simplex_strategy = 1  # dual simplex
-_LP_OPTIONS.log_to_console = False
-_LP_OPTIONS.output_flag = False
-_LP_OPTIONS.highs_debug_level = 0
 # `linprog`'s recheck of an optimal point: sqrt(tol) * 10 at its tol = 1e-9.
 _LP_RECHECK_TOL = float(np.sqrt(1e-9) * 10)
 
@@ -629,6 +622,22 @@ class _SupportSystem:
         return float(_contract_tensor(self.welfare_table, self.blocks(cand)))
 
 
+@functools.cache
+def _lp_solver():
+    """scipy's HiGHS bindings and the options `linprog(method="highs")`
+    passes (every other option keeps its HiGHS default), made on the first
+    call."""
+    from scipy.optimize._highspy import _core as highs
+
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = 1  # dual simplex
+    options.log_to_console = False
+    options.output_flag = False
+    options.highs_debug_level = 0
+    return highs, options
+
+
 def _solve_lp(
     cost: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, lower: float, upper: float
 ) -> tuple[str, np.ndarray | None, float]:
@@ -645,7 +654,7 @@ def _solve_lp(
     cleaning, sparse conversion, per-call option checks) costs more than
     HiGHS's solve. The matrix is [a_ub; ones], column-wise, nonzeros only,
     rows ascending within a column. An a_ub row has bounds [-inf, b_ub]
-    and the sum row [1, 1]. The options are `_LP_OPTIONS`. As `linprog`
+    and the sum row [1, 1]. The options are `_lp_solver`'s. As `linprog`
     does, an optimal point is rechecked and counts as "failed" unless it
     holds no NaN, lies within _LP_RECHECK_TOL of its bounds, leaves every
     a_ub row a slack of at least -_LP_RECHECK_TOL and sums to 1 within
@@ -655,30 +664,31 @@ def _solve_lp(
     matrix = np.vstack([a_ub, np.ones((1, n))])
     col, row = np.nonzero(matrix.T)
     rhs = np.append(b_ub, 1.0)
-    lp = _highs.HighsLp()
+    bindings, options = _lp_solver()
+    lp = bindings.HighsLp()
     lp.num_col_ = n
     lp.num_row_ = m + 1
     lp.col_cost_ = cost
     lp.col_lower_ = np.full(n, lower)
     lp.col_upper_ = np.full(n, upper)
-    lp.row_lower_ = np.append(np.full(m, -_highs.kHighsInf), 1.0)
+    lp.row_lower_ = np.append(np.full(m, -bindings.kHighsInf), 1.0)
     lp.row_upper_ = rhs
     lp.a_matrix_.num_col_ = n
     lp.a_matrix_.num_row_ = m + 1
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.format_ = bindings.MatrixFormat.kColwise
     lp.a_matrix_.start_ = np.searchsorted(col, np.arange(n + 1)).astype(np.int32)
     lp.a_matrix_.index_ = row.astype(np.int32)
     lp.a_matrix_.value_ = matrix.T[col, row]
-    highs = _highs._Highs()
-    highs.passOptions(_LP_OPTIONS)
+    highs = bindings._Highs()
+    highs.passOptions(options)
     failed = ("failed", None, np.nan)
-    error = _highs.HighsStatus.kError
+    error = bindings.HighsStatus.kError
     if highs.passModel(lp) == error or highs.run() == error:
         return failed
     status = highs.getModelStatus()
-    if status == _highs.HighsModelStatus.kInfeasible:
+    if status == bindings.HighsModelStatus.kInfeasible:
         return "infeasible", None, np.nan
-    if status != _highs.HighsModelStatus.kOptimal:
+    if status != bindings.HighsModelStatus.kOptimal:
         return failed
     solution = highs.getSolution()
     x = np.array(solution.col_value)

@@ -1,4 +1,6 @@
+import ast
 import json
+import os
 import subprocess
 import sys
 import time
@@ -7,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from csgnash import casestudies
+import csgnash
+from csgnash import casestudies, modelio
 from csgnash.cli import main as cli_main
 from csgnash.modelio import (
     ModelError,
@@ -57,6 +60,33 @@ def test_eval_expression_maps_arithmetic_errors():
         eval_expression("1/x", {"x": 0.0})
     with pytest.raises(ModelError, match="cannot evaluate"):
         eval_expression("10.0**400", {})
+
+
+def test_a_load_parses_each_expression_string_once(monkeypatch):
+    # aloha3 writes 15 distinct expression strings in 216 fields.
+    parsed = []
+    parse = ast.parse
+
+    def counting(text, **kwargs):
+        parsed.append(text)
+        return parse(text, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting)
+    modelio._parse_expression.cache_clear()
+    first = load_model(MODELS / "aloha3.json")
+    assert len(parsed) == len(set(parsed)) == 15
+    again = load_model(MODELS / "aloha3.json")
+    other = load_model(MODELS / "aloha3.json", {"q": 0.5})
+    assert len(parsed) == 15
+    assert again.transitions == first.transitions != other.transitions
+    # A bad expression is not cached: each evaluation raises the same error.
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ModelError) as caught:
+            eval_expression("1 +", {})
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("bad expression '1 +': ")
 
 
 def test_eval_expression_power_overflows_at_once():
@@ -456,6 +486,17 @@ def _player_without_name(doc):
     return json.dumps(dict(doc, players=players))
 
 
+def _first_transition(doc, **fields):
+    transitions = [dict(doc["transitions"][0], **fields), *doc["transitions"][1:]]
+    return json.dumps(dict(doc, transitions=transitions))
+
+
+def _labels_string(doc):
+    # Iterated as it was, "done" would have read as the labels d, o, n, e.
+    states = [dict(doc["states"][0], labels="done"), *doc["states"][1:]]
+    return json.dumps(dict(doc, states=states))
+
+
 @pytest.mark.parametrize(
     "command,malform,message",
     [
@@ -467,9 +508,18 @@ def _player_without_name(doc):
         ("check", lambda doc: json.dumps([doc]), "error: a model is a JSON object"),
         ("info", lambda doc: json.dumps([doc]), "error: a model is a JSON object"),
         ("check", _player_without_name, "error: player needs a 'name' field"),
+        ("info", lambda doc: _first_transition(doc, dist=[1]),
+         "error: 'dist' of 'round' is a JSON object, not a list"),
+        ("info", lambda doc: json.dumps(dict(doc, availability=[])),
+         "error: 'availability' is a JSON object, not a list"),
+        ("info", lambda doc: _first_transition(doc, joint=5),
+         "error: 'joint' at transitions of 'round' is a JSON array, not a int"),
+        ("info", _labels_string,
+         "error: 'labels' of state 'round' is a JSON array, not a str"),
     ],
     ids=["sweep-truncated", "sweep-default", "sweep-list", "sweep-params-list",
-         "check-list", "info-list", "check-nameless-player"],
+         "check-list", "info-list", "check-nameless-player", "info-dist-list",
+         "info-availability-list", "info-joint-number", "info-labels-string"],
 )
 def test_cli_reports_a_malformed_model_in_one_line(
     tmp_path, monkeypatch, capsys, command, malform, message
@@ -674,6 +724,46 @@ def test_cli_entry_point_via_subprocess():
     )
     assert result.returncode == 0
     assert "states 27" in result.stdout
+
+
+LAZY_START = """
+import sys
+import csgnash, csgnash.cli
+csgnash.cli.main(["check", sys.argv[1], "--certify", "--prop", sys.argv[2]])
+print("scipy.optimize after the check", "scipy.optimize" in sys.modules)
+from conftest import hard_333_game
+from csgnash.nfg_solve import swne
+result = swne(hard_333_game())
+print("scipy.optimize after swne", "scipy.optimize" in sys.modules)
+print(f"welfare {result.welfare:.9f} inconclusive {result.inconclusive}")
+"""
+
+
+def test_a_check_without_an_lp_never_imports_scipy_optimize():
+    # Importing scipy.optimize is most of a fresh process's start, and only
+    # an LP needs it: the HiGHS bindings load on the first one.
+    src = os.path.dirname(os.path.dirname(csgnash.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = [src, tests, os.environ.get("PYTHONPATH", "")]
+    prop = (
+        '<<usr1:usr2:usr3>>max=? (R{"mes1"}[C<=20] + R{"mes2"}[C<=20]'
+        ' + R{"mes3"}[C<=20])'
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", LAZY_START, str(MODELS / "medium_access3.json"), prop],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-5:] == [
+        "state e222: values 1.8 1.8 1.8 sum 5.4",
+        "achieved-epsilon 0",
+        "scipy.optimize after the check False",
+        "scipy.optimize after swne True",
+        "welfare 25.089285714 inconclusive 0",
+    ]
 
 
 @pytest.mark.parametrize(
