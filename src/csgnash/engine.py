@@ -12,17 +12,21 @@ taking welfare-optimal equilibrium values (cost-optimal ones when
 minimising). Every level decides in array passes the stages where at
 most one coalition chooses, and those where several choose whose answer
 is provably pure (`nfg_solve.pure_answer_picks`); only the remaining
-tables reach the solver, through a stage cache. Backward induction
-copies a level instead of solving it when the level above has the same
-template (`objectives.Core`) and its values equal, byte for byte, those
-of the level above it. So a long horizon whose values settle solves
-only the levels before they do. The core goes out with the synthesised
-strategy, so certification reads the same rows.
+tables reach the solver, through a stage cache. Once every stage has a
+pure answer and each node keeps choosing the same row, value iteration
+runs chunks of speculative sweeps over the chosen rows alone, verifies
+each chunk in one batch of array passes, and takes only the sweeps an
+exact sweep gives to the bit (`_sweeps`). Backward induction copies a
+level instead of solving it when the level above has the same template
+(`objectives.Core`) and its values equal, byte for byte, those of the
+level above it. So a long horizon whose values settle solves only the
+levels before they do. The core goes out with the synthesised strategy,
+so certification reads the same rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 import numpy as np
 
@@ -42,6 +46,7 @@ from .nfg_solve import (
     swne,
 )
 from .objectives import (
+    Choosers,
     CompiledObjectives,
     Core,
     Level,
@@ -85,6 +90,16 @@ class NotConverged(EngineError):
 # values by less than epsilon. The residual sequence is convergent but need
 # not shrink monotonically, hence more than one.
 _STABILITY_WINDOW = 2
+
+# Value iteration's speculative chunks (`_sweeps`) start at `_FIRST_CHUNK`
+# sweeps and double up to `_SPECULATION_CHUNK`; 0 turns speculation off,
+# so that every sweep runs exact. A chunk's verification gathers every
+# row's padded successor values once per sweep, so chunks are also kept
+# to about `_SPECULATION_FLOATS` of those: on a core too large for a
+# chunk of `_FIRST_CHUNK` sweeps, every sweep runs exact.
+_FIRST_CHUNK = 4
+_SPECULATION_CHUNK = 32
+_SPECULATION_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -318,43 +333,63 @@ def _solve_stages(
     `utilities`, writing the equilibrium values into `values`. The
     single-chooser stages are solved in one array pass, and the others
     whose answer is provably pure (`pure_answer_picks`) in one array pass
-    per stage shape; neither reaches the stage cache. The rest go through
-    it, and their profiles into `dists`, keyed from the level's first
-    node. Returns the pure answers for `_pure_dists`: node arrays, also
-    counted from the level's first, each with the C-order index of every
-    node's chosen cell."""
-    split = level.split
+    per stage shape (`_array_pass`); neither reaches the stage cache. The
+    rest go through it, and their profiles into `dists`, keyed from the
+    level's first node. Returns the pure answers for `_pure_dists`: node
+    arrays, also counted from the level's first, each with the C-order
+    index of every node's chosen cell."""
     states = core.states[level.nodes]
     here = values[level.nodes]
-    # The cost-optimal answer is the welfare-optimal answer of the negated
-    # tables.
-    negate = stages.opt == "min"
+    m = core.compiled.m
     answers = []
+    passes = _array_pass(level.split, utilities[None], stages.opt == "min")
+    for nodes, rows, decided, picks, cells in passes:
+        if decided is None or decided.all():
+            here[nodes] = cells
+            answers.append((nodes, picks))
+            continue
+        here[nodes[decided]] = cells[decided]
+        answers.append((nodes[decided], picks[decided]))
+        undecided = ~decided
+        for q, table in zip(nodes[undecided].tolist(), utilities[rows[undecided]]):
+            s = states[q]
+            table = table.reshape(core.shapes[s] + (m,))
+            here[q], dists[q] = stages.solve(table, core.choice_names[s])
+    return answers
+
+
+def _array_pass(split: Choosers, utilities: np.ndarray, negate: bool):
+    """The array passes of `_solve_stages`, over the stage utilities
+    (B, R, m) of B sweeps stacked. With `negate`, the cost-optimal stages
+    are solved as the welfare-optimal stages of the negated tables.
+    Yields one group of nodes at a time, the single-chooser nodes first
+    and then each stage shape of `split.multi`: its nodes (G,) and their
+    rows (G, k); which of its B * G stages, sweep by sweep, have a
+    provably pure answer, None when all have; and each stage's pick,
+    indexing the node's rows, and values (B * G, m), meaningful where the
+    answer is pure. Both pick functions treat each game apart, so every
+    sweep gets the bits of a pass over that sweep alone."""
+    batch, _, m = utilities.shape
     if len(split.single):
         # Single-chooser values are the block's own cells; a pick indexes
         # the chooser's actions, which are the stage's cells in order.
-        block = utilities[split.rows]
-        picks = single_chooser_picks(
-            -block if negate else block, split.chooser, WELFARE_TOL
-        )
-        here[split.single] = block[np.arange(len(picks)), picks]
-        answers.append((split.single, picks))
-    m = core.compiled.m
+        block = utilities[:, split.rows].reshape(-1, split.rows.shape[1], m)
+        chooser = split.chooser if batch == 1 else np.tile(split.chooser, batch)
+        picks = single_chooser_picks(-block if negate else block, chooser, WELFARE_TOL)
+        cells = block[np.arange(len(picks)), picks]
+        yield split.single, split.rows, None, picks, cells
     for shape, nodes, rows in split.multi:
-        block = utilities[rows]
-        won = -block if negate else block
-        decided, picks = pure_answer_picks(
-            won.reshape((len(nodes),) + shape + (m,)), WELFARE_TOL
-        )
-        # The bits `swne` returns, and `scne` negates: adding 0.0 turns a
-        # -0.0 cell into 0.0.
-        cells = won[decided, picks[decided]] + 0.0
-        here[nodes[decided]] = -cells if negate else cells
-        answers.append((nodes[decided], picks[decided]))
-        for q, table in zip(nodes[~decided].tolist(), block[~decided]):
-            names = core.choice_names[states[q]]
-            here[q], dists[q] = stages.solve(table.reshape(shape + (m,)), names)
-    return answers
+        block = utilities[:, rows].reshape((-1,) + shape + (m,))
+        decided, picks = pure_answer_picks(-block if negate else block, WELFARE_TOL)
+        cells = block.reshape(len(picks), -1, m)[np.arange(len(picks)), picks]
+        yield nodes, rows, decided, picks, _swne_bits(cells, negate)
+
+
+def _swne_bits(cells: np.ndarray, negate: bool) -> np.ndarray:
+    """Pure-answer values `cells` as `swne` returns them, which adds 0.0
+    to a cell and so turns -0.0 into 0.0, or with `negate` as `scne` does,
+    negating `swne`'s answer on the negated table."""
+    return -(-cells + 0.0) if negate else cells + 0.0
 
 
 def _pure_dists(
@@ -376,9 +411,13 @@ def _pure_dists(
 # Infinite horizon: value iteration
 
 
-def _sweep_utilities(core: Core):
-    """The function from one sweep's values to every row's stage
-    utilities (R, m), over the core's one level.
+def _sweep_utilities(core: Core, rows: np.ndarray | None = None):
+    """The function from one sweep's values (nodes, m) to every row's stage
+    utilities (R, m), over the core's one level; values of B sweeps
+    stacked (B, nodes, m) give utilities (B, R, m). Given `rows`, the
+    function computes those rows alone, in that order, each to the bits
+    of the whole level's product: value iteration's speculative sweeps
+    (`_sweeps`).
 
     The continuations are one `(R, 1, K) @ (R, K, m)` product over rows
     padded to the longest, by repeating the last successor with
@@ -395,10 +434,131 @@ def _sweep_utilities(core: Core):
     ptr = core.ptr
     lengths = np.diff(ptr)
     column = np.arange(int(lengths.max(initial=1)))
-    entry = ptr[:-1, None] + np.minimum(column, lengths[:, None] - 1)
+    ptr = ptr[:-1]
+    if rows is not None:
+        ptr, lengths = ptr[rows], lengths[rows]
+        level = replace(level, **{
+            name: getattr(level, name)[rows]
+            for name in ("base", "add_base", "pend", "const")
+        })
+    entry = ptr[:, None] + np.minimum(column, lengths[:, None] - 1)
     succ = core.succ[entry]
     prob = np.where(column < lengths[:, None], core.prob[entry], 0.0)[:, None, :]
-    return lambda prev: level.finish((prob @ prev[succ])[:, 0, :])
+    return lambda prev: level.finish((prob @ prev[..., succ, :])[..., 0, :])
+
+
+def _sweeps(
+    core: Core,
+    values: np.ndarray,
+    stages: _StageSolver,
+    dists: dict[int, tuple[np.ndarray, ...]],
+):
+    """Value iteration's sweeps from `values`, without end: yields each
+    sweep's values (nodes, m), its residual (the largest change from the
+    values before it) and its pure answers (`_solve_stages`), every one
+    the bits of an exact sweep from the values before it.
+
+    A sweep is exact (`_solve_stages`) until two in a row settle every
+    node in an array pass and choose the same rows. Then each node holds
+    the row it chose, and a chunk of speculative sweeps computes only
+    those rows, a few numpy calls where an exact sweep takes about twenty.
+    The chunk is then verified in one batch: the array passes run on its
+    sweeps' values stacked (`_array_pass`), and each sweep whose stages
+    all have a pure answer and whose values equal the speculated ones bit
+    for bit (NaN and -0.0 included) is taken. The first that differs ends
+    the chunk: it is taken with its true values if its stages all have a
+    pure answer, and otherwise runs exact. Chunks start at `_FIRST_CHUNK`
+    sweeps and double up to `_SPECULATION_CHUNK` while they are taken
+    whole; after a miss, sweeps run exact until the rows hold again, as a
+    chunk costs about three exact sweeps besides its sweeps. The stage
+    cache ages once per sweep taken, as over exact sweeps: a sweep that
+    settles every node uses no entry. This is modified policy iteration's
+    held policy (Puterman, *Markov Decision Processes*, 1994, 6.5) with
+    every held sweep checked against value iteration's own."""
+    (level,) = core.levels
+    split = level.split
+    negate = stages.opt == "min"
+    m = core.compiled.m
+    sweep = _sweep_utilities(core)
+    group_rows = ([split.rows] if len(split.single) else []) + [
+        rows for _shape, _nodes, rows in split.multi
+    ]
+    lengths = np.diff(core.ptr)
+    gathered = len(lengths) * int(lengths.max(initial=1)) * m
+    longest = min(_SPECULATION_CHUNK, _SPECULATION_FLOATS // max(1, gathered))
+    first = _FIRST_CHUNK if longest >= _FIRST_CHUNK else 0
+    single = len(split.single)
+    nodes = np.concatenate([split.single, *(q for _, q, _ in split.multi)])
+    if len(nodes) and (np.diff(nodes) == 1).all():
+        nodes = slice(nodes[0], nodes[-1] + 1)  # assigns faster than an index
+
+    def chosen(answers) -> np.ndarray:
+        """The row of every node, in `nodes` order, from the answers of a
+        sweep that settled every node in an array pass."""
+        return np.concatenate([
+            rows[np.arange(len(picks)), picks]
+            for rows, (_, picks) in zip(group_rows, answers)
+        ])
+
+    # The rows the last sweep chose, when it settled every node in an
+    # array pass, and the rows the speculative sweeps hold, with their sweep.
+    last = held = sweep_held = None
+    chunk = 0
+    while True:
+        if not chunk:
+            new = values.copy()
+            answers = _solve_stages(core, level, sweep(values), new, stages, dists)
+            settled = first and answers and not stages.current
+            stages.age()
+            yield new, float(np.abs(new - values).max(initial=0.0)), answers
+            values = new
+            rows = chosen(answers) if settled else None
+            if rows is not None and last is not None and np.array_equal(rows, last):
+                chunk = first
+            last = rows
+            continue
+        if held is None or not np.array_equal(held, last):
+            held, sweep_held = last, _sweep_utilities(core, last)
+        stacked = np.empty((chunk + 1,) + values.shape)
+        stacked[:] = values
+        for i in range(chunk):
+            cells = sweep_held(stacked[i])
+            if single < len(held):
+                cells[single:] = _swne_bits(cells[single:], negate)
+            stacked[i + 1, nodes] = cells
+        passes = [
+            (group, None if decided is None else decided.reshape(chunk, -1),
+             picks.reshape(chunk, -1), cells.reshape(chunk, -1, m))
+            for group, _rows, decided, picks, cells
+            in _array_pass(split, sweep(stacked[:-1]), negate)
+        ]
+        pure = np.ones(chunk, dtype=bool)
+        same = np.ones(chunk, dtype=bool)
+        for group, decided, _picks, cells in passes:
+            if decided is not None:
+                pure &= decided.all(axis=1)
+            speculated = stacked[1:, group].view(np.int64)
+            same &= (cells.view(np.int64) == speculated).all(axis=(1, 2))
+        ok = pure & same
+        taken = chunk if ok.all() else int(np.argmin(ok))
+        settled = taken == chunk or pure[taken]
+        if taken < chunk and pure[taken]:
+            # The first sweep that differs from its speculation settled
+            # every node in an array pass: its true values are known.
+            for group, _decided, _picks, cells in passes:
+                stacked[taken + 1, group] = cells[taken]
+            taken += 1
+        residuals = np.abs(np.diff(stacked[: taken + 1], axis=0))
+        residuals = residuals.max(axis=(1, 2), initial=0.0).tolist()
+        for i in range(taken):
+            answers = [(group, picks[i]) for group, _, picks, _ in passes]
+            stages.age()
+            yield stacked[i + 1], residuals[i], answers
+        values = stacked[taken]
+        # A chunk taken whole is followed by one twice as long; after a
+        # miss, exact sweeps run until two in a row choose the same rows.
+        chunk = min(2 * chunk, longest) if ok.all() else 0
+        last = chosen(answers) if settled else None
 
 
 def solve_value_iteration(
@@ -414,9 +574,13 @@ def solve_value_iteration(
     stage table in one contraction, solves the single-chooser stages in
     one array pass and the stages with a provably pure answer in one per
     stage shape, and sends the others through the stage cache; the pure
-    answers' profiles are taken from the last sweep only. Raises
-    NotConverged when the iteration cap is hit before the stopping rule
-    fires, or as soon as the values cycle without it firing.
+    answers' profiles are taken from the last sweep only. While every
+    stage has a pure answer, sweeps run speculatively in chunks that hold
+    each node's chosen row and are verified in one batch, to the bits of
+    the exact sweeps (`_sweeps`); the stopping rule, the cycle detection
+    and the cap then count the sweeps one by one. Raises NotConverged
+    when the iteration cap is hit before the stopping rule fires, or as
+    soon as the values cycle without it firing.
     """
     vi = vi or VIConfig()
     report = check_stopping_assumption(game, compiled)
@@ -424,29 +588,20 @@ def solve_value_iteration(
         raise AssumptionViolation(report)
     pairs, _index = mode_closure(game, compiled)
     core = unbounded_core(game, compiled, pairs)
-    n_pairs = len(pairs)
     (level,) = core.levels
-    stage_utilities = _sweep_utilities(core)
     values = core.const.copy()
 
     dists: dict[int, tuple[np.ndarray, ...]] = {}
     stages = _StageSolver(compiled.opt)
 
-    iterations = 0
     stable = 0
-    residual = float("inf")
     # Brent's cycle detection: a sweep is a function of the previous
     # values alone, so values equal to the saved vector of `lam` sweeps
     # ago repeat with that period for ever.
     saved, power, lam = values.tobytes(), 1, 1
     period = None
-    while iterations < vi.max_iters:
-        iterations += 1
-        prev = values.copy()
-        utilities = stage_utilities(prev)
-        answers = _solve_stages(core, level, utilities, values, stages, dists)
-        stages.age()
-        residual = float(np.abs(values - prev).max()) if n_pairs else 0.0
+    sweeps = _sweeps(core, values, stages, dists)
+    for iterations, (values, residual, answers) in enumerate(sweeps, 1):
         stable = stable + 1 if residual <= vi.epsilon else 0
         if stable >= _STABILITY_WINDOW:
             break
@@ -462,8 +617,8 @@ def solve_value_iteration(
             # A whole period has passed with a residual above epsilon in
             # it; every later period repeats it.
             raise NotConverged(residual, iterations, period)
-    else:
-        raise NotConverged(residual, iterations, period)
+        if iterations == vi.max_iters:
+            raise NotConverged(residual, iterations, period)
 
     dists.update(_pure_dists(core, level, stages, answers))
     strategy = SynthesizedStrategy(

@@ -125,6 +125,15 @@ def _array(value, what: str) -> list:
     return value
 
 
+def _name(value, what: str):
+    """`value`; ModelError when it is a JSON array or object, which names
+    nothing (and, unhashable, cannot key a lookup)."""
+    if isinstance(value, (list, dict)):
+        kind = "array" if isinstance(value, list) else "object"
+        raise ModelError(f"{what} is a JSON {kind}, not a name")
+    return value
+
+
 def _parameters(doc, params: Mapping[str, float] | None = None) -> dict[str, float]:
     """A model document's declared parameters, `params` overriding the
     defaults, each a finite float; ModelError unless the document and its
@@ -148,32 +157,42 @@ def load_model_dict(
     declared = _parameters(doc, params)
 
     player_docs = _array(doc.get("players", []), "'players'")
-    players = [_field(p, "name", "player") for p in player_docs]
+    players = [
+        _name(_field(p, "name", "player"), "a player's 'name'") for p in player_docs
+    ]
     if not players:
         raise ModelError("model has no players")
     if len(set(players)) != len(players):
         raise ModelError("duplicate player names")
     actions = [
-        tuple(_array(p.get("actions", []), f"'actions' of player {name!r}"))
+        tuple(
+            _name(a, f"an action of player {name!r}")
+            for a in _array(p.get("actions", []), f"'actions' of player {name!r}")
+        )
         for name, p in zip(players, player_docs)
     ]
     action_index = [
         {name: k for k, name in enumerate(acts)} for acts in actions
     ]
     state_docs = _array(doc.get("states", []), "'states'")
-    states = [_field(s, "id", "state") for s in state_docs]
+    states = [_name(_field(s, "id", "state"), "a state's 'id'") for s in state_docs]
     if len(set(states)) != len(states):
         raise ModelError("duplicate state ids")
     state_index = {name: k for k, name in enumerate(states)}
     labels = [
-        frozenset(_array(s.get("labels", []), f"'labels' of state {name!r}"))
+        frozenset(
+            _name(label, f"a label of state {name!r}")
+            for label in _array(s.get("labels", []), f"'labels' of state {name!r}")
+        )
         for name, s in zip(states, state_docs)
     ]
 
+    # An array or object (unhashable: TypeError) names no state or action.
     def state_id(name, where: str) -> int:
-        if name not in state_index:
-            raise ModelError(f"unknown state id {name!r} at {where}")
-        return state_index[name]
+        try:
+            return state_index[name]
+        except (KeyError, TypeError):
+            raise ModelError(f"unknown state id {name!r} at {where}") from None
 
     initial = tuple(
         state_id(s, "initial") for s in _array(doc.get("initial", []), "'initial'")
@@ -193,12 +212,13 @@ def load_model_dict(
             )
             ids = []
             for a in listed:
-                if a not in action_index[p_idx]:
+                try:
+                    ids.append(action_index[p_idx][a])
+                except (KeyError, TypeError):
                     raise ModelError(
                         f"unknown action {a!r} of player {p_name!r} "
                         f"in state {s_name!r}"
-                    )
-                ids.append(action_index[p_idx][a])
+                    ) from None
             row.append(tuple(ids))
         availability.append(tuple(row))
 
@@ -209,12 +229,13 @@ def load_model_dict(
         for p_idx, a in enumerate(names):
             if a == IDLE_NAME:
                 joint.append(-1)
-            elif a in action_index[p_idx]:
+                continue
+            try:
                 joint.append(action_index[p_idx][a])
-            else:
+            except (KeyError, TypeError):
                 raise ModelError(
                     f"unknown action {a!r} for player {players[p_idx]!r} at {where}"
-                )
+                ) from None
         return tuple(joint)
 
     transitions = {}

@@ -792,6 +792,77 @@ def test_value_iteration_stops_at_a_cycle():
     assert "period 7" in str(err.value)
 
 
+def _vi_outcome(check) -> tuple:
+    """What a value-iteration check ends with, to the bit: the result's
+    digest, sweep count and inconclusive supports, or the `NotConverged`
+    fields."""
+    try:
+        result = check()
+    except NotConverged as error:
+        return ("not converged", float(error.residual).hex(), error.iterations,
+                error.period)
+    return (_result_digest(result), result.iterations, result.inconclusive)
+
+
+def assert_speculation_changes_nothing(check) -> None:
+    """`check` ends the same with value iteration's speculative sweeps on
+    and off (every sweep exact)."""
+    from csgnash import engine
+
+    outcome = _vi_outcome(check)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_SPECULATION_CHUNK", 0)
+        assert _vi_outcome(check) == outcome
+
+
+@pytest.mark.parametrize(
+    "name,params,prop,vi",
+    [(name, params, prop, None) for name, params, prop in _pinned("infinite")] + [
+        ("secret_sharing_raa.json", {"alpha": 0.1005}, UTIL_PROP, None),
+        ("secret_sharing_rba.json", {"alpha": 0.1002}, UTIL_PROP, None),
+        ("aloha3.json", {}, ALOHA_MIN_REACH, None),
+        # `test_until_vi_iteration_cap_raises`: the cap ends it mid-chunk.
+        ("secret_sharing_raa.json", {"alpha": 0.1}, UTIL_PROP, VIConfig(max_iters=25)),
+        # `test_value_iteration_stops_at_a_cycle`: period 7 after 77 sweeps.
+        ("secret_sharing_rra.json", {"alpha": 0.3}, UTIL_PROP, None),
+    ],
+)
+def test_speculative_sweeps_change_no_bit(name, params, prop, vi):
+    from conftest import MODELS
+    from csgnash.modelio import load_model
+
+    model = load_model(MODELS / name, params)
+    nf = parse_formula(prop)
+    assert_speculation_changes_nothing(lambda: check_nash_formula(model, nf, vi))
+
+
+def test_speculative_sweeps_are_taken(monkeypatch):
+    # A stage is picked once per exact sweep and once per verified chunk.
+    # If the held rows' products rounded otherwise than the whole level's
+    # (a BLAS build could), every chunk would miss and run exact.
+    from csgnash import engine
+
+    passes = []
+    array_pass = engine._array_pass
+
+    def counting(split, utilities, negate):
+        passes.append(len(utilities))
+        yield from array_pass(split, utilities, negate)
+
+    monkeypatch.setattr(engine, "_array_pass", counting)
+    result = _check_bundled("secret_sharing_rba.json", {"alpha": 0.1002}, UTIL_PROP)
+    # Thousands of sweeps, nearly all verified in chunks of 32.
+    assert len(passes) < result.iterations / 8
+    assert sum(passes) >= result.iterations
+    # A core whose chunk of four sweeps would gather more floats than the
+    # bound runs every sweep exact: raa's gathers 45 a sweep (5 rows of 3
+    # successors, 3 objectives).
+    passes.clear()
+    monkeypatch.setattr(engine, "_SPECULATION_FLOATS", 4 * 45 - 1)
+    result = _check_bundled("secret_sharing_raa.json", {"alpha": 0.5}, UTIL_PROP)
+    assert passes == [1] * result.iterations
+
+
 def _bundled(name, params=None):
     from conftest import MODELS
     from csgnash.modelio import load_model

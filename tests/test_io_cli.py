@@ -491,10 +491,19 @@ def _first_transition(doc, **fields):
     return json.dumps(dict(doc, transitions=transitions))
 
 
+def _first_state(doc, **fields):
+    states = [dict(doc["states"][0], **fields), *doc["states"][1:]]
+    return json.dumps(dict(doc, states=states))
+
+
+def _first_player(doc, **fields):
+    players = [dict(doc["players"][0], **fields), *doc["players"][1:]]
+    return json.dumps(dict(doc, players=players))
+
+
 def _labels_string(doc):
     # Iterated as it was, "done" would have read as the labels d, o, n, e.
-    states = [dict(doc["states"][0], labels="done"), *doc["states"][1:]]
-    return json.dumps(dict(doc, states=states))
+    return _first_state(doc, labels="done")
 
 
 @pytest.mark.parametrize(
@@ -516,10 +525,25 @@ def _labels_string(doc):
          "error: 'joint' at transitions of 'round' is a JSON array, not a int"),
         ("info", _labels_string,
          "error: 'labels' of state 'round' is a JSON array, not a str"),
+        # Arrays and objects are unhashable: they cannot name anything.
+        ("info", lambda doc: _first_state(doc, id=[1]),
+         "error: a state's 'id' is a JSON array, not a name"),
+        ("check", lambda doc: _first_player(doc, name={}),
+         "error: a player's 'name' is a JSON object, not a name"),
+        ("info", lambda doc: _first_player(doc, actions=[["x"], "cheat"]),
+         "error: an action of player 'usr1' is a JSON array, not a name"),
+        ("info", lambda doc: _first_state(doc, labels=[{}]),
+         "error: a label of state 'round' is a JSON object, not a name"),
+        ("info", lambda doc: json.dumps(dict(doc, initial=[["round"]])),
+         "error: unknown state id ['round'] at initial"),
+        ("info", lambda doc: _first_transition(doc, joint=[["follow"], "~", "~"]),
+         "error: unknown action ['follow'] for player 'usr1' at transitions of 'round'"),
     ],
     ids=["sweep-truncated", "sweep-default", "sweep-list", "sweep-params-list",
          "check-list", "info-list", "check-nameless-player", "info-dist-list",
-         "info-availability-list", "info-joint-number", "info-labels-string"],
+         "info-availability-list", "info-joint-number", "info-labels-string",
+         "info-state-id-array", "check-player-name-object", "info-action-name-array",
+         "info-label-object", "info-initial-array", "info-joint-action-array"],
 )
 def test_cli_reports_a_malformed_model_in_one_line(
     tmp_path, monkeypatch, capsys, command, malform, message

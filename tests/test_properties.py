@@ -1,7 +1,8 @@
-"""Properties of the compile, backward induction, certification and
-export on random small CSGs (`random_reward_csg`), each compared with the
-program itself, so they hold at any numpy and scipy version, and of
-all-pure backward induction, compared with the brute-force reference.
+"""Properties of the compile, backward induction, value iteration's
+speculative sweeps, certification and export on random small CSGs
+(`random_reward_csg`), each compared with the program itself, so they
+hold at any numpy and scipy version, and of all-pure backward
+induction, compared with the brute-force reference.
 
 Every player has at most two actions, so that `swne` decides each stage
 in its closed forms. A check sums the three players' rewards, either
@@ -25,7 +26,12 @@ from csgnash.objectives import Core, bounded_core, mode_closure, unbounded_core
 from csgnash.strategies import export_strategy, import_strategy
 
 from oracle import OracleAbstain, reference_backward_induction
-from test_engine import _absolute_level, assert_reuse_matches_replay, compile_for
+from test_engine import (
+    _absolute_level,
+    assert_reuse_matches_replay,
+    assert_speculation_changes_nothing,
+    compile_for,
+)
 from test_strategies import _certified_bits, random_reward_csg
 
 
@@ -229,6 +235,17 @@ def test_certifying_every_probability_level_gives_the_same_bits(case):
 def test_an_exported_probability_strategy_imports_and_certifies_to_the_same_bits(case):
     reward_test = test_an_exported_strategy_imports_and_certifies_to_the_same_bits
     reward_test.hypothesis.inner_test(case)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(checks(bounded=False), checks(bounded=False, prob=True)))
+def test_speculative_sweeps_change_no_bit_on_random_csgs(case):
+    """Value iteration ends the same, to the bit, with its speculative
+    sweeps on and off: the same values, strategy and sweep count, or the
+    same `NotConverged` fields."""
+    model, prop = case
+    nf = parse_formula(prop)
+    assert_speculation_changes_nothing(lambda: check_nash_formula(model, nf))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
