@@ -36,7 +36,8 @@ EXIT_ASSUMPTION = 4
 
 
 def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
+    """A printed or CSV number; adding 0.0 prints a negative zero as 0."""
+    return f"{float(x) + 0.0:.12g}"
 
 
 def _vi_config(args) -> VIConfig:

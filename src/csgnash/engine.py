@@ -371,8 +371,10 @@ def _array_pass(split: Choosers, utilities: np.ndarray, negate: bool):
     sweep gets the bits of a pass over that sweep alone."""
     batch, _, m = utilities.shape
     if len(split.single):
-        # Single-chooser values are the block's own cells; a pick indexes
-        # the chooser's actions, which are the stage's cells in order.
+        # Single-chooser values are the block's own cells, zero signs and
+        # all: the engine's own bits, which the pinned checks hold, not
+        # the solver's (`_swne_bits`). A pick indexes the chooser's
+        # actions, which are the stage's cells in order.
         block = utilities[:, split.rows].reshape(-1, split.rows.shape[1], m)
         chooser = split.chooser if batch == 1 else np.tile(split.chooser, batch)
         picks = single_chooser_picks(-block if negate else block, chooser, WELFARE_TOL)
@@ -388,7 +390,9 @@ def _array_pass(split: Choosers, utilities: np.ndarray, negate: bool):
 def _swne_bits(cells: np.ndarray, negate: bool) -> np.ndarray:
     """Pure-answer values `cells` as `swne` returns them, which adds 0.0
     to a cell and so turns -0.0 into 0.0, or with `negate` as `scne` does,
-    negating `swne`'s answer on the negated table."""
+    negating `swne`'s answer on the negated table. The solver gives every
+    pure answer by this one zero-sign rule; the engine's single-chooser
+    values keep their cells' own bits (`_array_pass`)."""
     return -(-cells + 0.0) if negate else cells + 0.0
 
 

@@ -1242,43 +1242,6 @@ def pure_answer_picks(
     return decided, picks
 
 
-def _single_chooser_fast_path(game: NormalFormGame) -> EquilibriumResult | None:
-    """Games where at most one player has more than one action, solved by
-    `single_chooser_picks`."""
-    choosers = [i for i, c in enumerate(game.shape) if c > 1]
-    if len(choosers) > 1:
-        return None
-    floats = game.float_utilities()
-    joint = [0] * game.n_players
-    candidates = 1
-    if choosers:
-        i = choosers[0]
-        cells = floats.reshape(-1, game.n_players)
-        pick = single_chooser_picks(cells[None], np.array([i]), WELFARE_TOL)
-        joint[i] = int(pick[0])
-        own = cells[:, i]
-        candidates = int(np.count_nonzero(own == own[joint[i]]))
-    values = np.array(floats[tuple(joint)], dtype=np.float64)
-    probs = []
-    for j, a in enumerate(joint):
-        vec = np.zeros(game.shape[j])
-        vec[a] = 1.0
-        probs.append(vec)
-    return EquilibriumResult(
-        values=values,
-        profile=MixedProfile(probs),
-        welfare=float(values.sum()),
-        support=Support(tuple((a,) for a in joint)),
-        # Each player's best switch value is its own value here (the pick
-        # is an own maximum), so this is what _pure_regrets computes.
-        regrets=values - values,
-        removals=[],
-        candidates=candidates,
-        pruned=0,
-        inconclusive=0,
-    )
-
-
 def swne(game: NormalFormGame) -> EquilibriumResult:
     """Social-welfare optimal Nash equilibrium of a finite game.
 
@@ -1296,9 +1259,6 @@ def swne(game: NormalFormGame) -> EquilibriumResult:
     Raises NoEquilibriumError when nothing is found, which
     indicates solver failure rather than a game property.
     """
-    fast = _single_chooser_fast_path(game)
-    if fast is not None:
-        return fast
     reduced, kept, removals = filter_dominated(game)
     cell_welfare = reduced.float_utilities().sum(axis=-1)
 

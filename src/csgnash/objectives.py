@@ -145,8 +145,9 @@ def compile_objectives(
     )
 
 
-def promote_finite(obj: CompiledObjective, state: int, remaining: int) -> str | None:
-    """Promotion of one pending finite-horizon objective at a state.
+def promote_finite(obj: CompiledObjective, state: int, phase: int) -> str | None:
+    """Promotion of one pending finite-horizon objective at a state, at
+    the `phase` of its bound (`_phase`).
 
     Bounded untils succeed on their target at any remaining bound and fail
     on falsifying states or on expiry; next-objectives are decided exactly
@@ -157,11 +158,11 @@ def promote_finite(obj: CompiledObjective, state: int, remaining: int) -> str | 
             return "D"
         if state in obj.fail:
             return "E"
-        if remaining <= 0:
+        if phase <= 0:
             return "E"
         return None
     if obj.kind == "next":
-        if remaining <= 0:
+        if phase <= 0:
             return "D" if state in obj.sat2 else "E"
         return None
     return None
@@ -184,19 +185,19 @@ def canonical_mode(
     state: int,
     D: frozenset[int],
     E: frozenset[int],
-    step: int | None = None,
+    phase: tuple[int, ...] | None = None,
 ) -> Mode:
-    """Apply every applicable promotion for pending objectives at a state."""
+    """Apply every applicable promotion for pending objectives at a state,
+    at a bounded level of `phase` (`_phase`), or None when unbounded."""
     new_d = set(D)
     new_e = set(E)
     for l, obj in enumerate(compiled.items):
         if l in new_d or l in new_e:
             continue
-        if compiled.horizon == "finite":
-            remaining = (obj.bound if obj.bound is not None else 0) - (step or 0)
-            verdict = promote_finite(obj, state, remaining)
-        else:
+        if phase is None:
             verdict = promote_infinite(obj, state)
+        else:
+            verdict = promote_finite(obj, state, phase[l])
         if verdict == "D":
             new_d.add(l)
         elif verdict == "E":
@@ -259,13 +260,10 @@ class Core:
 
     A bounded level's template is its nodes' (state, D, E), in order, and
     the phase of every bound at the level and at the next one
-    (`_phase`). That is all the compile reads of a level: `canonical_mode`
-    reads the step only through `remaining <= 0`, and `_node_status`
-    only through `remaining == 0` and `remaining > 0`, besides the
-    reward of the state, which the template holds. So levels of one
-    template (equal `level_template`) have the same values, pending
-    flags, rows and successors, the successors counted from the next
-    level's first node, and the same next level's nodes, in order.
+    (`_phase`), which is all `_compile_level` is given of the level. So
+    levels of one template (equal `level_template`) have the same values,
+    pending flags, rows and successors, the successors counted from the
+    next level's first node, and the same next level's nodes, in order.
 
     A core stores what the compile produces, one `_Block` per template
     and each level's template, and derives the rest once: its `levels`,
@@ -515,8 +513,8 @@ def _level_arrays(core: Core, block: _Block) -> dict:
 
 
 def _phase(compiled: CompiledObjectives, step: int) -> tuple[int, ...]:
-    """Per objective, the sign of its bound minus `step`: all that
-    `canonical_mode` and `_node_status` read of a bounded level's step."""
+    """Per objective, the sign of its bound minus `step`: the one place a
+    bounded level's step is read against the bounds."""
     return tuple(
         ((obj.bound or 0) > step) - ((obj.bound or 0) < step)
         for obj in compiled.items
@@ -532,8 +530,9 @@ def bounded_core(game: Csg, compiled: CompiledObjectives) -> Core:
     records it. The core gets the nodes, one block per template and each
     level's template, and derives the rest."""
     choice_names, shapes, state_rewards, stage_rows = _stage_rows(game, compiled)
+    current, step, phase = 0, 0, _phase(compiled, 0)
     first = tuple(
-        (s, *canonical_mode(compiled, s, EMPTY, EMPTY, step=0))
+        (s, *canonical_mode(compiled, s, EMPTY, EMPTY, phase))
         for s in range(game.n_states)
     )
     # Every distinct node list, numbered, and per template its block and
@@ -543,14 +542,14 @@ def bounded_core(game: Csg, compiled: CompiledObjectives) -> Core:
     blocks: list[_Block] = []
     follows: list[int] = []
     level_template, level_list = [], []
-    current, step, phase = 0, 0, _phase(compiled, 0)
     while lists[current]:
         following = _phase(compiled, step + 1)
         template = templates.setdefault((current, phase, following), len(blocks))
         if template == len(blocks):
             index: dict[tuple, int] = {}
             blocks.append(_compile_level(
-                compiled, stage_rows, state_rewards, lists[current], step, index
+                compiled, stage_rows, state_rewards, lists[current],
+                (phase, following), index,
             ))
             after = tuple(index)
             follows.append(numbers.setdefault(after, len(lists)))
@@ -612,15 +611,19 @@ def _bounds(counts: np.ndarray) -> np.ndarray:
 
 
 def _node_status(
-    compiled: CompiledObjectives, node: Node, state_rewards: np.ndarray
+    compiled: CompiledObjectives,
+    mode: Mode,
+    phase: tuple[int, ...] | None,
+    state_rewards: np.ndarray,
 ) -> tuple[list[float], list[bool]]:
-    """Pinned values and pending flags of one node's components.
+    """Pinned values and pending flags of one node's components, at a
+    bounded level of `phase` (`_phase`), or None when unbounded.
 
     Satisfied components are worth 1 for probabilities and 0 for rewards,
     failed ones 0. At a bounded level, an instantaneous reward due now is
     the state reward, and an expired instantaneous or cumulative reward 0.
     """
-    _s, D, E, level = node
+    D, E = mode
     won = 1.0 if compiled.kind == "prob" else 0.0
     const, pending = [], []
     for l, obj in enumerate(compiled.items):
@@ -629,14 +632,12 @@ def _node_status(
             value = won
         elif l in E:
             pass
-        elif level is None or obj.kind in ("until", "next"):
+        elif phase is None or obj.kind in ("until", "next"):
             live = True
+        elif obj.kind == "instant" and phase[l] == 0:
+            value = float(state_rewards[l])
         else:
-            remaining = (obj.bound or 0) - level
-            if obj.kind == "instant" and remaining == 0:
-                value = float(state_rewards[l])
-            else:
-                live = remaining > 0
+            live = phase[l] > 0
         const.append(value)
         pending.append(live)
     return const, pending
@@ -693,22 +694,23 @@ def _compile_level(
     stage_rows: list,
     state_rewards: np.ndarray,
     nodes: tuple | list,
-    step: int | None,
+    phases: tuple[tuple[int, ...], tuple[int, ...]] | None,
     index: dict[tuple, int],
 ) -> _Block:
-    """Rows of the nodes (state, D, E) of one level at `step` (None when
-    unbounded): one per joint action of every node with a pending
-    component. A successor (state, D, E) is numbered by `index`, which
-    gains each new one in order of discovery; for a bounded level, these
-    are the next level's nodes."""
-    after = None if step is None else step + 1
+    """Rows of the nodes (state, D, E) of one level: one per joint action
+    of every node with a pending component. `phases` is the `_phase` of a
+    bounded level and of the next one, None when unbounded. A successor
+    (state, D, E) is numbered by `index`, which gains each new one in
+    order of discovery; for a bounded level, these are the next level's
+    nodes."""
+    phase, after = phases or (None, None)
     # Successor number of (state, the predecessor's D and E).
     lookup: dict[tuple, int] = {}
     states, const, pending, sizes, lengths = [], [], [], [], []
     succ, prob, action_rewards = [], [], []
     for s, D, E in nodes:
         states.append(s)
-        values, live = _node_status(compiled, (s, D, E, step), state_rewards[s])
+        values, live = _node_status(compiled, (D, E), phase, state_rewards[s])
         const.append(values)
         pending.append(live)
         rows = stage_rows[s] if any(live) else []
@@ -717,7 +719,7 @@ def _compile_level(
             for t in targets:
                 q = lookup.get((t, D, E))
                 if q is None:
-                    target = (t, *canonical_mode(compiled, t, D, E, step=after))
+                    target = (t, *canonical_mode(compiled, t, D, E, after))
                     q = lookup[t, D, E] = index.setdefault(target, len(index))
                 succ.append(q)
             prob.extend(probs)

@@ -963,7 +963,7 @@ def test_level_contraction_rounds_as_one_dot_per_row(model, prop, widths):
     # Reference: one np.dot per (row, pending objective), as backward
     # induction built its stage tables before levels were contracted.
     # Every row must match to the bit, whatever its successor count.
-    from csgnash.objectives import bounded_core, canonical_mode
+    from csgnash.objectives import _phase, bounded_core, canonical_mode
 
     coalition, compiled = compile_for(model(), prop)
     core = bounded_core(coalition, compiled)
@@ -977,10 +977,11 @@ def test_level_contraction_rounds_as_one_dot_per_row(model, prop, widths):
         if not core.pending[p].any():
             continue
         sets = [coalition.choices(s, i) for i in range(coalition.n_players)]
+        after = _phase(compiled, level + 1)
         for joint in itertools.product(*sets):
             dist = coalition.transitions[(s, joint)]
             succ = [
-                index[(t, *canonical_mode(compiled, t, D, E, step=level + 1), level + 1)]
+                index[(t, *canonical_mode(compiled, t, D, E, after), level + 1)]
                 for t in dist
             ]
             probs = np.array(list(dist.values()))

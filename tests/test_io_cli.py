@@ -241,6 +241,17 @@ def test_cli_solve_nfg_scne():
     assert "values 7 7 7" in out
 
 
+def test_cli_solve_nfg_prints_a_zero_cost_as_0(tmp_path):
+    # The cheapest equilibrium costs 0 to each player; the negated game's
+    # answer negated is -0.0, printed as 0.
+    path = tmp_path / "zero.nfg"
+    path.write_text("players 2\nactions 1 a b\nactions 2 x\nu a x 0 0\nu b x 1 1\n")
+    code, out = run_cli("solve-nfg", str(path), "--mode", "scne")
+    assert code == 0
+    assert "values 0 0\n" in out
+    assert "-0" not in out
+
+
 BIG_PENNIES = """players 2
 actions 1 h t
 actions 2 h t
@@ -308,6 +319,20 @@ def test_cli_check_public_good_zero_sum():
     )
     assert code == 0
     assert "sum 0" in out
+
+
+def test_cli_check_prints_a_zero_cost_as_0():
+    # The cost-optimal equilibrium from rrr delivers nothing within one
+    # step; the engine holds each 0 as -0.0, printed as 0.
+    code, out = run_cli(
+        "check",
+        str(MODELS / "aloha3.json"),
+        "--prop",
+        '<<usr1:usr2:usr3>>min=? (P[F<=1 "d1"] + P[F<=1 "d2"] + P[F<=1 "d3"])',
+    )
+    assert code == 0
+    assert "state rrr: values 0 0 0 sum 0\n" in out
+    assert "-0" not in out
 
 
 def test_cli_check_prints_inconclusive_supports_only_when_some(monkeypatch):

@@ -1323,14 +1323,16 @@ def test_swne_never_answers_a_non_finite_game(bad):
 @st.composite
 def single_chooser_batches(draw):
     """One to five three-player games in which at most one player has more
-    than one action. Integer-valued utilities make exact ties in the
-    chooser's own utility and in welfare likely."""
+    than one action. Utilities from -2..2, with both zeros, make exact
+    ties in the chooser's own utility and in welfare, and signed zeros,
+    likely."""
+    entry = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
     games = []
     for _ in range(draw(st.integers(1, 5))):
         k = draw(st.integers(1, 4))
         shape = [1, 1, 1]
         shape[draw(st.integers(0, 2))] = k
-        cells = draw(st.lists(st.integers(-2, 2), min_size=3 * k, max_size=3 * k))
+        cells = draw(st.lists(entry, min_size=3 * k, max_size=3 * k))
         games.append(np.array(cells, dtype=np.float64).reshape(tuple(shape) + (3,)))
     return games
 
@@ -1338,9 +1340,8 @@ def single_chooser_batches(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(single_chooser_batches())
 def test_single_chooser_picks_match_per_game_solver(games):
-    from unittest import mock
-
     from csgnash import nfg_solve
+    from csgnash.engine import _swne_bits
 
     k_max = max(g.size // 3 for g in games)
     block = np.zeros((len(games), k_max, 3))
@@ -1359,18 +1360,12 @@ def test_single_chooser_picks_match_per_game_solver(games):
             game = NormalFormGame([("a",) * c for c in table.shape[:-1]], table)
             got = block[r, picks[r]]
             result = solve(game)
-            assert got.tobytes() == result.values.tobytes()
             assert picks[r] == int(np.argmax(result.profile.probs[chooser[r]]))
-            # The general search, without the fast path, picks the same
-            # action.
-            no_fast_path = mock.patch.object(
-                nfg_solve, "_single_chooser_fast_path", lambda g: None
-            )
-            with no_fast_path:
-                general = solve(game)
-            assert np.array_equal(got, general.values)
-            assert np.array_equal(result.regrets, general.regrets)
-            assert picks[r] == int(np.argmax(general.profile.probs[chooser[r]]))
+            # The pick's own cell, with the zero sign the solver gives
+            # every pure answer.
+            assert _swne_bits(got, solve is scne).tobytes() == result.values.tobytes()
+            # The pick is an own maximum, so no player can gain.
+            assert not result.regrets.any()
 
 
 # ---------------------------------------------------------------------------
