@@ -167,6 +167,9 @@ def cmd_sweep(args) -> int:
             result.coalition_game, result.strategy, result.compiled
         )
         m = result.compiled.m
+        if result.inconclusive:
+            at = f"{args.param}={_fmt(point)}"
+            print(f"inconclusive-supports {result.inconclusive} at {at}")
         rows.append(
             [point]
             + [float(v) for v in result.values[s0]]

@@ -9,19 +9,20 @@ level for finite horizons, they solve the one-shot game whose utilities
 combine decided components (exactly 1 or 0 for probabilities, 0 for
 settled reward objectives) with successor-weighted continuation values,
 taking welfare-optimal equilibrium values (cost-optimal ones when
-minimising). Every level decides in array passes the stages where at
-most one coalition chooses, and those where several choose whose answer
-is provably pure (`nfg_solve.pure_answer_picks`); only the remaining
-tables reach the solver, through a stage cache. Once every stage has a
-pure answer and each node keeps choosing the same row, value iteration
-runs chunks of speculative sweeps over the chosen rows alone, verifies
-each chunk in one batch of array passes, and takes only the sweeps an
-exact sweep gives to the bit (`_sweeps`). Backward induction copies a
-level instead of solving it when the level above has the same template
-(`objectives.Core`) and its values equal, byte for byte, those of the
-level above it. So a long horizon whose values settle solves only the
-levels before they do. The core goes out with the synthesised strategy,
-so certification reads the same rows.
+minimising). Every level decides in one array pass over its stage
+block (`objectives.StageBlock`) each stage whose answer is provably
+pure (`nfg_solve.pure_answer_picks`): every stage where at most one
+coalition chooses, and those where several choose that have such an
+answer. Only the remaining tables reach the solver, through a stage
+cache. Once every stage has a pure answer and each node keeps choosing
+the same row, value iteration runs chunks of speculative sweeps over
+the chosen rows alone, verifies each chunk in one batched array pass,
+and takes only the sweeps an exact sweep gives to the bit (`_sweeps`).
+Backward induction copies a level instead of solving it when the level
+above has the same template (`objectives.Core`) and its values equal,
+byte for byte, those of the level above it. So a long horizon whose
+values settle solves only the levels before they do. The core goes out
+with the synthesised strategy, so certification reads the same rows.
 """
 
 from __future__ import annotations
@@ -42,14 +43,13 @@ from .nfg_solve import (
     WELFARE_TOL,
     pure_answer_picks,
     scne,
-    single_chooser_picks,
     swne,
 )
 from .objectives import (
-    Choosers,
     CompiledObjectives,
     Core,
     Level,
+    StageBlock,
     bounded_core,
     compile_objectives,
     mode_closure,
@@ -95,8 +95,9 @@ _STABILITY_WINDOW = 2
 # sweeps and double up to `_SPECULATION_CHUNK`; 0 turns speculation off,
 # so that every sweep runs exact. A chunk's verification gathers every
 # row's padded successor values once per sweep, so chunks are also kept
-# to about `_SPECULATION_FLOATS` of those: on a core too large for a
-# chunk of `_FIRST_CHUNK` sweeps, every sweep runs exact.
+# to about `_SPECULATION_FLOATS` of those, and of the deviation utilities
+# its array pass gathers per sweep: on a core too large for a chunk of
+# `_FIRST_CHUNK` sweeps, every sweep runs exact.
 _FIRST_CHUNK = 4
 _SPECULATION_CHUNK = 32
 _SPECULATION_FLOATS = 1 << 20
@@ -162,10 +163,10 @@ class _StageSolver:
     """Equilibrium values and stage distributions of one-shot games, each
     distinct utility table solved once.
 
-    Only stages where two or more coalitions choose and whose answer the
-    pure-answer pass cannot prove pure reach the cache: backward
-    induction and value iteration both settle the others in array passes
-    (`_solve_stages`). One solver serves one
+    Only stages whose answer the array pass cannot prove pure reach the
+    cache, and at each of them two or more coalitions choose: backward
+    induction and value iteration both settle the others in one array
+    pass per level (`_solve_stages`). One solver serves one
     check, so the optimisation direction is fixed, and action names do
     not enter the arithmetic: the table's shape and bytes are the whole
     key. Entries live in two generations. Backward
@@ -273,9 +274,8 @@ def solve_finite_horizon(
     transition probabilities. The core numbers its nodes level by level,
     so one pass over its levels from the deepest finds every successor
     solved. Each level builds all its stage tables in one contraction,
-    solves the single-chooser stages in one array pass and the stages
-    with a provably pure answer in one per stage shape, and sends the
-    others through the stage cache.
+    decides every stage with a provably pure answer in one array pass,
+    and sends the others through the stage cache.
 
     The pass runs through `Core.backward`, as certification's do: a
     level copies the values and profiles of the level above it, and
@@ -328,87 +328,75 @@ def _solve_stages(
     values: np.ndarray,
     stages: _StageSolver,
     dists: dict[int, tuple[np.ndarray, ...]],
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Solve the stage of every node of `level` on its rows of
-    `utilities`, writing the equilibrium values into `values`. The
-    single-chooser stages are solved in one array pass, and the others
-    whose answer is provably pure (`pure_answer_picks`) in one array pass
-    per stage shape (`_array_pass`); neither reaches the stage cache. The
-    rest go through it, and their profiles into `dists`, keyed from the
-    level's first node. Returns the pure answers for `_pure_dists`: node
-    arrays, also counted from the level's first, each with the C-order
-    index of every node's chosen cell."""
-    states = core.states[level.nodes]
+    `utilities`, writing the equilibrium values into `values`. One array
+    pass (`_array_pass`) settles every stage whose answer is provably
+    pure, without the stage cache. The rest go through it, and their
+    profiles into `dists`, keyed from the level's first node. Returns the
+    pure answers for `_pure_dists`: their nodes, also counted from the
+    level's first, and the C-order index of each node's chosen cell."""
+    block = level.block
     here = values[level.nodes]
+    (decided,), (picks,), (cells,) = _array_pass(
+        block, utilities[None], stages.opt == "min"
+    )
+    if decided.all():
+        here[block.nodes] = cells
+        return block.nodes, picks
+    here[block.nodes[decided]] = cells[decided]
+    states = core.states[level.nodes]
     m = core.compiled.m
-    answers = []
-    passes = _array_pass(level.split, utilities[None], stages.opt == "min")
-    for nodes, rows, decided, picks, cells in passes:
-        if decided is None or decided.all():
-            here[nodes] = cells
-            answers.append((nodes, picks))
-            continue
-        here[nodes[decided]] = cells[decided]
-        answers.append((nodes[decided], picks[decided]))
-        undecided = ~decided
-        for q, table in zip(nodes[undecided].tolist(), utilities[rows[undecided]]):
-            s = states[q]
-            table = table.reshape(core.shapes[s] + (m,))
-            here[q], dists[q] = stages.solve(table, core.choice_names[s])
-    return answers
+    for q, rows in zip(block.nodes[~decided].tolist(), block.rows[~decided]):
+        s = states[q]
+        shape = core.shapes[s]
+        table = utilities[rows[: np.prod(shape)]].reshape(shape + (m,))
+        here[q], dists[q] = stages.solve(table, core.choice_names[s])
+    return block.nodes[decided], picks[decided]
 
 
-def _array_pass(split: Choosers, utilities: np.ndarray, negate: bool):
-    """The array passes of `_solve_stages`, over the stage utilities
+def _array_pass(block: StageBlock, utilities: np.ndarray, negate: bool):
+    """The array pass of `_solve_stages`, over the stage utilities
     (B, R, m) of B sweeps stacked. With `negate`, the cost-optimal stages
     are solved as the welfare-optimal stages of the negated tables.
-    Yields one group of nodes at a time, the single-chooser nodes first
-    and then each stage shape of `split.multi`: its nodes (G,) and their
-    rows (G, k); which of its B * G stages, sweep by sweep, have a
-    provably pure answer, None when all have; and each stage's pick,
-    indexing the node's rows, and values (B * G, m), meaningful where the
-    answer is pure. Both pick functions treat each game apart, so every
+    Returns, sweep by sweep, which of the block's N stages have a provably
+    pure answer (B, N), each stage's pick, indexing its node's rows
+    (B, N), and its values (B, N, m), meaningful where the answer is pure
+    (`_stage_bits`). `pure_answer_picks` treats each game apart, so every
     sweep gets the bits of a pass over that sweep alone."""
-    batch, _, m = utilities.shape
-    if len(split.single):
-        # Single-chooser values are the block's own cells, zero signs and
-        # all: the engine's own bits, which the pinned checks hold, not
-        # the solver's (`_swne_bits`). A pick indexes the chooser's
-        # actions, which are the stage's cells in order.
-        block = utilities[:, split.rows].reshape(-1, split.rows.shape[1], m)
-        chooser = split.chooser if batch == 1 else np.tile(split.chooser, batch)
-        picks = single_chooser_picks(-block if negate else block, chooser, WELFARE_TOL)
-        cells = block[np.arange(len(picks)), picks]
-        yield split.single, split.rows, None, picks, cells
-    for shape, nodes, rows in split.multi:
-        block = utilities[:, rows].reshape((-1,) + shape + (m,))
-        decided, picks = pure_answer_picks(-block if negate else block, WELFARE_TOL)
-        cells = block.reshape(len(picks), -1, m)[np.arange(len(picks)), picks]
-        yield nodes, rows, decided, picks, _swne_bits(cells, negate)
+    cells = utilities[:, block.rows]
+    decided, picks = pure_answer_picks(
+        -cells if negate else cells, block.deviations, block.single, WELFARE_TOL
+    )
+    cells = cells[np.arange(len(cells))[:, None], np.arange(len(block.nodes)), picks]
+    return decided, picks, _stage_bits(cells, block.single, negate)
 
 
-def _swne_bits(cells: np.ndarray, negate: bool) -> np.ndarray:
-    """Pure-answer values `cells` as `swne` returns them, which adds 0.0
-    to a cell and so turns -0.0 into 0.0, or with `negate` as `scne` does,
-    negating `swne`'s answer on the negated table. The solver gives every
-    pure answer by this one zero-sign rule; the engine's single-chooser
-    values keep their cells' own bits (`_array_pass`)."""
-    return -(-cells + 0.0) if negate else cells + 0.0
+def _stage_bits(cells: np.ndarray, single: np.ndarray, negate: bool) -> np.ndarray:
+    """Pure-answer values `cells` (..., N, m) as the engine gives them.
+    Where `single` holds (N,), a stage keeps its cell's own bits, zero
+    signs and all: the engine's own, which the pinned checks hold. The
+    others take `swne`'s, which adds 0.0 to a cell and so turns -0.0 into
+    0.0, or with `negate` `scne`'s, which negates `swne`'s answer on the
+    negated table. The solver gives every pure answer by this one
+    zero-sign rule."""
+    if single.all():
+        return cells
+    return np.where(single[:, None], cells, -(-cells + 0.0) if negate else cells + 0.0)
 
 
 def _pure_dists(
     core: Core,
     level: Level,
     stages: _StageSolver,
-    answers: list[tuple[np.ndarray, np.ndarray]],
+    answers: tuple[np.ndarray, np.ndarray],
 ):
     """Each pure-answer node's profile, as (node, profile) pairs with the
     node counted from the level's first: every coalition plays its action
     in the node's chosen cell."""
     states = core.states[level.nodes].tolist()
-    for qs, cells in answers:
-        for q, cell in zip(qs.tolist(), cells.tolist()):
-            yield q, stages.pure_profile(core.shapes[states[q]], cell)
+    for q, cell in zip(*(a.tolist() for a in answers)):
+        yield q, stages.pure_profile(core.shapes[states[q]], cell)
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +454,8 @@ def _sweeps(
     node in an array pass and choose the same rows. Then each node holds
     the row it chose, and a chunk of speculative sweeps computes only
     those rows, a few numpy calls where an exact sweep takes about twenty.
-    The chunk is then verified in one batch: the array passes run on its
-    sweeps' values stacked (`_array_pass`), and each sweep whose stages
+    The chunk is then verified in one batch: the array pass runs once on
+    its sweeps' values stacked (`_array_pass`), and each sweep whose stages
     all have a pure answer and whose values equal the speculated ones bit
     for bit (NaN and -0.0 included) is taken. The first that differs ends
     the chunk: it is taken with its true values if its stages all have a
@@ -480,29 +468,23 @@ def _sweeps(
     held policy (Puterman, *Markov Decision Processes*, 1994, 6.5) with
     every held sweep checked against value iteration's own."""
     (level,) = core.levels
-    split = level.split
+    block = level.block
     negate = stages.opt == "min"
     m = core.compiled.m
     sweep = _sweep_utilities(core)
-    group_rows = ([split.rows] if len(split.single) else []) + [
-        rows for _shape, _nodes, rows in split.multi
-    ]
     lengths = np.diff(core.ptr)
-    gathered = len(lengths) * int(lengths.max(initial=1)) * m
-    longest = min(_SPECULATION_CHUNK, _SPECULATION_FLOATS // max(1, gathered))
+    gathered = max(
+        len(lengths) * int(lengths.max(initial=1)) * m, block.deviations.size, 1
+    )
+    longest = min(_SPECULATION_CHUNK, _SPECULATION_FLOATS // gathered)
     first = _FIRST_CHUNK if longest >= _FIRST_CHUNK else 0
-    single = len(split.single)
-    nodes = np.concatenate([split.single, *(q for _, q, _ in split.multi)])
-    if len(nodes) and (np.diff(nodes) == 1).all():
+    nodes = block.nodes
+    if len(nodes) and nodes[-1] - nodes[0] == len(nodes) - 1:
         nodes = slice(nodes[0], nodes[-1] + 1)  # assigns faster than an index
-
-    def chosen(answers) -> np.ndarray:
-        """The row of every node, in `nodes` order, from the answers of a
-        sweep that settled every node in an array pass."""
-        return np.concatenate([
-            rows[np.arange(len(picks)), picks]
-            for rows, (_, picks) in zip(group_rows, answers)
-        ])
+    every = np.arange(len(block.nodes))
+    # Whether a speculative sweep must give any stage the solver's zero
+    # signs (`_stage_bits`); most cores have single-chooser stages alone.
+    zero_signs = not block.single.all()
 
     # The rows the last sweep chose, when it settled every node in an
     # array pass, and the rows the speculative sweeps hold, with their sweep.
@@ -512,11 +494,11 @@ def _sweeps(
         if not chunk:
             new = values.copy()
             answers = _solve_stages(core, level, sweep(values), new, stages, dists)
-            settled = first and answers and not stages.current
+            settled = first and len(every) and not stages.current
             stages.age()
             yield new, float(np.abs(new - values).max(initial=0.0)), answers
             values = new
-            rows = chosen(answers) if settled else None
+            rows = block.rows[every, answers[1]] if settled else None
             if rows is not None and last is not None and np.array_equal(rows, last):
                 chunk = first
             last = rows
@@ -527,42 +509,31 @@ def _sweeps(
         stacked[:] = values
         for i in range(chunk):
             cells = sweep_held(stacked[i])
-            if single < len(held):
-                cells[single:] = _swne_bits(cells[single:], negate)
-            stacked[i + 1, nodes] = cells
-        passes = [
-            (group, None if decided is None else decided.reshape(chunk, -1),
-             picks.reshape(chunk, -1), cells.reshape(chunk, -1, m))
-            for group, _rows, decided, picks, cells
-            in _array_pass(split, sweep(stacked[:-1]), negate)
-        ]
-        pure = np.ones(chunk, dtype=bool)
-        same = np.ones(chunk, dtype=bool)
-        for group, decided, _picks, cells in passes:
-            if decided is not None:
-                pure &= decided.all(axis=1)
-            speculated = stacked[1:, group].view(np.int64)
-            same &= (cells.view(np.int64) == speculated).all(axis=(1, 2))
-        ok = pure & same
+            stacked[i + 1, nodes] = (
+                _stage_bits(cells, block.single, negate) if zero_signs else cells
+            )
+        decided, picks, cells = _array_pass(block, sweep(stacked[:-1]), negate)
+        pure = decided.all(axis=1)
+        speculated = stacked[1:, nodes].view(np.int64)
+        ok = pure & (cells.view(np.int64) == speculated).all(axis=(1, 2))
         taken = chunk if ok.all() else int(np.argmin(ok))
         settled = taken == chunk or pure[taken]
         if taken < chunk and pure[taken]:
             # The first sweep that differs from its speculation settled
             # every node in an array pass: its true values are known.
-            for group, _decided, _picks, cells in passes:
-                stacked[taken + 1, group] = cells[taken]
+            stacked[taken + 1, nodes] = cells[taken]
             taken += 1
         residuals = np.abs(np.diff(stacked[: taken + 1], axis=0))
         residuals = residuals.max(axis=(1, 2), initial=0.0).tolist()
         for i in range(taken):
-            answers = [(group, picks[i]) for group, _, picks, _ in passes]
+            answers = (block.nodes, picks[i])
             stages.age()
             yield stacked[i + 1], residuals[i], answers
         values = stacked[taken]
         # A chunk taken whole is followed by one twice as long; after a
         # miss, exact sweeps run until two in a row choose the same rows.
         chunk = min(2 * chunk, longest) if ok.all() else 0
-        last = chosen(answers) if settled else None
+        last = block.rows[every, answers[1]] if settled else None
 
 
 def solve_value_iteration(
@@ -575,10 +546,10 @@ def solve_value_iteration(
     Decided components are pinned at their exact values; pending ones are
     updated each sweep from the welfare/cost-optimal equilibrium of the
     stage game built on the previous sweep's values. A sweep builds every
-    stage table in one contraction, solves the single-chooser stages in
-    one array pass and the stages with a provably pure answer in one per
-    stage shape, and sends the others through the stage cache; the pure
-    answers' profiles are taken from the last sweep only. While every
+    stage table in one contraction, decides every stage with a provably
+    pure answer in one array pass, and sends the others through the
+    stage cache; the pure answers' profiles are taken from the last
+    sweep only. While every
     stage has a pure answer, sweeps run speculatively in chunks that hold
     each node's chosen row and are verified in one batch, to the bits of
     the exact sweeps (`_sweeps`); the stopping rule, the cycle detection

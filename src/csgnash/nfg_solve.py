@@ -1179,66 +1179,56 @@ def solve_support(
 # Top-level search
 
 
-def single_chooser_picks(
-    block: np.ndarray, chooser: np.ndarray, welfare_tol: float
-) -> np.ndarray:
-    """Welfare-optimal pure equilibria of n games in which at most one
-    player has more than one action, one game per row of `block`.
-
-    Row r of the (n, k, m) block lists game r's cells in the order of the
-    chooser's actions, and `chooser[r]` is the chooser's utility column
-    (any column when nobody chooses). Every action that maximises the
-    chooser's own utility is an equilibrium, and welfare is linear over
-    mixtures of them, so a pure one is welfare-optimal. The pick is an
-    exact own maximum, then welfare within `welfare_tol` of the best such
-    action, then the lowest action index, matching the canonical candidate
-    order of the general search. A row padded by repeating its last cell
-    picks as it would unpadded. Returns the action index per row.
-    """
-    own = block[np.arange(block.shape[0]), :, chooser]
-    welfare = block.sum(axis=2)
-    welfare[own != own.max(axis=1, keepdims=True)] = -np.inf
-    return (welfare >= welfare.max(axis=1, keepdims=True) - welfare_tol).argmax(axis=1)
-
-
 def pure_answer_picks(
-    block: np.ndarray, welfare_tol: float
+    block: np.ndarray,
+    deviations: np.ndarray,
+    single: np.ndarray,
+    welfare_tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Which of n games of one shape have a welfare-optimal equilibrium
-    that is provably pure, and that equilibrium; game g is entry g of the
-    (n, *shape, players) float `block`.
+    """Which of N games have a welfare-optimal equilibrium that is
+    provably pure, and that equilibrium. Row q of the (..., N, K, players)
+    float `block` lists game q's cells in C order, padded by repeating its
+    last cell; leading axes stack blocks of the same games. Per game, cell
+    and player, `deviations` (N, K, players, A) lists the cells that
+    differ from the cell in that player's action alone, the cell itself
+    included, padded by repeating: each as the flat index, in one
+    (N, K, players) block, of that player's utility there. `single` (N,)
+    marks the games in which at most one player has more than one action.
 
-    A cell is a pure equilibrium when every player's utility equals the
-    maximum along its own axis, compared exactly as `check_pure_profile`
-    compares. A game is decided when its largest cell welfare is at most
-    `best + welfare_tol`, where `best` is its best pure-equilibrium welfare
-    (-inf without one, which decides nothing). Its pick is the first cell
-    in C order among the pure equilibria with welfare at least
-    `best - welfare_tol`, and `swne` answers a decided game with exactly
-    that pure profile:
+    A cell is a pure equilibrium when no deviation gives a player more
+    than the cell does, compared exactly as `check_pure_profile`
+    compares. A game is decided when it is single, or when its largest
+    cell welfare is at most `best + welfare_tol`, where `best` is its
+    best pure-equilibrium welfare (-inf without one, which decides
+    nothing). Its pick is the first cell in C order among the pure
+    equilibria with welfare at least `best - welfare_tol`, and `swne`
+    answers a decided game with exactly that pure profile:
     - iterated strict dominance keeps every pure equilibrium and adds
       none, and the reduced game's pure supports run in the original
       C order, so `swne`'s pure candidates are these equilibria in this
       order, with these welfares;
-    - a mixed support's welfare bound is one of its cell welfares, none of
-      which exceeds `best + welfare_tol`, so `swne` skips every mixed
-      support before solving it;
+    - in a single game, every action that maximises the one chooser's
+      own utility is an equilibrium, and so is every mixture of them
+      (their own utilities are equal); welfare is linear over those
+      mixtures, so one of the pure ones is welfare-optimal, and `swne`
+      finds no mixed candidate above it;
+    - otherwise a mixed support's welfare bound is one of its cell
+      welfares, none of which exceeds `best + welfare_tol`, so `swne`
+      skips every mixed support before solving it;
     - among the pure candidates, `swne` keeps those within `welfare_tol`
       of the best and takes the first in canonical order.
-    Welfare is the sum over the players' axis, which rounds as `swne`'s
-    sums over one cell's utilities. Returns the decided mask (n,) and each
-    game's pick as a flat C-order cell index, meaningful where decided.
+    A padding cell repeats a cell and its deviations, so it changes no
+    maximum and is never the first pick. Welfare is the sum over the
+    players' axis, which rounds as `swne`'s sums over one cell's
+    utilities. Returns the decided mask (..., N) and each game's pick
+    (..., N) as a C-order cell index, meaningful where decided.
     """
-    n = block.shape[0]
-    pure = np.ones(block.shape[:-1], dtype=bool)
-    for i in range(block.shape[-1]):
-        own = block[..., i]
-        pure &= own == own.max(axis=1 + i, keepdims=True)
-    pure = pure.reshape(n, -1)
-    welfare = block.sum(axis=-1).reshape(n, -1)
-    best = np.where(pure, welfare, -np.inf).max(axis=1)
-    decided = welfare.max(axis=1) <= best + welfare_tol
-    picks = (pure & (welfare >= best[:, None] - welfare_tol)).argmax(axis=1)
+    reply = np.take(block.reshape(block.shape[:-3] + (-1,)), deviations, axis=-1)
+    pure = (reply <= block[..., None]).all(axis=(-2, -1))
+    welfare = block.sum(axis=-1)
+    best = welfare.max(axis=-1, where=pure, initial=-np.inf)
+    decided = single | (welfare.max(axis=-1) <= best + welfare_tol)
+    picks = (pure & (welfare >= best[..., None] - welfare_tol)).argmax(axis=-1)
     return decided, picks
 
 

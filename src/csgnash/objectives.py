@@ -377,20 +377,25 @@ class Core:
 
 
 @dataclass
-class Choosers:
-    """Nodes split by who chooses at their stage. Single-chooser nodes (at
-    most one coalition with more than one action) are gathered into one
-    padded (nodes, k_max) block of rows, the padding repeating the last
-    row. The other nodes, where two or more coalitions choose, are grouped
-    by stage shape: each group holds the shape, its nodes (G,) and their
-    rows (G, K), K the shape's cell count, so that one fancy index stacks
-    the group's stage tables. Nodes and rows count from the level's
-    first."""
+class StageBlock:
+    """Every stage of one level as one padded block, for the pure-answer
+    pass (`nfg_solve.pure_answer_picks`). `nodes` are the level's nodes
+    that have rows, in order. Node q's rows are its stage's cells in C
+    order; `rows[q]` lists them, padded to the level's largest cell count
+    K by repeating the last. `deviations[q, k, i]` lists the cells that
+    differ from cell k in coalition i's action alone, cell k included,
+    padded to the level's largest action count by repeating the last; a
+    padding cell has the deviations of the cell it repeats. Each is given
+    as the flat index of coalition i's utility at that cell in the
+    (N, K, coalitions) block of the rows' utilities, so that one `take`
+    gathers them all. `single` marks the nodes where at most one
+    coalition has more than one action. Nodes and rows count from the
+    level's first."""
 
-    single: np.ndarray  # (P1,) single-chooser nodes
-    rows: np.ndarray  # (P1, k_max) their rows, padded
-    chooser: np.ndarray  # (P1,) utility column of the chooser
-    multi: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]]  # shape, nodes, rows
+    nodes: np.ndarray  # (N,)
+    rows: np.ndarray  # (N, K)
+    deviations: np.ndarray  # (N, K, coalitions, A) flat (N, K, coalitions) indices
+    single: np.ndarray  # (N,) bool
 
 
 @dataclass
@@ -404,10 +409,8 @@ class Level:
     array, and only their ranges differ. A bounded level's rows are
     grouped by their exact successor count, for `stage_utilities`; an
     unbounded core's level has no groups.
-    The stage split (`split`) lets both engine loops solve the stages
-    where at most one coalition chooses in one array pass, and settle
-    those where several choose whose answer is pure in one array pass
-    per stage shape."""
+    The stage block (`block`) lets both engine loops settle every stage
+    whose answer is provably pure in one array pass."""
 
     nodes: slice
     rows: slice
@@ -422,7 +425,7 @@ class Level:
     add_base: np.ndarray  # (R, m) pending cumulative or reach components
     pend: np.ndarray  # (R, m) pending components
     const: np.ndarray  # (R, m) pinned values of decided components
-    split: Choosers
+    block: StageBlock
 
     def stage_utilities(self, values: np.ndarray) -> np.ndarray:
         """Every row's stage utilities (R, m) on the core's `values`,
@@ -447,27 +450,32 @@ class Level:
         return np.where(self.pend, cont, self.const)
 
 
-def choosers(start: np.ndarray, shapes: np.ndarray) -> Choosers:
-    """`Choosers` of one level's nodes, given their stage shapes (nodes,
-    coalitions) and row bounds `start` (nodes + 1), both counted from the
-    level's first."""
+def stage_block(start: np.ndarray, shapes: np.ndarray) -> StageBlock:
+    """The `StageBlock` of one level's nodes, given their stage shapes
+    (nodes, coalitions) and row bounds `start` (nodes + 1), both counted
+    from the level's first."""
     sizes = np.diff(start)
-    choosing = shapes > 1
-    single = (sizes > 0) & (choosing.sum(axis=1) <= 1)
-    k_max = int(sizes[single].max(initial=1))
-    rows = start[:-1, None] + np.minimum(np.arange(k_max), sizes[:, None] - 1)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for q in np.flatnonzero((sizes > 0) & ~single).tolist():
-        groups.setdefault(tuple(shapes[q].tolist()), []).append(q)
-    return Choosers(
-        single=np.flatnonzero(single),
-        rows=rows[single],
-        # The first choosing coalition, or 0 when none chooses.
-        chooser=choosing[single].argmax(axis=1),
-        multi=[
-            (shape, np.array(qs), start[qs, None] + np.arange(sizes[qs[0]]))
-            for shape, qs in groups.items()
-        ],
+    nodes = np.flatnonzero(sizes)
+    sizes, shapes = sizes[nodes], shapes[nodes]
+    n, coalitions = shapes.shape
+    cells = np.minimum(np.arange(sizes.max(initial=1)), sizes[:, None] - 1)
+    # C-order strides: coalition i's action moves a cell by the product of
+    # the later coalitions' action counts.
+    stride = np.ones_like(shapes)
+    for i in range(coalitions - 2, -1, -1):
+        stride[:, i] = stride[:, i + 1] * shapes[:, i + 1]
+    # Per (node, cell, coalition, a): the cell with the coalition's action
+    # set to a, then the flat index of the coalition's utility there.
+    cell = cells[:, :, None, None]
+    count, stride = shapes[:, None, :, None], stride[:, None, :, None]
+    action = np.minimum(np.arange(shapes.max(initial=1)), count - 1)
+    deviation = cell + (action - cell // stride % count) * stride
+    deviation += np.arange(n)[:, None, None, None] * cells.shape[1]
+    return StageBlock(
+        nodes=nodes,
+        rows=start[nodes, None] + cells,
+        deviations=deviation * coalitions + np.arange(coalitions)[:, None],
+        single=(shapes > 1).sum(axis=1) <= 1,
     )
 
 
@@ -508,7 +516,7 @@ def _level_arrays(core: Core, block: _Block) -> dict:
         add_base=pend & rewarded,
         pend=pend,
         const=block.const[row_nodes],
-        split=choosers(start, node_shape),
+        block=stage_block(start, node_shape),
     )
 
 

@@ -845,9 +845,9 @@ def test_speculative_sweeps_are_taken(monkeypatch):
     passes = []
     array_pass = engine._array_pass
 
-    def counting(split, utilities, negate):
+    def counting(block, utilities, negate):
         passes.append(len(utilities))
-        yield from array_pass(split, utilities, negate)
+        return array_pass(block, utilities, negate)
 
     monkeypatch.setattr(engine, "_array_pass", counting)
     result = _check_bundled("secret_sharing_rba.json", {"alpha": 0.1002}, UTIL_PROP)
@@ -1005,9 +1005,17 @@ def test_level_contraction_rounds_as_one_dot_per_row(model, prop, widths):
 
 def _absolute_level(level) -> list:
     """A level's ranges and arrays with every node and row counted from
-    the core's first: what a level means, whatever it stores relative."""
+    the core's first: what a level means, whatever it stores relative.
+    Its stage block is read as a split: the single-chooser nodes, their
+    rows padded to the longest of them and each one's chooser (the first
+    coalition that chooses, or 0), then the other nodes grouped by stage
+    shape in order of first appearance, each group's rows unpadded."""
     n0, r0 = level.nodes.start, level.rows.start
-    split = level.split
+    block = level.block
+    shapes = level.shapes[block.nodes]
+    sizes = shapes.prod(axis=1)
+    single = block.single
+    width = int(sizes[single].max(initial=1))
     parts = [
         (level.nodes.start, level.nodes.stop),
         (level.rows.start, level.rows.stop),
@@ -1020,12 +1028,16 @@ def _absolute_level(level) -> list:
         level.add_base,
         level.pend,
         level.const,
-        n0 + split.single,
-        r0 + split.rows,
-        split.chooser,
+        n0 + block.nodes[single],
+        r0 + block.rows[single, :width],
+        (shapes[single] > 1).argmax(axis=1),
     ]
-    for shape, nodes, rows in split.multi:
-        parts += [shape, n0 + nodes, r0 + rows]
+    groups = {}
+    for j in np.flatnonzero(~single).tolist():
+        groups.setdefault(tuple(shapes[j].tolist()), []).append(j)
+    for shape, members in groups.items():
+        parts += [shape, n0 + block.nodes[members],
+                  r0 + block.rows[members, : int(np.prod(shape))]]
     for rows, succ, prob in level.groups:
         parts += [r0 + rows, level.nodes.stop + succ, prob]
     return parts

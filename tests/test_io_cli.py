@@ -450,6 +450,36 @@ def test_cli_sweep_csv_format(tmp_path):
     assert len(lines) == 4
 
 
+def test_cli_sweep_prints_inconclusive_supports_only_when_some(tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    from csgnash import engine
+
+    out_csv = tmp_path / "sweep.csv"
+    argv = (
+        "sweep", str(MODELS / "secret_sharing_rrr_rmax5.json"), "--prop", RAA_PROP,
+        "--param", "alpha", "--from", "0.5", "--to", "0.7", "--step", "0.2",
+        "--csv", str(out_csv),
+    )
+    code, plain = run_cli(*argv)
+    assert code == 0 and "inconclusive" not in plain
+    csv = out_csv.read_bytes()
+    solves = []
+    solve = engine.swne
+
+    def undecided(game):
+        # Only the first stage solve, at alpha=0.5, leaves a support
+        # undecided, so alpha=0.7 ends with none.
+        solves.append(game.shape)
+        return replace(solve(game), inconclusive=int(len(solves) == 1))
+
+    monkeypatch.setattr(engine, "swne", undecided)
+    code, out = run_cli(*argv)
+    assert code == 0 and len(solves) > 1
+    assert out == "inconclusive-supports 1 at alpha=0.5\n" + plain
+    assert out_csv.read_bytes() == csv
+
+
 @pytest.mark.parametrize(
     "start,stop,step",
     [

@@ -31,11 +31,9 @@ from csgnash.nfg_solve import (
     expected_utility,
     filter_dominated,
     presolve_support,
-    pure_answer_picks,
     regret,
     relaxation_bound,
     scne,
-    single_chooser_picks,
     solve_support,
     support_count,
     swne,
@@ -1317,86 +1315,46 @@ def test_swne_never_answers_a_non_finite_game(bad):
 
 
 # ---------------------------------------------------------------------------
-# Batched single-chooser rule
+# The engine's one array pass over a level's stages
 
 
 @st.composite
-def single_chooser_batches(draw):
-    """One to five three-player games in which at most one player has more
-    than one action. Utilities from -2..2, with both zeros, make exact
-    ties in the chooser's own utility and in welfare, and signed zeros,
-    likely."""
+def level_games(draw):
+    """One level's stage games, one to six, for two to four players: in
+    each, nobody chooses, one player chooses among two to four actions,
+    or at least two choose among two or three. Cell counts differ, so
+    the block pads. Utilities from -2..2, with both zeros, make ties in
+    own utility and welfare, and signed zeros, likely."""
+    n = draw(st.integers(2, 4))
     entry = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
     games = []
-    for _ in range(draw(st.integers(1, 5))):
-        k = draw(st.integers(1, 4))
-        shape = [1, 1, 1]
-        shape[draw(st.integers(0, 2))] = k
-        cells = draw(st.lists(entry, min_size=3 * k, max_size=3 * k))
-        games.append(np.array(cells, dtype=np.float64).reshape(tuple(shape) + (3,)))
+    for _ in range(draw(st.integers(1, 6))):
+        shape = [1] * n
+        kind = draw(st.sampled_from(["none", "one", "several"]))
+        if kind == "one":
+            shape[draw(st.integers(0, n - 1))] = draw(st.integers(2, 4))
+        elif kind == "several":
+            for i in draw(st.sets(st.integers(0, n - 1), min_size=2)):
+                shape[i] = draw(st.integers(2, 3))
+        size = int(np.prod(shape)) * n
+        cells = draw(st.lists(entry, min_size=size, max_size=size))
+        games.append(np.array(cells, dtype=np.float64).reshape(tuple(shape) + (n,)))
     return games
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(single_chooser_batches())
-def test_single_chooser_picks_match_per_game_solver(games):
-    from csgnash import nfg_solve
-    from csgnash.engine import _swne_bits
+def _level_pass(games: list[np.ndarray], opt: str):
+    """The stage block of one level holding `games`, one node each, and
+    the decided mask, picks and values the engine's array pass gives
+    them under `opt`."""
+    from csgnash.engine import _array_pass
+    from csgnash.objectives import stage_block
 
-    k_max = max(g.size // 3 for g in games)
-    block = np.zeros((len(games), k_max, 3))
-    chooser = np.zeros(len(games), dtype=np.int64)
-    for r, table in enumerate(games):
-        cells = table.reshape(-1, 3)
-        # Pad by repeating the last action, as the engine does.
-        block[r] = cells[[min(a, len(cells) - 1) for a in range(k_max)]]
-        chooser[r] = int(np.argmax(table.shape[:-1]))
-    tol = nfg_solve.WELFARE_TOL
-    for solve, picks in (
-        (swne, single_chooser_picks(block, chooser, tol)),
-        (scne, single_chooser_picks(-block, chooser, tol)),
-    ):
-        for r, table in enumerate(games):
-            game = NormalFormGame([("a",) * c for c in table.shape[:-1]], table)
-            got = block[r, picks[r]]
-            result = solve(game)
-            assert picks[r] == int(np.argmax(result.profile.probs[chooser[r]]))
-            # The pick's own cell, with the zero sign the solver gives
-            # every pure answer.
-            assert _swne_bits(got, solve is scne).tobytes() == result.values.tobytes()
-            # The pick is an own maximum, so no player can gain.
-            assert not result.regrets.any()
-
-
-# ---------------------------------------------------------------------------
-# Batched pure-answer rule
-
-
-@st.composite
-def multi_chooser_batches(draw):
-    """One to three games of one shape: two to four players, of whom at
-    least two choose among two or three actions and the others have one.
-    Utilities from -2..2, with both zeros, make ties and signed zeros
-    likely."""
-    n = draw(st.integers(2, 4))
-    choosers = draw(st.sets(st.integers(0, n - 1), min_size=2))
-    shape = tuple(draw(st.integers(2, 3)) if i in choosers else 1 for i in range(n))
-    size = int(np.prod(shape)) * n
-    entry = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
-    games = draw(st.lists(
-        st.lists(entry, min_size=size, max_size=size), min_size=1, max_size=3
-    ))
-    return np.array(games, dtype=np.float64).reshape((len(games),) + shape + (n,))
-
-
-def _pure_answers(block: np.ndarray, opt: str):
-    """The decided mask, picks and values the engine takes from
-    `pure_answer_picks` for the games of `block` under `opt`."""
-    won = -block if opt == "min" else block
-    decided, picks = pure_answer_picks(won, WELFARE_TOL)
-    cells = won.reshape(len(block), -1, block.shape[-1])[np.arange(len(block)), picks]
-    cells = cells + 0.0
-    return decided, picks, -cells if opt == "min" else cells
+    shapes = np.array([game.shape[:-1] for game in games], dtype=np.int64)
+    start = np.concatenate(([0], np.cumsum(shapes.prod(axis=1))))
+    utilities = np.concatenate([game.reshape(-1, game.shape[-1]) for game in games])
+    block = stage_block(start, shapes)
+    (decided,), (picks,), (values,) = _array_pass(block, utilities[None], opt == "min")
+    return block, decided, picks, values
 
 
 def _solved_pick(result) -> int:
@@ -1411,23 +1369,66 @@ def _game(table: np.ndarray) -> NormalFormGame:
     return NormalFormGame([("a",) * c for c in table.shape[:-1]], table)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(multi_chooser_batches())
-def test_pure_answer_picks_match_the_solver_bit_for_bit(block):
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(level_games())
+def test_one_array_pass_matches_the_solver_bit_for_bit(games):
     for opt, solve in (("max", swne), ("min", scne)):
-        decided, picks, values = _pure_answers(block, opt)
+        block, decided, picks, values = _level_pass(games, opt)
+        assert block.nodes.tolist() == list(range(len(games)))
+        # A stage where at most one player chooses is always decided.
+        assert decided[block.single].all()
         for g in np.flatnonzero(decided).tolist():
-            result = solve(_game(block[g]))
+            result = solve(_game(games[g]))
             assert result.support.is_pure
-            assert values[g].tobytes() == result.values.tobytes()
             assert picks[g] == _solved_pick(result)
+            # Single-chooser values are the picked cell's own bits; the
+            # others carry the zero sign the solver gives every pure
+            # answer, so the solver's rule maps both to its values.
+            cell = games[g].reshape(-1, games[g].shape[-1])[picks[g]]
+            own = cell if block.single[g] else result.values
+            assert values[g].tobytes() == own.tobytes()
+            zeroed = -(-values[g] + 0.0) if opt == "min" else values[g] + 0.0
+            assert zeroed.tobytes() == result.values.tobytes()
+
+
+def test_stage_block_lists_the_unilateral_deviations_of_every_cell():
+    from csgnash.objectives import stage_block
+
+    shapes = np.array(
+        [[1, 1, 1], [3, 1, 1], [2, 3, 1], [2, 2, 2], [1, 2, 3], [2, 1, 2]],
+        dtype=np.int64,
+    )
+    # The node of shape (2, 1, 2) has no rows.
+    sizes = np.append(shapes[:-1].prod(axis=1), 0)
+    start = np.concatenate(([0], np.cumsum(sizes)))
+    block = stage_block(start, shapes)
+    assert block.nodes.tolist() == [0, 1, 2, 3, 4]
+    assert block.single.tolist() == [True, True, False, False, False]
+    k, a = int(sizes.max()), int(shapes.max())
+    assert block.rows.shape == (5, k) and block.deviations.shape == (5, k, 3, a)
+    for q in range(5):
+        shape = tuple(shapes[q].tolist())
+        for c in range(k):
+            cell = min(c, sizes[q] - 1)
+            assert block.rows[q, c] == start[q] + cell
+            joint = np.unravel_index(cell, shape)
+            for i in range(3):
+                # Coalition i's utility at each cell that differs in its
+                # action alone, as a flat index into the (N, K, 3) block.
+                want = [
+                    np.ravel_multi_index((q, np.ravel_multi_index(
+                        joint[:i] + (min(b, shape[i] - 1),) + joint[i + 1 :], shape
+                    ), i), (5, k, 3))
+                    for b in range(a)
+                ]
+                assert block.deviations[q, c, i].tolist() == want
 
 
 def test_pure_answer_picks_send_a_dominated_best_cell_to_the_solver():
     # The prisoner's dilemma's one equilibrium, mutual defection, has
     # welfare 2, below the dominated best cell (6).
     dilemma = np.array([[[3.0, 3.0], [0.0, 5.0]], [[5.0, 0.0], [1.0, 1.0]]])
-    decided, _picks, _values = _pure_answers(dilemma[None], "max")
+    _block, decided, _picks, _values = _level_pass([dilemma], "max")
     assert not decided[0]
     assert swne(_game(dilemma)).values.tolist() == [1.0, 1.0]
 
@@ -1440,7 +1441,7 @@ def test_pure_answer_picks_send_a_game_without_pure_equilibrium():
         match = 1.0 if a == b else -1.0
         table[a, b, c] = (match, -match, 1.0 if c == a else 0.0)
     for opt in ("max", "min"):
-        decided, _picks, _values = _pure_answers(table[None], opt)
+        _block, decided, _picks, _values = _level_pass([table], opt)
         assert not decided[0]
     assert not swne(_game(table)).support.is_pure
 
@@ -1451,7 +1452,7 @@ def test_pure_answer_picks_break_a_welfare_tie_by_cell_order():
     tie = np.zeros((2, 2, 2))
     tie[0, 0] = (1.0, 1.0)
     tie[1, 1] = (1.0, 1.0 + WELFARE_TOL / 2)
-    decided, picks, values = _pure_answers(tie[None], "max")
+    _block, decided, picks, values = _level_pass([tie], "max")
     assert decided[0] and picks[0] == 0
     result = swne(_game(tie))
     assert _solved_pick(result) == 0
