@@ -1319,18 +1319,19 @@ def test_swne_never_answers_a_non_finite_game(bad):
 
 
 @st.composite
-def level_games(draw):
+def level_games(draw, kinds=("none", "one", "several")):
     """One level's stage games, one to six, for two to four players: in
-    each, nobody chooses, one player chooses among two to four actions,
-    or at least two choose among two or three. Cell counts differ, so
-    the block pads. Utilities from -2..2, with both zeros, make ties in
-    own utility and welfare, and signed zeros, likely."""
+    each, as `kinds` allows, nobody chooses, one player chooses among two
+    to four actions, or at least two choose among two or three. Cell
+    counts differ, so the block pads. Utilities from -2..2, with both
+    zeros, make ties in own utility and welfare, and signed zeros,
+    likely."""
     n = draw(st.integers(2, 4))
     entry = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
     games = []
     for _ in range(draw(st.integers(1, 6))):
         shape = [1] * n
-        kind = draw(st.sampled_from(["none", "one", "several"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "one":
             shape[draw(st.integers(0, n - 1))] = draw(st.integers(2, 4))
         elif kind == "several":
@@ -1371,7 +1372,7 @@ def _game(table: np.ndarray) -> NormalFormGame:
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(level_games())
-def test_one_array_pass_matches_the_solver_bit_for_bit(games):
+def test_pure_answer_picks_match_the_solver_bit_for_bit(games):
     for opt, solve in (("max", swne), ("min", scne)):
         block, decided, picks, values = _level_pass(games, opt)
         assert block.nodes.tolist() == list(range(len(games)))
@@ -1389,6 +1390,27 @@ def test_one_array_pass_matches_the_solver_bit_for_bit(games):
             assert values[g].tobytes() == own.tobytes()
             zeroed = -(-values[g] + 0.0) if opt == "min" else values[g] + 0.0
             assert zeroed.tobytes() == result.values.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(level_games(kinds=("none", "one")))
+def test_single_chooser_picks_match_per_game_solver(games):
+    for opt, solve in (("max", swne), ("min", scne)):
+        block, decided, picks, values = _level_pass(games, opt)
+        assert block.single.all() and decided.all()
+        for g, table in enumerate(games):
+            result = solve(_game(table))
+            chooser = int(np.argmax(table.shape[:-1]))
+            assert picks[g] == int(np.argmax(result.profile.probs[chooser]))
+            assert picks[g] == _solved_pick(result)
+            # The pick's own cell, which the solver's zero-sign rule maps
+            # to its values.
+            cell = table.reshape(-1, table.shape[-1])[picks[g]]
+            assert values[g].tobytes() == cell.tobytes()
+            zeroed = -(-cell + 0.0) if opt == "min" else cell + 0.0
+            assert zeroed.tobytes() == result.values.tobytes()
+            # The pick is an own maximum, so no player can gain.
+            assert not result.regrets.any()
 
 
 def test_stage_block_lists_the_unilateral_deviations_of_every_cell():
