@@ -13,8 +13,10 @@ minimising). Every level decides in one array pass over its stage
 block (`objectives.StageBlock`) each stage whose answer is provably
 pure (`nfg_solve.pure_answer_picks`): every stage where at most one
 coalition chooses, and those where several choose that have such an
-answer. Only the remaining tables reach the solver, through a stage
-cache. Once every stage has a pure answer and each node keeps choosing
+answer, before or after iterated strict dominance. The stages the pass
+leaves open look in a stage cache first, dominance runs on the misses
+alone, and only the tables it leaves open reach the solver. Once every
+stage has a pure answer and each node keeps choosing
 the same row, value iteration runs chunks of speculative sweeps over
 the chosen rows alone, verifies each chunk in one batched array pass,
 and takes only the sweeps an exact sweep gives to the bit (`_sweeps`).
@@ -27,6 +29,7 @@ with the synthesised strategy, so certification reads the same rows.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 import numpy as np
@@ -166,7 +169,11 @@ class _StageSolver:
     Only stages whose answer the array pass cannot prove pure reach the
     cache, and at each of them two or more coalitions choose: backward
     induction and value iteration both settle the others in one array
-    pass per level (`_solve_stages`). One solver serves one
+    pass per level (`_solve_stages`). A stage the pure bar leaves open
+    looks its table up first (`cached`), as a table solved before is one
+    that dominance left open too; only a miss is reduced by dominance,
+    and only a miss dominance leaves open is solved (`solve`), with
+    `swne`, or `scne` when minimising. One solver serves one
     check, so the optimisation direction is fixed, and action names do
     not enter the arithmetic: the table's shape and bytes are the whole
     key. Entries live in two generations. Backward
@@ -188,23 +195,32 @@ class _StageSolver:
         self.pure: dict[tuple[tuple[int, ...], int], tuple[np.ndarray, ...]] = {}
         self.inconclusive = 0
 
-    def solve(
-        self, utilities: np.ndarray, names: tuple[tuple[str, ...], ...]
-    ) -> _StageSolution:
+    def cached(self, utilities: np.ndarray) -> _StageSolution | None:
+        """The solution of a table solved in this generation or the last,
+        renewed, or None."""
         key = (utilities.shape, utilities.tobytes())
         hit = self.current.get(key)
         if hit is None:
             hit = self.previous.get(key)
             if hit is None:
-                # Module attributes, looked up per call, so a tracer that
-                # wraps them sees every solve.
-                game = NormalFormGame(names, utilities)
-                result = swne(game) if self.opt == "max" else scne(game)
-                self.inconclusive += result.inconclusive
-                hit = (result.values, result.profile.probs)
-                for arr in (hit[0], *hit[1]):
-                    arr.setflags(write=False)
+                return None
             self.current[key] = hit
+        return hit
+
+    def solve(
+        self, utilities: np.ndarray, names: tuple[tuple[str, ...], ...]
+    ) -> _StageSolution:
+        hit = self.cached(utilities)
+        if hit is None:
+            # Module attributes, looked up per call, so a tracer that
+            # wraps them sees every solve.
+            game = NormalFormGame(names, utilities)
+            result = swne(game) if self.opt == "max" else scne(game)
+            self.inconclusive += result.inconclusive
+            hit = (result.values, result.profile.probs)
+            for arr in (hit[0], *hit[1]):
+                arr.setflags(write=False)
+            self.current[utilities.shape, utilities.tobytes()] = hit
         return hit
 
     def pure_profile(
@@ -275,7 +291,9 @@ def solve_finite_horizon(
     so one pass over its levels from the deepest finds every successor
     solved. Each level builds all its stage tables in one contraction,
     decides every stage with a provably pure answer in one array pass,
-    and sends the others through the stage cache.
+    by the pure bar and, on the open tables the stage cache has not seen,
+    iterated strict dominance, and sends the others to the solver
+    (`_solve_stages`).
 
     The pass runs through `Core.backward`, as certification's do: a
     level copies the values and profiles of the level above it, and
@@ -332,41 +350,71 @@ def _solve_stages(
     """Solve the stage of every node of `level` on its rows of
     `utilities`, writing the equilibrium values into `values`. One array
     pass (`_array_pass`) settles every stage whose answer is provably
-    pure, without the stage cache. The rest go through it, and their
-    profiles into `dists`, keyed from the level's first node. Returns the
-    pure answers for `_pure_dists`: their nodes, also counted from the
-    level's first, and the C-order index of each node's chosen cell."""
+    pure, without the stage cache. A stage the pure bar leaves open looks
+    in the cache first: a table found there was sent to the solver
+    before, so no dominance can settle it. Dominance runs on the misses
+    alone, and only those it leaves open reach the solver, through the
+    cache. Their profiles, and those of cache hits, go into `dists`,
+    keyed from the level's first node. Returns the pure answers for
+    `_pure_dists`: their nodes, also counted from the level's first, and
+    the C-order index of each node's chosen cell."""
     block = level.block
     here = values[level.nodes]
+    misses = {}
+
+    def unseen(open: np.ndarray) -> np.ndarray:
+        """`open` (1, N) less the stages whose tables the cache holds,
+        which take the cached answer."""
+        states = core.states[level.nodes]
+        m = core.compiled.m
+        (found,) = np.nonzero(open[0])
+        nodes = block.nodes[found].tolist()
+        for g, q, rows in zip(found.tolist(), nodes, block.rows[found]):
+            s = states[q]
+            shape = core.shapes[s]
+            table = utilities[rows[: np.prod(shape)]].reshape(shape + (m,))
+            hit = stages.cached(table)
+            if hit is None:
+                misses[g] = q, table, core.choice_names[s]
+            else:
+                here[q], dists[q] = hit
+                open[0, g] = False
+        return open
+
     (decided,), (picks,), (cells,) = _array_pass(
-        block, utilities[None], stages.opt == "min"
+        block, utilities[None], stages.opt == "min", unseen
     )
     if decided.all():
         here[block.nodes] = cells
         return block.nodes, picks
+    for g, (q, table, names) in misses.items():
+        if not decided[g]:
+            here[q], dists[q] = stages.solve(table, names)
     here[block.nodes[decided]] = cells[decided]
-    states = core.states[level.nodes]
-    m = core.compiled.m
-    for q, rows in zip(block.nodes[~decided].tolist(), block.rows[~decided]):
-        s = states[q]
-        shape = core.shapes[s]
-        table = utilities[rows[: np.prod(shape)]].reshape(shape + (m,))
-        here[q], dists[q] = stages.solve(table, core.choice_names[s])
     return block.nodes[decided], picks[decided]
 
 
-def _array_pass(block: StageBlock, utilities: np.ndarray, negate: bool):
+def _array_pass(
+    block: StageBlock,
+    utilities: np.ndarray,
+    negate: bool,
+    reducible: Callable[[np.ndarray], np.ndarray],
+):
     """The array pass of `_solve_stages`, over the stage utilities
     (B, R, m) of B sweeps stacked. With `negate`, the cost-optimal stages
     are solved as the welfare-optimal stages of the negated tables.
-    Returns, sweep by sweep, which of the block's N stages have a provably
-    pure answer (B, N), each stage's pick, indexing its node's rows
-    (B, N), and its values (B, N, m), meaningful where the answer is pure
-    (`_stage_bits`). `pure_answer_picks` treats each game apart, so every
-    sweep gets the bits of a pass over that sweep alone."""
+    `reducible` maps the mask (B, N) of the stages the pure bar leaves
+    open to those that iterated strict dominance may settle
+    (`pure_answer_picks`). Returns, sweep by sweep, which of the block's
+    N stages have a provably pure answer (B, N), each stage's pick,
+    indexing its node's rows (B, N), and its values (B, N, m), meaningful
+    where the answer is pure (`_stage_bits`). `pure_answer_picks` treats
+    each game apart, so every sweep gets the bits of a pass over that
+    sweep alone."""
     cells = utilities[:, block.rows]
     decided, picks = pure_answer_picks(
-        -cells if negate else cells, block.deviations, block.single, WELFARE_TOL
+        -cells if negate else cells, block.deviations, block.single, WELFARE_TOL,
+        block.actions, reducible,
     )
     cells = cells[np.arange(len(cells))[:, None], np.arange(len(block.nodes)), picks]
     return decided, picks, _stage_bits(cells, block.single, negate)
@@ -415,12 +463,15 @@ def _sweep_utilities(core: Core, rows: np.ndarray | None = None):
     padded to the longest, by repeating the last successor with
     probability 0. While no row has more than three successors, it rounds
     exactly as one `np.dot` per row and objective; with longer rows, sums
-    may differ from it in the last bit. Backward induction contracts each
-    successor count apart so that it rounds as `np.dot`
-    (`Level.stage_utilities`). Value iteration keeps the one padded
-    product: its bits are pinned (`PINNED_CHECKS` and the aloha3 min-reach
-    values), and a split by successor count would add numpy calls to every
-    sweep.
+    may differ from it in the last bit. Stacked sweeps are flattened into
+    one `(B·R, 1, K) @ (B·R, K, m)` product, which rounds as each sweep's
+    own; a `(R, 1, K) @ (B, R, K, m)` product, broadcast over the sweeps,
+    does not once rows have more than three successors. Backward
+    induction contracts each successor count apart so that it rounds as
+    `np.dot` (`Level.stage_utilities`). Value iteration keeps the one
+    padded product: its bits are pinned (`PINNED_CHECKS` and the aloha3
+    min-reach values), and a split by successor count would add numpy
+    calls to every sweep.
     """
     (level,) = core.levels
     ptr = core.ptr
@@ -436,7 +487,20 @@ def _sweep_utilities(core: Core, rows: np.ndarray | None = None):
     entry = ptr[:, None] + np.minimum(column, lengths[:, None] - 1)
     succ = core.succ[entry]
     prob = np.where(column < lengths[:, None], core.prob[entry], 0.0)[:, None, :]
-    return lambda prev: level.finish((prob @ prev[..., succ, :])[..., 0, :])
+
+    tiled = {}  # `prob` repeated for each count of stacked sweeps
+
+    def utilities(prev: np.ndarray) -> np.ndarray:
+        if prev.ndim == 2:
+            return level.finish((prob @ prev[succ])[:, 0, :])
+        sweeps, _nodes, m = prev.shape
+        weights = tiled.get(sweeps)
+        if weights is None:
+            weights = tiled[sweeps] = np.concatenate((prob,) * sweeps)
+        cont = weights @ prev[:, succ].reshape((-1,) + succ.shape[1:] + (m,))
+        return level.finish(cont.reshape(sweeps, len(prob), m))
+
+    return utilities
 
 
 def _sweeps(
@@ -451,12 +515,14 @@ def _sweeps(
     the bits of an exact sweep from the values before it.
 
     A sweep is exact (`_solve_stages`) until two in a row settle every
-    node in an array pass and choose the same rows. Then each node holds
-    the row it chose, and a chunk of speculative sweeps computes only
-    those rows, a few numpy calls where an exact sweep takes about twenty.
-    The chunk is then verified in one batch: the array pass runs once on
-    its sweeps' values stacked (`_array_pass`), and each sweep whose stages
-    all have a pure answer and whose values equal the speculated ones bit
+    node in the array pass, without the stage cache, and choose the same
+    rows. Then each node holds the row it chose, and a chunk of
+    speculative sweeps computes only those rows, a few numpy calls where
+    an exact sweep takes about twenty. The chunk is then verified in one
+    batch: the array pass runs once on its sweeps' values stacked
+    (`_array_pass`), with dominance on every stage the pure bar leaves
+    open, as no cache is consulted there. Each sweep whose stages all
+    have a pure answer and whose values equal the speculated ones bit
     for bit (NaN and -0.0 included) is taken. The first that differs ends
     the chunk: it is taken with its true values if its stages all have a
     pure answer, and otherwise runs exact. Chunks start at `_FIRST_CHUNK`
@@ -512,7 +578,9 @@ def _sweeps(
             stacked[i + 1, nodes] = (
                 _stage_bits(cells, block.single, negate) if zero_signs else cells
             )
-        decided, picks, cells = _array_pass(block, sweep(stacked[:-1]), negate)
+        decided, picks, cells = _array_pass(
+            block, sweep(stacked[:-1]), negate, lambda open: open
+        )
         pure = decided.all(axis=1)
         speculated = stacked[1:, nodes].view(np.int64)
         ok = pure & (cells.view(np.int64) == speculated).all(axis=(1, 2))
@@ -547,9 +615,10 @@ def solve_value_iteration(
     updated each sweep from the welfare/cost-optimal equilibrium of the
     stage game built on the previous sweep's values. A sweep builds every
     stage table in one contraction, decides every stage with a provably
-    pure answer in one array pass, and sends the others through the
-    stage cache; the pure answers' profiles are taken from the last
-    sweep only. While every
+    pure answer in one array pass, with dominance only on open tables the
+    stage cache has not seen, and sends the others to the solver through
+    the cache (`_solve_stages`); the pure answers' profiles are taken
+    from the last sweep only. While every
     stage has a pure answer, sweeps run speculatively in chunks that hold
     each node's chosen row and are verified in one batch, to the bits of
     the exact sweeps (`_sweeps`); the stopping rule, the cycle detection

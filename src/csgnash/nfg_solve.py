@@ -60,7 +60,7 @@ import functools
 import heapq
 import itertools
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -1179,11 +1179,45 @@ def solve_support(
 # Top-level search
 
 
+def undominated_cells(reply: np.ndarray, actions: np.ndarray) -> np.ndarray | None:
+    """The cells of M games whose actions all survive iterated strict
+    dominance, as an (M, K) mask, or None when no action is dominated.
+    Per game, cell and player, `reply` (M, K, players, A) holds the
+    player's utility when it switches the cell's action to each of its
+    actions, padded by repeating the last, and `actions` (M, K, players)
+    its own action in the cell: the arrays a `StageBlock` gives, over any
+    of its games. Each round removes, all at once, every surviving action
+    that another surviving action of its player beats against every
+    surviving choice of the others, compared exactly, as
+    `filter_dominated` compares; rounds run until one removes nothing. A
+    padding action has its original's utilities, so it is removed in the
+    same round and dominates nothing its original does not."""
+    # beats[g, k, i, b, w]: b gives player i more than w against cell k's
+    # other actions. The first round tests every cell against every action.
+    beats = reply[..., :, None] > reply[..., None, :]
+    dominated = beats.all(axis=1).any(axis=-2)  # (M, players, A)
+    if not dominated.any():
+        return None
+    alive = ~dominated
+    games = np.arange(len(actions))[:, None, None]
+    while True:
+        gone = ~alive[games, np.arange(actions.shape[-1]), actions]
+        count = gone.sum(axis=-1, keepdims=True)
+        # Cells where some other player's action is gone test nothing.
+        tested = beats | (count - gone > 0)[..., None, None]
+        removed = (tested.all(axis=1) & alive[..., :, None]).any(axis=-2) & alive
+        if not removed.any():
+            return count[..., 0] == 0
+        alive &= ~removed
+
+
 def pure_answer_picks(
     block: np.ndarray,
     deviations: np.ndarray,
     single: np.ndarray,
     welfare_tol: float,
+    actions: np.ndarray,
+    reducible: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Which of N games have a welfare-optimal equilibrium that is
     provably pure, and that equilibrium. Row q of the (..., N, K, players)
@@ -1192,42 +1226,70 @@ def pure_answer_picks(
     and player, `deviations` (N, K, players, A) lists the cells that
     differ from the cell in that player's action alone, the cell itself
     included, padded by repeating: each as the flat index, in one
-    (N, K, players) block, of that player's utility there. `single` (N,)
-    marks the games in which at most one player has more than one action.
+    (N, K, players) block, of that player's utility there. `actions`
+    (N, K, players) gives each player's own action in each cell, for
+    `undominated_cells`. `single` (N,) marks the games in which at most
+    one player has more than one action. `reducible` maps the mask
+    (..., N) of the games the bar leaves open to those that iterated
+    strict dominance may settle; it is called only when some game is
+    open, so a caller can look the open games up in a cache of its own.
 
     A cell is a pure equilibrium when no deviation gives a player more
     than the cell does, compared exactly as `check_pure_profile`
-    compares. A game is decided when it is single, or when its largest
-    cell welfare is at most `best + welfare_tol`, where `best` is its
-    best pure-equilibrium welfare (-inf without one, which decides
-    nothing). Its pick is the first cell in C order among the pure
-    equilibria with welfare at least `best - welfare_tol`, and `swne`
-    answers a decided game with exactly that pure profile:
-    - iterated strict dominance keeps every pure equilibrium and adds
-      none, and the reduced game's pure supports run in the original
-      C order, so `swne`'s pure candidates are these equilibria in this
-      order, with these welfares;
+    compares. Let `best` be a game's best pure-equilibrium welfare (-inf
+    without one, which decides nothing). A game is decided when it is
+    single, when its largest cell welfare is at most `best + welfare_tol`
+    (the bar), or, where `reducible` allows, when the largest welfare of
+    the cells that survive iterated strict dominance (`undominated_cells`)
+    is. Its pick is the first cell in C order among the pure equilibria
+    with welfare at least `best - welfare_tol`, and `swne` answers a
+    decided game with exactly that pure profile:
+    - strict dominance keeps every pure equilibrium: a removed action
+      does worse than its dominator against every surviving choice of the
+      others, so it is no best reply to any of them. It adds none: a
+      switch that pays to a removed action pays more to the action that
+      removed it, and, dominators being removed in turn, to some survivor,
+      as `>` is transitive. So `swne`'s reduced game (`filter_dominated`)
+      has these pure equilibria, with these welfares, and its pure
+      supports run in the original C order;
+    - the survivors do not depend on the order of removal: an action
+      dominated when some actions are gone stays dominated when more are,
+      and one whose dominator goes is dominated by what removed that
+      dominator (Gilboa, Kalai & Zemel, "On the order of eliminating
+      dominated strategies", Oper. Res. Letters, 1990). So removing every
+      dominated action of every player at once, round by round, keeps
+      exactly the actions `filter_dominated` keeps one by one;
     - in a single game, every action that maximises the one chooser's
       own utility is an equilibrium, and so is every mixture of them
       (their own utilities are equal); welfare is linear over those
       mixtures, so one of the pure ones is welfare-optimal, and `swne`
       finds no mixed candidate above it;
-    - otherwise a mixed support's welfare bound is one of its cell
-      welfares, none of which exceeds `best + welfare_tol`, so `swne`
-      skips every mixed support before solving it;
+    - otherwise every mixed support of the reduced game lies within the
+      surviving cells, and its welfare bound is one of their welfares,
+      none of which exceeds `best + welfare_tol`, so `swne` skips every
+      mixed support before solving it;
     - among the pure candidates, `swne` keeps those within `welfare_tol`
       of the best and takes the first in canonical order.
-    A padding cell repeats a cell and its deviations, so it changes no
-    maximum and is never the first pick. Welfare is the sum over the
-    players' axis, which rounds as `swne`'s sums over one cell's
-    utilities. Returns the decided mask (..., N) and each game's pick
-    (..., N) as a C-order cell index, meaningful where decided.
+    A padding cell repeats a cell and its deviations, and a padding
+    action an action, so neither changes a maximum, a removal or the
+    first pick. Welfare is the sum over the players' axis, which rounds as
+    `swne`'s sums over one cell's utilities. Dominance runs only on the
+    games the bar leaves open, as no other can gain. Returns the decided
+    mask (..., N) and each game's pick (..., N) as a C-order cell index,
+    meaningful where decided.
     """
     reply = np.take(block.reshape(block.shape[:-3] + (-1,)), deviations, axis=-1)
     pure = (reply <= block[..., None]).all(axis=(-2, -1))
     welfare = block.sum(axis=-1)
     best = welfare.max(axis=-1, where=pure, initial=-np.inf)
-    decided = single | (welfare.max(axis=-1) <= best + welfare_tol)
+    bar = best + welfare_tol
+    decided = single | (welfare.max(axis=-1) <= bar)
+    games = () if decided.all() else np.nonzero(reducible(~decided))
+    if games and games[0].size:
+        kept = undominated_cells(reply[games], actions[games[-1]])
+        if kept is not None:
+            top = welfare[games].max(axis=-1, where=kept, initial=-np.inf)
+            decided[games] = top <= bar[games]
     picks = (pure & (welfare >= best[..., None] - welfare_tol)).argmax(axis=-1)
     return decided, picks
 

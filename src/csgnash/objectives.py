@@ -388,13 +388,15 @@ class StageBlock:
     padding cell has the deviations of the cell it repeats. Each is given
     as the flat index of coalition i's utility at that cell in the
     (N, K, coalitions) block of the rows' utilities, so that one `take`
-    gathers them all. `single` marks the nodes where at most one
-    coalition has more than one action. Nodes and rows count from the
-    level's first."""
+    gathers them all. `actions[q, k, i]` is coalition i's own action in
+    cell k, for iterated dominance. `single` marks the nodes where at
+    most one coalition has more than one action. Nodes and rows count
+    from the level's first."""
 
     nodes: np.ndarray  # (N,)
     rows: np.ndarray  # (N, K)
     deviations: np.ndarray  # (N, K, coalitions, A) flat (N, K, coalitions) indices
+    actions: np.ndarray  # (N, K, coalitions)
     single: np.ndarray  # (N,) bool
 
 
@@ -464,17 +466,20 @@ def stage_block(start: np.ndarray, shapes: np.ndarray) -> StageBlock:
     stride = np.ones_like(shapes)
     for i in range(coalitions - 2, -1, -1):
         stride[:, i] = stride[:, i + 1] * shapes[:, i + 1]
+    # Per (node, cell, coalition): the coalition's own action in the cell.
     # Per (node, cell, coalition, a): the cell with the coalition's action
     # set to a, then the flat index of the coalition's utility there.
-    cell = cells[:, :, None, None]
-    count, stride = shapes[:, None, :, None], stride[:, None, :, None]
-    action = np.minimum(np.arange(shapes.max(initial=1)), count - 1)
-    deviation = cell + (action - cell // stride % count) * stride
+    cell = cells[:, :, None]
+    count, stride = shapes[:, None, :], stride[:, None, :]
+    own = cell // stride % count
+    action = np.minimum(np.arange(shapes.max(initial=1)), count[..., None] - 1)
+    deviation = cell[..., None] + (action - own[..., None]) * stride[..., None]
     deviation += np.arange(n)[:, None, None, None] * cells.shape[1]
     return StageBlock(
         nodes=nodes,
         rows=start[nodes, None] + cells,
         deviations=deviation * coalitions + np.arange(coalitions)[:, None],
+        actions=own,
         single=(shapes > 1).sum(axis=1) <= 1,
     )
 

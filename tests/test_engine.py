@@ -680,12 +680,13 @@ def test_repeating_levels_solve_no_new_stage(stage_solves):
 
 def test_pure_answer_stages_skip_the_solver(stage_solves):
     # The array pass settles every stage of medium_access3 where several
-    # coalitions choose, and all but 19 distinct tables of aloha3's. Each
-    # table went to the solver before: 76 and 208 solves.
+    # coalitions choose, and all but 3 distinct tables of aloha3's: the
+    # pure bar all but 19, and dominance 16 of those. Each table went to
+    # the solver before: 76 and 208 solves.
     _check_bundled("medium_access3.json", {}, _sum_prop('R{"mes#"}[C<=20]'))
     assert len(stage_solves) == 0
     _check_bundled("aloha3.json", {}, _sum_prop('P[F<=31 "d#"]'))
-    assert 0 < len(stage_solves) <= 19
+    assert 0 < len(stage_solves) <= 3
 
 
 def test_value_iteration_solves_repeated_stages_once(stage_solves):
@@ -697,13 +698,16 @@ def test_value_iteration_solves_repeated_stages_once(stage_solves):
 @pytest.mark.parametrize(
     "name,params,prop",
     [
-        ("aloha3.json", {}, _sum_prop('P[F<=3 "d#"]')),
+        ("aloha3.json", {}, _sum_prop('P[F<=15 "d#"]')),
         ("secret_sharing_rrr_rmax5.json", {"alpha": 0.5}, UTIL_PROP),
     ],
 )
 def test_check_result_sums_inconclusive_supports(monkeypatch, name, params, prop):
     # Every stage solve (cache miss) reports two undecided supports, in
-    # backward induction and in value iteration alike.
+    # backward induction and in value iteration alike. aloha3 within 15
+    # steps keeps three stages, of shapes (2, 2, 2) and (1, 2, 2), that
+    # neither the pure bar nor dominance settles; within 3 steps, the
+    # array pass settles every stage.
     from dataclasses import replace
 
     from csgnash import engine
@@ -845,9 +849,9 @@ def test_speculative_sweeps_are_taken(monkeypatch):
     passes = []
     array_pass = engine._array_pass
 
-    def counting(block, utilities, negate):
+    def counting(block, utilities, *rest):
         passes.append(len(utilities))
-        return array_pass(block, utilities, negate)
+        return array_pass(block, utilities, *rest)
 
     monkeypatch.setattr(engine, "_array_pass", counting)
     result = _check_bundled("secret_sharing_rba.json", {"alpha": 0.1002}, UTIL_PROP)
@@ -861,6 +865,33 @@ def test_speculative_sweeps_are_taken(monkeypatch):
     monkeypatch.setattr(engine, "_SPECULATION_FLOATS", 4 * 45 - 1)
     result = _check_bundled("secret_sharing_raa.json", {"alpha": 0.5}, UTIL_PROP)
     assert passes == [1] * result.iterations
+
+
+@pytest.mark.parametrize("core", ["aloha3 min-reach", "wide random"])
+def test_stacked_sweeps_round_as_each_sweep(core):
+    # A speculative chunk is verified by one sweep over its values stacked,
+    # which must give each sweep's bits. Rows of more than three successors
+    # rounded otherwise when the product broadcast over the stack.
+    from csgnash.engine import _sweep_utilities
+    from csgnash.objectives import mode_closure, unbounded_core
+    from test_strategies import random_reward_csg
+
+    rng = np.random.default_rng(7)
+    if core == "aloha3 min-reach":
+        model, prop = _bundled("aloha3.json")(), ALOHA_MIN_REACH
+    else:
+        # Nine states, each joint action reaching four to eight of them.
+        model = random_reward_csg(rng, (2, 2, 2), n=9, others=(3, 8))
+        prop = '<<p1:p2:p3>>max=? (R{"r1"}[F "t"] + R{"r2"}[F "t"] + R{"r3"}[F "t"])'
+    coalition, compiled = compile_for(model, prop)
+    core = unbounded_core(coalition, compiled, mode_closure(coalition, compiled)[0])
+    lengths = np.diff(core.ptr)
+    assert lengths.max() == 8 and (lengths >= 4).any()
+    sweep = _sweep_utilities(core)
+    for sweeps in (2, 3, 5) * 20:
+        stacked = rng.uniform(-10, 10, (sweeps,) + core.const.shape)
+        each = np.stack([sweep(values) for values in stacked])
+        assert sweep(stacked).tobytes() == each.tobytes()
 
 
 def _bundled(name, params=None):

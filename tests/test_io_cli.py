@@ -344,7 +344,7 @@ def test_cli_check_prints_inconclusive_supports_only_when_some(monkeypatch):
         "check",
         str(MODELS / "aloha3.json"),
         "--prop",
-        '<<usr1:usr2:usr3>>max=? (P[F<=3 "d1"] + P[F<=3 "d2"] + P[F<=3 "d3"])',
+        '<<usr1:usr2:usr3>>max=? (P[F<=15 "d1"] + P[F<=15 "d2"] + P[F<=15 "d3"])',
     )
     code, plain = run_cli(*argv)
     assert code == 0 and "inconclusive" not in plain
@@ -358,6 +358,7 @@ def test_cli_check_prints_inconclusive_supports_only_when_some(monkeypatch):
     monkeypatch.setattr(engine, "swne", undecided)
     code, out = run_cli(*argv)
     assert code == 0
+    assert solves
     assert out == plain + f"inconclusive-supports {len(solves)}\n"
 
 

@@ -37,6 +37,7 @@ from csgnash.nfg_solve import (
     solve_support,
     support_count,
     swne,
+    undominated_cells,
 )
 
 from oracle import brute_force_pure_ne
@@ -1318,6 +1319,16 @@ def test_swne_never_answers_a_non_finite_game(bad):
 # The engine's one array pass over a level's stages
 
 
+def _plant(table: np.ndarray, player: int, worse: int, better: int, gap) -> None:
+    """Give `player`'s action `worse` its utility under `better` minus
+    `gap` (a number, or one per choice of the others) everywhere."""
+    at = [slice(None)] * (table.ndim - 1)
+    at[player] = worse
+    to = list(at)
+    to[player] = better
+    table[tuple(at) + (player,)] = table[tuple(to) + (player,)] - gap
+
+
 @st.composite
 def level_games(draw, kinds=("none", "one", "several")):
     """One level's stage games, one to six, for two to four players: in
@@ -1325,7 +1336,9 @@ def level_games(draw, kinds=("none", "one", "several")):
     to four actions, or at least two choose among two or three. Cell
     counts differ, so the block pads. Utilities from -2..2, with both
     zeros, make ties in own utility and welfare, and signed zeros,
-    likely."""
+    likely. Where several choose, a draw may plant a strictly dominated
+    action, or one that is dominated only once another player's planted
+    dominated action is gone, so that removal takes two rounds."""
     n = draw(st.integers(2, 4))
     entry = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
     games = []
@@ -1339,14 +1352,32 @@ def level_games(draw, kinds=("none", "one", "several")):
                 shape[i] = draw(st.integers(2, 3))
         size = int(np.prod(shape)) * n
         cells = draw(st.lists(entry, min_size=size, max_size=size))
-        games.append(np.array(cells, dtype=np.float64).reshape(tuple(shape) + (n,)))
+        game = np.array(cells, dtype=np.float64).reshape(tuple(shape) + (n,))
+        if kind == "several":
+            rounds = draw(st.integers(0, 2))
+            choosers = [i for i, c in enumerate(shape) if c > 1]
+            first, second = draw(st.permutations(choosers))[:2]
+            for player in (first, second)[:rounds]:
+                worse, better = draw(st.permutations(range(shape[player])))[:2]
+                gap = 1.0
+                if player == second:
+                    # Better than `better` only where `first` plays its
+                    # planted dominated action.
+                    gap = np.ones(shape[:player] + shape[player + 1 :])
+                    at = [slice(None)] * gap.ndim
+                    at[first - (first > player)] = planted
+                    gap[tuple(at)] = -1.0
+                _plant(game, player, worse, better, gap)
+                planted = worse
+        games.append(game)
     return games
 
 
-def _level_pass(games: list[np.ndarray], opt: str):
+def _level_pass(games: list[np.ndarray], opt: str, reduce=True):
     """The stage block of one level holding `games`, one node each, and
     the decided mask, picks and values the engine's array pass gives
-    them under `opt`."""
+    them under `opt`: with `reduce`, dominance runs on every game the
+    pure bar leaves open, and otherwise on none."""
     from csgnash.engine import _array_pass
     from csgnash.objectives import stage_block
 
@@ -1354,7 +1385,10 @@ def _level_pass(games: list[np.ndarray], opt: str):
     start = np.concatenate(([0], np.cumsum(shapes.prod(axis=1))))
     utilities = np.concatenate([game.reshape(-1, game.shape[-1]) for game in games])
     block = stage_block(start, shapes)
-    (decided,), (picks,), (values,) = _array_pass(block, utilities[None], opt == "min")
+    (decided,), (picks,), (values,) = _array_pass(
+        block, utilities[None], opt == "min",
+        lambda open: open if reduce else np.zeros_like(open),
+    )
     return block, decided, picks, values
 
 
@@ -1370,26 +1404,37 @@ def _game(table: np.ndarray) -> NormalFormGame:
     return NormalFormGame([("a",) * c for c in table.shape[:-1]], table)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(level_games())
-def test_pure_answer_picks_match_the_solver_bit_for_bit(games):
-    for opt, solve in (("max", swne), ("min", scne)):
-        block, decided, picks, values = _level_pass(games, opt)
-        assert block.nodes.tolist() == list(range(len(games)))
-        # A stage where at most one player chooses is always decided.
-        assert decided[block.single].all()
-        for g in np.flatnonzero(decided).tolist():
-            result = solve(_game(games[g]))
-            assert result.support.is_pure
-            assert picks[g] == _solved_pick(result)
-            # Single-chooser values are the picked cell's own bits; the
-            # others carry the zero sign the solver gives every pure
-            # answer, so the solver's rule maps both to its values.
-            cell = games[g].reshape(-1, games[g].shape[-1])[picks[g]]
-            own = cell if block.single[g] else result.values
-            assert values[g].tobytes() == own.tobytes()
-            zeroed = -(-values[g] + 0.0) if opt == "min" else values[g] + 0.0
-            assert zeroed.tobytes() == result.values.tobytes()
+def test_pure_answer_picks_match_the_solver_bit_for_bit():
+    # Stages settled by dominance alone: the bar leaves them open.
+    by_dominance = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(level_games())
+    def check(games):
+        for opt, solve in (("max", swne), ("min", scne)):
+            block, decided, picks, values = _level_pass(games, opt)
+            _block, barred, _picks, _values = _level_pass(games, opt, False)
+            assert block.nodes.tolist() == list(range(len(games)))
+            # A stage where at most one player chooses is always decided,
+            # and dominance only adds to what the bar decides.
+            assert decided[block.single].all()
+            assert (decided | ~barred).all()
+            by_dominance.append(int((decided & ~barred).sum()))
+            for g in np.flatnonzero(decided).tolist():
+                result = solve(_game(games[g]))
+                assert result.support.is_pure
+                assert picks[g] == _solved_pick(result)
+                # Single-chooser values are the picked cell's own bits; the
+                # others carry the zero sign the solver gives every pure
+                # answer, so the solver's rule maps both to its values.
+                cell = games[g].reshape(-1, games[g].shape[-1])[picks[g]]
+                own = cell if block.single[g] else result.values
+                assert values[g].tobytes() == own.tobytes()
+                zeroed = -(-values[g] + 0.0) if opt == "min" else values[g] + 0.0
+                assert zeroed.tobytes() == result.values.tobytes()
+
+    check()
+    assert sum(by_dominance) >= 20
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -1434,6 +1479,7 @@ def test_stage_block_lists_the_unilateral_deviations_of_every_cell():
             cell = min(c, sizes[q] - 1)
             assert block.rows[q, c] == start[q] + cell
             joint = np.unravel_index(cell, shape)
+            assert block.actions[q, c].tolist() == list(joint)
             for i in range(3):
                 # Coalition i's utility at each cell that differs in its
                 # action alone, as a flat index into the (N, K, 3) block.
@@ -1446,13 +1492,55 @@ def test_stage_block_lists_the_unilateral_deviations_of_every_cell():
                 assert block.deviations[q, c, i].tolist() == want
 
 
-def test_pure_answer_picks_send_a_dominated_best_cell_to_the_solver():
+def test_pure_answer_picks_settle_a_dominated_best_cell_in_the_pass():
     # The prisoner's dilemma's one equilibrium, mutual defection, has
-    # welfare 2, below the dominated best cell (6).
+    # welfare 2, below the best cell (6), which the bar cannot rule out.
+    # Cooperation is strictly dominated, so the best surviving cell is
+    # the equilibrium itself.
     dilemma = np.array([[[3.0, 3.0], [0.0, 5.0]], [[5.0, 0.0], [1.0, 1.0]]])
-    _block, decided, _picks, _values = _level_pass([dilemma], "max")
+    _block, barred, _picks, _values = _level_pass([dilemma], "max", False)
+    assert not barred[0]
+    _block, decided, picks, values = _level_pass([dilemma], "max")
+    assert decided[0] and picks[0] == 3
+    result = swne(_game(dilemma))
+    assert _solved_pick(result) == 3
+    assert values[0].tobytes() == result.values.tobytes()
+
+
+def test_pure_answer_picks_send_an_undominated_best_cell_to_the_solver():
+    # Chicken: no action is dominated, and the best cell, both swerving
+    # (welfare 4), is no equilibrium; the pure equilibria have welfare 3.
+    chicken = np.array([[[2.0, 2.0], [0.0, 3.0]], [[3.0, 0.0], [-1.0, -1.0]]])
+    _block, decided, _picks, _values = _level_pass([chicken], "max")
     assert not decided[0]
-    assert swne(_game(dilemma)).values.tolist() == [1.0, 1.0]
+    result = swne(_game(chicken))
+    assert _solved_pick(result) == 1
+    assert result.values.tolist() == [0.0, 3.0]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(level_games(kinds=("one", "several")))
+def test_undominated_cells_match_filter_dominated(games):
+    # Every dominated action of every player removed at once, round by
+    # round, keeps the actions the solver's one-by-one removal keeps: the
+    # kept cells are the product of the kept actions.
+    from csgnash.objectives import stage_block
+
+    shapes = np.array([game.shape[:-1] for game in games], dtype=np.int64)
+    start = np.concatenate(([0], np.cumsum(shapes.prod(axis=1))))
+    utilities = np.concatenate([game.reshape(-1, game.shape[-1]) for game in games])
+    block = stage_block(start, shapes)
+    reply = np.take(utilities[block.rows].reshape(-1), block.deviations)
+    kept = undominated_cells(reply, block.actions)
+    if kept is None:  # no action is dominated
+        kept = np.ones(block.rows.shape, dtype=bool)
+    for g, game in enumerate(games):
+        _reduced, actions, _removals = filter_dominated(_game(game))
+        cells = np.zeros(game.shape[:-1], dtype=bool)
+        cells[np.ix_(*actions)] = True
+        # Padding repeats the last cell.
+        want = cells.reshape(-1)[block.rows[g] - start[g]]
+        assert kept[g].tolist() == want.tolist()
 
 
 def test_pure_answer_picks_send_a_game_without_pure_equilibrium():

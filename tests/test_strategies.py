@@ -582,12 +582,12 @@ def test_an_imported_strategy_certifies_to_the_same_bits(monkeypatch, name, prop
     assert _certified_bits(game, imported(), compiled) == own
 
 
-def random_reward_csg(rng, limits=(3, 3, 3)) -> Csg:
-    """Three players over four states, one to `limits[i]` actions for
+def random_reward_csg(rng, limits=(3, 3, 3), n=4, others=(0, 3)) -> Csg:
+    """Three players over `n` states, one to `limits[i]` actions for
     player i, float state and action rewards `r1`..`r3`, and an absorbing
     target `t` that every joint action reaches with positive probability,
-    among one to three successors."""
-    n = 4
+    among its successors: `t` and from `others[0]` to `others[1] - 1`
+    other states, so one to three by default."""
     availability = tuple(
         tuple(tuple(range(rng.integers(1, c + 1))) for c in limits) for _ in range(n)
     ) + (((), (), ()),)
@@ -597,8 +597,8 @@ def random_reward_csg(rng, limits=(3, 3, 3)) -> Csg:
         for state, _ in rewards.values():
             state[s] = float(rng.uniform(-5, 5))
         for joint in itertools.product(*availability[s]):
-            others = rng.choice(n, size=rng.integers(0, 3), replace=False)
-            targets = np.append(others, n)
+            moves = rng.choice(n, size=rng.integers(*others), replace=False)
+            targets = np.append(moves, n)
             probs = rng.random(len(targets))
             transitions[(s, joint)] = dict(zip(targets.tolist(), probs / probs.sum()))
             for _, action in rewards.values():
