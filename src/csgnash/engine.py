@@ -18,8 +18,10 @@ leaves open look in a stage cache first, dominance runs on the misses
 alone, and only the tables it leaves open reach the solver. Once every
 stage has a pure answer and each node keeps choosing
 the same row, value iteration runs chunks of speculative sweeps over
-the chosen rows alone, verifies each chunk in one batched array pass,
-and takes only the sweeps an exact sweep gives to the bit (`_sweeps`).
+the chosen rows alone, each sweep three numpy calls written in place
+(`_held_sweeps`), verifies each chunk in one batched array pass, up to
+the sweep where value iteration would stop, and takes only the sweeps
+an exact sweep gives to the bit (`_sweeps`).
 Backward induction copies a level instead of solving it when the level
 above has the same template (`objectives.Core`) and its values equal,
 byte for byte, those of the level above it. So a long horizon whose
@@ -30,7 +32,7 @@ with the synthesised strategy, so certification reads the same rows.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 import numpy as np
 
@@ -102,7 +104,7 @@ _STABILITY_WINDOW = 2
 # its array pass gathers per sweep: on a core too large for a chunk of
 # `_FIRST_CHUNK` sweeps, every sweep runs exact.
 _FIRST_CHUNK = 4
-_SPECULATION_CHUNK = 32
+_SPECULATION_CHUNK = 128
 _SPECULATION_FLOATS = 1 << 20
 
 
@@ -257,9 +259,12 @@ def check_stopping_assumption(
 
     The check lets one controller pick any enabled joint action, so it
     amounts to the minimal reachability probability of the settling set
-    being 1 on the positive-probability successor graph.
+    being 1 on the positive-probability successor graph, which
+    `compile_objectives` computed from `game` for an infinite horizon
+    (`CompiledObjectives.successors`). A finite horizon has no objective
+    to check.
     """
-    succ = mdp.successor_sets(game)
+    succ = compiled.successors
     report = AssumptionReport()
     for l, obj in enumerate(compiled.items):
         if obj.kind == "until" and obj.bound is None:
@@ -451,42 +456,46 @@ def _pure_dists(
 # Infinite horizon: value iteration
 
 
-def _sweep_utilities(core: Core, rows: np.ndarray | None = None):
+def _padded(core: Core) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's successors and their probabilities (R, K) over the
+    core's one level, padded to the longest row by repeating the last
+    successor with probability 0."""
+    lengths = np.diff(core.ptr)
+    column = np.arange(int(lengths.max(initial=1)))
+    entry = core.ptr[:-1, None] + np.minimum(column, lengths[:, None] - 1)
+    prob = np.where(column < lengths[:, None], core.prob[entry], 0.0)
+    return core.succ[entry], prob
+
+
+def _as_range(nodes: np.ndarray) -> np.ndarray | slice:
+    """`nodes` as a slice when they are one contiguous range, which
+    assigns faster than an index."""
+    if len(nodes) and nodes[-1] - nodes[0] == len(nodes) - 1:
+        return slice(nodes[0], nodes[-1] + 1)
+    return nodes
+
+
+def _sweep_utilities(core: Core):
     """The function from one sweep's values (nodes, m) to every row's stage
     utilities (R, m), over the core's one level; values of B sweeps
-    stacked (B, nodes, m) give utilities (B, R, m). Given `rows`, the
-    function computes those rows alone, in that order, each to the bits
-    of the whole level's product: value iteration's speculative sweeps
-    (`_sweeps`).
+    stacked (B, nodes, m) give utilities (B, R, m).
 
     The continuations are one `(R, 1, K) @ (R, K, m)` product over rows
-    padded to the longest, by repeating the last successor with
-    probability 0. While no row has more than three successors, it rounds
-    exactly as one `np.dot` per row and objective; with longer rows, sums
-    may differ from it in the last bit. Stacked sweeps are flattened into
-    one `(B·R, 1, K) @ (B·R, K, m)` product, which rounds as each sweep's
-    own; a `(R, 1, K) @ (B, R, K, m)` product, broadcast over the sweeps,
-    does not once rows have more than three successors. Backward
-    induction contracts each successor count apart so that it rounds as
-    `np.dot` (`Level.stage_utilities`). Value iteration keeps the one
-    padded product: its bits are pinned (`PINNED_CHECKS` and the aloha3
-    min-reach values), and a split by successor count would add numpy
-    calls to every sweep.
+    padded to the longest (`_padded`). While no row has more than three
+    successors, it rounds exactly as one `np.dot` per row and objective;
+    with longer rows, sums may differ from it in the last bit. Stacked
+    sweeps are flattened into one `(B·R, 1, K) @ (B·R, K, m)` product,
+    which rounds as each sweep's own; a `(R, 1, K) @ (B, R, K, m)`
+    product, broadcast over the sweeps, does not once rows have more than
+    three successors. Backward induction contracts each successor count
+    apart so that it rounds as `np.dot` (`Level.stage_utilities`). Value
+    iteration keeps the one padded product: its bits are pinned
+    (`PINNED_CHECKS` and the aloha3 min-reach values), and a split by
+    successor count would add numpy calls to every sweep.
     """
     (level,) = core.levels
-    ptr = core.ptr
-    lengths = np.diff(ptr)
-    column = np.arange(int(lengths.max(initial=1)))
-    ptr = ptr[:-1]
-    if rows is not None:
-        ptr, lengths = ptr[rows], lengths[rows]
-        level = replace(level, **{
-            name: getattr(level, name)[rows]
-            for name in ("base", "add_base", "pend", "const")
-        })
-    entry = ptr[:, None] + np.minimum(column, lengths[:, None] - 1)
-    succ = core.succ[entry]
-    prob = np.where(column < lengths[:, None], core.prob[entry], 0.0)[:, None, :]
+    succ, prob = _padded(core)
+    prob = prob[:, None, :]
 
     tiled = {}  # `prob` repeated for each count of stacked sweeps
 
@@ -503,36 +512,92 @@ def _sweep_utilities(core: Core, rows: np.ndarray | None = None):
     return utilities
 
 
+def _held_sweeps(core: Core, rows: np.ndarray, negate: bool):
+    """The function that runs value iteration's speculative sweeps in place
+    on C-contiguous stacked values (T + 1, nodes, m): each of
+    `stacked[1:]` becomes the sweep of the values before it in which
+    every node of the level's stage block plays its held row (`rows`, one
+    per block node), to the bits that `_stage_bits` gives the whole
+    level's sweep (`_sweep_utilities`) at those rows. `stacked[1:]` must
+    hold the values of `stacked[0]`, as value iteration's own values do:
+    every component a sweep leaves alone, its pinned value (`Level.const`
+    is each row's node's `Core.const`) with the block's zero signs.
+
+    A sweep is three numpy calls: one gather of the successor values
+    through precomputed flat indices, the same `(N, 1, K) @ (N, K, m)`
+    product as the whole level's, padded to its K, and one masked add of
+    the rows' rewards into the next sweep's values. Where a row adds no
+    reward it adds -0.0, which gives every sum back bit for bit, ±0, inf
+    and NaN included, and the add runs in `Level.finish`'s operand order.
+    When the block has stages where several coalitions choose, or nodes
+    that are not one contiguous range, the sum goes through a buffer and
+    `_stage_bits` first."""
+    (level,) = core.levels
+    block = level.block
+    m = core.compiled.m
+    succ, prob = _padded(core)
+    index = succ[rows, :, None] * m + np.arange(m)
+    prob = prob[rows, None, :]
+    addend = np.where(level.add_base[rows], level.base[rows], -0.0)
+    pend = level.pend[rows]
+    pend = True if pend.all() else pend
+    cont = np.empty((len(rows), 1, m))
+    sums = cont[:, 0, :]
+    nodes = _as_range(block.nodes)
+    direct = isinstance(nodes, slice) and block.single.all()
+
+    def run(stacked: np.ndarray) -> None:
+        flat = stacked.reshape(len(stacked), -1)
+        out = stacked[0, nodes].copy()
+        for i in range(len(stacked) - 1):
+            np.matmul(prob, flat[i][index], out=cont)
+            if direct:
+                np.add(addend, sums, out=stacked[i + 1, nodes], where=pend)
+            else:
+                np.add(addend, sums, out=out, where=pend)
+                stacked[i + 1, nodes] = _stage_bits(out, block.single, negate)
+
+    return run
+
+
 def _sweeps(
     core: Core,
     values: np.ndarray,
     stages: _StageSolver,
     dists: dict[int, tuple[np.ndarray, ...]],
+    limit: Callable[[list[float]], int],
 ):
-    """Value iteration's sweeps from `values`, without end: yields each
-    sweep's values (nodes, m), its residual (the largest change from the
-    values before it) and its pure answers (`_solve_stages`), every one
-    the bits of an exact sweep from the values before it.
+    """Value iteration's sweeps from `values`, without end, a chunk at a
+    time: yields each chunk's values (T, nodes, m), its residuals (T,
+    each the largest change from the values before it), the nodes of its
+    pure answers and each sweep's picks there (T, answers)
+    (`_solve_stages`), every sweep the bits of an exact sweep from the
+    values before it. An exact sweep is a chunk of one. `limit` maps a
+    chunk's speculated residuals to how many of its sweeps value
+    iteration can take before its stopping rule fires or its cap is
+    reached, so that no sweep past either is verified.
 
     A sweep is exact (`_solve_stages`) until two in a row settle every
     node in the array pass, without the stage cache, and choose the same
     rows. Then each node holds the row it chose, and a chunk of
-    speculative sweeps computes only those rows, a few numpy calls where
-    an exact sweep takes about twenty. The chunk is then verified in one
-    batch: the array pass runs once on its sweeps' values stacked
-    (`_array_pass`), with dominance on every stage the pure bar leaves
-    open, as no cache is consulted there. Each sweep whose stages all
-    have a pure answer and whose values equal the speculated ones bit
-    for bit (NaN and -0.0 included) is taken. The first that differs ends
-    the chunk: it is taken with its true values if its stages all have a
-    pure answer, and otherwise runs exact. Chunks start at `_FIRST_CHUNK`
-    sweeps and double up to `_SPECULATION_CHUNK` while they are taken
-    whole; after a miss, sweeps run exact until the rows hold again, as a
-    chunk costs about three exact sweeps besides its sweeps. The stage
-    cache ages once per sweep taken, as over exact sweeps: a sweep that
-    settles every node uses no entry. This is modified policy iteration's
-    held policy (Puterman, *Markov Decision Processes*, 1994, 6.5) with
-    every held sweep checked against value iteration's own."""
+    speculative sweeps computes only those rows, three numpy calls a
+    sweep (`_held_sweeps`) where an exact sweep takes about twenty. The
+    chunk is then verified in one batch: the array pass runs once on its
+    sweeps' values stacked (`_array_pass`), with dominance on every stage
+    the pure bar leaves open, as no cache is consulted there. Each sweep
+    whose stages all have a pure answer and whose values equal the
+    speculated ones bit for bit (NaN and -0.0 included) is taken. The
+    first that differs ends the chunk: it is taken with its true values
+    if its stages all have a pure answer, and otherwise runs exact.
+    Chunks start at `_FIRST_CHUNK` sweeps and double up to
+    `_SPECULATION_CHUNK` while they are taken whole; after a miss, sweeps
+    run exact until the rows hold again, as a chunk costs about three
+    exact sweeps besides its sweeps. The stage cache ages once per exact
+    sweep. A sweep that settles every node uses no entry, and two ages
+    empty the cache, so a chunk ages it at most twice. This is modified
+    policy iteration's held policy (Puterman, *Markov Decision
+    Processes*, 1994, 6.5) with every held sweep checked against value
+    iteration's own."""
     (level,) = core.levels
     block = level.block
     negate = stages.opt == "min"
@@ -544,64 +609,64 @@ def _sweeps(
     )
     longest = min(_SPECULATION_CHUNK, _SPECULATION_FLOATS // gathered)
     first = _FIRST_CHUNK if longest >= _FIRST_CHUNK else 0
-    nodes = block.nodes
-    if len(nodes) and nodes[-1] - nodes[0] == len(nodes) - 1:
-        nodes = slice(nodes[0], nodes[-1] + 1)  # assigns faster than an index
+    nodes = _as_range(block.nodes)
     every = np.arange(len(block.nodes))
-    # Whether a speculative sweep must give any stage the solver's zero
-    # signs (`_stage_bits`); most cores have single-chooser stages alone.
-    zero_signs = not block.single.all()
 
     # The rows the last sweep chose, when it settled every node in an
-    # array pass, and the rows the speculative sweeps hold, with their sweep.
-    last = held = sweep_held = None
+    # array pass, and the rows the speculative sweeps hold, with their sweeps.
+    last = held = held_sweeps = None
     chunk = 0
     while True:
         if not chunk:
             new = values.copy()
-            answers = _solve_stages(core, level, sweep(values), new, stages, dists)
+            answered, picks = _solve_stages(
+                core, level, sweep(values), new, stages, dists
+            )
             settled = first and len(every) and not stages.current
             stages.age()
-            yield new, float(np.abs(new - values).max(initial=0.0)), answers
+            residual = float(np.abs(new - values).max(initial=0.0))
+            yield new[None], [residual], answered, picks[None]
             values = new
-            rows = block.rows[every, answers[1]] if settled else None
+            rows = block.rows[every, picks] if settled else None
             if rows is not None and last is not None and np.array_equal(rows, last):
                 chunk = first
             last = rows
             continue
         if held is None or not np.array_equal(held, last):
-            held, sweep_held = last, _sweep_utilities(core, last)
+            held, held_sweeps = last, _held_sweeps(core, last, negate)
         stacked = np.empty((chunk + 1,) + values.shape)
         stacked[:] = values
-        for i in range(chunk):
-            cells = sweep_held(stacked[i])
-            stacked[i + 1, nodes] = (
-                _stage_bits(cells, block.single, negate) if zero_signs else cells
-            )
+        held_sweeps(stacked)
+        residuals = np.abs(np.diff(stacked, axis=0)).max(axis=(1, 2), initial=0.0)
+        cut = limit(residuals.tolist())
         decided, picks, cells = _array_pass(
-            block, sweep(stacked[:-1]), negate, lambda open: open
+            block, sweep(stacked[:cut]), negate, lambda open: open
         )
         pure = decided.all(axis=1)
-        speculated = stacked[1:, nodes].view(np.int64)
+        speculated = stacked[1 : cut + 1, nodes].view(np.int64)
         ok = pure & (cells.view(np.int64) == speculated).all(axis=(1, 2))
-        taken = chunk if ok.all() else int(np.argmin(ok))
-        settled = taken == chunk or pure[taken]
-        if taken < chunk and pure[taken]:
+        taken = cut if ok.all() else int(np.argmin(ok))
+        settled = taken == cut or pure[taken]
+        if taken < cut and pure[taken]:
             # The first sweep that differs from its speculation settled
             # every node in an array pass: its true values are known.
             stacked[taken + 1, nodes] = cells[taken]
+            residuals[taken] = np.abs(stacked[taken + 1] - stacked[taken]).max(
+                initial=0.0
+            )
             taken += 1
-        residuals = np.abs(np.diff(stacked[: taken + 1], axis=0))
-        residuals = residuals.max(axis=(1, 2), initial=0.0).tolist()
-        for i in range(taken):
-            answers = (block.nodes, picks[i])
+        for _ in range(min(taken, 2)):
             stages.age()
-            yield stacked[i + 1], residuals[i], answers
+        if taken:
+            yield (
+                stacked[1 : taken + 1], residuals[:taken].tolist(), block.nodes,
+                picks[:taken],
+            )
         values = stacked[taken]
         # A chunk taken whole is followed by one twice as long; after a
         # miss, exact sweeps run until two in a row choose the same rows.
         chunk = min(2 * chunk, longest) if ok.all() else 0
-        last = block.rows[every, answers[1]] if settled else None
+        last = block.rows[every, picks[taken - 1]] if settled else None
 
 
 def solve_value_iteration(
@@ -618,13 +683,16 @@ def solve_value_iteration(
     pure answer in one array pass, with dominance only on open tables the
     stage cache has not seen, and sends the others to the solver through
     the cache (`_solve_stages`); the pure answers' profiles are taken
-    from the last sweep only. While every
-    stage has a pure answer, sweeps run speculatively in chunks that hold
-    each node's chosen row and are verified in one batch, to the bits of
-    the exact sweeps (`_sweeps`); the stopping rule, the cycle detection
-    and the cap then count the sweeps one by one. Raises NotConverged
-    when the iteration cap is hit before the stopping rule fires, or as
-    soon as the values cycle without it firing.
+    from the stopping sweep only. While every stage has a pure answer,
+    sweeps run speculatively in chunks that hold each node's chosen row
+    and are verified in one batch, to the bits of the exact sweeps
+    (`_sweeps`). The sweeps come a chunk at a time, an exact sweep as a
+    chunk of one, and the stopping rule, the cycle detection and the cap
+    count a chunk's sweeps one by one. No chunk is verified past the
+    sweep where the rule would fire or the cap would be reached, reckoned
+    on its speculated residuals (`limit`). Raises NotConverged when the
+    iteration cap is hit before the stopping rule fires, or as soon as
+    the values cycle without it firing.
     """
     vi = vi or VIConfig()
     report = check_stopping_assumption(game, compiled)
@@ -638,31 +706,51 @@ def solve_value_iteration(
     dists: dict[int, tuple[np.ndarray, ...]] = {}
     stages = _StageSolver(compiled.opt)
 
-    stable = 0
+    stable = iterations = 0
     # Brent's cycle detection: a sweep is a function of the previous
     # values alone, so values equal to the saved vector of `lam` sweeps
     # ago repeat with that period for ever.
     saved, power, lam = values.tobytes(), 1, 1
     period = None
-    sweeps = _sweeps(core, values, stages, dists)
-    for iterations, (values, residual, answers) in enumerate(sweeps, 1):
-        stable = stable + 1 if residual <= vi.epsilon else 0
-        if stable >= _STABILITY_WINDOW:
-            break
-        if period is None:
-            current = values.tobytes()
-            if current == saved:
-                period, deadline = lam, iterations + lam
-            else:
-                if lam == power:
-                    saved, power, lam = current, power * 2, 0
-                lam += 1
-        elif iterations == deadline and stable < period:
-            # A whole period has passed with a residual above epsilon in
-            # it; every later period repeats it.
-            raise NotConverged(residual, iterations, period)
-        if iterations == vi.max_iters:
-            raise NotConverged(residual, iterations, period)
+
+    def limit(residuals: list[float]) -> int:
+        """How many sweeps of a chunk with these residuals the loop below
+        can take: up to the first that fires the stopping rule, and no
+        more than the cap leaves."""
+        count, room = stable, vi.max_iters - iterations
+        for taken, residual in enumerate(residuals[:room], 1):
+            count = count + 1 if residual <= vi.epsilon else 0
+            if count >= _STABILITY_WINDOW:
+                return taken
+        return min(len(residuals), room)
+
+    for chunk, residuals, answered, picks in _sweeps(
+        core, values, stages, dists, limit
+    ):
+        for t, residual in enumerate(residuals):
+            iterations += 1
+            stable = stable + 1 if residual <= vi.epsilon else 0
+            if stable >= _STABILITY_WINDOW:
+                break
+            if period is None:
+                current = chunk[t].tobytes()
+                if current == saved:
+                    period, deadline = lam, iterations + lam
+                else:
+                    if lam == power:
+                        saved, power, lam = current, power * 2, 0
+                    lam += 1
+            elif iterations == deadline and stable < period:
+                # A whole period has passed with a residual above epsilon
+                # in it; every later period repeats it.
+                raise NotConverged(residual, iterations, period)
+            if iterations == vi.max_iters:
+                raise NotConverged(residual, iterations, period)
+        else:
+            continue
+        break
+    # The stopping sweep's values and its own pure answers.
+    values, answers = chunk[t], (answered, picks[t])
 
     dists.update(_pure_dists(core, level, stages, answers))
     strategy = SynthesizedStrategy(

@@ -54,6 +54,10 @@ class CompiledObjectives:
     horizon: str  # "finite" | "infinite"
     items: tuple[CompiledObjective, ...]
     max_bound: int = 0
+    # The coalition game's positive-probability successor sets, computed
+    # once for an infinite horizon's qualitative sets and for
+    # `engine.check_stopping_assumption`; None for a finite horizon.
+    successors: mdp.Successors | None = field(default=None, compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -142,6 +146,7 @@ def compile_objectives(
         horizon=horizon,
         items=tuple(items),
         max_bound=max(bounds) if bounds else 0,
+        successors=succ,
     )
 
 
