@@ -15,7 +15,7 @@ import json
 import math
 import operator
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .games import Csg, NormalFormGame, RewardStructure, validate_csg
 
@@ -96,11 +96,13 @@ def _finite(value, where: str) -> float:
     return number
 
 
-def _number(value, params: Mapping[str, float], where: str) -> float:
+def _number(value, evaluate: Callable[[str], float], where: str) -> float:
+    """A numeric field as a finite float: a number as it is, an expression
+    string through `evaluate`."""
     if isinstance(value, (int, float)):
         return _finite(value, f"{value!r} at {where}")
     if isinstance(value, str):
-        return _finite(eval_expression(value, params), f"{value!r} at {where}")
+        return _finite(evaluate(value), f"{value!r} at {where}")
     raise ModelError(f"expected number or expression at {where}, got {value!r}")
 
 
@@ -155,6 +157,10 @@ def load_model_dict(
     players and actions are interned to dense indices in file order.
     """
     declared = _parameters(doc, params)
+    # Each distinct expression string is evaluated once per load: a model
+    # repeats a few expressions in many fields. One that raises ends the
+    # load at its first field.
+    evaluate = functools.cache(lambda text: eval_expression(text, declared))
 
     player_docs = _array(doc.get("players", []), "'players'")
     players = [
@@ -247,7 +253,7 @@ def load_model_dict(
         dist_doc = _field(entry, "dist", "transition")
         for t_name, p in _object(dist_doc, f"'dist' of {entry['state']!r}").items():
             t = state_id(t_name, f"dist of {entry['state']!r}")
-            dist[t] = _number(p, declared, f"dist of {entry['state']!r}")
+            dist[t] = _number(p, evaluate, f"dist of {entry['state']!r}")
         transitions[(s, joint)] = dist
 
     rewards = {}
@@ -255,7 +261,7 @@ def load_model_dict(
         where = f"rewards {name!r}"
         state_doc = _object(spec, where).get("state", {})
         state_rewards = {
-            state_id(k, where): _number(v, declared, where)
+            state_id(k, where): _number(v, evaluate, where)
             for k, v in _object(state_doc, f"'state' of {where}").items()
         }
         action_rewards = {}
@@ -263,7 +269,7 @@ def load_model_dict(
             s = state_id(_field(entry, "state", where), where)
             joint = parse_joint(_field(entry, "joint", where), where)
             v = _field(entry, "v", where)
-            action_rewards[(s, joint)] = _number(v, declared, where)
+            action_rewards[(s, joint)] = _number(v, evaluate, where)
         rewards[name] = RewardStructure(state_rewards, action_rewards)
 
     model = Csg(

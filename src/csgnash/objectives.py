@@ -337,10 +337,10 @@ class Core:
         todo: np.ndarray | None = None, weights: np.ndarray | None = None,
     ) -> list:
         """A backward pass over this bounded core, from the deepest level:
-        `compute(level)` writes the level's `values` (per node) and returns
-        its output, except where `repeats` holds: level i then takes the
-        values and the output object of level i + 1. Returns every level's
-        output, in level order."""
+        `compute(level)` writes the level's `values` (a row per node, any
+        number of columns) and returns its output, except where `repeats`
+        holds: level i then takes the values and the output object of
+        level i + 1. Returns every level's output, in level order."""
         levels = self.levels
         outputs: list = [None] * len(levels)
         for i in reversed(range(len(levels))):
@@ -360,12 +360,15 @@ class Core:
     ) -> bool:
         """Whether `backward` may give level i the outputs of level i + 1
         and do no other work. It may when the two levels share a template
-        and the `values` (per node) over level i + 1 equal, byte for byte,
-        those over level i + 2, which the two read as their successors'
-        values. Certification also reads which nodes it evaluates, `todo`
-        (per node), and the row `weights` (per row): where given, each
-        must be byte-equal over the two levels. Every output of level i is
-        then computed from the same bits as level i + 1's."""
+        and the `values` (a row per node) over level i + 1 equal, byte for
+        byte, those over level i + 2, which the two read as their
+        successors' values. Certification also reads which nodes it
+        evaluates, `todo` (a row per node), and the row `weights` (a row
+        per row): where given, each must be byte-equal over the two
+        levels. Each array's rows may stack several columns, as
+        certification stacks its coalitions' and the profile's; all of
+        them are compared. Every output of level i is then computed from
+        the same bits as level i + 1's."""
         levels = self.levels
         if i + 2 >= len(levels) or levels[i + 1].template != levels[i].template:
             return False

@@ -8,14 +8,17 @@ coalition's best response with the others held fixed, which bounds how far
 the profile is from an exact equilibrium at every state.
 
 Finite horizons are certified over the levels of the check's core
-(`objectives.Core`), one forward pass to find the reached nodes and weight
-their rows, then one backward pass per evaluation or best response. Each
-pass computes a repeated level once: the forward pass per template,
-reached nodes and profile objects, the backward passes copying a level
-whose inputs repeat the level above's byte for byte (`Core.backward`,
-which backward induction runs too). So a long horizon whose levels
-repeat costs about as much to certify as a short one, with the bits of
-certifying every level.
+(`objectives.Core`) in two walks that carry every coalition at once: one
+forward walk finds the nodes the profile reaches, and those each
+coalition's deviations reach, and weights their rows, a column per
+coalition and one for the profile; one backward walk then rolls back the
+profile's values and every coalition's best response together, in
+stacked columns. Each walk computes a repeated level once: the forward
+walk per template, reached nodes and profile objects, the backward walk
+copying a level whose inputs repeat the level above's byte for byte
+(`Core.backward`, which backward induction runs too). So a long horizon
+whose levels repeat costs about as much to certify as a short one, with
+the bits of certifying every level and every coalition on its own.
 """
 
 from __future__ import annotations
@@ -182,26 +185,34 @@ def _core(
 
 def _row_weights(
     core: Core, level: Level, strategy: SynthesizedStrategy, here: np.ndarray,
-    skip: int = -1,
+    skips,
 ) -> np.ndarray:
-    """The joint weight of every row of `level` whose node `here` marks,
-    0 at the others: the coalitions' probabilities of the row's actions
-    multiplied in coalition order, coalition `skip`'s own left out."""
-    weights = np.zeros(level.rows.stop - level.rows.start)
-    if not here.any():
+    """The joint weights (rows, columns) of `level`'s rows: in column j,
+    the coalitions' probabilities of the row's actions multiplied in
+    coalition order, coalition `skips[j]`'s own left out (none when it is
+    not a coalition), at the rows whose node `here[:, j]` marks, and 0 at
+    the others. The marked nodes' probabilities are gathered once for
+    every column."""
+    weights = np.zeros((level.rows.stop - level.rows.start, len(skips)))
+    marked = here.any(axis=1)
+    if not marked.any():
         return weights
     probs = np.concatenate([
         dist
-        for node in itertools.compress(core.nodes[level.nodes], here)
+        for node in itertools.compress(core.nodes[level.nodes], marked)
         for dist in strategy.table[node]
     ])
     # Where each (node, coalition) distribution starts in `probs`.
-    sizes = level.shapes * here[:, None]
+    sizes = level.shapes * marked[:, None]
     first = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
-    rows = np.flatnonzero(here[level.row_nodes])
+    rows = np.flatnonzero(marked[level.row_nodes])
     x = probs[first[level.row_nodes[rows]] + level.actions[rows]]
-    columns = [x[:, i] for i in range(x.shape[1]) if i != skip]
-    weights[rows] = functools.reduce(np.multiply, columns) if columns else 1.0
+    # Per coalition, its factor of each (row, column): 1.0 where it is
+    # left out, which leaves every product's bits as they are without it.
+    left_out = np.arange(x.shape[1])[:, None] == skips
+    factors = np.where(left_out[:, None, :], 1.0, x.T[:, :, None])
+    product = functools.reduce(np.multiply, factors)
+    weights[rows] = np.where(here[level.row_nodes[rows]], product, 0.0)
     return weights
 
 
@@ -217,11 +228,11 @@ def evaluate_profile(
     """Objective values achieved by a fixed profile at every (state, mode)
     node of an infinite horizon, where the induced absorbing Markov chain
     is solved exactly, and at every initial mode of a finite one, where the
-    levels are rolled back."""
+    levels are rolled back (`_certify_finite`)."""
     core = _core(game, strategy, compiled)
     if compiled.horizon == "infinite":
         return _evaluate_memoryless(core, strategy)
-    return _evaluate_finite(core, strategy)
+    return _certify_finite(core, strategy)[0]
 
 
 def _solve_absorbing(chain, reward, pending, boundary):
@@ -257,7 +268,8 @@ def _evaluate_memoryless(core: Core, strategy: SynthesizedStrategy):
     order."""
     (level,) = core.levels
     n, m = core.const.shape
-    weight = _row_weights(core, level, strategy, core.pending.any(axis=1))
+    here = core.pending.any(axis=1)[:, None]
+    weight = _row_weights(core, level, strategy, here, [-1])[:, 0]
     played = np.flatnonzero(weight)
     step_reward = core.state_rewards[core.states]
     rewards = weight[played, None] * core.action_rewards[played]
@@ -271,79 +283,6 @@ def _evaluate_memoryless(core: Core, strategy: SynthesizedStrategy):
             chain, step_reward[:, l], core.pending[:, l], core.const[:, l]
         )
     return {(s, (D, E)): values[p].copy() for p, (s, D, E, _) in enumerate(core.nodes)}
-
-
-def _reached(
-    core: Core, strategy: SynthesizedStrategy, skip: int = -1
-) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes of a bounded core that play can reach from an initial
-    mode and that still need a value: those with a pending component, or
-    with coalition `skip`'s objective pending when `skip` picks a best
-    responder, whose own mix is then left out. Returns their mask and
-    every row's `_row_weights`, 0 at the other nodes. Successors lie one
-    level up, so one pass up the levels finds every reached node.
-
-    A level's weights, and the successors they reach, are a function of
-    its template, its reached mask and the profiles of its reached nodes.
-    So they are computed once per combination of the three, the profiles
-    known by object: the table holds every profile for the whole call,
-    and backward induction gives a copied level the profile objects of
-    the level it copies. A table whose nodes share no profile objects,
-    as an imported one, is weighted level by level, to the same bits."""
-    weights = np.zeros(len(core.action_rewards))
-    reached = np.zeros(len(core.nodes), dtype=bool)
-    reached[core.initial] = True
-    expand = core.pending[:, skip] if skip >= 0 else core.pending.any(axis=1)
-    todo = np.zeros(len(core.nodes), dtype=bool)
-    # Per key, a level's weights and its reached successors, counted from
-    # the next level's first node.
-    known: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-    for level in core.levels:
-        todo[level.nodes] = here = reached[level.nodes] & expand[level.nodes]
-        nodes = itertools.compress(core.nodes[level.nodes], here)
-        profiles = map(strategy.table.__getitem__, nodes)
-        key = (level.template, here.tobytes(), *map(id, profiles))
-        hit = known.get(key)
-        if hit is None:
-            w = _row_weights(core, level, strategy, here, skip)
-            after = core.succ[level.entries][w[level.entry_rows] != 0.0]
-            hit = known[key] = w, after - level.nodes.stop
-        weights[level.rows], after = hit
-        reached[level.nodes.stop + after] = True
-    return todo, weights
-
-
-def _evaluate_finite(core: Core, strategy: SynthesizedStrategy):
-    """Levels rolled back from the deepest: a reached node's pending
-    components sum weight times stage utility over its played rows, in
-    joint order from 0, each level run or copied by `Core.backward`."""
-    todo, weights = _reached(core, strategy)
-    values = core.const.copy()
-    m = values.shape[1]
-
-    def evaluate(level: Level) -> None:
-        nodes = level.nodes
-        here = np.flatnonzero(todo[nodes])
-        if not len(here):
-            return
-        weight = weights[level.rows]
-        played = np.flatnonzero(weight)
-        utilities = level.stage_utilities(values)
-        # bincount adds in index order, so each (node, component) sum
-        # runs over the node's rows in joint order.
-        slots = level.row_nodes[played, None] * m + np.arange(m)
-        sums = np.bincount(
-            slots.ravel(),
-            weights=(weight[played, None] * utilities[played]).ravel(),
-            minlength=(nodes.stop - nodes.start) * m,
-        ).reshape(-1, m)
-        p = nodes.start + here
-        values[p] = np.where(core.pending[p], sums[here], core.const[p])
-
-    core.backward(values, evaluate, todo, weights)
-    return {
-        (s, core.nodes[p][1:3]): values[p].copy() for s, p in enumerate(core.initial)
-    }
 
 
 def evaluate_at_initial_modes(
@@ -371,12 +310,13 @@ def best_response_value(
 
     Fixing the others yields a single-controller decision process over the
     (state, mode) bookkeeping graph; finite horizons are solved exactly by
-    backward induction and infinite horizons exactly by policy iteration.
+    backward induction (`_certify_finite`, for every coalition at once)
+    and infinite horizons exactly by policy iteration.
     """
     core = _core(game, strategy, compiled)
     if compiled.horizon == "infinite":
         return _best_response_memoryless(core, strategy, coalition)
-    return _best_response_finite(core, strategy, coalition)
+    return _certify_finite(core, strategy)[1][coalition]
 
 
 def _best_response_memoryless(
@@ -395,7 +335,7 @@ def _best_response_memoryless(
     if not len(opened):
         return {pair: float(boundary[p]) for p, pair in enumerate(pairs)}
     (level,) = core.levels
-    weight = _row_weights(core, level, strategy, pending, coalition)
+    weight = _row_weights(core, level, strategy, pending[:, None], [coalition])[:, 0]
     played = np.flatnonzero(weight)
     # Choice row o * k + a is own action a at open pair o: its expected
     # immediate reward, the state reward plus weight times action reward
@@ -442,56 +382,178 @@ def _best_response_memoryless(
             )
 
 
-def _best_response_finite(core: Core, strategy: SynthesizedStrategy, coalition: int):
-    """Levels rolled back from the deepest. At a reached node each own
-    action's total sums, over its played rows in joint order from 0 (the
-    state reward first for a cumulative objective), weight times action
-    reward and weight times continuation; the continuation sums
-    probability times value over the row's successors in order from 0.
-    The best total is kept as `functools.reduce(max or min)` keeps it:
-    a later action wins only when strictly better, so a leading NaN
-    stays. Each level is run or copied by `Core.backward`."""
-    todo, weights = _reached(core, strategy, coalition)
+# ---------------------------------------------------------------------------
+# Bounded certification: every coalition in one walk each way
+
+
+def _reached(
+    core: Core, strategy: SynthesizedStrategy
+) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of a bounded core that play can reach from an initial
+    mode and that still need a value, and every row's weights, 0 at the
+    other nodes: one column per coalition i, reached with its own mix
+    left out and needing a value where its objective is pending, then
+    one for the profile, needing a value where any objective is pending
+    (`_row_weights`). Returns the mask (nodes, m + 1) and the weights
+    (rows, m + 1). Successors lie one level up, so one pass up the levels
+    finds every reached node of every column.
+
+    A level's weights, and the successors they reach, are a function of
+    its template, its reached mask and the profiles of its reached nodes.
+    So they are computed once per combination of the three, the profiles
+    known by object: the table holds every profile for the whole call,
+    and backward induction gives a copied level the profile objects of
+    the level it copies. A table whose nodes share no profile objects,
+    as an imported one, is weighted level by level, to the same bits."""
+    m = core.const.shape[1]
+    expand = np.column_stack([core.pending, core.pending.any(axis=1)])
+    reached = np.zeros(expand.shape, dtype=bool)
+    reached[core.initial] = True
+    todo = np.zeros(expand.shape, dtype=bool)
+    weights = np.zeros((len(core.action_rewards), m + 1))
+    skips = list(range(m)) + [-1]
+    # Per key, a level's weights and its reached successors, counted from
+    # the next level's first node, with their columns.
+    known: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    for level in core.levels:
+        todo[level.nodes] = here = reached[level.nodes] & expand[level.nodes]
+        nodes = itertools.compress(core.nodes[level.nodes], here.any(axis=1))
+        profiles = map(strategy.table.__getitem__, nodes)
+        key = (level.template, here.tobytes(), *map(id, profiles))
+        hit = known.get(key)
+        if hit is None:
+            w = _row_weights(core, level, strategy, here, skips)
+            entries, columns = np.nonzero(w[level.entry_rows])
+            after = core.succ[level.entries][entries] - level.nodes.stop
+            hit = known[key] = w, after, columns
+        weights[level.rows], after, columns = hit
+        reached[level.nodes.stop + after, columns] = True
+    return todo, weights
+
+
+@dataclass
+class _Slots:
+    """Where `_certify_finite` sums a level's terms, the same for every
+    level of its template. Slot (i, node, a) totals coalition i's own
+    action a at the node, `size` of them; slot `size` + (node, l) then
+    sums the profile's component l; one last slot takes the rewards of
+    coalitions whose objective is not cumulative, and is never read."""
+
+    cont: np.ndarray  # (entries * m,) each entry's continuation slot (row, i)
+    total: np.ndarray  # (rows, m) each row's total slot per coalition
+    reward: np.ndarray  # (rows, m) its reward's slot: `total`, or the last
+    profile: np.ndarray  # (rows, m) its profile term's slot per component
+    first: np.ndarray  # the total slots of cumulative objectives, which
+    start: np.ndarray  # start from these state rewards
+    width: int  # own actions per (coalition, node), padded
+    size: int  # total slots
+    length: int  # all slots
+
+
+def _slots(core: Core, level: Level) -> _Slots:
+    """The `_Slots` of a level's template."""
+    m = core.const.shape[1]
+    cumulative = np.array([obj.kind == "cumulative" for obj in core.compiled.items])
+    count, width = level.shapes.shape[0], int(level.shapes.max())
+    size = m * count * width
+    own = np.arange(m)
+    total = (own * count + level.row_nodes[:, None]) * width + level.actions
+    return _Slots(
+        cont=(level.entry_rows[:, None] * m + own).ravel(),
+        total=total,
+        reward=np.where(cumulative, total, size + count * m),
+        profile=size + level.row_nodes[:, None] * m + own,
+        first=np.arange(size).reshape(m, -1)[cumulative].ravel(),
+        start=core.state_rewards[core.states[level.nodes]].T[cumulative].repeat(width),
+        width=width,
+        size=size,
+        length=size + count * m + 1,
+    )
+
+
+def _certify_finite(core: Core, strategy: SynthesizedStrategy):
+    """The profile's values at each state's initial mode, as
+    `evaluate_profile` reports them, and per coalition its best responses
+    there with the others held to the profile, as `best_response_value`
+    does. The values (nodes, 2m) hold the profile's in columns 0 to m - 1,
+    coalition i's best response in column m + i. Levels are rolled back
+    from the deepest, each run or copied by `Core.backward`, every
+    coalition in one pass.
+
+    At a node the profile reaches, each pending component sums weight
+    times stage utility over the node's played rows in joint order.
+    At a node coalition i's deviations reach, each own action's total
+    sums, over its played rows in joint order from 0 (the state reward
+    first for a cumulative objective), weight times action reward (for
+    a cumulative objective) and weight times continuation; the
+    continuation sums probability times value over the row's successors
+    in order from 0. The best total is kept as `functools.reduce(max or
+    min)` keeps it: a later action wins only when strictly better, so a
+    leading NaN stays.
+
+    `bincount` adds in index order, so each sum runs in the order above:
+    the continuations in one call per level, and the totals and the
+    profile's sums in another, each in a slot of its own (`_slots`)."""
+    todo, weights = _reached(core, strategy)
+    m = core.const.shape[1]
+    values = np.hstack([core.const, core.const])
     better = np.greater if core.compiled.opt == "max" else np.less
-    cumulative = core.compiled.items[coalition].kind == "cumulative"
-    values = core.const[:, coalition].copy()
+    layouts: dict[int, _Slots] = {}
 
-    def respond(level: Level) -> None:
+    def certify(level: Level) -> None:
         nodes, rows, entries = level.nodes, level.rows, level.entries
-        here = np.flatnonzero(todo[nodes])
-        if not len(here):
+        here = todo[nodes]
+        if not here.any():
             return
+        slots = layouts.get(level.template)
+        if slots is None:
+            slots = layouts[level.template] = _slots(core, level)
         weight = weights[rows]
-        played = np.flatnonzero(weight)
-        # bincount adds in index order: every sum below is sequential.
+        # Each row's continuation (rows, m) on each coalition's responses.
         cont = np.bincount(
-            level.entry_rows,
-            weights=core.prob[entries] * values[core.succ[entries]],
-            minlength=len(weight),
+            slots.cont,
+            weights=(core.prob[entries, None] * values[core.succ[entries], m:]).ravel(),
+            minlength=len(weight) * m,
+        ).reshape(-1, m)
+        row, i = np.nonzero(weight[:, :m])
+        w = weight[row, i]
+        played = np.flatnonzero(weight[:, m])
+        # The profile's sums need stage utilities only where it plays.
+        utilities = level.stage_utilities(values[:, :m])[played] if len(played) else 0.0
+        sums = np.bincount(
+            np.concatenate([
+                slots.first,
+                np.array([slots.reward[row, i], slots.total[row, i]]).ravel("F"),
+                slots.profile[played].ravel(),
+            ]),
+            weights=np.concatenate([
+                slots.start,
+                np.array([
+                    w * core.action_rewards[rows.start + row, i], w * cont[row, i]
+                ]).ravel("F"),
+                (weight[played, m, None] * utilities).ravel(),
+            ]),
+            minlength=slots.length,
         )
-        counts = level.shapes[:, coalition]
-        width = int(counts.max())
-        slots = level.row_nodes[played] * width + level.actions[played, coalition]
-        adds = weight[played] * cont[played]
-        if cumulative:
-            reward = core.action_rewards[rows, coalition][played]
-            slots = np.concatenate([np.arange(len(counts) * width), slots.repeat(2)])
-            adds = np.concatenate([
-                core.state_rewards[core.states[nodes], coalition].repeat(width),
-                np.column_stack([weight[played] * reward, adds]).ravel(),
-            ])
-        totals = np.bincount(
-            slots, weights=adds, minlength=len(counts) * width
-        ).reshape(-1, width)
-        best = totals[:, 0]
-        for a in range(1, width):
-            best = np.where((a < counts) & better(totals[:, a], best), totals[:, a], best)
-        values[nodes.start + here] = best[here]
+        totals = sums[: slots.size].reshape(m, -1, slots.width)
+        counts = level.shapes.T
+        best = totals[..., 0]
+        for a in range(1, slots.width):
+            take = (a < counts) & better(totals[..., a], best)
+            best = np.where(take, totals[..., a], best)
+        profile = sums[slots.size : -1].reshape(-1, m)
+        evaluated = here[:, m, None] & core.pending[nodes]
+        values[nodes, :m] = np.where(evaluated, profile, values[nodes, :m])
+        values[nodes, m:] = np.where(here[:, :m], best.T, values[nodes, m:])
 
-    core.backward(values, respond, todo, weights)
-    return {
-        (s, core.nodes[p][1:3]): float(values[p]) for s, p in enumerate(core.initial)
-    }
+    core.backward(values, certify, todo, weights)
+    keys = [(s, core.nodes[p][1:3]) for s, p in enumerate(core.initial)]
+    achieved = {key: values[p, :m].copy() for key, p in zip(keys, core.initial)}
+    responses = [
+        {key: float(values[p, m + i]) for key, p in zip(keys, core.initial)}
+        for i in range(m)
+    ]
+    return achieved, responses
 
 
 def certify_epsilon(
@@ -506,12 +568,17 @@ def certify_epsilon(
     NaN or infinite gap is reported as it is; epsilon is 0 only when there
     are no gaps at all.
     """
-    achieved = evaluate_profile(game, strategy, compiled)
+    if compiled.horizon == "finite":
+        achieved, responses = _certify_finite(_core(game, strategy, compiled), strategy)
+    else:
+        achieved = evaluate_profile(game, strategy, compiled)
+        responses = [
+            best_response_value(game, strategy, i, compiled) for i in range(compiled.m)
+        ]
     cert = EpsilonCertificate()
-    for i in range(compiled.m):
-        responses = best_response_value(game, strategy, i, compiled)
+    for i, response in enumerate(responses):
         gaps = []
-        for (s, mode), br in responses.items():
+        for (s, mode), br in response.items():
             if (s, mode) not in achieved:
                 continue
             got = float(achieved[(s, mode)][i])

@@ -2,10 +2,12 @@
 
 Deliberately independent of the main solver: pure equilibria are found by
 exhaustive deviation checking, small sequential games by re-deriving the
-backward induction with pure-strategy stage solutions, and single-agent
-optimal values by plain dynamic programming. Mixed equilibria are out of
-scope by design; whenever a stage game has none in pure strategies the
-reference abstains instead of guessing.
+backward induction with pure-strategy stage solutions, a fixed bounded
+profile's values and one coalition's best response against it by plain
+recursion over the nodes, and single-agent optimal values by plain
+dynamic programming. Mixed equilibria are out of scope by design;
+whenever a stage game has none in pure strategies the reference
+abstains instead of guessing.
 """
 
 from __future__ import annotations
@@ -86,62 +88,78 @@ def _stage_pure_optimum(
     return best[1], best[2]
 
 
+def _bounded_node(game: Csg, compiled: CompiledObjectives, rewards, s, D, E, n):
+    """A bounded node entered in state s with satisfied set D and failed
+    set E after n steps: its promoted key (s, D, E, n), its value vector
+    with every decided component filled in, and its live components.
+
+    Re-derives the bookkeeping from scratch: D and E grow from the
+    satisfaction sets, expired bounds contribute nothing, an instantaneous
+    reward due now is the state reward. A probability check whose every
+    objective is decided has no live component."""
+    D, E = set(D), set(E)
+    for l, obj in enumerate(compiled.items):
+        if l in D or l in E:
+            continue
+        remaining = (obj.bound or 0) - n
+        if obj.kind == "until":
+            if s in obj.sat2:
+                D.add(l)
+            elif s in obj.fail or remaining <= 0:
+                E.add(l)
+        elif obj.kind == "next" and remaining <= 0:
+            (D if s in obj.sat2 else E).add(l)
+    key = (s, frozenset(D), frozenset(E), n)
+    vec = np.zeros(compiled.m)
+    for l in D:
+        vec[l] = 1.0
+    live = []
+    if compiled.kind == "prob" and len(D) + len(E) == compiled.m:
+        return key, vec, live
+    for l, obj in enumerate(compiled.items):
+        if l in D or l in E:
+            continue
+        remaining = (obj.bound or 0) - n
+        if obj.kind in ("until", "next"):
+            live.append(l)
+        elif obj.kind == "instant":
+            if remaining == 0:
+                vec[l] = rewards[l].state_reward(s)
+            elif remaining > 0:
+                live.append(l)
+        elif obj.kind == "cumulative" and remaining > 0:
+            live.append(l)
+    return key, vec, live
+
+
+def _stage_utility(compiled, rewards, s, joint, l, cont) -> float:
+    """Objective l's utility of a joint action at state s, given its
+    expected continuation `cont`: a cumulative reward adds the state and
+    action rewards."""
+    if compiled.items[l].kind == "cumulative":
+        return rewards[l].state_reward(s) + rewards[l].action_reward(s, joint) + cont
+    return cont
+
+
 def reference_backward_induction(
     game: Csg, compiled: CompiledObjectives
 ) -> dict[int, np.ndarray]:
     """Finite-horizon values with every stage solved in pure strategies.
 
-    Re-derives the bookkeeping recursion from scratch: satisfied and
-    failed objective sets grow from the satisfaction sets, expired bounds
-    contribute nothing, live objectives average the next level. Raises
-    OracleAbstain when some stage game has no pure equilibrium.
+    Re-derives the bookkeeping recursion from scratch (`_bounded_node`):
+    live objectives average the next level. Raises OracleAbstain when
+    some stage game has no pure equilibrium.
     """
     if compiled.horizon != "finite":
         raise ValueError("reference covers finite horizons only")
-    m = compiled.m
     rewards = [game.rewards[o.reward] if o.reward else None for o in compiled.items]
     memo: dict = {}
 
-    def promote(D: frozenset, E: frozenset, s: int, n: int):
-        D, E = set(D), set(E)
-        for l, obj in enumerate(compiled.items):
-            if l in D or l in E:
-                continue
-            remaining = (obj.bound or 0) - n
-            if obj.kind == "until":
-                if s in obj.sat2:
-                    D.add(l)
-                elif s in obj.fail or remaining <= 0:
-                    E.add(l)
-            elif obj.kind == "next" and remaining <= 0:
-                (D if s in obj.sat2 else E).add(l)
-        return frozenset(D), frozenset(E)
-
     def value(s: int, D: frozenset, E: frozenset, n: int) -> np.ndarray:
-        D, E = promote(D, E, s, n)
-        key = (s, D, E, n)
+        key, vec, live = _bounded_node(game, compiled, rewards, s, D, E, n)
         if key in memo:
             return memo[key]
-        vec = np.zeros(m)
-        for l in D:
-            vec[l] = 1.0
-        if compiled.kind == "prob" and len(D) + len(E) == m:
-            memo[key] = vec
-            return vec
-        live = []
-        for l, obj in enumerate(compiled.items):
-            if l in D or l in E:
-                continue
-            remaining = (obj.bound or 0) - n
-            if obj.kind in ("until", "next"):
-                live.append(l)
-            elif obj.kind == "instant":
-                if remaining == 0:
-                    vec[l] = rewards[l].state_reward(s)
-                elif remaining > 0:
-                    live.append(l)
-            elif obj.kind == "cumulative" and remaining > 0:
-                live.append(l)
+        _, D, E, _ = key
         if not live:
             memo[key] = vec
             return vec
@@ -159,14 +177,7 @@ def reference_backward_induction(
             dist = game.transitions[(s, joint)]
             for l in live:
                 cont = sum(p * value(t, D, E, n + 1)[l] for t, p in dist.items())
-                if compiled.items[l].kind == "cumulative":
-                    row[l] = (
-                        rewards[l].state_reward(s)
-                        + rewards[l].action_reward(s, joint)
-                        + cont
-                    )
-                else:
-                    row[l] = cont
+                row[l] = _stage_utility(compiled, rewards, s, joint, l, cont)
             utilities[idx] = tuple(row)
         _joint, values = _stage_pure_optimum(names, utilities, compiled.opt)
         out = np.array(values, dtype=np.float64)
@@ -175,6 +186,67 @@ def reference_backward_induction(
 
     return {
         s: value(s, frozenset(), frozenset(), 0) for s in range(game.n_states)
+    }
+
+
+def reference_profile_values(
+    game: Csg, compiled: CompiledObjectives, table, coalition: int | None = None
+) -> dict[tuple[int, tuple[frozenset, frozenset]], np.ndarray]:
+    """Values of a fixed profile of a bounded check at each state's
+    initial mode, keyed (state, (D, E)). `table` maps each node (state, D,
+    E, steps taken) to one distribution per coalition over its choices.
+
+    Without `coalition`, the profile's value vector. With it, component
+    `coalition` of each vector is that coalition's optimal value of its
+    own objective when every other coalition plays the table: the best,
+    over its own choices, of the others' weighted utilities. Plain
+    recursion over (state, D, E, steps taken), each joint action
+    weighted by the product of the other coalitions' probabilities."""
+    if compiled.horizon != "finite":
+        raise ValueError("reference covers finite horizons only")
+    rewards = [game.rewards[o.reward] if o.reward else None for o in compiled.items]
+    pick = max if compiled.opt == "max" else min
+    memo: dict = {}
+
+    def value(s: int, D: frozenset, E: frozenset, n: int) -> np.ndarray:
+        key, vec, live = _bounded_node(game, compiled, rewards, s, D, E, n)
+        if key in memo:
+            return memo[key]
+        _, D, E, _ = key
+        if coalition is not None:
+            live = [l for l in live if l == coalition]
+        if live:
+            dists = table[key]
+            choice_sets = [game.choices(s, i) for i in range(game.n_players)]
+            # Per own choice of the responder (None for the profile), the
+            # weighted utilities summed over the others' choices.
+            totals: dict = {}
+            for idx, joint in zip(
+                itertools.product(*(range(len(c)) for c in choice_sets)),
+                itertools.product(*choice_sets),
+            ):
+                weight = 1.0
+                for i, a in enumerate(idx):
+                    if i != coalition:
+                        weight *= float(dists[i][a])
+                own = None if coalition is None else idx[coalition]
+                total = totals.setdefault(own, np.zeros(compiled.m))
+                dist = game.transitions[(s, joint)]
+                for l in live:
+                    cont = sum(p * value(t, D, E, n + 1)[l] for t, p in dist.items())
+                    total[l] += weight * _stage_utility(
+                        compiled, rewards, s, joint, l, cont
+                    )
+            for l in live:
+                vec[l] = pick(total[l] for total in totals.values())
+        memo[key] = vec
+        return vec
+
+    empty = frozenset()
+    return {
+        (s, _bounded_node(game, compiled, rewards, s, empty, empty, 0)[0][1:3]):
+        value(s, empty, empty, 0)
+        for s in range(game.n_states)
     }
 
 

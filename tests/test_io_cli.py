@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -87,6 +88,76 @@ def test_a_load_parses_each_expression_string_once(monkeypatch):
         messages.append(str(caught.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith("bad expression '1 +': ")
+
+
+def _number_digest(model) -> str:
+    """SHA-256 over every probability and reward of a model, each as
+    `float.hex`, with the state, joint action and successor it belongs to."""
+    h = hashlib.sha256()
+    for (s, joint), dist in sorted(model.transitions.items()):
+        for t, p in dist.items():
+            h.update(f"{s} {joint} {t} {p.hex()}\n".encode())
+    for name, rewards in sorted(model.rewards.items()):
+        for s, v in sorted(rewards.state_rewards.items()):
+            h.update(f"{name} {s} {v.hex()}\n".encode())
+        for (s, joint), v in sorted(rewards.action_rewards.items()):
+            h.update(f"{name} {s} {joint} {v.hex()}\n".encode())
+    return h.hexdigest()
+
+
+# Recorded when every expression field was evaluated on its own.
+LOAD_DIGESTS = [
+    ("secret_sharing_raa.json", {},
+     "5943cb27215548ce28454f4298764699cfaa982fa111627446c5b907786bf9a1"),
+    ("secret_sharing_rba.json", {},
+     "9c59b0d01bcfe40f7c7cbad95f56dce6c3afd4ebb914a94e9ebf07abb4d322a4"),
+    ("secret_sharing_rra.json", {},
+     "89d1b6432cb14b73c90164c01e5b9cff4c6227b2d959b246e3b1875445ea0208"),
+    ("secret_sharing_rra_rmax5.json", {},
+     "19d8df9e5b204afb665527e502ffba75e66e695838e10616d1dd69f331e93f20"),
+    ("secret_sharing_rrr_rmax5.json", {},
+     "744a1a6be1dacfbfc1a3428b7db6493e58f5334baf8a447c199b2127059697d1"),
+    ("public_good_profit.json", {},
+     "3707ad62b41635542b2218da89a86254d6679631841ace50f179942e4ba02e4a"),
+    ("public_good_capital.json", {},
+     "61e23e801a8f4534f3495f55eeca6d1775405edf548c0079a7497134cc3675fb"),
+    ("aloha3.json", {},
+     "5c59653fc01a999ddcface1e7c53ef5e8b1fdf425b62b4410bfb3e6ff5a8cae2"),
+    ("medium_access3.json", {},
+     "4fd66f04dc03deae66e1933e0b7aebd7bbfc7bc650122505aa62121ca9bfc9b8"),
+    ("aloha3.json", {"q": 0.65},
+     "dfb77278f53eec35d25e84041d71935b094a5cbc8b05c448c7c9b161253feada"),
+    ("secret_sharing_rba.json", {"alpha": 0.45, "p_fail": 0.1},
+     "e592e1f831d64922489b7ba570b7af2f637f49428e785a95a3aa0850f069db0c"),
+    ("public_good_profit.json", {"f": 2.5},
+     "a10c3e752e9bf12a6be5e329617edaa2b66bbda2c64cd25648b40aad52644f26"),
+]
+
+
+@pytest.mark.parametrize("name,params,digest", LOAD_DIGESTS)
+def test_a_load_keeps_the_recorded_bits_of_every_number(name, params, digest):
+    # A load evaluates each distinct expression string once.
+    assert _number_digest(load_model(MODELS / name, params)) == digest
+
+
+@pytest.mark.parametrize("expr,message", [
+    ("1e308 * 10", "'1e308 * 10' at dist of 's0' is not a finite real number"),
+    ("x / 0", "cannot evaluate 'x / 0': float division by zero"),
+    ("y + 1", "unknown parameter 'y' in 'y + 1'"),
+])
+def test_a_repeated_bad_expression_fails_at_its_first_field(expr, message):
+    doc = {
+        "params": {"x": 1.0},
+        "players": [{"name": "p1", "actions": ["a"]}],
+        "states": [{"id": "s0", "labels": []}],
+        "initial": ["s0"],
+        "availability": {"s0": {"p1": ["a"]}},
+        "transitions": [{"state": "s0", "joint": ["a"], "dist": {"s0": expr}}],
+        "rewards": {"r": {"state": {"s0": expr}}},
+    }
+    with pytest.raises(ModelError) as caught:
+        load_model_dict(doc)
+    assert str(caught.value) == message
 
 
 def test_eval_expression_power_overflows_at_once():

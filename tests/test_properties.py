@@ -1,8 +1,9 @@
 """Properties of the compile, backward induction, value iteration's
 speculative sweeps, certification and export on random small CSGs
 (`random_reward_csg`), each compared with the program itself, so they
-hold at any numpy and scipy version, and of all-pure backward
-induction, compared with the brute-force reference.
+hold at any numpy and scipy version; of all-pure backward induction,
+compared with the brute-force reference; and of bounded certification
+of random mixed profiles, compared with the brute-force oracle.
 
 Every player has at most two actions, so that `swne` decides each stage
 in its closed forms. A check sums the three players' rewards, either
@@ -23,16 +24,23 @@ from csgnash.engine import NotConverged, check_nash_formula
 from csgnash.formulas import parse_formula
 from csgnash.games import RewardStructure
 from csgnash.objectives import Core, bounded_core, mode_closure, unbounded_core
-from csgnash.strategies import export_strategy, import_strategy
+from csgnash.strategies import (
+    SynthesizedStrategy,
+    best_response_value,
+    certify_epsilon,
+    evaluate_profile,
+    export_strategy,
+    import_strategy,
+)
 
-from oracle import OracleAbstain, reference_backward_induction
+from oracle import OracleAbstain, reference_backward_induction, reference_profile_values
 from test_engine import (
     _absolute_level,
     assert_reuse_matches_replay,
     assert_speculation_changes_nothing,
     compile_for,
 )
-from test_strategies import _certified_bits, random_reward_csg
+from test_strategies import _certified_bits, _random_profile, random_reward_csg
 
 
 @st.composite
@@ -266,3 +274,33 @@ def test_all_pure_backward_induction_matches_the_reference(case):
         reject()
     for s, values in result.values.items():
         np.testing.assert_allclose(values, reference[s], rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.one_of(checks(bounded=True), checks(bounded=True, prob=True)),
+    st.integers(0, 2**32 - 1),
+)
+def test_bounded_certification_matches_the_brute_force_oracle(case, seed):
+    """On a random mixed profile of a bounded check, some entries zero,
+    the profile's values, every coalition's best response and every
+    certificate gap are the brute-force oracle's, within 1e-9."""
+    coalition, compiled = compile_for(*case)
+    core = bounded_core(coalition, compiled)
+    table = _random_profile(np.random.default_rng(seed), core)
+    strategy = SynthesizedStrategy("finite", compiled.max_bound, table, {}, core=core)
+    achieved = evaluate_profile(coalition, strategy, compiled)
+    want = reference_profile_values(coalition, compiled, table)
+    assert achieved.keys() == want.keys()
+    for key, values in achieved.items():
+        np.testing.assert_allclose(values, want[key], rtol=0, atol=1e-9)
+    cert = certify_epsilon(coalition, strategy, compiled)
+    sign = 1.0 if compiled.opt == "max" else -1.0
+    for i in range(compiled.m):
+        responses = best_response_value(coalition, strategy, i, compiled)
+        brute = reference_profile_values(coalition, compiled, table, i)
+        assert responses.keys() == brute.keys()
+        for (s, mode), response in responses.items():
+            assert abs(response - brute[s, mode][i]) <= 1e-9
+            gap = sign * (brute[s, mode][i] - want[s, mode][i])
+            assert abs(cert.gaps[i, s, mode] - gap) <= 1e-9

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import json
@@ -433,29 +434,33 @@ def _certified_bits(game, strategy, compiled) -> dict:
 @pytest.fixture
 def certify_calls(monkeypatch):
     """Counts the levels whose stage utilities, and the levels whose row
-    weights, are computed."""
+    weights, are computed, and the forward (`_reached`) and backward
+    (`Core.backward`) walks over the levels."""
     from csgnash.objectives import Level
 
     calls = Counter()
-    build, weigh = Level.stage_utilities, strategies._row_weights
 
-    def building(level, values):
-        calls["stage_utilities"] += 1
-        return build(level, values)
+    def count(owner, name):
+        original = getattr(owner, name)
 
-    def weighing(*args, **kwargs):
-        calls["_row_weights"] += 1
-        return weigh(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(Level, "stage_utilities", building)
-    monkeypatch.setattr(strategies, "_row_weights", weighing)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(Level, "stage_utilities")
+    count(strategies, "_row_weights")
+    count(strategies, "_reached")
+    count(Core, "backward")
     return calls
 
 
 def test_certification_computes_repeating_levels_once(certify_calls):
     # Backward induction copies all but 8 levels of medium_access3 at
     # every bound here; certification weights and evaluates as few levels
-    # at every bound, so a longer horizon costs it no more of either.
+    # at every bound, so a longer horizon costs it no more of either. It
+    # walks the levels once each way, every coalition in the same walk.
     model = load_model(MODELS / "medium_access3.json", {})
     counts = []
     for k in (20, 200, 2000):
@@ -465,6 +470,7 @@ def test_certification_computes_repeating_levels_once(certify_calls):
         counts.append(dict(certify_calls))
     assert counts[0] == counts[1] == counts[2]
     assert counts[0]["stage_utilities"] > 0 and counts[0]["_row_weights"] > 0
+    assert counts[0]["_reached"] == counts[0]["backward"] == 1
 
 
 def test_a_gap_injected_deep_in_a_copied_run_is_reported():
@@ -492,15 +498,66 @@ def test_a_gap_injected_deep_in_a_copied_run_is_reported():
     assert len(cert.gaps) == 81
 
 
+CAPITAL_PROP = (
+    '<<p1:p2:p3>>max=? (R{"cap1"}[I=1] + R{"cap2"}[I=1] + R{"cap3"}[I=1])'
+)
+
+# Per check: the number of gaps, every gap that is not 0 by (coalition,
+# state name), and a SHA-256 over every evaluated value. Recorded with
+# certification that ran one forward and one backward walk per coalition.
+CERTIFICATE_PINS = [
+    ("aloha3.json", ALOHA_WINDOW_PROP, 81, {
+        (0, "rrb"): "-0x1.0000000000000p-53",
+        (0, "rbr"): "-0x1.0000000000000p-53",
+        (0, "bbb"): "-0x1.0000000000000p-53",
+        (1, "rrr"): "-0x1.0000000000000p-53",
+        (1, "rrb"): "-0x1.0000000000000p-53",
+        (1, "brr"): "-0x1.0000000000000p-53",
+        (1, "bbd"): "-0x1.0000000000000p-53",
+        (2, "bbb"): "0x1.0000000000000p-53",
+        (2, "bdb"): "-0x1.0000000000000p-53",
+        (2, "dbb"): "-0x1.0000000000000p-53",
+    }, "d51906037f58abd7e025833dd83f3f00c8ed097fd4ad67925fce8eef0fff3382"),
+    ("public_good_capital.json", CAPITAL_PROP, 246, {},
+     "383eb52c2984a3d6ccd0e4bac4496b50414096a47c814cc7407b855506e81ef1"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,prop,count,nonzero,digest", CERTIFICATE_PINS,
+    ids=[pin[0].removesuffix(".json") for pin in CERTIFICATE_PINS],
+)
+def test_certificate_gaps_keep_their_recorded_bits(name, prop, count, nonzero, digest):
+    # A probability window (aloha3: gaps of one rounding unit either
+    # side of 0) and an instantaneous reward (public_good_capital).
+    result = checked(load_model(MODELS / name, {}), prop)
+    bits = _certified_bits(result.coalition_game, result.strategy, result.compiled)
+    names = result.coalition_game.state_names
+    assert len(bits["gaps"]) == count
+    assert {
+        (i, names[s]): gap for (i, s, _mode), gap in bits["gaps"].items()
+        if gap != "0x0.0p+0"
+    } == nonzero
+    values = bits["values"].items()
+    rows = sorted((s, sorted(D), sorted(E), v) for (s, (D, E)), v in values)
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
+
+
 def test_a_level_repeats_only_on_byte_equal_inputs():
     # Level 10 of medium_access3 at C<=20 repeats level 11 in the
-    # evaluation pass. Equal weights imply equal reached masks for every
-    # table of positive mass, so the perturbation test above cannot tell
-    # whether the masks are compared; a zero-mass entry would break that.
+    # certification pass, whose masks and weights hold a column per
+    # coalition and one for the profile. Equal weights imply equal reached
+    # masks for every table of positive mass, so the perturbation test
+    # above cannot tell whether the masks are compared; a zero-mass entry
+    # would break that. Each perturbation below moves one column only.
     result = checked(load_model(MODELS / "medium_access3.json", {}), _messages_prop(20))
     core = result.strategy.core
     todo, weights = strategies._reached(core, result.strategy)
-    values = core.const.copy()
+    m = core.const.shape[1]
+    assert todo.shape == (len(core.nodes), m + 1)
+    assert weights.shape == (len(core.action_rewards), m + 1)
+    # The profile's values, then each coalition's best responses.
+    values = np.hstack([core.const, core.const])
     for level in core.levels[11:13]:
         values[level.nodes] = 1.0
     assert core.levels[10].template == core.levels[11].template
@@ -508,13 +565,13 @@ def test_a_level_repeats_only_on_byte_equal_inputs():
     assert not core.repeats(len(core.levels) - 2, values)
     level = core.levels[10]
     moved = todo.copy()
-    moved[level.nodes.start + 1] ^= True
+    moved[level.nodes.start + 1, 0] ^= True
     assert not core.repeats(10, values, moved, weights)
     moved = weights.copy()
-    moved[level.rows.start] += 0.5
+    moved[level.rows.start, m] += 0.5
     assert not core.repeats(10, values, todo, moved)
     moved = values.copy()
-    moved[core.levels[11].nodes.start] += 0.5
+    moved[core.levels[11].nodes.start, 2 * m - 1] += 0.5
     assert not core.repeats(10, moved, todo, weights)
 
 
