@@ -47,11 +47,13 @@ nothing (+inf) and the pinned LP leaves its support "inconclusive".
 The search is one pass over the supports in canonical order, pure ones
 first. It keeps a running bar, the best welfare of the candidates found
 so far, and a mixed support meets the cheap sound skips before any
-solving: its cell-welfare bound against the bar, then presolve's
-dominance test, then (for supports the pinned LP and closed forms
-leave) the relaxation bound against the bar. A skipped support's
-candidate could neither be the maximum nor precede the earlier one
-among ties.
+solving: its cell-welfare bound against the bar, presolve's dominance
+test, then (for supports the pinned LP and closed forms leave) the
+relaxation bound against the bar. A skipped support's candidate could
+neither be the maximum nor precede the earlier one among ties. The pure
+equilibria, the cell-welfare bounds and the presolve verdicts are
+decided for every support of a game at once, in array passes over the
+support grid laid out per shape (`_SupportLayout`).
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -115,9 +118,6 @@ class Support:
 
     def masks(self) -> tuple[int, ...]:
         return tuple(sum(1 << a for a in s) for s in self.sets)
-
-    def sort_key(self) -> tuple:
-        return (sum(self.sizes), self.masks())
 
 
 @dataclass
@@ -285,38 +285,156 @@ def support_count(shape: Sequence[int]) -> int:
     return total
 
 
+@dataclass(frozen=True)
+class _SupportLayout:
+    """Everything about the supports of one shape that no utility enters.
+
+    Player i's subsets are its non-empty action sets, subset k being
+    bitmask k + 1; `member[i]` (subsets, actions) marks their actions,
+    `padded[i]` (subsets, actions) lists them, padded by repeating the
+    first, and `pairs[i]` (subsets, actions * actions) marks their ordered
+    pairs of distinct actions. `others[i]` (cells, combinations) marks, in
+    C order over the other players, which of their cells lie in which
+    combination of their subsets. The supports form a grid, one axis per
+    player indexing its subsets; `order` lists the grid's C-order
+    positions in canonical order and `combos` (supports, players) their
+    subset indices.
+    """
+
+    subsets: tuple[tuple[tuple[int, ...], ...], ...]
+    member: tuple[np.ndarray, ...]
+    padded: tuple[np.ndarray, ...]
+    pairs: tuple[np.ndarray, ...]
+    others: tuple[np.ndarray, ...]
+    order: np.ndarray
+    combos: np.ndarray
+
+    def __post_init__(self):
+        # One layout serves every game of its shape: no caller may write.
+        fields = (self.member, self.padded, self.pairs, self.others)
+        for array in (self.order, self.combos, *itertools.chain(*fields)):
+            array.setflags(write=False)
+
+    def support(self, position: int) -> Support:
+        """The support at `position` in canonical order."""
+        ks = self.combos[position].tolist()
+        return Support(tuple(subsets[k] for subsets, k in zip(self.subsets, ks)))
+
+
+@functools.cache
+def _support_layout(shape: tuple[int, ...]) -> _SupportLayout:
+    """The layout of `shape`, built on its first use and kept."""
+    subsets = tuple(
+        tuple(tuple(a for a in range(c) if mask >> a & 1) for mask in range(1, 1 << c))
+        for c in shape
+    )
+    member = tuple(
+        np.array([[a in s for a in range(c)] for s in subs]) for c, subs in zip(shape, subsets)
+    )
+    # Ascending total size, then lexicographic bitmasks, which subset
+    # indices order as their masks do; the grid lists them in C order.
+    grid = list(itertools.product(*(range(len(subs)) for subs in subsets)))
+    order = sorted(
+        range(len(grid)),
+        key=lambda f: (sum(len(subs[k]) for subs, k in zip(subsets, grid[f])), grid[f]),
+    )
+    others = []
+    for i in range(len(shape)):
+        cells = np.ones((1, 1), dtype=bool)
+        for j, m in enumerate(member):
+            if j != i:
+                cells = cells[:, None, :, None] & m.T[None, :, None, :]
+                cells = cells.reshape(cells.shape[0] * cells.shape[1], -1)
+        others.append(cells)
+    return _SupportLayout(
+        subsets=subsets,
+        member=member,
+        padded=tuple(
+            np.array([s + s[:1] * (c - len(s)) for s in subs]) for c, subs in zip(shape, subsets)
+        ),
+        pairs=tuple(
+            (m[:, :, None] & m[:, None, :] & ~np.eye(len(m.T), dtype=bool)).reshape(len(m), -1)
+            for m in member
+        ),
+        others=tuple(others),
+        order=np.array(order),
+        combos=np.array([grid[f] for f in order]),
+    )
+
+
 def enumerate_supports(game: NormalFormGame | Sequence[int]) -> list[Support]:
     """All supports in canonical order: ascending total size, then
-    lexicographic per-player bitmasks, so pure supports come first."""
+    lexicographic per-player bitmasks, so pure supports come first and
+    run in C order over the cells."""
     shape = game.shape if isinstance(game, NormalFormGame) else tuple(game)
-    per_player: list[list[tuple[int, ...]]] = []
-    for c in shape:
-        subsets = []
-        for mask in range(1, 1 << c):
-            subsets.append(tuple(a for a in range(c) if mask & (1 << a)))
-        per_player.append(subsets)
-    supports = [Support(combo) for combo in itertools.product(*per_player)]
-    supports.sort(key=Support.sort_key)
-    return supports
+    layout = _support_layout(shape)
+    return [layout.support(k) for k in range(len(layout.order))]
+
+
+def _pure_cells(game: NormalFormGame) -> np.ndarray:
+    """Which cells are pure equilibria, as a mask of the game's shape: no
+    player's own action is beaten by its best along its own axis. It
+    compares the stored utilities, so rational inputs are exact."""
+    table = game.utilities
+    pure = np.ones(game.shape, dtype=bool)
+    for i, c in enumerate(game.shape):
+        if c > 1:
+            own = table[..., i]
+            pure &= ~(own.max(axis=i, keepdims=True) > own)
+    return pure
+
+
+def _welfare_bounds(game: NormalFormGame, layout: _SupportLayout) -> np.ndarray:
+    """The best cell welfare of every support, over the support grid, one
+    player's axis at a time: the axis's actions become the maxima over
+    each of its subsets. Expected welfare under a profile is a convex
+    combination of its support's cell welfares, so none exceeds this."""
+    bounds = game.float_utilities().sum(axis=-1)
+    for axis, padded in enumerate(layout.padded):
+        if len(padded) > 1:
+            split = bounds.shape[:axis] + padded.shape + bounds.shape[axis + 1 :]
+            bounds = bounds.take(padded.ravel(), axis=axis).reshape(split).max(axis=axis + 1)
+    return bounds
+
+
+def _presolve_keep(game: NormalFormGame, layout: _SupportLayout) -> np.ndarray:
+    """Presolve's verdict on every support, over the support grid: False
+    where some player's conditions cannot hold on the others' support
+    cells (see `presolve_support`); pure supports are kept."""
+    table = game.utilities
+    grid = tuple(len(m) for m in layout.member)
+    refuted = np.zeros(grid, dtype=bool)
+    for i, c in enumerate(game.shape):
+        if c == 1:
+            continue
+        # Player i's axis first, the others in order, and back.
+        first = (i, *range(i), *range(i + 1, len(grid)))
+        back = (*range(1, i + 1), 0, *range(i + 1, len(grid)))
+        own = table[..., i].transpose(first).reshape(c, -1)
+        # undominated[b, w, k]: b fails to give more than w somewhere on
+        # the others' k-th combination of subsets.
+        fails = ~(own[:, None] > own[None, :]).reshape(c * c, -1)
+        undominated = np.matmul(fails, layout.others[i]).reshape(c, c, -1)
+        # Two support actions, one beating the other, or an outside action
+        # beating every support action: either rules the support out.
+        inside = np.matmul(layout.pairs[i], ~undominated.reshape(c * c, -1))
+        escapes = np.matmul(layout.member[i], undominated)
+        outside = (~escapes & ~layout.member[i].T[:, :, None]).any(axis=0)
+        refuted |= (inside | outside).reshape([grid[k] for k in first]).transpose(back)
+    keep = ~refuted
+    keep.flat[layout.order[: math.prod(game.shape)]] = True
+    return keep
 
 
 def check_pure_profile(game: NormalFormGame, joint: Joint) -> tuple[bool, tuple]:
-    """Exact unilateral-deviation check for a pure profile.
+    """Exact unilateral-deviation check for a pure profile, read off the
+    game's pure-equilibrium mask (`_pure_cells`).
 
     Uses the stored utility values directly, so rational inputs are
     compared without rounding. Returns (is_equilibrium, utility vector).
     """
     joint = tuple(joint)
-    values = game.utility_vector(joint)
-    for i in range(game.n_players):
-        base = values[i]
-        for a in range(game.shape[i]):
-            if a == joint[i]:
-                continue
-            dev = joint[:i] + (a,) + joint[i + 1 :]
-            if game.utility(dev, i) > base:
-                return False, values
-    return True, values
+    return bool(_pure_cells(game)[joint]), game.utility_vector(joint)
 
 
 def presolve_support(game: NormalFormGame, support: Support) -> bool:
@@ -328,21 +446,13 @@ def presolve_support(game: NormalFormGame, support: Support) -> bool:
     or some out-of-support action strictly dominates every in-support
     action there (the no-profitable-deviation condition is impossible).
     Pure supports are always kept; they are checked exactly elsewhere.
+    The verdict is read off the game's table of every support's verdict
+    (`_presolve_keep`).
     """
     if support.is_pure:
         return True
-    kept = support.sets
-    for i, b_i in enumerate(kept):
-        for worse in b_i:
-            for better in b_i:
-                if better != worse and _strictly_dominates(game, i, better, worse, kept):
-                    return False
-        for a in range(game.shape[i]):
-            if a not in b_i and all(
-                _strictly_dominates(game, i, a, b, kept) for b in b_i
-            ):
-                return False
-    return True
+    keep = _presolve_keep(game, _support_layout(game.shape))
+    return bool(keep[tuple(m - 1 for m in support.masks())])
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +552,14 @@ class _SupportSystem:
     gaps; inequality residuals are the out-of-support deviation gains
     (violated when positive). `solve_support` builds one per mixed support.
 
-    The constructor builds index lists only. The restricted tables, the
-    welfare table and the condition tensor (`conditions`) are each built
-    on first use, because most supports are decided by a family that
-    reads only some of them. Supports that `_solve_pinned` decides at a
-    unique point or by the free mixer's own conditions read the tables
-    only and never the tensor: building it would cost them more than
-    their rows.
+    The constructor builds index lists only. Each player's restricted
+    table (`table`), the welfare table and the condition tensor
+    (`conditions`) are each built on first use, because most supports are
+    decided by a family that reads only some of them. Supports that
+    `_solve_pinned` decides at a unique point or by the free mixer's own
+    conditions read tables only and never the tensor: building it would
+    cost them more than their rows. A one-mixer support refuted by its
+    mixer's own conditions reads only that mixer's table.
 
     Everything at a point derives from the cross blocks cross[i, j] =
     d switch_i / d p_j, an (A_i full) x (B_j support) matrix. Player i's
@@ -479,11 +590,15 @@ class _SupportSystem:
         # _contract_tensor(keep=(i,)) would contract last.
         self.switch_pairs = [(i, 1 if i == 0 else 0) for i in range(n)]
         self.all_pairs = [(i, j) for i in range(n) for j in range(n) if j != i]
+        self._tables: dict[int, np.ndarray] = {}
 
-    @functools.cached_property
-    def tables(self) -> list[np.ndarray]:
-        norm = self.game.normalised_utilities()
-        return [_restricted(norm, self.support, i) for i in range(self.n)]
+    def table(self, player: int) -> np.ndarray:
+        """The player's restricted table, built on its first use."""
+        table = self._tables.get(player)
+        if table is None:
+            norm = self.game.normalised_utilities()
+            table = self._tables[player] = _restricted(norm, self.support, player)
+        return table
 
     @functools.cached_property
     def welfare_table(self) -> np.ndarray:
@@ -500,7 +615,8 @@ class _SupportSystem:
         multilinear function of all blocks. A gap is pivot minus
         in-support action, a gain outside action minus pivot."""
         gaps, gains = [], []
-        for i, table in enumerate(self.tables):
+        for i in range(self.n):
+            table = self.table(i)
             pivot = table.take([self.pivots[i]], axis=i)
             gaps += [pivot - table.take([b], axis=i) for b in self.eq_index[i]]
             gains += [table.take([a], axis=i) - pivot for a in self.ineq_index[i]]
@@ -515,7 +631,7 @@ class _SupportSystem:
         """Largest condition violation of `players` (default all) at a point."""
         worst = 0.0
         for i in range(self.n) if players is None else players:
-            vec = _switch_on_support(self.tables[i], probs, i)
+            vec = _switch_on_support(self.table(i), probs, i)
             pivot = vec[self.pivots[i]]
             gaps = pivot - vec[self.eq_index[i]]
             worst = max(worst, float(np.abs(gaps).max(initial=0.0)))
@@ -530,7 +646,7 @@ class _SupportSystem:
 
     def _cross(self, blocks, pairs) -> dict[tuple[int, int], np.ndarray]:
         return {
-            (i, j): _cross_block(self.tables[i], blocks, i, j) for i, j in pairs
+            (i, j): _cross_block(self.table(i), blocks, i, j) for i, j in pairs
         }
 
     def _switch(self, blocks, cross) -> list[np.ndarray]:
@@ -713,7 +829,7 @@ def _pinned_block(system: _SupportSystem, active: int, other: int) -> np.ndarray
     sum are rank deficient or inconsistent."""
     singles = [np.array([1.0])] * system.n
     # The cross block holds table entries; row b is the pivot's row minus b's.
-    cross = _cross_block(system.tables[active], singles, active, other)
+    cross = _cross_block(system.table(active), singles, active, other)
     rows = cross[system.pivots[active]] - cross[system.eq_index[active]]
     k = system.sizes[other]
     a_mat = np.vstack([rows, np.ones((1, k))])
@@ -1308,55 +1424,66 @@ def swne(game: NormalFormGame) -> EquilibriumResult:
     counts the skipped supports, `inconclusive` those whose corner search
     reached its box cap (a candidate it found by then still counts) or
     whose pinned LP failed.
+
+    The pure equilibria, every support's best cell welfare and, unless
+    the pure bar skips every mixed support, every presolve verdict are
+    decided for all supports at once, in array passes over the support
+    grid (`_pure_cells`, `_welfare_bounds`, `_presolve_keep`). Only the
+    mixed supports that both leave open meet the running bar and
+    `solve_support` in the loop.
     Raises NoEquilibriumError when nothing is found, which
     indicates solver failure rather than a game property.
     """
     reduced, kept, removals = filter_dominated(game)
-    cell_welfare = reduced.float_utilities().sum(axis=-1)
+    layout = _support_layout(reduced.shape)
+    n_pure = math.prod(reduced.shape)
 
-    def normalised(cand: EquilibriumCandidate) -> float:
-        welfare = reduced.normalised_utilities().sum(axis=-1)
-        return float(_contract_tensor(welfare, cand.profile.probs))
-
+    # Pure supports come first in canonical order, in C order over the
+    # cells, so a cell's flat index is its support's index.
+    singles = [np.array([1.0])] * reduced.n_players
+    candidates: list[EquilibriumCandidate] = []
+    for cell in np.flatnonzero(_pure_cells(reduced)).tolist():
+        cand = _candidate_from_probs(reduced, layout.support(cell), singles)
+        cand.support_index = cell
+        candidates.append(cand)
     # The running bar is the best welfare of the candidates so far, all
     # canonically earlier, in original and (once a support needs it)
-    # normalised units. Pure supports come first in canonical order, so
-    # the best pure welfare is final before any mixed support is reached.
-    candidates: list[EquilibriumCandidate] = []
-    pruned = inconclusive = 0
-    best_pure = best = -np.inf
-    best_norm = None
-    for idx, support in enumerate(enumerate_supports(reduced)):
-        if support.is_pure:
-            outcome = _solve_pure(reduced, support)
-            if outcome.status == "candidate":
-                best_pure = max(best_pure, outcome.candidate.welfare)
-        else:
-            # Expected welfare under a mixed profile is a convex combination
-            # of its support cells' welfare. A support whose best cell does
-            # not beat the bar (the pure bar by more than the tie tolerance)
-            # would yield a candidate no better than an earlier one, which
-            # then wins the maximum or the tie order; nor would one that
-            # presolve rules out. Skipping either changes no answer.
-            if best > -np.inf:
-                # Cell by cell: supports are small, and fancy indexing
-                # costs more than reading their cells.
-                upper = max(map(cell_welfare.item, itertools.product(*support.sets)))
-                if upper <= best_pure + WELFARE_TOL or upper <= best:
-                    pruned += 1
-                    continue
-            if not presolve_support(reduced, support):
-                pruned += 1
-                continue
-            if best_norm is None:
-                best_norm = max(map(normalised, candidates), default=-np.inf)
-            outcome = solve_support(reduced, support, bar=best_norm)
-            if outcome.candidate is not None:
-                best_norm = max(best_norm, normalised(outcome.candidate))
+    # normalised units. The best pure welfare is final before any mixed
+    # support is reached. Expected welfare under a mixed profile is a
+    # convex combination of its support cells' welfare. A support whose
+    # best cell does not beat the bar (the pure bar by more than the tie
+    # tolerance) would yield a candidate no better than an earlier one,
+    # which then wins the maximum or the tie order; nor would one that
+    # presolve rules out. Skipping either changes no answer, and each
+    # skipped support counts once in `pruned`.
+    best = best_pure = max((c.welfare for c in candidates), default=-np.inf)
+    mixed = layout.order[n_pure:]
+    bounds = _welfare_bounds(reduced, layout).ravel()[mixed]
+    live = np.ones(len(bounds), dtype=bool)
+    if best_pure > -np.inf:
+        live = ~(bounds <= best_pure + WELFARE_TOL)
+    if live.any():
+        live &= _presolve_keep(reduced, layout).ravel()[mixed]
+    pruned = len(bounds) - int(live.sum())
+    inconclusive = 0
+    norm_welfare = best_norm = None
+
+    def normalised(cand: EquilibriumCandidate) -> float:
+        return float(_contract_tensor(norm_welfare, cand.profile.probs))
+
+    for idx, upper in zip((n_pure + np.flatnonzero(live)).tolist(), bounds[live].tolist()):
+        if best > -np.inf and upper <= best:
+            pruned += 1
+            continue
+        if norm_welfare is None:
+            norm_welfare = reduced.normalised_utilities().sum(axis=-1)
+            best_norm = max(map(normalised, candidates), default=-np.inf)
+        outcome = solve_support(reduced, layout.support(idx), bar=best_norm)
         if outcome.candidate is not None:
             outcome.candidate.support_index = idx
             candidates.append(outcome.candidate)
             best = max(best, outcome.candidate.welfare)
+            best_norm = max(best_norm, normalised(outcome.candidate))
         if outcome.status == "inconclusive":
             inconclusive += 1
         elif outcome.status == "pruned":

@@ -1,11 +1,12 @@
 """Brute-force reference computations, used only by tests.
 
 Deliberately independent of the main solver: pure equilibria are found by
-exhaustive deviation checking, small sequential games by re-deriving the
-backward induction with pure-strategy stage solutions, a fixed bounded
-profile's values and one coalition's best response against it by plain
-recursion over the nodes, and single-agent optimal values by plain
-dynamic programming. Mixed equilibria are out of scope by design;
+exhaustive deviation checking, a support's presolve verdict and best cell
+welfare by reading its cells one by one, small sequential games by
+re-deriving the backward induction with pure-strategy stage solutions, a
+fixed bounded profile's values and one coalition's best response against
+it by plain recursion over the nodes, and single-agent optimal values by
+plain dynamic programming. Mixed equilibria are out of scope by design;
 whenever a stage game has none in pure strategies the reference
 abstains instead of guessing.
 """
@@ -47,24 +48,61 @@ def brute_force_pure_ne(game: NormalFormGame) -> OracleResult:
         total *= c
     if total > 10**6:
         raise ValueError("game too large for exhaustive checking")
-    found: list[tuple[Joint, tuple]] = []
-    for joint in game.joint_actions():
-        values = game.utility_vector(joint)
-        is_ne = True
-        for i in range(game.n_players):
-            for a in range(game.shape[i]):
-                if a == joint[i]:
-                    continue
-                dev = joint[:i] + (a,) + joint[i + 1 :]
-                if game.utility(dev, i) > values[i]:
-                    is_ne = False
-                    break
-            if not is_ne:
-                break
-        if is_ne:
-            found.append((joint, values))
+    found = [
+        (joint, game.utility_vector(joint))
+        for joint in game.joint_actions()
+        if reference_pure_profile(game, joint)
+    ]
     best = max((float(sum(v)) for _, v in found), default=None)
     return OracleResult(found, best)
+
+
+def reference_pure_profile(game: NormalFormGame, joint: Joint) -> bool:
+    """Whether no player gains by a unilateral pure deviation from the
+    pure profile `joint`, comparing stored utilities one by one."""
+    for i in range(game.n_players):
+        base = game.utility(joint, i)
+        for a in range(game.shape[i]):
+            dev = joint[:i] + (a,) + joint[i + 1 :]
+            if a != joint[i] and game.utility(dev, i) > base:
+                return False
+    return True
+
+
+def _strictly_dominates(game: NormalFormGame, player, better, worse, sets) -> bool:
+    """Whether `better` gives `player` more than `worse` against every
+    cell of the other players' action sets in `sets`."""
+    others = [sets[j] for j in range(game.n_players) if j != player]
+    for cell in itertools.product(*others):
+        joint_b = cell[:player] + (better,) + cell[player:]
+        joint_w = cell[:player] + (worse,) + cell[player:]
+        if not game.utility(joint_b, player) > game.utility(joint_w, player):
+            return False
+    return True
+
+
+def reference_presolve(game: NormalFormGame, sets) -> bool:
+    """Presolve's verdict on the support with action sets `sets`, test by
+    test: False when some support action is strictly dominated by another
+    on the other players' support cells, or some outside action strictly
+    dominates every support action there. Pure supports are kept."""
+    if all(len(s) == 1 for s in sets):
+        return True
+    for i, own in enumerate(sets):
+        for worse, better in itertools.permutations(own, 2):
+            if _strictly_dominates(game, i, better, worse, sets):
+                return False
+        for a in range(game.shape[i]):
+            if a not in own and all(_strictly_dominates(game, i, a, b, sets) for b in own):
+                return False
+    return True
+
+
+def reference_welfare_bound(game: NormalFormGame, sets) -> float:
+    """The largest float cell welfare over the cells of the support with
+    action sets `sets`, read cell by cell."""
+    welfare = game.float_utilities().sum(axis=-1)
+    return max(map(welfare.item, itertools.product(*sets)))
 
 
 def _stage_pure_optimum(

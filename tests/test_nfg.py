@@ -9,23 +9,30 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from csgnash import nfg_solve
 from csgnash.games import MixedProfile, NormalFormGame
 from csgnash.nfg_solve import (
     FEASIBILITY_TOL,
     RELAXATION_MARGIN,
     WELFARE_TOL,
     Support,
+    SupportSolution,
+    _candidate_from_probs,
     _contract_tensor,
     _SupportSystem,
     _corner_search,
     _pinned_block,
+    _presolve_keep,
     _project_simplex,
+    _pure_cells,
     _root_box,
     _rounding_slack,
     _solve_bimatrix,
     _solve_pinned,
+    _support_layout,
     _switch_on_support,
     _three_binary_coeffs,
+    _welfare_bounds,
     check_pure_profile,
     enumerate_supports,
     expected_utility,
@@ -40,7 +47,12 @@ from csgnash.nfg_solve import (
     undominated_cells,
 )
 
-from oracle import brute_force_pure_ne
+from oracle import (
+    brute_force_pure_ne,
+    reference_presolve,
+    reference_pure_profile,
+    reference_welfare_bound,
+)
 from conftest import hard_333_game, public_good_nfg
 
 
@@ -206,7 +218,7 @@ def test_bilinear_gap_coeffs_equal_corner_contractions(case):
     mixers = [i for i in range(n) if len(support.sets[i]) > 1]
     for m, coeffs in zip(mixers, _three_binary_coeffs(system)):
         var1, var2 = [v for v in mixers if v != m]
-        table = system.tables[m]
+        table = system.table(m)
 
         def gap(x, y):
             # The contraction the coefficients replace: mixers var1 and
@@ -347,6 +359,124 @@ def test_presolve_keeps_singletons(pd):
 def test_presolve_keeps_mixed_equilibrium_support(pennies):
     support = Support(((0, 1), (0, 1), (0,)))
     assert presolve_support(pennies, support) is True
+
+
+# Small values, so that ties, dominance and equal cell welfares are
+# common; the float ones hold both signed zeros.
+SMALL_NUMBERS = {
+    "int": st.integers(-2, 2),
+    "fraction": st.sampled_from([Fraction(k, 3) for k in range(-4, 5)] + [-1, 0, 1]),
+    "float": st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1 / 3]),
+}
+
+
+@st.composite
+def small_games(draw):
+    """Games of up to (3,3,3) and (2,2,2,2) cells, one player having a
+    single action in some, over int, Fraction (mixed with int) or float
+    utilities; float tables are kept as float tables, the others exact."""
+    shape = draw(st.sampled_from([
+        (1, 3), (2, 2), (2, 3), (3, 3), (2, 1, 2), (2, 2, 2), (1, 2, 3),
+        (2, 2, 3), (3, 3, 3), (2, 2, 2, 2),
+    ]))
+    kind = draw(st.sampled_from(sorted(SMALL_NUMBERS)))
+    size = int(np.prod(shape)) * len(shape)
+    values = draw(st.lists(SMALL_NUMBERS[kind], min_size=size, max_size=size))
+    dtype = np.float64 if kind == "float" else object
+    table = np.array(values, dtype=dtype).reshape(shape + (len(shape),))
+    return NormalFormGame([tuple(f"a{k}" for k in range(c)) for c in shape], table)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_games())
+def test_batched_support_verdicts_match_the_oracle(game):
+    # The array passes over the support grid against the oracle's reading
+    # of each support's cells one by one; bounds compare by value, so a
+    # signed zero may come from either side.
+    layout = _support_layout(game.shape)
+    keep = _presolve_keep(game, layout)
+    bounds = _welfare_bounds(game, layout)
+    supports = enumerate_supports(game)
+    keys = [(sum(s.sizes), s.masks()) for s in supports]
+    assert keys == sorted(set(keys)) and len(keys) == support_count(game.shape)
+    for support in supports:
+        at = tuple(m - 1 for m in support.masks())
+        assert keep[at] == reference_presolve(game, support.sets)
+        assert presolve_support(game, support) == keep[at]
+        assert bounds[at] == reference_welfare_bound(game, support.sets)
+    pure = _pure_cells(game)
+    for joint in game.joint_actions():
+        assert pure[joint] == reference_pure_profile(game, joint)
+        assert check_pure_profile(game, joint) == (pure[joint], game.utility_vector(joint))
+
+
+def _replay_swne(game):
+    """`swne`'s search with every skip decided support by support, by the
+    oracle's pure checks, best cell welfares and presolve, before
+    `solve_support`: the values, profile, candidate, pruned and
+    inconclusive counts `swne` must give."""
+    reduced, kept, _removals = filter_dominated(game)
+    norm_welfare = reduced.normalised_utilities().sum(axis=-1)
+
+    def normalised(cand):
+        return float(_contract_tensor(norm_welfare, cand.profile.probs))
+
+    candidates, pruned, inconclusive = [], 0, 0
+    best_pure = best = best_norm = -np.inf
+    for idx, support in enumerate(enumerate_supports(reduced)):
+        if support.is_pure:
+            if not reference_pure_profile(reduced, tuple(s[0] for s in support.sets)):
+                continue
+            singles = [np.array([1.0])] * reduced.n_players
+            cand = _candidate_from_probs(reduced, support, singles)
+            outcome = SupportSolution("candidate", cand)
+            best_pure = max(best_pure, outcome.candidate.welfare)
+            best_norm = max(best_norm, normalised(outcome.candidate))
+        else:
+            upper = reference_welfare_bound(reduced, support.sets)
+            skip = best > -np.inf and (upper <= best_pure + WELFARE_TOL or upper <= best)
+            if skip or not reference_presolve(reduced, support.sets):
+                pruned += 1
+                continue
+            outcome = solve_support(reduced, support, bar=best_norm)
+            if outcome.candidate is not None:
+                best_norm = max(best_norm, normalised(outcome.candidate))
+        if outcome.candidate is not None:
+            outcome.candidate.support_index = idx
+            candidates.append(outcome.candidate)
+            best = max(best, outcome.candidate.welfare)
+        inconclusive += outcome.status == "inconclusive"
+        pruned += outcome.status == "pruned"
+    top = max(c.welfare for c in candidates)
+    chosen = min(
+        (c for c in candidates if c.welfare >= top - WELFARE_TOL),
+        key=lambda c: (c.support_index, tuple(np.concatenate(c.profile.probs))),
+    )
+    probs = [np.zeros(c) for c in game.shape]
+    for p, local, original in zip(probs, chosen.profile.probs, kept):
+        p[original] = local
+    if chosen.support.is_pure:
+        values = game.float_utilities()[tuple(int(p.argmax()) for p in probs)] + 0.0
+    else:
+        profile = MixedProfile(probs)
+        values = [expected_utility(game, profile, i) for i in range(game.n_players)]
+    return np.asarray(values), probs, len(candidates), pruned, inconclusive
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(small_games())
+def test_swne_matches_a_support_by_support_replay(game):
+    # A lower box cap keeps the corner searches short; both sides run
+    # under it.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nfg_solve, "MAX_BOXES", 300)
+        result = swne(game)
+        values, probs, count, pruned, inconclusive = _replay_swne(game)
+    assert result.values.tobytes() == values.tobytes()
+    assert [p.tobytes() for p in result.profile.probs] == [p.tobytes() for p in probs]
+    assert (result.candidates, result.pruned, result.inconclusive) == (
+        count, pruned, inconclusive,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +976,7 @@ def test_corner_values_agree_with_accept_within_the_rounding_slack(case):
         blocks = [np.array([1.0])] * system.n
         for m, v, r in zip(mixers, verts, idx):
             blocks[m] = v[r]
-        vecs = [_switch_on_support(t, blocks, i) for i, t in enumerate(system.tables)]
+        vecs = [_switch_on_support(system.table(i), blocks, i) for i in range(system.n)]
         gaps = [v[s[0]] - v[b] for v, s in zip(vecs, support.sets) for b in s[1:]]
         gains = [
             v[a] - v[s[0]]
@@ -1096,6 +1226,26 @@ def test_pinned_lp_agrees_with_the_relaxation_and_the_corner_search(monkeypatch)
     assert len(statuses) == 108
     assert statuses.count(("infeasible", "infeasible")) == 99
     assert statuses.count(("candidate", "inconclusive")) == 2
+
+
+def test_a_one_mixer_support_refuted_by_its_own_conditions_reads_one_table():
+    # The mixer's own conditions are checked first, as constants, on its
+    # restricted table alone; only a support they leave open builds the
+    # other players' tables, for the LP and the check of its point.
+    alone = 0
+    for game in _pin_corpus(3):
+        for support in enumerate_supports(game):
+            if _mixers(support) != 1:
+                continue
+            system = _SupportSystem(game, support)
+            (m,) = [i for i, k in enumerate(system.sizes) if k > 1]
+            out = _solve_pinned(system)
+            if list(system._tables) == [m]:
+                assert out.status == "infeasible"
+                alone += 1
+            else:
+                assert len(system._tables) == system.n
+    assert alone > 0
 
 
 def relaxation_digest(games) -> str:
