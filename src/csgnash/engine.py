@@ -13,10 +13,12 @@ minimising). Every level decides in one array pass over its stage
 block (`objectives.StageBlock`) each stage whose answer is provably
 pure (`nfg_solve.pure_answer_picks`): every stage where at most one
 coalition chooses, and those where several choose that have such an
-answer, before or after iterated strict dominance. The stages the pass
-leaves open look in a stage cache first, dominance runs on the misses
-alone, and only the tables it leaves open reach the solver. Once every
-stage has a pure answer and each node keeps choosing
+answer, by the pure bar, by a closed-form bound on the mixed supports
+where two coalitions choose between two actions each, or after
+iterated strict dominance. The stages the bar and the bound leave open
+look in a stage cache first, dominance runs on the misses alone, and
+only the tables it leaves open reach the solver. Once every stage has
+a pure answer and each node keeps choosing
 the same row, value iteration runs chunks of speculative sweeps over
 the chosen rows alone, each sweep three numpy calls written in place
 (`_held_sweeps`), verifies each chunk in one batched array pass, up to
@@ -171,12 +173,13 @@ class _StageSolver:
     Only stages whose answer the array pass cannot prove pure reach the
     cache, and at each of them two or more coalitions choose: backward
     induction and value iteration both settle the others in one array
-    pass per level (`_solve_stages`). A stage the pure bar leaves open
-    looks its table up first (`cached`), as a table solved before is one
-    that dominance left open too; only a miss is reduced by dominance,
-    and only a miss dominance leaves open is solved (`solve`), with
-    `swne`, or `scne` when minimising. One solver serves one
-    check, so the optimisation direction is fixed, and action names do
+    pass per level (`_solve_stages`). A stage the pure bar and the
+    two-binary bound leave open looks its table up first (`cached`), as a
+    table solved before is one that dominance left open too; only a miss
+    is reduced by dominance, and only a miss dominance leaves open is
+    solved (`solve`), with `swne`, or `scne` when minimising. One solver
+    serves one check, so the optimisation direction is fixed, and action
+    names do
     not enter the arithmetic: the table's shape and bytes are the whole
     key. Entries live in two generations. Backward
     induction never ages the cache, so it holds one entry per distinct
@@ -296,9 +299,9 @@ def solve_finite_horizon(
     so one pass over its levels from the deepest finds every successor
     solved. Each level builds all its stage tables in one contraction,
     decides every stage with a provably pure answer in one array pass,
-    by the pure bar and, on the open tables the stage cache has not seen,
-    iterated strict dominance, and sends the others to the solver
-    (`_solve_stages`).
+    by the pure bar, the two-binary bound and, on the open tables the
+    stage cache has not seen, iterated strict dominance, and sends the
+    others to the solver (`_solve_stages`).
 
     The pass runs through `Core.backward`, as certification's do: a
     level copies the values and profiles of the level above it, and
@@ -355,12 +358,14 @@ def _solve_stages(
     """Solve the stage of every node of `level` on its rows of
     `utilities`, writing the equilibrium values into `values`. One array
     pass (`_array_pass`) settles every stage whose answer is provably
-    pure, without the stage cache. A stage the pure bar leaves open looks
-    in the cache first: a table found there was sent to the solver
-    before, so no dominance can settle it. Dominance runs on the misses
-    alone, and only those it leaves open reach the solver, through the
-    cache. Their profiles, and those of cache hits, go into `dists`,
-    keyed from the level's first node. Returns the pure answers for
+    pure, without the stage cache: by the pure bar, and where two
+    coalitions choose between two actions each, by the bound on their
+    mixed supports. A stage both leave open looks in the cache first: a
+    table found there was sent to the solver before, so no dominance can
+    settle it. Dominance runs on the misses alone, and only those it
+    leaves open reach the solver, through the cache. Their profiles, and
+    those of cache hits, go into `dists`, keyed from the level's first
+    node. Returns the pure answers for
     `_pure_dists`: their nodes, also counted from the level's first, and
     the C-order index of each node's chosen cell."""
     block = level.block
@@ -408,18 +413,18 @@ def _array_pass(
     """The array pass of `_solve_stages`, over the stage utilities
     (B, R, m) of B sweeps stacked. With `negate`, the cost-optimal stages
     are solved as the welfare-optimal stages of the negated tables.
-    `reducible` maps the mask (B, N) of the stages the pure bar leaves
-    open to those that iterated strict dominance may settle
-    (`pure_answer_picks`). Returns, sweep by sweep, which of the block's
-    N stages have a provably pure answer (B, N), each stage's pick,
-    indexing its node's rows (B, N), and its values (B, N, m), meaningful
-    where the answer is pure (`_stage_bits`). `pure_answer_picks` treats
-    each game apart, so every sweep gets the bits of a pass over that
-    sweep alone."""
+    `reducible` maps the mask (B, N) of the stages the pure bar and the
+    two-binary bound leave open to those that iterated strict dominance
+    may settle (`pure_answer_picks`). Returns, sweep by sweep, which of
+    the block's N stages have a provably pure answer (B, N), each stage's
+    pick, indexing its node's rows (B, N), and its values (B, N, m),
+    meaningful where the answer is pure (`_stage_bits`).
+    `pure_answer_picks` treats each game apart, so every sweep gets the
+    bits of a pass over that sweep alone."""
     cells = utilities[:, block.rows]
     decided, picks = pure_answer_picks(
-        -cells if negate else cells, block.deviations, block.single, WELFARE_TOL,
-        block.actions, reducible,
+        -cells if negate else cells, block.deviations, block.single,
+        block.two_binary, WELFARE_TOL, block.actions, reducible,
     )
     cells = cells[np.arange(len(cells))[:, None], np.arange(len(block.nodes)), picks]
     return decided, picks, _stage_bits(cells, block.single, negate)
@@ -580,24 +585,24 @@ def _sweeps(
     A sweep is exact (`_solve_stages`) until two in a row settle every
     node in the array pass, without the stage cache, and choose the same
     rows. Then each node holds the row it chose, and a chunk of
-    speculative sweeps computes only those rows, three numpy calls a
-    sweep (`_held_sweeps`) where an exact sweep takes about twenty. The
-    chunk is then verified in one batch: the array pass runs once on its
-    sweeps' values stacked (`_array_pass`), with dominance on every stage
-    the pure bar leaves open, as no cache is consulted there. Each sweep
-    whose stages all have a pure answer and whose values equal the
-    speculated ones bit for bit (NaN and -0.0 included) is taken. The
-    first that differs ends the chunk: it is taken with its true values
-    if its stages all have a pure answer, and otherwise runs exact.
-    Chunks start at `_FIRST_CHUNK` sweeps and double up to
+    speculative sweeps computes only those rows, three numpy calls a sweep
+    (`_held_sweeps`) where an exact sweep takes about twenty. The chunk is
+    then verified in one batch: the array pass runs once on its sweeps'
+    values stacked (`_array_pass`), with dominance on every stage the pure
+    bar and the two-binary bound leave open, as no cache is consulted
+    there. Each sweep whose stages all have a pure answer and whose values
+    equal the speculated ones bit for bit (NaN and -0.0 included) is
+    taken. The first that differs ends the chunk: it is taken with its
+    true values if its stages all have a pure answer, and otherwise runs
+    exact. Chunks start at `_FIRST_CHUNK` sweeps and double up to
     `_SPECULATION_CHUNK` while they are taken whole; after a miss, sweeps
     run exact until the rows hold again, as a chunk costs about three
     exact sweeps besides its sweeps. The stage cache ages once per exact
     sweep. A sweep that settles every node uses no entry, and two ages
     empty the cache, so a chunk ages it at most twice. This is modified
-    policy iteration's held policy (Puterman, *Markov Decision
-    Processes*, 1994, 6.5) with every held sweep checked against value
-    iteration's own."""
+    policy iteration's held policy (Puterman, *Markov Decision Processes*,
+    1994, 6.5) with every held sweep checked against value iteration's
+    own."""
     (level,) = core.levels
     block = level.block
     negate = stages.opt == "min"

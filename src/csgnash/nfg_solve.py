@@ -1327,10 +1327,119 @@ def undominated_cells(reply: np.ndarray, actions: np.ndarray) -> np.ndarray | No
         alive &= ~removed
 
 
+# The two-binary bound's tolerance and floor, widened as
+# `two_binary_bounds` says.
+_BAND_TOL = FEASIBILITY_TOL * (1.0 + 2.0 * _LP_RECHECK_TOL) + 64 * np.finfo(np.float64).eps
+_BAND_FLOOR = ACCEPT_FLOOR * (1.0 - 2.0 * _LP_RECHECK_TOL)
+# The mixed supports of a game where coalitions r and c have two actions
+# each: r mixing while c plays its first or its second action, c mixing
+# while r plays either, and both mixing. Row 0 is for x, r's probability
+# of its first action, and row 1 for y, c's. Per support, the range of the
+# probability, and which of the other player's conditions cut it: 0 where
+# it keeps its second action alone (its first may beat it by at most the
+# tolerance), 1 where it keeps its first alone, 2 where it keeps both.
+_MIXES = (_BAND_FLOOR, 1.0 - _BAND_FLOOR)
+_SUPPORT_RANGES = np.array([
+    [_MIXES, _MIXES, (1.0, 1.0), (0.0, 0.0), _MIXES],
+    [(1.0, 1.0), (0.0, 0.0), _MIXES, _MIXES, _MIXES],
+])
+_SUPPORT_CUTS = np.array([[1, 0, 2, 2, 2], [2, 2, 1, 0, 2]])
+_SIDES = np.array([[0], [1]])
+# A gap is at most the tolerance, or at least its negative: sign * gap
+# is at most the tolerance.
+_SIGNS = np.array([1.0, -1.0])
+
+
+def two_binary_bounds(
+    cells: np.ndarray, welfare: np.ndarray, actions: np.ndarray
+) -> np.ndarray:
+    """An upper bound on the welfare of every candidate `swne` builds on a
+    mixed support, for G games in each of which exactly two coalitions
+    have two actions and every other has one. Per game, `cells` (G, K,
+    players) lists the cells in C order, padded, `welfare` (G, K) their
+    welfares and `actions` (G, K, players) each player's own action in
+    each: rows of a `StageBlock`. Returns (G,), in welfare units, +inf
+    where nothing is proved.
+
+    Let r and c be the two choosers; the other axes have one action, so
+    the first four cells are (r, c) = (0, 0), (0, 1), (1, 0), (1, 1). Let
+    x be r's probability of its first action and y c's. In `swne`'s
+    normalised units, r's gap (first action minus second) is linear in y,
+    and c's in x. A support asks each of a player's kept actions to lose
+    to the other by at most FEASIBILITY_TOL, so two kept actions tie
+    within it, and a mixer to put at least ACCEPT_FLOOR on each action:
+    `accept` checks exactly this, and every other route to a candidate at
+    least as much. So r's conditions cut y to an interval, c's cut x, a
+    player on one action fixes its probability at 1 or 0, and a support's
+    candidates lie in the box of the two. Welfare is bilinear in (x, y),
+    so its largest value on a box is at a corner. The bound is the
+    largest corner welfare over the five mixed supports (an empty box
+    adds nothing), plus a rounding slack.
+
+    The box is widened to hold every candidate's probabilities as
+    `_candidate_from_probs` rescales them to sum to one: a linear
+    program's point sums to one within _LP_RECHECK_TOL, any other within
+    1e-9, and the conditions are homogeneous in the probabilities, so the
+    rescaled ones hold with the floor and the tolerance moved by less
+    than twice that factor. Gaps here and in `accept` round apart by a few
+    eps on values in [0, 1], which 64 eps more tolerance covers, as a gap
+    slope is at most 2. A candidate's welfare and a corner's round apart
+    by a few eps of the table's welfare scale (the sum of each player's
+    largest absolute utility): the slack is 4 (players + 4) eps of it.
+    The full support's box is in doubt when neither gap varies by more
+    than 2 * FEASIBILITY_TOL across the other's actions, as its bands pin
+    nothing; such a game bounds nothing. Nor does one with a non-finite
+    utility or an overflowing range, which `swne` normalises otherwise."""
+    n_games, _k, players = cells.shape
+    table = cells[:, :4]
+    games = np.arange(n_games)[:, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        scale = (table.max(axis=1) - table.min(axis=1)).max(axis=-1, keepdims=True)
+        scale[scale <= 0.0] = 1.0
+        # r's action moves the cell by two and c's by one: each chooser's
+        # utilities, as (G, action of r, action of c).
+        choosers = actions[:, 2:0:-1].argmax(axis=-1)
+        r, c = table[games, :, choosers].reshape(n_games, 2, 2, 2).swapaxes(0, 1)
+        # The normalised gaps that cut x (c's, against r's first and second
+        # action) and y (r's, against c's), at t = 1 and t = 0 (G, [x, y],
+        # ends).
+        gaps = np.stack((c[..., 0] - c[..., 1], r[:, 0] - r[:, 1]), axis=1)
+        gaps /= scale[..., None]
+        slope = gaps[..., 0] - gaps[..., 1]
+        at_zero = gaps[..., 1:]
+        # Per side, the t where the gap is at most tol, and where it is at
+        # least -tol (sign * gap <= tol), each a half-line through `cut`;
+        # a flat gap holds everywhere or nowhere.
+        rising = slope[..., None] * _SIGNS
+        cut = (_SIGNS * _BAND_TOL - at_zero) / slope[..., None]
+        lo = np.where(rising < 0.0, cut, -np.inf)
+        hi = np.where(rising > 0.0, cut, np.inf)
+        lo[(rising == 0.0) & (_SIGNS * at_zero > _BAND_TOL)] = np.inf
+        # Both at once, then each support's pick of the three, within its
+        # range (G, [x, y], supports).
+        lo = np.concatenate((lo, lo.max(axis=-1, keepdims=True)), axis=-1)
+        hi = np.concatenate((hi, hi.min(axis=-1, keepdims=True)), axis=-1)
+        lo = np.maximum(lo[:, _SIDES, _SUPPORT_CUTS], _SUPPORT_RANGES[..., 0])
+        hi = np.minimum(hi[:, _SIDES, _SUPPORT_CUTS], _SUPPORT_RANGES[..., 1])
+        # Each box's corner welfares (G, supports, x end, y end): the
+        # probabilities of the first and second actions at each end.
+        ends = np.stack((lo, hi), axis=-1)[..., None]
+        p = np.concatenate((ends, 1.0 - ends), axis=-1)
+        w = welfare[:, None, :4].reshape(n_games, 1, 2, 2)
+        corners = p[:, 0] @ w @ p[:, 1].swapaxes(-1, -2)
+        bound = np.where((lo <= hi).all(axis=1), corners.max(axis=(-2, -1)), -np.inf)
+        pinned = (np.abs(slope) > 2.0 * FEASIBILITY_TOL).any(axis=-1)
+        bound[~pinned, -1] = np.inf
+        scale_w = np.abs(table).max(axis=1).sum(axis=-1)
+        slack = 4.0 * (players + 4) * np.finfo(np.float64).eps * scale_w
+        return np.where(np.isfinite(scale[:, 0]), bound.max(axis=-1) + slack, np.inf)
+
+
 def pure_answer_picks(
     block: np.ndarray,
     deviations: np.ndarray,
     single: np.ndarray,
+    two_binary: np.ndarray,
     welfare_tol: float,
     actions: np.ndarray,
     reducible: Callable[[np.ndarray], np.ndarray],
@@ -1345,21 +1454,25 @@ def pure_answer_picks(
     (N, K, players) block, of that player's utility there. `actions`
     (N, K, players) gives each player's own action in each cell, for
     `undominated_cells`. `single` (N,) marks the games in which at most
-    one player has more than one action. `reducible` maps the mask
-    (..., N) of the games the bar leaves open to those that iterated
-    strict dominance may settle; it is called only when some game is
-    open, so a caller can look the open games up in a cache of its own.
+    one player has more than one action, and `two_binary` (N,) those in
+    which exactly two have two and every other has one. `reducible` maps
+    the mask (..., N) of the games that the bar and the bound leave open
+    to those that iterated strict dominance may settle; it is called only
+    when some game is open, so a caller can look the open games up in a
+    cache of its own.
 
     A cell is a pure equilibrium when no deviation gives a player more
     than the cell does, compared exactly as `check_pure_profile`
     compares. Let `best` be a game's best pure-equilibrium welfare (-inf
     without one, which decides nothing). A game is decided when it is
     single, when its largest cell welfare is at most `best + welfare_tol`
-    (the bar), or, where `reducible` allows, when the largest welfare of
-    the cells that survive iterated strict dominance (`undominated_cells`)
-    is. Its pick is the first cell in C order among the pure equilibria
-    with welfare at least `best - welfare_tol`, and `swne` answers a
-    decided game with exactly that pure profile:
+    (the bar), when it is two-binary and its mixed supports' bound
+    (`two_binary_bounds`) is at most `best`, or, where `reducible`
+    allows, when the largest welfare of the cells that survive iterated
+    strict dominance (`undominated_cells`) is at most the bar. Its pick
+    is the first cell in C order among the pure equilibria with welfare
+    at least `best - welfare_tol`, and `swne` answers a decided game with
+    exactly that pure profile:
     - strict dominance keeps every pure equilibrium: a removed action
       does worse than its dominator against every surviving choice of the
       others, so it is no best reply to any of them. It adds none: a
@@ -1384,14 +1497,23 @@ def pure_answer_picks(
       surviving cells, and its welfare bound is one of their welfares,
       none of which exceeds `best + welfare_tol`, so `swne` skips every
       mixed support before solving it;
+    - in a two-binary game, if `swne`'s dominance removes an action, its
+      reduced game is single, as above. Otherwise `swne` solves this very
+      table, and no candidate it builds on a mixed support has welfare
+      above the bound, so none above `best`: the maximum over all
+      candidates stays `best`, and the tie window with it. A bar of
+      `best + welfare_tol` would not do, as a mixed candidate above
+      `best` moves the window up and can drop its first pure cell;
     - among the pure candidates, `swne` keeps those within `welfare_tol`
-      of the best and takes the first in canonical order.
+      of the best and takes the first in canonical order, which puts
+      every pure support before every mixed one.
     A padding cell repeats a cell and its deviations, and a padding
     action an action, so neither changes a maximum, a removal or the
     first pick. Welfare is the sum over the players' axis, which rounds as
-    `swne`'s sums over one cell's utilities. Dominance runs only on the
-    games the bar leaves open, as no other can gain. Returns the decided
-    mask (..., N) and each game's pick (..., N) as a C-order cell index,
+    `swne`'s sums over one cell's utilities. The bound and dominance run
+    only on the games the bar leaves open, and dominance only on those
+    the bound leaves open, as no other can gain. Returns the decided mask
+    (..., N) and each game's pick (..., N) as a C-order cell index,
     meaningful where decided.
     """
     reply = np.take(block.reshape(block.shape[:-3] + (-1,)), deviations, axis=-1)
@@ -1400,6 +1522,10 @@ def pure_answer_picks(
     best = welfare.max(axis=-1, where=pure, initial=-np.inf)
     bar = best + welfare_tol
     decided = single | (welfare.max(axis=-1) <= bar)
+    pairs = np.nonzero(two_binary & ~decided)
+    if pairs[0].size:
+        bound = two_binary_bounds(block[pairs], welfare[pairs], actions[pairs[-1]])
+        decided[pairs] = (bound <= best[pairs]) & (best[pairs] > -np.inf)
     games = () if decided.all() else np.nonzero(reducible(~decided))
     if games and games[0].size:
         kept = undominated_cells(reply[games], actions[games[-1]])

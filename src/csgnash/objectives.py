@@ -398,14 +398,16 @@ class StageBlock:
     (N, K, coalitions) block of the rows' utilities, so that one `take`
     gathers them all. `actions[q, k, i]` is coalition i's own action in
     cell k, for iterated dominance. `single` marks the nodes where at
-    most one coalition has more than one action. Nodes and rows count
-    from the level's first."""
+    most one coalition has more than one action, and `two_binary` those
+    where exactly two have two and every other has one. Nodes and rows
+    count from the level's first."""
 
     nodes: np.ndarray  # (N,)
     rows: np.ndarray  # (N, K)
     deviations: np.ndarray  # (N, K, coalitions, A) flat (N, K, coalitions) indices
     actions: np.ndarray  # (N, K, coalitions)
     single: np.ndarray  # (N,) bool
+    two_binary: np.ndarray  # (N,) bool
 
 
 @dataclass
@@ -489,6 +491,7 @@ def stage_block(start: np.ndarray, shapes: np.ndarray) -> StageBlock:
         deviations=deviation * coalitions + np.arange(coalitions)[:, None],
         actions=own,
         single=(shapes > 1).sum(axis=1) <= 1,
+        two_binary=((shapes > 1).sum(axis=1) == 2) & (shapes <= 2).all(axis=1),
     )
 
 

@@ -680,13 +680,40 @@ def test_repeating_levels_solve_no_new_stage(stage_solves):
 
 def test_pure_answer_stages_skip_the_solver(stage_solves):
     # The array pass settles every stage of medium_access3 where several
-    # coalitions choose, and all but 3 distinct tables of aloha3's: the
-    # pure bar all but 19, and dominance 16 of those. Each table went to
-    # the solver before: 76 and 208 solves.
+    # coalitions choose, and all but 2 distinct tables of aloha3's: the
+    # pure bar all but 19, the two-binary bound 15 of those, and
+    # dominance 2 of the other 4. Each table went to the solver before:
+    # 76 and 208 solves.
     _check_bundled("medium_access3.json", {}, _sum_prop('R{"mes#"}[C<=20]'))
     assert len(stage_solves) == 0
     _check_bundled("aloha3.json", {}, _sum_prop('P[F<=31 "d#"]'))
     assert 0 < len(stage_solves) <= 3
+
+
+def test_two_binary_stages_skip_the_solver(stage_solves, monkeypatch):
+    # rra_rmax5's (2, 2, 1) stages have pure answers, and the two-binary
+    # bound proves it in the array pass: the solver saw 2, 2 and 4 tables
+    # at these alphas. So every check now speculates. The chunks no longer
+    # leave a stage to the stage cache, but at 0.1006 and 0.2003 the rows
+    # two exact sweeps agreed on still change within the first chunk, so
+    # 3 and 2 of its sweeps are verified and not taken (3 and 4 before).
+    from csgnash import engine
+
+    passes = []
+    array_pass = engine._array_pass
+
+    def counting(block, utilities, *rest):
+        passes.append(len(utilities))
+        return array_pass(block, utilities, *rest)
+
+    monkeypatch.setattr(engine, "_array_pass", counting)
+    for alpha, untaken in ((0.1006, 3), (0.2003, 2), (0.5, 0)):
+        passes.clear()
+        params = {"alpha": alpha}
+        result = _check_bundled("secret_sharing_rra_rmax5.json", params, UTIL_PROP)
+        assert max(passes) > 1
+        assert sum(passes) == result.iterations + untaken
+    assert len(stage_solves) == 0
 
 
 def test_value_iteration_solves_repeated_stages_once(stage_solves):
@@ -705,8 +732,8 @@ def test_value_iteration_solves_repeated_stages_once(stage_solves):
 def test_check_result_sums_inconclusive_supports(monkeypatch, name, params, prop):
     # Every stage solve (cache miss) reports two undecided supports, in
     # backward induction and in value iteration alike. aloha3 within 15
-    # steps keeps three stages, of shapes (2, 2, 2) and (1, 2, 2), that
-    # neither the pure bar nor dominance settles; within 3 steps, the
+    # steps keeps two stages, of shape (2, 2, 2), that neither the pure
+    # bar, the two-binary bound nor dominance settles; within 3 steps, the
     # array pass settles every stage.
     from dataclasses import replace
 

@@ -1523,11 +1523,14 @@ def level_games(draw, kinds=("none", "one", "several")):
     return games
 
 
-def _level_pass(games: list[np.ndarray], opt: str, reduce=True):
+def _level_pass(games: list[np.ndarray], opt: str, reduce=True, bound=True):
     """The stage block of one level holding `games`, one node each, and
     the decided mask, picks and values the engine's array pass gives
     them under `opt`: with `reduce`, dominance runs on every game the
-    pure bar leaves open, and otherwise on none."""
+    pure bar leaves open, and otherwise on none; without `bound`, no game
+    meets the two-binary bound."""
+    from dataclasses import replace
+
     from csgnash.engine import _array_pass
     from csgnash.objectives import stage_block
 
@@ -1535,6 +1538,8 @@ def _level_pass(games: list[np.ndarray], opt: str, reduce=True):
     start = np.concatenate(([0], np.cumsum(shapes.prod(axis=1))))
     utilities = np.concatenate([game.reshape(-1, game.shape[-1]) for game in games])
     block = stage_block(start, shapes)
+    if not bound:
+        block = replace(block, two_binary=np.zeros_like(block.two_binary))
     (decided,), (picks,), (values,) = _array_pass(
         block, utilities[None], opt == "min",
         lambda open: open if reduce else np.zeros_like(open),
@@ -1646,12 +1651,15 @@ def test_pure_answer_picks_settle_a_dominated_best_cell_in_the_pass():
     # The prisoner's dilemma's one equilibrium, mutual defection, has
     # welfare 2, below the best cell (6), which the bar cannot rule out.
     # Cooperation is strictly dominated, so the best surviving cell is
-    # the equilibrium itself.
+    # the equilibrium itself. The two-binary bound would settle it first
+    # (no mixed support has an equilibrium), so it is off here.
     dilemma = np.array([[[3.0, 3.0], [0.0, 5.0]], [[5.0, 0.0], [1.0, 1.0]]])
-    _block, barred, _picks, _values = _level_pass([dilemma], "max", False)
+    _block, barred, _picks, _values = _level_pass([dilemma], "max", False, bound=False)
     assert not barred[0]
-    _block, decided, picks, values = _level_pass([dilemma], "max")
+    _block, decided, picks, values = _level_pass([dilemma], "max", bound=False)
     assert decided[0] and picks[0] == 3
+    _block, bounded, _picks, _values = _level_pass([dilemma], "max", False)
+    assert bounded[0]
     result = swne(_game(dilemma))
     assert _solved_pick(result) == 3
     assert values[0].tobytes() == result.values.tobytes()
@@ -1660,12 +1668,25 @@ def test_pure_answer_picks_settle_a_dominated_best_cell_in_the_pass():
 def test_pure_answer_picks_send_an_undominated_best_cell_to_the_solver():
     # Chicken: no action is dominated, and the best cell, both swerving
     # (welfare 4), is no equilibrium; the pure equilibria have welfare 3.
+    # Its mixed equilibrium, each swerving half the time, has welfare 2,
+    # so the two-binary bound settles it with the first best pure cell.
     chicken = np.array([[[2.0, 2.0], [0.0, 3.0]], [[3.0, 0.0], [-1.0, -1.0]]])
-    _block, decided, _picks, _values = _level_pass([chicken], "max")
-    assert not decided[0]
+    _block, barred, _picks, _values = _level_pass([chicken], "max", bound=False)
+    assert not barred[0]
+    _block, decided, picks, values = _level_pass([chicken], "max")
+    assert decided[0] and picks[0] == 1
     result = swne(_game(chicken))
     assert _solved_pick(result) == 1
+    assert values[0].tobytes() == result.values.tobytes()
     assert result.values.tolist() == [0.0, 3.0]
+    # Here the column player mixing against the second row beats the best
+    # pure equilibrium (welfare 6.5 against 6), so the game is left open.
+    table = np.array([[[1.0, 4.0], [4.0, 1.0]], [[2.0, 4.0], [3.0, 4.0]]])
+    _block, decided, _picks, _values = _level_pass([table], "max")
+    assert not decided[0]
+    result = swne(_game(table))
+    assert result.support.sets == ((1,), (0, 1))
+    assert result.welfare == 6.5
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -1717,3 +1738,105 @@ def test_pure_answer_picks_break_a_welfare_tie_by_cell_order():
     result = swne(_game(tie))
     assert _solved_pick(result) == 0
     assert values[0].tobytes() == result.values.tobytes()
+
+
+@st.composite
+def two_binary_games(draw):
+    """One level's games, one to four, in each of which exactly two
+    players have two actions: shape (2, 2), or shapes (2, 2, 1), (1, 2, 2)
+    and (2, 1, 2) side by side. A game's utilities are integers 0..3 with
+    both zeros, which make ties in own utility and welfare likely; floats;
+    or near ties, 0 or 1 moved by 0 or 1e-9, which is within the
+    feasibility band once normalised. A draw may make a chooser
+    indifferent between its actions everywhere, or plant one of two
+    edges, each in games of their own:
+    - the band's: one chooser's switch gains 1e-9 against one action of
+      the other and nothing against the other action, against which the
+      other is indifferent. Only the band admits the other mixing there;
+    - the tie window's, with three players in near ties: one chooser
+      matches the other's action, the other is indifferent everywhere,
+      and the third player makes every cell's welfare 3 up to a multiple
+      of WELFARE_TOL / 3, so that mixed candidates land on both sides of
+      the window's edges."""
+    n = draw(st.sampled_from([2, 3, 3]))
+    shapes = [(2, 2)] if n == 2 else [(2, 2, 1), (1, 2, 2), (2, 1, 2)]
+    games = []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(shapes))
+        choosers = [i for i, c in enumerate(shape) if c == 2]
+        kind = draw(st.sampled_from(["integers", "floats", "near", "band", "window"]))
+        entry = {
+            "floats": st.floats(-3.0, 3.0),
+            "near": st.sampled_from([0.0, 1.0]),
+            "window": st.sampled_from([0.0, 1.0]),
+        }.get(kind, st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0]))
+        size = 4 * n
+        game = np.array(draw(st.lists(entry, min_size=size, max_size=size)))
+        game = game.reshape(shape + (n,))
+        window = kind == "window" and n == 3
+        indifferent = None
+        if window:
+            matcher, indifferent = draw(st.permutations(choosers))
+            own = np.indices(shape)
+            game[..., matcher] = own[matcher] == own[indifferent]
+        if kind in ("near", "window"):
+            nudge = st.lists(st.sampled_from([0.0, 0.0, 1e-9]), min_size=size, max_size=size)
+            game += np.reshape(draw(nudge), game.shape)
+        if kind == "band":
+            other, switcher = draw(st.permutations(choosers))
+            b = draw(st.integers(0, 1))
+            along = [1] * n
+            along[other] = 2
+            gains = np.reshape(draw(st.permutations([0.0, 1e-9])), along)
+            stay = game[..., switcher].take([b], axis=switcher)
+            pair = [stay, stay + gains]
+            game[..., switcher] = np.concatenate(pair[:: 1 - 2 * b], axis=switcher)
+            line = [slice(None)] * n
+            line[switcher] = slice(b, b + 1)
+            tie = game[..., other][tuple(line)].take([0], axis=other)
+            game[tuple(line) + (other,)] = np.repeat(tie, 2, axis=other)
+        elif window or draw(st.booleans()):
+            i = indifferent if window else draw(st.sampled_from(choosers))
+            game[..., i] = np.repeat(game[..., i].take([0], axis=i), 2, axis=i)
+        if window:
+            steps = draw(st.lists(st.integers(-3, 6), min_size=4, max_size=4))
+            (third,) = set(range(n)) - set(choosers)
+            flat = 3.0 - game[..., choosers].sum(axis=-1)
+            game[..., third] = flat + np.reshape(steps, shape) * WELFARE_TOL / 3
+        games.append(game)
+    return games
+
+
+def test_two_binary_bound_settles_only_pure_answers():
+    # Games the bound settles and the pure bar does not.
+    by_bound = []
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(two_binary_games())
+    def check(games):
+        for opt, solve in (("max", swne), ("min", scne)):
+            block, decided, picks, values = _level_pass(games, opt, False)
+            _block, barred, _picks, _values = _level_pass(games, opt, False, bound=False)
+            assert block.two_binary.all() and not block.single.any()
+            assert (decided | ~barred).all()
+            by_bound.append(int((decided & ~barred).sum()))
+            for g in np.flatnonzero(decided).tolist():
+                result = solve(_game(games[g]))
+                assert result.support.is_pure and result.inconclusive == 0
+                assert picks[g] == _solved_pick(result)
+                assert values[g].tobytes() == result.values.tobytes()
+
+    check()
+    assert sum(by_bound) >= 40
+
+
+def test_stage_block_marks_two_binary_stages():
+    from csgnash.objectives import stage_block
+
+    shapes = np.array(
+        [[2, 2, 1], [1, 2, 2], [2, 1, 2], [2, 2, 2], [2, 3, 1], [3, 1, 1], [1, 1, 1]],
+        dtype=np.int64,
+    )
+    start = np.concatenate(([0], np.cumsum(shapes.prod(axis=1))))
+    block = stage_block(start, shapes)
+    assert block.two_binary.tolist() == [True] * 3 + [False] * 4
