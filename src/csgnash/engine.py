@@ -10,7 +10,7 @@ combine decided components (exactly 1 or 0 for probabilities, 0 for
 settled reward objectives) with successor-weighted continuation values,
 taking welfare-optimal equilibrium values (cost-optimal ones when
 minimising). Every level decides in one array pass over its stage
-block (`objectives.StageBlock`) each stage whose answer is provably
+block (`nfg_solve.StageBlock`) each stage whose answer is provably
 pure (`nfg_solve.pure_answer_picks`): every stage where at most one
 coalition chooses, and those where several choose that have such an
 answer, by the pure bar, by a closed-form bound on the mixed supports
@@ -48,6 +48,7 @@ from .formulas import (
 from .games import Csg, NormalFormGame, build_coalition_game
 from .nfg_solve import (
     WELFARE_TOL,
+    StageBlock,
     pure_answer_picks,
     scne,
     swne,
@@ -56,7 +57,6 @@ from .objectives import (
     CompiledObjectives,
     Core,
     Level,
-    StageBlock,
     bounded_core,
     compile_objectives,
     mode_closure,

@@ -131,6 +131,11 @@ class EquilibriumCandidate:
 
 @dataclass
 class Removal:
+    """One action removed by iterated strict dominance, and the action
+    that beat it. Rounds run player by player: in a round, each player in
+    turn loses the actions dominated against what the others have left,
+    so a removal is seen by the later players in the same round."""
+
     player: int
     action: int
     dominated_by: int
@@ -214,64 +219,164 @@ def _pure_regrets(game: NormalFormGame, joint: Joint) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dominance filtering
+# Stage blocks and iterated dominance
 
 
-def _strictly_dominates(
-    game: NormalFormGame,
-    player: int,
-    better: int,
-    worse: int,
-    kept: Sequence[Sequence[int]],
-) -> bool:
-    others = [kept[j] for j in range(game.n_players) if j != player]
-    for cell in itertools.product(*others):
-        joint = list(cell)
-        joint.insert(player, 0)
-        joint_b = tuple(joint[:player] + [better] + joint[player + 1 :])
-        joint_w = tuple(joint[:player] + [worse] + joint[player + 1 :])
-        if not (game.utility(joint_b, player) > game.utility(joint_w, player)):
-            return False
-    return True
+@dataclass
+class StageBlock:
+    """Every stage of one level as one padded block, for the pure-answer
+    pass (`pure_answer_picks`); one game is a level of one node
+    (`_game_block`). `nodes` are the level's nodes that have rows, in
+    order. Node q's rows are its stage's cells in C order; `rows[q]` lists
+    them, padded to the level's largest cell count K by repeating the last.
+    `deviations[q, k, i]` lists the cells that differ from cell k in
+    coalition i's action alone, cell k included, padded to the level's
+    largest action count by repeating the last; a padding cell has the
+    deviations of the cell it repeats. Each is given as the flat index of
+    coalition i's utility at that cell in the (N, K, coalitions) block of
+    the rows' utilities, so that one `take` gathers them all.
+    `actions[q, k, i]` is coalition i's own action in cell k, for iterated
+    dominance. `single` marks the nodes where at most one coalition has
+    more than one action, and `two_binary` those where exactly two have
+    two and every other has one. Nodes and rows count from the level's
+    first."""
+
+    nodes: np.ndarray  # (N,)
+    rows: np.ndarray  # (N, K)
+    deviations: np.ndarray  # (N, K, coalitions, A) flat (N, K, coalitions) indices
+    actions: np.ndarray  # (N, K, coalitions)
+    single: np.ndarray  # (N,) bool
+    two_binary: np.ndarray  # (N,) bool
+
+
+def stage_block(start: np.ndarray, shapes: np.ndarray) -> StageBlock:
+    """The `StageBlock` of one level's nodes, given their stage shapes
+    (nodes, coalitions) and row bounds `start` (nodes + 1), both counted
+    from the level's first."""
+    sizes = np.diff(start)
+    nodes = np.flatnonzero(sizes)
+    sizes, shapes = sizes[nodes], shapes[nodes]
+    n, coalitions = shapes.shape
+    cells = np.minimum(np.arange(sizes.max(initial=1)), sizes[:, None] - 1)
+    # C-order strides: coalition i's action moves a cell by the product of
+    # the later coalitions' action counts.
+    stride = np.ones_like(shapes)
+    for i in range(coalitions - 2, -1, -1):
+        stride[:, i] = stride[:, i + 1] * shapes[:, i + 1]
+    # Per (node, cell, coalition): the coalition's own action in the cell.
+    # Per (node, cell, coalition, a): the cell with the coalition's action
+    # set to a, then the flat index of the coalition's utility there.
+    cell = cells[:, :, None]
+    count, stride = shapes[:, None, :], stride[:, None, :]
+    own = cell // stride % count
+    action = np.minimum(np.arange(shapes.max(initial=1)), count[..., None] - 1)
+    deviation = cell[..., None] + (action - own[..., None]) * stride[..., None]
+    deviation += np.arange(n)[:, None, None, None] * cells.shape[1]
+    return StageBlock(
+        nodes=nodes,
+        rows=start[nodes, None] + cells,
+        deviations=deviation * coalitions + np.arange(coalitions)[:, None],
+        actions=own,
+        single=(shapes > 1).sum(axis=1) <= 1,
+        two_binary=((shapes > 1).sum(axis=1) == 2) & (shapes <= 2).all(axis=1),
+    )
+
+
+@functools.cache
+def _game_block(shape: tuple[int, ...]) -> StageBlock:
+    """The block of one game of `shape`, for `filter_dominated`, built on
+    its first use and kept: every game of the shape reads it, so no caller
+    may write."""
+    block = stage_block(np.array([0, math.prod(shape)]), np.array([shape]))
+    for array in vars(block).values():
+        array.setflags(write=False)
+    return block
+
+
+def undominated_cells(
+    reply: np.ndarray, actions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Iterated strict dominance on M games at once. Per game, cell and
+    player, `reply` (M, K, players, A) holds the player's utility when it
+    switches the cell's action to each of its actions, padded by repeating
+    the last, and `actions` (M, K, players) its own action in the cell:
+    the arrays a `StageBlock` gives, over any of its games. Returns None
+    when no action is dominated, else the mask (M, K) of the cells whose
+    actions all survive, and per action (M, players, A) the round that
+    removes it (0 for a survivor) and the action that removes it.
+
+    Rounds run player by player until one removes nothing (see
+    `Removal`). Player i's step removes every live action that another
+    live action of its beats against every live choice of the others,
+    compared exactly (`>`), each by the first live action that beats it
+    and was not removed earlier in the step, as removal one action at a
+    time in action order finds it (one remains, as `>` is transitive). A
+    test decides every player's step against the live actions, so it
+    holds for the players in turn until one removes an action. The first,
+    with every action live, is the early exit. A padding action has its
+    original's utilities and comes after it, so it is removed in the same
+    step and removes no real action."""
+    # beats[g, k, i, b, w]: b gives player i more than w against cell k's
+    # other actions; dominates[g, i, b, w]: against all live ones.
+    beats = reply[..., :, None] > reply[..., None, :]
+    dominates = beats.all(axis=1)
+    removed = dominates.any(axis=-2)
+    if not removed.any():
+        return None
+    n_games, _cells, players, n_actions = reply.shape
+    games = np.arange(n_games)[:, None]
+    alive = np.ones(removed.shape, dtype=bool)
+    # dead[g, k, j]: player j's own action in cell k is removed.
+    dead = np.zeros(actions.shape, dtype=bool)
+    rounds = np.zeros(removed.shape, dtype=np.int64)
+    by = np.zeros(removed.shape, dtype=np.int64)
+    before = np.arange(n_actions)[:, None] < np.arange(n_actions)
+    step = 0  # player i's step in round r is step (r - 1) * players + i
+    while True:
+        losing = removed.any(axis=(0, 2)).tolist()
+        if not any(losing):
+            return ~dead.any(axis=-1), rounds, by
+        while not losing[step % players]:
+            step += 1
+        i = step % players
+        gone = removed[:, i]
+        first = (dominates[:, i] > (gone[:, :, None] & before)).argmax(axis=1)
+        np.copyto(rounds[:, i], step // players + 1, where=gone)
+        np.copyto(by[:, i], first, where=gone)
+        alive[:, i] ^= gone
+        dead[..., i] |= gone[games, actions[..., i]]
+        step += 1
+        # Cells where some other player's action is dead test nothing.
+        count = dead.sum(axis=-1, keepdims=True)
+        tested = beats | (count > dead)[..., None, None]
+        dominates = tested.all(axis=1) & alive[..., :, None]
+        removed = dominates.any(axis=-2) & alive
 
 
 def filter_dominated(
     game: NormalFormGame,
 ) -> tuple[NormalFormGame, list[list[int]], list[Removal]]:
-    """Iterated removal of strictly dominated pure actions.
+    """Iterated removal of strictly dominated pure actions, compared
+    exactly on the stored utilities: `undominated_cells` on the game's
+    block.
 
     Returns the reduced game, the surviving original action indices per
-    player, and the removal log in elimination order. Removal can never
-    empty an action set: a dominated action implies a surviving dominator.
+    player, and the removal log in elimination order: by round, then
+    player, then action. Removal can never empty an action set: a
+    dominated action implies a surviving dominator.
     """
-    kept: list[list[int]] = [list(range(c)) for c in game.shape]
-    removals: list[Removal] = []
-    rnd = 0
-    changed = True
-    while changed:
-        changed = False
-        rnd += 1
-        for i in range(game.n_players):
-            for worse in list(kept[i]):
-                dominator = None
-                for better in kept[i]:
-                    if better == worse:
-                        continue
-                    if _strictly_dominates(game, i, better, worse, kept):
-                        dominator = better
-                        break
-                if dominator is not None:
-                    kept[i].remove(worse)
-                    removals.append(Removal(i, worse, dominator, rnd))
-                    changed = True
-    if not removals:
-        return game, kept, removals
-    names = [
-        tuple(game.action_names[i][a] for a in kept[i]) for i in range(game.n_players)
-    ]
-    sub = game.utilities[np.ix_(*[kept[i] for i in range(game.n_players)])]
-    reduced = NormalFormGame(names, sub)
-    return reduced, kept, removals
+    block = _game_block(game.shape)
+    out = undominated_cells(game.utilities.reshape(-1)[block.deviations], block.actions)
+    if out is None:
+        return game, [list(range(c)) for c in game.shape], []
+    _cells, (rounds,), (by,) = out
+    rounds, by = rounds.tolist(), by.tolist()
+    removed = [(i, a) for i, c in enumerate(game.shape) for a in range(c) if rounds[i][a]]
+    removals = [Removal(i, a, by[i][a], rounds[i][a]) for i, a in removed]
+    removals.sort(key=lambda r: r.round)
+    kept = [[a for a in range(c) if not rounds[i][a]] for i, c in enumerate(game.shape)]
+    names = [tuple(game.action_names[i][a] for a in k) for i, k in enumerate(kept)]
+    return NormalFormGame(names, game.utilities[np.ix_(*kept)]), kept, removals
 
 
 # ---------------------------------------------------------------------------
@@ -476,18 +581,8 @@ def _candidate_from_probs(
         vec /= vec.sum()
         full.append(vec)
     profile = MixedProfile(full)
-    if support.is_pure:
-        values = _pure_values(game, tuple(s[0] for s in support.sets))
-    else:
-        values = np.array(
-            [expected_utility(game, profile, i) for i in range(game.n_players)]
-        )
-    return EquilibriumCandidate(
-        profile=profile,
-        values=values,
-        welfare=float(values.sum()),
-        support=support,
-    )
+    values = np.array([expected_utility(game, profile, i) for i in range(game.n_players)])
+    return EquilibriumCandidate(profile, values, float(values.sum()), support)
 
 
 def _solve_pure(game: NormalFormGame, support: Support) -> SupportSolution:
@@ -495,8 +590,10 @@ def _solve_pure(game: NormalFormGame, support: Support) -> SupportSolution:
     ok, _values = check_pure_profile(game, joint)
     if not ok:
         return SupportSolution("infeasible")
-    probs = [np.array([1.0]) for _ in support.sets]
-    return SupportSolution("candidate", _candidate_from_probs(game, support, probs))
+    values = _pure_values(game, joint)
+    profile = MixedProfile([np.eye(c)[a] for c, a in zip(game.shape, joint)])
+    candidate = EquilibriumCandidate(profile, values, float(values.sum()), support)
+    return SupportSolution("candidate", candidate)
 
 
 def _restricted(norm: np.ndarray, support: Support, player: int) -> np.ndarray:
@@ -1295,38 +1392,6 @@ def solve_support(
 # Top-level search
 
 
-def undominated_cells(reply: np.ndarray, actions: np.ndarray) -> np.ndarray | None:
-    """The cells of M games whose actions all survive iterated strict
-    dominance, as an (M, K) mask, or None when no action is dominated.
-    Per game, cell and player, `reply` (M, K, players, A) holds the
-    player's utility when it switches the cell's action to each of its
-    actions, padded by repeating the last, and `actions` (M, K, players)
-    its own action in the cell: the arrays a `StageBlock` gives, over any
-    of its games. Each round removes, all at once, every surviving action
-    that another surviving action of its player beats against every
-    surviving choice of the others, compared exactly, as
-    `filter_dominated` compares; rounds run until one removes nothing. A
-    padding action has its original's utilities, so it is removed in the
-    same round and dominates nothing its original does not."""
-    # beats[g, k, i, b, w]: b gives player i more than w against cell k's
-    # other actions. The first round tests every cell against every action.
-    beats = reply[..., :, None] > reply[..., None, :]
-    dominated = beats.all(axis=1).any(axis=-2)  # (M, players, A)
-    if not dominated.any():
-        return None
-    alive = ~dominated
-    games = np.arange(len(actions))[:, None, None]
-    while True:
-        gone = ~alive[games, np.arange(actions.shape[-1]), actions]
-        count = gone.sum(axis=-1, keepdims=True)
-        # Cells where some other player's action is gone test nothing.
-        tested = beats | (count - gone > 0)[..., None, None]
-        removed = (tested.all(axis=1) & alive[..., :, None]).any(axis=-2) & alive
-        if not removed.any():
-            return count[..., 0] == 0
-        alive &= ~removed
-
-
 # The two-binary bound's tolerance and floor, widened as
 # `two_binary_bounds` says.
 _BAND_TOL = FEASIBILITY_TOL * (1.0 + 2.0 * _LP_RECHECK_TOL) + 64 * np.finfo(np.float64).eps
@@ -1478,16 +1543,10 @@ def pure_answer_picks(
       others, so it is no best reply to any of them. It adds none: a
       switch that pays to a removed action pays more to the action that
       removed it, and, dominators being removed in turn, to some survivor,
-      as `>` is transitive. So `swne`'s reduced game (`filter_dominated`)
-      has these pure equilibria, with these welfares, and its pure
-      supports run in the original C order;
-    - the survivors do not depend on the order of removal: an action
-      dominated when some actions are gone stays dominated when more are,
-      and one whose dominator goes is dominated by what removed that
-      dominator (Gilboa, Kalai & Zemel, "On the order of eliminating
-      dominated strategies", Oper. Res. Letters, 1990). So removing every
-      dominated action of every player at once, round by round, keeps
-      exactly the actions `filter_dominated` keeps one by one;
+      as `>` is transitive. So `swne`'s reduced game (`filter_dominated`,
+      which runs the same `undominated_cells` on the game alone) has
+      these pure equilibria, with these welfares, and its pure supports
+      run in the original C order;
     - in a single game, every action that maximises the one chooser's
       own utility is an equilibrium, and so is every mixture of them
       (their own utilities are equal); welfare is linear over those
@@ -1528,9 +1587,9 @@ def pure_answer_picks(
         decided[pairs] = (bound <= best[pairs]) & (best[pairs] > -np.inf)
     games = () if decided.all() else np.nonzero(reducible(~decided))
     if games and games[0].size:
-        kept = undominated_cells(reply[games], actions[games[-1]])
-        if kept is not None:
-            top = welfare[games].max(axis=-1, where=kept, initial=-np.inf)
+        out = undominated_cells(reply[games], actions[games[-1]])
+        if out is not None:
+            top = welfare[games].max(axis=-1, where=out[0], initial=-np.inf)
             decided[games] = top <= bar[games]
     picks = (pure & (welfare >= best[..., None] - welfare_tol)).argmax(axis=-1)
     return decided, picks
@@ -1565,13 +1624,11 @@ def swne(game: NormalFormGame) -> EquilibriumResult:
     n_pure = math.prod(reduced.shape)
 
     # Pure supports come first in canonical order, in C order over the
-    # cells, so a cell's flat index is its support's index.
-    singles = [np.array([1.0])] * reduced.n_players
-    candidates: list[EquilibriumCandidate] = []
-    for cell in np.flatnonzero(_pure_cells(reduced)).tolist():
-        cand = _candidate_from_probs(reduced, layout.support(cell), singles)
-        cand.support_index = cell
-        candidates.append(cand)
+    # cells, so a cell's flat index is its support's index. The pure
+    # candidates stay as their cells and their welfares, each the sum of
+    # the cell's values (`_pure_values`).
+    pure = np.flatnonzero(_pure_cells(reduced))
+    pure_welfare = (reduced.float_utilities() + 0.0).sum(axis=-1).ravel()[pure]
     # The running bar is the best welfare of the candidates so far, all
     # canonically earlier, in original and (once a support needs it)
     # normalised units. The best pure welfare is final before any mixed
@@ -1582,7 +1639,7 @@ def swne(game: NormalFormGame) -> EquilibriumResult:
     # which then wins the maximum or the tie order; nor would one that
     # presolve rules out. Skipping either changes no answer, and each
     # skipped support counts once in `pruned`.
-    best = best_pure = max((c.welfare for c in candidates), default=-np.inf)
+    best = best_pure = float(pure_welfare.max(initial=-np.inf))
     mixed = layout.order[n_pure:]
     bounds = _welfare_bounds(reduced, layout).ravel()[mixed]
     live = np.ones(len(bounds), dtype=bool)
@@ -1592,6 +1649,7 @@ def swne(game: NormalFormGame) -> EquilibriumResult:
         live &= _presolve_keep(reduced, layout).ravel()[mixed]
     pruned = len(bounds) - int(live.sum())
     inconclusive = 0
+    candidates: list[EquilibriumCandidate] = []  # the mixed ones
     norm_welfare = best_norm = None
 
     def normalised(cand: EquilibriumCandidate) -> float:
@@ -1603,7 +1661,7 @@ def swne(game: NormalFormGame) -> EquilibriumResult:
             continue
         if norm_welfare is None:
             norm_welfare = reduced.normalised_utilities().sum(axis=-1)
-            best_norm = max(map(normalised, candidates), default=-np.inf)
+            best_norm = float(norm_welfare.ravel()[pure].max(initial=-np.inf))
         outcome = solve_support(reduced, layout.support(idx), bar=best_norm)
         if outcome.candidate is not None:
             outcome.candidate.support_index = idx
@@ -1614,35 +1672,30 @@ def swne(game: NormalFormGame) -> EquilibriumResult:
             inconclusive += 1
         elif outcome.status == "pruned":
             pruned += 1
-    if not candidates:
+    if not pure.size and not candidates:
         raise NoEquilibriumError("no equilibrium found: solver failure")
-    best_welfare = max(c.welfare for c in candidates)
-    tied = [c for c in candidates if c.welfare >= best_welfare - WELFARE_TOL]
-    tied.sort(
-        key=lambda c: (c.support_index, tuple(np.concatenate(c.profile.probs)))
-    )
-    chosen = tied[0]
-    # Lift the profile back over any removed (dominated) actions.
-    probs = []
-    for i in range(game.n_players):
-        vec = np.zeros(game.shape[i])
-        for local, original in enumerate(kept[i]):
-            vec[original] = chosen.profile.probs[i][local]
-        probs.append(vec)
-    profile = MixedProfile(probs)
-    support = Support(
-        tuple(
-            tuple(kept[i][a] for a in chosen.support.sets[i])
-            for i in range(game.n_players)
-        )
-    )
-    if support.is_pure:
-        joint = tuple(s[0] for s in support.sets)
+    # Within the tie tolerance of the best, the first pure cell, or else
+    # the first mixed candidate in canonical order, lifted back over the
+    # removed (dominated) actions.
+    tied = pure[pure_welfare >= best - WELFARE_TOL]
+    if tied.size:
+        cell = np.unravel_index(tied[0], reduced.shape)
+        joint = tuple(k[a] for k, a in zip(kept, cell))
+        support = Support(tuple((a,) for a in joint))
+        profile = MixedProfile([np.eye(c)[a] for c, a in zip(game.shape, joint)])
         values, regrets = _pure_values(game, joint), _pure_regrets(game, joint)
     else:
-        n = game.n_players
-        values = np.array([expected_utility(game, profile, i) for i in range(n)])
-        regrets = np.array([regret(game, profile, i) for i in range(n)])
+        chosen = min(
+            (c for c in candidates if c.welfare >= best - WELFARE_TOL),
+            key=lambda c: (c.support_index, tuple(np.concatenate(c.profile.probs))),
+        )
+        probs = [np.zeros(c) for c in game.shape]
+        for vec, k, p in zip(probs, kept, chosen.profile.probs):
+            vec[k] = p
+        profile = MixedProfile(probs)
+        support = Support(tuple(tuple(k[a] for a in s) for k, s in zip(kept, chosen.support.sets)))
+        values = np.array([expected_utility(game, profile, i) for i in range(game.n_players)])
+        regrets = np.array([regret(game, profile, i) for i in range(game.n_players)])
     return EquilibriumResult(
         values=values,
         profile=profile,
@@ -1650,7 +1703,7 @@ def swne(game: NormalFormGame) -> EquilibriumResult:
         support=support,
         regrets=regrets,
         removals=removals,
-        candidates=len(candidates),
+        candidates=len(pure) + len(candidates),
         pruned=pruned,
         inconclusive=inconclusive,
     )

@@ -28,6 +28,7 @@ from .formulas import (
     Until,
 )
 from .games import Csg
+from .nfg_solve import StageBlock, stage_block
 
 SatResolver = Callable[[StateFormula], frozenset[int]]
 
@@ -385,32 +386,6 @@ class Core:
 
 
 @dataclass
-class StageBlock:
-    """Every stage of one level as one padded block, for the pure-answer
-    pass (`nfg_solve.pure_answer_picks`). `nodes` are the level's nodes
-    that have rows, in order. Node q's rows are its stage's cells in C
-    order; `rows[q]` lists them, padded to the level's largest cell count
-    K by repeating the last. `deviations[q, k, i]` lists the cells that
-    differ from cell k in coalition i's action alone, cell k included,
-    padded to the level's largest action count by repeating the last; a
-    padding cell has the deviations of the cell it repeats. Each is given
-    as the flat index of coalition i's utility at that cell in the
-    (N, K, coalitions) block of the rows' utilities, so that one `take`
-    gathers them all. `actions[q, k, i]` is coalition i's own action in
-    cell k, for iterated dominance. `single` marks the nodes where at
-    most one coalition has more than one action, and `two_binary` those
-    where exactly two have two and every other has one. Nodes and rows
-    count from the level's first."""
-
-    nodes: np.ndarray  # (N,)
-    rows: np.ndarray  # (N, K)
-    deviations: np.ndarray  # (N, K, coalitions, A) flat (N, K, coalitions) indices
-    actions: np.ndarray  # (N, K, coalitions)
-    single: np.ndarray  # (N,) bool
-    two_binary: np.ndarray  # (N,) bool
-
-
-@dataclass
 class Level:
     """One level of a core: its nodes, their rows and the rows' successor
     entries, each a contiguous range. A bounded core has one level per
@@ -460,39 +435,6 @@ class Level:
         pending, and decided components take their pinned values."""
         np.add(self.base, cont, out=cont, where=self.add_base)
         return np.where(self.pend, cont, self.const)
-
-
-def stage_block(start: np.ndarray, shapes: np.ndarray) -> StageBlock:
-    """The `StageBlock` of one level's nodes, given their stage shapes
-    (nodes, coalitions) and row bounds `start` (nodes + 1), both counted
-    from the level's first."""
-    sizes = np.diff(start)
-    nodes = np.flatnonzero(sizes)
-    sizes, shapes = sizes[nodes], shapes[nodes]
-    n, coalitions = shapes.shape
-    cells = np.minimum(np.arange(sizes.max(initial=1)), sizes[:, None] - 1)
-    # C-order strides: coalition i's action moves a cell by the product of
-    # the later coalitions' action counts.
-    stride = np.ones_like(shapes)
-    for i in range(coalitions - 2, -1, -1):
-        stride[:, i] = stride[:, i + 1] * shapes[:, i + 1]
-    # Per (node, cell, coalition): the coalition's own action in the cell.
-    # Per (node, cell, coalition, a): the cell with the coalition's action
-    # set to a, then the flat index of the coalition's utility there.
-    cell = cells[:, :, None]
-    count, stride = shapes[:, None, :], stride[:, None, :]
-    own = cell // stride % count
-    action = np.minimum(np.arange(shapes.max(initial=1)), count[..., None] - 1)
-    deviation = cell[..., None] + (action - own[..., None]) * stride[..., None]
-    deviation += np.arange(n)[:, None, None, None] * cells.shape[1]
-    return StageBlock(
-        nodes=nodes,
-        rows=start[nodes, None] + cells,
-        deviations=deviation * coalitions + np.arange(coalitions)[:, None],
-        actions=own,
-        single=(shapes > 1).sum(axis=1) <= 1,
-        two_binary=((shapes > 1).sum(axis=1) == 2) & (shapes <= 2).all(axis=1),
-    )
 
 
 def _level_arrays(core: Core, block: _Block) -> dict:

@@ -1,8 +1,9 @@
 """Brute-force reference computations, used only by tests.
 
 Deliberately independent of the main solver: pure equilibria are found by
-exhaustive deviation checking, a support's presolve verdict and best cell
-welfare by reading its cells one by one, small sequential games by
+exhaustive deviation checking, iterated strict dominance one action pair
+at a time, a support's presolve verdict and best cell welfare by reading
+its cells one by one, small sequential games by
 re-deriving the backward induction with pure-strategy stage solutions, a
 fixed bounded profile's values and one coalition's best response against
 it by plain recursion over the nodes, and single-agent optimal values by
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from csgnash.games import Csg, NormalFormGame
+from csgnash.nfg_solve import Removal
 from csgnash.objectives import CompiledObjectives
 
 Joint = tuple[int, ...]
@@ -79,6 +81,33 @@ def _strictly_dominates(game: NormalFormGame, player, better, worse, sets) -> bo
         if not game.utility(joint_b, player) > game.utility(joint_w, player):
             return False
     return True
+
+
+def reference_filter_dominated(game: NormalFormGame):
+    """Iterated removal of strictly dominated actions, one action pair at
+    a time: in each round, each player in turn tests its actions in order,
+    and an action goes to the first other action still kept that beats it
+    against every cell the others keep. Rounds run until one removes
+    nothing. Returns the reduced game, the kept actions per player and
+    the removal log, as `filter_dominated` does."""
+    kept = [list(range(c)) for c in game.shape]
+    removals = []
+    rnd = 0
+    changed = True
+    while changed:
+        changed = False
+        rnd += 1
+        for i in range(game.n_players):
+            for worse in list(kept[i]):
+                for better in kept[i]:
+                    if better != worse and _strictly_dominates(game, i, better, worse, kept):
+                        kept[i].remove(worse)
+                        removals.append(Removal(i, worse, better, rnd))
+                        changed = True
+                        break
+    names = [tuple(game.action_names[i][a] for a in k) for i, k in enumerate(kept)]
+    reduced = NormalFormGame(names, game.utilities[np.ix_(*kept)])
+    return reduced, kept, removals
 
 
 def reference_presolve(game: NormalFormGame, sets) -> bool:

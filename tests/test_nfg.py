@@ -1,12 +1,13 @@
 import hashlib
 import itertools
+import math
 import random
 import zlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from csgnash import nfg_solve
@@ -16,8 +17,6 @@ from csgnash.nfg_solve import (
     RELAXATION_MARGIN,
     WELFARE_TOL,
     Support,
-    SupportSolution,
-    _candidate_from_probs,
     _contract_tensor,
     _SupportSystem,
     _corner_search,
@@ -42,6 +41,7 @@ from csgnash.nfg_solve import (
     relaxation_bound,
     scne,
     solve_support,
+    stage_block,
     support_count,
     swne,
     undominated_cells,
@@ -49,6 +49,7 @@ from csgnash.nfg_solve import (
 
 from oracle import (
     brute_force_pure_ne,
+    reference_filter_dominated,
     reference_presolve,
     reference_pure_profile,
     reference_welfare_bound,
@@ -294,6 +295,60 @@ def test_filter_dominated_two_rounds():
     assert game.utility((2, 2), 1) > game.utility((2, 0), 1)
 
 
+# Entries per kind: small integers tie often, Fractions are compared as
+# object arrays, and floats hold both signed zeros, which tie.
+_DOMINANCE_ENTRIES = {
+    "int": st.integers(0, 3),
+    "fraction": st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+    "float": st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]),
+}
+
+
+@st.composite
+def dominance_games(draw):
+    """Games of one to four players with one to three actions each, with
+    integer, Fraction or float utilities; a draw may plant up to two
+    strictly dominated actions, so that removals, and chains of them, are
+    common."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    kind = draw(st.sampled_from(sorted(_DOMINANCE_ENTRIES)))
+    size = math.prod(shape) * len(shape)
+    cells = draw(st.lists(_DOMINANCE_ENTRIES[kind], min_size=size, max_size=size))
+    table = np.array(cells, dtype=np.float64 if kind == "float" else object)
+    table = table.reshape(shape + (len(shape),))
+    choosers = [i for i, c in enumerate(shape) if c > 1]
+    for _ in range(draw(st.integers(0, 2)) if choosers else 0):
+        player = draw(st.sampled_from(choosers))
+        worse, better = draw(st.permutations(range(shape[player])))[:2]
+        _plant(table, player, worse, better, 1)
+    return NormalFormGame([("a",) * c for c in shape], table)
+
+
+def _table_bits(game):
+    table = game.utilities
+    if table.dtype == np.float64:
+        return table.shape, table.tobytes()
+    return table.shape, [(type(v), v) for v in table.flat]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(dominance_games())
+# Action 1 beats 0, and 0 beats 2: when 2's turn comes, 0 is gone, so 1
+# removes it.
+@example(NormalFormGame([("a",) * 3, ("a",)], np.array([[[1, 0]], [[2, 0]], [[0, 0]]])))
+# Row 2 goes first; only then is column 2 dominated, in the same round.
+@example(NormalFormGame([("a",) * 3] * 2, np.array([
+    [[5, 5], [4, 4], [3, 0]], [[4, 2], [5, 3], [3, 1]], [[1, 0], [2, 1], [0, 9]],
+])))
+def test_filter_dominated_matches_the_oracle(game):
+    reduced, kept, removals = filter_dominated(game)
+    want_reduced, want_kept, want_removals = reference_filter_dominated(game)
+    assert _table_bits(reduced) == _table_bits(want_reduced)
+    assert reduced.action_names == want_reduced.action_names
+    assert kept == want_kept
+    assert removals == want_removals
+
+
 # ---------------------------------------------------------------------------
 # Support enumeration
 
@@ -411,11 +466,11 @@ def test_batched_support_verdicts_match_the_oracle(game):
 
 
 def _replay_swne(game):
-    """`swne`'s search with every skip decided support by support, by the
-    oracle's pure checks, best cell welfares and presolve, before
-    `solve_support`: the values, profile, candidate, pruned and
-    inconclusive counts `swne` must give."""
-    reduced, kept, _removals = filter_dominated(game)
+    """`swne`'s search on the oracle's reduced game, with every skip
+    decided support by support, by the oracle's pure checks, best cell
+    welfares and presolve, before `solve_support`: the values, profile,
+    candidate, pruned and inconclusive counts `swne` must give."""
+    reduced, kept, _removals = reference_filter_dominated(game)
     norm_welfare = reduced.normalised_utilities().sum(axis=-1)
 
     def normalised(cand):
@@ -427,9 +482,7 @@ def _replay_swne(game):
         if support.is_pure:
             if not reference_pure_profile(reduced, tuple(s[0] for s in support.sets)):
                 continue
-            singles = [np.array([1.0])] * reduced.n_players
-            cand = _candidate_from_probs(reduced, support, singles)
-            outcome = SupportSolution("candidate", cand)
+            outcome = solve_support(reduced, support)
             best_pure = max(best_pure, outcome.candidate.welfare)
             best_norm = max(best_norm, normalised(outcome.candidate))
         else:
@@ -1532,7 +1585,6 @@ def _level_pass(games: list[np.ndarray], opt: str, reduce=True, bound=True):
     from dataclasses import replace
 
     from csgnash.engine import _array_pass
-    from csgnash.objectives import stage_block
 
     shapes = np.array([game.shape[:-1] for game in games], dtype=np.int64)
     start = np.concatenate(([0], np.cumsum(shapes.prod(axis=1))))
@@ -1614,8 +1666,6 @@ def test_single_chooser_picks_match_per_game_solver(games):
 
 
 def test_stage_block_lists_the_unilateral_deviations_of_every_cell():
-    from csgnash.objectives import stage_block
-
     shapes = np.array(
         [[1, 1, 1], [3, 1, 1], [2, 3, 1], [2, 2, 2], [1, 2, 3], [2, 1, 2]],
         dtype=np.int64,
@@ -1692,26 +1742,35 @@ def test_pure_answer_picks_send_an_undominated_best_cell_to_the_solver():
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(level_games(kinds=("one", "several")))
 def test_undominated_cells_match_filter_dominated(games):
-    # Every dominated action of every player removed at once, round by
-    # round, keeps the actions the solver's one-by-one removal keeps: the
-    # kept cells are the product of the kept actions.
-    from csgnash.objectives import stage_block
-
+    # The batched removal over a padded block of a level's stages keeps
+    # the actions the oracle's one-pair-at-a-time removal keeps, and logs
+    # each removal's round and dominator as it does: the kept cells are
+    # the product of the kept actions.
     shapes = np.array([game.shape[:-1] for game in games], dtype=np.int64)
     start = np.concatenate(([0], np.cumsum(shapes.prod(axis=1))))
     utilities = np.concatenate([game.reshape(-1, game.shape[-1]) for game in games])
     block = stage_block(start, shapes)
     reply = np.take(utilities[block.rows].reshape(-1), block.deviations)
-    kept = undominated_cells(reply, block.actions)
-    if kept is None:  # no action is dominated
-        kept = np.ones(block.rows.shape, dtype=bool)
+    out = undominated_cells(reply, block.actions)
     for g, game in enumerate(games):
-        _reduced, actions, _removals = filter_dominated(_game(game))
+        _reduced, actions, removals = reference_filter_dominated(_game(game))
+        if out is None:  # no action is dominated
+            assert not removals
+            continue
+        kept, rounds, by = (x[g] for x in out)
         cells = np.zeros(game.shape[:-1], dtype=bool)
         cells[np.ix_(*actions)] = True
         # Padding repeats the last cell.
-        want = cells.reshape(-1)[block.rows[g] - start[g]]
-        assert kept[g].tolist() == want.tolist()
+        assert kept.tolist() == cells.reshape(-1)[block.rows[g] - start[g]].tolist()
+        # The real actions' rounds and dominators, in the oracle's order.
+        log = [
+            (i, a, int(by[i, a]), int(rounds[i, a]))
+            for i, c in enumerate(game.shape[:-1])
+            for a in range(c)
+            if rounds[i, a]
+        ]
+        want = [(r.player, r.action, r.dominated_by, r.round) for r in removals]
+        assert sorted(log, key=lambda r: r[-1]) == want
 
 
 def test_pure_answer_picks_send_a_game_without_pure_equilibrium():
@@ -1831,8 +1890,6 @@ def test_two_binary_bound_settles_only_pure_answers():
 
 
 def test_stage_block_marks_two_binary_stages():
-    from csgnash.objectives import stage_block
-
     shapes = np.array(
         [[2, 2, 1], [1, 2, 2], [2, 1, 2], [2, 2, 2], [2, 3, 1], [3, 1, 1], [1, 1, 1]],
         dtype=np.int64,
