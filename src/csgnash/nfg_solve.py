@@ -48,12 +48,14 @@ The search is one pass over the supports in canonical order, pure ones
 first. It keeps a running bar, the best welfare of the candidates found
 so far, and a mixed support meets the cheap sound skips before any
 solving: its cell-welfare bound against the bar, presolve's dominance
-test, then (for supports the pinned LP and closed forms leave) the
+test, mixed dominance (some player's conditions refuted by a mix of two
+of them), then (for supports the pinned LP and closed forms leave) the
 relaxation bound against the bar. A skipped support's candidate could
-neither be the maximum nor precede the earlier one among ties. The pure
-equilibria, the cell-welfare bounds and the presolve verdicts are
-decided for every support of a game at once, in array passes over the
-support grid laid out per shape (`_SupportLayout`).
+neither be the maximum nor precede the earlier one among ties, and a
+refuted support has none. The pure equilibria, the cell-welfare bounds,
+the presolve verdicts and the mixed refutations are decided for every
+support of a game at once, in array passes over the support grid laid
+out per shape (`_SupportLayout`).
 """
 
 from __future__ import annotations
@@ -100,6 +102,15 @@ RELAXATION_MARGIN = 1e-6
 
 # `linprog`'s recheck of an optimal point: sqrt(tol) * 10 at its tol = 1e-9.
 _LP_RECHECK_TOL = float(np.sqrt(1e-9) * 10)
+# What a mix of a player's condition rows must exceed on every cell to
+# refute a support (`_mixed_refuted`): the band plus a margin. A point an
+# LP takes lies within HiGHS's primal feasibility tolerance (1e-7) of
+# every row, bound and the sum; a row is a difference of normalised
+# utilities, at most 1 in size, so over C cells the mix there exceeds the
+# band plus 1e-7 while the margin exceeds (C + 1) * 1e-7. This margin
+# leaves HiGHS no room on supports of up to 3,000 cells.
+_REFUTE_MARGIN = _LP_RECHECK_TOL
+_REFUTE_LEVEL = FEASIBILITY_TOL + _REFUTE_MARGIN
 
 
 @dataclass(frozen=True)
@@ -404,6 +415,18 @@ class _SupportLayout:
     player indexing its subsets; `order` lists the grid's C-order
     positions in canonical order and `combos` (supports, players) their
     subset indices.
+
+    For `_mixed_refuted`, per player with at least three actions (empty
+    for the others): its condition rows are the differences u_a - u_b of
+    two distinct actions, in lexicographic order of (a, b), and
+    `row_pairs[i]` (4, row pairs) lists each pair of rows as (a, b) of
+    the first and (a, b) of the second. `row_valid[i]` (subsets, row
+    pairs) marks, as 1.0, the pairs whose rows are both conditions of a
+    subset with pivot p, its first action: a - p for a != p, and p - b
+    for b != p in the subset. `cell_pairs[i]` (2, cell pairs) lists each
+    pair of the others' cells, a cell with itself included, and
+    `pair_within[i]` (cell pairs, combinations) marks, as 1.0, the pairs
+    whose two cells lie in the combination.
     """
 
     subsets: tuple[tuple[tuple[int, ...], ...], ...]
@@ -413,10 +436,17 @@ class _SupportLayout:
     others: tuple[np.ndarray, ...]
     order: np.ndarray
     combos: np.ndarray
+    row_pairs: tuple[np.ndarray, ...]
+    row_valid: tuple[np.ndarray, ...]
+    cell_pairs: tuple[np.ndarray, ...]
+    pair_within: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         # One layout serves every game of its shape: no caller may write.
-        fields = (self.member, self.padded, self.pairs, self.others)
+        fields = (
+            self.member, self.padded, self.pairs, self.others,
+            self.row_pairs, self.row_valid, self.cell_pairs, self.pair_within,
+        )
         for array in (self.order, self.combos, *itertools.chain(*fields)):
             array.setflags(write=False)
 
@@ -451,6 +481,20 @@ def _support_layout(shape: tuple[int, ...]) -> _SupportLayout:
                 cells = cells[:, None, :, None] & m.T[None, :, None, :]
                 cells = cells.reshape(cells.shape[0] * cells.shape[1], -1)
         others.append(cells)
+    row_pairs, row_valid, cell_pairs, pair_within = [], [], [], []
+    for c, subs, cells in zip(shape, subsets, others):
+        rows = [(a, b) for a in range(c) for b in range(c) if a != b] if c > 2 else []
+        rows = np.array(rows, dtype=np.intp).reshape(-1, 2)
+        firsts, seconds = np.triu_indices(len(rows), 1)
+        valid = np.array(
+            [[b == s[0] or (a == s[0] and b in s) for a, b in rows.tolist()] for s in subs],
+            dtype=bool,
+        ).reshape(len(subs), -1)
+        row_pairs.append(np.concatenate((rows[firsts], rows[seconds]), axis=1).T)
+        row_valid.append((valid[:, firsts] & valid[:, seconds]).astype(np.float64))
+        ends = np.array(np.triu_indices(len(cells) if c > 2 else 0))
+        cell_pairs.append(ends)
+        pair_within.append((cells[ends[0]] & cells[ends[1]]).astype(np.float64))
     return _SupportLayout(
         subsets=subsets,
         member=member,
@@ -464,6 +508,10 @@ def _support_layout(shape: tuple[int, ...]) -> _SupportLayout:
         others=tuple(others),
         order=np.array(order),
         combos=np.array([grid[f] for f in order]),
+        row_pairs=tuple(row_pairs),
+        row_valid=tuple(row_valid),
+        cell_pairs=tuple(cell_pairs),
+        pair_within=tuple(pair_within),
     )
 
 
@@ -529,6 +577,58 @@ def _presolve_keep(game: NormalFormGame, layout: _SupportLayout) -> np.ndarray:
     keep = ~refuted
     keep.flat[layout.order[: math.prod(game.shape)]] = True
     return keep
+
+
+def _mixed_refuted(game: NormalFormGame, layout: _SupportLayout) -> np.ndarray:
+    """Which supports some player's own conditions refute by a mix of two
+    of them, over the support grid.
+
+    On a support, player i's conditions ask that each of its condition
+    rows (a - p for every action a != p, and p - b for every support
+    action b != p, p being its pivot, in normalised utilities) be at most
+    FEASIBILITY_TOL against the others' distribution over their support
+    cells. If a convex mix of rows exceeds _REFUTE_LEVEL on every one of
+    those cells, the same mix of the conditions exceeds it against every
+    distribution there, so no point `accept` could take exists, nor any
+    that `relaxation_bound`'s or `_solve_pinned`'s rows admit: a Farkas
+    certificate, or conditional dominance by a mixed strategy. The pass
+    tries every pair of rows, as a mix alpha * first + (1 - alpha) *
+    second. On each cell the alphas in [0, 1] that beat the level form an
+    interval, so some alpha beats it on all of a combination's cells
+    exactly when the intervals of every pair of them meet (Helly's theorem
+    in one dimension): one table over row pairs and cell pairs, then a
+    matmul with the cell pairs' membership in each combination and one
+    with each subset's valid row pairs. A player with two actions is
+    skipped: its rows are +-(u_0 - u_1), so a mix is one row scaled down,
+    and presolve's pure dominance decides more."""
+    norm = game.normalised_utilities()
+    grid = tuple(len(m) for m in layout.member)
+    refuted = np.zeros(grid, dtype=bool)
+    for i, c in enumerate(game.shape):
+        if c < 3:
+            continue
+        # Player i's axis first, the others in order, and back.
+        first = (i, *range(i), *range(i + 1, len(grid)))
+        back = (*range(1, i + 1), 0, *range(i + 1, len(grid)))
+        own = norm[..., i].transpose(first).reshape(c, -1)
+        a1, b1, a2, b2 = own[layout.row_pairs[i]]
+        # (row pairs, cells): the mix's value at alpha = 0, its slope in
+        # alpha, and the alpha where it meets the level.
+        base = a2 - b2
+        slope = (a1 - b1) - base
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            cut = (_REFUTE_LEVEL - base) / slope
+        lo = np.where(slope > 0.0, cut, -np.inf)
+        lo[(slope == 0.0) & ~(base > _REFUTE_LEVEL)] = np.inf
+        hi = np.where(slope < 0.0, cut, np.inf)
+        ends = layout.cell_pairs[i]
+        lower = np.maximum(lo[:, ends[0]], lo[:, ends[1]]).clip(min=0.0)
+        upper = np.minimum(hi[:, ends[0]], hi[:, ends[1]]).clip(max=1.0)
+        # Row pairs with no failing cell pair in a combination refute it.
+        failing = np.matmul(~(lower < upper), layout.pair_within[i])
+        hits = np.matmul(layout.row_valid[i], failing == 0.0)
+        refuted |= (hits > 0.0).reshape([grid[k] for k in first]).transpose(back)
+    return refuted
 
 
 def check_pure_profile(game: NormalFormGame, joint: Joint) -> tuple[bool, tuple]:
@@ -1355,7 +1455,9 @@ def solve_support(
     and three binary mixers to a quadratic. Whatever
     those leave (more mixers, two mixers with neither block pinned,
     degenerate systems) meets the linear relaxation (`relaxation_bound`),
-    which proves most such supports infeasible. Of the rest, a
+    whose infeasibility refutes the support. In `swne`, mixed dominance
+    (`_mixed_refuted`) refutes many supports without an equilibrium
+    before this function sees them. Of the rest, a
     two-player support is solved exactly at the vertices of its
     equilibrium polytopes (`_solve_bimatrix`); any other is decided by
     the corner search (`_corner_search`). Only that search's box cap or a
@@ -1603,19 +1705,22 @@ def swne(game: NormalFormGame) -> EquilibriumResult:
     them first) are checked exactly, and a mixed support is skipped when
     its best cell welfare does not exceed the running bar (the best
     welfare found so far), or when presolve rules it out, before
-    `solve_support` sees it with the bar. The maximal-welfare candidate
-    wins, with ties inside the welfare tolerance broken by canonical
-    support order and then by lexicographic profile order. `pruned`
-    counts the skipped supports, `inconclusive` those whose corner search
-    reached its box cap (a candidate it found by then still counts) or
-    whose pinned LP failed.
+    `solve_support` sees it with the bar. A support that mixed dominance
+    refutes is skipped too, as `solve_support`'s "infeasible" would be.
+    The maximal-welfare candidate wins, with ties inside the welfare
+    tolerance broken by canonical support order and then by
+    lexicographic profile order. `pruned` counts the skipped supports
+    (a refuted one only when the running bar skips it first),
+    `inconclusive` those whose corner search reached its box cap (a
+    candidate it found by then still counts) or whose pinned LP failed.
 
     The pure equilibria, every support's best cell welfare and, unless
-    the pure bar skips every mixed support, every presolve verdict are
-    decided for all supports at once, in array passes over the support
-    grid (`_pure_cells`, `_welfare_bounds`, `_presolve_keep`). Only the
-    mixed supports that both leave open meet the running bar and
-    `solve_support` in the loop.
+    the pure bar skips every mixed support, every presolve verdict and
+    mixed refutation are decided for all supports at once, in array
+    passes over the support grid (`_pure_cells`, `_welfare_bounds`,
+    `_presolve_keep`, `_mixed_refuted`). Only the mixed supports that
+    the pure bar and presolve leave open reach the loop, where they meet
+    the running bar, then mixed dominance, then `solve_support`.
     Raises NoEquilibriumError when nothing is found, which
     indicates solver failure rather than a game property.
     """
@@ -1648,6 +1753,11 @@ def swne(game: NormalFormGame) -> EquilibriumResult:
     if live.any():
         live &= _presolve_keep(reduced, layout).ravel()[mixed]
     pruned = len(bounds) - int(live.sum())
+    # A support some player's mixed dominance refutes has no candidate, as
+    # `solve_support` would find: skipping it counts nowhere.
+    refuted = np.zeros(len(bounds), dtype=bool)
+    if live.any():
+        refuted = _mixed_refuted(reduced, layout).ravel()[mixed]
     inconclusive = 0
     candidates: list[EquilibriumCandidate] = []  # the mixed ones
     norm_welfare = best_norm = None
@@ -1655,9 +1765,12 @@ def swne(game: NormalFormGame) -> EquilibriumResult:
     def normalised(cand: EquilibriumCandidate) -> float:
         return float(_contract_tensor(norm_welfare, cand.profile.probs))
 
-    for idx, upper in zip((n_pure + np.flatnonzero(live)).tolist(), bounds[live].tolist()):
+    positions = (n_pure + np.flatnonzero(live)).tolist()
+    for idx, upper, dead in zip(positions, bounds[live].tolist(), refuted[live].tolist()):
         if best > -np.inf and upper <= best:
             pruned += 1
+            continue
+        if dead:
             continue
         if norm_welfare is None:
             norm_welfare = reduced.normalised_utilities().sum(axis=-1)

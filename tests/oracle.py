@@ -2,8 +2,8 @@
 
 Deliberately independent of the main solver: pure equilibria are found by
 exhaustive deviation checking, iterated strict dominance one action pair
-at a time, a support's presolve verdict and best cell welfare by reading
-its cells one by one, small sequential games by
+at a time, a support's presolve verdict, best cell welfare and mixed
+refutation by reading its cells one by one, small sequential games by
 re-deriving the backward induction with pure-strategy stage solutions, a
 fixed bounded profile's values and one coalition's best response against
 it by plain recursion over the nodes, and single-agent optimal values by
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from csgnash.games import Csg, NormalFormGame
-from csgnash.nfg_solve import Removal
+from csgnash.nfg_solve import _REFUTE_LEVEL, Removal
 from csgnash.objectives import CompiledObjectives
 
 Joint = tuple[int, ...]
@@ -125,6 +125,47 @@ def reference_presolve(game: NormalFormGame, sets) -> bool:
             if a not in own and all(_strictly_dominates(game, i, a, b, sets) for b in own):
                 return False
     return True
+
+
+def reference_mixed_refuted(game: NormalFormGame, sets) -> bool:
+    """Whether some player with at least three actions has two condition
+    rows of the support with action sets `sets` whose mix beats
+    `_REFUTE_LEVEL` on every cell of the others' support. The rows are
+    the normalised differences u_a - u_b, in lexicographic order of
+    (a, b), that are conditions with pivot p = sets[i][0]: a - p for
+    a != p, and p - b for b != p in the support. For every pair of them,
+    alpha * first + (1 - alpha) * second, a scalar interval of alphas in
+    [0, 1] is narrowed cell by cell to those beating the level there."""
+    norm = game.normalised_utilities()
+    for i, own in enumerate(sets):
+        c = game.shape[i]
+        if c < 3:
+            continue
+        pivot = own[0]
+        rows = [(a, b) for a in range(c) for b in range(c) if a != b]
+        valid = [(a, b) for a, b in rows if b == pivot or (a == pivot and b in own)]
+        others = [sets[j] for j in range(game.n_players) if j != i]
+
+        def diff(row, cell):
+            a, b = row
+            return norm[cell[:i] + (a,) + cell[i:] + (i,)] - norm[cell[:i] + (b,) + cell[i:] + (i,)]
+
+        for first, second in itertools.combinations(valid, 2):
+            lo, hi = 0.0, 1.0
+            for cell in itertools.product(*others):
+                base = diff(second, cell)
+                slope = diff(first, cell) - base
+                # A tiny slope puts the cut at +-inf, which is where it is.
+                with np.errstate(over="ignore"):
+                    if slope > 0.0:
+                        lo = max(lo, (_REFUTE_LEVEL - base) / slope)
+                    elif slope < 0.0:
+                        hi = min(hi, (_REFUTE_LEVEL - base) / slope)
+                    elif not base > _REFUTE_LEVEL:
+                        lo = np.inf
+            if lo < hi:
+                return True
+    return False
 
 
 def reference_welfare_bound(game: NormalFormGame, sets) -> float:

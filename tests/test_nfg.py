@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from csgnash import nfg_solve
 from csgnash.games import MixedProfile, NormalFormGame
 from csgnash.nfg_solve import (
+    ACCEPT_FLOOR,
     FEASIBILITY_TOL,
     RELAXATION_MARGIN,
     WELFARE_TOL,
@@ -21,6 +22,7 @@ from csgnash.nfg_solve import (
     _SupportSystem,
     _corner_search,
     _pinned_block,
+    _mixed_refuted,
     _presolve_keep,
     _project_simplex,
     _pure_cells,
@@ -50,6 +52,7 @@ from csgnash.nfg_solve import (
 from oracle import (
     brute_force_pure_ne,
     reference_filter_dominated,
+    reference_mixed_refuted,
     reference_presolve,
     reference_pure_profile,
     reference_welfare_bound,
@@ -246,6 +249,35 @@ def test_swne_pins_criterion_9_welfare():
     result = swne(hard_333_game())
     assert result.welfare == pytest.approx(25.089285714285715, abs=1e-9)
     assert result.inconclusive == 0
+
+
+def test_mixed_refutation_skips_the_solver_on_criterion_9(monkeypatch):
+    # Without mixed dominance, 66 supports reached `solve_support` and 30
+    # the relaxation LP; the pass refutes 32 of them first. Some still
+    # reach the relaxation, so these tests keep exercising it.
+    game = hard_333_game()
+    calls = {"solve_support": 0, "relaxation_bound": 0}
+    for name in calls:
+        original = getattr(nfg_solve, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(nfg_solve, name, counting)
+    got = swne(game)
+    assert calls["solve_support"] <= 34
+    assert 1 <= calls["relaxation_bound"] <= 17
+
+    def unrefuted(game, layout):
+        return np.zeros([len(m) for m in layout.member], dtype=bool)
+
+    monkeypatch.setattr(nfg_solve, "_mixed_refuted", unrefuted)
+    want = swne(game)
+    _same_answer(got, want)
+    assert (got.candidates, got.pruned, got.inconclusive) == (
+        want.candidates, want.pruned, want.inconclusive,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +483,7 @@ def test_batched_support_verdicts_match_the_oracle(game):
     layout = _support_layout(game.shape)
     keep = _presolve_keep(game, layout)
     bounds = _welfare_bounds(game, layout)
+    refuted = _mixed_refuted(game, layout)
     supports = enumerate_supports(game)
     keys = [(sum(s.sizes), s.masks()) for s in supports]
     assert keys == sorted(set(keys)) and len(keys) == support_count(game.shape)
@@ -459,10 +492,110 @@ def test_batched_support_verdicts_match_the_oracle(game):
         assert keep[at] == reference_presolve(game, support.sets)
         assert presolve_support(game, support) == keep[at]
         assert bounds[at] == reference_welfare_bound(game, support.sets)
+        assert refuted[at] == reference_mixed_refuted(game, support.sets)
     pure = _pure_cells(game)
     for joint in game.joint_actions():
         assert pure[joint] == reference_pure_profile(game, joint)
         assert check_pure_profile(game, joint) == (pure[joint], game.utility_vector(joint))
+
+
+# Utilities for the mixed refutation: small integers with ties and both
+# signed zeros, uniform floats, and values a few band widths or about
+# the refutation level apart.
+REFUTE_NUMBERS = {
+    "int": st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]),
+    "float": st.floats(0.0, 1.0),
+    "near": st.builds(
+        float.__add__,
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.sampled_from([0.0, 4e-9, -4e-9, 1e-8, -2e-8, 3.1e-4, -3.2e-4]),
+    ),
+}
+
+
+@st.composite
+def refutable_games(draw):
+    """Games in which some player has three or four actions. In a
+    planted one, that player's first action loses to the even mix of its
+    next two by 0.01 to 0.2 on every cell of the others, and to neither
+    alone: the next two trade 1 and 0 on the others' first and last
+    cells."""
+    shape = draw(st.sampled_from([(3, 3), (2, 3), (2, 2, 3), (3, 3, 3), (4, 4)]))
+    kind = draw(st.sampled_from(sorted(REFUTE_NUMBERS) + ["planted"]))
+    size = math.prod(shape) * len(shape)
+    numbers = REFUTE_NUMBERS["float" if kind == "planted" else kind]
+    values = draw(st.lists(numbers, min_size=size, max_size=size))
+    table = np.array(values, dtype=np.float64).reshape(shape + (len(shape),))
+    if kind == "planted":
+        i = next(i for i, c in enumerate(shape) if c > 2)
+        own = np.moveaxis(table[..., i], i, 0).reshape(shape[i], -1)
+        own[1:3, 0], own[1:3, -1] = (1.0, 0.0), (0.0, 1.0)
+        own[0] = (own[1] + own[2]) / 2 - draw(st.floats(0.01, 0.2))
+        rest = shape[:i] + shape[i + 1 :]
+        table[..., i] = np.moveaxis(own.reshape((shape[i],) + rest), 0, i)
+    return NormalFormGame([tuple(f"a{k}" for k in range(c)) for c in shape], table)
+
+
+def _own_rows_feasible(game, sets, i) -> bool:
+    """Whether scipy's `linprog` finds a distribution over the other
+    players' support cells meeting player i's own relaxation rows: its
+    gaps within the band, its gains at most the band, and each other
+    support action's marginal at least ACCEPT_FLOOR."""
+    from scipy.optimize import linprog
+
+    norm = game.normalised_utilities()
+    others = [j for j in range(game.n_players) if j != i]
+    cells = list(itertools.product(*(sets[j] for j in others)))
+
+    def utility(a):
+        return np.array([norm[cell[:i] + (a,) + cell[i:] + (i,)] for cell in cells])
+
+    pivot = utility(sets[i][0])
+    gaps = [pivot - utility(b) for b in sets[i][1:]]
+    gains = [utility(a) - pivot for a in range(game.shape[i]) if a not in sets[i]]
+    floors = [
+        [-float(cell[k] == a) for cell in cells] for k, j in enumerate(others) for a in sets[j]
+    ]
+    a_ub = np.array(gaps + [-g for g in gaps] + gains + floors).reshape(-1, len(cells))
+    b_ub = [FEASIBILITY_TOL] * (2 * len(gaps) + len(gains)) + [-ACCEPT_FLOOR] * len(floors)
+    res = linprog(
+        np.zeros(len(cells)), A_ub=a_ub, b_ub=b_ub, A_eq=np.ones((1, len(cells))),
+        b_eq=[1.0], bounds=(0, None), method="highs",
+    )
+    assert res.status in (0, 2)
+    return res.status == 0
+
+
+def test_mixed_refutations_are_sound():
+    # A support the pass refutes is one `solve_support` proves infeasible,
+    # and one some player's own relaxation rows rule out under `linprog`.
+    # Each draw checks up to three of its refuted supports: a (4, 4) game
+    # refutes about 200, and checking them all would take a minute. The
+    # draws must reach beyond presolve.
+    draws = beyond = 0
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(refutable_games(), st.data())
+    def check(game, data):
+        nonlocal draws, beyond
+        layout = _support_layout(game.shape)
+        refuted = _mixed_refuted(game, layout).ravel()[layout.order]
+        kept = _presolve_keep(game, layout).ravel()[layout.order]
+        mixed = np.arange(len(kept)) >= math.prod(game.shape)
+        draws += 1
+        beyond += bool((refuted & kept & mixed).any())
+        positions = np.flatnonzero(refuted).tolist()
+        if not positions:
+            return
+        picks = st.lists(st.sampled_from(positions), max_size=3, unique=True)
+        players = [i for i, c in enumerate(game.shape) if c > 2]
+        for position in data.draw(picks):
+            support = layout.support(position)
+            assert solve_support(game, support).status == "infeasible"
+            assert not all(_own_rows_feasible(game, support.sets, i) for i in players)
+
+    check()
+    assert beyond * 10 >= draws
 
 
 def _replay_swne(game):
