@@ -37,25 +37,30 @@ through scipy's bundled bindings (`scipy.optimize._highspy`), by way of
 small, `linprog`'s wrapper takes several times as long as HiGHS's solve.
 `_solve_lp` hands HiGHS the model and options `linprog(method="highs")`
 would, so the results are the same bits, and it keeps `linprog`'s recheck
-of an optimal point. The bindings load on the first LP (`_lp_solver`):
-importing `scipy.optimize` is most of a fresh process's start, and a
-process that solves no LP never pays for it. Only a HiGHS proof of
-infeasibility refutes a support. Any other failure, including an optimal
-point that fails the recheck, proves nothing: the relaxation then bounds
-nothing (+inf) and the pinned LP leaves its support "inconclusive".
+of an optimal point. One HiGHS solver, given those options once, runs
+every LP: each program is passed as plain arrays after the solver drops
+the last one's state. The bindings load and the solver is made on the
+first LP (`_lp_solver`): importing `scipy.optimize` is most of a fresh
+process's start, and a process that solves no LP never pays for it.
+Only a HiGHS proof of infeasibility refutes a support. Any other failure,
+including an optimal point that fails the recheck, proves nothing: the
+relaxation then bounds nothing (+inf) and the pinned LP leaves its
+support "inconclusive".
 
 The search is one pass over the supports in canonical order, pure ones
 first. It keeps a running bar, the best welfare of the candidates found
 so far, and a mixed support meets the cheap sound skips before any
 solving: its cell-welfare bound against the bar, presolve's dominance
 test, mixed dominance (some player's conditions refuted by a mix of two
-of them), then (for supports the pinned LP and closed forms leave) the
-relaxation bound against the bar. A skipped support's candidate could
-neither be the maximum nor precede the earlier one among ties, and a
-refuted support has none. The pure equilibria, the cell-welfare bounds,
-the presolve verdicts and the mixed refutations are decided for every
-support of a game at once, in array passes over the support grid laid
-out per shape (`_SupportLayout`).
+of them), closed-form refutation (two or three players mixing over two
+actions each, whose closed-form points all clearly fail), then (for
+supports the pinned LP and closed forms leave) the relaxation bound
+against the bar. A skipped support's candidate could neither be the
+maximum nor precede the earlier one among ties, and a refuted support
+has none. The pure equilibria, the cell-welfare bounds, the presolve
+verdicts and both kinds of refutation are decided for every support of a
+game at once, in array passes over the support grid laid out per shape
+(`_SupportLayout`).
 """
 
 from __future__ import annotations
@@ -111,6 +116,21 @@ _LP_RECHECK_TOL = float(np.sqrt(1e-9) * 10)
 # leaves HiGHS no room on supports of up to 3,000 cells.
 _REFUTE_MARGIN = _LP_RECHECK_TOL
 _REFUTE_LEVEL = FEASIBILITY_TOL + _REFUTE_MARGIN
+# `_binary_refuted` leaves a support to `solve_support` where a closed
+# form's divisor is near zero, in normalised utilities. A 2x2 pin whose
+# gaps differ by delta has an lstsq residual of up to about 1e-15 / delta,
+# which meets `_pinned_block`'s 1e-9 check near delta = 1e-6: _PIN_TOL
+# leaves a factor of 100. The three-binary closed form is repeated to the
+# bit, and its degeneracy tests are at 1e-12 (relative to the quadratic's
+# scale for its leading coefficient): _DEGENERATE_TOL leaves a factor of
+# 1,000, and rounding is far below both.
+_PIN_TOL = 1e-4
+_DEGENERATE_TOL = 1e-9
+# How far a closed-form point must miss `accept`'s probability interval or
+# its band on a gain for `_binary_refuted` to count it as failed. Beyond
+# _PIN_TOL a pinned point of lstsq's lies within about 3e-12 of the closed
+# form's in [-1, 2], and the three-binary points are the same bits.
+_CLOSED_FORM_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -427,6 +447,11 @@ class _SupportLayout:
     pair of the others' cells, a cell with itself included, and
     `pair_within[i]` (cell pairs, combinations) marks, as 1.0, the pairs
     whose two cells lie in the combination.
+
+    For `_binary_refuted`, `binary` holds the `_BinaryBlocks` of the
+    supports on which exactly two players mix, then of those on which
+    exactly three do, over two actions each, every other player keeping
+    one.
     """
 
     subsets: tuple[tuple[tuple[int, ...], ...], ...]
@@ -440,12 +465,14 @@ class _SupportLayout:
     row_valid: tuple[np.ndarray, ...]
     cell_pairs: tuple[np.ndarray, ...]
     pair_within: tuple[np.ndarray, ...]
+    binary: tuple[_BinaryBlocks, ...]
 
     def __post_init__(self):
         # One layout serves every game of its shape: no caller may write.
         fields = (
             self.member, self.padded, self.pairs, self.others,
             self.row_pairs, self.row_valid, self.cell_pairs, self.pair_within,
+            *(vars(blocks).values() for blocks in self.binary),
         )
         for array in (self.order, self.combos, *itertools.chain(*fields)):
             array.setflags(write=False)
@@ -454,6 +481,79 @@ class _SupportLayout:
         """The support at `position` in canonical order."""
         ks = self.combos[position].tolist()
         return Support(tuple(subsets[k] for subsets, k in zip(self.subsets, ks)))
+
+
+@dataclass(frozen=True)
+class _BinaryBlocks:
+    """The supports of one shape on which k players (the mixers) keep two
+    actions each and every other player one, as S rows. A mixer's picks
+    are 0, its first support action (its pivot), and 1, its second; a
+    support's block is its 2 ** k cells, one per choice of picks, in C
+    order. Every index is the flat index of one player's utility at one
+    cell of the (cells, players) table. `positions` (S,) are the
+    supports' C-order positions in the support grid. `gaps` (2, S, k,
+    2 ** (k - 1)) gives each mixer's utility at its pivot, then at its
+    second action, against the other mixers' picks in C order.
+    `deviations` (S, players, A, 2 ** k) gives each player's utility
+    over the block with its action switched to each action outside its
+    support, padded to the largest action count A; a support action or a
+    padding one takes the player's pivot, as every action in `pivots`
+    (S, players, 1, 2 ** k) does."""
+
+    positions: np.ndarray
+    gaps: np.ndarray
+    deviations: np.ndarray
+    pivots: np.ndarray
+
+
+def _binary_blocks(shape: tuple[int, ...], subsets, grid, k: int) -> _BinaryBlocks:
+    """The `_BinaryBlocks` of the supports with k mixers, given each
+    player's subsets and every support's subset indices in C-order grid
+    position."""
+    n, width = len(shape), max(shape)
+    strides = [math.prod(shape[p + 1 :]) for p in range(n)]
+
+    def flat(joint, player, action):
+        cell = sum(a * t for a, t in zip(joint, strides))
+        return (cell + (action - joint[player]) * strides[player]) * n + player
+
+    def cell(sets, mixers, picks):
+        joint = [s[0] for s in sets]
+        for m, r in zip(mixers, picks):
+            joint[m] = sets[m][r]
+        return joint
+
+    positions, gaps, deviations, pivots = [], [], [], []
+    for position, combo in enumerate(grid):
+        sets = [subs[q] for subs, q in zip(subsets, combo)]
+        sizes = [len(s) for s in sets]
+        if sizes.count(2) != k or sizes.count(1) != n - k:
+            continue
+        mixers = [p for p, size in enumerate(sizes) if size == 2]
+        block = [cell(sets, mixers, picks) for picks in itertools.product((0, 1), repeat=k)]
+        positions.append(position)
+        gaps.append([
+            [
+                [flat(j, m, sets[m][pick]) for j in block if j[m] == sets[m][0]]
+                for m in mixers
+            ]
+            for pick in (0, 1)
+        ])
+        pivots.append([[[flat(j, p, s[0]) for j in block]] for p, s in enumerate(sets)])
+        deviations.append([
+            [
+                [flat(j, p, a if a < c and a not in s else s[0]) for j in block]
+                for a in range(width)
+            ]
+            for p, (c, s) in enumerate(zip(shape, sets))
+        ])
+    cells = 1 << k
+    return _BinaryBlocks(
+        positions=np.array(positions, dtype=np.intp),
+        gaps=np.array(gaps, dtype=np.intp).reshape(-1, 2, k, cells // 2).swapaxes(0, 1),
+        deviations=np.array(deviations, dtype=np.intp).reshape(-1, n, width, cells),
+        pivots=np.array(pivots, dtype=np.intp).reshape(-1, n, 1, cells),
+    )
 
 
 @functools.cache
@@ -512,6 +612,7 @@ def _support_layout(shape: tuple[int, ...]) -> _SupportLayout:
         row_valid=tuple(row_valid),
         cell_pairs=tuple(cell_pairs),
         pair_within=tuple(pair_within),
+        binary=tuple(_binary_blocks(shape, subsets, grid, k) for k in (2, 3)),
     )
 
 
@@ -628,6 +729,105 @@ def _mixed_refuted(game: NormalFormGame, layout: _SupportLayout) -> np.ndarray:
         failing = np.matmul(~(lower < upper), layout.pair_within[i])
         hits = np.matmul(layout.row_valid[i], failing == 0.0)
         refuted |= (hits > 0.0).reshape([grid[k] for k in first]).transpose(back)
+    return refuted
+
+
+def _two_binary_points(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The point `_pinned_block` pins on each of S two-binary supports,
+    from each mixer's gaps (pivot minus second action) `gaps` (S, 2, 2)
+    against the other's pivot and second action: gaps g_a and g_b put
+    g_b / (g_b - g_a) on the other's pivot. Returns the points (S, 1, 2)
+    as pivot probabilities and the supports (S,) deferred because a gap
+    difference is at most _PIN_TOL."""
+    g_a, g_b = gaps[..., 0], gaps[..., 1]
+    points = (g_b / (g_b - g_a))[:, None, ::-1]
+    return points, (np.abs(g_b - g_a) <= _PIN_TOL).any(axis=1)
+
+
+def _three_binary_points(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points `_solve_three_binary_mixers` tries on each of S
+    three-binary supports, from each mixer's gaps `gaps` (S, 3, 4)
+    against the other two mixers' picks, by its arithmetic to the bit:
+    the coefficients of `_three_binary_coeffs`, `_chained_quadratic` and
+    its two roots. Returns the points (S, 2, 3) as pivot probabilities,
+    NaN where the discriminant is negative, and the supports (S,)
+    deferred because the quadratic's leading coefficient or its
+    discriminant is at most _DEGENERATE_TOL times its scale (squared for
+    the discriminant), or a root's substitution denominator is at most
+    _DEGENERATE_TOL. The arithmetic runs support by support on floats: a
+    game has few such supports, and numpy's cost per call on a few
+    numbers is several times the arithmetic's."""
+    points, defer = [], []
+    for at in gaps.tolist():
+        coeffs = []
+        for g in at:
+            a = g[3]
+            b = g[1] - a
+            c = g[2] - a
+            coeffs.append((a, b, c, g[0] - a - b - c))
+        alpha0, alpha1, beta0, beta1, q2, q1, q0 = _chained_quadratic(*coeffs)
+        ai, bi, ci, di = coeffs[0]
+        scale = max(abs(q0), abs(q1), abs(q2), 1e-30)
+        disc = q1 * q1 - 4.0 * q2 * q0
+        stuck = abs(q2) <= _DEGENERATE_TOL * scale or abs(disc) <= _DEGENERATE_TOL * scale * scale
+        roots = []
+        if disc > 0.0 and not stuck:
+            sq = math.sqrt(disc)
+            for x_j in ((-q1 - sq) / (2 * q2), (-q1 + sq) / (2 * q2)):
+                den_i = beta0 + beta1 * x_j
+                den_k = ci + di * x_j
+                if abs(den_i) <= _DEGENERATE_TOL or abs(den_k) <= _DEGENERATE_TOL:
+                    stuck = True
+                    break
+                roots.append((-(alpha0 + alpha1 * x_j) / den_i, x_j, -(ai + bi * x_j) / den_k))
+        points.append(roots if len(roots) == 2 else [(math.nan,) * 3] * 2)
+        defer.append(stuck)
+    return np.array(points).reshape(-1, 2, 3), np.array(defer, dtype=bool)
+
+
+def _binary_refuted(game: NormalFormGame, layout: _SupportLayout) -> np.ndarray:
+    """Which supports with two or three binary mixers (players keeping two
+    actions each, every other player one) have no point `solve_support`
+    could accept, by their closed forms, over the support grid.
+
+    On such a support `solve_support` tries at most two points: with two
+    mixers, each one's indifference pins the other's pivot probability
+    (`_pinned_block`), and with three the chained quadratic of
+    `_solve_three_binary_mixers` gives up to two roots. It calls the
+    support "infeasible" when every point fails `accept`'s conditions: a
+    probability outside [ACCEPT_FLOOR, 1 - ACCEPT_FLOOR], or some player's
+    deviation gain above FEASIBILITY_TOL. The pass computes the points of
+    every such support at once, with the same arithmetic, and refutes a
+    support when every point misses that interval, or has a gain above
+    that band, by more than _CLOSED_FORM_MARGIN; a quadratic without a
+    real root (NaN points) refutes too. A gain at a point is the block's
+    cell differences contracted with the mixers' probabilities, the last
+    mixer's axis first, as `reference_binary_refuted` computes it to the
+    bit. A support is left to `solve_support` wherever its path might not
+    pin it or might call it degenerate: a gap difference, a leading
+    coefficient, a discriminant or a substitution denominator near zero
+    (`_two_binary_points`, `_three_binary_points`). So every support
+    refuted here is one `solve_support` calls "infeasible"."""
+    norm = game.normalised_utilities().reshape(-1)
+    refuted = np.zeros([len(m) for m in layout.member], dtype=bool)
+    low, high = ACCEPT_FLOOR - _CLOSED_FORM_MARGIN, 1.0 - ACCEPT_FLOOR + _CLOSED_FORM_MARGIN
+    level = FEASIBILITY_TOL + _CLOSED_FORM_MARGIN
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for blocks, solve in zip(layout.binary, (_two_binary_points, _three_binary_points)):
+            if not blocks.positions.size:
+                continue
+            points, defer = solve(norm[blocks.gaps[0]] - norm[blocks.gaps[1]])
+            # gains[:, r, p, a]: player p's gain from action a at point r.
+            mixers = points.shape[-1]
+            gains = (norm[blocks.deviations] - norm[blocks.pivots])[:, None]
+            gains = gains.reshape(gains.shape[:4] + (2,) * mixers)
+            for t in range(mixers - 1, -1, -1):
+                x = points[..., t].reshape(points.shape[:2] + (1,) * (t + 2))
+                gains = x * gains[..., 0] + (1.0 - x) * gains[..., 1]
+            # A point passes when it lies in the interval and no gain tops the band.
+            inside = ((points >= low) & (points <= high)).all(axis=-1)
+            passes = inside & ~(gains > level).any(axis=(-2, -1))
+            refuted.flat[blocks.positions] = ~passes.any(axis=1) & ~defer
     return refuted
 
 
@@ -937,9 +1137,10 @@ class _SupportSystem:
 
 @functools.cache
 def _lp_solver():
-    """scipy's HiGHS bindings and the options `linprog(method="highs")`
-    passes (every other option keeps its HiGHS default), made on the first
-    call."""
+    """scipy's HiGHS bindings and the one solver every LP runs on, made
+    on the first call with the options `linprog(method="highs")` passes
+    (every other option keeps its HiGHS default). The solver is shared,
+    so no two LPs may run on it at once."""
     from scipy.optimize._highspy import _core as highs
 
     options = highs.HighsOptions()
@@ -948,7 +1149,9 @@ def _lp_solver():
     options.log_to_console = False
     options.output_flag = False
     options.highs_debug_level = 0
-    return highs, options
+    solver = highs._Highs()
+    solver.passOptions(options)
+    return highs, solver
 
 
 def _solve_lp(
@@ -967,36 +1170,31 @@ def _solve_lp(
     cleaning, sparse conversion, per-call option checks) costs more than
     HiGHS's solve. The matrix is [a_ub; ones], column-wise, nonzeros only,
     rows ascending within a column. An a_ub row has bounds [-inf, b_ub]
-    and the sum row [1, 1]. The options are `_lp_solver`'s. As `linprog`
-    does, an optimal point is rechecked and counts as "failed" unless it
-    holds no NaN, lies within _LP_RECHECK_TOL of its bounds, leaves every
-    a_ub row a slack of at least -_LP_RECHECK_TOL and sums to 1 within
-    _LP_RECHECK_TOL.
+    and the sum row [1, 1]; every column is continuous. The program goes
+    to `_lp_solver`'s one solver as plain arrays, after `clearSolver`
+    drops the last program's basis and solution, so that no LP starts
+    from another's state. As `linprog` does, an optimal point is
+    rechecked and counts as "failed" unless it holds no NaN, lies within
+    _LP_RECHECK_TOL of its bounds, leaves every a_ub row a slack of at
+    least -_LP_RECHECK_TOL and sums to 1 within _LP_RECHECK_TOL.
     """
     n, m = cost.size, len(a_ub)
     matrix = np.vstack([a_ub, np.ones((1, n))])
     col, row = np.nonzero(matrix.T)
     rhs = np.append(b_ub, 1.0)
-    bindings, options = _lp_solver()
-    lp = bindings.HighsLp()
-    lp.num_col_ = n
-    lp.num_row_ = m + 1
-    lp.col_cost_ = cost
-    lp.col_lower_ = np.full(n, lower)
-    lp.col_upper_ = np.full(n, upper)
-    lp.row_lower_ = np.append(np.full(m, -bindings.kHighsInf), 1.0)
-    lp.row_upper_ = rhs
-    lp.a_matrix_.num_col_ = n
-    lp.a_matrix_.num_row_ = m + 1
-    lp.a_matrix_.format_ = bindings.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.searchsorted(col, np.arange(n + 1)).astype(np.int32)
-    lp.a_matrix_.index_ = row.astype(np.int32)
-    lp.a_matrix_.value_ = matrix.T[col, row]
-    highs = bindings._Highs()
-    highs.passOptions(options)
+    bindings, highs = _lp_solver()
     failed = ("failed", None, np.nan)
     error = bindings.HighsStatus.kError
-    if highs.passModel(lp) == error or highs.run() == error:
+    highs.clearSolver()
+    passed = highs.passModel(
+        n, m + 1, col.size,
+        int(bindings.MatrixFormat.kColwise), int(bindings.ObjSense.kMinimize), 0.0,
+        cost, np.full(n, lower), np.full(n, upper),
+        np.append(np.full(m, -bindings.kHighsInf), 1.0), rhs,
+        np.searchsorted(col, np.arange(n + 1)).astype(np.int32), row.astype(np.int32),
+        matrix.T[col, row], np.zeros(n, dtype=np.int32),
+    )
+    if passed == error or highs.run() == error:
         return failed
     status = highs.getModelStatus()
     if status == bindings.HighsModelStatus.kInfeasible:
@@ -1120,18 +1318,14 @@ def _three_binary_coeffs(system: _SupportSystem) -> list[tuple[float, ...]]:
     return coeffs
 
 
-def _solve_three_binary_mixers(system: _SupportSystem) -> SupportSolution | None:
-    """Exactly three mixing players with two support actions each.
-
-    Each mixer's indifference gap is bilinear in the other two mixers'
-    pivot probabilities, so chaining two substitutions leaves a quadratic
-    in one variable: the equilibrium points are available in closed form.
-    Returns None on degenerate coefficient patterns (continua etc.).
-    """
-    i, j, k = [m for m, size in enumerate(system.sizes) if size > 1]
-    lo = MIN_SUPPORT_PROB
+def _chained_quadratic(i, j, k) -> tuple:
+    """The chain of three binary mixers' gaps, from their coefficients
+    (a, b, c, d) in order (`_three_binary_coeffs`), as floats or as arrays
+    of them: (alpha0, alpha1, beta0, beta1, q2, q1, q0), where x_i =
+    -(alpha0 + alpha1 x_j) / (beta0 + beta1 x_j) and the roots of q2 x_j^2
+    + q1 x_j + q0 give x_j."""
+    (ai, bi, ci, di), (aj, bj, cj, dj), (ak, bk, ck, dk) = i, j, k
     # g_i(x_j, x_k) = 0, g_j(x_i, x_k) = 0, g_k(x_i, x_j) = 0.
-    (ai, bi, ci, di), (aj, bj, cj, dj), (ak, bk, ck, dk) = _three_binary_coeffs(system)
     # Substitute x_k = -(ai + bi x_j) / (ci + di x_j) into g_j, leaving a
     # bilinear relation between x_i and x_j, then x_i = möbius(x_j); the
     # last equation becomes a quadratic in x_j.
@@ -1148,6 +1342,22 @@ def _solve_three_binary_mixers(system: _SupportSystem) -> SupportSolution | None
     q2 = ck * beta1 - dk * alpha1
     q1 = ak * beta1 + ck * beta0 - bk * alpha1 - dk * alpha0
     q0 = ak * beta0 - bk * alpha0
+    return alpha0, alpha1, beta0, beta1, q2, q1, q0
+
+
+def _solve_three_binary_mixers(system: _SupportSystem) -> SupportSolution | None:
+    """Exactly three mixing players with two support actions each.
+
+    Each mixer's indifference gap is bilinear in the other two mixers'
+    pivot probabilities, so chaining two substitutions leaves a quadratic
+    in one variable: the equilibrium points are available in closed form.
+    Returns None on degenerate coefficient patterns (continua etc.).
+    """
+    i, j, k = [m for m, size in enumerate(system.sizes) if size > 1]
+    lo = MIN_SUPPORT_PROB
+    coeffs = _three_binary_coeffs(system)
+    ai, bi, ci, di = coeffs[0]
+    alpha0, alpha1, beta0, beta1, q2, q1, q0 = _chained_quadratic(*coeffs)
     scale = max(abs(q0), abs(q1), abs(q2), 1e-30)
     roots: list[float]
     if abs(q2) / scale < 1e-12:
@@ -1456,7 +1666,8 @@ def solve_support(
     those leave (more mixers, two mixers with neither block pinned,
     degenerate systems) meets the linear relaxation (`relaxation_bound`),
     whose infeasibility refutes the support. In `swne`, mixed dominance
-    (`_mixed_refuted`) refutes many supports without an equilibrium
+    (`_mixed_refuted`) and the closed forms' array pass
+    (`_binary_refuted`) refute many supports without an equilibrium
     before this function sees them. Of the rest, a
     two-player support is solved exactly at the vertices of its
     equilibrium polytopes (`_solve_bimatrix`); any other is decided by
@@ -1706,7 +1917,8 @@ def swne(game: NormalFormGame) -> EquilibriumResult:
     its best cell welfare does not exceed the running bar (the best
     welfare found so far), or when presolve rules it out, before
     `solve_support` sees it with the bar. A support that mixed dominance
-    refutes is skipped too, as `solve_support`'s "infeasible" would be.
+    or the closed forms refute is skipped too, as `solve_support`'s
+    "infeasible" would be.
     The maximal-welfare candidate wins, with ties inside the welfare
     tolerance broken by canonical support order and then by
     lexicographic profile order. `pruned` counts the skipped supports
@@ -1716,11 +1928,12 @@ def swne(game: NormalFormGame) -> EquilibriumResult:
 
     The pure equilibria, every support's best cell welfare and, unless
     the pure bar skips every mixed support, every presolve verdict and
-    mixed refutation are decided for all supports at once, in array
-    passes over the support grid (`_pure_cells`, `_welfare_bounds`,
-    `_presolve_keep`, `_mixed_refuted`). Only the mixed supports that
-    the pure bar and presolve leave open reach the loop, where they meet
-    the running bar, then mixed dominance, then `solve_support`.
+    refutation are decided for all supports at once, in array passes
+    over the support grid (`_pure_cells`, `_welfare_bounds`,
+    `_presolve_keep`, `_mixed_refuted`, `_binary_refuted`). Only the
+    mixed supports that the pure bar and presolve leave open reach the
+    loop, where they meet the running bar, then the refutations, then
+    `solve_support`.
     Raises NoEquilibriumError when nothing is found, which
     indicates solver failure rather than a game property.
     """
@@ -1753,11 +1966,12 @@ def swne(game: NormalFormGame) -> EquilibriumResult:
     if live.any():
         live &= _presolve_keep(reduced, layout).ravel()[mixed]
     pruned = len(bounds) - int(live.sum())
-    # A support some player's mixed dominance refutes has no candidate, as
-    # `solve_support` would find: skipping it counts nowhere.
+    # A support that mixed dominance or the closed forms refute has no
+    # candidate, as `solve_support` would find: skipping it counts nowhere.
     refuted = np.zeros(len(bounds), dtype=bool)
     if live.any():
-        refuted = _mixed_refuted(reduced, layout).ravel()[mixed]
+        refuted = _mixed_refuted(reduced, layout) | _binary_refuted(reduced, layout)
+        refuted = refuted.ravel()[mixed]
     inconclusive = 0
     candidates: list[EquilibriumCandidate] = []  # the mixed ones
     norm_welfare = best_norm = None

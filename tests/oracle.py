@@ -2,8 +2,8 @@
 
 Deliberately independent of the main solver: pure equilibria are found by
 exhaustive deviation checking, iterated strict dominance one action pair
-at a time, a support's presolve verdict, best cell welfare and mixed
-refutation by reading its cells one by one, small sequential games by
+at a time, a support's presolve verdict, best cell welfare, mixed
+refutation and closed-form refutation by reading its cells one by one, small sequential games by
 re-deriving the backward induction with pure-strategy stage solutions, a
 fixed bounded profile's values and one coalition's best response against
 it by plain recursion over the nodes, and single-agent optimal values by
@@ -20,7 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from csgnash.games import Csg, NormalFormGame
-from csgnash.nfg_solve import _REFUTE_LEVEL, Removal
+import math
+
+from csgnash.nfg_solve import (
+    _CLOSED_FORM_MARGIN,
+    _DEGENERATE_TOL,
+    _PIN_TOL,
+    _REFUTE_LEVEL,
+    ACCEPT_FLOOR,
+    FEASIBILITY_TOL,
+    Removal,
+)
 from csgnash.objectives import CompiledObjectives
 
 Joint = tuple[int, ...]
@@ -166,6 +176,107 @@ def reference_mixed_refuted(game: NormalFormGame, sets) -> bool:
             if lo < hi:
                 return True
     return False
+
+
+def reference_binary_refuted(game: NormalFormGame, sets) -> bool:
+    """Whether the support with action sets `sets`, on which exactly two
+    or exactly three players (the mixers) keep two actions each and every
+    other player one, has closed-form points that all clearly fail
+    `accept`, support by support in scalars.
+
+    A mixer's gap is its pivot's normalised utility minus its second
+    action's, at the other mixers' picks (pick 0 is the pivot). With two
+    mixers, each one's gaps g_a, g_b against the other's pivot and second
+    action pin the other's pivot probability at g_b / (g_b - g_a); a gap
+    difference of at most _PIN_TOL abstains (False). With three, the
+    points are the roots of `_solve_three_binary_mixers`' chained
+    quadratic, by its formulas; a leading coefficient or discriminant of
+    at most _DEGENERATE_TOL times the quadratic's scale (squared for the
+    discriminant), or a root's substitution denominator of at most
+    _DEGENERATE_TOL, abstains, and a negative discriminant leaves no
+    point. A point fails when a probability is below ACCEPT_FLOOR or
+    above 1 - ACCEPT_FLOOR, or some player's gain from an action outside
+    its support exceeds FEASIBILITY_TOL, by more than
+    _CLOSED_FORM_MARGIN. A gain is the cell differences over the mixers'
+    picks, contracted with the mixers' probabilities one mixer at a time,
+    the last first. The support is refuted when every point fails."""
+    sizes = [len(s) for s in sets]
+    mixers = [i for i, size in enumerate(sizes) if size == 2]
+    if len(mixers) not in (2, 3) or sizes.count(1) != len(sets) - len(mixers):
+        return False
+    norm = game.normalised_utilities()
+
+    def utility(player, actions) -> float:
+        joint = tuple(actions.get(p, s[0]) for p, s in enumerate(sets))
+        return float(norm[joint + (player,)])
+
+    def gap(m, picks) -> float:
+        at = {q: sets[q][r] for q, r in picks.items()}
+        return utility(m, {**at, m: sets[m][0]}) - utility(m, {**at, m: sets[m][1]})
+
+    if len(mixers) == 2:
+        points = [[]]
+        for m, other in (mixers, mixers[::-1]):
+            # The other mixer's gaps pin m's pivot probability.
+            g_a, g_b = gap(other, {m: 0}), gap(other, {m: 1})
+            if abs(g_b - g_a) <= _PIN_TOL:
+                return False
+            points[0].append(g_b / (g_b - g_a))
+    else:
+        coeffs = []
+        for m in mixers:
+            u, v = [q for q in mixers if q != m]
+            at = [[gap(m, {u: r, v: t}) for t in (0, 1)] for r in (0, 1)]
+            a = at[1][1]
+            b = at[0][1] - a
+            c = at[1][0] - a
+            d = at[0][0] - a - b - c
+            coeffs.append((a, b, c, d))
+        (ai, bi, ci, di), (aj, bj, cj, dj), (ak, bk, ck, dk) = coeffs
+        alpha0 = aj * ci - cj * ai
+        alpha1 = aj * di - cj * bi
+        beta0 = bj * ci - dj * ai
+        beta1 = bj * di - dj * bi
+        q2 = ck * beta1 - dk * alpha1
+        q1 = ak * beta1 + ck * beta0 - bk * alpha1 - dk * alpha0
+        q0 = ak * beta0 - bk * alpha0
+        scale = max(abs(q0), abs(q1), abs(q2), 1e-30)
+        disc = q1 * q1 - 4.0 * q2 * q0
+        if abs(q2) <= _DEGENERATE_TOL * scale or abs(disc) <= _DEGENERATE_TOL * scale * scale:
+            return False
+        points = []
+        if disc >= 0.0:
+            sq = math.sqrt(disc)
+            for x_j in ((-q1 - sq) / (2 * q2), (-q1 + sq) / (2 * q2)):
+                den_i = beta0 + beta1 * x_j
+                den_k = ci + di * x_j
+                if abs(den_i) <= _DEGENERATE_TOL or abs(den_k) <= _DEGENERATE_TOL:
+                    return False
+                points.append([-(alpha0 + alpha1 * x_j) / den_i, x_j, -(ai + bi * x_j) / den_k])
+    low, high = ACCEPT_FLOOR - _CLOSED_FORM_MARGIN, 1.0 - ACCEPT_FLOOR + _CLOSED_FORM_MARGIN
+    level = FEASIBILITY_TOL + _CLOSED_FORM_MARGIN
+    for point in points:
+        if any(x < low or x > high for x in point):
+            continue
+        gains = []
+        for p, own in enumerate(sets):
+            for a in range(game.shape[p]):
+                if a in own:
+                    continue
+                # Cell differences by picks, contracted the last mixer first.
+                values = {}
+                for pick in itertools.product((0, 1), repeat=len(mixers)):
+                    at = {m: sets[m][r] for m, r in zip(mixers, pick)}
+                    values[pick] = utility(p, {**at, p: a}) - utility(p, {**at, p: own[0]})
+                for x in point[::-1]:
+                    values = {
+                        head: x * values[head + (0,)] + (1.0 - x) * values[head + (1,)]
+                        for head in {pick[:-1] for pick in values}
+                    }
+                gains.append(values[()])
+        if not any(g > level for g in gains):
+            return False
+    return True
 
 
 def reference_welfare_bound(game: NormalFormGame, sets) -> float:

@@ -20,6 +20,7 @@ from csgnash.nfg_solve import (
     Support,
     _contract_tensor,
     _SupportSystem,
+    _binary_refuted,
     _corner_search,
     _pinned_block,
     _mixed_refuted,
@@ -51,6 +52,7 @@ from csgnash.nfg_solve import (
 
 from oracle import (
     brute_force_pure_ne,
+    reference_binary_refuted,
     reference_filter_dominated,
     reference_mixed_refuted,
     reference_presolve,
@@ -280,6 +282,37 @@ def test_mixed_refutation_skips_the_solver_on_criterion_9(monkeypatch):
     )
 
 
+def test_binary_refutation_skips_the_solver_on_criterion_9(monkeypatch):
+    # Without the closed-form pass, 34 supports reached `solve_support`,
+    # and 4 with two binary mixers and 6 with three ended "infeasible";
+    # the pass refutes all 10 first. The closed forms still run on the
+    # supports it leaves, which hold candidates.
+    game = hard_333_game()
+    calls = dict.fromkeys(("solve_support", "_solve_pinned", "_solve_three_binary_mixers"), 0)
+    for name in calls:
+        original = getattr(nfg_solve, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(nfg_solve, name, counting)
+    got = swne(game)
+    assert calls["solve_support"] <= 24
+    assert calls["_solve_pinned"] >= 1
+    assert calls["_solve_three_binary_mixers"] >= 1
+
+    def unrefuted(game, layout):
+        return np.zeros([len(m) for m in layout.member], dtype=bool)
+
+    monkeypatch.setattr(nfg_solve, "_binary_refuted", unrefuted)
+    want = swne(game)
+    _same_answer(got, want)
+    assert (got.candidates, got.pruned, got.inconclusive) == (
+        want.candidates, want.pruned, want.inconclusive,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Dominance filtering
 
@@ -484,6 +517,7 @@ def test_batched_support_verdicts_match_the_oracle(game):
     keep = _presolve_keep(game, layout)
     bounds = _welfare_bounds(game, layout)
     refuted = _mixed_refuted(game, layout)
+    binary = _binary_refuted(game, layout)
     supports = enumerate_supports(game)
     keys = [(sum(s.sizes), s.masks()) for s in supports]
     assert keys == sorted(set(keys)) and len(keys) == support_count(game.shape)
@@ -493,6 +527,7 @@ def test_batched_support_verdicts_match_the_oracle(game):
         assert presolve_support(game, support) == keep[at]
         assert bounds[at] == reference_welfare_bound(game, support.sets)
         assert refuted[at] == reference_mixed_refuted(game, support.sets)
+        assert binary[at] == reference_binary_refuted(game, support.sets)
     pure = _pure_cells(game)
     for joint in game.joint_actions():
         assert pure[joint] == reference_pure_profile(game, joint)
@@ -596,6 +631,78 @@ def test_mixed_refutations_are_sound():
 
     check()
     assert beyond * 10 >= draws
+
+
+# Gap differences for near-singular pins: zero, at rounding, far below
+# `_PIN_TOL`, and about it. Noise for near-double roots: zero, at
+# rounding, and a few steps up to clear separation.
+PIN_DELTAS = [0.0, 1e-16, 1e-6, 1e-4, 1.5e-4]
+ROOT_NOISE = [0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-4, 1e-2]
+
+
+@st.composite
+def binary_games(draw):
+    """Games whose supports with two or three binary mixers reach the
+    closed forms' edge cases. "int" and "float" tables are plain. In a
+    "pins" one, some player's gap (first action minus second) against
+    another player's second action is 0 or 0.25, and against its first
+    action that plus a near-singular delta, on every cell of the rest: a
+    zero gap with a tiny delta leaves the player indifferent, so its
+    gaps pin nothing. In a "roots" one, the first three players' gaps on
+    their first two actions are x2 - x1, x0 - x2 and (x0 - c)(x1 - c), x
+    being a player's probability of its first action, so the chained
+    quadratic of `_solve_three_binary_mixers` has a double root at c; one
+    utility then moves by a little noise."""
+    shape = draw(st.sampled_from(
+        [(2, 2), (3, 3), (2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3), (2, 2, 2, 2)]
+    ))
+    kind = draw(st.sampled_from(["int", "float", "pins", "pins", "roots"]))
+    n = len(shape)
+    numbers = REFUTE_NUMBERS["int"] if kind == "int" else st.floats(0.0, 1.0)
+    size = math.prod(shape) * n
+    values = draw(st.lists(numbers, min_size=size, max_size=size))
+    table = np.array(values, dtype=np.float64).reshape(shape + (n,))
+    if kind == "pins":
+        i, j = draw(st.permutations(range(n)))[:2]
+        delta = draw(st.sampled_from(PIN_DELTAS)) * draw(st.sampled_from([1.0, -1.0]))
+        base = draw(st.sampled_from([0.0, 0.25]))
+        own = np.moveaxis(table[..., i], (i, j), (0, 1))
+        own[0, 0] = 0.0
+        own[1, 0] = -base - delta
+        own[1, 1] = own[0, 1] - base
+    elif kind == "roots" and n >= 3:
+        c = draw(st.sampled_from([-0.5, 0.5, 1.0, 1.5, 3.0]))
+        rest = itertools.product(*(range(k) for k in shape[3:]))
+        for tail, picks in itertools.product(list(rest), itertools.product((0, 1), repeat=3)):
+            x0, x1, x2 = (1.0 - r for r in picks)
+            gaps = (x2 - x1, x0 - x2, (x0 - c) * (x1 - c))
+            for m in range(3):
+                first = picks[:m] + (0,) + picks[m + 1 :] + tail
+                second = picks[:m] + (1,) + picks[m + 1 :] + tail
+                table[first + (m,)] = table[second + (m,)] + gaps[m] / 8
+        noise = draw(st.sampled_from(ROOT_NOISE)) * draw(st.sampled_from([1.0, -1.0]))
+        table[(0,) * n + (draw(st.integers(0, 2)),)] += noise
+    return NormalFormGame([tuple(f"a{k}" for k in range(c)) for c in shape], table)
+
+
+def test_binary_refutations_are_sound():
+    # Every support the closed-form pass refutes is one `solve_support`
+    # calls "infeasible", and at least one draw in ten refutes one.
+    draws = hits = 0
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(binary_games())
+    def check(game):
+        nonlocal draws, hits
+        layout = _support_layout(game.shape)
+        refuted = _binary_refuted(game, layout).ravel()[layout.order]
+        draws += 1
+        hits += bool(refuted.any())
+        for position in np.flatnonzero(refuted).tolist():
+            assert solve_support(game, layout.support(position)).status == "infeasible"
+
+    check()
+    assert hits * 10 >= draws
 
 
 def _replay_swne(game):
@@ -1484,11 +1591,12 @@ def _recorded_lps(monkeypatch, run) -> list:
     return calls
 
 
-def test_solve_lp_matches_linprog_bit_for_bit(monkeypatch):
-    # `_solve_lp` calls scipy's private HiGHS bindings; `linprog`, its
-    # public wrapper, must return the same bits on every LP the solver
-    # makes. A scipy release that changes the bindings fails here.
-    from scipy.optimize import linprog
+def _corpus_lps(monkeypatch) -> tuple[list, list]:
+    """Every LP the solver makes on the corpus, as `_recorded_lps` gives
+    them: the relaxations of every support of `_pin_corpus(5)` on which
+    at least two players mix, then the exact and banded pinned LPs of
+    every one- and two-mixer support of `_pin_corpus(10)`, and last one
+    with no inequality rows at all."""
 
     def relaxations():
         for game in _pin_corpus(5):
@@ -1497,7 +1605,6 @@ def test_solve_lp_matches_linprog_bit_for_bit(monkeypatch):
                     relaxation_bound(_SupportSystem(game, support))
 
     def pinned():
-        # The exact and the banded LPs of one- and two-mixer supports.
         for game in _pin_corpus(10):
             for support in enumerate_supports(game):
                 if _mixers(support) in (1, 2):
@@ -1506,31 +1613,70 @@ def test_solve_lp_matches_linprog_bit_for_bit(monkeypatch):
         tied = NormalFormGame([("a", "b")], np.array([[1.0], [1.0]]))
         _solve_pinned(_SupportSystem(tied, Support(((0, 1),))))
 
-    relaxation_lps = _recorded_lps(monkeypatch, relaxations)
-    pinned_lps = _recorded_lps(monkeypatch, pinned)
+    return _recorded_lps(monkeypatch, relaxations), _recorded_lps(monkeypatch, pinned)
+
+
+def _linprog_answer(cost, a_ub, b_ub, lower, upper):
+    """`linprog(method="highs")` on the program `_solve_lp` takes, as its
+    status class, point and objective."""
+    from scipy.optimize import linprog
+
+    rows = len(a_ub) > 0
+    res = linprog(
+        cost,
+        A_ub=a_ub if rows else None,
+        b_ub=b_ub if rows else None,
+        A_eq=np.ones((1, cost.size)),
+        b_eq=np.array([1.0]),
+        bounds=(lower, upper),
+        method="highs",
+    )
+    status = {0: "optimal", 2: "infeasible"}.get(res.status, "failed")
+    return status, res.x, res.fun
+
+
+def _same_lp_answer(out, want):
+    status, x, fun = out
+    assert status == want[0]
+    if status == "optimal":
+        assert float(fun).hex() == float(want[2]).hex()
+        assert x.tobytes() == want[1].tobytes()
+
+
+def test_solve_lp_matches_linprog_bit_for_bit(monkeypatch):
+    # `_solve_lp` calls scipy's private HiGHS bindings; `linprog`, its
+    # public wrapper, must return the same bits on every LP the solver
+    # makes. A scipy release that changes the bindings fails here.
+    relaxation_lps, pinned_lps = _corpus_lps(monkeypatch)
     assert len(relaxation_lps) == 840
     assert len(pinned_lps[-1][0][1]) == 0
-    classes = {0: "optimal", 2: "infeasible"}
     seen = set()
-    for (cost, a_ub, b_ub, lower, upper), (status, x, fun) in (
-        relaxation_lps + pinned_lps
-    ):
-        rows = len(a_ub) > 0
-        res = linprog(
-            cost,
-            A_ub=a_ub if rows else None,
-            b_ub=b_ub if rows else None,
-            A_eq=np.ones((1, cost.size)),
-            b_eq=np.array([1.0]),
-            bounds=(lower, upper),
-            method="highs",
-        )
-        assert status == classes.get(res.status, "failed")
-        seen.add(status)
-        if status == "optimal":
-            assert float(fun).hex() == float(res.fun).hex()
-            assert x.tobytes() == res.x.tobytes()
+    for args, out in relaxation_lps + pinned_lps:
+        _same_lp_answer(out, _linprog_answer(*args))
+        seen.add(out[0])
     assert seen == {"optimal", "infeasible"}
+
+
+def test_the_shared_lp_solver_carries_nothing_between_programs(monkeypatch):
+    # Every LP runs on one kept HiGHS solver. Replayed forwards, reversed,
+    # and each right after a program that fails (a NaN cost, or an
+    # infinite matrix entry), every LP must still give `linprog`'s bits:
+    # no basis, solution or failure carries over from one call to the
+    # next.
+    relaxation_lps, pinned_lps = _corpus_lps(monkeypatch)
+    programs = [args for args, _out in relaxation_lps + pinned_lps]
+    wants = [_linprog_answer(*args) for args in programs]
+    failing = [
+        (np.array([np.nan, 1.0]), np.zeros((1, 2)), np.zeros(1), 0.0, np.inf),
+        (np.ones(2), np.array([[np.inf, 1.0]]), np.ones(1), 0.0, np.inf),
+    ]
+    for args, want in zip(programs, wants):
+        _same_lp_answer(nfg_solve._solve_lp(*args), want)
+    for args, want in zip(programs[::-1], wants[::-1]):
+        _same_lp_answer(nfg_solve._solve_lp(*args), want)
+    for k, (args, want) in enumerate(zip(programs, wants)):
+        assert nfg_solve._solve_lp(*failing[k % 2])[0] == "failed"
+        _same_lp_answer(nfg_solve._solve_lp(*args), want)
 
 
 # A 2x2 game whose only pure equilibrium (B, L) has welfare 3, while the
